@@ -22,8 +22,9 @@ import os
 import time
 
 from repro.core import fuzz_races
-from repro.core.parallel import FuzzTask, chunk_ranges, run_fuzz_task
+from repro.core.parallel import FuzzTask, run_fuzz_task
 from repro.core.results import PairVerdict
+from repro.core.schedule import chunk_spans
 from repro.obs import environment_metadata
 from repro.workloads import figure1
 
@@ -59,7 +60,7 @@ def test_merge_overhead(benchmark):
             FuzzTask(workload="figure1", pair=figure1.REAL_PAIR,
                      seed_start=start, count=count)
         )
-        for start, count in chunk_ranges(0, 40, 5)
+        for start, count in chunk_spans(0, 40, 5)
     ]
 
     def merge():
@@ -103,7 +104,7 @@ def main(argv=None):
             FuzzTask(workload="figure1", pair=figure1.REAL_PAIR,
                      seed_start=chunk_start, count=count)
         )
-        for chunk_start, count in chunk_ranges(0, args.trials, args.chunk_size)
+        for chunk_start, count in chunk_spans(0, args.trials, args.chunk_size)
     ]
     start = time.perf_counter()
     merged = PairVerdict(pair=figure1.REAL_PAIR)

@@ -5,7 +5,8 @@ envelope and (optionally) a checkpoint journal.  On a fault-free campaign
 all of that machinery is pure overhead, so this benchmark measures the
 same Phase-2 campaign three ways:
 
-* the bare serial loop (no supervision at all);
+* the default inline path (default retry policy, no deadline, 25-trial
+  chunks);
 * the supervised inline path (deadline + retry armed, no faults fire);
 * the governed inline path (supervision plus a per-task memory budget
   that never fires — the ISSUE-7 resource-governance clean path);

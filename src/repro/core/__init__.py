@@ -21,7 +21,6 @@ from .parallel import (
     FuzzTask,
     ParallelCampaign,
     RecordTask,
-    chunk_ranges,
     fuzz_task_key,
     pool_map,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "BaselineTask",
     "schedule_signature",
     "signature_from_trace",
-    "chunk_ranges",
     "fuzz_task_key",
     "pool_map",
     "CampaignSchedule",

@@ -10,52 +10,52 @@
 ``baseline_exceptions``— the passive-scheduler control (columns 10 and,
                         for Figure 2, the probability comparison).
 
-Every entry point of the two-phase pipeline takes ``jobs=``: ``1``
-(default) runs the exact serial path in-process; ``N > 1`` (or ``None``/
-``0`` for one worker per core) fans the independent executions out across
-a process pool via :class:`~repro.core.parallel.ParallelCampaign`.
-Parallel campaigns rebuild the program in each worker from the workload
-registry, so the program must be a registered workload (``program.name``
-resolvable via :func:`repro.workloads.get`); merged results are identical
-to the serial run for the same seed set.
+Every entry point runs its tasks on one
+:class:`~repro.core.parallel.ParallelCampaign` and takes ``jobs=``:
+``1`` (default) runs the same tasks inline on the caller's program;
+``N > 1`` (or ``None``/``0`` for one worker per core) fans them out
+across a process pool.  Pool workers rebuild the program from the
+workload registry, so ``jobs != 1`` needs a registered workload
+(``program.name`` resolvable via :func:`repro.workloads.get`); merged
+results are identical to the inline run for the same seed set.
 
-Supervised campaigns additionally take ``deadline=`` (per-task wall-clock
+Every campaign is supervised.  ``deadline=`` (per-task wall-clock
 budget), ``retries=`` (bounded retry with backoff), ``checkpoint=``
 (append-only JSONL journal for kill/resume) and ``faults=`` (a
-deterministic :class:`~repro.core.faults.FaultPlan`); any of these routes
-the pipeline through the supervisor even at ``jobs=1``.  See
-:mod:`repro.core.supervisor` for the failure semantics.
+deterministic :class:`~repro.core.faults.FaultPlan`) tune the
+supervisor; a task that fails every attempt is quarantined onto the
+campaign's failures instead of raising.  Bad caller input (an unknown
+detector, preemption mode or scheduler) raises before any task runs.
+See :mod:`repro.core.supervisor` for the failure semantics.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from repro.detectors import (
     RaceReport,
-    make_detector,
+    available_detectors,
     schedulable_grades,
-    union_reports,
 )
-from repro.obs import ProgressUpdate, span
-from repro.obs.timeline import maybe_timeline, pair_label
-from repro.runtime.interpreter import Execution
+from repro.obs import span
+from repro.obs.timeline import maybe_timeline
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .parallel import ParallelCampaign, pair_span_name
-from .racefuzzer import RaceFuzzer
+from .parallel import ParallelCampaign, inline_program
+from .postponing import PREEMPTION_MODES
 from .results import CampaignReport, PairVerdict
 from .schedule import CampaignSchedule, make_schedule
-from .schedulers import RandomScheduler, baseline_scheduler
+from .schedulers import baseline_scheduler
 
 
 def _registered_name(program: Program) -> str:
-    """Resolve a program to its workload-registry name (parallel mode).
+    """Resolve a program to its workload-registry name (pooled mode).
 
-    Worker processes rebuild the program from the registry, so a parallel
+    Worker processes rebuild the program from the registry, so a pooled
     campaign is only meaningful for programs whose registry entry builds
     the same program the caller holds.
     """
@@ -72,31 +72,40 @@ def _registered_name(program: Program) -> str:
     return program.name
 
 
-def _parallel(jobs: int | None) -> bool:
-    """Did the caller ask for a worker pool?
+@contextmanager
+def _campaign(program: Program, jobs: int | None, **options):
+    """Open the one :class:`ParallelCampaign` behind a pipeline call.
 
-    The ``jobs=`` contract, shared by every pipeline entry point:
-    ``None`` and ``0`` both mean "auto" (one worker per core), ``1``
-    means the exact serial in-process path, and ``N >= 2`` means a pool
-    of N workers.  Only negative values are rejected.
+    Yields the engine and the workload name its tasks carry.  At
+    ``jobs=1`` the tasks run inline on the caller's live program, so any
+    program works; a pool rebuilds the program from the registry in each
+    worker, so only then must its name be registered.
     """
-    if jobs is not None and jobs < 0:
-        raise ValueError(
-            f"jobs must be None, 0 (one worker per core) or a positive "
-            f"int, got {jobs}"
+    with ParallelCampaign(jobs=jobs, **options) as engine:
+        if jobs == 1:
+            with inline_program(program):
+                yield engine, program.name
+        else:
+            yield engine, _registered_name(program)
+
+
+def _check_inputs(
+    detector: str | Sequence[str] = (), preemption: str = "sync"
+) -> None:
+    """Reject bad caller input before any task runs, at every ``jobs``.
+
+    A task body would raise on these too, but the supervisor would then
+    retry and quarantine every task instead of telling the caller.
+    """
+    names = [detector] if isinstance(detector, str) else list(detector)
+    unknown = [name for name in names if name not in available_detectors()]
+    if unknown:
+        raise KeyError(
+            f"unknown detector(s): {', '.join(unknown)}; "
+            f"registered: {available_detectors()}"
         )
-    return jobs is None or jobs == 0 or jobs > 1
-
-
-def _supervised(*options) -> bool:
-    """Does any resilience option force the supervised engine path?
-
-    The plain serial loops below have no deadline/retry/checkpoint
-    machinery, so any of those options routes through
-    :class:`ParallelCampaign` even at ``jobs=1`` (whose inline path is
-    still byte-identical on the success side).
-    """
-    return any(option is not None for option in options)
+    if preemption not in PREEMPTION_MODES:
+        raise ValueError(f"unknown preemption mode: {preemption!r}")
 
 
 def _detect_from_traces(
@@ -140,13 +149,17 @@ def _detect_from_traces(
         for seed in seed_list
     }
     missing = [seed for seed in seed_list if store.get(keys[seed]) is None]
-    if missing and (_parallel(jobs) or _supervised(deadline, retries, faults)):
-        with ParallelCampaign(
-            jobs=jobs, deadline=deadline, retry=retries, faults=faults,
+    # A plain jobs=1 call fills the store below, through the store's own
+    # quota and health controller; only a pool or a supervisor option
+    # sends the recording through the engine.
+    supervised = any(o is not None for o in (deadline, retries, faults))
+    if missing and (jobs != 1 or supervised):
+        with _campaign(
+            program, jobs, deadline=deadline, retry=retries, faults=faults,
             health=health,
-        ) as engine:
+        ) as (engine, name):
             engine.record(
-                _registered_name(program),
+                name,
                 seeds=missing,
                 max_steps=max_steps,
                 trace_dir=str(store.root),
@@ -177,8 +190,8 @@ def _emit_detect_event(tl, workload: str, seed: int, reports) -> None:
 
     ``reports`` maps detector name -> that seed's :class:`RaceReport`;
     the attrs carry per-detector candidate counts.  Emitted identically
-    by the serial loop, the worker entrypoint and the trace-replay path,
-    so the event stream is mode-independent.
+    by the detect task and the trace-replay path, so the event stream is
+    mode-independent.
     """
     tl.emit(
         "detect",
@@ -207,9 +220,9 @@ def detect_races(
     scheduler with the chosen detector observing every access, and unions
     the resulting reports (more Phase-1 executions -> more coverage, as
     with any dynamic analysis).  Seed runs are independent, so ``jobs=N``
-    (``None``/``0`` = one worker per core, ``1`` = serial, negatives
+    (``None``/``0`` = one worker per core, ``1`` = inline, negatives
     rejected) distributes them across workers with identical merged
-    output.  ``deadline``/``retries`` enable the campaign supervisor: a
+    output.  ``deadline``/``retries`` tune the campaign supervisor: a
     seed run that exceeds its wall-clock deadline or keeps crashing is
     retried and eventually quarantined instead of aborting the phase.
 
@@ -227,178 +240,42 @@ def detect_races(
     passes — the ROADMAP's caching lever.
 
     ``store_quota`` (bytes) bounds the trace cache with LRU eviction, and
-    ``faults`` injects a deterministic plan into the recording campaign
-    (phase name ``"record"``) — both only meaningful with ``trace_dir``.
+    ``faults`` injects a deterministic plan into the campaign (phase
+    ``"detect"``, or ``"record"`` with ``trace_dir``).
     """
     seed_list = list(seeds)
     assert seed_list, "detect_races needs at least one seed"
     single = isinstance(detector, str)
     detectors = [detector] if single else list(detector)
     assert detectors, "detect_races needs at least one detector"
+    _check_inputs(detectors)
 
-    merged: dict[str, RaceReport]
-    if trace_dir is not None:
-        with span("phase1.detect"):
-            merged = _detect_from_traces(
-                program,
-                detectors,
-                seed_list,
-                max_steps=max_steps,
-                history_cap=history_cap,
-                trace_dir=trace_dir,
-                jobs=jobs,
-                deadline=deadline,
-                retries=retries,
-                faults=faults,
-                store_quota=store_quota,
-            )
-    elif _parallel(jobs) or _supervised(deadline, retries, faults):
-        with ParallelCampaign(
-            jobs=jobs, deadline=deadline, retry=retries, faults=faults
-        ) as engine:
-            # One multi-detector call: each seed executes once with every
-            # requested detector attached, mirroring the serial loop.
-            result = engine.detect(
-                _registered_name(program),
-                detector=detectors,
+    if trace_dir is None:
+        with _campaign(
+            program, jobs, deadline=deadline, retry=retries, faults=faults
+        ) as (engine, name):
+            return engine.detect(
+                name,
+                detector=detector if single else detectors,
                 seeds=seed_list,
                 max_steps=max_steps,
                 history_cap=history_cap,
             )
-            assert isinstance(result, dict)
-            merged = result
-    else:
-        merged = {}
-        tl = maybe_timeline()
-        with span("phase1.detect"):
-            for seed in seed_list:
-                observers = {
-                    det: make_detector(det, history_cap=history_cap)
-                    for det in detectors
-                }
-                execution = Execution(
-                    program,
-                    seed=seed,
-                    observers=list(observers.values()),
-                    max_steps=max_steps,
-                )
-                execution.run(RandomScheduler(preemption="every"))
-                if tl is not None:
-                    _emit_detect_event(
-                        tl,
-                        program.name,
-                        seed,
-                        {det: obs.report for det, obs in observers.items()},
-                    )
-                for det, observer in observers.items():
-                    if det in merged:
-                        merged[det].merge(observer.report)
-                    else:
-                        merged[det] = observer.report
+    with span("phase1.detect"):
+        merged = _detect_from_traces(
+            program,
+            detectors,
+            seed_list,
+            max_steps=max_steps,
+            history_cap=history_cap,
+            trace_dir=trace_dir,
+            jobs=jobs,
+            deadline=deadline,
+            retries=retries,
+            faults=faults,
+            store_quota=store_quota,
+        )
     return merged[detector] if single else merged
-
-
-def _fuzz_scheduled_serial(
-    program: Program,
-    pair_list: Sequence[StatementPair],
-    sched: CampaignSchedule,
-    *,
-    preemption: str,
-    patience: int,
-    max_steps: int,
-    fast_mode: bool,
-    stop_on_confirm: bool,
-    on_progress,
-) -> dict[StatementPair, PairVerdict]:
-    """THE serial Phase-2 loop: execute a schedule's batches in-process.
-
-    Every serial fuzz path funnels through here (``fuzz_races`` directly,
-    ``race_directed_test`` via ``fuzz_races``), so trial-allocation policy
-    lives in exactly one place.  Consecutive same-pair chunks run under
-    one ``pair.*`` span — the fixed schedule emits each pair's chunks
-    contiguously, reproducing the historical one-span-per-pair metrics
-    exactly.
-    """
-    verdicts: dict[StatementPair, PairVerdict] = {
-        pair: PairVerdict(pair=pair) for pair in pair_list
-    }
-    start = time.monotonic() if on_progress is not None else 0.0
-    confirmed: set[int] = set()
-    done = issued = 0
-    tl = maybe_timeline()
-    with span("phase2.fuzz"):
-        while True:
-            batch = sched.next_batch()
-            if not batch:
-                break
-            issued += len(batch)
-            position = 0
-            while position < len(batch):
-                pair_index = batch[position].pair_index
-                group = []
-                while (
-                    position < len(batch)
-                    and batch[position].pair_index == pair_index
-                ):
-                    group.append(batch[position])
-                    position += 1
-                pair = pair_list[pair_index]
-                fuzzer = RaceFuzzer(
-                    pair, preemption=preemption, patience=patience,
-                    max_steps=max_steps, fast_mode=fast_mode,
-                )
-                with span(pair_span_name(pair)):
-                    for chunk in group:
-                        if (
-                            stop_on_confirm
-                            and verdicts[pair].times_created > 0
-                        ):
-                            sched.cancel(chunk)
-                            done += 1
-                            continue
-                        delta = PairVerdict(pair=pair)
-                        chunk_wall = time.time() if tl is not None else 0.0
-                        chunk_t0 = (
-                            time.perf_counter() if tl is not None else 0.0
-                        )
-                        for seed in range(
-                            chunk.seed_start, chunk.seed_start + chunk.count
-                        ):
-                            delta.absorb(fuzzer.run(program, seed=seed))
-                            if stop_on_confirm and delta.times_created > 0:
-                                break
-                        if tl is not None:
-                            # Same identity the worker path emits from
-                            # run_fuzz_task, so serial == --jobs N.
-                            tl.emit(
-                                "chunk",
-                                (pair_label(pair), chunk.seed_start),
-                                {
-                                    "count": chunk.count,
-                                    "trials": delta.trials,
-                                    "created": delta.times_created,
-                                },
-                                wall_s=chunk_wall,
-                                dur_s=time.perf_counter() - chunk_t0,
-                            )
-                        verdicts[pair].merge(delta)
-                        sched.record(chunk, delta)
-                        done += 1
-                if on_progress is not None:
-                    if verdicts[pair].times_created > 0:
-                        confirmed.add(pair_index)
-                    planned = sched.planned_chunks()
-                    on_progress(
-                        ProgressUpdate(
-                            phase="fuzz",
-                            done=done,
-                            total=issued + planned,
-                            confirms=len(confirmed),
-                            elapsed_s=time.monotonic() - start,
-                            remaining=(issued - done) + planned,
-                        )
-                    )
-    return verdicts
 
 
 def fuzz_races(
@@ -450,28 +327,29 @@ def fuzz_races(
     either mode — Phase 2 reads ops directly, not events — so this is
     purely a throughput lever for campaigns with observers attached.
 
-    ``jobs=N`` (``None``/``0`` = one worker per core, ``1`` = serial,
-    negatives rejected) splits each round's allocations into
-    ``chunk_size``-sized tasks across a worker pool; merged verdicts are
-    identical to the serial loop (posterior updates are commutative, and
+    Each round's allocations run as ``chunk_size``-sized tasks; ``jobs=N``
+    (``None``/``0`` = one worker per core, ``1`` = inline, negatives
+    rejected) spreads them over a worker pool with merged verdicts
+    identical to the inline run (posterior updates are commutative, and
     allocation decisions happen only at round boundaries).
-    ``stop_on_confirm`` abandons a pair's remaining trials once one trial
-    confirms the race real — same classification, fewer trials (and
-    timing-dependent trial counts when ``jobs > 1``).
+    ``stop_on_confirm`` ends a chunk at its first created race and
+    abandons the pair's remaining chunks once one confirms the race real
+    — same classification, fewer trials (and timing-dependent trial
+    counts when ``jobs > 1``).
 
-    The resilience options route through the campaign supervisor (even at
-    ``jobs=1``): ``deadline`` bounds each chunk's wall-clock (distinct
-    from ``max_steps``), ``retries`` bounds re-attempts of failing
-    chunks, ``checkpoint`` journals completed chunks to an append-only
-    JSONL file so a killed campaign resumes where it left off, and
-    ``faults`` injects a deterministic
-    :class:`~repro.core.faults.FaultPlan`.  ``memory_budget_mb`` bounds
-    each attempt's memory growth (``ru_maxrss`` delta), turning a leaky
-    chunk into a retryable ``memory``-kind failure.  A chunk that fails
-    every attempt is quarantined onto its verdict's ``errors`` instead of
-    sinking the campaign.  These paths require a registered workload
-    (like ``jobs>1``) so the program can be rebuilt from its name.
+    The resilience options tune the campaign supervisor: ``deadline``
+    bounds each chunk's wall-clock (distinct from ``max_steps``),
+    ``retries`` bounds re-attempts of failing chunks, ``checkpoint``
+    journals completed chunks to an append-only JSONL file so a killed
+    campaign resumes where it left off, and ``faults`` injects a
+    deterministic :class:`~repro.core.faults.FaultPlan`.
+    ``memory_budget_mb`` bounds each attempt's memory growth
+    (``ru_maxrss`` delta), turning a leaky chunk into a retryable
+    ``memory``-kind failure.  A chunk that fails every attempt is
+    quarantined onto its verdict's ``errors`` instead of sinking the
+    campaign.
     """
+    _check_inputs(preemption=preemption)
     pair_list = list(pairs)
     sched = make_schedule(
         schedule,
@@ -480,46 +358,30 @@ def fuzz_races(
         time_budget_s=time_budget,
         seed=base_seed,
     )
-    if _parallel(jobs) or _supervised(
-        deadline, retries, checkpoint, faults, memory_budget_mb
-    ):
-        with ParallelCampaign(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            stop_on_confirm=stop_on_confirm,
-            deadline=deadline,
-            retry=retries,
-            checkpoint=checkpoint,
-            faults=faults,
-            memory_budget_mb=memory_budget_mb,
-            on_progress=on_progress,
-        ) as engine:
-            return engine.fuzz(
-                _registered_name(program),
-                pair_list,
-                trials=trials,
-                base_seed=base_seed,
-                preemption=preemption,
-                patience=patience,
-                max_steps=max_steps,
-                fast_mode=fast_mode,
-                schedule=sched,
-                grades=grades,
-            )
-    sched.bind(
-        pair_list, base_seed=base_seed, chunk_size=chunk_size, grades=grades
-    )
-    return _fuzz_scheduled_serial(
+    with _campaign(
         program,
-        pair_list,
-        sched,
-        preemption=preemption,
-        patience=patience,
-        max_steps=max_steps,
-        fast_mode=fast_mode,
+        jobs,
+        chunk_size=chunk_size,
         stop_on_confirm=stop_on_confirm,
+        deadline=deadline,
+        retry=retries,
+        checkpoint=checkpoint,
+        faults=faults,
+        memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
-    )
+    ) as (engine, name):
+        return engine.fuzz(
+            name,
+            pair_list,
+            trials=trials,
+            base_seed=base_seed,
+            preemption=preemption,
+            patience=patience,
+            max_steps=max_steps,
+            fast_mode=fast_mode,
+            schedule=sched,
+            grades=grades,
+        )
 
 
 def _emit_funnel(report: CampaignReport) -> CampaignReport:
@@ -581,111 +443,62 @@ def race_directed_test(
     be a sequence of names — each Phase-1 seed then executes once with
     every detector attached and Phase 2 fuzzes the *union* of the
     reports, so a predictive detector's extra candidates ride along with
-    the hybrid baseline at no added Phase-1 execution cost.  ``jobs=N``
-    (``None``/``0`` = one worker per core, ``1`` = serial, negatives
-    rejected) parallelizes both phases over one supervised process pool.
-    The resilience options (``deadline``, ``retries``, ``checkpoint``,
-    ``faults`` — see :func:`fuzz_races`) apply to both phases; tasks that
-    fail every retry end up on ``CampaignReport.failures`` instead of
-    aborting the campaign.  ``fast_mode`` applies to Phase 2 only (see
-    :func:`fuzz_races`); Phase 1 detectors need every MemEvent, and so do
+    the hybrid baseline at no added Phase-1 execution cost.  Both phases
+    share one engine: ``jobs=N`` (``None``/``0`` = one worker per core,
+    ``1`` = inline, negatives rejected) parallelizes them over one
+    supervised process pool.  The resilience options (``deadline``,
+    ``retries``, ``checkpoint``, ``faults`` — see :func:`fuzz_races`)
+    apply to both phases; tasks that fail every retry end up on
+    ``CampaignReport.failures`` instead of aborting the campaign.
+    ``fast_mode`` applies to Phase 2 only (see :func:`fuzz_races`);
+    Phase 1 detectors need every MemEvent, and so do
     ``schedule``/``trial_budget``/``time_budget``, Phase 2's
     trial-allocation policy knobs.
     """
-    sched = make_schedule(
-        schedule,
-        trials=trials,
-        trial_budget=trial_budget,
-        time_budget_s=time_budget,
-        seed=base_seed,
-    )
-    if _parallel(jobs) or _supervised(
-        deadline, retries, checkpoint, faults, memory_budget_mb
-    ):
-        # One engine (and one worker pool) spans both phases, so that
-        # quarantine records from Phase 1 and Phase 2 land on the same
-        # campaign report.
-        with ParallelCampaign(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            stop_on_confirm=stop_on_confirm,
-            deadline=deadline,
-            retry=retries,
-            checkpoint=checkpoint,
-            faults=faults,
-            memory_budget_mb=memory_budget_mb,
-            on_progress=on_progress,
-        ) as engine:
-            name = _registered_name(program)
-            if pairs is None:
-                return _emit_funnel(
-                    engine.run(
-                        name,
-                        detector=detector,
-                        phase1_seeds=phase1_seeds,
-                        trials=trials,
-                        base_seed=base_seed,
-                        preemption=preemption,
-                        patience=patience,
-                        max_steps=max_steps,
-                        fast_mode=fast_mode,
-                        schedule=sched,
-                    )
-                )
-            pair_list = list(pairs)
-            phase1 = RaceReport.from_pairs(pair_list, program=name)
-            verdicts = engine.fuzz(
-                name,
-                pair_list,
-                trials=trials,
-                base_seed=base_seed,
-                preemption=preemption,
-                patience=patience,
-                max_steps=max_steps,
-                fast_mode=fast_mode,
-                schedule=sched,
-            )
-            return _emit_funnel(
-                CampaignReport(
-                    program=name,
-                    phase1=phase1,
-                    verdicts=verdicts,
-                    failures=list(engine.failures),
-                )
-            )
-    grades = None
-    if pairs is None:
-        phase1 = detect_races(
-            program,
-            detector=detector,
-            seeds=phase1_seeds,
-            max_steps=max_steps,
-        )
-        if isinstance(phase1, dict):
-            phase1 = union_reports(phase1, program=program.name)
-        pair_list = phase1.pairs
-        grades = schedulable_grades(phase1, pair_list)
-    else:
-        pair_list = list(pairs)
-        phase1 = RaceReport.from_pairs(pair_list, program=program.name)
-    verdicts = fuzz_races(
-        program,
-        pair_list,
+    _check_inputs(detector, preemption)
+    phase2 = dict(
         trials=trials,
         base_seed=base_seed,
         preemption=preemption,
         patience=patience,
         max_steps=max_steps,
         fast_mode=fast_mode,
+        schedule=make_schedule(
+            schedule,
+            trials=trials,
+            trial_budget=trial_budget,
+            time_budget_s=time_budget,
+            seed=base_seed,
+        ),
+    )
+    with _campaign(
+        program,
+        jobs,
         chunk_size=chunk_size,
         stop_on_confirm=stop_on_confirm,
+        deadline=deadline,
+        retry=retries,
+        checkpoint=checkpoint,
+        faults=faults,
+        memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
-        schedule=sched,
-        grades=grades,
-    )
-    return _emit_funnel(
-        CampaignReport(program=program.name, phase1=phase1, verdicts=verdicts)
-    )
+    ) as (engine, name):
+        if pairs is None:
+            return _emit_funnel(
+                engine.run(
+                    name, detector=detector, phase1_seeds=phase1_seeds, **phase2
+                )
+            )
+        pair_list = list(pairs)
+        verdicts = engine.fuzz(name, pair_list, **phase2)
+        return _emit_funnel(
+            CampaignReport(
+                program=name,
+                phase1=RaceReport.from_pairs(pair_list, program=name),
+                verdicts=verdicts,
+                failures=list(engine.failures),
+            )
+        )
 
 
 def baseline_exceptions(
@@ -702,36 +515,23 @@ def baseline_exceptions(
 ) -> Counter:
     """Count exception types over passive-scheduler runs (Table 1, col 10).
 
-    Baseline runs are independent seeded executions, so ``jobs=N``
-    (``None``/``0`` = one worker per core, ``1`` = serial, negatives
-    rejected) fans ``chunk_size``-run chunks out across workers; Counter
-    addition is commutative, so the merged tally matches the serial loop.
-    ``deadline``/``retries`` route through the campaign supervisor like
-    every other pipeline entry point; a chunk that fails every attempt
-    drops its runs (quarantined on the campaign's failure list) instead
-    of aborting the control experiment.
+    Baseline runs are independent seeded executions, run as
+    ``chunk_size``-run chunks; ``jobs=N`` (``None``/``0`` = one worker
+    per core, ``1`` = inline, negatives rejected) fans the chunks out
+    across workers, and Counter addition is commutative, so the merged
+    tally is the same at every ``jobs`` value.  ``deadline``/``retries``
+    tune the campaign supervisor like every other pipeline entry point;
+    a chunk that fails every attempt drops its runs (quarantined on the
+    campaign's failure list) instead of aborting the control experiment.
     """
     baseline_scheduler(scheduler)  # reject unknown specs before any run
-    if _parallel(jobs) or _supervised(deadline, retries):
-        with ParallelCampaign(
-            jobs=jobs, chunk_size=chunk_size, deadline=deadline, retry=retries
-        ) as engine:
-            return engine.baseline(
-                _registered_name(program),
-                runs=runs,
-                scheduler=scheduler,
-                base_seed=base_seed,
-                max_steps=max_steps,
-            )
-    crashes: Counter = Counter()
-    with span("baseline"):
-        for run in range(runs):
-            execution = Execution(
-                program, seed=base_seed + run, max_steps=max_steps
-            )
-            result = execution.run(baseline_scheduler(scheduler))
-            for crash in result.crashes:
-                crashes[crash.error_type] += 1
-            if result.deadlock:
-                crashes["Deadlock"] += 1
-    return crashes
+    with _campaign(
+        program, jobs, chunk_size=chunk_size, deadline=deadline, retry=retries
+    ) as (engine, name):
+        return engine.baseline(
+            name,
+            runs=runs,
+            scheduler=scheduler,
+            base_seed=base_seed,
+            max_steps=max_steps,
+        )

@@ -28,15 +28,18 @@ Design constraints, and how they are met:
   uids inside Phase-1 evidence are per-process and only meaningful for
   display; pair identity lives in statements, which are stable across
   processes.)
-* **``jobs=1`` is exactly the serial path.**  The engine runs task bodies
-  inline, in submission order, with no pool — byte-for-byte the same
-  work the serial drivers do.
+* **``jobs=1`` runs the same tasks inline on the caller's program.**  The
+  engine runs task bodies in submission order with no pool, and
+  :func:`inline_program` resolves the task's workload name to the
+  caller's live :class:`~repro.runtime.program.Program`, so an
+  unregistered program works too.  This is the only serial path.
 
 ``stop_on_confirm`` adds the one useful deviation from strict determinism:
-once any chunk confirms a pair real (``times_created > 0``), the pair's
-not-yet-started chunks are cancelled.  Verdict *classification* is
-unaffected (a confirmed pair stays confirmed) but trial counts then depend
-on worker timing, so equivalence tests must keep it off.
+a chunk stops at its first created race, and once any chunk confirms a
+pair real (``times_created > 0``), the pair's not-yet-started chunks are
+cancelled.  Verdict *classification* is unaffected (a confirmed pair stays
+confirmed) but pooled trial counts then depend on worker timing, so
+equivalence tests must keep it off.
 
 Every dispatch goes through the :mod:`~repro.core.supervisor` layer, which
 adds the failure story: per-task wall-clock deadlines, retry with backoff,
@@ -51,6 +54,8 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -64,6 +69,7 @@ from repro.obs import ProgressUpdate, span
 from repro.obs.health import HealthController
 from repro.obs.timeline import maybe_timeline, pair_label
 from repro.runtime.interpreter import Execution
+from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
 from .faults import FaultPlan
@@ -159,10 +165,38 @@ class FuzzTask:
     max_steps: int = 1_000_000
     #: suppress off-pair MemEvent emission in the worker (verdict-neutral).
     fast_mode: bool = False
+    #: end the chunk at its first created race (``stop_on_confirm``).
+    stop_on_confirm: bool = False
+
+
+#: the caller's program that inline task bodies run (see inline_program).
+_INLINE_PROGRAM: ContextVar[Program | None] = ContextVar(
+    "inline_program", default=None
+)
+
+
+@contextmanager
+def inline_program(program: Program):
+    """Run inline tasks addressed to ``program.name`` on ``program`` itself.
+
+    Task specs carry a workload name so they stay picklable; in this
+    process, while the block runs, that name resolves to the caller's
+    live program instead of a registry rebuild, so a ``jobs=1`` campaign
+    needs no registered workload.  Bind it only around an engine that
+    starts no pool: pool workers resolve names through the registry.
+    """
+    token = _INLINE_PROGRAM.set(program)
+    try:
+        yield
+    finally:
+        _INLINE_PROGRAM.reset(token)
 
 
 def _build_workload(name: str):
-    """Rebuild the program in the worker from its registry name."""
+    """The program a task names: the inline program, else a registry build."""
+    live = _INLINE_PROGRAM.get()
+    if live is not None and live.name == name:
+        return live
     from repro import workloads  # deferred: keep core importable alone
 
     return workloads.get(name).build()
@@ -189,8 +223,9 @@ def run_detect_task(task: DetectTask) -> "RaceReport | dict[str, RaceReport]":
     execution.run(RandomScheduler(preemption="every"))
     tl = maybe_timeline()
     if tl is not None:
-        # Same identity the serial loop emits (driver._emit_detect_event),
-        # so the deterministic event stream is mode-independent.
+        # Same identity the trace-replay path emits
+        # (driver._emit_detect_event), so the deterministic event stream
+        # is mode-independent.
         tl.emit(
             "detect",
             (task.workload, task.seed),
@@ -248,9 +283,9 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     with span(pair_span_name(task.pair)):
         for seed in range(task.seed_start, task.seed_start + task.count):
             verdict.absorb(fuzzer.run(program, seed=seed))
+            if task.stop_on_confirm and verdict.times_created > 0:
+                break
     if tl is not None:
-        # Same identity the serial loop emits in _fuzz_scheduled_serial,
-        # so serial == --jobs N on the deterministic event stream.
         tl.emit(
             "chunk",
             (pair_label(task.pair), task.seed_start),
@@ -273,36 +308,26 @@ def fuzz_task_key(task: FuzzTask) -> str:
     parameter change misses the cache and re-executes.  ``fast_mode`` is
     deliberately excluded: it only gates MemEvent emission to observers
     (workers attach none), so verdicts are identical either way and old
-    journals stay valid.
+    journals stay valid.  ``stop_on_confirm`` enters the key only when
+    set, so a journal written without it keeps serving runs without it
+    and never satisfies a run with it.
     """
     first, second = task.pair.first, task.pair.second
-    return json.dumps(
-        {
-            "workload": task.workload,
-            "pair": [
-                [first.file, first.line, first.label],
-                [second.file, second.line, second.label],
-            ],
-            "seed_start": task.seed_start,
-            "count": task.count,
-            "preemption": task.preemption,
-            "patience": task.patience,
-            "max_steps": task.max_steps,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def chunk_ranges(base_seed: int, trials: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split ``trials`` consecutive seeds into ``(start, count)`` chunks.
-
-    A thin alias of :func:`repro.core.schedule.chunk_spans` — the
-    schedule layer owns range math now, so incremental allocations
-    starting at an arbitrary seed cursor chunk identically to a full
-    fixed campaign.
-    """
-    return chunk_spans(base_seed, trials, chunk_size)
+    fields = {
+        "workload": task.workload,
+        "pair": [
+            [first.file, first.line, first.label],
+            [second.file, second.line, second.label],
+        ],
+        "seed_start": task.seed_start,
+        "count": task.count,
+        "preemption": task.preemption,
+        "patience": task.patience,
+        "max_steps": task.max_steps,
+    }
+    if task.stop_on_confirm:
+        fields["stop_on_confirm"] = True
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def pool_map(
@@ -357,15 +382,16 @@ class ParallelCampaign:
 
     Parameters:
         jobs: worker processes (``None``/``0`` = one per core; ``1`` =
-            run inline with no pool, the exact serial path).
+            run inline with no pool).
         chunk_size: Phase-2 seeds per task.  Small chunks parallelize
             better; large chunks amortize per-task overhead.  Chunking
             never changes merged aggregates (trials are independent and
             the merge is associative).
-        stop_on_confirm: cancel a pair's remaining chunks once one chunk
-            confirms the race real.  Faster on campaigns with
-            high-probability races, but trial counts become
-            timing-dependent (classification does not).
+        stop_on_confirm: end each chunk at its first created race and
+            cancel the pair's remaining chunks once one chunk confirms
+            the race real.  Faster on campaigns with high-probability
+            races, but pooled trial counts become timing-dependent
+            (classification does not).
         deadline: per-task wall-clock budget in seconds (distinct from
             the abstract ``max_steps`` budget; ``None`` = unlimited).
         retry: a :class:`~repro.core.supervisor.RetryPolicy`, or an int
@@ -480,8 +506,8 @@ class ParallelCampaign:
         """Run one detection per seed concurrently; union the reports.
 
         Reports merge in seed order (not completion order), so the union
-        — pair set, per-pair counts, first-witness evidence — matches the
-        serial loop exactly.
+        — pair set, per-pair counts, first-witness evidence — is the same
+        at every ``jobs`` value.
 
         ``detector`` may be a sequence of names: each seed then executes
         *once* with every detector attached, and the result is a
@@ -582,8 +608,8 @@ class ParallelCampaign:
     ) -> Counter:
         """Chunked passive-scheduler control runs; summed crash counter.
 
-        Counter addition is commutative, so the merged tally is identical
-        to the serial loop for whatever chunks completed; quarantined
+        Counter addition is commutative, so the merged tally is the same
+        at every ``jobs`` value for whatever chunks completed; quarantined
         chunks drop their runs (recorded on :attr:`failures`) instead of
         sinking the control experiment.
         """
@@ -595,7 +621,7 @@ class ParallelCampaign:
                 count=count,
                 max_steps=max_steps,
             )
-            for start, count in chunk_ranges(base_seed, runs, self.chunk_size)
+            for start, count in chunk_spans(base_seed, runs, self.chunk_size)
         ]
         with span("baseline"):
             report = self.supervisor.supervise(
@@ -644,7 +670,7 @@ class ParallelCampaign:
 
         Chunk verdicts for one pair merge in seed order within each
         round, and posterior updates are commutative, so aggregates are
-        identical to the serial loop for the same seed set and schedule
+        the same at every ``jobs`` value for one seed set and schedule
         (except wall-clock sums, which are measured, and trial counts
         under ``stop_on_confirm``).
         """
@@ -679,6 +705,7 @@ class ParallelCampaign:
                         patience=patience,
                         max_steps=max_steps,
                         fast_mode=fast_mode,
+                        stop_on_confirm=self.stop_on_confirm,
                     )
                     for chunk in batch
                 ]
@@ -776,7 +803,7 @@ class ParallelCampaign:
         fast_mode: bool = False,
         schedule: str | CampaignSchedule | None = None,
     ) -> CampaignReport:
-        """Both phases end to end, against one registered workload.
+        """Both phases end to end, against one workload by name.
 
         A detector sequence runs a multi-detector Phase 1 (one execution
         per seed feeding all of them) and fuzzes the *union* of their
@@ -791,8 +818,7 @@ class ParallelCampaign:
         if isinstance(phase1, dict):
             phase1 = union_reports(phase1, program=workload)
         pair_list = phase1.pairs
-        # Same grade plumbing race_directed_test applies on the serial
-        # path, so both engines seed identical adaptive priors.
+        # Phase-1 grades seed the adaptive schedule's priors.
         grades = schedulable_grades(phase1, pair_list)
         verdicts = self.fuzz(
             workload,
@@ -824,8 +850,8 @@ __all__ = [
     "run_fuzz_task",
     "run_record_task",
     "run_baseline_task",
-    "chunk_ranges",
     "fuzz_task_key",
+    "inline_program",
     "pool_map",
     "pair_key",
     "pair_span_name",

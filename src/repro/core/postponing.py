@@ -42,6 +42,9 @@ from repro.runtime.observer import ExecutionObserver
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
+#: the ``preemption=`` modes a postponing driver accepts.
+PREEMPTION_MODES = ("every", "sync")
+
 
 @dataclass(frozen=True)
 class TargetHit:
@@ -104,7 +107,7 @@ class PostponingDriver:
         observers: Iterable[ExecutionObserver] = (),
         fast_mode: bool = False,
     ) -> None:
-        if preemption not in ("every", "sync"):
+        if preemption not in PREEMPTION_MODES:
             raise ValueError(f"unknown preemption mode: {preemption!r}")
         self.preemption = preemption
         self.patience = patience

@@ -19,9 +19,8 @@ every layer:
   below a threshold are early-stopped, and a *global* trial/wall-clock
   budget replaces per-pair counts.
 
-The executor contract (both the serial loop in
-:mod:`repro.core.driver` and the supervised engine in
-:mod:`repro.core.parallel` honour it):
+The executor contract (the campaign engine in :mod:`repro.core.parallel`
+honours it at every ``jobs`` value):
 
 1. ``bind(pairs, base_seed=..., chunk_size=...)`` once per campaign;
 2. repeatedly take :meth:`~CampaignSchedule.next_batch` and run every
@@ -70,9 +69,10 @@ class TrialChunk:
 def chunk_spans(start: int, count: int, chunk_size: int) -> list[tuple[int, int]]:
     """Split ``count`` consecutive seeds from ``start`` into chunk spans.
 
-    The range-aware core of :func:`repro.core.parallel.chunk_ranges`; the
-    adaptive schedule uses it to cut an incremental allocation at an
-    arbitrary seed cursor into worker-sized pieces.
+    Every chunked campaign cuts its seed ranges here: the fixed schedule
+    and the baseline chunk whole ranges, and the adaptive schedule cuts
+    an incremental allocation at an arbitrary seed cursor into
+    worker-sized pieces.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

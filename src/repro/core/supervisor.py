@@ -79,7 +79,7 @@ def resolve_jobs(jobs: int | None) -> int:
     """Normalize a ``jobs=`` argument.
 
     The contract: ``None`` and ``0`` both mean "auto" (one worker per
-    core), ``1`` means the exact serial in-process path, ``N >= 2`` means
+    core), ``1`` means inline in-process execution, ``N >= 2`` means
     a pool of N workers.  Only negative values are rejected.
     """
     if jobs is None or jobs == 0:

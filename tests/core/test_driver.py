@@ -8,6 +8,7 @@ from repro.core import (
     fuzz_races,
     race_directed_test,
 )
+from repro.obs import collecting
 from repro.runtime import Program, SharedVar, join_all, ops, spawn_all
 from repro.runtime.statement import Statement, StatementPair
 from repro.workloads import figure1
@@ -147,19 +148,6 @@ class TestBaselineExceptionsParallel:
         )
         assert serial == parallel
 
-    def test_supervised_path_at_jobs_1(self):
-        supervised = baseline_exceptions(
-            figure1.build(),
-            runs=12,
-            scheduler="random",
-            max_steps=20_000,
-            retries=0,
-        )
-        plain = baseline_exceptions(
-            figure1.build(), runs=12, scheduler="random", max_steps=20_000
-        )
-        assert supervised == plain
-
     def test_parallel_requires_registered_workload(self):
         def factory():
             def main():
@@ -173,6 +161,37 @@ class TestBaselineExceptionsParallel:
     def test_unknown_scheduler_rejected_before_dispatch(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             baseline_exceptions(figure1.build(), runs=1, scheduler="magic", jobs=2)
+
+
+class TestOneEngine:
+    """Every ``jobs`` value runs the same supervised tasks."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_caller_input_raises_before_dispatch(self, jobs):
+        with collecting() as registry:
+            with pytest.raises(KeyError, match="psychic"):
+                detect_races(figure1.build(), detector="psychic", jobs=jobs)
+            with pytest.raises(ValueError, match="preemption"):
+                fuzz_races(
+                    figure1.build(),
+                    [figure1.REAL_PAIR],
+                    trials=2,
+                    preemption="sometimes",
+                    jobs=jobs,
+                )
+        assert registry.counter("supervisor.tasks") == 0
+
+    def test_raising_program_is_quarantined_inline(self):
+        def factory():
+            raise RuntimeError("broken factory")
+
+        verdicts = fuzz_races(
+            Program(factory, name="broken"), [figure1.REAL_PAIR], trials=2,
+            retries=0,
+        )
+        verdict = verdicts[figure1.REAL_PAIR]
+        assert verdict.trials == 0
+        assert [failure.kind for failure in verdict.errors] == ["crash"]
 
 
 class TestPipelineOnLostUpdateProgram:

@@ -14,12 +14,12 @@ from repro.core import (
     DetectTask,
     FuzzTask,
     ParallelCampaign,
-    chunk_ranges,
     detect_races,
     fuzz_races,
     race_directed_test,
 )
 from repro.core.parallel import run_detect_task, run_fuzz_task
+from repro.core.schedule import chunk_spans
 from repro.runtime import Program
 from repro.workloads import figure1
 
@@ -64,13 +64,13 @@ class TestTaskSpecs:
         )
 
     def test_chunk_ranges_cover_exactly_once(self):
-        ranges = chunk_ranges(base_seed=7, trials=23, chunk_size=5)
+        ranges = chunk_spans(start=7, count=23, chunk_size=5)
         seeds = [s for start, count in ranges for s in range(start, start + count)]
         assert seeds == list(range(7, 30))
 
     def test_chunk_ranges_reject_bad_size(self):
         with pytest.raises(ValueError):
-            chunk_ranges(0, 10, 0)
+            chunk_spans(0, 10, 0)
 
 
 class TestDetectEquivalence:
@@ -147,6 +147,15 @@ class TestCampaignEquivalence:
         with pytest.raises(ValueError, match="not in"):
             race_directed_test(Program(factory, name="anonymous"), jobs=2)
 
+    def test_unregistered_program_runs_inline(self):
+        racy = Program(figure1.build().factory, name="anonymous")
+        campaign = race_directed_test(racy, trials=4, jobs=1)
+        assert campaign.program == "anonymous"
+        assert figure1.REAL_PAIR in campaign.real_pairs
+        assert not campaign.failures
+        with pytest.raises(ValueError, match="not in"):
+            race_directed_test(racy, trials=4, jobs=2)
+
 
 class TestStopOnConfirm:
     def test_serial_early_exit_stops_at_first_confirmation(self):
@@ -157,6 +166,24 @@ class TestStopOnConfirm:
         )
         assert verdicts[figure1.REAL_PAIR].is_real
         assert verdicts[figure1.REAL_PAIR].trials == 1
+
+    def test_chunk_stops_at_first_creation(self):
+        task = FuzzTask(
+            workload="figure1", pair=figure1.REAL_PAIR, count=5,
+            stop_on_confirm=True,
+        )
+        assert run_fuzz_task(task).trials == 1
+
+    def test_journal_without_the_flag_does_not_serve_it(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        pair = figure1.REAL_PAIR
+        plain = fuzz_races(figure1.build(), [pair], trials=5, checkpoint=journal)
+        assert plain[pair].trials == 5
+        flagged = fuzz_races(
+            figure1.build(), [pair], trials=5, checkpoint=journal,
+            stop_on_confirm=True,
+        )
+        assert flagged[pair].trials == 1
 
     def test_false_pair_still_gets_all_trials(self):
         verdicts = fuzz_races(

@@ -18,7 +18,6 @@ from repro.core import (
     fuzz_races,
     make_schedule,
 )
-from repro.core.parallel import chunk_ranges
 from repro.core.schedule import beta_upper_bound, chunk_spans
 from repro.workloads import figure1
 
@@ -55,9 +54,6 @@ class TestChunkSpans:
         seeds = [s for start, count in spans for s in range(start, start + count)]
         assert seeds == list(range(42, 65))
 
-    def test_chunk_ranges_is_the_same_math(self):
-        assert chunk_ranges(7, 23, 5) == chunk_spans(7, 23, 5)
-
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):
             chunk_spans(0, 10, 0)
@@ -78,11 +74,11 @@ class TestFixedSchedule:
         sched = FixedSchedule(trials=23)
         sched.bind(PAIRS, base_seed=7, chunk_size=5)
         batch = sched.next_batch()
-        # Pair-major, each pair's chunks exactly chunk_ranges of its range.
+        # Pair-major, each pair's chunks exactly chunk_spans of its range.
         expected = [
             (index, start, count)
             for index in range(len(PAIRS))
-            for start, count in chunk_ranges(7, 23, 5)
+            for start, count in chunk_spans(7, 23, 5)
         ]
         assert [(c.pair_index, c.seed_start, c.count) for c in batch] == expected
         assert sched.next_batch() == []
@@ -98,16 +94,6 @@ class TestFixedSchedule:
     def test_schedule_fixed_identical_to_default_serial(self):
         legacy = fuzz_races(figure1.build(), PAIRS, trials=8)
         pinned = fuzz_races(figure1.build(), PAIRS, trials=8, schedule="fixed")
-        assert _campaign_signature(legacy) == _campaign_signature(pinned)
-
-    def test_schedule_fixed_identical_to_default_parallel(self):
-        legacy = fuzz_races(
-            figure1.build(), PAIRS, trials=8, jobs=4, chunk_size=3
-        )
-        pinned = fuzz_races(
-            figure1.build(), PAIRS, trials=8, jobs=4, chunk_size=3,
-            schedule="fixed",
-        )
         assert _campaign_signature(legacy) == _campaign_signature(pinned)
 
 

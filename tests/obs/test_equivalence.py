@@ -1,12 +1,12 @@
-"""Serial == parallel for metrics, exactly as for campaign results.
+"""Inline == pooled for metrics, exactly as for campaign results.
 
-Workload counters (``interp.*``, ``fuzz.*``, ``trace.*``) must be
-identical between a serial run and a process-pool run on the same seeds:
-workers collect into their own registries and the supervisor folds
-accepted snapshots deterministically.  ``supervisor.*`` counters compare
-between supervised serial and supervised parallel (an unsupervised serial
-run has no supervisor), and wall-clock aggregates (spans, ``*_wall_s``
-histograms) are machine-dependent and excluded.
+Every run goes through the campaign supervisor, inline at ``jobs=1`` and
+on a process pool otherwise.  Workload counters (``interp.*``,
+``fuzz.*``, ``trace.*``) and ``supervisor.*`` counters must be identical
+between the two on the same seeds: each attempt collects into its own
+registry and the supervisor folds accepted snapshots deterministically.
+Wall-clock aggregates (spans, ``*_wall_s`` histograms) are
+machine-dependent and excluded.
 """
 
 import pytest
@@ -29,9 +29,16 @@ def _workload_counters(snapshot):
     }
 
 
-def _campaign_snapshot(name, *, jobs, supervised=False, trials=6):
+def _supervisor_counters(snapshot):
+    return {
+        name: value
+        for name, value in snapshot.counters.items()
+        if name.startswith("supervisor.")
+    }
+
+
+def _campaign_snapshot(name, *, jobs, trials=6):
     spec = get(name)
-    kwargs = {"retries": 1} if supervised else {}
     with collecting() as registry:
         phase1 = detect_races(
             spec.build(), seeds=spec.phase1_seeds, max_steps=spec.max_steps
@@ -43,7 +50,6 @@ def _campaign_snapshot(name, *, jobs, supervised=False, trials=6):
             max_steps=spec.max_steps,
             jobs=jobs,
             chunk_size=2,
-            **kwargs,
         )
     return registry.snapshot()
 
@@ -54,6 +60,8 @@ class TestSerialParallelEquivalence:
         serial = _campaign_snapshot(workload, jobs=1)
         parallel = _campaign_snapshot(workload, jobs=2)
         assert _workload_counters(serial) == _workload_counters(parallel)
+        assert _supervisor_counters(serial)
+        assert _supervisor_counters(serial) == _supervisor_counters(parallel)
 
     def test_gauges_equal(self, workload):
         serial = _campaign_snapshot(workload, jobs=1)
@@ -70,17 +78,6 @@ class TestSerialParallelEquivalence:
                 assert parallel.histograms[name].count == histogram.count
             else:
                 assert parallel.histograms[name] == histogram
-
-    def test_supervisor_counters_equal_when_both_supervised(self, workload):
-        serial = _campaign_snapshot(workload, jobs=1, supervised=True)
-        parallel = _campaign_snapshot(workload, jobs=2, supervised=True)
-        supervisor = lambda s: {  # noqa: E731
-            name: value
-            for name, value in s.counters.items()
-            if name.startswith("supervisor.")
-        }
-        assert supervisor(serial) == supervisor(parallel)
-        assert _workload_counters(serial) == _workload_counters(parallel)
 
 
 class TestTable1Metrics:
