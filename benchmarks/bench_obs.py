@@ -1,23 +1,22 @@
-"""Observability overhead: campaign wall clock with metrics off vs on.
+"""Observability overhead: campaign wall clock with telemetry off vs on.
 
-The metrics registry is designed to cost one ``None``-check per
-instrumented site when disabled (the default), and a handful of dict
-operations per *execution* — not per step — when enabled.  This
-benchmark quantifies both:
+Telemetry is designed to cost one ``None``-check per instrumented site
+when off (the default), and a handful of dict operations plus a few
+events per *execution* — not per step — when on.  There is one switch
+(``collecting()``; the CLI turns it on for ``--metrics-out`` or
+``--timeline-out``), so there are two arms:
 
-* ``disabled`` — the stock campaign, registry inactive (what ``table1``
-  and every other un-flagged entry point runs); the acceptance bar is
-  that this regresses < 2% against the pre-observability baseline;
-* ``enabled`` — the same campaign under ``collecting()``, measuring the
-  full per-execution fold cost;
-* ``timeline`` — the same campaign under ``recording_timeline()``
-  (``--timeline-out``), measuring the per-chunk/per-trial event cost;
-  the bar is <= 15% over the disabled arm.
+* ``off`` — the stock campaign, no telemetry (what ``table1`` and every
+  other un-flagged entry point runs);
+* ``on`` — the same campaign under ``collecting()``: counters, spans and
+  the event ring all recording.
+
+``overhead_ratio`` is ``on / off``; CI gates it below 1.5.
 
 Two entry points:
 
 * under pytest (``pytest benchmarks/bench_obs.py --benchmark-only``)
-  each configuration is a ``benchmark`` case;
+  each arm is a ``benchmark`` case;
 * as a script (``python benchmarks/bench_obs.py``) it prints the
   comparison and writes a ``BENCH_obs.json`` overhead record for the
   perf trajectory.
@@ -28,7 +27,7 @@ import os
 import time
 
 from repro.core import detect_races, fuzz_races
-from repro.obs import collecting, environment_metadata, recording_timeline
+from repro.obs import collecting, environment_metadata
 from repro.workloads import figure1
 
 PAIRS = [figure1.REAL_PAIR, figure1.FALSE_PAIR]
@@ -42,15 +41,12 @@ def _campaign(trials):
     return phase1, verdicts
 
 
-def _time_campaign(trials, *, repeats, metered=False, timed=False):
+def _time_campaign(trials, *, repeats, on):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        if metered:
+        if on:
             with collecting():
-                _campaign(trials)
-        elif timed:
-            with recording_timeline():
                 _campaign(trials)
         else:
             _campaign(trials)
@@ -58,39 +54,29 @@ def _time_campaign(trials, *, repeats, metered=False, timed=False):
     return best
 
 
-def test_campaign_metrics_disabled(benchmark, quick_trials):
+def test_campaign_telemetry_off(benchmark, quick_trials):
     _, verdicts = benchmark(lambda: _campaign(quick_trials))
     assert verdicts[figure1.REAL_PAIR].is_real
 
 
-def test_campaign_metrics_enabled(benchmark, quick_trials):
-    def metered():
-        with collecting() as registry:
+def test_campaign_telemetry_on(benchmark, quick_trials):
+    def recorded():
+        with collecting() as telemetry:
             result = _campaign(quick_trials)
-        return result, registry.snapshot()
+        return result, telemetry.snapshot()
 
-    (_, verdicts), snapshot = benchmark(metered)
+    (_, verdicts), snapshot = benchmark(recorded)
     assert verdicts[figure1.REAL_PAIR].is_real
     assert snapshot.counters["fuzz.trials"] == 2 * quick_trials
-    benchmark.extra_info["counters"] = len(snapshot.counters)
-
-
-def test_campaign_timeline_enabled(benchmark, quick_trials):
-    def timed():
-        with recording_timeline() as recorder:
-            result = _campaign(quick_trials)
-        return result, recorder.snapshot()
-
-    (_, verdicts), snapshot = benchmark(timed)
-    assert verdicts[figure1.REAL_PAIR].is_real
     assert any(event.kind == "chunk" for event in snapshot.events)
+    benchmark.extra_info["counters"] = len(snapshot.counters)
     benchmark.extra_info["events"] = len(snapshot.events)
 
 
-def test_registry_inc(benchmark):
-    """The hot-path primitive: one enabled counter increment."""
-    with collecting() as registry:
-        benchmark(lambda: registry.inc("bench.counter"))
+def test_telemetry_inc(benchmark):
+    """The hot-path primitive: one counter increment."""
+    with collecting() as telemetry:
+        benchmark(lambda: telemetry.inc("bench.counter"))
 
 
 def main(argv=None):
@@ -105,17 +91,12 @@ def main(argv=None):
     # Interleave-free warmup so both arms measure hot code.
     _campaign(5)
 
-    disabled_s = _time_campaign(args.trials, repeats=args.repeats)
-    enabled_s = _time_campaign(args.trials, repeats=args.repeats, metered=True)
-    timeline_s = _time_campaign(args.trials, repeats=args.repeats, timed=True)
+    off_s = _time_campaign(args.trials, repeats=args.repeats, on=False)
+    on_s = _time_campaign(args.trials, repeats=args.repeats, on=True)
 
-    with collecting() as registry:
+    with collecting() as telemetry:
         _campaign(args.trials)
-    snapshot = registry.snapshot()
-
-    with recording_timeline() as recorder:
-        _campaign(args.trials)
-    timeline = recorder.snapshot()
+    snapshot = telemetry.snapshot()
 
     record = {
         "benchmark": "observability-overhead",
@@ -125,16 +106,10 @@ def main(argv=None):
         "repeats": args.repeats,
         "cpu_count": os.cpu_count(),
         "env": environment_metadata(),
-        "disabled_s": round(disabled_s, 4),
-        "enabled_s": round(enabled_s, 4),
-        "enabled_overhead_ratio": (
-            round(enabled_s / disabled_s, 3) if disabled_s else None
-        ),
-        "timeline_s": round(timeline_s, 4),
-        "timeline_overhead_ratio": (
-            round(timeline_s / disabled_s, 3) if disabled_s else None
-        ),
-        "timeline_events": len(timeline.events),
+        "off_s": round(off_s, 4),
+        "on_s": round(on_s, 4),
+        "overhead_ratio": round(on_s / off_s, 3) if off_s else None,
+        "events": len(snapshot.events),
         "counters_collected": len(snapshot.counters),
         "spans_collected": len(snapshot.spans),
         "interp_executions": snapshot.counters.get("interp.executions", 0),

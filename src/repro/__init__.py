@@ -14,8 +14,8 @@ deterministic concurrent abstract machine:
   bugs of Section 5.3;
 * :mod:`repro.workloads` — one benchmark per Table 1 row;
 * :mod:`repro.harness` — regenerates every table and figure;
-* :mod:`repro.obs` — campaign telemetry: the metrics registry, phase
-  spans, live progress, and exportable run reports.
+* :mod:`repro.obs` — campaign telemetry: one stream of counters, phase
+  spans and timeline events, live progress, and exportable run reports.
 
 Quickstart::
 
@@ -52,7 +52,7 @@ from .detectors import (
     VectorClock,
     make_detector,
 )
-from .obs import MetricsRegistry, MetricsSnapshot, collecting
+from .obs import Telemetry, TelemetrySnapshot, collecting
 from .runtime import (
     AtomicCounter,
     Barrier,
@@ -126,7 +126,7 @@ __all__ = [
     "AtomicityFuzzer",
     "AtomicRegion",
     # observability
-    "MetricsRegistry",
-    "MetricsSnapshot",
+    "Telemetry",
+    "TelemetrySnapshot",
     "collecting",
 ]

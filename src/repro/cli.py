@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 
-from contextlib import ExitStack
+from contextlib import nullcontext
 
 from repro.core import (
     DefaultScheduler,
@@ -49,7 +49,6 @@ from repro.obs import (
     collecting,
     load_run_report,
     load_timeline,
-    recording_timeline,
     render_dash,
     render_prometheus,
     render_stats_table,
@@ -62,14 +61,35 @@ from repro.runtime import Execution
 from repro.workloads import all_workloads, get
 
 
-def _enter_collecting(stack: ExitStack, wanted: bool):
-    """Enable metrics for the body of a command when any flag needs them."""
-    return stack.enter_context(collecting()) if wanted else None
+def _telemetry_scope(args, *, also: bool = False):
+    """One telemetry scope for a command's body: on when ``--metrics-out``
+    or ``--timeline-out`` (or ``also``) asks for it, else a null scope
+    yielding ``None``."""
+    wanted = also or args.metrics_out is not None or args.timeline_out is not None
+    return collecting() if wanted else nullcontext()
 
 
-def _enter_timeline(stack: ExitStack, wanted: bool):
-    """Enable timeline recording when ``--timeline-out`` asks for it."""
-    return stack.enter_context(recording_timeline()) if wanted else None
+def _write_telemetry(
+    args, snapshot, *, command: str, workload: str | None = None,
+    merge_existing: bool = False,
+) -> None:
+    """Write whichever of the two telemetry documents the flags asked for.
+
+    Both come from the same snapshot: ``--timeline-out`` gets every
+    event with its display fields, ``--metrics-out`` the run report.
+    """
+    if args.timeline_out is not None:
+        write_timeline(
+            args.timeline_out, snapshot, command=command, workload=workload
+        )
+    if args.metrics_out is not None:
+        write_run_report(
+            args.metrics_out,
+            snapshot,
+            command=command,
+            workload=workload,
+            merge_existing=merge_existing,
+        )
 
 
 def _checked_detectors(names: list[str]) -> list[str] | None:
@@ -135,9 +155,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     spec = get(args.workload)
-    with ExitStack() as stack:
-        registry = _enter_collecting(stack, args.metrics_out is not None)
-        recorder = _enter_timeline(stack, args.timeline_out is not None)
+    with _telemetry_scope(args) as telemetry:
         if args.scheduler == "rapos":
             result = RaposDriver(max_steps=spec.max_steps).run(
                 spec.build(), seed=args.seed
@@ -151,19 +169,10 @@ def _cmd_run(args) -> int:
             result = Execution(
                 spec.build(), seed=args.seed, max_steps=spec.max_steps
             ).run(scheduler)
-        timeline = recorder.snapshot() if recorder is not None else None
     print(result)
-    if timeline is not None:
-        write_timeline(
-            args.timeline_out, timeline, command="run", workload=spec.name
-        )
-    if registry is not None:
-        write_run_report(
-            args.metrics_out,
-            registry.snapshot(),
-            command="run",
-            workload=spec.name,
-            timeline=timeline,
+    if telemetry is not None:
+        _write_telemetry(
+            args, telemetry.snapshot(), command="run", workload=spec.name
         )
     return 0 if not result.crashes and not result.deadlock else 1
 
@@ -174,12 +183,9 @@ def _cmd_detect(args) -> int:
     if detectors is None:
         return 2
     faults = parse_fault_plan(args.fault_plan) if args.fault_plan else None
-    # The trace-store stats line rides on the metrics registry, so a
-    # --trace-dir run collects even without --metrics-out.
-    collect = args.metrics_out is not None or args.trace_dir is not None
-    with ExitStack() as stack:
-        registry = _enter_collecting(stack, collect)
-        recorder = _enter_timeline(stack, args.timeline_out is not None)
+    # The trace-store stats line rides on the telemetry stream, so a
+    # --trace-dir run collects even without an output flag.
+    with _telemetry_scope(args, also=args.trace_dir is not None) as telemetry:
         report = detect_races(
             spec.build(),
             detector=detectors[0] if len(detectors) == 1 else detectors,
@@ -202,13 +208,9 @@ def _cmd_detect(args) -> int:
             print(report[name])
     else:
         print(report)
-    timeline = recorder.snapshot() if recorder is not None else None
-    if timeline is not None:
-        write_timeline(
-            args.timeline_out, timeline, command="detect", workload=spec.name
-        )
-    if registry is not None:
-        snapshot = registry.snapshot()
+    if telemetry is not None:
+        snapshot = telemetry.snapshot()
+        _write_telemetry(args, snapshot, command="detect", workload=spec.name)
         if args.trace_dir is not None:
             c = snapshot.counters
             print(
@@ -218,14 +220,6 @@ def _cmd_detect(args) -> int:
                 f"execution(s), {c.get('trace.store_bytes', 0)} byte(s) "
                 f"written",
                 file=sys.stderr,
-            )
-        if args.metrics_out is not None:
-            write_run_report(
-                args.metrics_out,
-                snapshot,
-                command="detect",
-                workload=spec.name,
-                timeline=timeline,
             )
     return 0
 
@@ -339,9 +333,7 @@ def _cmd_fuzz(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    with ExitStack() as stack:
-        registry = _enter_collecting(stack, args.metrics_out is not None)
-        recorder = _enter_timeline(stack, args.timeline_out is not None)
+    with _telemetry_scope(args) as telemetry:
         campaign = race_directed_test(
             spec.build(),
             detector=detectors[0] if len(detectors) == 1 else detectors,
@@ -363,22 +355,16 @@ def _cmd_fuzz(args) -> int:
             trial_budget=args.trial_budget,
             time_budget=args.time_budget,
         )
-    timeline = recorder.snapshot() if recorder is not None else None
-    if timeline is not None:
-        write_timeline(
-            args.timeline_out, timeline, command="fuzz", workload=spec.name
-        )
-    if registry is not None:
+    if telemetry is not None:
         # A checkpoint-resumed campaign accumulates into the prior report
         # rather than overwriting it (mirrors the journal semantics); the
         # timeline section dedup-unions the same way.
-        write_run_report(
-            args.metrics_out,
-            registry.snapshot(),
+        _write_telemetry(
+            args,
+            telemetry.snapshot(),
             command="fuzz",
             workload=spec.name,
             merge_existing=args.checkpoint is not None,
-            timeline=timeline,
         )
     print(campaign)
     if campaign.harmful_pairs:
@@ -501,7 +487,7 @@ def _cmd_trace_export(args) -> int:
         if section is None:
             print(
                 f"{args.path}: run report has no timeline section "
-                "(re-run with --timeline-out, or pass its document here)",
+                "(pass the --timeline-out document instead)",
                 file=sys.stderr,
             )
             return 2
@@ -823,8 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the campaign timeline: trial/chunk spans, schedule "
         "rounds with their Thompson draws, per-pair posterior updates, "
         "health transitions (feed it to `repro trace-export` or "
-        "`repro dash`); also attaches the v3 timeline section to "
-        "--metrics-out reports",
+        "`repro dash`); either output flag records the whole telemetry "
+        "stream, and every --metrics-out report carries its timeline "
+        "section",
     )
     fuzz_parser.add_argument(
         "--progress",

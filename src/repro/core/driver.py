@@ -40,8 +40,7 @@ from repro.detectors import (
     available_detectors,
     schedulable_grades,
 )
-from repro.obs import span
-from repro.obs.timeline import maybe_timeline
+from repro.obs import maybe_telemetry, span
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
@@ -165,7 +164,7 @@ def _detect_from_traces(
                 trace_dir=str(store.root),
             )
     merged: dict[str, RaceReport] = {}
-    tl = maybe_timeline()
+    telemetry = maybe_telemetry()
     for seed in seed_list:
         # with_recovery covers every seed: warm hit, serial fill, the
         # fallback for a quarantined record task, and the re-record path
@@ -175,8 +174,8 @@ def _detect_from_traces(
             program,
             lambda path: analyze_trace(path, detectors, history_cap=history_cap),
         )
-        if tl is not None:
-            _emit_detect_event(tl, program.name, seed, reports)
+        if telemetry is not None:
+            _emit_detect_event(telemetry, program.name, seed, reports)
         for name in detectors:
             if name in merged:
                 merged[name].merge(reports[name])
@@ -185,7 +184,7 @@ def _detect_from_traces(
     return merged
 
 
-def _emit_detect_event(tl, workload: str, seed: int, reports) -> None:
+def _emit_detect_event(telemetry, workload: str, seed: int, reports) -> None:
     """One deterministic ``detect`` event per analyzed Phase-1 seed.
 
     ``reports`` maps detector name -> that seed's :class:`RaceReport`;
@@ -193,7 +192,7 @@ def _emit_detect_event(tl, workload: str, seed: int, reports) -> None:
     by the detect task and the trace-replay path, so the event stream is
     mode-independent.
     """
-    tl.emit(
+    telemetry.emit(
         "detect",
         (workload, seed),
         {name: len(report.evidence) for name, report in reports.items()},
@@ -390,10 +389,10 @@ def _emit_funnel(report: CampaignReport) -> CampaignReport:
     Derived entirely from the merged campaign report, so the event is
     identical however the campaign executed.
     """
-    tl = maybe_timeline()
-    if tl is not None:
+    telemetry = maybe_telemetry()
+    if telemetry is not None:
         grades = schedulable_grades(report.phase1, report.phase1.pairs)
-        tl.emit(
+        telemetry.emit(
             "funnel",
             (report.program,),
             {

@@ -65,9 +65,8 @@ from repro.detectors import (
     schedulable_grades,
     union_reports,
 )
-from repro.obs import ProgressUpdate, span
-from repro.obs.health import HealthController
-from repro.obs.timeline import maybe_timeline, pair_label
+from repro.obs import HealthController, ProgressUpdate, maybe_telemetry, span
+from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
@@ -221,12 +220,12 @@ def run_detect_task(task: DetectTask) -> "RaceReport | dict[str, RaceReport]":
         max_steps=task.max_steps,
     )
     execution.run(RandomScheduler(preemption="every"))
-    tl = maybe_timeline()
-    if tl is not None:
+    telemetry = maybe_telemetry()
+    if telemetry is not None:
         # Same identity the trace-replay path emits
         # (driver._emit_detect_event), so the deterministic event stream
         # is mode-independent.
-        tl.emit(
+        telemetry.emit(
             "detect",
             (task.workload, task.seed),
             {name: len(obs.report.evidence) for name, obs in observers.items()},
@@ -277,16 +276,16 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
         fast_mode=task.fast_mode,
     )
     verdict = PairVerdict(pair=task.pair)
-    tl = maybe_timeline()
-    chunk_wall = time.time() if tl is not None else 0.0
-    chunk_t0 = time.perf_counter() if tl is not None else 0.0
+    telemetry = maybe_telemetry()
+    chunk_wall = time.time() if telemetry is not None else 0.0
+    chunk_t0 = time.perf_counter() if telemetry is not None else 0.0
     with span(pair_span_name(task.pair)):
         for seed in range(task.seed_start, task.seed_start + task.count):
             verdict.absorb(fuzzer.run(program, seed=seed))
             if task.stop_on_confirm and verdict.times_created > 0:
                 break
-    if tl is not None:
-        tl.emit(
+    if telemetry is not None:
+        telemetry.emit(
             "chunk",
             (pair_label(task.pair), task.seed_start),
             {

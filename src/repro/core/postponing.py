@@ -34,8 +34,7 @@ from typing import Iterable
 
 import time
 
-from repro.obs import WALL_BUCKETS, maybe_registry
-from repro.obs.timeline import maybe_timeline
+from repro.obs import WALL_BUCKETS, maybe_telemetry
 from repro.runtime.errors import ExecutionLimitExceeded
 from repro.runtime.interpreter import Execution, ExecutionResult
 from repro.runtime.observer import ExecutionObserver
@@ -166,8 +165,8 @@ class PostponingDriver:
 
     def run(self, program: Program, seed: int = 0) -> FuzzResult:
         """Execute ``program`` once under the active random scheduler."""
-        tl = maybe_timeline()
-        trial_wall = time.time() if tl is not None else 0.0
+        telemetry = maybe_telemetry()
+        trial_wall = time.time() if telemetry is not None else 0.0
         execution = Execution(
             program,
             seed=seed,
@@ -224,25 +223,23 @@ class PostponingDriver:
             execution.result.truncated = True
 
         execution.finish()
-        m = maybe_registry()
-        if m is not None:
-            m.inc("fuzz.trials")
+        if telemetry is not None:
+            telemetry.inc("fuzz.trials")
             if fuzz.created:
-                m.inc("fuzz.trials_created")
-            m.inc("fuzz.races_created", len(fuzz.hits))
-            m.inc("fuzz.postpones", fuzz.postpones)
-            m.inc("fuzz.coin_flips", fuzz.coin_flips)
-            m.inc("fuzz.forced_releases", fuzz.forced_releases)
-            m.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
-            m.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
-            m.observe(
+                telemetry.inc("fuzz.trials_created")
+            telemetry.inc("fuzz.races_created", len(fuzz.hits))
+            telemetry.inc("fuzz.postpones", fuzz.postpones)
+            telemetry.inc("fuzz.coin_flips", fuzz.coin_flips)
+            telemetry.inc("fuzz.forced_releases", fuzz.forced_releases)
+            telemetry.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
+            telemetry.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
+            telemetry.observe(
                 "fuzz.trial_wall_s", execution.result.wall_time,
                 bounds=WALL_BUCKETS,
             )
-        if tl is not None:
             # Identity is schedule-determined (target + seed + counters);
             # wall/duration ride along for Perfetto export only.
-            tl.emit(
+            telemetry.emit(
                 "trial",
                 (self.timeline_target() or program.name, seed),
                 {

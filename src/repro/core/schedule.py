@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from repro.obs import maybe_registry
-from repro.obs.timeline import maybe_timeline, pair_label
+from repro.obs import maybe_telemetry
+from repro.obs.timeline import pair_label
 from repro.runtime.statement import StatementPair
 
 
@@ -165,9 +165,9 @@ class CampaignSchedule:
     def next_batch(self) -> list[TrialChunk]:
         """The next round of chunks to execute ([] = campaign done)."""
         assert self._bound, "bind() must be called before next_batch()"
-        tl = maybe_timeline()
-        if tl is not None and self.rounds == 0:
-            self._emit_bind_events(tl)
+        telemetry = maybe_telemetry()
+        if telemetry is not None and self.rounds == 0:
+            self._emit_bind_events(telemetry)
         batch = self.plan_round()
         if not batch:
             return []
@@ -177,11 +177,9 @@ class CampaignSchedule:
             self.allocation_log.append(
                 (chunk.pair_index, chunk.seed_start, chunk.count)
             )
-        m = maybe_registry()
-        if m is not None:
-            m.inc("schedule.rounds")
-            m.inc("schedule.trials_allocated", sum(c.count for c in batch))
-        if tl is not None:
+        if telemetry is not None:
+            telemetry.inc("schedule.rounds")
+            telemetry.inc("schedule.trials_allocated", sum(c.count for c in batch))
             attrs = {
                 "chunks": len(batch),
                 "trials": sum(c.count for c in batch),
@@ -190,7 +188,7 @@ class CampaignSchedule:
                 ],
             }
             attrs.update(self._round_event_attrs())
-            tl.emit("schedule.round", (self.rounds - 1,), attrs)
+            telemetry.emit("schedule.round", (self.rounds - 1,), attrs)
         return batch
 
     def record(self, chunk: TrialChunk, verdict) -> None:
@@ -230,13 +228,13 @@ class CampaignSchedule:
 
     # -- helpers for subclasses ----------------------------------------- #
 
-    def _emit_bind_events(self, tl) -> None:
+    def _emit_bind_events(self, telemetry) -> None:
         """Timeline: one ``schedule.bind`` summary plus a ``pair.bind``
         per pair, emitted lazily before the first planned round (so
         subclass state — posteriors, finalized budgets — exists)."""
-        tl.emit("schedule.bind", (), self._bind_event_attrs())
+        telemetry.emit("schedule.bind", (), self._bind_event_attrs())
         for index in range(len(self.pairs)):
-            tl.emit("pair.bind", (index,), self._pair_bind_attrs(index))
+            telemetry.emit("pair.bind", (index,), self._pair_bind_attrs(index))
 
     def _bind_event_attrs(self) -> dict:
         return {
@@ -423,23 +421,21 @@ class AdaptiveSchedule(CampaignSchedule):
         post.created += verdict.times_created
         post.alpha += verdict.times_created
         post.beta += verdict.trials - verdict.times_created
-        tl = maybe_timeline()
-        if tl is not None:
+        telemetry = maybe_telemetry()
+        if telemetry is not None:
             # Deltas, not running totals: feedback arrives in completion
             # order under --jobs N, so the event must not depend on what
             # settled before it.  Trajectories are rebuilt by seed order.
-            tl.emit(
+            telemetry.emit(
                 "schedule.posterior",
                 (chunk.pair_index, chunk.seed_start),
                 {"trials": verdict.trials, "created": verdict.times_created},
             )
         if post.confirmed and not was_confirmed:
             self.confirmed += 1
-            m = maybe_registry()
-            if m is not None:
-                m.inc("schedule.pairs_confirmed")
-            if tl is not None:
-                tl.emit(
+            if telemetry is not None:
+                telemetry.inc("schedule.pairs_confirmed")
+                telemetry.emit(
                     "schedule.stop",
                     (chunk.pair_index,),
                     {"reason": "confirmed"},
@@ -481,9 +477,9 @@ class AdaptiveSchedule(CampaignSchedule):
         if time.monotonic() - self._started >= self.time_budget_s:
             if not self.time_exhausted:
                 self.time_exhausted = True
-                m = maybe_registry()
-                if m is not None:
-                    m.inc("schedule.time_budget_exhausted")
+                telemetry = maybe_telemetry()
+                if telemetry is not None:
+                    telemetry.inc("schedule.time_budget_exhausted")
             return True
         return False
 
@@ -496,14 +492,12 @@ class AdaptiveSchedule(CampaignSchedule):
             if post.created == 0 and post.upper(self.stop_z) < self.stop_threshold:
                 post.stopped = True
                 self.early_stopped += 1
-                m = maybe_registry()
-                if m is not None:
-                    m.inc("schedule.pairs_early_stopped")
-                tl = maybe_timeline()
-                if tl is not None:
+                telemetry = maybe_telemetry()
+                if telemetry is not None:
+                    telemetry.inc("schedule.pairs_early_stopped")
                     # Retirement reads only the full posterior at a round
                     # boundary, so the decision is settle-order-free.
-                    tl.emit(
+                    telemetry.emit(
                         "schedule.stop",
                         (index,),
                         {"reason": "early_stopped"},
@@ -553,16 +547,23 @@ class AdaptiveSchedule(CampaignSchedule):
         sampled.sort(key=lambda pair: (-pair[0], pair[1]))
         winners = [i for _, i in sampled[: self.round_width]]
         winners.sort()  # issue chunks in pair order within the round
+        grants = [self.chunk_size] * len(winners)
+        if self.max_trials_per_pair is not None:
+            grants = [
+                min(grant, self.max_trials_per_pair - self._posteriors[i].issued)
+                for grant, i in zip(grants, winners)
+            ]
+        if budget_left is not None and sum(grants) > budget_left:
+            # Too little budget left for a full chunk each: split it
+            # evenly (the first winners in pair order take the odd
+            # trials), so no winner of the round is starved.
+            share, extra = divmod(budget_left, len(winners))
+            grants = [
+                min(grant, share + (rank < extra))
+                for rank, grant in enumerate(grants)
+            ]
         batch: list[TrialChunk] = []
-        for index in winners:
-            grant = self.chunk_size
-            if self.max_trials_per_pair is not None:
-                grant = min(
-                    grant,
-                    self.max_trials_per_pair - self._posteriors[index].issued,
-                )
-            if budget_left is not None:
-                grant = min(grant, budget_left)
+        for index, grant in zip(winners, grants):
             if grant <= 0:
                 continue
             for chunk in self.take_seeds(index, grant):
@@ -572,11 +573,11 @@ class AdaptiveSchedule(CampaignSchedule):
                 budget_left -= grant
         if budget_left is not None and budget_left <= 0:
             self.budget_exhausted = True
-        m = maybe_registry()
-        if m is not None and batch:
+        telemetry = maybe_telemetry()
+        if telemetry is not None and batch:
             means = [p.mean() for p in self._posteriors]
-            m.gauge_max("schedule.posterior_mean_max", max(means))
-            m.gauge_max("schedule.budget_spent", float(self.trials_allocated))
+            telemetry.gauge_max("schedule.posterior_mean_max", max(means))
+            telemetry.gauge_max("schedule.budget_spent", float(self.trials_allocated))
         return batch
 
     def _bind_event_attrs(self) -> dict:

@@ -54,9 +54,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.obs import MeteredResult, collecting, maybe_registry
-from repro.obs.health import HealthController
-from repro.obs.timeline import maybe_timeline, recording_timeline
+from repro.obs import HealthController, MeteredResult, collecting, maybe_telemetry
 
 from .faults import (
     CORRUPT_TRACE,
@@ -212,12 +210,9 @@ class TaskEnvelope:
     #: per-attempt memory budget in MiB, enforced worker-side as a
     #: ``ru_maxrss`` delta over the attempt (None = unbounded).
     memory_budget_mb: float | None = None
-    #: collect metrics in the executing process and ship a snapshot home
-    #: with the result (set when the parent's registry is enabled).
-    metrics: bool = False
-    #: likewise for the campaign timeline (set when the parent's
-    #: timeline recorder is enabled).
-    timeline: bool = False
+    #: collect telemetry in the executing process and ship a snapshot
+    #: home with the result (set when the parent's telemetry is on).
+    telemetry: bool = False
 
 
 def _worker_fn(name: str) -> Callable[[Any], Any]:
@@ -268,46 +263,25 @@ def run_envelope(envelope: TaskEnvelope, in_worker: bool = True) -> Any:
     budget is checked *after* the body so a blown budget charges the
     attempt that blew it.
 
-    When ``envelope.metrics`` is set the attempt runs under a fresh
-    enabled registry and returns a :class:`~repro.obs.MeteredResult`;
-    the supervisor merges the snapshot into the parent registry only if
-    the result is accepted, so a retried attempt never double-counts.
-    ``envelope.timeline`` does the same for the campaign timeline: the
-    attempt records into a fresh recorder whose snapshot rides home in
-    ``MeteredResult.timeline``.
+    When ``envelope.telemetry`` is set the attempt runs under a fresh
+    :class:`~repro.obs.Telemetry` and returns a
+    :class:`~repro.obs.MeteredResult`; the supervisor merges the snapshot
+    into the parent's telemetry only if the result is accepted, so a
+    retried attempt never double-counts.  Otherwise the bare task result
+    comes back.
     """
-    if not envelope.metrics and not envelope.timeline:
+    if not envelope.telemetry:
         return _attempt(envelope, in_worker)
-    registry = None
-    recorder = None
-    try:
-        if envelope.metrics:
-            registry_cm = collecting()
-            registry = registry_cm.__enter__()
-        if envelope.timeline:
-            recorder_cm = recording_timeline()
-            recorder = recorder_cm.__enter__()
-        try:
-            result = _attempt(envelope, in_worker)
-        finally:
-            if recorder is not None:
-                recorder_cm.__exit__(None, None, None)
-    finally:
-        if registry is not None:
-            registry_cm.__exit__(None, None, None)
-    return MeteredResult(
-        result=result,
-        snapshot=registry.snapshot() if registry is not None else None,
-        timeline=recorder.snapshot() if recorder is not None else None,
-    )
+    with collecting() as telemetry:
+        result = _attempt(envelope, in_worker)
+    return MeteredResult(result=result, snapshot=telemetry.snapshot())
 
 
-def _unwrap_metered(result: Any) -> tuple[Any, Any, Any]:
-    """Split a possibly metered result into
-    (payload, metrics-snapshot-or-None, timeline-snapshot-or-None)."""
+def _unwrap_metered(result: Any) -> tuple[Any, Any]:
+    """Split a possibly metered result into (payload, snapshot-or-None)."""
     if isinstance(result, MeteredResult):
-        return result.result, result.snapshot, result.timeline
-    return result, None, None
+        return result.result, result.snapshot
+    return result, None
 
 
 class CheckpointJournal:
@@ -359,9 +333,9 @@ class CheckpointJournal:
                     skipped += 1  # parseable but not a journal record
         self.skipped_lines = skipped
         if skipped:
-            m = maybe_registry()
-            if m is not None:
-                m.inc("supervisor.journal_skipped", skipped)
+            t = maybe_telemetry()
+            if t is not None:
+                t.inc("supervisor.journal_skipped", skipped)
             if not quiet:
                 print(
                     f"repro: checkpoint journal {self.path}: skipped "
@@ -577,8 +551,7 @@ class CampaignSupervisor:
         cancelled: set[int] = set()
         report = SupervisorReport(results=results)
         keys = [key_fn(task) if key_fn is not None else None for task in tasks]
-        metered = maybe_registry() is not None
-        timed = maybe_timeline() is not None
+        telemetry = maybe_telemetry()
         failed_attempt_kinds: dict[str, int] = {}
         pool_deaths_before = self.pool_deaths
 
@@ -605,21 +578,14 @@ class CampaignSupervisor:
 
         def settle_success(index: int, result: Any, future_of: dict[int, Future]) -> bool:
             """Accept a validated result; returns False if malformed."""
-            result, snapshot, timeline = _unwrap_metered(result)
+            result, snapshot = _unwrap_metered(result)
             if validate is not None and not validate(tasks[index], result):
                 return False
             results[index] = result
-            if snapshot is not None:
-                m = maybe_registry()
-                if m is not None:
-                    # Accepted attempts only: a rejected or retried attempt
-                    # drops its partial counters with its result.
-                    m.merge_snapshot(snapshot)
-            if timeline is not None:
-                tl = maybe_timeline()
-                if tl is not None:
-                    # Same accept-only discipline for timeline events.
-                    tl.merge_snapshot(timeline)
+            if snapshot is not None and telemetry is not None:
+                # Accepted attempts only: a rejected or retried attempt
+                # drops its partial telemetry with its result.
+                telemetry.merge_snapshot(snapshot)
             if journal is not None and keys[index] is not None:
                 journal.append(
                     keys[index], encode(result) if encode is not None else result
@@ -642,10 +608,9 @@ class CampaignSupervisor:
                 self.health.record_memory_failure()
             elif kind == "disk":
                 self.health.record_disk_budget_hit()
-            tl = maybe_timeline()
             if attempts[index] > self.retry.max_retries:
-                if tl is not None:
-                    tl.emit(
+                if telemetry is not None:
+                    telemetry.emit(
                         "task.quarantine",
                         (fn, index),
                         {"kind": kind, "attempts": attempts[index]},
@@ -667,8 +632,8 @@ class CampaignSupervisor:
                 self.health.record_quarantine(kind)
                 return None
             report.retried += 1
-            if tl is not None:
-                tl.emit(
+            if telemetry is not None:
+                telemetry.emit(
                     "task.retry",
                     (fn, index, attempts[index]),
                     {"kind": kind},
@@ -691,8 +656,7 @@ class CampaignSupervisor:
                 deadline=self.deadline,
                 fault=fault,
                 memory_budget_mb=self.memory_budget_mb,
-                metrics=metered,
-                timeline=timed,
+                telemetry=telemetry is not None,
             )
 
         try:
@@ -739,20 +703,19 @@ class CampaignSupervisor:
         report.pool_deaths = self.pool_deaths
         report.serial_fallback = self.serial_fallback
         report.cancelled = len(cancelled)
-        m = maybe_registry()
-        if m is not None:
-            m.inc("supervisor.batches")
-            m.inc("supervisor.tasks", n)
-            m.inc("supervisor.retries", report.retried)
-            m.inc("supervisor.quarantines", len(failures))
-            m.inc("supervisor.pool_deaths", self.pool_deaths - pool_deaths_before)
-            m.inc("supervisor.cached", report.cached)
-            m.inc("supervisor.cancelled", report.cancelled)
-            m.inc(
+        if telemetry is not None:
+            telemetry.inc("supervisor.batches")
+            telemetry.inc("supervisor.tasks", n)
+            telemetry.inc("supervisor.retries", report.retried)
+            telemetry.inc("supervisor.quarantines", len(failures))
+            telemetry.inc("supervisor.pool_deaths", self.pool_deaths - pool_deaths_before)
+            telemetry.inc("supervisor.cached", report.cached)
+            telemetry.inc("supervisor.cancelled", report.cancelled)
+            telemetry.inc(
                 "supervisor.deadline_kills", failed_attempt_kinds.get("deadline", 0)
             )
             for kind in sorted(failed_attempt_kinds):
-                m.inc(
+                telemetry.inc(
                     f"supervisor.failed_attempts.{kind}",
                     failed_attempt_kinds[kind],
                 )

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs import maybe_registry
+from repro.obs import maybe_telemetry
 from repro.runtime.events import (
     AcquireEvent,
     Event,
@@ -179,12 +179,12 @@ class PredictiveDetector(ExecutionObserver):
 
     def on_finish(self, execution) -> None:
         self.report.truncated_locations = 0  # histories are unbounded
-        registry = maybe_registry()
-        if registry is not None:
-            registry.inc(f"predict.{self.name}.pairs", len(self.report))
-            registry.inc(f"predict.{self.name}.soft_edges", self.soft_edges)
+        telemetry = maybe_telemetry()
+        if telemetry is not None:
+            telemetry.inc(f"predict.{self.name}.pairs", len(self.report))
+            telemetry.inc(f"predict.{self.name}.soft_edges", self.soft_edges)
             if self.guard_mode == "consistent":
-                registry.inc(f"predict.{self.name}.guard_breaks", self.guard_breaks)
+                telemetry.inc(f"predict.{self.name}.guard_breaks", self.guard_breaks)
 
     # ------------------------------------------------------------------ #
 

@@ -26,7 +26,7 @@ analysis of one trace is byte-identical.
 
 from __future__ import annotations
 
-from repro.obs import maybe_registry
+from repro.obs import maybe_telemetry
 from repro.runtime.events import Event, MemEvent
 from repro.runtime.location import Location
 from repro.runtime.observer import ExecutionObserver
@@ -95,7 +95,7 @@ class SamplingRaceDetector(ExecutionObserver):
         self.report.truncated_locations = sum(
             1 for sample in self._samples.values() if len(sample) >= self.sample_cap
         )
-        registry = maybe_registry()
-        if registry is not None:
-            registry.inc(f"predict.{self.name}.pairs", len(self.report))
-            registry.inc(f"predict.{self.name}.dropped", self.dropped)
+        telemetry = maybe_telemetry()
+        if telemetry is not None:
+            telemetry.inc(f"predict.{self.name}.pairs", len(self.report))
+            telemetry.inc(f"predict.{self.name}.dropped", self.dropped)

@@ -33,14 +33,7 @@ from repro.core import (
 )
 from repro.core.results import CampaignReport
 from repro.detectors import HybridRaceDetector
-from repro.obs import (
-    MetricsSnapshot,
-    TimelineSnapshot,
-    collecting,
-    maybe_registry,
-    maybe_timeline,
-    recording_timeline,
-)
+from repro.obs import TelemetrySnapshot, collecting, maybe_telemetry
 from repro.runtime import Execution
 from repro.workloads.base import WorkloadSpec, table1_workloads
 
@@ -63,12 +56,9 @@ class Table1Row:
     probability: float | None
     deadlocks_found: int
     campaign: CampaignReport = field(repr=False, default=None)
-    #: the row's own metrics snapshot, when the table run collects metrics
-    #: (rows measure in worker processes, so each carries its share home).
-    metrics: MetricsSnapshot | None = field(repr=False, default=None)
-    #: the row's timeline snapshot, under the same worker-carries-it-home
-    #: discipline as ``metrics``.
-    timeline: TimelineSnapshot | None = field(repr=False, default=None)
+    #: the row's own telemetry snapshot, when the table run has telemetry
+    #: on (rows measure in worker processes, so each carries its share home).
+    metrics: TelemetrySnapshot | None = field(repr=False, default=None)
 
     @property
     def name(self) -> str:
@@ -176,25 +166,19 @@ def _measure_row_task(payload: tuple) -> Table1Row:
     The spec is dropped from the returned row because some registry specs
     hold closure build functions that cannot cross the process boundary;
     the parent reattaches its own copy.  With ``collect`` the row measures
-    under its own metrics registry and carries the snapshot home — workers
-    don't inherit the parent's registry, so this is how per-row metrics
-    cross the process boundary.
+    under its own telemetry and carries the snapshot home — workers don't
+    inherit the parent's telemetry, so this is how per-row telemetry
+    crosses the process boundary.
     """
-    from contextlib import ExitStack
-
     from repro.workloads.base import get
 
-    name, kwargs, collect, timed = payload
-    with ExitStack() as stack:
-        registry = stack.enter_context(collecting()) if collect else None
-        recorder = (
-            stack.enter_context(recording_timeline()) if timed else None
-        )
+    name, kwargs, collect = payload
+    if not collect:
         row = measure_row(get(name), **kwargs)
-    if registry is not None:
-        row.metrics = registry.snapshot()
-    if recorder is not None:
-        row.timeline = recorder.snapshot()
+    else:
+        with collecting() as telemetry:
+            row = measure_row(get(name), **kwargs)
+        row.metrics = telemetry.snapshot()
     row.spec = None
     return row
 
@@ -203,7 +187,6 @@ def build_table(
     specs: list[WorkloadSpec] | None = None,
     *,
     jobs: int = 1,
-    collect_metrics: bool = False,
     on_progress=None,
     **kwargs,
 ) -> list[Table1Row]:
@@ -213,27 +196,22 @@ def build_table(
     discipline) untouched, so the numbers match a serial run — apart from
     the wall-clock columns, which measure a now-contended machine.
 
-    ``collect_metrics`` (implied by an active registry) attaches a
-    :class:`~repro.obs.MetricsSnapshot` to every row and merges them all
-    into the caller's registry, in row order, so serial and parallel
-    table runs report identical counters.  ``on_progress(done, total)``
-    fires as rows finish.
+    With telemetry on, every row carries a
+    :class:`~repro.obs.TelemetrySnapshot` that is merged into the
+    caller's telemetry, in row order, so serial and parallel table runs
+    report identical counters.  ``on_progress(done, total)`` fires as
+    rows finish.
     """
     specs = specs if specs is not None else table1_workloads()
-    collect = collect_metrics or maybe_registry() is not None
-    timed = maybe_timeline() is not None
-    payloads = [(spec.name, kwargs, collect, timed) for spec in specs]
+    telemetry = maybe_telemetry()
+    payloads = [(spec.name, kwargs, telemetry is not None) for spec in specs]
     rows = pool_map(
         _measure_row_task, payloads, jobs=jobs, on_progress=on_progress
     )
-    parent = maybe_registry()
-    parent_tl = maybe_timeline()
     for spec, row in zip(specs, rows):
         row.spec = spec
-        if parent is not None and row.metrics is not None:
-            parent.merge_snapshot(row.metrics)
-        if parent_tl is not None and row.timeline is not None:
-            parent_tl.merge_snapshot(row.timeline)
+        if telemetry is not None:
+            telemetry.merge_snapshot(row.metrics)
     return rows
 
 
@@ -299,7 +277,7 @@ def render_comparison(rows: list[Table1Row]) -> str:
 
 def main(argv: list[str] | None = None) -> None:
     import argparse
-    from contextlib import ExitStack
+    from contextlib import nullcontext
 
     from repro.obs import (
         ProgressPrinter,
@@ -404,31 +382,22 @@ def main(argv: list[str] | None = None) -> None:
                 )
             )
 
-    with ExitStack() as stack:
-        registry = (
-            stack.enter_context(collecting())
-            if args.metrics_out is not None
-            else None
-        )
-        recorder = (
-            stack.enter_context(recording_timeline())
-            if args.timeline_out is not None
-            else None
-        )
+    wanted = args.metrics_out is not None or args.timeline_out is not None
+    with collecting() if wanted else nullcontext() as telemetry:
         rows = build_table(
             specs, jobs=args.jobs, on_progress=on_progress, **kwargs
         )
-    timeline = recorder.snapshot() if recorder is not None else None
-    if timeline is not None:
-        write_timeline(args.timeline_out, timeline, command="table1")
-    if registry is not None:
-        write_run_report(
-            args.metrics_out,
-            registry.snapshot(),
-            command="table1",
-            merge_existing=args.checkpoint is not None,
-            timeline=timeline,
-        )
+    if telemetry is not None:
+        snapshot = telemetry.snapshot()
+        if args.timeline_out is not None:
+            write_timeline(args.timeline_out, snapshot, command="table1")
+        if args.metrics_out is not None:
+            write_run_report(
+                args.metrics_out,
+                snapshot,
+                command="table1",
+                merge_existing=args.checkpoint is not None,
+            )
     print(render_measured(rows))
     print()
     print(render_comparison(rows))

@@ -1,20 +1,20 @@
-"""Observability: metrics, spans, run reports, and live progress.
+"""Observability: one telemetry stream, run reports, timelines, and progress.
 
 The package every other layer is instrumented against:
 
-* :mod:`repro.obs.registry` — the :class:`MetricsRegistry` (counters,
-  gauges, fixed-bucket histograms, span timers), its picklable
-  :class:`MetricsSnapshot`, and the process-wide active-registry switch
-  (:func:`collecting` / :func:`maybe_registry`).  Near-zero cost when
-  disabled; deterministic snapshot merge makes serial == parallel hold
-  for metrics like it does for campaign results.
+* :mod:`repro.obs.telemetry` — the one :class:`Telemetry` stream
+  (counters, gauges, fixed-bucket histograms, span timers, and the
+  bounded event ring), its picklable :class:`TelemetrySnapshot` with one
+  merge law, and the process-wide switch (:func:`collecting` /
+  :func:`maybe_telemetry`).  Off by default: every instrumented site
+  then costs one ``None``-check.
 * :mod:`repro.obs.report` — versioned JSON run reports (``--metrics-out``),
   schema validation, Prometheus text rendering, and the ``repro stats``
   table renderer.
-* :mod:`repro.obs.timeline` — the campaign :class:`TimelineRecorder`
-  (``--timeline-out``): typed events with deterministic identities and
-  associative snapshot merge, the run report's v3 ``timeline`` section,
-  and the data source for ``repro trace-export`` / ``repro dash``.
+* :mod:`repro.obs.timeline` — the ``--timeline-out`` document, the run
+  report's deterministic ``timeline`` section, and per-pair posterior
+  trajectories: the data source for ``repro trace-export`` /
+  ``repro dash``.
 * :mod:`repro.obs.traceexport` — Chrome trace-event JSON rendering of a
   timeline document, loadable in Perfetto / ``chrome://tracing``.
 * :mod:`repro.obs.dash` — the zero-dependency standalone HTML dashboard
@@ -25,139 +25,75 @@ The package every other layer is instrumented against:
   state machine (healthy → degraded → critical) that folds supervisor /
   trace-store pressure signals into a load-shedding policy.
 
-Import discipline: this package imports nothing from ``repro.runtime`` /
-``repro.core`` / ``repro.trace`` (they all import *it*).
+This package exports what the rest of the code base imports; everything
+else is reachable from its submodule.  Import discipline: this package
+imports nothing from ``repro.runtime`` / ``repro.core`` / ``repro.trace``
+(they all import *it*).
 """
 
-from .health import (
-    CRITICAL,
-    DEGRADED,
-    HEALTH_STATES,
-    HEALTHY,
-    STATE_RANK,
-    HealthController,
-    HealthTransition,
-)
-from .dash import render_dash, write_dash
+from .dash import render_dash
+from .health import HealthController
 from .progress import ProgressPrinter, ProgressUpdate
-from .registry import (
-    NULL_SPAN,
-    STEP_BUCKETS,
-    WALL_BUCKETS,
-    HistogramData,
-    MeteredResult,
-    MetricsRegistry,
-    MetricsSnapshot,
-    Span,
-    SpanData,
-    collecting,
-    get_registry,
-    maybe_registry,
-    set_registry,
-    span,
-)
 from .report import (
-    REPORT_KIND,
-    REPORT_VERSION,
     REQUIRED_COUNTERS,
-    REQUIRED_COUNTERS_V1,
-    build_run_report,
-    required_counters_for,
     environment_metadata,
     load_run_report,
     render_prometheus,
     render_stats_table,
-    snapshot_from_report,
     validate_run_report,
     write_run_report,
 )
-from .timeline import (
-    DETERMINISTIC_KINDS,
-    TIMELINE_KIND,
-    TIMELINE_VERSION,
-    TimelineEvent,
-    TimelineRecorder,
-    TimelineSnapshot,
-    build_timeline_document,
-    get_timeline,
-    load_timeline,
-    maybe_timeline,
-    merge_timeline_sections,
-    pair_label,
-    pair_trajectories,
+from .telemetry import (
+    STEP_BUCKETS,
+    WALL_BUCKETS,
+    MeteredResult,
+    Telemetry,
+    TelemetrySnapshot,
+    collecting,
+    maybe_telemetry,
     recording_timeline,
-    set_timeline,
+    span,
+)
+from .timeline import (
+    TIMELINE_KIND,
+    load_timeline,
     snapshot_from_document,
-    timeline_section,
     validate_timeline_section,
     write_timeline,
 )
 from .traceexport import chrome_trace, write_chrome_trace
 
 __all__ = [
-    # registry
-    "MetricsRegistry",
-    "MetricsSnapshot",
+    # telemetry
+    "Telemetry",
+    "TelemetrySnapshot",
     "MeteredResult",
-    "HistogramData",
-    "SpanData",
-    "Span",
-    "NULL_SPAN",
     "STEP_BUCKETS",
     "WALL_BUCKETS",
-    "get_registry",
-    "set_registry",
-    "maybe_registry",
-    "span",
     "collecting",
+    "maybe_telemetry",
+    "recording_timeline",
+    "span",
     # report
-    "REPORT_VERSION",
-    "REPORT_KIND",
     "REQUIRED_COUNTERS",
-    "REQUIRED_COUNTERS_V1",
-    "required_counters_for",
     "environment_metadata",
-    "build_run_report",
-    "write_run_report",
     "load_run_report",
-    "snapshot_from_report",
-    "validate_run_report",
     "render_prometheus",
     "render_stats_table",
+    "validate_run_report",
+    "write_run_report",
     # timeline
-    "TIMELINE_VERSION",
     "TIMELINE_KIND",
-    "DETERMINISTIC_KINDS",
-    "TimelineEvent",
-    "TimelineRecorder",
-    "TimelineSnapshot",
-    "get_timeline",
-    "set_timeline",
-    "maybe_timeline",
-    "recording_timeline",
-    "pair_label",
-    "pair_trajectories",
-    "timeline_section",
-    "merge_timeline_sections",
-    "validate_timeline_section",
-    "build_timeline_document",
-    "write_timeline",
     "load_timeline",
     "snapshot_from_document",
+    "validate_timeline_section",
+    "write_timeline",
     # trace export & dashboard
     "chrome_trace",
     "write_chrome_trace",
     "render_dash",
-    "write_dash",
-    # progress
-    "ProgressUpdate",
+    # progress & health
     "ProgressPrinter",
-    # health
+    "ProgressUpdate",
     "HealthController",
-    "HealthTransition",
-    "HEALTHY",
-    "DEGRADED",
-    "CRITICAL",
-    "HEALTH_STATES",
-    "STATE_RANK",
 ]

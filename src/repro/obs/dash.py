@@ -25,6 +25,7 @@ import html as _html
 
 from .timeline import (
     TIMELINE_KIND,
+    deterministic_events,
     funnel_counts,
     pair_trajectories,
     snapshot_from_document,
@@ -288,7 +289,7 @@ def _from_timeline(document: dict) -> dict:
             "retries": sum(1 for e in events if e.kind == "task.retry"),
         },
         "funnel": funnel_counts(events) or {},
-        "pairs": pair_trajectories(snapshot.deterministic_events()),
+        "pairs": pair_trajectories(deterministic_events(events)),
         "rounds": _rounds_from_events(events),
         "health_state": state,
         "health_transitions": [

@@ -21,7 +21,7 @@ The machine is deliberately **one-way per campaign** (healthy → degraded
 → critical, never back): de-escalation would make campaign behaviour
 depend on *when* pressure happened, and every layer here trades
 adaptivity for reproducibility.  Signals and transitions are counted in
-the metrics registry (``health.*``), carried on the ``--progress`` line,
+the telemetry stream (``health.*``), carried on the ``--progress`` line,
 and therefore visible in ``--metrics-out`` run reports.
 
 Import discipline: like the rest of :mod:`repro.obs`, this module imports
@@ -36,8 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .registry import maybe_registry
-from .timeline import maybe_timeline
+from .telemetry import maybe_telemetry
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -119,18 +118,16 @@ class HealthController:
         self.state = state
         transition = HealthTransition(state=state, reason=reason)
         self.transitions.append(transition)
-        m = maybe_registry()
-        if m is not None:
-            m.inc("health.transitions")
-            m.inc(f"health.transitions.{state}")
-            m.gauge_max("health.state", STATE_RANK[state])
-        tl = maybe_timeline()
-        if tl is not None:
+        t = maybe_telemetry()
+        if t is not None:
+            t.inc("health.transitions")
+            t.inc(f"health.transitions.{state}")
+            t.gauge_max("health.state", STATE_RANK[state])
             # "health" is a non-deterministic timeline kind: when (and
             # whether) pressure escalates depends on worker timing, so the
             # event lives in --timeline-out documents but stays out of the
             # run report's deterministic section.
-            tl.emit(
+            t.emit(
                 "health",
                 (len(self.transitions), state),
                 {"reason": reason},
@@ -144,9 +141,9 @@ class HealthController:
     def record_pool_death(self) -> None:
         """A worker pool broke (OOM-killed worker, segfault, ...)."""
         self.pool_deaths += 1
-        m = maybe_registry()
-        if m is not None:
-            m.inc("health.pool_deaths")
+        t = maybe_telemetry()
+        if t is not None:
+            t.inc("health.pool_deaths")
         if self.pool_deaths >= self.pool_death_critical:
             self._escalate(
                 CRITICAL, f"{self.pool_deaths} worker pool death(s)"
@@ -159,9 +156,9 @@ class HealthController:
     def record_memory_failure(self) -> None:
         """A task attempt blew its per-task memory budget."""
         self.memory_failures += 1
-        m = maybe_registry()
-        if m is not None:
-            m.inc("health.memory_failures")
+        t = maybe_telemetry()
+        if t is not None:
+            t.inc("health.memory_failures")
         if self.memory_failures >= self.memory_degraded:
             self._escalate(
                 DEGRADED, f"{self.memory_failures} memory budget failure(s)"
@@ -170,9 +167,9 @@ class HealthController:
     def record_disk_budget_hit(self) -> None:
         """The trace store's disk budget forced an eviction (or ENOSPC)."""
         self.disk_budget_hits += 1
-        m = maybe_registry()
-        if m is not None:
-            m.inc("health.disk_budget_hits")
+        t = maybe_telemetry()
+        if t is not None:
+            t.inc("health.disk_budget_hits")
         self._escalate(
             DEGRADED, f"{self.disk_budget_hits} disk budget hit(s)"
         )
@@ -180,9 +177,9 @@ class HealthController:
     def record_corrupt_trace(self) -> None:
         """A corrupt trace-store entry was quarantined."""
         self.corrupt_traces += 1
-        m = maybe_registry()
-        if m is not None:
-            m.inc("health.corrupt_traces")
+        t = maybe_telemetry()
+        if t is not None:
+            t.inc("health.corrupt_traces")
         if self.corrupt_traces >= self.corrupt_degraded:
             self._escalate(
                 DEGRADED, f"{self.corrupt_traces} corrupt trace(s) quarantined"

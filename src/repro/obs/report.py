@@ -1,16 +1,18 @@
 """Versioned run reports: the exportable form of a campaign's metrics.
 
 A run report is one JSON document with a schema version, provenance
-(command, workload, environment), and the full
-:class:`~repro.obs.registry.MetricsSnapshot` of the campaign.  CI smoke
+(command, workload, environment), the aggregates of the campaign's
+:class:`~repro.obs.telemetry.TelemetrySnapshot` and its deterministic
+``timeline`` section.  CI smoke
 jobs validate emitted reports against :func:`validate_run_report`;
 humans read them back via ``repro stats`` (:func:`render_stats_table`)
 or scrape them via :func:`render_prometheus`.
 
 ``write_run_report(..., merge_existing=True)`` is the checkpoint story:
 a resumed ``--checkpoint`` campaign folds the prior report's snapshot
-into its own instead of overwriting it, so counters keep accumulating
-across kills and restarts exactly like the journal keeps verdicts.
+into its own (by the one snapshot merge law) instead of overwriting it,
+so counters and the timeline section keep accumulating across kills and
+restarts exactly like the journal keeps verdicts.
 """
 
 from __future__ import annotations
@@ -21,26 +23,21 @@ import platform
 import re
 from typing import Any, Mapping
 
-from .registry import MetricsSnapshot
-from .timeline import (
-    TimelineSnapshot,
-    merge_timeline_sections,
-    timeline_section,
-    validate_timeline_section,
-)
+from .telemetry import TelemetrySnapshot
+from .timeline import timeline_section, validate_timeline_section
 
-#: bump when the report layout changes incompatibly.  v2 added the
-#: ``schedule.*`` counters (campaign trial-allocation policy); v3 added
-#: the optional ``timeline`` section (deterministic campaign events and
-#: per-pair posterior trajectories).
+#: bump when the report layout changes incompatibly; only the current
+#: version validates.  v3 carries the ``schedule.*`` counters and the
+#: ``timeline`` section (deterministic campaign events and per-pair
+#: posterior trajectories).
 REPORT_VERSION = 3
 
 #: discriminator so tooling can reject arbitrary JSON files early.
 REPORT_KIND = "repro-run-report"
 
-#: the v1 required set, frozen: version-1 reports written before the
-#: schedule layer existed must keep validating against what v1 promised.
-REQUIRED_COUNTERS_V1: tuple[str, ...] = (
+#: counters every run report carries (zero-filled when a layer never ran),
+#: so downstream dashboards can rely on the keys existing.
+REQUIRED_COUNTERS: tuple[str, ...] = (
     "interp.executions",
     "interp.steps",
     "fuzz.trials",
@@ -57,25 +54,11 @@ REQUIRED_COUNTERS_V1: tuple[str, ...] = (
     "trace.store_recovered",
     "trace.store_evictions",
     "health.transitions",
-)
-
-#: counters every run report carries (zero-filled when a layer never ran),
-#: so downstream dashboards can rely on the keys existing.
-REQUIRED_COUNTERS: tuple[str, ...] = REQUIRED_COUNTERS_V1 + (
     "schedule.rounds",
     "schedule.trials_allocated",
     "schedule.pairs_confirmed",
     "schedule.pairs_early_stopped",
 )
-
-
-def required_counters_for(version: int) -> tuple[str, ...]:
-    """The counter keys a report of ``version`` promised to carry.
-
-    v3 added the optional ``timeline`` section without touching the
-    counter contract, so v2 and v3 promise the same keys.
-    """
-    return REQUIRED_COUNTERS_V1 if version < 2 else REQUIRED_COUNTERS
 
 
 def environment_metadata() -> dict:
@@ -90,38 +73,17 @@ def environment_metadata() -> dict:
     }
 
 
-def _timeline_to_section(timeline) -> dict | None:
-    """Normalize a ``timeline=`` argument to a report section (or None).
-
-    Accepts a :class:`~repro.obs.timeline.TimelineSnapshot` or an
-    already-built section dict; ``None`` passes through (no section).
-    """
-    if timeline is None:
-        return None
-    if isinstance(timeline, TimelineSnapshot):
-        return timeline_section(timeline)
-    return dict(timeline)
-
-
 def build_run_report(
-    snapshot: MetricsSnapshot,
+    snapshot: TelemetrySnapshot,
     *,
     command: str,
     workload: str | None = None,
     extra: Mapping[str, Any] | None = None,
-    timeline=None,
 ) -> dict:
-    """Assemble the versioned JSON document for one campaign's metrics.
-
-    ``timeline`` (a :class:`~repro.obs.timeline.TimelineSnapshot` or a
-    prebuilt section dict) attaches the v3 ``timeline`` section: the
-    campaign's deterministic event stream plus per-pair posterior
-    trajectories.  Omitted when not recording — v3 reports without the
-    section stay valid.
-    """
-    counters = dict(snapshot.counters)
-    for key in REQUIRED_COUNTERS:
-        counters.setdefault(key, 0)
+    """Assemble the versioned JSON document for one campaign's telemetry:
+    its aggregates plus the ``timeline`` section built from its events."""
+    body = snapshot.to_jsonable()
+    counters = dict.fromkeys(REQUIRED_COUNTERS, 0) | body["counters"]
     report = {
         "kind": REPORT_KIND,
         "version": REPORT_VERSION,
@@ -129,25 +91,22 @@ def build_run_report(
         "workload": workload,
         "env": environment_metadata(),
         "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(snapshot.gauges.items())),
-        "histograms": {
-            name: h.to_jsonable() for name, h in sorted(snapshot.histograms.items())
-        },
-        "spans": {
-            name: s.to_jsonable() for name, s in sorted(snapshot.spans.items())
-        },
+        "gauges": body["gauges"],
+        "histograms": body["histograms"],
+        "spans": body["spans"],
+        "timeline": timeline_section(snapshot),
     }
-    section = _timeline_to_section(timeline)
-    if section is not None:
-        report["timeline"] = section
     if extra:
         report["extra"] = dict(extra)
     return report
 
 
-def snapshot_from_report(report: Mapping) -> MetricsSnapshot:
-    """Recover the mergeable snapshot a report was built from."""
-    return MetricsSnapshot.from_jsonable(report)
+def snapshot_from_report(report: Mapping) -> TelemetrySnapshot:
+    """Recover the mergeable snapshot a report was built from: its
+    aggregates and the deterministic events of its ``timeline`` section."""
+    section = report.get("timeline", {})
+    events = {k: section[k] for k in ("events", "budget", "dropped") if k in section}
+    return TelemetrySnapshot.from_jsonable({**report, **events})
 
 
 def load_run_report(path) -> dict:
@@ -157,13 +116,12 @@ def load_run_report(path) -> dict:
 
 def write_run_report(
     path,
-    snapshot: MetricsSnapshot,
+    snapshot: TelemetrySnapshot,
     *,
     command: str,
     workload: str | None = None,
     extra: Mapping[str, Any] | None = None,
     merge_existing: bool = False,
-    timeline=None,
 ) -> dict:
     """Write a run report; returns the document written.
 
@@ -171,11 +129,10 @@ def write_run_report(
     ``--checkpoint`` journal), a valid prior report at ``path`` is folded
     into ``snapshot`` first, so the report accumulates across restarts
     instead of counting only the resumed tail.  An invalid or missing
-    prior file is ignored.  A prior ``timeline`` section merges the same
-    way (dedup union of event identities), so a resumed campaign's
-    timeline equals an uninterrupted run's.
+    prior file is ignored.  The prior ``timeline`` section's events join
+    the dedup union too, so a resumed campaign's section equals an
+    uninterrupted run's.
     """
-    section = _timeline_to_section(timeline)
     if merge_existing:
         try:
             prior = load_run_report(path)
@@ -183,12 +140,8 @@ def write_run_report(
             prior = None
         if prior is not None and not validate_run_report(prior):
             snapshot = snapshot_from_report(prior).merged(snapshot)
-            prior_timeline = prior.get("timeline")
-            if prior_timeline is not None:
-                section = merge_timeline_sections(prior_timeline, section)
     report = build_run_report(
-        snapshot, command=command, workload=workload, extra=extra,
-        timeline=section,
+        snapshot, command=command, workload=workload, extra=extra
     )
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -206,10 +159,11 @@ def validate_run_report(report: Any) -> list[str]:
     if report.get("kind") != REPORT_KIND:
         errors.append(f"kind must be {REPORT_KIND!r}, got {report.get('kind')!r}")
     version = report.get("version")
-    if not isinstance(version, int) or version < 1:
-        errors.append(f"version must be a positive int, got {version!r}")
-    elif version > REPORT_VERSION:
-        errors.append(f"version {version} is newer than supported {REPORT_VERSION}")
+    if version != REPORT_VERSION:
+        errors.append(
+            f"version must be {REPORT_VERSION}, got {version!r} "
+            f"(reports of other versions are not read)"
+        )
     if not isinstance(report.get("command"), str) or not report.get("command"):
         errors.append("command must be a non-empty string")
     env = report.get("env")
@@ -219,12 +173,7 @@ def validate_run_report(report: Any) -> list[str]:
     if not isinstance(counters, Mapping):
         errors.append("counters must be an object")
     else:
-        # Old reports promise only their own version's key set: a v1
-        # report predates schedule.* and must keep validating.
-        required = required_counters_for(
-            version if isinstance(version, int) else REPORT_VERSION
-        )
-        for key in required:
+        for key in REQUIRED_COUNTERS:
             if key not in counters:
                 errors.append(f"missing required counter {key!r}")
         for key, value in counters.items():
@@ -266,11 +215,10 @@ def validate_run_report(report: Any) -> list[str]:
                 errors.append(f"span {key!r}: count/total_s must be >= 0")
             if s.get("count", 0) > 0 and s.get("min_s", 0) > s.get("max_s", 0):
                 errors.append(f"span {key!r}: min_s exceeds max_s")
-    timeline = report.get("timeline")
-    if timeline is not None:
-        if isinstance(version, int) and version < 3:
-            errors.append("timeline section requires report version >= 3")
-        errors.extend(validate_timeline_section(timeline))
+    if "timeline" not in report:
+        errors.append("timeline section is missing")
+    else:
+        errors.extend(validate_timeline_section(report["timeline"]))
     return errors
 
 
@@ -423,8 +371,6 @@ __all__ = [
     "REPORT_VERSION",
     "REPORT_KIND",
     "REQUIRED_COUNTERS",
-    "REQUIRED_COUNTERS_V1",
-    "required_counters_for",
     "environment_metadata",
     "build_run_report",
     "write_run_report",

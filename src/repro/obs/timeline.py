@@ -1,53 +1,33 @@
-"""Campaign timeline: typed, causally-ordered events behind ``--timeline-out``.
+"""Campaign timeline views: documents, the run-report section, trajectories.
 
-The timeline is the narrative companion to the ``MetricsRegistry``
-aggregates: *why* the campaign did what it did — which pairs the
-scheduler bound and with what priors, what the Thompson draws were each
-round, how every pair's posterior moved chunk by chunk, which trials
-postponed/forced/released, where the supervisor retried or quarantined,
-when health degraded, and how the trace store behaved.
+The events themselves live in the one telemetry stream
+(:mod:`repro.obs.telemetry`); this module turns a
+:class:`~repro.obs.telemetry.TelemetrySnapshot`'s events into the two
+documents that carry them:
 
-Design rules (mirroring :mod:`repro.obs.registry`):
-
-* **Off by default.**  The module-level recorder starts disabled and
-  :func:`maybe_timeline` returns ``None`` unless recording is active, so
-  instrumented hot paths pay one ``None``-check and nothing else.
-* **Deterministic identity, incidental display.**  An event's identity
-  is ``(kind, key, attrs)`` — all schedule-determined values.  Wall
-  time, duration and the worker track are *display* fields: they ride
-  along for Perfetto export but never participate in equality, ordering
-  or dedup.  That is what makes serial == ``--jobs N`` below.
-* **Merge is a dedup set-union.**  :meth:`TimelineSnapshot.merged`
-  unions events by identity, sorts by the canonical order and truncates
-  to the ring budget keeping the *smallest* identities — an associative,
-  commutative (up to display fields) fold, so the supervisor can absorb
-  worker snapshots in any settle order and a checkpoint-resumed
-  campaign can union with the prior report's section and land on the
-  same result as an uninterrupted run.
-* **Deterministic section partition.**  Only :data:`DETERMINISTIC_KINDS`
-  enter the run-report ``timeline`` section (the serial==parallel
-  equality surface).  Store hits/misses, health transitions, retries
-  and phase spans legitimately differ between execution modes (e.g. a
-  parallel trace-store fill records worker misses plus parent hits
-  where a serial run records only misses); they stay in the
-  ``--timeline-out`` document for trace-export and the dashboard.
+* the ``--timeline-out`` document: every event with its display fields
+  (``wall_s``/``dur_s``/``track``), the input of ``repro trace-export``
+  and ``repro dash``;
+* the run report's ``timeline`` section: only the
+  :data:`DETERMINISTIC_KINDS`, display fields stripped, plus per-pair
+  posterior trajectories.  It is the serial == ``--jobs N`` == resumed
+  equality surface.  Store hits/misses, health transitions and retries
+  legitimately differ between execution modes (e.g. a
+  parallel trace-store fill records worker misses plus parent hits where
+  a serial run records only misses), so they stay out of the section.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
+
+from .telemetry import TelemetrySnapshot
 
 TIMELINE_VERSION = 1
 
 #: Document kind written by ``--timeline-out``.
 TIMELINE_KIND = "repro-timeline"
-
-#: Default ring budget: events retained per snapshot.
-DEFAULT_BUDGET = 8192
 
 #: Event kinds whose identity stream is schedule-determined: identical
 #: between serial, ``--jobs N`` and checkpoint-resumed campaigns.  Only
@@ -67,246 +47,14 @@ DETERMINISTIC_KINDS = frozenset(
 )
 
 
+def deterministic_events(events):
+    """The events of :data:`DETERMINISTIC_KINDS`, in their given order."""
+    return [e for e in events if e.kind in DETERMINISTIC_KINDS]
+
+
 def pair_label(pair):
     """Canonical display label for a statement pair (``siteA|siteB``)."""
     return f"{pair.first.site}|{pair.second.site}"
-
-
-def _canon(value):
-    """Canonical JSON encoding used for identity comparison and order."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One timeline entry.
-
-    ``kind``/``key``/``attrs`` are the deterministic identity; ``wall_s``
-    (absolute unix start), ``dur_s`` and ``track`` are display-only.
-    """
-
-    kind: str
-    key: tuple
-    attrs: tuple  # sorted ((name, value), ...)
-    wall_s: float = 0.0
-    dur_s: float = 0.0
-    track: str = ""
-
-    @property
-    def identity(self):
-        return (self.kind, _canon(list(self.key)), _canon([list(a) for a in self.attrs]))
-
-    @property
-    def attrs_dict(self):
-        return dict(self.attrs)
-
-    def to_jsonable(self):
-        entry = {
-            "kind": self.kind,
-            "key": list(self.key),
-            "attrs": {name: value for name, value in self.attrs},
-        }
-        if self.wall_s:
-            entry["wall_s"] = self.wall_s
-        if self.dur_s:
-            entry["dur_s"] = self.dur_s
-        if self.track:
-            entry["track"] = self.track
-        return entry
-
-    @classmethod
-    def from_jsonable(cls, entry):
-        return cls(
-            kind=entry["kind"],
-            key=tuple(entry.get("key", ())),
-            attrs=canonical_attrs(entry.get("attrs", {})),
-            wall_s=entry.get("wall_s", 0.0),
-            dur_s=entry.get("dur_s", 0.0),
-            track=entry.get("track", ""),
-        )
-
-
-def canonical_attrs(attrs):
-    """Normalise an attrs mapping/iterable into the sorted tuple form."""
-    if attrs is None:
-        return ()
-    items = attrs.items() if hasattr(attrs, "items") else attrs
-    return tuple(sorted((str(name), value) for name, value in items))
-
-
-def _merge_events(event_lists, budget):
-    """Dedup-union by identity, canonical sort, truncate to ``budget``.
-
-    Keeping the *smallest* identities (rather than dropping by arrival)
-    is what makes truncation associative: any grouping of the same
-    multiset of events converges on the same retained set.
-    """
-    seen = {}
-    for events in event_lists:
-        for event in events:
-            seen.setdefault(event.identity, event)
-    ordered = [seen[identity] for identity in sorted(seen)]
-    dropped = max(0, len(ordered) - budget)
-    return ordered[:budget], dropped
-
-
-@dataclass(frozen=True)
-class TimelineSnapshot:
-    """Immutable, picklable view of a recorder's events.
-
-    ``events`` is sorted by canonical identity and bounded by ``budget``;
-    ``dropped`` counts identities lost to the ring budget so far.
-    """
-
-    events: tuple = ()
-    dropped: int = 0
-    budget: int = DEFAULT_BUDGET
-
-    def merged(self, other):
-        budget = max(self.budget, other.budget)
-        events, truncated = _merge_events((self.events, other.events), budget)
-        return TimelineSnapshot(
-            events=tuple(events),
-            dropped=self.dropped + other.dropped + truncated,
-            budget=budget,
-        )
-
-    def deterministic_events(self):
-        return tuple(e for e in self.events if e.kind in DETERMINISTIC_KINDS)
-
-    def to_jsonable(self):
-        return {
-            "version": TIMELINE_VERSION,
-            "budget": self.budget,
-            "dropped": self.dropped,
-            "events": [event.to_jsonable() for event in self.events],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data):
-        events = [TimelineEvent.from_jsonable(e) for e in data.get("events", ())]
-        budget = data.get("budget", DEFAULT_BUDGET)
-        merged, truncated = _merge_events((events,), budget)
-        return cls(
-            events=tuple(merged),
-            dropped=data.get("dropped", 0) + truncated,
-            budget=budget,
-        )
-
-
-class TimelineRecorder:
-    """Collects timeline events into a bounded ring.
-
-    Appends are O(1); the ring compacts lazily (dedup + canonical sort +
-    keep-smallest truncation) once the raw list exceeds twice the
-    budget, and always at :meth:`snapshot`.
-    """
-
-    def __init__(self, *, enabled=True, budget=DEFAULT_BUDGET):
-        self.enabled = enabled
-        self.budget = max(1, int(budget))
-        self._events = []
-        self._dropped = 0
-        self._track = f"p{os.getpid()}"
-
-    # -- recording --------------------------------------------------
-
-    def emit(self, kind, key, attrs=None, *, wall_s=0.0, dur_s=0.0, track=None):
-        if not self.enabled:
-            return
-        self._events.append(
-            TimelineEvent(
-                kind=kind,
-                key=tuple(key),
-                attrs=canonical_attrs(attrs),
-                wall_s=wall_s,
-                dur_s=dur_s,
-                track=track if track is not None else self._track,
-            )
-        )
-        if len(self._events) > 2 * self.budget:
-            self._compact()
-
-    @contextmanager
-    def span(self, kind, key, attrs=None):
-        """Emit ``kind`` with wall-clock start/duration on exit."""
-        wall = time.time()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.emit(
-                kind,
-                key,
-                attrs,
-                wall_s=wall,
-                dur_s=time.perf_counter() - start,
-            )
-
-    # -- folding ----------------------------------------------------
-
-    def merge_snapshot(self, snapshot):
-        """Fold a worker snapshot into this recorder (any settle order)."""
-        if not self.enabled or snapshot is None:
-            return
-        self._events.extend(snapshot.events)
-        self._dropped += snapshot.dropped
-        if len(self._events) > 2 * self.budget:
-            self._compact()
-
-    def _compact(self):
-        merged, truncated = _merge_events((self._events,), self.budget)
-        self._events = merged
-        self._dropped += truncated
-
-    def snapshot(self):
-        self._compact()
-        return TimelineSnapshot(
-            events=tuple(self._events),
-            dropped=self._dropped,
-            budget=self.budget,
-        )
-
-    def clear(self):
-        self._events = []
-        self._dropped = 0
-
-
-# -- module-level switch (mirrors registry.py's _active pattern) -----
-
-_active = TimelineRecorder(enabled=False)
-
-
-def get_timeline():
-    return _active
-
-
-def set_timeline(recorder):
-    global _active
-    previous = _active
-    _active = recorder
-    return previous
-
-
-def maybe_timeline():
-    """The active recorder, or ``None`` when recording is off.
-
-    Instrumented call sites do ``tl = maybe_timeline()`` once and branch
-    on ``tl is not None`` — the disabled path allocates nothing.
-    """
-    return _active if _active.enabled else None
-
-
-@contextmanager
-def recording_timeline(recorder=None, *, budget=DEFAULT_BUDGET):
-    """Route timeline events to ``recorder`` (a fresh one by default)."""
-    if recorder is None:
-        recorder = TimelineRecorder(enabled=True, budget=budget)
-    previous = set_timeline(recorder)
-    try:
-        yield recorder
-    finally:
-        set_timeline(previous)
 
 
 # -- timeline documents (--timeline-out files) -----------------------
@@ -346,25 +94,10 @@ def load_timeline(path):
 
 
 def snapshot_from_document(document):
-    """Rebuild a :class:`TimelineSnapshot` from a timeline document or
-    a run-report ``timeline`` section.
-
-    Section events are compact ``[kind, key, attrs]`` triples with the
-    display fields stripped; document events are full dicts.  Both forms
-    land in the same snapshot type.
-    """
-    events = document.get("events", ())
-    if events and isinstance(events[0], (list, tuple)):
-        merged, truncated = _merge_events(
-            (_section_events(document),),
-            document.get("budget", DEFAULT_BUDGET),
-        )
-        return TimelineSnapshot(
-            events=tuple(merged),
-            dropped=document.get("dropped", 0) + truncated,
-            budget=document.get("budget", DEFAULT_BUDGET),
-        )
-    return TimelineSnapshot.from_jsonable(document)
+    """Rebuild a :class:`~repro.obs.telemetry.TelemetrySnapshot` from a
+    timeline document or a run-report ``timeline`` section (whose events
+    are compact ``[kind, key, attrs]`` triples without display fields)."""
+    return TelemetrySnapshot.from_jsonable(document)
 
 
 # -- run-report v3 `timeline` section --------------------------------
@@ -378,50 +111,11 @@ def timeline_section(snapshot):
     ``--jobs N`` and checkpoint-resumed campaigns.  ``pairs`` carries the
     derived per-pair posterior trajectories for the dashboard.
     """
-    events = snapshot.deterministic_events()
+    events = deterministic_events(snapshot.events)
     return {
         "version": TIMELINE_VERSION,
         "budget": snapshot.budget,
         "dropped": snapshot.dropped,
-        "events": [
-            [e.kind, list(e.key), {name: value for name, value in e.attrs}]
-            for e in events
-        ],
-        "pairs": pair_trajectories(events),
-    }
-
-
-def _section_events(section):
-    out = []
-    for entry in section.get("events", ()):
-        kind, key, attrs = entry
-        out.append(
-            TimelineEvent(kind=kind, key=tuple(key), attrs=canonical_attrs(attrs))
-        )
-    return out
-
-
-def merge_timeline_sections(first, second):
-    """Dedup-union two report sections (used by checkpoint-resume merge).
-
-    ``None`` arguments are identity elements: a resumed campaign that is
-    not recording keeps the prior report's section untouched, and vice
-    versa.
-    """
-    if first is None:
-        return None if second is None else dict(second)
-    if second is None:
-        return dict(first)
-    budget = max(
-        first.get("budget", DEFAULT_BUDGET), second.get("budget", DEFAULT_BUDGET)
-    )
-    events, truncated = _merge_events(
-        (_section_events(first), _section_events(second)), budget
-    )
-    return {
-        "version": TIMELINE_VERSION,
-        "budget": budget,
-        "dropped": first.get("dropped", 0) + second.get("dropped", 0) + truncated,
         "events": [
             [e.kind, list(e.key), {name: value for name, value in e.attrs}]
             for e in events
@@ -569,24 +263,15 @@ def funnel_counts(events):
 
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "DETERMINISTIC_KINDS",
     "TIMELINE_KIND",
     "TIMELINE_VERSION",
-    "TimelineEvent",
-    "TimelineRecorder",
-    "TimelineSnapshot",
     "build_timeline_document",
-    "canonical_attrs",
+    "deterministic_events",
     "funnel_counts",
-    "get_timeline",
     "load_timeline",
-    "maybe_timeline",
-    "merge_timeline_sections",
     "pair_label",
     "pair_trajectories",
-    "recording_timeline",
-    "set_timeline",
     "snapshot_from_document",
     "timeline_section",
     "validate_timeline_section",

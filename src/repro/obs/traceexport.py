@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 
-from .timeline import TimelineSnapshot, snapshot_from_document
+from .telemetry import TelemetrySnapshot
+from .timeline import snapshot_from_document
 
 #: synthetic process ids for the two grouping views.
 WORKER_PID = 1
@@ -52,7 +53,7 @@ def chrome_trace(document) -> dict:
     """
     snapshot = (
         document
-        if isinstance(document, TimelineSnapshot)
+        if isinstance(document, TelemetrySnapshot)
         else snapshot_from_document(document)
     )
     events = list(snapshot.events)

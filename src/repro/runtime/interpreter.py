@@ -43,7 +43,7 @@ is kept to integer/identity operations:
   Section 5 observation that Phase 2 only needs sync ops plus the two
   racing statements); lock/thread/msg events flow unchanged.
 * **Int-indexed metrics** — per-kind tallies live in a plain list indexed
-  by ``kind_index`` and fold into the registry once, at ``finish()``.
+  by ``kind_index`` and fold into the telemetry once, at ``finish()``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .events import (
     ThreadEndEvent,
     ThreadStartEvent,
 )
-from repro.obs import STEP_BUCKETS, maybe_registry
+from repro.obs import STEP_BUCKETS, maybe_telemetry
 
 from .heap import Heap
 from .locks import LockTable
@@ -206,12 +206,12 @@ class Execution:
         # hottest ops and go straight to dict.get / dict.__setitem__.
         self._cells = self.heap._cells
         # Metrics: resolved once per execution so the per-step cost with
-        # metrics disabled is a single None-check.  Per-kind tallies are a
+        # telemetry off is a single None-check.  Per-kind tallies are a
         # plain list indexed by kind_index (plus one trailing "wake" slot)
-        # and fold into the registry at finish().
-        self._metrics = maybe_registry()
+        # and fold into the telemetry at finish().
+        self._metrics = maybe_telemetry()
         self._m_counts: list[int] | None = (
-            [0] * (_WAKE_SLOT + 1) if self._metrics else None
+            [0] * (_WAKE_SLOT + 1) if self._metrics is not None else None
         )
         self._m_switches = 0
         self._m_last_tid = -1

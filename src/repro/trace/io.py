@@ -296,11 +296,11 @@ def record_execution(
     execution, which is how the equivalence tests compare online and
     offline analysis of the *same* schedule with a single run.
     """
-    from repro.obs import maybe_registry
+    from repro.obs import maybe_telemetry
 
-    m = maybe_registry()
-    if m is not None:
-        m.inc("trace.records")
+    telemetry = maybe_telemetry()
+    if telemetry is not None:
+        telemetry.inc("trace.records")
     recorder = TraceRecorder(path, scheduler=scheduler_spec)
     execution = Execution(
         program,

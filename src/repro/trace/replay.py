@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs import maybe_registry
+from repro.obs import maybe_telemetry
 from repro.runtime.events import Event
 from repro.runtime.observer import ExecutionObserver, ObserverChain
 
@@ -33,8 +33,8 @@ class _TimedObserver(ExecutionObserver):
     once, so a wall-clock span around the pass cannot attribute cost to a
     single detector.  This wrapper meters each lifecycle call separately;
     the accumulated seconds are published by ``analyze_trace`` as the
-    ``predict.analyze.<name>`` span.  Only used while a metrics registry
-    is collecting — the default analysis path stays wrapper-free.
+    ``predict.analyze.<name>`` span.  Only used while telemetry is on —
+    the default analysis path stays wrapper-free.
     """
 
     __slots__ = ("inner", "seconds")
@@ -111,7 +111,7 @@ def analyze_trace(
     accept them, via :func:`~repro.detectors.make_detector`'s
     keyword-tolerant construction.
 
-    While a metrics registry is collecting, each detector's share of the
+    While telemetry is on, each detector's share of the
     pass is metered and published as a ``predict.analyze.<name>`` span,
     so multi-detector analyses show where the CPU time went.
     """
@@ -122,16 +122,16 @@ def analyze_trace(
         name: make_detector(name, history_cap=history_cap, **detector_options)
         for name in detectors
     }
-    m = maybe_registry()
-    if m is not None:
-        m.inc("trace.replays")
-        m.inc("trace.analyses", len(built))
+    telemetry = maybe_telemetry()
+    if telemetry is not None:
+        telemetry.inc("trace.replays")
+        telemetry.inc("trace.analyses", len(built))
         timed = {name: _TimedObserver(obs) for name, obs in built.items()}
         replay_events(
             reader, list(timed.values()), program=reader.header.program
         )
         for name, wrapper in timed.items():
-            m.observe_span(f"predict.analyze.{name}", wrapper.seconds)
+            telemetry.observe_span(f"predict.analyze.{name}", wrapper.seconds)
     else:
         replay_events(reader, list(built.values()), program=reader.header.program)
     return {name: observer.report for name, observer in built.items()}

@@ -40,9 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.obs import maybe_registry
-from repro.obs.health import HealthController
-from repro.obs.timeline import maybe_timeline
+from repro.obs import HealthController, maybe_telemetry
 from repro.runtime.program import Program
 
 from .io import TraceReader, record_execution, remove_partial, verify_trace
@@ -188,21 +186,18 @@ class TraceStore:
         doing record-once/analyze-many should replay the returned trace
         rather than rely on them.
         """
-        m = maybe_registry()
-        tl = maybe_timeline()
+        telemetry = maybe_telemetry()
         cached = self.get(key)
         if cached is not None:
             self.stats.hits += 1
-            if m is not None:
-                m.inc("trace.store_hits")
-            if tl is not None:
-                self._emit_store_event(tl, key, "hit")
+            if telemetry is not None:
+                telemetry.inc("trace.store_hits")
+                self._emit_store_event(telemetry, key, "hit")
             return cached
         self.stats.misses += 1
-        if m is not None:
-            m.inc("trace.store_misses")
-        if tl is not None:
-            self._emit_store_event(tl, key, "miss")
+        if telemetry is not None:
+            telemetry.inc("trace.store_misses")
+            self._emit_store_event(telemetry, key, "miss")
         final = self.path_for(key)
         # Keep the gz suffix decision on the temp name so the writer picks
         # the right codec, then publish atomically.
@@ -223,9 +218,9 @@ class TraceStore:
         except BaseException:
             remove_partial(tmp)
             raise
-        if m is not None:
-            m.inc("trace.store_executions")
-            m.inc("trace.store_bytes", tmp.stat().st_size)
+        if telemetry is not None:
+            telemetry.inc("trace.store_executions")
+            telemetry.inc("trace.store_bytes", tmp.stat().st_size)
         if not self._recording_enabled():
             # Under disk pressure the cache stops growing: hand the caller
             # an unpublished file to analyze and discard.
@@ -234,8 +229,8 @@ class TraceStore:
             )
             os.replace(tmp, ephemeral)
             self.stats.ephemeral += 1
-            if m is not None:
-                m.inc("trace.store_ephemeral")
+            if telemetry is not None:
+                telemetry.inc("trace.store_ephemeral")
             return ephemeral
         if self.fsync:
             self._fsync_file(tmp)
@@ -249,12 +244,12 @@ class TraceStore:
         return self.health is None or self.health.trace_recording_enabled
 
     @staticmethod
-    def _emit_store_event(tl, key: TraceKey, outcome: str) -> None:
+    def _emit_store_event(telemetry, key: TraceKey, outcome: str) -> None:
         """"store" is a non-deterministic timeline kind: which process sees
         the hit depends on recording order, so the event rides only in
         --timeline-out documents, never the run report's deterministic
         section."""
-        tl.emit(
+        telemetry.emit(
             "store",
             (key.workload, key.seed, outcome),
             {"scheduler": key.scheduler, "max_steps": key.max_steps},
@@ -299,9 +294,9 @@ class TraceStore:
         """
         src = Path(path)
         self.stats.corrupt += 1
-        m = maybe_registry()
-        if m is not None:
-            m.inc("trace.store_corrupt")
+        telemetry = maybe_telemetry()
+        if telemetry is not None:
+            telemetry.inc("trace.store_corrupt")
         if self.health is not None:
             self.health.record_corrupt_trace()
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -342,9 +337,9 @@ class TraceStore:
             fresh = self.ensure(key, program)
             result = consume(fresh)
             self.stats.recovered += 1
-            m = maybe_registry()
-            if m is not None:
-                m.inc("trace.store_recovered")
+            telemetry = maybe_telemetry()
+            if telemetry is not None:
+                telemetry.inc("trace.store_recovered")
             self.discard(fresh)
             return result
         finally:
@@ -404,10 +399,10 @@ class TraceStore:
         if removed:
             self.stats.evictions += removed
             self.stats.evicted_bytes += removed_bytes
-            m = maybe_registry()
-            if m is not None:
-                m.inc("trace.store_evictions", removed)
-                m.inc("trace.store_evicted_bytes", removed_bytes)
+            telemetry = maybe_telemetry()
+            if telemetry is not None:
+                telemetry.inc("trace.store_evictions", removed)
+                telemetry.inc("trace.store_evicted_bytes", removed_bytes)
             if self.health is not None:
                 self.health.record_disk_budget_hit()
         return (removed, removed_bytes)

@@ -168,6 +168,31 @@ class TestAdaptiveAllocation:
         assert sched.trials_allocated <= 12
         assert sched.budget_exhausted
 
+    def test_budget_tail_is_split_evenly_across_winners(self):
+        # 16 trials left for two winners of a 25-trial chunk: handing the
+        # budget out in pair order gave all 16 to the first pair and none
+        # to the second (the false pair (1, 10) sorts first, so figure1
+        # confirmed nothing).  Each winner gets half instead.
+        sched = _adaptive(trial_budget=16)
+        sched.bind([figure1.FALSE_PAIR, figure1.REAL_PAIR], chunk_size=25)
+        batch = sched.next_batch()
+        assert [(c.pair_index, c.count) for c in batch] == [(0, 8), (1, 8)]
+        assert sched.budget_exhausted
+
+    def test_odd_budget_tail_goes_to_the_first_winners(self):
+        sched = _adaptive(trial_budget=5)
+        sched.bind([figure1.FALSE_PAIR, figure1.REAL_PAIR], chunk_size=25)
+        assert [(c.pair_index, c.count) for c in sched.next_batch()] == [
+            (0, 3), (1, 2),
+        ]
+
+    def test_small_budget_campaign_confirms_the_real_pair(self):
+        verdicts = fuzz_races(
+            figure1.build(), PAIRS, trials=8, schedule="adaptive"
+        )
+        assert verdicts[figure1.REAL_PAIR].times_created > 0
+        assert verdicts[figure1.FALSE_PAIR].trials > 0
+
     def test_time_budget_stops_scheduling(self):
         # Not a determinism property (wall-clock), just the stop switch.
         sched = _adaptive(time_budget_s=1e-9, stop_threshold=0.01)

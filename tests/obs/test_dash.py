@@ -5,25 +5,18 @@ import json
 import pytest
 
 from repro.core.driver import race_directed_test
-from repro.obs import (
-    MetricsRegistry,
-    build_run_report,
-    build_timeline_document,
-    chrome_trace,
-    collecting,
-    recording_timeline,
-    render_dash,
-    write_chrome_trace,
-    write_dash,
-)
+from repro.obs import chrome_trace, collecting, render_dash, write_chrome_trace
+from repro.obs.dash import write_dash
+from repro.obs.report import build_run_report
+from repro.obs.telemetry import Telemetry
+from repro.obs.timeline import build_timeline_document
 from repro.obs.traceexport import PAIR_PID, WORKER_PID
 from repro.workloads import figure1, get
 
 
 def _campaign():
     """One recorded figure1 campaign: (timeline snapshot, v3 report)."""
-    registry = MetricsRegistry(enabled=True)
-    with collecting(registry), recording_timeline() as recorder:
+    with collecting() as telemetry:
         race_directed_test(
             get("figure1").build(),
             phase1_seeds=range(2),
@@ -32,10 +25,8 @@ def _campaign():
             max_steps=20_000,
             schedule="adaptive",
         )
-    snapshot = recorder.snapshot()
-    report = build_run_report(
-        registry.snapshot(), command="fuzz", workload="figure1", timeline=snapshot
-    )
+    snapshot = telemetry.snapshot()
+    report = build_run_report(snapshot, command="fuzz", workload="figure1")
     return snapshot, report
 
 
@@ -80,9 +71,8 @@ class TestDash:
         # so trajectories carry no bind index — the dash must still sort
         # and render them.
         from repro.core.driver import fuzz_races
-        from repro.obs import build_timeline_document, recording_timeline
 
-        with recording_timeline() as recorder:
+        with collecting() as telemetry:
             fuzz_races(
                 get("figure1").build(),
                 [figure1.REAL_PAIR],
@@ -90,15 +80,16 @@ class TestDash:
                 chunk_size=2,
                 max_steps=20_000,
             )
-        document = build_timeline_document(recorder.snapshot(), command="fuzz")
+        document = build_timeline_document(telemetry.snapshot(), command="fuzz")
         html = render_dash(document)
         _assert_standalone_html(html)
         assert "<svg" in html
 
     def test_renders_report_without_timeline_section(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.inc("fuzz.trials", 3)
-        report = build_run_report(registry.snapshot(), command="fuzz")
+        telemetry = Telemetry()
+        telemetry.inc("fuzz.trials", 3)
+        report = build_run_report(telemetry.snapshot(), command="fuzz")
+        del report["timeline"]
         _assert_standalone_html(render_dash(report))
 
 

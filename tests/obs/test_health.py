@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import (
+from repro.obs import collecting
+from repro.obs.health import (
     CRITICAL,
     DEGRADED,
     HEALTH_STATES,
@@ -10,7 +11,6 @@ from repro.obs import (
     STATE_RANK,
     HealthController,
     HealthTransition,
-    collecting,
 )
 
 

@@ -1,52 +1,54 @@
-"""Registry semantics: counters, gauges, histograms, spans, merge laws."""
+"""Telemetry aggregates: counters, gauges, histograms, spans, merging."""
 
 import pickle
 
 import pytest
 
-from repro.obs import (
+from repro.core import RandomScheduler
+from repro.obs.telemetry import (
     STEP_BUCKETS,
     HistogramData,
-    MetricsRegistry,
-    MetricsSnapshot,
     SpanData,
+    Telemetry,
+    TelemetrySnapshot,
     collecting,
-    get_registry,
-    maybe_registry,
+    maybe_telemetry,
 )
-from repro.obs import span as module_span
+from repro.obs.telemetry import span as module_span
+from repro.runtime import Execution
+from repro.workloads import figure1
 
 
 class TestCounters:
     def test_inc_creates_at_zero(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        registry.inc("a", 4)
-        assert registry.counter("a") == 5
+        telemetry = Telemetry()
+        telemetry.inc("a")
+        telemetry.inc("a", 4)
+        assert telemetry.counter("a") == 5
 
     def test_unknown_counter_reads_zero(self):
-        assert MetricsRegistry().counter("nope") == 0
+        assert Telemetry().counter("nope") == 0
 
 
 class TestGauges:
     def test_gauge_max_keeps_high_water(self):
-        registry = MetricsRegistry()
-        registry.gauge_max("depth", 3)
-        registry.gauge_max("depth", 1)
-        assert registry.gauge("depth") == 3
-        registry.gauge_max("depth", 7)
-        assert registry.gauge("depth") == 7
+        telemetry = Telemetry()
+        telemetry.gauge_max("depth", 3)
+        telemetry.gauge_max("depth", 1)
+        assert telemetry.gauge("depth") == 3
+        telemetry.gauge_max("depth", 7)
+        assert telemetry.gauge("depth") == 7
 
     def test_unset_gauge_is_none(self):
-        assert MetricsRegistry().gauge("nope") is None
+        assert Telemetry().gauge("nope") is None
 
 
 class TestHistograms:
     def test_observe_buckets_and_mean(self):
-        registry = MetricsRegistry()
+        telemetry = Telemetry()
         for value in (5, 50, 50, 5_000_000):
-            registry.observe("steps", value)
-        h = registry.snapshot().histograms["steps"]
+            telemetry.observe("steps", value)
+        h = telemetry.snapshot().histograms["steps"]
         assert h.bounds == STEP_BUCKETS
         assert h.counts[0] == 1  # <= 10
         assert h.counts[1] == 2  # <= 100
@@ -83,70 +85,64 @@ class TestSpans:
         assert data.total_s == pytest.approx(0.7)
 
     def test_registry_span_times_block(self):
-        registry = MetricsRegistry()
-        with registry.span("work"):
+        telemetry = Telemetry()
+        with telemetry.span("work"):
             pass
-        data = registry.snapshot().spans["work"]
+        data = telemetry.snapshot().spans["work"]
         assert data.count == 1
         assert data.total_s >= 0.0
 
     def test_span_records_on_exception(self):
-        registry = MetricsRegistry()
+        telemetry = Telemetry()
         with pytest.raises(RuntimeError):
-            with registry.span("work"):
+            with telemetry.span("work"):
                 raise RuntimeError("boom")
-        assert registry.snapshot().spans["work"].count == 1
+        assert telemetry.snapshot().spans["work"].count == 1
 
 
 class TestDisabled:
     def test_disabled_registry_is_a_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.inc("a")
-        registry.gauge_max("g", 1)
-        registry.observe("h", 1)
-        registry.observe_span("s", 1.0)
-        with registry.span("s2"):
+        # Off means absent: instrumented layers find no telemetry and
+        # record nowhere, so a scope opened afterwards starts empty.
+        with module_span("s"):
+            Execution(figure1.build(), seed=0).run(RandomScheduler())
+        with collecting() as telemetry:
             pass
-        snapshot = registry.snapshot()
-        assert snapshot.counters == {}
-        assert snapshot.gauges == {}
-        assert snapshot.histograms == {}
-        assert snapshot.spans == {}
+        assert telemetry.snapshot() == TelemetrySnapshot()
 
     def test_default_active_registry_is_disabled(self):
-        assert maybe_registry() is None
-        assert not get_registry().enabled
+        assert maybe_telemetry() is None
 
     def test_collecting_swaps_and_restores(self):
-        assert maybe_registry() is None
-        with collecting() as registry:
-            assert maybe_registry() is registry
-            registry.inc("x")
-        assert maybe_registry() is None
+        assert maybe_telemetry() is None
+        with collecting() as telemetry:
+            assert maybe_telemetry() is telemetry
+            telemetry.inc("x")
+        assert maybe_telemetry() is None
 
     def test_collecting_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with collecting():
                 raise RuntimeError("boom")
-        assert maybe_registry() is None
+        assert maybe_telemetry() is None
 
     def test_module_span_noop_when_disabled(self):
         with module_span("anything"):
             pass
-        assert maybe_registry() is None
+        assert maybe_telemetry() is None
 
 
 def _snap(counters=None, gauges=None, observations=(), spans=()):
-    registry = MetricsRegistry()
+    telemetry = Telemetry()
     for name, value in (counters or {}).items():
-        registry.inc(name, value)
+        telemetry.inc(name, value)
     for name, value in (gauges or {}).items():
-        registry.gauge_max(name, value)
+        telemetry.gauge_max(name, value)
     for name, value in observations:
-        registry.observe(name, value)
+        telemetry.observe(name, value)
     for name, seconds in spans:
-        registry.observe_span(name, seconds)
-    return registry.snapshot()
+        telemetry.observe_span(name, seconds)
+    return telemetry.snapshot()
 
 
 class TestSnapshotMerge:
@@ -164,36 +160,9 @@ class TestSnapshotMerge:
         assert a.counters == {"c": 2}
         assert b.counters == {"c": 3}
 
-    def test_merge_associative_and_commutative(self):
-        snaps = [
-            _snap(
-                counters={"c": i, f"only{i}": 1},
-                gauges={"g": float(i)},
-                observations=[("h", 10.0 * i)],
-                spans=[("s", 0.1 * (i + 1))],
-            )
-            for i in range(1, 4)
-        ]
-        a, b, c = snaps
-        left = a.merged(b).merged(c)
-        right = a.merged(b.merged(c))
-        swapped = c.merged(a).merged(b)
-        for other in (right, swapped):
-            assert left.counters == other.counters
-            assert left.gauges == other.gauges
-            assert left.histograms == other.histograms
-            # span count/min/max are order-independent exactly; totals
-            # only up to float-summation rounding
-            for name, mine in left.spans.items():
-                theirs = other.spans[name]
-                assert (mine.count, mine.min_s, mine.max_s) == (
-                    theirs.count, theirs.min_s, theirs.max_s,
-                )
-                assert mine.total_s == pytest.approx(theirs.total_s)
-
     def test_merge_with_empty_is_identity(self):
         a = _snap(counters={"c": 2}, observations=[("h", 5.0)])
-        empty = MetricsSnapshot()
+        empty = TelemetrySnapshot()
         assert a.merged(empty).counters == a.counters
         assert empty.merged(a).counters == a.counters
 
@@ -216,24 +185,24 @@ class TestSnapshotMerge:
             observations=[("h", 5.0)],
             spans=[("s", 0.25)],
         )
-        b = MetricsSnapshot.from_jsonable(a.to_jsonable())
+        b = TelemetrySnapshot.from_jsonable(a.to_jsonable())
         assert b == a
 
 
 class TestRegistryMerge:
     def test_merge_snapshot_accumulates(self):
-        registry = MetricsRegistry()
-        registry.inc("c", 1)
-        registry.merge_snapshot(_snap(counters={"c": 4}, gauges={"g": 2.0}))
-        assert registry.counter("c") == 5
-        assert registry.gauge("g") == 2.0
+        telemetry = Telemetry()
+        telemetry.inc("c", 1)
+        telemetry.merge_snapshot(_snap(counters={"c": 4}, gauges={"g": 2.0}))
+        assert telemetry.counter("c") == 5
+        assert telemetry.gauge("g") == 2.0
 
     def test_fold_order_equals_single_merge(self):
         parts = [_snap(counters={"c": i}, observations=[("h", i)]) for i in (1, 2, 3)]
-        left = MetricsRegistry()
+        left = Telemetry()
         for part in parts:
             left.merge_snapshot(part)
-        right = MetricsRegistry()
+        right = Telemetry()
         for part in reversed(parts):
             right.merge_snapshot(part)
         assert left.snapshot() == right.snapshot()

@@ -2,13 +2,10 @@
 
 import json
 
-from repro.obs import (
+from repro.obs.report import (
     REPORT_KIND,
     REPORT_VERSION,
     REQUIRED_COUNTERS,
-    REQUIRED_COUNTERS_V1,
-    MetricsRegistry,
-    TimelineRecorder,
     build_run_report,
     environment_metadata,
     load_run_report,
@@ -18,23 +15,20 @@ from repro.obs import (
     validate_run_report,
     write_run_report,
 )
+from repro.obs.telemetry import Telemetry
 
 
-def _snapshot():
-    registry = MetricsRegistry()
-    registry.inc("fuzz.trials", 7)
-    registry.inc("interp.steps", 100)
-    registry.gauge_max("fuzz.postponed_high_water", 2)
-    registry.observe("interp.steps_per_execution", 50)
-    registry.observe_span("phase2.fuzz", 0.5)
-    return registry.snapshot()
-
-
-def _timeline(*seeds):
-    recorder = TimelineRecorder(enabled=True)
+def _snapshot(*seeds):
+    """A snapshot with every aggregate kind plus one trial event per seed."""
+    telemetry = Telemetry()
+    telemetry.inc("fuzz.trials", 7)
+    telemetry.inc("interp.steps", 100)
+    telemetry.gauge_max("fuzz.postponed_high_water", 2)
+    telemetry.observe("interp.steps_per_execution", 50)
+    telemetry.observe_span("phase2.fuzz", 0.5)
     for seed in seeds or (0,):
-        recorder.emit("trial", ("figure1", seed), {"created": 1})
-    return recorder.snapshot()
+        telemetry.emit("trial", ("figure1", seed), {"created": 1})
+    return telemetry.snapshot()
 
 
 class TestBuild:
@@ -80,8 +74,14 @@ class TestValidate:
         report = build_run_report(_snapshot(), command="fuzz")
         bad = dict(report, kind="something-else")
         assert any("kind" in e for e in validate_run_report(bad))
-        future = dict(report, version=REPORT_VERSION + 1)
-        assert any("newer" in e for e in validate_run_report(future))
+        # Only the current layout is read: older and newer versions fail
+        # with the same single error.
+        for version in (1, 2, REPORT_VERSION + 1, "3", None):
+            errors = validate_run_report(dict(report, version=version))
+            assert errors == [
+                f"version must be {REPORT_VERSION}, got {version!r} "
+                f"(reports of other versions are not read)"
+            ]
 
     def test_rejects_missing_required_counter(self):
         report = build_run_report(_snapshot(), command="fuzz")
@@ -104,41 +104,21 @@ class TestValidate:
         errors = validate_run_report(dict(report, counters=counters))
         assert any("schedule.rounds" in e for e in errors)
 
-    def test_v1_reports_still_validate_without_schedule_counters(self):
-        # Reports written before the scheduling layer existed carry
-        # version 1 and no schedule.* keys; they must keep passing.
-        report = build_run_report(_snapshot(), command="fuzz")
-        v1_counters = {
-            key: value
-            for key, value in report["counters"].items()
-            if not key.startswith("schedule.")
-        }
-        old = dict(report, version=1, counters=v1_counters)
-        assert validate_run_report(old) == []
-        assert set(REQUIRED_COUNTERS_V1) <= set(v1_counters)
-
-    def test_v2_reports_still_validate_under_v3(self):
-        # Reports written before the timeline layer existed carry
-        # version 2 and no timeline section; they must keep passing.
-        report = build_run_report(_snapshot(), command="fuzz")
-        old = dict(report, version=2)
-        old.pop("timeline", None)
-        assert validate_run_report(old) == []
-
     def test_v3_report_with_timeline_section_passes(self):
-        report = build_run_report(
-            _snapshot(), command="fuzz", timeline=_timeline()
-        )
+        report = build_run_report(_snapshot(), command="fuzz")
         assert report["version"] == 3
         assert report["timeline"]["events"]
         assert validate_run_report(report) == []
 
     def test_timeline_on_old_version_rejected(self):
-        report = build_run_report(
-            _snapshot(), command="fuzz", timeline=_timeline()
-        )
+        report = build_run_report(_snapshot(), command="fuzz")
         errors = validate_run_report(dict(report, version=2))
-        assert any("requires report version >= 3" in e for e in errors)
+        assert any("version must be 3" in e for e in errors)
+
+    def test_missing_timeline_section_rejected(self):
+        report = build_run_report(_snapshot(), command="fuzz")
+        del report["timeline"]
+        assert validate_run_report(report) == ["timeline section is missing"]
 
     def test_malformed_timeline_section_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")
@@ -200,30 +180,25 @@ class TestWriteLoad:
         # Checkpoint-resume: two partial writes must land on the same
         # section as one uninterrupted write over all events.
         path = tmp_path / "report.json"
+        write_run_report(path, _snapshot(0, 1), command="fuzz")
         write_run_report(
-            path, _snapshot(), command="fuzz", timeline=_timeline(0, 1)
-        )
-        write_run_report(
-            path,
-            _snapshot(),
-            command="fuzz",
-            merge_existing=True,
-            timeline=_timeline(1, 2),
+            path, _snapshot(1, 2), command="fuzz", merge_existing=True
         )
         merged = load_run_report(path)["timeline"]
         assert merged["events"] == build_run_report(
-            _snapshot(), command="fuzz", timeline=_timeline(0, 1, 2)
+            _snapshot(0, 1, 2), command="fuzz"
         )["timeline"]["events"]
         assert validate_run_report(load_run_report(path)) == []
 
     def test_merge_existing_keeps_prior_timeline_when_not_recording(
         self, tmp_path
     ):
+        # A resumed run that emitted no events keeps the prior section.
         path = tmp_path / "report.json"
+        write_run_report(path, _snapshot(0), command="fuzz")
         write_run_report(
-            path, _snapshot(), command="fuzz", timeline=_timeline(0)
+            path, Telemetry().snapshot(), command="fuzz", merge_existing=True
         )
-        write_run_report(path, _snapshot(), command="fuzz", merge_existing=True)
         assert len(load_run_report(path)["timeline"]["events"]) == 1
 
 
@@ -246,11 +221,11 @@ class TestRender:
         assert "# TYPE repro_span_seconds_max gauge" in text
 
     def test_prometheus_escapes_span_labels(self):
-        registry = MetricsRegistry()
-        registry.inc("fuzz.trials", 1)
-        registry.observe_span('odd\nspan"with\\stuff', 0.1)
+        telemetry = Telemetry()
+        telemetry.inc("fuzz.trials", 1)
+        telemetry.observe_span('odd\nspan"with\\stuff', 0.1)
         text = render_prometheus(
-            build_run_report(registry.snapshot(), command="fuzz")
+            build_run_report(telemetry.snapshot(), command="fuzz")
         )
         # Prometheus exposition: \n, " and \ must be escaped inside
         # label values — a raw newline would split the sample line.

@@ -5,19 +5,21 @@ import json
 import pytest
 
 from repro.core.driver import detect_races, fuzz_races, race_directed_test
-from repro.obs import (
+from repro.obs.telemetry import (
+    Telemetry,
+    TelemetrySnapshot,
+    TimelineEvent,
+    collecting,
+    maybe_telemetry,
+    recording_timeline,
+)
+from repro.obs.timeline import (
     DETERMINISTIC_KINDS,
     TIMELINE_KIND,
-    TimelineEvent,
-    TimelineRecorder,
-    TimelineSnapshot,
     build_timeline_document,
     load_timeline,
-    maybe_timeline,
-    merge_timeline_sections,
     pair_label,
     pair_trajectories,
-    recording_timeline,
     snapshot_from_document,
     timeline_section,
     validate_timeline_section,
@@ -36,7 +38,7 @@ def _event(kind="trial", key=("w", 1), attrs=None, **display):
 
 
 def _recorder_with(*events):
-    recorder = TimelineRecorder(enabled=True)
+    recorder = Telemetry()
     for kind, key, attrs in events:
         recorder.emit(kind, key, attrs)
     return recorder
@@ -44,18 +46,25 @@ def _recorder_with(*events):
 
 class TestOffByDefault:
     def test_maybe_timeline_is_none_outside_recording(self):
-        assert maybe_timeline() is None
+        assert maybe_telemetry() is None
 
     def test_disabled_recorder_ignores_emit(self):
-        recorder = TimelineRecorder(enabled=False)
-        recorder.emit("trial", ("w", 1), {"n": 1})
-        assert recorder.snapshot().events == ()
+        # A trial run with telemetry off emits into nothing: the scope
+        # opened afterwards holds no events.
+        fuzz_races(
+            get("figure1").build(), [figure1.REAL_PAIR], trials=1,
+            max_steps=20_000,
+        )
+        with collecting() as telemetry:
+            pass
+        assert telemetry.snapshot().events == ()
 
     def test_recording_timeline_activates_and_restores(self):
+        # The old switch name is an alias of collecting().
         with recording_timeline() as recorder:
-            assert maybe_timeline() is recorder
+            assert maybe_telemetry() is recorder
             recorder.emit("trial", ("w", 1), {"n": 1})
-        assert maybe_timeline() is None
+        assert maybe_telemetry() is None
         assert len(recorder.snapshot().events) == 1
 
 
@@ -66,7 +75,7 @@ class TestIdentity:
         assert bare.identity == dressed.identity
 
     def test_attrs_order_is_canonical(self):
-        recorder = TimelineRecorder(enabled=True)
+        recorder = Telemetry()
         recorder.emit("trial", ("w", 1), {"b": 2, "a": 1})
         recorder.emit("trial", ("w", 1), {"a": 1, "b": 2})
         assert len(recorder.snapshot().events) == 1
@@ -91,35 +100,11 @@ class TestMergeLaws:
         a, b, _ = self._snapshots()
         assert len(a.merged(b).events) == 2
 
-    def test_merge_is_commutative(self):
-        a, b, c = self._snapshots()
-        for x, y in ((a, b), (a, c), (b, c)):
-            assert [e.identity for e in x.merged(y).events] == [
-                e.identity for e in y.merged(x).events
-            ]
-
-    def test_merge_is_associative(self):
-        a, b, c = self._snapshots()
-        left = a.merged(b).merged(c)
-        right = a.merged(b.merged(c))
-        assert [e.identity for e in left.events] == [
-            e.identity for e in right.events
-        ]
-
-    def test_any_fold_order_agrees(self):
-        a, b, c = self._snapshots()
-        orders = [(a, b, c), (c, a, b), (b, c, a)]
-        folded = []
-        for first, second, third in orders:
-            folded.append(
-                [e.identity for e in first.merged(second).merged(third).events]
-            )
-        assert folded[0] == folded[1] == folded[2]
 
 
 class TestRingBudget:
     def test_budget_truncates_and_counts_dropped(self):
-        recorder = TimelineRecorder(enabled=True, budget=4)
+        recorder = Telemetry(budget=4)
         for index in range(10):
             recorder.emit("trial", ("w", index), {"n": index})
         snapshot = recorder.snapshot()
@@ -129,8 +114,8 @@ class TestRingBudget:
     def test_truncation_keeps_smallest_identities(self):
         # Keeping the N smallest identities (not the N most recent) is
         # what makes truncation independent of arrival order.
-        forward = TimelineRecorder(enabled=True, budget=3)
-        backward = TimelineRecorder(enabled=True, budget=3)
+        forward = Telemetry(budget=3)
+        backward = Telemetry(budget=3)
         for index in range(8):
             forward.emit("trial", ("w", index), {})
         for index in reversed(range(8)):
@@ -140,7 +125,7 @@ class TestRingBudget:
         ]
 
     def test_compaction_bounds_the_raw_list(self):
-        recorder = TimelineRecorder(enabled=True, budget=8)
+        recorder = Telemetry(budget=8)
         for index in range(1000):
             recorder.emit("trial", ("w", index % 4), {})
         assert len(recorder._events) <= 2 * recorder.budget + 1
@@ -155,7 +140,7 @@ class TestSerialization:
         snapshot = _recorder_with(
             ("trial", ("w", 1), {"n": 1}), ("chunk", ("p", 0), {"count": 2})
         ).snapshot()
-        restored = TimelineSnapshot.from_jsonable(snapshot.to_jsonable())
+        restored = TelemetrySnapshot.from_jsonable(snapshot.to_jsonable())
         assert restored.events == snapshot.events
 
     def test_document_round_trip(self, tmp_path):
@@ -212,7 +197,8 @@ class TestSection:
             {"version": 1, "budget": -1, "dropped": 0, "events": []}
         ) != []
 
-    def test_section_merge_dedups_and_is_none_tolerant(self):
+    def test_section_merge_dedups(self):
+        # Sections merge through their snapshots, by the one merge law.
         a = timeline_section(
             _recorder_with(("trial", ("w", 1), {"n": 1})).snapshot()
         )
@@ -221,11 +207,8 @@ class TestSection:
                 ("trial", ("w", 1), {"n": 1}), ("trial", ("w", 2), {"n": 2})
             ).snapshot()
         )
-        merged = merge_timeline_sections(a, b)
-        assert len(merged["events"]) == 2
-        assert merge_timeline_sections(a, None) == a
-        assert merge_timeline_sections(None, b) == b
-        assert merge_timeline_sections(None, None) is None
+        merged = snapshot_from_document(a).merged(snapshot_from_document(b))
+        assert len(timeline_section(merged)["events"]) == 2
 
 
 class TestPairLabel:
@@ -237,7 +220,7 @@ class TestPairLabel:
 
 def _campaign_section(jobs, *, schedule=None, trials=6):
     program = get("figure1").build()
-    with recording_timeline() as recorder:
+    with collecting() as recorder:
         report = detect_races(
             program, seeds=range(2), max_steps=20_000, jobs=jobs
         )
@@ -262,7 +245,7 @@ class TestSerialParallelEquivalence:
 
     def test_full_pipeline_serial_equals_jobs_2(self):
         def section(jobs):
-            with recording_timeline() as recorder:
+            with collecting() as recorder:
                 race_directed_test(
                     get("figure1").build(),
                     phase1_seeds=range(2),
@@ -318,7 +301,7 @@ class TestWorkerShipping:
         # pid, which must differ from the parent's.
         import os
 
-        with recording_timeline() as recorder:
+        with collecting() as recorder:
             fuzz_races(
                 get("figure1").build(),
                 [figure1.REAL_PAIR],

@@ -8,7 +8,8 @@ oldest-first eviction while never evicting the entry being read.
 
 import pytest
 
-from repro.obs import CRITICAL, DEGRADED, HEALTHY, HealthController, collecting
+from repro.obs import HealthController, collecting
+from repro.obs.health import CRITICAL, DEGRADED, HEALTHY
 from repro.trace import (
     QUARANTINE_DIR,
     TraceCorruptError,
