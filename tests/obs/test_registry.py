@@ -160,6 +160,33 @@ class TestSnapshotMerge:
         assert a.counters == {"c": 2}
         assert b.counters == {"c": 3}
 
+    def test_merge_associative_and_commutative(self):
+        snaps = [
+            _snap(
+                counters={"c": i, f"only{i}": 1},
+                gauges={"g": float(i)},
+                observations=[("h", 10.0 * i)],
+                spans=[("s", 0.1 * (i + 1))],
+            )
+            for i in range(1, 4)
+        ]
+        a, b, c = snaps
+        left = a.merged(b).merged(c)
+        right = a.merged(b.merged(c))
+        swapped = c.merged(a).merged(b)
+        for other in (right, swapped):
+            assert left.counters == other.counters
+            assert left.gauges == other.gauges
+            assert left.histograms == other.histograms
+            # span count/min/max are order-independent exactly; totals
+            # only up to float-summation rounding
+            for name, mine in left.spans.items():
+                theirs = other.spans[name]
+                assert (mine.count, mine.min_s, mine.max_s) == (
+                    theirs.count, theirs.min_s, theirs.max_s,
+                )
+                assert mine.total_s == pytest.approx(theirs.total_s)
+
     def test_merge_with_empty_is_identity(self):
         a = _snap(counters={"c": 2}, observations=[("h", 5.0)])
         empty = TelemetrySnapshot()

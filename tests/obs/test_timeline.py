@@ -100,6 +100,31 @@ class TestMergeLaws:
         a, b, _ = self._snapshots()
         assert len(a.merged(b).events) == 2
 
+    def test_merge_is_commutative(self):
+        a, b, c = self._snapshots()
+        for x, y in ((a, b), (a, c), (b, c)):
+            assert [e.identity for e in x.merged(y).events] == [
+                e.identity for e in y.merged(x).events
+            ]
+
+    def test_merge_is_associative(self):
+        a, b, c = self._snapshots()
+        left = a.merged(b).merged(c)
+        right = a.merged(b.merged(c))
+        assert [e.identity for e in left.events] == [
+            e.identity for e in right.events
+        ]
+
+    def test_any_fold_order_agrees(self):
+        a, b, c = self._snapshots()
+        orders = [(a, b, c), (c, a, b), (b, c, a)]
+        folded = []
+        for first, second, third in orders:
+            folded.append(
+                [e.identity for e in first.merged(second).merged(third).events]
+            )
+        assert folded[0] == folded[1] == folded[2]
+
 
 
 class TestRingBudget:
