@@ -1,19 +1,22 @@
 #!/usr/bin/env python
-"""Race-fuzzing *real* Python threads (the native backend).
+"""Race-fuzzing *real* Python threads.
 
-Everything in the other examples runs on the deterministic generator
-engine.  This one drives ordinary ``threading.Thread`` code: the program
-below is plain Python — real stacks, real closures, real exception flow —
-with its shared accesses routed through a ``NativeRuntime`` handle, which
-is this reproduction's analog of CalFuzzer's bytecode instrumentation.
-
-The pipeline is identical: hybrid Phase 1 (the same detector object as on
-the generator engine), race-directed Phase 2, seed-only replay.
+Everything in the other examples runs generator bodies on the
+deterministic engine.  This one drives ordinary ``threading``-style code:
+the program below is plain Python — real stacks, real closures, real
+exception flow — with its shared accesses routed through a
+``NativeRuntime`` handle, which is this reproduction's analog of
+CalFuzzer's bytecode instrumentation.  ``native_program`` makes it an
+engine ``Program`` whose threads are real OS threads, so the pipeline is
+the engine's own: the same Phase 1 detector, the same RaceFuzzer, the
+same seed-only replay.
 
 Run:  python examples/native_threads.py
 """
 
-from repro.native import NativeRuntime, detect_races_native, fuzz_native
+from repro.core import RandomScheduler, detect_races, fuzz_pair
+from repro.native import NativeRuntime, native_program
+from repro.runtime import Execution
 
 
 def ticket_counter(rt: NativeRuntime) -> None:
@@ -43,29 +46,31 @@ def ticket_counter(rt: NativeRuntime) -> None:
 
 
 def main() -> None:
+    program = native_program(ticket_counter)
+
     print("=== passive random runs over real threads ===")
-    crashes = 0
-    for seed in range(50):
-        runtime = NativeRuntime(seed=seed)
-        crashes += bool(runtime.run(ticket_counter, runtime).crashes)
+    crashes = sum(
+        bool(Execution(program, seed=seed).run(RandomScheduler()).crashes)
+        for seed in range(50)
+    )
     print(f"duplicate tickets in {crashes}/50 passive runs")
     print()
 
-    print("=== Phase 1: hybrid detection (same detector as the engine) ===")
-    report = detect_races_native(ticket_counter, seeds=range(5))
+    print("=== Phase 1: hybrid detection (the engine's detector) ===")
+    report = detect_races(program, seeds=range(5))
     print(report)
     print()
 
-    print("=== Phase 2: race-directed scheduling of the real threads ===")
+    print("=== Phase 2: RaceFuzzer directing the real threads ===")
     for pair in report.pairs:
-        outcomes = fuzz_native(ticket_counter, pair, seeds=range(50))
-        created = sum(1 for o in outcomes if o.pairs_created)
+        outcomes = fuzz_pair(program, pair, range(50))
+        created = sum(1 for o in outcomes if o.created)
         crashed = sum(1 for o in outcomes if o.crashes)
         print(f"{pair}")
         print(f"    race created {created}/50, duplicate tickets {crashed}/50")
     print()
     print("note the till-protected revenue never shows up: common-lock")
-    print("accesses are filtered in Phase 1, exactly as on the engine.")
+    print("accesses are filtered in Phase 1, exactly as for generator bodies.")
 
 
 if __name__ == "__main__":

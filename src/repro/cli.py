@@ -140,6 +140,35 @@ def _parse_size(text: str) -> int:
     return size
 
 
+def _bounded(convert, low, *, strict: bool = False):
+    """An argparse ``type=``: ``convert(text)``, rejected below ``low``
+    (or at it, when ``strict``) with a usage error instead of a traceback
+    from the engine's own check of the same bound."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            )
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+#: trials, retries, and jobs (0 = one worker per core).
+COUNT = _bounded(int, 0)
+#: chunk sizes, trial budgets, seed counts.
+POSITIVE_INT = _bounded(int, 1)
+#: deadlines, time budgets, memory budgets.
+POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+
+
 def _cmd_list(args) -> int:
     for spec in all_workloads():
         row = ""
@@ -349,7 +378,6 @@ def _cmd_fuzz(args) -> int:
             checkpoint=args.checkpoint,
             faults=faults,
             memory_budget_mb=args.memory_budget,
-            fast_mode=args.fast_mode,
             on_progress=on_progress,
             schedule=args.schedule,
             trial_budget=args.trial_budget,
@@ -577,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
         "detector attached, and the output has one section per detector. "
         "Names: hybrid, happens-before, lockset, shb, wcp, sample",
     )
-    detect_parser.add_argument("--seeds", type=int, default=3)
+    detect_parser.add_argument("--seeds", type=POSITIVE_INT, default=3)
     detect_parser.add_argument(
         "--jobs",
-        type=int,
+        type=COUNT,
         default=1,
         help="worker processes for seed runs (0 = one per core)",
     )
@@ -602,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.add_argument(
         "--deadline",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock budget (routes through the campaign "
@@ -610,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.add_argument(
         "--retries",
-        type=int,
+        type=COUNT,
         default=None,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
@@ -652,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_parser.add_argument(
         "--jobs",
-        type=int,
+        type=COUNT,
         default=1,
         help="worker processes for recording (0 = one per core)",
     )
@@ -698,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Phase 2 the union of several detectors' candidate pairs from "
         "the same Phase-1 executions",
     )
-    fuzz_parser.add_argument("--trials", type=int, default=100)
+    fuzz_parser.add_argument("--trials", type=COUNT, default=100)
     fuzz_parser.add_argument(
         "--schedule",
         choices=("fixed", "adaptive"),
@@ -711,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--trial-budget",
-        type=int,
+        type=POSITIVE_INT,
         default=None,
         metavar="N",
         help="adaptive only: global cap on total Phase-2 trials across "
@@ -719,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--time-budget",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="adaptive only: wall-clock cap on Phase 2; no new chunks are "
@@ -734,22 +762,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--jobs",
-        type=int,
+        type=COUNT,
         default=1,
         help="worker processes for both phases (0 = one per core)",
     )
     fuzz_parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=POSITIVE_INT,
         default=25,
         help="Phase-2 trials per worker task",
-    )
-    fuzz_parser.add_argument(
-        "--fast-mode",
-        action="store_true",
-        help="Phase-2 throughput lever: emit MemEvents only for the racing "
-        "statements themselves (sync/thread events unaffected; verdicts "
-        "identical either way)",
     )
     fuzz_parser.add_argument(
         "--stop-on-confirm",
@@ -758,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--deadline",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock budget; a chunk that overruns is retried "
@@ -766,14 +787,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--retries",
-        type=int,
+        type=COUNT,
         default=None,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
     )
     fuzz_parser.add_argument(
         "--memory-budget",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=None,
         metavar="MIB",
         help="per-task resident-set growth budget in MiB; a task that "

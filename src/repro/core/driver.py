@@ -286,7 +286,6 @@ def fuzz_races(
     preemption: str = "sync",
     patience: int = 400,
     max_steps: int = 1_000_000,
-    fast_mode: bool = False,
     jobs: int = 1,
     chunk_size: int = 25,
     stop_on_confirm: bool = False,
@@ -319,12 +318,6 @@ def fuzz_races(
     draws, so adaptive campaigns are deterministic per seed).  A
     pre-built :class:`~repro.core.schedule.CampaignSchedule` may be
     passed for tuned parameters.
-
-    ``fast_mode=True`` turns on the interpreter's sync-only fast path:
-    MemEvents are emitted only for the racing statements themselves (all
-    lock/thread/msg events are unaffected).  Verdicts are identical in
-    either mode — Phase 2 reads ops directly, not events — so this is
-    purely a throughput lever for campaigns with observers attached.
 
     Each round's allocations run as ``chunk_size``-sized tasks; ``jobs=N``
     (``None``/``0`` = one worker per core, ``1`` = inline, negatives
@@ -377,7 +370,6 @@ def fuzz_races(
             preemption=preemption,
             patience=patience,
             max_steps=max_steps,
-            fast_mode=fast_mode,
             schedule=sched,
             grades=grades,
         )
@@ -420,7 +412,6 @@ def race_directed_test(
     preemption: str = "sync",
     patience: int = 400,
     max_steps: int = 1_000_000,
-    fast_mode: bool = False,
     pairs: Iterable[StatementPair] | None = None,
     jobs: int = 1,
     chunk_size: int = 25,
@@ -449,9 +440,7 @@ def race_directed_test(
     ``retries``, ``checkpoint``, ``faults`` — see :func:`fuzz_races`)
     apply to both phases; tasks that fail every retry end up on
     ``CampaignReport.failures`` instead of aborting the campaign.
-    ``fast_mode`` applies to Phase 2 only (see :func:`fuzz_races`);
-    Phase 1 detectors need every MemEvent, and so do
-    ``schedule``/``trial_budget``/``time_budget``, Phase 2's
+    ``schedule``/``trial_budget``/``time_budget`` are Phase 2's
     trial-allocation policy knobs.
     """
     _check_inputs(detector, preemption)
@@ -461,7 +450,6 @@ def race_directed_test(
         preemption=preemption,
         patience=patience,
         max_steps=max_steps,
-        fast_mode=fast_mode,
         schedule=make_schedule(
             schedule,
             trials=trials,

@@ -162,8 +162,6 @@ class FuzzTask:
     preemption: str = "sync"
     patience: int = 400
     max_steps: int = 1_000_000
-    #: suppress off-pair MemEvent emission in the worker (verdict-neutral).
-    fast_mode: bool = False
     #: end the chunk at its first created race (``stop_on_confirm``).
     stop_on_confirm: bool = False
 
@@ -273,7 +271,6 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
         preemption=task.preemption,
         patience=task.patience,
         max_steps=task.max_steps,
-        fast_mode=task.fast_mode,
     )
     verdict = PairVerdict(pair=task.pair)
     telemetry = maybe_telemetry()
@@ -304,12 +301,10 @@ def fuzz_task_key(task: FuzzTask) -> str:
 
     Covers every field that affects the chunk's verdict, so a journaled
     result is only reused by a campaign running the *same* protocol; any
-    parameter change misses the cache and re-executes.  ``fast_mode`` is
-    deliberately excluded: it only gates MemEvent emission to observers
-    (workers attach none), so verdicts are identical either way and old
-    journals stay valid.  ``stop_on_confirm`` enters the key only when
-    set, so a journal written without it keeps serving runs without it
-    and never satisfies a run with it.
+    parameter change misses the cache and re-executes.
+    ``stop_on_confirm`` enters the key only when set, so a journal
+    written without it keeps serving runs without it and never satisfies
+    a run with it.
     """
     first, second = task.pair.first, task.pair.second
     fields = {
@@ -649,7 +644,6 @@ class ParallelCampaign:
         preemption: str = "sync",
         patience: int = 400,
         max_steps: int = 1_000_000,
-        fast_mode: bool = False,
         schedule: str | CampaignSchedule | None = None,
         grades: "Sequence[bool | None] | None" = None,
     ) -> dict[StatementPair, PairVerdict]:
@@ -703,7 +697,6 @@ class ParallelCampaign:
                         preemption=preemption,
                         patience=patience,
                         max_steps=max_steps,
-                        fast_mode=fast_mode,
                         stop_on_confirm=self.stop_on_confirm,
                     )
                     for chunk in batch
@@ -799,7 +792,6 @@ class ParallelCampaign:
         preemption: str = "sync",
         patience: int = 400,
         max_steps: int = 1_000_000,
-        fast_mode: bool = False,
         schedule: str | CampaignSchedule | None = None,
     ) -> CampaignReport:
         """Both phases end to end, against one workload by name.
@@ -827,7 +819,6 @@ class ParallelCampaign:
             preemption=preemption,
             patience=patience,
             max_steps=max_steps,
-            fast_mode=fast_mode,
             schedule=schedule,
             grades=grades,
         )

@@ -221,6 +221,9 @@ class PostponingDriver:
             # and can hit the limit mid-burst.  A livelocked trial is a
             # *truncated* data point, never a campaign abort.
             execution.result.truncated = True
+        except BaseException:
+            execution.close()
+            raise
 
         execution.finish()
         if telemetry is not None:

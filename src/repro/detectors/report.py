@@ -210,12 +210,7 @@ def schedulable_grades(
 
 
 def _program_name(execution) -> str:
-    """Name of the program under observation, for any host engine.
-
-    The generator engine exposes ``execution.program.name``; the native
-    backend has no Program object, so fall back gracefully.
-    """
+    """Name of the program under observation: ``execution.program.name``,
+    or a :class:`~repro.trace.replay.ReplaySource`'s ``name``."""
     program = getattr(execution, "program", None)
-    if program is not None and hasattr(program, "name"):
-        return program.name
-    return getattr(execution, "name", "native-program")
+    return program.name if program is not None else execution.name

@@ -121,12 +121,14 @@ def render_sweep(points: list[ProbabilityPoint]) -> str:
 def main(argv: list[str] | None = None) -> None:
     import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=100)
+    from repro.cli import COUNT
+
+    parser = argparse.ArgumentParser(prog="repro figure2", description=__doc__)
+    parser.add_argument("--runs", type=COUNT, default=100)
     parser.add_argument("--paddings", default="0,2,5,10,20,40")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=COUNT,
         default=1,
         help="sweep padding points in N worker processes (0 = per core)",
     )

@@ -279,6 +279,7 @@ def main(argv: list[str] | None = None) -> None:
     import argparse
     from contextlib import nullcontext
 
+    from repro.cli import COUNT, POSITIVE_FLOAT, POSITIVE_INT
     from repro.obs import (
         ProgressPrinter,
         ProgressUpdate,
@@ -287,9 +288,9 @@ def main(argv: list[str] | None = None) -> None:
     )
     from repro.workloads.base import get
 
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
     parser.add_argument("names", nargs="*", help="benchmarks (default: all)")
-    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--trials", type=COUNT, default=None)
     parser.add_argument(
         "--quick", action="store_true", help="20 trials, 20 baseline runs"
     )
@@ -303,7 +304,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--trial-budget",
-        type=int,
+        type=POSITIVE_INT,
         default=None,
         metavar="N",
         help="adaptive only: global trial cap per row (default: trials "
@@ -311,14 +312,14 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
+        type=POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="adaptive only: wall-clock cap on each row's Phase 2",
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=COUNT,
         default=1,
         help="measure benchmark rows in N worker processes (0 = per core)",
     )

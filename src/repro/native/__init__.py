@@ -1,92 +1,13 @@
-"""Race-directed testing of *real* Python threads (the settrace-era backend).
+"""Race-directed testing of *real* Python threads.
 
-The generator engine is the reference substrate; this package applies the
-same two-phase pipeline to ordinary ``threading``-style code instrumented
-through a :class:`NativeRuntime` handle.  The detectors are shared — a
-native run emits the same event objects — and the schedulers mirror
-:mod:`repro.core`.
-
-Helpers:
-
-* :func:`detect_races_native` — Phase 1 over native runs;
-* :func:`fuzz_native` — Phase 2: one race-directed native run per seed.
+:func:`native_program` turns ordinary ``threading``-style code, written
+against a :class:`NativeRuntime` handle, into an engine
+:class:`~repro.runtime.program.Program`; every real thread runs as one
+kind of :class:`~repro.runtime.interpreter.Execution` thread.  The whole
+pipeline (``detect_races``, ``fuzz_pair``, ``race_directed_test``) then
+serves it unchanged.  See :mod:`repro.native.runtime`.
 """
 
-from __future__ import annotations
+from .runtime import NativeRuntime, native_program
 
-from typing import Callable, Iterable, Sequence
-
-from repro.detectors import HybridRaceDetector, RaceReport
-from repro.runtime.statement import StatementPair
-
-from .fuzzing import (
-    NativeScheduler,
-    RaceDirectedNativeScheduler,
-    RandomNativeScheduler,
-)
-from .runtime import (
-    ExecutionAborted,
-    NativeHandle,
-    NativeLock,
-    NativeResult,
-    NativeRuntime,
-    NativeVar,
-)
-
-#: a "native program" is a callable taking the runtime: program(rt) builds
-#: the world and runs the main thread's body.
-NativeProgram = Callable[[NativeRuntime], None]
-
-
-def detect_races_native(
-    program: NativeProgram,
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    max_ops: int = 200_000,
-) -> RaceReport:
-    """Phase 1 on the native backend: hybrid detection over random runs."""
-    merged: RaceReport | None = None
-    for seed in seeds:
-        detector = HybridRaceDetector()
-        runtime = NativeRuntime(seed=seed, observers=(detector,), max_ops=max_ops)
-        runtime.run(program, runtime)
-        if merged is None:
-            merged = detector.report
-        else:
-            merged.merge(detector.report)
-    assert merged is not None, "detect_races_native needs at least one seed"
-    merged.program = getattr(program, "__name__", "native-program")
-    return merged
-
-
-def fuzz_native(
-    program: NativeProgram,
-    pair: StatementPair,
-    *,
-    seeds: Iterable[int] = range(50),
-    patience: int = 400,
-    max_ops: int = 200_000,
-) -> list[NativeResult]:
-    """Phase 2 on the native backend: one directed run per seed."""
-    results = []
-    for seed in seeds:
-        scheduler = RaceDirectedNativeScheduler(pair, patience=patience)
-        runtime = NativeRuntime(seed=seed, scheduler=scheduler, max_ops=max_ops)
-        results.append(runtime.run(program, runtime))
-    return results
-
-
-__all__ = [
-    "NativeRuntime",
-    "NativeVar",
-    "NativeLock",
-    "NativeHandle",
-    "NativeResult",
-    "NativeProgram",
-    "NativeScheduler",
-    "RandomNativeScheduler",
-    "RaceDirectedNativeScheduler",
-    "ExecutionAborted",
-    "detect_races_native",
-    "fuzz_native",
-]
+__all__ = ["NativeRuntime", "native_program"]

@@ -1,608 +1,206 @@
-"""A RaceFuzzer backend for *real* Python threads.
+"""Real Python threads as one kind of engine thread.
 
-The generator engine in :mod:`repro.runtime` is the reference substrate,
-but CalFuzzer's point was instrumenting real programs.  This module brings
-the same active-testing control to ordinary ``threading.Thread`` code: the
-GIL plus a token protocol make real threads fully schedulable.
+CalFuzzer's point was instrumenting real programs.  This module runs
+ordinary ``threading``-style code under the one
+:class:`~repro.runtime.interpreter.Execution`: each thread of a native
+program is a real OS thread wrapped in a :class:`TokenThread`, an adapter
+with the generator protocol (``send``/``throw``/``__next__``/``close``).
+``send(v)`` hands the token to the OS thread and blocks until that thread
+publishes its next :class:`~repro.runtime.ops.Op` or finishes.  Only the
+token holder ever runs, so the real threads carry real stacks, closures
+and exception flow, not parallelism.
 
-How it works
-------------
-Exactly one thread owns the *token* at any time; every other registered
-thread is parked on one condition variable.  Instrumented programs route
-all shared-state effects through a :class:`NativeRuntime` handle::
+Programs route shared-state effects through the :class:`NativeRuntime`
+handle they receive::
 
-    rt = NativeRuntime(seed=7)
-    balance = rt.var("balance", 100)
-    lock = rt.lock("L")
+    def bank(rt):
+        balance = rt.var("balance", 100)
 
-    def teller(amount):
-        current = rt.read(balance)          # a controlled scheduling point
-        rt.write(balance, current + amount)
+        def teller(amount):
+            current = rt.read(balance)          # a scheduling point
+            rt.write(balance, current + amount)
 
-    def main():
         workers = [rt.spawn(teller, 10), rt.spawn(teller, -10)]
         for worker in workers:
             rt.join(worker)
+        rt.check(rt.read(balance) == 100, "lost update")
 
-    result = rt.run(main)
+    program = native_program(bank)
 
-Each ``rt.*`` call is a checkpoint: the calling thread publishes the
-operation it is *about* to perform (the paper's ``NextStmt``), parks, and
-performs it only when the scheduler hands it the token.  Because only the
-token holder ever touches shared state, locks, wait sets and variables are
-pure bookkeeping — the real threads exist to carry real stacks, closures
-and exception flow, not for parallelism.
-
-The scheduler side (random or race-directed) lives in
-:mod:`repro.native.fuzzing`; detectors from :mod:`repro.detectors` plug in
-unchanged because checkpoints emit the same event objects as the generator
-engine.  Statement identity is the *caller's* source line, mirroring
-bytecode instrumentation, so Phase 1 pairs feed Phase 2 across executions
-exactly as on the reference engine.
-
-Scope: read/write/lock/unlock/wait/notify/notify_all/spawn/join/
-yield_point/check.  Sleep and interrupt are generator-engine-only for now
-(DESIGN.md notes the subset).
+Each ``rt.*`` call yields the matching ``ops.*`` op, so monitors, wait
+sets, join, events, detectors, RaceFuzzer, the pipeline and telemetry are
+the engine's own.  An op's statement is the ``rt.*`` caller's source line
+(the adapter's ``gi_frame``), mirroring bytecode instrumentation.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.runtime.errors import (
-    AssertionViolation,
-    EngineError,
-    IllegalMonitorState,
-)
-from repro.runtime.events import (
-    Access,
-    AcquireEvent,
-    ErrorInfo,
-    MemEvent,
-    RcvEvent,
-    ReleaseEvent,
-    SndEvent,
-    ThreadEndEvent,
-    ThreadStartEvent,
-)
-from repro.runtime.location import LockId, VarLoc, fresh_uid
-from repro.runtime.observer import ExecutionObserver, ObserverChain
-from repro.runtime.statement import Statement
+from repro.runtime import ops
+from repro.runtime.errors import EngineError
+from repro.runtime.location import LockId, fresh_uid
+from repro.runtime.ops import Op
+from repro.runtime.program import Program
+from repro.runtime.sugar import SharedVar
+from repro.runtime.thread import ThreadHandle
+
+#: ``_local.thread`` is the token thread the calling OS thread runs.
+_local = threading.local()
 
 
-class ExecutionAborted(BaseException):
-    """Raised inside parked threads when the run is torn down (deadlock or
-    budget exhaustion).  BaseException so user ``except Exception`` blocks
-    cannot swallow the teardown."""
+class TokenThread:
+    """One real OS thread, driven by the engine like a generator body."""
+
+    #: never delegates, so the engine reads the site from ``gi_frame``.
+    gi_yieldfrom = None
+
+    def __init__(self, fn: Callable[..., Any], args: tuple) -> None:
+        self._fn = fn
+        self._args = args
+        #: frame of the ``rt.*`` caller whose op is pending.
+        self.gi_frame = None
+        self._thread: threading.Thread | None = None
+        self._done = False
+        self._closing = False
+        self._resume = threading.Semaphore(0)  # engine -> OS thread
+        self._parked = threading.Semaphore(0)  # OS thread -> engine
+        self._inbox: tuple[Any, BaseException | None] = (None, None)
+        self._outbox: tuple[str, Any] = ("return", None)
+
+    # --- engine side: the generator protocol ---------------------------- #
+
+    def __iter__(self) -> "TokenThread":
+        return self
+
+    def __next__(self) -> Op:
+        return self._switch(None, None)
+
+    def send(self, value: Any) -> Op:
+        return self._switch(value, None)
+
+    def throw(self, exc: BaseException) -> Op:
+        return self._switch(None, exc)
+
+    def close(self) -> None:
+        """Unwind a started OS thread with ``GeneratorExit`` and wait for
+        it; like ``generator.close()``, any other exception propagates."""
+        if self._thread is not None and not self._done:
+            self._closing = True
+            try:
+                self._switch(None, GeneratorExit())
+            except (GeneratorExit, StopIteration):
+                pass
+        self._done = True
+
+    def _switch(self, value: Any, exc: BaseException | None) -> Op:
+        """Hand the token over; take it back at the next op or the end.
+        The engine primes every body with ``next()`` before anything else."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name=getattr(self._fn, "__name__", None),
+                daemon=True,
+            )
+            self._thread.start()
+        else:
+            self._inbox = (value, exc)
+            self._resume.release()
+        self._parked.acquire()
+        kind, payload = self._outbox
+        if kind == "op":
+            return payload
+        self._done = True
+        self.gi_frame = None
+        self._thread.join()
+        if kind == "raise":
+            raise payload
+        raise StopIteration
+
+    # --- OS-thread side --------------------------------------------------- #
+
+    def _run(self) -> None:
+        _local.thread = self
+        try:
+            self._fn(*self._args)
+            self._outbox = ("return", None)
+        except BaseException as error:  # the thread's crash domain
+            self._outbox = ("raise", error)
+        self._parked.release()
+
+    def _yield(self, op: Op, frame) -> Any:
+        """Publish ``op`` (called from ``frame``), park, return its result."""
+        if self._closing:
+            raise GeneratorExit
+        self.gi_frame = frame
+        self._outbox = ("op", op)
+        self._parked.release()
+        self._resume.acquire()
+        value, exc = self._inbox
+        if exc is not None:
+            raise exc
+        return value
 
 
-@dataclass
-class NativeVar:
-    """A shared cell; its value is only ever touched by the token holder."""
-
-    loc: VarLoc
-    value: Any
-
-    @property
-    def name(self) -> str:
-        return self.loc.name
-
-
-@dataclass
-class NativeLock:
-    """A virtual reentrant monitor (no OS lock needed: one runner at a time)."""
-
-    id: LockId
-    owner: int | None = None
-    depth: int = 0
-    wait_set: list[int] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return self.id.name
-
-
-@dataclass(frozen=True)
-class NativeHandle:
-    """Reference to a spawned native thread."""
-
-    tid: int
-    name: str
-
-
-@dataclass
-class _PendingOp:
-    """What a parked thread is about to do — the native ``NextStmt``."""
-
-    kind: str  # read/write/lock/unlock/wait/notify/notify_all/join/yield/reacquire
-    stmt: Statement
-    var: NativeVar | None = None
-    value: Any = None
-    lock: NativeLock | None = None
-    target: int | None = None
-    reacquire_depth: int = 0
-    error: BaseException | None = None
-
-    @property
-    def is_mem(self) -> bool:
-        return self.kind in ("read", "write")
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == "write"
-
-    @property
-    def location(self):
-        return self.var.loc if self.var is not None else None
-
-
-@dataclass
-class _NThread:
-    tid: int
-    name: str
-    thread: threading.Thread | None = None
-    #: RUNNING (owns token), READY (parked with a pending op), WAITING (in
-    #: a wait set), DONE
-    state: str = "READY"
-    pending: _PendingOp | None = None
-    waiting_on: NativeLock | None = None
-    wait_depth: int = 0
-    notified_msg: int | None = None
-    error: BaseException | None = None
-    aborted: bool = False
-    held: list[NativeLock] = field(default_factory=list)
-
-
-@dataclass
-class NativeResult:
-    """Outcome of one :meth:`NativeRuntime.run`."""
-
-    seed: int
-    ops: int = 0
-    crashes: list[tuple[str, str]] = field(default_factory=list)  # (thread, error)
-    deadlock: bool = False
-    truncated: bool = False
-    #: filled by the race-directed scheduler (see repro.native.fuzzing)
-    races_created: int = 0
-    pairs_created: set = field(default_factory=set)
-
-    @property
-    def exception_types(self) -> list[str]:
-        return [error for _, error in self.crashes]
+def _yield(op: Op) -> Any:
+    """Run ``op`` as the calling ``rt.*`` method's scheduling point."""
+    thread = getattr(_local, "thread", None)
+    if thread is None:
+        raise EngineError("rt.* called outside a native program's threads")
+    return thread._yield(op, sys._getframe(2))  # the rt.* method's caller
 
 
 class NativeRuntime:
-    """Token-scheduled execution of real Python threads (one run per instance)."""
+    """The handle a native program receives: each call is one engine op."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        observers: tuple[ExecutionObserver, ...] = (),
-        scheduler=None,
-        max_ops: int = 200_000,
-    ) -> None:
-        import random
+    def var(self, name: str = "", init: Any = None) -> SharedVar:
+        """A shared variable (world construction; not a scheduling point)."""
+        return SharedVar(name, init)
 
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.max_ops = max_ops
-        self._cond = threading.Condition()
-        self._threads: dict[int, _NThread] = {}
-        self._tls = threading.local()
-        self._next_tid = 0
-        self._next_msg = 0
-        self._current: int | None = None
-        self._term_msg: dict[int, int] = {}
-        self._started = False
-        self._torn_down = False
-        self.result = NativeResult(seed=seed)
-        self._ops = 0
-        self.observer = ObserverChain(observers)
-        self._observing = bool(observers)
-        from .fuzzing import RandomNativeScheduler
+    def lock(self, name: str = "") -> LockId:
+        """A reentrant monitor (world construction; not a scheduling point)."""
+        return LockId(fresh_uid(), name)
 
-        self.scheduler = scheduler or RandomNativeScheduler()
-        self.scheduler.attach(self)
+    def read(self, var: SharedVar, label: str | None = None) -> Any:
+        return _yield(var.read(label))
 
-    # ----------------------------------------------------------------- #
-    # program-facing API (world construction)
+    def write(self, var: SharedVar, value: Any, label: str | None = None) -> None:
+        _yield(var.write(value, label))
 
-    def var(self, name: str, init: Any = None) -> NativeVar:
-        return NativeVar(loc=VarLoc(fresh_uid(), name), value=init)
+    def acquire(self, lock: LockId, label: str | None = None) -> None:
+        _yield(ops.lock(lock, label))
 
-    def lock(self, name: str = "") -> NativeLock:
-        return NativeLock(id=LockId(fresh_uid(), name))
+    def release(self, lock: LockId, label: str | None = None) -> None:
+        _yield(ops.unlock(lock, label))
 
-    # ----------------------------------------------------------------- #
-    # program-facing API (scheduling points; call only from inside run())
+    def wait(self, lock: LockId, label: str | None = None) -> None:
+        _yield(ops.wait(lock, label=label))
 
-    def read(self, var: NativeVar, label: str | None = None) -> Any:
-        return self._checkpoint(
-            _PendingOp(kind="read", stmt=self._site(label), var=var)
-        )
+    def notify(self, lock: LockId, label: str | None = None) -> None:
+        _yield(ops.notify(lock, label))
 
-    def write(self, var: NativeVar, value: Any, label: str | None = None) -> None:
-        self._checkpoint(
-            _PendingOp(kind="write", stmt=self._site(label), var=var, value=value)
-        )
-
-    def acquire(self, lock: NativeLock, label: str | None = None) -> None:
-        self._checkpoint(_PendingOp(kind="lock", stmt=self._site(label), lock=lock))
-
-    def release(self, lock: NativeLock, label: str | None = None) -> None:
-        self._checkpoint(_PendingOp(kind="unlock", stmt=self._site(label), lock=lock))
-
-    def wait(self, lock: NativeLock, label: str | None = None) -> None:
-        self._checkpoint(_PendingOp(kind="wait", stmt=self._site(label), lock=lock))
-
-    def notify(self, lock: NativeLock, label: str | None = None) -> None:
-        self._checkpoint(_PendingOp(kind="notify", stmt=self._site(label), lock=lock))
-
-    def notify_all(self, lock: NativeLock, label: str | None = None) -> None:
-        self._checkpoint(
-            _PendingOp(kind="notify_all", stmt=self._site(label), lock=lock)
-        )
+    def notify_all(self, lock: LockId, label: str | None = None) -> None:
+        _yield(ops.notify_all(lock, label))
 
     def yield_point(self, label: str | None = None) -> None:
-        self._checkpoint(_PendingOp(kind="yield", stmt=self._site(label)))
+        _yield(ops.yield_point(label))
 
     def check(self, condition: bool, message: str = "") -> None:
-        self.yield_point()
-        if not condition:
-            raise AssertionViolation(message or "check failed")
+        _yield(ops.check(condition, message))
 
-    def spawn(self, fn: Callable, *args: Any, name: str | None = None) -> NativeHandle:
-        """Start a controlled thread running ``fn(*args)``."""
-        with self._cond:
-            handle = self._spawn_locked(fn, args, name)
-        # The child only runs when granted the token; announce the edge.
-        self.yield_point()
-        return handle
+    def spawn(self, fn: Callable, *args: Any, name: str | None = None) -> ThreadHandle:
+        """Start a real thread running ``fn(*args)``."""
+        name = name or getattr(fn, "__name__", "thread")
+        return _yield(ops.spawn(TokenThread, fn, args, name=name))
 
-    def join(self, handle: NativeHandle, label: str | None = None) -> None:
-        self._checkpoint(
-            _PendingOp(kind="join", stmt=self._site(label), target=handle.tid)
-        )
+    def join(self, handle: ThreadHandle, label: str | None = None) -> None:
+        _yield(ops.join(handle, label))
 
-    # ----------------------------------------------------------------- #
-    # running
 
-    def run(self, main_fn: Callable, *args: Any) -> NativeResult:
-        """Run ``main_fn`` as the root controlled thread to completion."""
-        if self._started:
-            raise EngineError("a NativeRuntime instance runs exactly once")
-        self._started = True
-        if self._observing:
-            self.observer.on_start(self)
-        with self._cond:
-            root = self._spawn_locked(main_fn, args, "main")
-            self._grant(root.tid)
-        # Wait for every controlled thread to finish (teardown on deadlock
-        # or budget exhaustion aborts parked threads, so this converges).
-        # Spawns can add threads while we join, so sweep until stable.
-        while True:
-            snapshot = list(self._threads.values())
-            for nthread in snapshot:
-                nthread.thread.join()
-            if len(snapshot) == len(self._threads):
-                break
-        self.result.ops = self._ops
-        if self._observing:
-            self.observer.on_finish(self)
-        return self.result
-
-    # ----------------------------------------------------------------- #
-    # internals — all under self._cond unless noted
-
-    def _spawn_locked(self, fn, args, name) -> NativeHandle:
-        tid = self._next_tid
-        self._next_tid += 1
-        nthread = _NThread(tid=tid, name=name or getattr(fn, "__name__", "thread"))
-        self._threads[tid] = nthread
-        parent = getattr(self._tls, "tid", None)
-        if self._observing:
-            self.observer.on_event(
-                ThreadStartEvent(
-                    step=self._ops, tid=parent if parent is not None else tid,
-                    child=tid, name=nthread.name,
-                )
-            )
-        if parent is not None:
-            msg = self._snd(parent)
-            if self._observing:
-                self.observer.on_event(RcvEvent(step=self._ops, tid=tid, msg_id=msg))
-
-        def body():
-            self._tls.tid = tid
-            try:
-                self._park_until_granted(nthread, first=True)
-                fn(*args)
-            except ExecutionAborted:
-                pass
-            except BaseException as error:  # the thread's crash domain
-                nthread.error = error
-                self.result.crashes.append((nthread.name, type(error).__name__))
-            finally:
-                self._finish_thread(nthread)
-
-        nthread.state = "READY"
-        nthread.pending = _PendingOp(kind="yield", stmt=Statement(label=f"start:{nthread.name}"))
-        nthread.thread = threading.Thread(target=body, name=nthread.name, daemon=True)
-        nthread.thread.start()
-        return NativeHandle(tid=tid, name=nthread.name)
-
-    def _site(self, label: str | None) -> Statement:
-        if label is not None:
-            return Statement(label=label)
-        frame = sys._getframe(2)  # caller of the rt.* wrapper
-        code = frame.f_code
-        return Statement(
-            file=code.co_filename,
-            line=frame.f_lineno,
-            func=getattr(code, "co_qualname", code.co_name),
-        )
-
-    def _snd(self, tid: int) -> int:
-        self._next_msg += 1
-        if self._observing:
-            self.observer.on_event(
-                SndEvent(step=self._ops, tid=tid, msg_id=self._next_msg)
-            )
-        return self._next_msg
-
-    # --- the checkpoint protocol (called from controlled threads) ------- #
-
-    def _checkpoint(self, op: _PendingOp) -> Any:
-        me = self._threads[self._tls.tid]
-        with self._cond:
-            me.pending = op
-            me.state = "READY"
-            self._current = None
-            self._dispatch()
-            self._park_until_granted(me)
-            # Token granted with our op already executed by _dispatch;
-            # results (or a misuse error) are stashed on the pending op.
-            me.pending = None
-            if op.error is not None:
-                raise op.error
-            return op.value if op.kind == "read" else None
-
-    def _park_until_granted(self, me: _NThread, first: bool = False) -> None:
-        if first:
-            self._cond.acquire()
-        try:
-            while self._current != me.tid:
-                if me.aborted:
-                    raise ExecutionAborted()
-                self._cond.wait()
-            if me.aborted:
-                raise ExecutionAborted()
-            me.state = "RUNNING"
-        finally:
-            if first:
-                self._cond.release()
-
-    def _finish_thread(self, me: _NThread) -> None:
-        with self._cond:
-            me.state = "DONE"
-            me.pending = None
-            # A crashing thread may still hold monitors; release them so the
-            # run can make progress (Java would not, but leaving them held
-            # turns every crash into a deadlock report).
-            for lock in list(me.held):
-                lock.owner = None
-                lock.depth = 0
-                me.held.remove(lock)
-            self._term_msg[me.tid] = self._snd(me.tid)
-            if self._observing:
-                self.observer.on_event(
-                    ThreadEndEvent(
-                        step=self._ops,
-                        tid=me.tid,
-                        error=(
-                            ErrorInfo.from_exception(me.error)
-                            if me.error is not None
-                            else None
-                        ),
-                    )
-                )
-            self._current = None
-            if not self._torn_down:
-                self._dispatch()
-
-    # --- scheduling core ------------------------------------------------ #
-
-    def enabled_tids(self) -> list[int]:
-        """Threads whose pending op could execute right now."""
-        enabled = []
-        for tid, nthread in sorted(self._threads.items()):
-            if nthread.state != "READY" or nthread.pending is None:
-                continue
-            if self._is_executable(nthread, nthread.pending):
-                enabled.append(tid)
-        return enabled
-
-    def next_op(self, tid: int) -> _PendingOp | None:
-        return self._threads[tid].pending
-
-    def next_stmt(self, tid: int) -> Statement | None:
-        pending = self._threads[tid].pending
-        return pending.stmt if pending is not None else None
-
-    def _is_executable(self, nthread: _NThread, op: _PendingOp) -> bool:
-        if op.kind in ("lock", "reacquire"):
-            return op.lock.owner is None or op.lock.owner == nthread.tid
-        if op.kind == "join":
-            return self._threads[op.target].state == "DONE"
-        return True
-
-    def _dispatch(self) -> None:
-        """Pick the next thread (scheduler decides), execute its op, grant it
-        the token.  Runs in whatever thread just parked/finished."""
-        while True:
-            if self._torn_down:
-                return
-            enabled = self.enabled_tids()
-            alive = [t for t in self._threads.values() if t.state != "DONE"]
-            if not alive:
-                return
-            if not enabled:
-                # Every live thread is blocked: a real deadlock.
-                self.result.deadlock = True
-                self._teardown()
-                return
-            if self._ops >= self.max_ops:
-                self.result.truncated = True
-                self._teardown()
-                return
-            chosen = self.scheduler.choose(enabled)
-            if chosen is None:
-                # The scheduler postponed or released threads and wants the
-                # enabled set re-evaluated.
-                continue
-            nthread = self._threads[chosen]
-            op = nthread.pending
-            try:
-                self._execute(nthread, op)
-            except (EngineError, IllegalMonitorState) as error:
-                op.error = error  # delivered in the owner's checkpoint
-            if nthread.state == "WAITING":
-                continue  # it parked itself; pick somebody else
-            self._grant(chosen)
-            return
-
-    def _grant(self, tid: int) -> None:
-        self._current = tid
-        self._cond.notify_all()
-
-    def _teardown(self) -> None:
-        self._torn_down = True
-        for nthread in self._threads.values():
-            if nthread.state != "DONE":
-                nthread.aborted = True
-        self._current = None
-        self._cond.notify_all()
-
-    # --- op execution (token-holder only, under the condition) ---------- #
-
-    def _execute(self, nthread: _NThread, op: _PendingOp) -> None:
-        self._ops += 1
-        kind = op.kind
-        if kind == "read":
-            op.value = op.var.value
-            self._emit_mem(nthread, op, Access.READ)
-        elif kind == "write":
-            op.var.value = op.value
-            self._emit_mem(nthread, op, Access.WRITE)
-        elif kind in ("lock", "reacquire"):
-            lock = op.lock
-            if lock.owner is not None and lock.owner != nthread.tid:
-                raise EngineError("scheduler granted an unacquirable lock")
-            outermost = lock.owner is None
-            lock.owner = nthread.tid
-            lock.depth += op.reacquire_depth if kind == "reacquire" else 1
-            if outermost:
-                nthread.held.append(lock)
-                if self._observing:
-                    self.observer.on_event(
-                        AcquireEvent(
-                            step=self._ops, tid=nthread.tid, lock=lock.id,
-                            stmt=op.stmt,
-                        )
-                    )
-            if kind == "reacquire" and nthread.notified_msg is not None:
-                if self._observing:
-                    self.observer.on_event(
-                        RcvEvent(
-                            step=self._ops, tid=nthread.tid,
-                            msg_id=nthread.notified_msg,
-                        )
-                    )
-                nthread.notified_msg = None
-        elif kind == "unlock":
-            lock = op.lock
-            if lock.owner != nthread.tid:
-                raise IllegalMonitorState(
-                    f"{nthread.name} released {lock.id} it does not hold"
-                )
-            lock.depth -= 1
-            if lock.depth == 0:
-                lock.owner = None
-                nthread.held.remove(lock)
-                if self._observing:
-                    self.observer.on_event(
-                        ReleaseEvent(
-                            step=self._ops, tid=nthread.tid, lock=lock.id,
-                            stmt=op.stmt,
-                        )
-                    )
-        elif kind == "wait":
-            lock = op.lock
-            if lock.owner != nthread.tid:
-                raise IllegalMonitorState(
-                    f"{nthread.name} waits on {lock.id} it does not hold"
-                )
-            nthread.wait_depth = lock.depth
-            lock.owner = None
-            lock.depth = 0
-            nthread.held.remove(lock)
-            if self._observing:
-                self.observer.on_event(
-                    ReleaseEvent(
-                        step=self._ops, tid=nthread.tid, lock=lock.id, stmt=op.stmt
-                    )
-                )
-            lock.wait_set.append(nthread.tid)
-            nthread.state = "WAITING"
-            nthread.waiting_on = lock
-        elif kind in ("notify", "notify_all"):
-            lock = op.lock
-            if lock.owner != nthread.tid:
-                raise IllegalMonitorState(
-                    f"{nthread.name} notifies {lock.id} it does not hold"
-                )
-            if lock.wait_set:
-                if kind == "notify":
-                    index = self.rng.randrange(len(lock.wait_set))
-                    woken = [lock.wait_set.pop(index)]
-                else:
-                    woken, lock.wait_set[:] = list(lock.wait_set), []
-                msg = self._snd(nthread.tid)
-                for tid in woken:
-                    waiter = self._threads[tid]
-                    waiter.state = "READY"
-                    waiter.waiting_on = None
-                    waiter.notified_msg = msg
-                    waiter.pending = _PendingOp(
-                        kind="reacquire",
-                        stmt=waiter.pending.stmt,
-                        lock=lock,
-                        reacquire_depth=waiter.wait_depth,
-                    )
-        elif kind == "join":
-            msg = self._term_msg.get(op.target)
-            if msg is not None and self._observing:
-                self.observer.on_event(
-                    RcvEvent(step=self._ops, tid=nthread.tid, msg_id=msg)
-                )
-        elif kind == "yield":
-            pass
-        else:  # pragma: no cover - defensive
-            raise EngineError(f"unknown native op kind {kind!r}")
-
-    def _emit_mem(self, nthread: _NThread, op: _PendingOp, access: Access) -> None:
-        if not self._observing or not self.observer.wants_mem_events:
-            return
-        self.observer.on_event(
-            MemEvent(
-                step=self._ops,
-                tid=nthread.tid,
-                stmt=op.stmt,
-                location=op.var.loc,
-                access=access,
-                locks_held=frozenset(lock.id for lock in nthread.held),
-            )
-        )
+def native_program(fn: Callable[[NativeRuntime], None], name: str | None = None) -> Program:
+    """An engine :class:`Program` whose main thread runs ``fn(rt)`` for real."""
+    return Program(
+        lambda: TokenThread(fn, (NativeRuntime(),)),
+        name=name or getattr(fn, "__name__", "native-program"),
+    )

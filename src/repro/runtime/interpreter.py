@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Any, Iterable
@@ -235,6 +236,7 @@ class Execution:
         if self._finished:
             return self.result
         self._finished = True
+        self.close()
         alive = [ts.tid for ts in self._live]
         if alive and not self.result.truncated:
             self.result.deadlock = True
@@ -271,6 +273,18 @@ class Execution:
             )
         return self.result
 
+    def close(self) -> None:
+        """Close every live thread body that is not a plain generator.
+
+        A token thread (:mod:`repro.native`) parks a real OS thread until
+        it is closed; a suspended generator needs nothing.  ``finish``
+        calls this, and so do the driver loops when an error aborts the
+        run, so no OS thread outlives its execution.  Idempotent.
+        """
+        for ts in self._live:
+            if ts.gen.__class__ is not GeneratorType:
+                ts.gen.close()
+
     def run(self, scheduler) -> ExecutionResult:
         """Convenience loop: let ``scheduler`` pick among enabled threads.
 
@@ -281,22 +295,26 @@ class Execution:
         are byte-identical with or without it; it exists purely to skip
         building the enabled list on uncontended runs-of-steps.
         """
-        self.start()
         continuation = getattr(scheduler, "continuation", None)
         choose = scheduler.choose
         schedulable = self.schedulable
         step = self.step
         max_steps = self.max_steps
-        while True:
-            if continuation is not None and self.ops_executed < max_steps:
-                tid = continuation(self)
-                if tid is not None:
-                    step(tid)
-                    continue
-            enabled = schedulable()
-            if not enabled:
-                break
-            step(choose(self, enabled))
+        try:
+            self.start()
+            while True:
+                if continuation is not None and self.ops_executed < max_steps:
+                    tid = continuation(self)
+                    if tid is not None:
+                        step(tid)
+                        continue
+                enabled = schedulable()
+                if not enabled:
+                    break
+                step(choose(self, enabled))
+        except BaseException:
+            self.close()
+            raise
         return self.finish()
 
     # ------------------------------------------------------------------ #
@@ -494,7 +512,7 @@ class Execution:
 
     def _do_spawn(self, ts: ThreadState, op: Op) -> None:
         gen = op.func(*op.args)
-        if not isinstance(gen, GeneratorType):
+        if not isinstance(gen, Generator):
             raise EngineError(
                 f"spawn target {op.func!r} must return a generator "
                 f"(a thread body), got {type(gen).__name__}"

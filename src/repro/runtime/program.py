@@ -25,8 +25,8 @@ Example::
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Generator
+from collections.abc import Generator
+from typing import Any, Callable
 
 from .errors import EngineError
 
@@ -43,7 +43,7 @@ class Program:
     def instantiate(self) -> Generator:
         """Build a fresh main-thread generator (fresh shared world)."""
         gen = self.factory()
-        if not inspect.isgenerator(gen):
+        if not isinstance(gen, Generator):
             raise EngineError(
                 f"Program factory for {self.name!r} must return a generator "
                 f"(the main thread body), got {type(gen).__name__}"

@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import RaceFuzzer, detect_races, race_directed_test
+from repro.core import RaceFuzzer, detect_races
 from repro.obs import collecting
 from repro.runtime import Lock, SharedVar, join_all, ops, spawn_all
 from repro.runtime import interpreter as interp_mod
@@ -80,33 +80,6 @@ class TestFastModeEquivalence:
                 assert _fingerprint(full.run(build(), seed=seed)) == _fingerprint(
                     fast.run(build(), seed=seed)
                 ), f"fast mode diverged for {pair} at seed {seed}"
-
-    @pytest.mark.parametrize("build", WORKLOADS)
-    def test_campaign_verdicts_identical(self, build):
-        """End-to-end: the campaign report is the same in either mode."""
-
-        def campaign(fast_mode):
-            return race_directed_test(
-                build(), trials=10, phase1_seeds=(0, 1), fast_mode=fast_mode
-            )
-
-        full, fast = campaign(False), campaign(True)
-        assert set(full.verdicts) == set(fast.verdicts)
-        for pair, verdict in full.verdicts.items():
-            other = fast.verdicts[pair]
-            assert (
-                verdict.trials,
-                verdict.times_created,
-                verdict.exceptions,
-                verdict.unattributed_exceptions,
-                verdict.deadlocks,
-            ) == (
-                other.trials,
-                other.times_created,
-                other.exceptions,
-                other.unattributed_exceptions,
-                other.deadlocks,
-            )
 
 
 def _filter_program():

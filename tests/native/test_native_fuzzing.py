@@ -1,13 +1,16 @@
-"""The two-phase pipeline over real Python threads."""
+"""The two-phase pipeline over real Python threads — the engine's own."""
 
 import pytest
 
-from repro.native import (
-    NativeRuntime,
-    RaceDirectedNativeScheduler,
-    detect_races_native,
-    fuzz_native,
+from repro.core import (
+    RaceFuzzer,
+    RandomScheduler,
+    detect_races,
+    fuzz_pair,
+    race_directed_test,
 )
+from repro.native import native_program
+from repro.runtime import Execution
 from repro.runtime.statement import Statement, StatementPair
 
 
@@ -58,6 +61,8 @@ def flag_ordered_program(rt):
         rt.join(handle)
 
 
+LOST_UPDATE = native_program(lost_update_program)
+FLAG_ORDERED = native_program(flag_ordered_program)
 READ_WRITE = StatementPair(
     Statement(label="teller-read"), Statement(label="teller-write")
 )
@@ -66,7 +71,7 @@ FALSE_PAIR = StatementPair(Statement(label="produce"), Statement(label="consume"
 
 class TestPhase1Native:
     def test_hybrid_finds_the_balance_pairs_only(self):
-        report = detect_races_native(lost_update_program, seeds=range(5))
+        report = detect_races(LOST_UPDATE, seeds=range(5))
         sites = {frozenset((p.first.site, p.second.site)) for p in report.pairs}
         assert frozenset(("teller-read", "teller-write")) in sites
         assert frozenset(("teller-write",)) in sites  # the w/w self-pair
@@ -74,53 +79,63 @@ class TestPhase1Native:
         for pair in report.pairs:
             assert "audit" not in str(pair)
         assert len(report) == 2
+        assert report.program == "lost_update_program"
 
     def test_flag_pattern_is_a_hybrid_false_alarm(self):
-        report = detect_races_native(flag_ordered_program, seeds=range(5))
+        report = detect_races(FLAG_ORDERED, seeds=range(5))
         assert FALSE_PAIR in report.evidence
 
 
 class TestPhase2Native:
     def test_real_race_created_with_probability_one(self):
-        outcomes = fuzz_native(lost_update_program, READ_WRITE, seeds=range(25))
+        outcomes = fuzz_pair(LOST_UPDATE, READ_WRITE, range(25))
         assert all(outcome.pairs_created for outcome in outcomes)
         crashed = sum(bool(outcome.crashes) for outcome in outcomes)
         assert crashed >= 5  # the bad resolution order loses the update
 
     def test_false_alarm_never_created(self):
-        outcomes = fuzz_native(flag_ordered_program, FALSE_PAIR, seeds=range(15))
+        outcomes = fuzz_pair(FLAG_ORDERED, FALSE_PAIR, range(15))
         assert not any(outcome.pairs_created for outcome in outcomes)
         assert not any(outcome.crashes for outcome in outcomes)
         assert not any(outcome.deadlock for outcome in outcomes)
 
     def test_directed_beats_passive_on_crash_rate(self):
-        passive = 0
-        for seed in range(25):
-            runtime = NativeRuntime(seed=seed)
-            passive += bool(runtime.run(lost_update_program, runtime).crashes)
+        passive = sum(
+            bool(Execution(LOST_UPDATE, seed=seed).run(RandomScheduler()).crashes)
+            for seed in range(25)
+        )
         directed = sum(
             bool(outcome.crashes)
-            for outcome in fuzz_native(lost_update_program, READ_WRITE, seeds=range(25))
+            for outcome in fuzz_pair(LOST_UPDATE, READ_WRITE, range(25))
         )
         assert directed >= passive
 
     def test_scheduler_validation(self):
         with pytest.raises(ValueError):
-            RaceDirectedNativeScheduler(set())
+            RaceFuzzer(set())
 
     def test_directed_replay_is_deterministic(self):
         def signature(seed):
-            scheduler = RaceDirectedNativeScheduler(READ_WRITE)
-            runtime = NativeRuntime(seed=seed, scheduler=scheduler)
-            result = runtime.run(lost_update_program, runtime)
+            outcome = RaceFuzzer(READ_WRITE).run(LOST_UPDATE, seed=seed)
             return (
-                result.ops,
-                result.races_created,
-                tuple(result.exception_types),
+                outcome.result.steps,
+                len(outcome.hits),
+                tuple(outcome.result.exception_types),
             )
 
         for seed in range(5):
             assert signature(seed) == signature(seed)
+
+
+class TestPipelineNative:
+    def test_race_directed_test_confirms_only_the_real_race(self):
+        campaign = race_directed_test(LOST_UPDATE, trials=10)
+        assert READ_WRITE in campaign.real_pairs
+        false_alarm = race_directed_test(
+            FLAG_ORDERED, pairs=[FALSE_PAIR], trials=10
+        )
+        assert false_alarm.verdicts[FALSE_PAIR].times_created == 0
+        assert FALSE_PAIR not in false_alarm.real_pairs
 
 
 class TestWatchdogNative:
@@ -138,8 +153,10 @@ class TestWatchdogNative:
             rt.join(handle)
 
         pair = StatementPair(Statement(label="lonely"), Statement(label="never"))
-        outcomes = fuzz_native(program, pair, seeds=range(5), max_ops=20_000)
+        outcomes = fuzz_pair(
+            native_program(program), pair, range(5), max_steps=20_000
+        )
         for outcome in outcomes:
-            assert not outcome.truncated
+            assert not outcome.result.truncated
             assert not outcome.deadlock
             assert not outcome.pairs_created

@@ -1,9 +1,10 @@
 """Native-backend traces satisfy the same invariants and render the same
 way as generator-engine traces — the detectors' contract."""
 
+from repro.core import RandomScheduler
 from repro.core.traceview import format_trace
-from repro.native import NativeRuntime
-from repro.runtime import EventTrace, MemEvent
+from repro.native import native_program
+from repro.runtime import EventTrace, Execution, MemEvent
 from repro.runtime.validate import validate_trace
 
 
@@ -24,9 +25,8 @@ def _traced_native_run(seed=0):
             rt.join(handle)
         rt.check(rt.read(x) == 3, "lost update under lock")
 
-    runtime = NativeRuntime(seed=seed, observers=(trace,))
-    result = runtime.run(program, runtime)
-    return trace.events, result
+    execution = Execution(native_program(program), seed=seed, observers=(trace,))
+    return trace.events, execution.run(RandomScheduler())
 
 
 class TestNativeTraceValidity:
@@ -62,8 +62,8 @@ class TestNativeTraceValidity:
             for handle in handles:
                 rt.join(handle)
 
-        runtime = NativeRuntime(seed=3, observers=(trace,))
-        result = runtime.run(program, runtime)
+        execution = Execution(native_program(program), seed=3, observers=(trace,))
+        result = execution.run(RandomScheduler())
         assert not result.deadlock
         validate_trace(trace.events)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DefaultScheduler, RandomScheduler
+from repro.native import native_program
 from repro.runtime import (
     Barrier,
     EventTrace,
@@ -64,6 +65,25 @@ def _make_program(scripts):
         return main()
 
     return Program(factory, name="generated")
+
+
+def _native_lost_update(rt):
+    """The lost-update bank over real threads (see tests/native)."""
+    balance = rt.var("balance", 100)
+    audit = rt.var("audit", 0)
+    lock = rt.lock("L")
+
+    def teller(amount):
+        current = rt.read(balance)
+        rt.write(balance, current + amount)
+        rt.acquire(lock)
+        rt.write(audit, rt.read(audit) + 1)
+        rt.release(lock)
+
+    workers = [rt.spawn(teller, 10), rt.spawn(teller, -10)]
+    for worker in workers:
+        rt.join(worker)
+    rt.check(rt.read(balance) == 100, "lost update")
 
 
 def _signature(program, seed, scheduler_factory):
@@ -136,3 +156,12 @@ class TestReplayDeterminism:
             assert _signature(program, seed, RandomScheduler) == _signature(
                 program, seed, RandomScheduler
             )
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_native_programs_replay(self, seed):
+        """Real OS threads replay from the seed like generator bodies."""
+        program = native_program(_native_lost_update)
+        assert _signature(program, seed, RandomScheduler) == _signature(
+            program, seed, RandomScheduler
+        )

@@ -245,3 +245,29 @@ class TestParser:
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["run", "not-a-workload"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "figure1", "--trials", "-3"],
+            ["fuzz", "figure1", "--chunk-size", "0"],
+            ["fuzz", "figure1", "--jobs", "-1"],
+            ["fuzz", "figure1", "--retries", "-1"],
+            ["fuzz", "figure1", "--deadline", "-1"],
+            ["fuzz", "figure1", "--memory-budget", "-5"],
+            ["fuzz", "figure1", "--schedule", "adaptive", "--trial-budget", "0"],
+            ["fuzz", "figure1", "--trials", "many"],
+            ["detect", "figure1", "--jobs", "-2"],
+            ["table1", "--trials", "-1", "figure1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_numbers_are_usage_errors(self, argv, capsys):
+        """Exit 2 before anything runs: exit 1 is fuzz's "race confirmed"."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"repro {argv[0]}: error: argument" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
