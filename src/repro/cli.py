@@ -169,6 +169,15 @@ POSITIVE_INT = _bounded(int, 1)
 POSITIVE_FLOAT = _bounded(float, 0, strict=True)
 
 
+def _fault_plan(text: str):
+    """An argparse ``type=`` for ``--fault-plan``: a bad spec, an unknown
+    phase or kind included, is a usage error rather than a traceback."""
+    try:
+        return parse_fault_plan(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _cmd_list(args) -> int:
     for spec in all_workloads():
         row = ""
@@ -211,7 +220,6 @@ def _cmd_detect(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
-    faults = parse_fault_plan(args.fault_plan) if args.fault_plan else None
     # The trace-store stats line rides on the telemetry stream, so a
     # --trace-dir run collects even without an output flag.
     with _telemetry_scope(args, also=args.trace_dir is not None) as telemetry:
@@ -224,7 +232,7 @@ def _cmd_detect(args) -> int:
             deadline=args.deadline,
             retries=args.retries,
             trace_dir=args.trace_dir,
-            faults=faults,
+            faults=args.fault_plan,
             store_quota=args.store_quota,
         )
     if isinstance(report, dict):
@@ -259,27 +267,25 @@ def _cmd_record(args) -> int:
 
     spec = get(args.workload)
     store = TraceStore(args.trace_dir, compress=args.compress)
-    seeds = list(range(args.seeds))
-    keys = {
-        seed: detect_key(spec.name, seed, max_steps=spec.max_steps)
-        for seed in seeds
-    }
-    missing = [seed for seed in seeds if store.get(keys[seed]) is None]
-    if missing and args.jobs != 1:
-        with ParallelCampaign(jobs=args.jobs) as engine:
-            engine.record(
-                spec.name,
-                seeds=missing,
-                max_steps=spec.max_steps,
-                trace_dir=str(store.root),
-                compress=args.compress,
-            )
-    for seed in seeds:
-        path = store.get(keys[seed]) or store.ensure(keys[seed], spec.build())
-        print(path)
+    keys = [
+        detect_key(spec.name, seed, max_steps=spec.max_steps)
+        for seed in range(args.seeds)
+    ]
+    cached = sum(store.get(key) is not None for key in keys)
+    # Phase 1 through the store: each seed's detect task records its
+    # trace on a miss.
+    with ParallelCampaign(jobs=args.jobs) as engine:
+        engine.detect(
+            spec.name,
+            seeds=range(args.seeds),
+            max_steps=spec.max_steps,
+            trace_dir=store.root,
+            compress=args.compress,
+        )
+    for key in keys:
+        print(store.get(key))
     print(
-        f"{len(missing)} recorded, {len(seeds) - len(missing)} already "
-        f"cached -> {store.root}",
+        f"{len(keys) - cached} recorded, {cached} already cached -> {store.root}",
         file=sys.stderr,
     )
     return 0
@@ -349,7 +355,6 @@ def _cmd_fuzz(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
-    faults = parse_fault_plan(args.fault_plan) if args.fault_plan else None
     on_progress = ProgressPrinter(sys.stderr) if args.progress else None
     if args.schedule != "adaptive":
         for flag, value in (
@@ -376,7 +381,7 @@ def _cmd_fuzz(args) -> int:
             deadline=args.deadline,
             retries=args.retries,
             checkpoint=args.checkpoint,
-            faults=faults,
+            faults=args.fault_plan,
             memory_budget_mb=args.memory_budget,
             on_progress=on_progress,
             schedule=args.schedule,
@@ -645,11 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.add_argument(
         "--fault-plan",
+        type=_fault_plan,
         default=None,
         metavar="SPEC",
         help="deterministic fault injection, as for fuzz: comma-separated "
-        "phase:index:kind[:attempts[:arg]] entries (kinds include crash, "
-        "hang, malformed, memory_hog, disk_full, corrupt_trace)",
+        "detect:index:kind[:attempts[:arg]] entries (kinds include crash, "
+        "hang, malformed, memory_hog, disk_full, and corrupt_trace, which "
+        "damages the stored trace the task is about to read)",
     )
     detect_parser.add_argument(
         "--metrics-out",
@@ -671,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="record executions into a trace store"
     )
     record_parser.add_argument("workload")
-    record_parser.add_argument("--seeds", type=int, default=3)
+    record_parser.add_argument("--seeds", type=POSITIVE_INT, default=3)
     record_parser.add_argument(
         "--trace-dir", required=True, metavar="DIR", help="store directory"
     )
@@ -809,6 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--fault-plan",
+        type=_fault_plan,
         default=None,
         metavar="SPEC",
         help="deterministic fault injection for resilience testing: "

@@ -20,7 +20,6 @@ from .parallel import (
     DetectTask,
     FuzzTask,
     ParallelCampaign,
-    RecordTask,
     fuzz_task_key,
     pool_map,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "ParallelCampaign",
     "DetectTask",
     "FuzzTask",
-    "RecordTask",
     "BaselineTask",
     "schedule_signature",
     "signature_from_trace",

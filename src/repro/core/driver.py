@@ -18,6 +18,8 @@ across a process pool.  Pool workers rebuild the program from the
 workload registry, so ``jobs != 1`` needs a registered workload
 (``program.name`` resolvable via :func:`repro.workloads.get`); merged
 results are identical to the inline run for the same seed set.
+``detect_races(trace_dir=...)`` is the same one campaign: each detect
+task reads its seed's trace from the store, recording it on a miss.
 
 Every campaign is supervised.  ``deadline=`` (per-task wall-clock
 budget), ``retries=`` (bounded retry with backoff), ``checkpoint=``
@@ -40,7 +42,7 @@ from repro.detectors import (
     available_detectors,
     schedulable_grades,
 )
-from repro.obs import maybe_telemetry, span
+from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
@@ -107,98 +109,6 @@ def _check_inputs(
         raise ValueError(f"unknown preemption mode: {preemption!r}")
 
 
-def _detect_from_traces(
-    program: Program,
-    detectors: Sequence[str],
-    seed_list: Sequence[int],
-    *,
-    max_steps: int,
-    history_cap: int,
-    trace_dir,
-    jobs: int,
-    deadline: float | None,
-    retries: int | None,
-    faults=None,
-    store_quota: int | None = None,
-) -> dict[str, RaceReport]:
-    """Record-once / analyze-many Phase 1 backed by a :class:`TraceStore`.
-
-    Reports are *always* produced by replaying the stored trace — on cold
-    and warm caches alike — so the result is bit-identical regardless of
-    cache state, and a warm store performs zero program executions.  In
-    parallel mode the workers only record (publishing via the store's
-    atomic rename); the cheap detector passes run in the parent.
-
-    Every analysis read goes through the store's
-    :meth:`~repro.trace.TraceStore.with_recovery`: a corrupt or truncated
-    cache entry is quarantined and transparently re-recorded, costing one
-    execution instead of the campaign.  ``store_quota`` bounds the cache
-    in bytes (LRU eviction); repeated budget hits flip the shared health
-    controller to ephemeral recording.
-    """
-    from repro.obs import HealthController
-    from repro.trace import TraceStore, analyze_trace, detect_key
-
-    health = HealthController()
-    store = TraceStore(
-        trace_dir, max_bytes=store_quota, health=health
-    )
-    keys = {
-        seed: detect_key(program.name, seed, max_steps=max_steps)
-        for seed in seed_list
-    }
-    missing = [seed for seed in seed_list if store.get(keys[seed]) is None]
-    # A plain jobs=1 call fills the store below, through the store's own
-    # quota and health controller; only a pool or a supervisor option
-    # sends the recording through the engine.
-    supervised = any(o is not None for o in (deadline, retries, faults))
-    if missing and (jobs != 1 or supervised):
-        with _campaign(
-            program, jobs, deadline=deadline, retry=retries, faults=faults,
-            health=health,
-        ) as (engine, name):
-            engine.record(
-                name,
-                seeds=missing,
-                max_steps=max_steps,
-                trace_dir=str(store.root),
-            )
-    merged: dict[str, RaceReport] = {}
-    telemetry = maybe_telemetry()
-    for seed in seed_list:
-        # with_recovery covers every seed: warm hit, serial fill, the
-        # fallback for a quarantined record task, and the re-record path
-        # when the cached entry turns out to be damaged.
-        reports = store.with_recovery(
-            keys[seed],
-            program,
-            lambda path: analyze_trace(path, detectors, history_cap=history_cap),
-        )
-        if telemetry is not None:
-            _emit_detect_event(telemetry, program.name, seed, reports)
-        for name in detectors:
-            if name in merged:
-                merged[name].merge(reports[name])
-            else:
-                merged[name] = reports[name]
-    return merged
-
-
-def _emit_detect_event(telemetry, workload: str, seed: int, reports) -> None:
-    """One deterministic ``detect`` event per analyzed Phase-1 seed.
-
-    ``reports`` maps detector name -> that seed's :class:`RaceReport`;
-    the attrs carry per-detector candidate counts.  Emitted identically
-    by the detect task and the trace-replay path, so the event stream is
-    mode-independent.
-    """
-    telemetry.emit(
-        "detect",
-        (workload, seed),
-        {name: len(report.evidence) for name, report in reports.items()},
-    )
-
-
 def detect_races(
     program: Program,
     *,
@@ -231,50 +141,29 @@ def detect_races(
     detector observing the same event stream.
 
     ``trace_dir`` enables record-once / analyze-many semantics: each
-    seed's execution is recorded into a :class:`~repro.trace.TraceStore`
-    under that directory (workers record for the parent in parallel
-    mode), and every report comes from replaying the stored trace.  A
-    warm store therefore answers a repeated call with *zero* program
-    executions, and adding detectors to a later call costs only detector
-    passes — the ROADMAP's caching lever.
+    seed's task reads its execution from a :class:`~repro.trace.TraceStore`
+    under that directory, recording it first on a miss, and every report
+    comes from replaying the stored trace.  A warm store therefore
+    answers a repeated call with *zero* program executions, and adding
+    detectors to a later call costs only detector passes.
 
     ``store_quota`` (bytes) bounds the trace cache with LRU eviction, and
     ``faults`` injects a deterministic plan into the campaign (phase
-    ``"detect"``, or ``"record"`` with ``trace_dir``).
+    ``"detect"``).
     """
-    seed_list = list(seeds)
-    assert seed_list, "detect_races needs at least one seed"
-    single = isinstance(detector, str)
-    detectors = [detector] if single else list(detector)
-    assert detectors, "detect_races needs at least one detector"
-    _check_inputs(detectors)
-
-    if trace_dir is None:
-        with _campaign(
-            program, jobs, deadline=deadline, retry=retries, faults=faults
-        ) as (engine, name):
-            return engine.detect(
-                name,
-                detector=detector if single else detectors,
-                seeds=seed_list,
-                max_steps=max_steps,
-                history_cap=history_cap,
-            )
-    with span("phase1.detect"):
-        merged = _detect_from_traces(
-            program,
-            detectors,
-            seed_list,
+    _check_inputs(detector)
+    with _campaign(
+        program, jobs, deadline=deadline, retry=retries, faults=faults
+    ) as (engine, name):
+        return engine.detect(
+            name,
+            detector=detector,
+            seeds=seeds,
             max_steps=max_steps,
             history_cap=history_cap,
             trace_dir=trace_dir,
-            jobs=jobs,
-            deadline=deadline,
-            retries=retries,
-            faults=faults,
             store_quota=store_quota,
         )
-    return merged[detector] if single else merged
 
 
 def fuzz_races(

@@ -32,10 +32,14 @@ Fault kinds (``FAULT_KINDS``):
 * ``disk_full`` — raise :class:`InjectedDiskFull` (an :class:`OSError`
   with ``errno.ENOSPC``) before the task body runs (stands in for a full
   trace-store disk; classified as a ``disk``-kind failure).
-* ``corrupt_trace`` — run the task body normally, then damage the trace
-  file the task just published (record tasks return its path): truncate
-  the footer and flip the last event line.  The parent's analysis then
-  exercises the store's quarantine + re-record recovery end to end.
+* ``corrupt_trace`` — before the body of a detect task with a
+  ``trace_dir`` runs, damage the stored trace it is about to read
+  (truncate the footer).  The task's store read then exercises the
+  quarantine + re-record recovery end to end.  A task with no stored
+  trace yet runs undamaged.
+
+A fault's ``phase`` is the name of the supervisor entrypoint whose batch
+it targets, one of :data:`PHASES`.
 
 Determinism contract: a :class:`FaultSpec` fires on attempts
 ``0 .. attempts-1`` of its task and never again, so ``attempts=1`` models
@@ -59,6 +63,10 @@ POOL_KILL = "pool_kill"
 MEMORY_HOG = "memory_hog"
 DISK_FULL = "disk_full"
 CORRUPT_TRACE = "corrupt_trace"
+
+#: the supervisor's task entrypoints (``run_<phase>_task`` in
+#: :mod:`repro.core.parallel`), which are also the fault-plan phases.
+PHASES = ("detect", "fuzz", "baseline")
 
 FAULT_KINDS = (
     CRASH,
@@ -94,8 +102,8 @@ class FaultSpec:
     Attributes:
         kind: one of :data:`FAULT_KINDS`.
         index: submission index of the targeted task within its phase.
-        phase: which dispatch batch the index refers to (``"fuzz"`` or
-            ``"detect"``).
+        phase: which dispatch batch the index refers to, one of
+            :data:`PHASES`.
         attempts: the fault fires on the first ``attempts`` attempts of
             the task and is then spent.  ``1`` = transient, large =
             poisoned (quarantine).
@@ -114,6 +122,10 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
+            )
+        if self.phase not in PHASES:
+            raise ValueError(
+                f"unknown fault phase {self.phase!r}; expected one of {PHASES}"
             )
         if self.index < 0:
             raise ValueError(f"fault index must be >= 0, got {self.index}")
@@ -219,13 +231,12 @@ class FaultPlan:
         return cls(specs)
 
 
-def apply_fault(spec: FaultSpec, *, in_worker: bool = True) -> None:
+def apply_fault(spec: FaultSpec, *, in_worker: bool = True, task=None) -> None:
     """Execute the pre-task side of a fault, in the executing process.
 
     ``malformed`` is a no-op here — it corrupts the *result*, which the
-    task envelope handles after the body runs.  So is ``corrupt_trace``:
-    it damages the trace the body *publishes*, via
-    :func:`corrupt_trace_file` once the envelope has the path.
+    task envelope handles after the body runs.  ``corrupt_trace`` damages
+    the trace ``task`` is about to read (its ``stored_trace()``), if any.
     ``pool_kill`` only exits the process when running in a disposable
     worker; inline it degrades to a crash so fault plans stay runnable on
     the serial path.
@@ -251,11 +262,15 @@ def apply_fault(spec: FaultSpec, *, in_worker: bool = True) -> None:
             f"injected pool kill at {spec.phase}[{spec.index}] "
             f"(inline execution: raised instead of exiting)"
         )
-    # MALFORMED / CORRUPT_TRACE: nothing to do before the task body.
+    if spec.kind == CORRUPT_TRACE:
+        path = task.stored_trace() if hasattr(task, "stored_trace") else None
+        if path is not None:
+            corrupt_trace_file(path)
+    # MALFORMED: nothing to do before the task body.
 
 
 def corrupt_trace_file(path: str) -> bool:
-    """Post-body side of ``corrupt_trace``: damage a published trace.
+    """The ``corrupt_trace`` damage: make a stored trace unreadable.
 
     Truncates the footer line off ``path`` (the classic torn-write shape),
     guaranteeing the next integrity-checked read raises
@@ -320,6 +335,7 @@ __all__ = [
     "DISK_FULL",
     "CORRUPT_TRACE",
     "FAULT_KINDS",
+    "PHASES",
     "MALFORMED_SENTINEL",
     "InjectedCrash",
     "InjectedDiskFull",

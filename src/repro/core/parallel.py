@@ -33,6 +33,10 @@ Design constraints, and how they are met:
   :func:`inline_program` resolves the task's workload name to the
   caller's live :class:`~repro.runtime.program.Program`, so an
   unregistered program works too.  This is the only serial path.
+* **A detect task with a ``trace_dir`` owns its store read.**  It reads
+  its seed's trace from the store, recording it on a miss, and replays it
+  for every detector, inline or in a worker alike, so store counters and
+  quotas behave the same at every ``jobs``.
 
 ``stop_on_confirm`` adds the one useful deviation from strict determinism:
 a chunk stops at its first created race, and once any chunk confirms a
@@ -105,39 +109,40 @@ def _validate_chunk_size(chunk_size: int) -> int:
 
 @dataclass(frozen=True)
 class DetectTask:
-    """One Phase-1 detection run: (workload, detector(s), seed).
+    """One Phase-1 seed: one execution observed by every named detector.
 
-    ``detectors`` non-empty selects the multi-detector protocol: the
-    worker attaches every named detector to *one* execution of the seed
-    and returns a ``{name: RaceReport}`` dict — one program run feeds all
-    analyses, exactly like offline multi-detector trace analysis.  Empty
-    ``detectors`` is the classic single-``detector`` task returning a
-    bare :class:`RaceReport`.
+    The worker returns ``{name: RaceReport}`` for ``detectors``: N
+    detectors on one seed cost one program execution, not N.  With a
+    ``trace_dir`` the task reads the seed's trace from the
+    :class:`~repro.trace.TraceStore` there, recording it first on a miss,
+    and every report comes from replaying that trace, so cold and warm
+    stores give identical reports.  ``store_quota`` bounds the store in
+    bytes (LRU eviction).
     """
 
     workload: str
-    detector: str = "hybrid"
     seed: int = 0
+    detectors: tuple[str, ...] = ("hybrid",)
     max_steps: int = 1_000_000
     history_cap: int = 128
-    detectors: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RecordTask:
-    """One trace-recording run: fill a shared :class:`TraceStore` entry.
-
-    Workers record into the store directory via its atomic temp-name +
-    rename publish, so concurrent recorders of one key race benignly and
-    the parent can replay any published trace the moment the task
-    completes.  The worker returns the trace path as a string.
-    """
-
-    workload: str
-    seed: int = 0
-    max_steps: int = 1_000_000
-    trace_dir: str = ""
+    trace_dir: str | None = None
     compress: bool = False
+    store_quota: int | None = None
+
+    def trace_key(self):
+        """The store key of this seed's Phase-1 execution."""
+        from repro.trace import detect_key  # deferred: trace imports core
+
+        return detect_key(self.workload, self.seed, max_steps=self.max_steps)
+
+    def stored_trace(self) -> str | None:
+        """The stored trace this task would read, if the store has it."""
+        if self.trace_dir is None:
+            return None
+        from repro.trace import TraceStore
+
+        path = TraceStore(self.trace_dir).get(self.trace_key())
+        return None if path is None else str(path)
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,22 @@ _INLINE_PROGRAM: ContextVar[Program | None] = ContextVar(
     "inline_program", default=None
 )
 
+#: the campaign health controller that inline detect tasks' stores report
+#: to; pool workers see ``None`` and report to no controller.
+_INLINE_HEALTH: ContextVar[HealthController | None] = ContextVar(
+    "inline_health", default=None
+)
+
 
 @contextmanager
+def _bound(var: ContextVar, value):
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
 def inline_program(program: Program):
     """Run inline tasks addressed to ``program.name`` on ``program`` itself.
 
@@ -182,11 +201,7 @@ def inline_program(program: Program):
     needs no registered workload.  Bind it only around an engine that
     starts no pool: pool workers resolve names through the registry.
     """
-    token = _INLINE_PROGRAM.set(program)
-    try:
-        yield
-    finally:
-        _INLINE_PROGRAM.reset(token)
+    return _bound(_INLINE_PROGRAM, program)
 
 
 def _build_workload(name: str):
@@ -199,50 +214,47 @@ def _build_workload(name: str):
     return workloads.get(name).build()
 
 
-def run_detect_task(task: DetectTask) -> "RaceReport | dict[str, RaceReport]":
-    """Worker entrypoint: one seed's detection run(s), returning deltas.
-
-    One execution of the seed drives every requested detector — attaching
-    N observers to one run costs one program execution, not N.
-    """
+def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
+    """Worker entrypoint: one seed's detector reports, by name."""
     program = _build_workload(task.workload)
-    names = task.detectors if task.detectors else (task.detector,)
-    observers = {
-        name: make_detector(name, history_cap=task.history_cap)
-        for name in names
-    }
-    execution = Execution(
-        program,
-        seed=task.seed,
-        observers=list(observers.values()),
-        max_steps=task.max_steps,
-    )
-    execution.run(RandomScheduler(preemption="every"))
+    if task.trace_dir is None:
+        observers = {
+            name: make_detector(name, history_cap=task.history_cap)
+            for name in task.detectors
+        }
+        Execution(
+            program,
+            seed=task.seed,
+            observers=list(observers.values()),
+            max_steps=task.max_steps,
+        ).run(RandomScheduler(preemption="every"))
+        reports = {name: observer.report for name, observer in observers.items()}
+    else:
+        # Looked up at call time, not import time, so a caller that swaps
+        # these module attributes sees every store and analysis.
+        from repro.trace import TraceStore, analyze_trace
+
+        store = TraceStore(
+            task.trace_dir,
+            compress=task.compress,
+            max_bytes=task.store_quota,
+            health=_INLINE_HEALTH.get(),
+        )
+        reports = store.with_recovery(
+            task.trace_key(),
+            program,
+            lambda path: analyze_trace(
+                path, task.detectors, history_cap=task.history_cap
+            ),
+        )
     telemetry = maybe_telemetry()
     if telemetry is not None:
-        # Same identity the trace-replay path emits
-        # (driver._emit_detect_event), so the deterministic event stream
-        # is mode-independent.
         telemetry.emit(
             "detect",
             (task.workload, task.seed),
-            {name: len(obs.report.evidence) for name, obs in observers.items()},
+            {name: len(report.evidence) for name, report in reports.items()},
         )
-    if task.detectors:
-        return {name: observer.report for name, observer in observers.items()}
-    return observers[task.detector].report
-
-
-def run_record_task(task: RecordTask) -> str:
-    """Worker entrypoint: ensure one trace exists in the shared store."""
-    from repro.trace import TraceStore, detect_key  # deferred: avoid cycle
-
-    program = _build_workload(task.workload)
-    store = TraceStore(task.trace_dir, compress=task.compress)
-    path = store.ensure(
-        detect_key(task.workload, task.seed, max_steps=task.max_steps), program
-    )
-    return str(path)
+    return reports
 
 
 def run_baseline_task(task: BaselineTask) -> Counter:
@@ -496,6 +508,9 @@ class ParallelCampaign:
         seeds: Sequence[int] = (0, 1, 2),
         max_steps: int = 1_000_000,
         history_cap: int = 128,
+        trace_dir=None,
+        compress: bool = False,
+        store_quota: int | None = None,
     ) -> "RaceReport | dict[str, RaceReport]":
         """Run one detection per seed concurrently; union the reports.
 
@@ -505,89 +520,50 @@ class ParallelCampaign:
 
         ``detector`` may be a sequence of names: each seed then executes
         *once* with every detector attached, and the result is a
-        ``{name: merged report}`` dict (a string argument keeps the bare
-        :class:`RaceReport` return).
+        ``{name: merged report}`` dict (a string argument returns the bare
+        :class:`RaceReport`).  ``trace_dir``/``compress``/``store_quota``
+        send every seed through the trace store there (see
+        :class:`DetectTask`); at ``jobs=1`` the stores report disk
+        pressure to this campaign's :attr:`health`.
         """
-        multi = not isinstance(detector, str)
-        names: tuple[str, ...] = tuple(detector) if multi else (detector,)
+        single = isinstance(detector, str)
+        names: tuple[str, ...] = (detector,) if single else tuple(detector)
         assert names, "detect needs at least one detector"
         seed_list = list(seeds)
         assert seed_list, "detect needs at least one seed"
         tasks = [
             DetectTask(
                 workload=workload,
-                detector=names[0],
                 seed=seed,
+                detectors=names,
                 max_steps=max_steps,
                 history_cap=history_cap,
-                detectors=names if multi else (),
+                trace_dir=None if trace_dir is None else str(trace_dir),
+                compress=compress,
+                store_quota=store_quota,
             )
             for seed in seed_list
         ]
-        expect = dict if multi else RaceReport
-        with span("phase1.detect"):
+        inline_health = self.health if self.jobs == 1 else None
+        with span("phase1.detect"), _bound(_INLINE_HEALTH, inline_health):
             report = self.supervisor.supervise(
                 "detect",
                 tasks,
-                validate=lambda task, r: isinstance(r, expect),
+                validate=lambda task, r: isinstance(r, dict),
                 on_settle=self._settle_hook("detect", len(tasks)),
             )
         self.last_report = report
         self.failures.extend(report.failures)
         # Quarantined seeds lose their coverage contribution (recorded on
         # `failures`) but never abort the phase.
-        results = [r for r in report.results if r is not None]
-        if not multi:
-            if not results:
-                return RaceReport(program=workload, detector=names[0])
-            merged = results[0]
-            for other in results[1:]:
-                merged.merge(other)
-            return merged
-        merged_by_name: dict[str, RaceReport] = {
+        merged = {
             name: RaceReport(program=workload, detector=name) for name in names
         }
-        for result in results:  # seed order
-            for name in names:
-                merged_by_name[name].merge(result[name])
-        return merged_by_name
-
-    def record(
-        self,
-        workload: str,
-        *,
-        seeds: Sequence[int],
-        max_steps: int = 1_000_000,
-        trace_dir: str = "",
-        compress: bool = False,
-    ) -> list[str | None]:
-        """Record one trace per seed into a shared store directory.
-
-        Workers publish through the store's atomic rename, so the parent
-        may replay every returned path immediately.  A quarantined seed
-        yields ``None`` in its slot (and a failure record); callers that
-        need the trace anyway can fall back to recording it inline.
-        """
-        tasks = [
-            RecordTask(
-                workload=workload,
-                seed=seed,
-                max_steps=max_steps,
-                trace_dir=str(trace_dir),
-                compress=compress,
-            )
-            for seed in seeds
-        ]
-        with span("phase1.record"):
-            report = self.supervisor.supervise(
-                "record",
-                tasks,
-                validate=lambda task, r: isinstance(r, str),
-                on_settle=self._settle_hook("record", len(tasks)),
-            )
-        self.last_report = report
-        self.failures.extend(report.failures)
-        return list(report.results)
+        for result in report.results:  # seed order
+            if result is not None:
+                for name in names:
+                    merged[name].merge(result[name])
+        return merged[detector] if single else merged
 
     # -- baseline (passive-scheduler control) -------------------------- #
 
@@ -834,11 +810,9 @@ __all__ = [
     "ParallelCampaign",
     "DetectTask",
     "FuzzTask",
-    "RecordTask",
     "BaselineTask",
     "run_detect_task",
     "run_fuzz_task",
-    "run_record_task",
     "run_baseline_task",
     "fuzz_task_key",
     "inline_program",

@@ -57,13 +57,12 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.obs import HealthController, MeteredResult, collecting, maybe_telemetry
 
 from .faults import (
-    CORRUPT_TRACE,
     MALFORMED,
     MALFORMED_SENTINEL,
+    PHASES,
     FaultPlan,
     FaultSpec,
     apply_fault,
-    corrupt_trace_file,
 )
 from .results import TaskFailure
 
@@ -216,26 +215,25 @@ class TaskEnvelope:
 
 
 def _worker_fn(name: str) -> Callable[[Any], Any]:
+    """The entrypoint ``run_<name>_task`` for one of :data:`PHASES`."""
+    if name not in PHASES:
+        raise KeyError(
+            f"unknown task entrypoint {name!r}; expected one of {PHASES}"
+        )
     # Deferred import: parallel.py imports this module, so the registry
     # must resolve lazily to avoid a cycle.
     from . import parallel
 
-    table = {
-        "detect": parallel.run_detect_task,
-        "fuzz": parallel.run_fuzz_task,
-        "record": parallel.run_record_task,
-        "baseline": parallel.run_baseline_task,
-    }
-    return table[name]
+    return getattr(parallel, f"run_{name}_task")
 
 
 def _attempt(envelope: TaskEnvelope, in_worker: bool) -> Any:
-    """One attempt body: fault, task, budget check, post-body fault side."""
+    """One attempt body: fault, task, budget check, malformed result."""
     fn = _worker_fn(envelope.fn)
     baseline = _maxrss_mb() if envelope.memory_budget_mb is not None else None
     with wall_deadline(envelope.deadline):
         if envelope.fault is not None:
-            apply_fault(envelope.fault, in_worker=in_worker)
+            apply_fault(envelope.fault, in_worker=in_worker, task=envelope.task)
         result = fn(envelope.task)
     if baseline is not None:
         peak = _maxrss_mb()
@@ -245,13 +243,8 @@ def _attempt(envelope: TaskEnvelope, in_worker: bool) -> Any:
                 f"attempt grew peak RSS by {grown:.1f} MiB "
                 f"(budget {envelope.memory_budget_mb:.1f} MiB)"
             )
-    if envelope.fault is not None:
-        if envelope.fault.kind == MALFORMED:
-            return MALFORMED_SENTINEL
-        if envelope.fault.kind == CORRUPT_TRACE and isinstance(result, str):
-            # Record tasks return the published trace path: damage it so
-            # the parent's analysis read exercises store recovery.
-            corrupt_trace_file(result)
+    if envelope.fault is not None and envelope.fault.kind == MALFORMED:
+        return MALFORMED_SENTINEL
     return result
 
 
@@ -282,6 +275,28 @@ def _unwrap_metered(result: Any) -> tuple[Any, Any]:
     if isinstance(result, MeteredResult):
         return result.result, result.snapshot
     return result, None
+
+
+def _classify_failure(
+    exc: BaseException | None, result: Any = None
+) -> tuple[str, str]:
+    """The ``(kind, message)`` of one failed attempt.
+
+    ``exc`` is what the attempt raised; ``None`` means it returned
+    ``result`` and validation rejected it.
+    """
+    if exc is None:
+        return "malformed", (
+            f"validation rejected a "
+            f"{type(_unwrap_metered(result)[0]).__name__} result"
+        )
+    if isinstance(exc, TaskDeadlineExceeded):
+        return "deadline", str(exc)
+    if isinstance(exc, MemoryBudgetExceeded):
+        return "memory", str(exc)
+    if isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
+        return "disk", f"{type(exc).__name__}: {exc}"
+    return "crash", f"{type(exc).__name__}: {exc}"
 
 
 class CheckpointJournal:
@@ -531,8 +546,9 @@ class CampaignSupervisor:
     ) -> SupervisorReport:
         """Run every task to success, quarantine, or cancellation.
 
-        ``fn`` names the worker entrypoint (``"detect"`` / ``"fuzz"``)
-        and doubles as the fault-plan phase.  ``validate(task, result)``
+        ``fn`` names the worker entrypoint, one of
+        :data:`~repro.core.faults.PHASES`, and doubles as the fault-plan
+        phase.  ``validate(task, result)``
         rejects malformed results (rejections are retried like crashes).
         ``on_result(index, result)`` fires on every success and returns
         indices to cancel — the hook behind ``stop_on_confirm``.
@@ -739,27 +755,12 @@ class CampaignSupervisor:
                 time.sleep(delay)
             try:
                 result = run_envelope(envelope_for(index), in_worker=False)
-            except TaskDeadlineExceeded as exc:
-                verdict = record_failure(index, "deadline", str(exc))
-            except MemoryBudgetExceeded as exc:
-                verdict = record_failure(index, "memory", str(exc))
-            except OSError as exc:
-                kind = "disk" if exc.errno == errno.ENOSPC else "crash"
-                verdict = record_failure(
-                    index, kind, f"{type(exc).__name__}: {exc}"
-                )
             except Exception as exc:
-                verdict = record_failure(
-                    index, "crash", f"{type(exc).__name__}: {exc}"
-                )
+                verdict = record_failure(index, *_classify_failure(exc))
             else:
                 if settle_success(index, result, {}):
                     continue
-                verdict = record_failure(
-                    index, "malformed",
-                    f"validation rejected a "
-                    f"{type(_unwrap_metered(result)[0]).__name__} result",
-                )
+                verdict = record_failure(index, *_classify_failure(None, result))
             if verdict is not None:
                 pending.append((verdict, index))
 
@@ -876,11 +877,7 @@ class CampaignSupervisor:
                     result = future.result()
                     if settle_success(index, result, future_of):
                         continue
-                    ready_at = record_failure(
-                        index, "malformed",
-                        f"validation rejected a "
-                        f"{type(_unwrap_metered(result)[0]).__name__} result",
-                    )
+                    ready_at = record_failure(index, *_classify_failure(None, result))
                 elif isinstance(exc, BrokenProcessPool):
                     # The pool died under this future; every other
                     # in-flight task is doomed too — handle them as one
@@ -889,18 +886,8 @@ class CampaignSupervisor:
                     ready_at = record_failure(
                         index, "pool", f"worker pool died: {exc}"
                     )
-                elif isinstance(exc, TaskDeadlineExceeded):
-                    ready_at = record_failure(index, "deadline", str(exc))
-                elif isinstance(exc, MemoryBudgetExceeded):
-                    ready_at = record_failure(index, "memory", str(exc))
-                elif isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
-                    ready_at = record_failure(
-                        index, "disk", f"{type(exc).__name__}: {exc}"
-                    )
                 else:
-                    ready_at = record_failure(
-                        index, "crash", f"{type(exc).__name__}: {exc}"
-                    )
+                    ready_at = record_failure(index, *_classify_failure(exc))
                 if ready_at is not None:
                     pending.append((ready_at, index))
             if pool_broken:

@@ -11,10 +11,9 @@ documents that carry them:
 * the run report's ``timeline`` section: only the
   :data:`DETERMINISTIC_KINDS`, display fields stripped, plus per-pair
   posterior trajectories.  It is the serial == ``--jobs N`` == resumed
-  equality surface.  Store hits/misses, health transitions and retries
-  legitimately differ between execution modes (e.g. a
-  parallel trace-store fill records worker misses plus parent hits where
-  a serial run records only misses), so they stay out of the section.
+  equality surface.  Health transitions and retries depend on timing,
+  and so do store hits and misses once a quota lets concurrent tasks
+  evict each other's entries, so they stay out of the section.
 """
 
 from __future__ import annotations

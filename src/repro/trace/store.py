@@ -245,10 +245,10 @@ class TraceStore:
 
     @staticmethod
     def _emit_store_event(telemetry, key: TraceKey, outcome: str) -> None:
-        """"store" is a non-deterministic timeline kind: which process sees
-        the hit depends on recording order, so the event rides only in
-        --timeline-out documents, never the run report's deterministic
-        section."""
+        """"store" is a non-deterministic timeline kind: under a quota,
+        concurrent tasks may evict each other's entries, so the event rides
+        only in --timeline-out documents, never the run report's
+        deterministic section."""
         telemetry.emit(
             "store",
             (key.workload, key.seed, outcome),
@@ -327,23 +327,32 @@ class TraceStore:
         atomically), and ``consume`` retried once — so a corrupt cache
         entry costs one execution, never the campaign.  A second failure
         propagates: that is fresh-recording corruption, i.e. a real bug
-        or a dying disk, not bit rot.
+        or a dying disk, not bit rot.  An entry that vanished before it
+        was read (another process's quota evicted it) is re-recorded
+        once the same way, without quarantine.
         """
         path = self.ensure(key, program, observers=observers)
+        corrupt = False
         try:
             return consume(path)
+        except FileNotFoundError:
+            pass
         except TraceCorruptError as exc:
             self.quarantine(exc.path, exc.reason)
-            fresh = self.ensure(key, program)
+            corrupt = True
+        finally:
+            self.discard(path)
+        fresh = self.ensure(key, program)
+        try:
             result = consume(fresh)
+        finally:
+            self.discard(fresh)
+        if corrupt:
             self.stats.recovered += 1
             telemetry = maybe_telemetry()
             if telemetry is not None:
                 telemetry.inc("trace.store_recovered")
-            self.discard(fresh)
-            return result
-        finally:
-            self.discard(path)
+        return result
 
     # -- maintenance ---------------------------------------------------- #
 

@@ -24,6 +24,15 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind="meteor", index=0)
 
+    @pytest.mark.parametrize("phase", ["record", "bogus"])
+    def test_rejects_a_phase_that_is_no_entrypoint(self, phase):
+        from repro.core.faults import PHASES
+        from repro.core.supervisor import _worker_fn
+
+        with pytest.raises(ValueError, match="unknown fault phase"):
+            FaultSpec(kind=CRASH, index=0, phase=phase)
+        assert all(callable(_worker_fn(name)) for name in PHASES)
+
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError, match="index"):
             FaultSpec(kind=CRASH, index=-1)
@@ -167,17 +176,31 @@ class TestRobustnessFaultKinds:
 
         apply_fault(FaultSpec(kind=CORRUPT_TRACE, index=0), in_worker=False)
 
+    def test_corrupt_trace_damages_the_trace_a_detect_task_reads(self, tmp_path):
+        from repro.core import DetectTask
+        from repro.core.faults import CORRUPT_TRACE
+        from repro.trace import TraceCorruptError, TraceStore, verify_trace
+        from repro.workloads import figure1
+
+        task = DetectTask(workload="figure1", max_steps=10_000, trace_dir=str(tmp_path))
+        assert task.stored_trace() is None
+        path = TraceStore(tmp_path).ensure(task.trace_key(), figure1.build())
+        assert task.stored_trace() == str(path)
+        apply_fault(FaultSpec(kind=CORRUPT_TRACE, index=0, phase="detect"), task=task)
+        with pytest.raises(TraceCorruptError):
+            verify_trace(path)
+
     def test_parse_fifth_arg_is_mb_for_memory_hog(self):
         from repro.core.faults import DISK_FULL, MEMORY_HOG
 
         plan = parse_fault_plan(
-            "fuzz:0:memory_hog:1:128,fuzz:1:hang:1:0.25,record:2:disk_full"
+            "fuzz:0:memory_hog:1:128,fuzz:1:hang:1:0.25,detect:2:disk_full"
         )
         assert plan.at("fuzz", 0) == FaultSpec(
             kind=MEMORY_HOG, index=0, attempts=1, mb=128.0
         )
         assert plan.at("fuzz", 1).delay == 0.25
-        assert plan.at("record", 2).kind == DISK_FULL
+        assert plan.at("detect", 2).kind == DISK_FULL
 
 
 class TestCorruptTraceFile:

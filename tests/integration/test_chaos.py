@@ -63,24 +63,21 @@ class TestDetectSurvivesCorruption:
         assert capsys.readouterr().out == clean
 
     def test_injected_record_corruption_matches_clean_run(self, tmp_path):
-        # The corrupt_trace fault damages the trace a record task just
-        # published; the parent's with_recovery read must heal it.
-        clean = detect_races(
-            figure1.build(),
-            seeds=range(3),
-            max_steps=10_000,
-            trace_dir=tmp_path / "clean",
-        )
+        # The corrupt_trace fault damages the stored trace detect task 0 is
+        # about to read; the task's with_recovery read must heal it.
+        kwargs = dict(seeds=range(3), max_steps=10_000, trace_dir=tmp_path)
+        clean = detect_races(figure1.build(), **kwargs)
         chaos = detect_races(
             figure1.build(),
-            seeds=range(3),
-            max_steps=10_000,
-            trace_dir=tmp_path / "chaos",
             jobs=2,
-            faults=parse_fault_plan("record:0:corrupt_trace"),
+            faults=parse_fault_plan("detect:0:corrupt_trace"),
+            **kwargs,
         )
         assert chaos.pairs == clean.pairs
-        assert (tmp_path / "chaos" / QUARANTINE_DIR).exists()
+        assert [e.count for e in chaos.evidence.values()] == [
+            e.count for e in clean.evidence.values()
+        ]
+        assert (tmp_path / QUARANTINE_DIR).exists()
 
 
 class TestChaosCampaignEquivalence:

@@ -258,12 +258,30 @@ class TestParser:
             ["fuzz", "figure1", "--schedule", "adaptive", "--trial-budget", "0"],
             ["fuzz", "figure1", "--trials", "many"],
             ["detect", "figure1", "--jobs", "-2"],
+            ["record", "figure1", "--seeds", "-2", "--trace-dir", "unused"],
             ["table1", "--trials", "-1", "figure1"],
         ],
         ids=" ".join,
     )
     def test_bad_numbers_are_usage_errors(self, argv, capsys):
         """Exit 2 before anything runs: exit 1 is fuzz's "race confirmed"."""
+        self._assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "figure1", "--fault-plan", "fuzz:0:bogus"],
+            ["fuzz", "figure1", "--fault-plan", "fuzz:x:crash"],
+            ["detect", "figure1", "--fault-plan", "bogus:0:crash"],
+            ["detect", "figure1", "--fault-plan", "record:0:corrupt_trace"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_fault_plans_are_usage_errors(self, argv, capsys):
+        self._assert_usage_error(argv, capsys)
+
+    @staticmethod
+    def _assert_usage_error(argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -8,6 +8,7 @@ oldest-first eviction while never evicting the entry being read.
 
 import pytest
 
+from repro.core import detect_races
 from repro.obs import HealthController, collecting
 from repro.obs.health import CRITICAL, DEGRADED, HEALTHY
 from repro.trace import (
@@ -81,6 +82,31 @@ class TestRecovery:
             store.with_recovery(KEY, figure1.build(), always_corrupt)
         assert len(calls) == 2  # original read + exactly one retry
 
+    def test_vanished_entry_rerecorded_once_without_quarantine(self, tmp_path):
+        # Another process's quota may evict an entry between its publish
+        # and this read; that is not damage.
+        store = TraceStore(tmp_path)
+        calls = []
+
+        def evicted_first(path):
+            calls.append(path)
+            if len(calls) == 1:
+                path.unlink()
+            return verify_trace(path)
+
+        assert store.with_recovery(KEY, figure1.build(), evicted_first).events > 0
+        assert len(calls) == 2
+        assert store.stats.executions == 2
+        assert store.stats.corrupt == store.stats.recovered == 0
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+
+        def always_evicted(path):
+            path.unlink()
+            return verify_trace(path)
+
+        with pytest.raises(FileNotFoundError):
+            store.with_recovery(KEY, figure1.build(), always_evicted)
+
     def test_quarantine_signals_health(self, tmp_path):
         health = HealthController(corrupt_degraded=2)
         store = TraceStore(tmp_path, health=health)
@@ -135,6 +161,33 @@ class TestBudget:
         assert health.disk_budget_hits >= 2
         assert health.state == DEGRADED
         assert not health.trace_recording_enabled
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"jobs": 1}, {"jobs": 1, "deadline": 30}, {"jobs": 2}],
+    ids=["inline", "inline-deadline", "pool"],
+)
+def test_store_quota_bounds_the_store_at_every_jobs(tmp_path, options):
+    seeds = dict(seeds=range(4), max_steps=10_000)
+    unbounded = detect_races(figure1.build(), **seeds)
+    bounded = detect_races(
+        figure1.build(), trace_dir=tmp_path, store_quota=1, **seeds, **options
+    )
+    assert len(TraceStore(tmp_path).entries()) <= 1
+    assert bounded.pairs == unbounded.pairs
+
+
+def test_repeated_quota_hits_switch_detect_to_ephemeral(tmp_path):
+    with collecting() as telemetry:
+        detect_races(
+            figure1.build(),
+            seeds=range(6),
+            max_steps=10_000,
+            trace_dir=tmp_path,
+            store_quota=1,
+        )
+    assert telemetry.counter("trace.store_ephemeral") > 0
 
 
 class TestEphemeralMode:
