@@ -21,9 +21,9 @@ Two entry points:
 
 * under pytest (``pytest benchmarks/bench_resilience.py --benchmark-only``)
   each configuration is a ``benchmark`` case;
-* as a script (``python benchmarks/bench_resilience.py``) it prints the
-  comparison and writes a ``BENCH_resilience.json`` overhead record for
-  the perf trajectory.
+* as a script (``python benchmarks/bench_resilience.py --output FILE``)
+  it prints the comparison and writes it as JSON to ``FILE``; CI's
+  governance gate reads ``governed_overhead_ratio`` from it.
 """
 
 import json
@@ -114,7 +114,7 @@ def main(argv=None):
         default=8,
         help="fresh traces per store-overhead round",
     )
-    parser.add_argument("--output", default="BENCH_resilience.json")
+    parser.add_argument("--output", required=True)
     args = parser.parse_args(argv)
 
     start = time.perf_counter()

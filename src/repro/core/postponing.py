@@ -69,6 +69,9 @@ class FuzzResult:
     forced_releases: int = 0
     #: how many times the livelock watchdog released a thread.
     watchdog_releases: int = 0
+    #: global steps the watchdog-released threads spent postponed, summed
+    #: over releases (each release adds more than ``patience``).
+    stall_steps: int = 0
     #: how many times a thread entered the postponed set (lines 14 and 21).
     postpones: int = 0
     #: how many line-11 coin flips resolved a created racing situation.
@@ -104,7 +107,6 @@ class PostponingDriver:
         patience: int = 400,
         max_steps: int = 1_000_000,
         observers: Iterable[ExecutionObserver] = (),
-        fast_mode: bool = False,
     ) -> None:
         if preemption not in PREEMPTION_MODES:
             raise ValueError(f"unknown preemption mode: {preemption!r}")
@@ -112,23 +114,8 @@ class PostponingDriver:
         self.patience = patience
         self.max_steps = max_steps
         self.observers = tuple(observers)
-        self.fast_mode = fast_mode
 
     # --- hooks for subclasses ------------------------------------------- #
-
-    def fast_mode_statements(self):
-        """Statements whose MemEvents fast mode keeps (None = no filter).
-
-        In fast mode the execution suppresses MemEvent emission for every
-        statement *outside* this set; sync/thread/msg events are always
-        emitted.  Subclasses that know their target statements (RaceFuzzer's
-        racing pair) override this.  The base returns ``None`` — fast mode
-        is then a no-op filter-wise — so drivers without a statement-shaped
-        target stay correct.  (Named ``fast_mode_statements`` rather than
-        ``target_statements`` because DeadlockFuzzer already uses the latter
-        as an attribute.)
-        """
-        return None
 
     def timeline_target(self) -> str:
         """Label identifying what this driver is fuzzing, for the campaign
@@ -172,7 +159,6 @@ class PostponingDriver:
             seed=seed,
             observers=self.observers,
             max_steps=self.max_steps,
-            mem_filter=self.fast_mode_statements() if self.fast_mode else None,
         )
         execution.start()
         fuzz = FuzzResult(result=execution.result)
@@ -235,6 +221,7 @@ class PostponingDriver:
             telemetry.inc("fuzz.coin_flips", fuzz.coin_flips)
             telemetry.inc("fuzz.forced_releases", fuzz.forced_releases)
             telemetry.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
+            telemetry.inc("fuzz.stall_steps", fuzz.stall_steps)
             telemetry.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
             telemetry.observe(
                 "fuzz.trial_wall_s", execution.result.wall_time,
@@ -341,3 +328,4 @@ class PostponingDriver:
                 del postponed[tid]
                 exempt.add(tid)
                 fuzz.watchdog_releases += 1
+                fuzz.stall_steps += now - since

@@ -44,14 +44,12 @@ class RaceFuzzer(PostponingDriver):
         patience: int = 400,
         max_steps: int = 1_000_000,
         observers=(),
-        fast_mode: bool = False,
     ) -> None:
         super().__init__(
             preemption=preemption,
             patience=patience,
             max_steps=max_steps,
             observers=observers,
-            fast_mode=fast_mode,
         )
         if isinstance(race_set, StatementPair):
             statements: set[Statement] = {race_set.first, race_set.second}
@@ -69,16 +67,6 @@ class RaceFuzzer(PostponingDriver):
         """Timeline identity of this fuzzer's trials: the pair label
         (``site|site``), stable across processes and runs."""
         return self._timeline_target
-
-    def fast_mode_statements(self):
-        """Fast mode keeps MemEvents only for the racing statements.
-
-        Postponing/resolution logic reads ops and statements directly (never
-        through events), so verdicts are identical in either mode; only
-        observers see fewer MemEvents.  See INTERNALS "Interpreter fast
-        path" for what is and is not suppressed.
-        """
-        return self.race_set
 
     # --- Algorithm 1, line 6 -------------------------------------------- #
 
@@ -133,9 +121,8 @@ def fuzz_pair(
     """Run RaceFuzzer once per seed for one racing pair.
 
     This is the paper's experimental unit: "we ran RaceFuzzer 100 times for
-    each racing pair of statements" (Section 5.2).  Pass ``fast_mode=True``
-    to suppress MemEvent emission for statements outside the pair (sync and
-    thread events are unaffected; verdicts are identical either way).
+    each racing pair of statements" (Section 5.2).  With no ``observers``
+    in ``kwargs`` (the Phase-2 default) no trial allocates an event.
     """
     fuzzer = RaceFuzzer(pair, **kwargs)
     return [fuzzer.run(program, seed=seed) for seed in seeds]

@@ -62,8 +62,8 @@ REQUIRED_COUNTERS: tuple[str, ...] = (
 
 
 def environment_metadata() -> dict:
-    """Where this run happened — embedded in run reports and BENCH records
-    so numbers are comparable across machines."""
+    """Where this run happened — embedded in run reports and benchmark
+    records so numbers are comparable across machines."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

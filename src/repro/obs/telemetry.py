@@ -5,8 +5,9 @@ nondeterminism: one explicit owner, deterministic everywhere.  A single
 process-wide :class:`Telemetry` is either *active* (every layer records
 into it) or absent (the default — :func:`maybe_telemetry` returns
 ``None`` and every instrumentation site collapses to that one check, so
-an uninstrumented campaign allocates nothing for telemetry; see
-``benchmarks/bench_obs.py``).  ``--metrics-out`` and ``--timeline-out``
+an uninstrumented campaign allocates nothing for telemetry; the
+benchmark's ``obs.overhead_ratio`` on ``campaign-adaptive`` measures the
+on/off cost).  ``--metrics-out`` and ``--timeline-out``
 both switch on the same stream; they only choose which document to write.
 
 What one telemetry object holds:

@@ -37,11 +37,8 @@ is kept to integer/identity operations:
   (an observer that wants MemEvents) are resolved once per execution; with
   no observer attached, a step allocates no event objects at all, and the
   ``locks.held_by()`` frozenset snapshot is only built when a MemEvent is
-  actually constructed.
-* **Sync-ops-only fast mode** — ``mem_filter`` restricts MemEvent emission
-  to a statement set (RaceFuzzer passes the racing pair, per the paper's
-  Section 5 observation that Phase 2 only needs sync ops plus the two
-  racing statements); lock/thread/msg events flow unchanged.
+  actually constructed.  Phase 2 runs RaceFuzzer with no observer: its
+  postponing loop reads ops and statements directly, never events.
 * **Int-indexed metrics** — per-kind tallies live in a plain list indexed
   by ``kind_index`` and fold into the telemetry once, at ``finish()``.
 """
@@ -165,7 +162,6 @@ class Execution:
         seed: int = 0,
         observers: Iterable[ExecutionObserver] = (),
         max_steps: int = 1_000_000,
-        mem_filter: Iterable[Statement] | None = None,
     ) -> None:
         self.program = program
         self.seed = seed
@@ -194,11 +190,6 @@ class Execution:
         self.observer = ObserverChain(observers)
         self._observing = bool(self.observer.observers)
         self._observe_mem = self._observing and self.observer.wants_mem_events
-        #: fast mode: when set, MemEvents are emitted only for statements in
-        #: this set (lock/thread/msg events are never filtered).
-        self._mem_filter = (
-            frozenset(mem_filter) if mem_filter is not None else None
-        )
         # Dispatch: one bound handler per OpKind, indexed by Op.kind_index.
         self._dispatch = tuple(
             getattr(self, name) for name in _HANDLER_NAMES
@@ -658,15 +649,11 @@ class Execution:
 
     def _emit_mem(self, ts: ThreadState, op: Op, access: Access) -> None:
         # Only reached when an observer wants MemEvents (_observe_mem).
-        stmt = self._stmt(ts)
-        mem_filter = self._mem_filter
-        if mem_filter is not None and stmt not in mem_filter:
-            return
         self.observer.on_event(
             MemEvent(
                 step=self.step_count,
                 tid=ts.tid,
-                stmt=stmt,
+                stmt=self._stmt(ts),
                 location=op.location,
                 access=access,
                 locks_held=self.locks.held_by(ts.tid),

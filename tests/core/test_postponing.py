@@ -1,7 +1,8 @@
 """The Algorithm 1 main loop: postponement, releases, watchdog, deadlocks."""
 
-from repro.core import RaceFuzzer
+from repro.core import RaceFuzzer, detect_races
 from repro.core.postponing import FuzzResult, PostponingDriver
+from repro.obs import collecting
 from repro.runtime import (
     Lock,
     Program,
@@ -11,6 +12,7 @@ from repro.runtime import (
     spawn_all,
 )
 from repro.runtime.statement import Statement, StatementPair
+from repro.workloads import figure1, sor
 import pytest
 
 
@@ -233,3 +235,41 @@ class TestDeadlockReporting:
             for s in range(20)
         )
         assert deadlocked == 20  # neither thread ever releases
+
+
+class TestStallSteps:
+    """``FuzzResult.stall_steps``: the exact patience cost of a trial."""
+
+    SEEDS = range(3)
+
+    def _sor_pair(self):
+        # sor's boundary pairs are ordered by a lock-protected flag, so a
+        # postponed side waits out the watchdog on every trial.
+        return sor.build, detect_races(sor.build(), seeds=(0,)).pairs[0]
+
+    def test_each_release_waited_more_than_patience(self):
+        build, pair = self._sor_pair()
+        fuzzer = RaceFuzzer(pair)
+        for seed in self.SEEDS:
+            outcome = fuzzer.run(build(), seed=seed)
+            assert outcome.watchdog_releases >= 1
+            assert outcome.stall_steps >= (
+                (fuzzer.patience + 1) * outcome.watchdog_releases
+            )
+
+    def test_zero_without_watchdog_releases(self):
+        fuzzer = RaceFuzzer(figure1.REAL_PAIR)
+        for seed in self.SEEDS:
+            outcome = fuzzer.run(figure1.build(), seed=seed)
+            assert outcome.watchdog_releases == 0
+            assert outcome.stall_steps == 0
+
+    def test_telemetry_counter_sums_the_trials(self):
+        build, pair = self._sor_pair()
+        with collecting() as telemetry:
+            outcomes = [
+                RaceFuzzer(pair).run(build(), seed=seed) for seed in self.SEEDS
+            ]
+        counters = telemetry.snapshot().counters
+        assert counters["fuzz.stall_steps"] == sum(o.stall_steps for o in outcomes)
+        assert counters["fuzz.stall_steps"] > 0
