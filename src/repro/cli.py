@@ -15,13 +15,17 @@ Commands:
   damaged ones);
 * ``stats``    — render a ``--metrics-out`` run report (tables or
   Prometheus text format);
-* ``trace-export`` — render a ``--timeline-out`` document (or v3 run
-  report) as Chrome trace-event JSON for Perfetto / chrome://tracing;
-* ``dash``     — render a run report or timeline document as a
-  self-contained zero-dependency HTML dashboard;
+* ``trace-export`` — render a run report's timeline as Chrome
+  trace-event JSON for Perfetto / chrome://tracing;
+* ``dash``     — render a run report as a self-contained
+  zero-dependency HTML dashboard;
 * ``table1``   — regenerate Table 1 (delegates to repro.harness.table1);
 * ``figure2``  — the probability sweep (delegates to
   repro.harness.figure2_prob).
+
+The run report (``--metrics-out``) is the one telemetry document:
+``stats``, ``trace-export`` and ``dash`` all load and validate it
+through one helper.
 """
 
 from __future__ import annotations
@@ -43,19 +47,16 @@ from repro.core import (
 from repro.core.replay import replay_race
 from repro.core.traceview import format_replay
 from repro.obs import (
-    TIMELINE_KIND,
     ProgressPrinter,
     chrome_trace,
     collecting,
     load_run_report,
-    load_timeline,
     render_dash,
     render_prometheus,
     render_stats_table,
     validate_run_report,
     write_chrome_trace,
     write_run_report,
-    write_timeline,
 )
 from repro.runtime import Execution
 from repro.workloads import all_workloads, get
@@ -63,33 +64,9 @@ from repro.workloads import all_workloads, get
 
 def _telemetry_scope(args, *, also: bool = False):
     """One telemetry scope for a command's body: on when ``--metrics-out``
-    or ``--timeline-out`` (or ``also``) asks for it, else a null scope
-    yielding ``None``."""
-    wanted = also or args.metrics_out is not None or args.timeline_out is not None
+    (or ``also``) asks for it, else a null scope yielding ``None``."""
+    wanted = also or args.metrics_out is not None
     return collecting() if wanted else nullcontext()
-
-
-def _write_telemetry(
-    args, snapshot, *, command: str, workload: str | None = None,
-    merge_existing: bool = False,
-) -> None:
-    """Write whichever of the two telemetry documents the flags asked for.
-
-    Both come from the same snapshot: ``--timeline-out`` gets every
-    event with its display fields, ``--metrics-out`` the run report.
-    """
-    if args.timeline_out is not None:
-        write_timeline(
-            args.timeline_out, snapshot, command=command, workload=workload
-        )
-    if args.metrics_out is not None:
-        write_run_report(
-            args.metrics_out,
-            snapshot,
-            command=command,
-            workload=workload,
-            merge_existing=merge_existing,
-        )
 
 
 def _checked_detectors(names: list[str]) -> list[str] | None:
@@ -209,8 +186,9 @@ def _cmd_run(args) -> int:
             ).run(scheduler)
     print(result)
     if telemetry is not None:
-        _write_telemetry(
-            args, telemetry.snapshot(), command="run", workload=spec.name
+        write_run_report(
+            args.metrics_out, telemetry.snapshot(), command="run",
+            workload=spec.name,
         )
     return 0 if not result.crashes and not result.deadlock else 1
 
@@ -247,7 +225,10 @@ def _cmd_detect(args) -> int:
         print(report)
     if telemetry is not None:
         snapshot = telemetry.snapshot()
-        _write_telemetry(args, snapshot, command="detect", workload=spec.name)
+        if args.metrics_out is not None:
+            write_run_report(
+                args.metrics_out, snapshot, command="detect", workload=spec.name
+            )
         if args.trace_dir is not None:
             c = snapshot.counters
             print(
@@ -298,6 +279,9 @@ def _cmd_analyze(args) -> int:
     from repro.trace import TraceStore, analyze_trace
 
     target = Path(args.path)
+    if not target.exists():
+        print(f"no such trace file or store: {target}", file=sys.stderr)
+        return 2
     paths = TraceStore(target).entries() if target.is_dir() else [target]
     if not paths:
         print(f"no traces under {target}", file=sys.stderr)
@@ -392,8 +376,8 @@ def _cmd_fuzz(args) -> int:
         # A checkpoint-resumed campaign accumulates into the prior report
         # rather than overwriting it (mirrors the journal semantics); the
         # timeline section dedup-unions the same way.
-        _write_telemetry(
-            args,
+        write_run_report(
+            args.metrics_out,
             telemetry.snapshot(),
             command="fuzz",
             workload=spec.name,
@@ -463,16 +447,23 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _load_report(path) -> dict | None:
+    """Load and validate a run report for ``stats``, ``trace-export`` and
+    ``dash``; prints the problem and returns None on failure."""
     try:
-        report = load_run_report(args.path)
+        report = load_run_report(path)
     except (OSError, ValueError) as exc:
-        print(f"cannot read run report {args.path}: {exc}", file=sys.stderr)
-        return 2
+        print(f"cannot read run report {path}: {exc}", file=sys.stderr)
+        return None
     errors = validate_run_report(report)
-    if errors:
-        for error in errors:
-            print(f"invalid run report: {error}", file=sys.stderr)
+    for error in errors:
+        print(f"invalid run report: {error}", file=sys.stderr)
+    return None if errors else report
+
+
+def _cmd_stats(args) -> int:
+    report = _load_report(args.path)
+    if report is None:
         return 2
     try:
         if args.prometheus:
@@ -487,61 +478,30 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_timeline_or_report(path) -> dict | None:
-    """Load a JSON file that is either a timeline document or a run
-    report; prints the problem and returns None on failure."""
-    try:
-        data = load_timeline(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    if not isinstance(data, dict):
-        print(f"{path}: expected a JSON object", file=sys.stderr)
-        return None
-    if data.get("kind") == TIMELINE_KIND:
-        return data
-    errors = validate_run_report(data)
-    if errors:
-        for error in errors:
-            print(f"invalid input: {error}", file=sys.stderr)
-        return None
-    return data
-
-
 def _cmd_trace_export(args) -> int:
     import json as _json
 
-    data = _load_timeline_or_report(args.path)
-    if data is None:
+    report = _load_report(args.path)
+    if report is None:
         return 2
-    if data.get("kind") != TIMELINE_KIND:
-        # A run report only helps if it carries the v3 timeline section.
-        section = data.get("timeline")
-        if section is None:
-            print(
-                f"{args.path}: run report has no timeline section "
-                "(pass the --timeline-out document instead)",
-                file=sys.stderr,
-            )
-            return 2
-        data = section
+    section = report["timeline"]
     if args.out is not None:
-        trace = write_chrome_trace(args.out, data)
+        trace = write_chrome_trace(args.out, section)
         print(
             f"{len(trace['traceEvents'])} trace event(s) -> {args.out} "
             "(load in ui.perfetto.dev or chrome://tracing)",
             file=sys.stderr,
         )
     else:
-        print(_json.dumps(chrome_trace(data), indent=1))
+        print(_json.dumps(chrome_trace(section), indent=1))
     return 0
 
 
 def _cmd_dash(args) -> int:
-    data = _load_timeline_or_report(args.path)
-    if data is None:
+    report = _load_report(args.path)
+    if report is None:
         return 2
-    html = render_dash(data)
+    html = render_dash(report)
     if args.out == "-":
         print(html, end="")
         return 0
@@ -587,13 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write a versioned JSON run report of the execution's metrics",
-    )
-    run_parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="FILE",
-        help="record a campaign timeline document (feed it to "
+        help="write a versioned JSON run report of the execution's metrics "
+        "and timeline events (read it with `repro stats`, "
         "`repro trace-export` or `repro dash`)",
     )
     run_parser.set_defaults(handler=_cmd_run)
@@ -662,15 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write a versioned JSON run report of the campaign's metrics",
-    )
-    detect_parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="FILE",
-        help="record a campaign timeline document (per-seed detect "
-        "events, store hits/misses; feed it to `repro trace-export` or "
-        "`repro dash`)",
+        help="write a versioned JSON run report of the campaign's metrics "
+        "and timeline events (per-seed detect events, store hits/misses)",
     )
     detect_parser.set_defaults(handler=_cmd_detect)
 
@@ -719,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also render each trace's interleaving diagram",
     )
-    analyze_parser.add_argument("--max-events", type=int, default=200)
+    analyze_parser.add_argument("--max-events", type=COUNT, default=200)
     analyze_parser.set_defaults(handler=_cmd_analyze)
 
     fuzz_parser = commands.add_parser("fuzz", help="two-phase RaceFuzzer campaign")
@@ -828,19 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write a versioned JSON run report of the campaign's metrics; "
+        help="write a versioned JSON run report of the campaign's metrics "
+        "and timeline (trial/chunk spans, schedule rounds with their "
+        "Thompson draws, per-pair posterior updates, health transitions; "
+        "read it with `repro stats`, `repro trace-export` or `repro dash`); "
         "with --checkpoint, a resumed run merges into the prior report",
-    )
-    fuzz_parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="FILE",
-        help="record the campaign timeline: trial/chunk spans, schedule "
-        "rounds with their Thompson draws, per-pair posterior updates, "
-        "health transitions (feed it to `repro trace-export` or "
-        "`repro dash`); either output flag records the whole telemetry "
-        "stream, and every --metrics-out report carries its timeline "
-        "section",
     )
     fuzz_parser.add_argument(
         "--progress",
@@ -856,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("workload")
     replay_parser.add_argument("--pair", type=int, default=0, help="pair index")
     replay_parser.add_argument("--seed", type=int, default=0)
-    replay_parser.add_argument("--max-events", type=int, default=200)
+    replay_parser.add_argument("--max-events", type=COUNT, default=200)
     replay_parser.add_argument(
         "--save-trace",
         default=None,
@@ -866,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument(
         "--find-crash",
-        type=int,
+        type=COUNT,
         nargs="?",
         const=100,
         default=0,
@@ -897,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.add_argument(
         "--max-entries",
-        type=int,
+        type=POSITIVE_INT,
         default=None,
         metavar="N",
         help="entry-count budget for gc",
@@ -911,9 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser.set_defaults(handler=_cmd_store)
 
     stats_parser = commands.add_parser(
-        "stats", help="render a --metrics-out run report"
+        "stats", help="render a run report's metrics as tables"
     )
-    stats_parser.add_argument("path", help="run-report JSON file")
+    stats_parser.add_argument("path", help="a --metrics-out run report")
     stats_parser.add_argument(
         "--prometheus",
         action="store_true",
@@ -923,13 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     export_parser = commands.add_parser(
         "trace-export",
-        help="render a timeline as Chrome trace-event JSON (Perfetto)",
+        help="render a run report's timeline as Chrome trace-event JSON "
+        "(Perfetto)",
     )
-    export_parser.add_argument(
-        "path",
-        help="a --timeline-out document, or a v3 run report carrying a "
-        "timeline section",
-    )
+    export_parser.add_argument("path", help="a --metrics-out run report")
     export_parser.add_argument(
         "--out",
         default=None,
@@ -941,10 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash_parser = commands.add_parser(
         "dash", help="render a self-contained HTML campaign dashboard"
     )
-    dash_parser.add_argument(
-        "path",
-        help="a --metrics-out run report or a --timeline-out document",
-    )
+    dash_parser.add_argument("path", help="a --metrics-out run report")
     dash_parser.add_argument(
         "--out",
         default="dash.html",

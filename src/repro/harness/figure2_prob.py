@@ -121,11 +121,19 @@ def render_sweep(points: list[ProbabilityPoint]) -> str:
 def main(argv: list[str] | None = None) -> None:
     import argparse
 
-    from repro.cli import COUNT
+    from repro.cli import COUNT, POSITIVE_INT
+
+    def paddings(text):
+        return tuple(COUNT(p) for p in text.split(","))
 
     parser = argparse.ArgumentParser(prog="repro figure2", description=__doc__)
-    parser.add_argument("--runs", type=COUNT, default=100)
-    parser.add_argument("--paddings", default="0,2,5,10,20,40")
+    parser.add_argument("--runs", type=POSITIVE_INT, default=100)
+    parser.add_argument(
+        "--paddings",
+        type=paddings,
+        default="0,2,5,10,20,40",
+        help="comma-separated padding distances (non-negative integers)",
+    )
     parser.add_argument(
         "--jobs",
         type=COUNT,
@@ -133,8 +141,7 @@ def main(argv: list[str] | None = None) -> None:
         help="sweep padding points in N worker processes (0 = per core)",
     )
     args = parser.parse_args(argv)
-    paddings = tuple(int(p) for p in args.paddings.split(","))
-    print(render_sweep(sweep(paddings, runs=args.runs, jobs=args.jobs)))
+    print(render_sweep(sweep(args.paddings, runs=args.runs, jobs=args.jobs)))
 
 
 if __name__ == "__main__":

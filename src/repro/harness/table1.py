@@ -280,12 +280,7 @@ def main(argv: list[str] | None = None) -> None:
     from contextlib import nullcontext
 
     from repro.cli import COUNT, POSITIVE_FLOAT, POSITIVE_INT
-    from repro.obs import (
-        ProgressPrinter,
-        ProgressUpdate,
-        write_run_report,
-        write_timeline,
-    )
+    from repro.obs import ProgressPrinter, ProgressUpdate, write_run_report
     from repro.workloads.base import get
 
     parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
@@ -334,15 +329,10 @@ def main(argv: list[str] | None = None) -> None:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write a versioned JSON run report of the whole table run; "
-        "with --checkpoint, a resumed run merges into the prior report",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        default=None,
-        metavar="FILE",
-        help="record the whole table run's campaign timeline (feed it to "
-        "`repro trace-export` or `repro dash`)",
+        help="write a versioned JSON run report of the whole table run, "
+        "timeline events included (read it with `repro stats`, "
+        "`repro trace-export` or `repro dash`); with --checkpoint, a "
+        "resumed run merges into the prior report",
     )
     parser.add_argument(
         "--progress",
@@ -383,22 +373,17 @@ def main(argv: list[str] | None = None) -> None:
                 )
             )
 
-    wanted = args.metrics_out is not None or args.timeline_out is not None
-    with collecting() if wanted else nullcontext() as telemetry:
+    with collecting() if args.metrics_out is not None else nullcontext() as telemetry:
         rows = build_table(
             specs, jobs=args.jobs, on_progress=on_progress, **kwargs
         )
     if telemetry is not None:
-        snapshot = telemetry.snapshot()
-        if args.timeline_out is not None:
-            write_timeline(args.timeline_out, snapshot, command="table1")
-        if args.metrics_out is not None:
-            write_run_report(
-                args.metrics_out,
-                snapshot,
-                command="table1",
-                merge_existing=args.checkpoint is not None,
-            )
+        write_run_report(
+            args.metrics_out,
+            telemetry.snapshot(),
+            command="table1",
+            merge_existing=args.checkpoint is not None,
+        )
     print(render_measured(rows))
     print()
     print(render_comparison(rows))

@@ -1,4 +1,4 @@
-"""Observability: one telemetry stream, run reports, timelines, and progress.
+"""Observability: one telemetry stream, one run report, and progress.
 
 The package every other layer is instrumented against:
 
@@ -8,15 +8,16 @@ The package every other layer is instrumented against:
   merge law, and the process-wide switch (:func:`collecting` /
   :func:`maybe_telemetry`).  Off by default: every instrumented site
   then costs one ``None``-check.
-* :mod:`repro.obs.report` — versioned JSON run reports (``--metrics-out``),
-  schema validation, Prometheus text rendering, and the ``repro stats``
-  table renderer.
-* :mod:`repro.obs.timeline` — the ``--timeline-out`` document, the run
-  report's deterministic ``timeline`` section, and per-pair posterior
-  trajectories: the data source for ``repro trace-export`` /
-  ``repro dash``.
+* :mod:`repro.obs.report` — the versioned JSON run report
+  (``--metrics-out``), the one telemetry document: schema validation,
+  Prometheus text rendering, and the ``repro stats`` table renderer.
+* :mod:`repro.obs.timeline` — the run report's ``timeline`` section
+  (every event, display fields included), its deterministic projection
+  (the serial == ``--jobs N`` == resumed equality surface), and per-pair
+  posterior trajectories.
 * :mod:`repro.obs.traceexport` — Chrome trace-event JSON rendering of a
-  timeline document, loadable in Perfetto / ``chrome://tracing``.
+  report's ``timeline`` section, loadable in Perfetto /
+  ``chrome://tracing``.
 * :mod:`repro.obs.dash` — the zero-dependency standalone HTML dashboard
   (``repro dash``).
 * :mod:`repro.obs.progress` — the ``on_progress`` hook's
@@ -54,13 +55,6 @@ from .telemetry import (
     recording_timeline,
     span,
 )
-from .timeline import (
-    TIMELINE_KIND,
-    load_timeline,
-    snapshot_from_document,
-    validate_timeline_section,
-    write_timeline,
-)
 from .traceexport import chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -82,12 +76,6 @@ __all__ = [
     "render_stats_table",
     "validate_run_report",
     "write_run_report",
-    # timeline
-    "TIMELINE_KIND",
-    "load_timeline",
-    "snapshot_from_document",
-    "validate_timeline_section",
-    "write_timeline",
     # trace export & dashboard
     "chrome_trace",
     "write_chrome_trace",

@@ -3,9 +3,9 @@
 Zero dependencies by design — the output is a single HTML file with
 inline CSS and hand-rolled SVG, so it opens anywhere a browser exists
 (CI artifact viewers included) with no JS frameworks, no CDN fetches, no
-network at all.  Input is either a v3 run report (``--metrics-out``) or
-a raw timeline document (``--timeline-out``); both carry the
-deterministic event stream the panels are derived from:
+network at all.  Input is a run report (``--metrics-out``); its counters
+and its ``timeline`` section, which carries every event with its display
+fields, feed the panels:
 
 * **stat tiles** — the campaign's headline counters;
 * **detector funnel** — candidate pairs → graded schedulable →
@@ -13,23 +13,17 @@ deterministic event stream the panels are derived from:
 * **posterior sparklines** — per-pair Beta posterior mean over
   cumulative trials, from the reconstructed trajectories;
 * **budget burn-down** — trials allocated per schedule round;
-* **health band** — the campaign's health state and transitions;
-* **trial timeline** — wall-clock chunk lanes (timeline documents only:
-  run-report sections strip display fields, so there is no layout to
-  draw there).
+* **health band** — the campaign's health state and its ``health``
+  transition events;
+* **trial timeline** — wall-clock chunk lanes, one per worker track.
 """
 
 from __future__ import annotations
 
 import html as _html
 
-from .timeline import (
-    TIMELINE_KIND,
-    deterministic_events,
-    funnel_counts,
-    pair_trajectories,
-    snapshot_from_document,
-)
+from .telemetry import TelemetrySnapshot
+from .timeline import funnel_counts
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -191,11 +185,7 @@ def _timeline_lanes(events, *, width=640, lane_h=14) -> str:
         key=lambda e: e.wall_s,
     )
     if not timed:
-        return (
-            '<p class="note">no wall-clock chunk events (run-report '
-            "sections strip display fields; use a --timeline-out "
-            "document for the lane view)</p>"
-        )
+        return '<p class="note">no wall-clock chunk events recorded</p>'
     origin = min(e.wall_s for e in timed)
     span = max(e.wall_s + e.dur_s for e in timed) - origin or 1e-9
     tracks = sorted({e.track for e in timed})
@@ -221,15 +211,18 @@ def _timeline_lanes(events, *, width=640, lane_h=14) -> str:
     return "".join(parts)
 
 
-def _from_report(report: dict) -> dict:
+def _model(report: dict) -> dict:
     section = report.get("timeline") or {}
     counters = report.get("counters", {})
-    gauges = report.get("gauges", {})
-    snapshot = snapshot_from_document(section) if section else None
-    events = snapshot.events if snapshot is not None else ()
-    funnel = (funnel_counts(events) if events else None) or {}
-    rank = gauges.get("health.state", 0)
+    events = TelemetrySnapshot.from_jsonable(section).events
+    rank = report.get("gauges", {}).get("health.state", 0)
     state = {0: "healthy", 1: "degraded", 2: "critical"}.get(int(rank), "healthy")
+    health = sorted((e for e in events if e.kind == "health"), key=lambda e: e.key)
+    rounds = sorted(
+        (e.key[0], e.attrs_dict.get("trials", 0))
+        for e in events
+        if e.kind == "schedule.round"
+    )
     return {
         "title": f"run report — {report.get('command', '?')}",
         "workload": report.get("workload"),
@@ -242,70 +235,20 @@ def _from_report(report: dict) -> dict:
             "store hits": counters.get("trace.store_hits", 0),
             "retries": counters.get("supervisor.retries", 0),
         },
-        "funnel": funnel,
-        "pairs": section.get("pairs") or {},
-        "rounds": _rounds_from_events(events),
-        "health_state": state,
-        "health_transitions": [],
-        "events": events,
-    }
-
-
-def _rounds_from_events(events) -> list:
-    rounds = []
-    for e in events:
-        if e.kind == "schedule.round":
-            attrs = e.attrs_dict
-            rounds.append((e.key[0] if e.key else len(rounds), attrs.get("trials", 0)))
-    rounds.sort(key=lambda pair: pair[0])
-    return rounds
-
-
-def _from_timeline(document: dict) -> dict:
-    snapshot = snapshot_from_document(document)
-    events = snapshot.events
-    trial_events = [e for e in events if e.kind == "trial"]
-    chunk_events = [e for e in events if e.kind == "chunk"]
-    created = sum(e.attrs_dict.get("created", 0) for e in trial_events)
-    trials = len(trial_events)
-    if not trial_events and chunk_events:
-        created = sum(e.attrs_dict.get("created", 0) for e in chunk_events)
-        trials = sum(e.attrs_dict.get("trials", 0) for e in chunk_events)
-    health_events = sorted(
-        (e for e in events if e.kind == "health"), key=lambda e: e.key
-    )
-    state = str(health_events[-1].key[1]) if health_events else "healthy"
-    return {
-        "title": f"timeline — {document.get('command', '?')}",
-        "workload": document.get("workload"),
-        "stats": {
-            "events": len(events),
-            "dropped": snapshot.dropped,
-            "trials": trials,
-            "races created": created,
-            "store hits": sum(
-                1 for e in events if e.kind == "store" and e.key[-1] == "hit"
-            ),
-            "retries": sum(1 for e in events if e.kind == "task.retry"),
-        },
         "funnel": funnel_counts(events) or {},
-        "pairs": pair_trajectories(deterministic_events(events)),
-        "rounds": _rounds_from_events(events),
+        "pairs": section.get("pairs") or {},
+        "rounds": rounds,
         "health_state": state,
         "health_transitions": [
-            (e.key[0], e.key[1], e.attrs_dict.get("reason", ""))
-            for e in health_events
+            (e.key[0], e.key[1], e.attrs_dict.get("reason", "")) for e in health
         ],
         "events": events,
     }
 
 
-def render_dash(data: dict) -> str:
-    """Render a v3 run report or a timeline document as standalone HTML."""
-    if data.get("kind") == TIMELINE_KIND:
-        model = _from_timeline(data)
-    else:
-        model = _from_report(data)
+def render_dash(report: dict) -> str:
+    """Render a run report as standalone HTML."""
+    model = _model(report)
     workload = (
         f'<span class="meta"> · workload: {_esc(model["workload"])}</span>'
         if model["workload"]
@@ -333,9 +276,9 @@ def render_dash(data: dict) -> str:
     return "\n".join(sections) + "\n"
 
 
-def write_dash(path, data: dict) -> str:
+def write_dash(path, report: dict) -> str:
     """Write :func:`render_dash` output to ``path``; returns the HTML."""
-    html = render_dash(data)
+    html = render_dash(report)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(html)
     return html

@@ -125,8 +125,8 @@ class HealthController:
             t.gauge_max("health.state", STATE_RANK[state])
             # "health" is a non-deterministic timeline kind: when (and
             # whether) pressure escalates depends on worker timing, so the
-            # event lives in --timeline-out documents but stays out of the
-            # run report's deterministic section.
+            # event rides in the run report's timeline section but stays
+            # out of its deterministic projection.
             t.emit(
                 "health",
                 (len(self.transitions), state),

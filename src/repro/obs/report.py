@@ -1,12 +1,16 @@
 """Versioned run reports: the exportable form of a campaign's metrics.
 
-A run report is one JSON document with a schema version, provenance
-(command, workload, environment), the aggregates of the campaign's
-:class:`~repro.obs.telemetry.TelemetrySnapshot` and its deterministic
-``timeline`` section.  CI smoke
-jobs validate emitted reports against :func:`validate_run_report`;
-humans read them back via ``repro stats`` (:func:`render_stats_table`)
-or scrape them via :func:`render_prometheus`.
+A run report is the one telemetry document: a schema version,
+provenance (command, workload, environment), the aggregates of the
+campaign's :class:`~repro.obs.telemetry.TelemetrySnapshot` and its
+``timeline`` section, which carries every event with its display fields.
+CI smoke jobs validate emitted reports against
+:func:`validate_run_report`; humans read them back via ``repro stats``
+(:func:`render_stats_table`), ``repro trace-export`` and ``repro dash``,
+or scrape them via :func:`render_prometheus`.  The serial == ``--jobs
+N`` == resumed equality surface is the projection
+:func:`~repro.obs.timeline.deterministic_section` of the snapshot
+:func:`snapshot_from_report` recovers.
 
 ``write_run_report(..., merge_existing=True)`` is the checkpoint story:
 a resumed ``--checkpoint`` campaign folds the prior report's snapshot
@@ -27,10 +31,10 @@ from .telemetry import TelemetrySnapshot
 from .timeline import timeline_section, validate_timeline_section
 
 #: bump when the report layout changes incompatibly; only the current
-#: version validates.  v3 carries the ``schedule.*`` counters and the
-#: ``timeline`` section (deterministic campaign events and per-pair
-#: posterior trajectories).
-REPORT_VERSION = 3
+#: version validates.  v4's ``timeline`` section carries every event of
+#: the snapshot in its ``TimelineEvent.to_jsonable`` form (v3 kept only
+#: the deterministic kinds, as compact triples without display fields).
+REPORT_VERSION = 4
 
 #: discriminator so tooling can reject arbitrary JSON files early.
 REPORT_KIND = "repro-run-report"
@@ -103,7 +107,7 @@ def build_run_report(
 
 def snapshot_from_report(report: Mapping) -> TelemetrySnapshot:
     """Recover the mergeable snapshot a report was built from: its
-    aggregates and the deterministic events of its ``timeline`` section."""
+    aggregates and every event of its ``timeline`` section."""
     section = report.get("timeline", {})
     events = {k: section[k] for k in ("events", "budget", "dropped") if k in section}
     return TelemetrySnapshot.from_jsonable({**report, **events})
@@ -130,8 +134,8 @@ def write_run_report(
     into ``snapshot`` first, so the report accumulates across restarts
     instead of counting only the resumed tail.  An invalid or missing
     prior file is ignored.  The prior ``timeline`` section's events join
-    the dedup union too, so a resumed campaign's section equals an
-    uninterrupted run's.
+    the dedup union too, so a resumed campaign's deterministic projection
+    equals an uninterrupted run's.
     """
     if merge_existing:
         try:

@@ -7,8 +7,8 @@ into it) or absent (the default — :func:`maybe_telemetry` returns
 ``None`` and every instrumentation site collapses to that one check, so
 an uninstrumented campaign allocates nothing for telemetry; the
 benchmark's ``obs.overhead_ratio`` on ``campaign-adaptive`` measures the
-on/off cost).  ``--metrics-out`` and ``--timeline-out``
-both switch on the same stream; they only choose which document to write.
+on/off cost).  ``--metrics-out`` switches the stream on and writes all of
+it, aggregates and events, into one run report.
 
 What one telemetry object holds:
 
@@ -229,11 +229,7 @@ class TimelineEvent:
 
     @classmethod
     def from_jsonable(cls, entry):
-        """An event from its document form (a dict) or its report-section
-        form (a compact ``[kind, key, attrs]`` triple, display stripped)."""
-        if isinstance(entry, (list, tuple)):
-            kind, key, attrs = entry
-            return cls(kind=kind, key=tuple(key), attrs=_canonical_attrs(attrs))
+        """An event from its :meth:`to_jsonable` form."""
         return cls(
             kind=entry["kind"],
             key=tuple(entry.get("key", ())),
@@ -329,8 +325,8 @@ class TelemetrySnapshot:
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "TelemetrySnapshot":
         """Rebuild a snapshot from :meth:`to_jsonable` output, a run
-        report's aggregates, a timeline document or a report section —
-        every field is optional."""
+        report's aggregates or its ``timeline`` section — every field is
+        optional."""
         budget = obj.get("budget", DEFAULT_BUDGET)
         events, cut = _merge_events(
             ([TimelineEvent.from_jsonable(e) for e in obj.get("events", ())],),
@@ -519,8 +515,8 @@ def collecting() -> Iterator[Telemetry]:
     """Turn telemetry on for a block; restores what was active before.
 
     This is both the user-facing switch (the CLI wraps a command in it
-    when ``--metrics-out`` or ``--timeline-out`` is given) and the
-    worker-side scope the supervisor installs around each task attempt.
+    when ``--metrics-out`` is given) and the worker-side scope the
+    supervisor installs around each task attempt.
     """
     global _active
     telemetry = Telemetry()

@@ -1,36 +1,30 @@
-"""Campaign timeline views: documents, the run-report section, trajectories.
+"""The run report's ``timeline`` section and the views derived from it.
 
 The events themselves live in the one telemetry stream
-(:mod:`repro.obs.telemetry`); this module turns a
-:class:`~repro.obs.telemetry.TelemetrySnapshot`'s events into the two
-documents that carry them:
+(:mod:`repro.obs.telemetry`); this module shapes a
+:class:`~repro.obs.telemetry.TelemetrySnapshot`'s events for the one
+document that carries them, the run report (``--metrics-out``):
 
-* the ``--timeline-out`` document: every event with its display fields
-  (``wall_s``/``dur_s``/``track``), the input of ``repro trace-export``
-  and ``repro dash``;
-* the run report's ``timeline`` section: only the
-  :data:`DETERMINISTIC_KINDS`, display fields stripped, plus per-pair
-  posterior trajectories.  It is the serial == ``--jobs N`` == resumed
-  equality surface.  Health transitions and retries depend on timing,
-  and so do store hits and misses once a quota lets concurrent tasks
-  evict each other's entries, so they stay out of the section.
+* :func:`timeline_section` — the report's ``timeline`` section: every
+  event in its :meth:`~repro.obs.telemetry.TimelineEvent.to_jsonable`
+  form, display fields (``wall_s``/``dur_s``/``track``) and
+  non-deterministic kinds included, plus per-pair posterior
+  trajectories.  ``repro trace-export`` and ``repro dash`` read it.
+* :func:`deterministic_section` — the projection that is the serial ==
+  ``--jobs N`` == resumed equality surface: only the
+  :data:`DETERMINISTIC_KINDS`, display fields stripped.  Health
+  transitions and retries depend on timing, and so do store hits and
+  misses once a quota lets concurrent tasks evict each other's entries,
+  so they stay out of it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-from .telemetry import TelemetrySnapshot
-
 TIMELINE_VERSION = 1
-
-#: Document kind written by ``--timeline-out``.
-TIMELINE_KIND = "repro-timeline"
 
 #: Event kinds whose identity stream is schedule-determined: identical
 #: between serial, ``--jobs N`` and checkpoint-resumed campaigns.  Only
-#: these enter the run-report ``timeline`` section.
+#: these enter :func:`deterministic_section`.
 DETERMINISTIC_KINDS = frozenset(
     {
         "schedule.bind",
@@ -56,71 +50,34 @@ def pair_label(pair):
     return f"{pair.first.site}|{pair.second.site}"
 
 
-# -- timeline documents (--timeline-out files) -----------------------
-
-
-def build_timeline_document(snapshot, *, command, workload=None, extra=None):
-    document = {
-        "kind": TIMELINE_KIND,
-        "version": TIMELINE_VERSION,
-        "command": command,
-        "budget": snapshot.budget,
-        "dropped": snapshot.dropped,
-        "events": [event.to_jsonable() for event in snapshot.events],
-    }
-    if workload is not None:
-        document["workload"] = workload
-    if extra:
-        document.update(extra)
-    return document
-
-
-def write_timeline(path, snapshot, *, command, workload=None, extra=None):
-    document = build_timeline_document(
-        snapshot, command=command, workload=workload, extra=extra
-    )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return document
-
-
-def load_timeline(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def snapshot_from_document(document):
-    """Rebuild a :class:`~repro.obs.telemetry.TelemetrySnapshot` from a
-    timeline document or a run-report ``timeline`` section (whose events
-    are compact ``[kind, key, attrs]`` triples without display fields)."""
-    return TelemetrySnapshot.from_jsonable(document)
-
-
-# -- run-report v3 `timeline` section --------------------------------
+# -- the run-report `timeline` section --------------------------------
 
 
 def timeline_section(snapshot):
-    """The deterministic slice of ``snapshot`` for the v3 run report.
-
-    Events are restricted to :data:`DETERMINISTIC_KINDS` and stripped of
-    display fields, so the section compares ``==`` between serial,
-    ``--jobs N`` and checkpoint-resumed campaigns.  ``pairs`` carries the
-    derived per-pair posterior trajectories for the dashboard.
-    """
-    events = deterministic_events(snapshot.events)
+    """The run report's ``timeline`` section: every event of ``snapshot``
+    with its display fields, and the per-pair posterior trajectories."""
     return {
         "version": TIMELINE_VERSION,
         "budget": snapshot.budget,
         "dropped": snapshot.dropped,
-        "events": [
-            [e.kind, list(e.key), {name: value for name, value in e.attrs}]
-            for e in events
-        ],
-        "pairs": pair_trajectories(events),
+        "events": [event.to_jsonable() for event in snapshot.events],
+        "pairs": pair_trajectories(deterministic_events(snapshot.events)),
     }
+
+
+def deterministic_section(snapshot):
+    """The deterministic projection of :func:`timeline_section`.
+
+    Events are restricted to :data:`DETERMINISTIC_KINDS` and reduced to
+    ``[kind, key, attrs]``, so the projection compares ``==`` between
+    serial, ``--jobs N`` and checkpoint-resumed campaigns.
+    """
+    section = timeline_section(snapshot)
+    section["events"] = [
+        [e.kind, list(e.key), e.attrs_dict]
+        for e in deterministic_events(snapshot.events)
+    ]
+    return section
 
 
 def validate_timeline_section(section, *, path="timeline"):
@@ -145,14 +102,17 @@ def validate_timeline_section(section, *, path="timeline"):
     else:
         for i, entry in enumerate(events):
             if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not isinstance(entry[0], str)
-                or not isinstance(entry[1], list)
-                or not isinstance(entry[2], dict)
+                not isinstance(entry, dict)
+                or not isinstance(entry.get("kind"), str)
+                or not isinstance(entry.get("key", []), list)
+                or not isinstance(entry.get("attrs", {}), dict)
+                or not isinstance(entry.get("wall_s", 0.0), (int, float))
+                or not isinstance(entry.get("dur_s", 0.0), (int, float))
+                or not isinstance(entry.get("track", ""), str)
             ):
                 errors.append(
-                    f"{path}.events[{i}]: expected [kind, key-list, attrs-object]"
+                    f"{path}.events[{i}]: expected an event object "
+                    "(kind, key list, attrs object, display fields)"
                 )
                 break
     pairs = section.get("pairs")
@@ -263,16 +223,12 @@ def funnel_counts(events):
 
 __all__ = [
     "DETERMINISTIC_KINDS",
-    "TIMELINE_KIND",
     "TIMELINE_VERSION",
-    "build_timeline_document",
     "deterministic_events",
+    "deterministic_section",
     "funnel_counts",
-    "load_timeline",
     "pair_label",
     "pair_trajectories",
-    "snapshot_from_document",
     "timeline_section",
     "validate_timeline_section",
-    "write_timeline",
 ]

@@ -1,9 +1,8 @@
-"""Chrome trace-event export: timeline documents rendered for Perfetto.
+"""Chrome trace-event export: a run report's timeline rendered for Perfetto.
 
-``repro trace-export`` turns a ``--timeline-out`` document (or a v3 run
-report's ``timeline`` section) into the Chrome trace-event JSON format —
-the lingua franca of ``ui.perfetto.dev`` and ``chrome://tracing``.  The
-mapping:
+``repro trace-export`` turns a run report's ``timeline`` section
+(``--metrics-out``) into the Chrome trace-event JSON format — the lingua
+franca of ``ui.perfetto.dev`` and ``chrome://tracing``.  The mapping:
 
 * every worker track (``p<pid>``) becomes a thread under the "workers"
   process, carrying the timed events that process actually executed
@@ -15,9 +14,7 @@ mapping:
 
 Timestamps are wall-clock microseconds normalized to the earliest timed
 event, so a campaign that ran at 3am renders starting at t=0.  Events
-recorded without wall time (e.g. events from a run-report section, which
-strips display fields) all land at t=0 as instants — structure survives,
-layout does not.
+recorded without wall time land at t=0.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import json
 
 from .telemetry import TelemetrySnapshot
-from .timeline import snapshot_from_document
 
 #: synthetic process ids for the two grouping views.
 WORKER_PID = 1
@@ -46,7 +42,8 @@ def _args(event) -> dict:
 
 
 def chrome_trace(document) -> dict:
-    """Render a timeline document (or report section) as trace-event JSON.
+    """Render a snapshot, or a run report's ``timeline`` section, as
+    trace-event JSON.
 
     Returns the standard ``{"traceEvents": [...]}`` object-format wrapper
     Perfetto and ``chrome://tracing`` both load.
@@ -54,7 +51,7 @@ def chrome_trace(document) -> dict:
     snapshot = (
         document
         if isinstance(document, TelemetrySnapshot)
-        else snapshot_from_document(document)
+        else TelemetrySnapshot.from_jsonable(document)
     )
     events = list(snapshot.events)
     timed = [e for e in events if e.wall_s > 0.0]

@@ -247,8 +247,8 @@ class TraceStore:
     def _emit_store_event(telemetry, key: TraceKey, outcome: str) -> None:
         """"store" is a non-deterministic timeline kind: under a quota,
         concurrent tasks may evict each other's entries, so the event rides
-        only in --timeline-out documents, never the run report's
-        deterministic section."""
+        in the run report's timeline section but never in its
+        deterministic projection."""
         telemetry.emit(
             "store",
             (key.workload, key.seed, outcome),

@@ -3,7 +3,7 @@
 A campaign here is Phase 1 (``detect_races``) then Phase 2
 (``fuzz_races``) on one workload, with telemetry on.  Its result is the
 Phase-1 pairs with their evidence counts, the Phase-2 verdict signatures,
-the run report's deterministic timeline section, and the ``interp.*`` /
+the deterministic projection of the timeline, and the ``interp.*`` /
 ``fuzz.*`` / ``trace.*`` counters, gauges and histograms.
 ``trace.store_bytes`` is left out: location uids are per process, so the
 same trace differs in size between processes.
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import FaultPlan, FaultSpec, detect_races, fuzz_races
 from repro.obs import collecting
-from repro.obs.timeline import timeline_section
+from repro.obs.timeline import deterministic_section
 from repro.workloads import get
 
 WORKLOADS = ["figure1", "philosophers"]
@@ -95,7 +95,7 @@ def _campaign(workload, scratch, *, store=None, jobs=1, chunk_size=2, resume=Fal
             )
             for pair, v in verdicts.items()
         },
-        "timeline": timeline_section(snapshot),
+        "timeline": deterministic_section(snapshot),
         "metrics": _metrics(snapshot),
         "supervisor": {
             n: v for n, v in snapshot.counters.items() if n.startswith("supervisor.")

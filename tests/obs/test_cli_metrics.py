@@ -1,4 +1,4 @@
-"""CLI surface: --metrics-out, --progress, repro stats, trace-store line."""
+"""CLI surface: --metrics-out, --progress, the report readers, trace-store line."""
 
 import json
 
@@ -117,3 +117,38 @@ class TestStats:
         bad.write_text('{"kind": "other"}')
         assert main(["stats", str(bad)]) == 2
         assert "invalid run report" in capsys.readouterr().err
+
+
+class TestReportReaders:
+    """``trace-export`` and ``dash`` read the one run report."""
+
+    def _report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main([
+            "fuzz", "figure1", "--trials", "8", "--schedule", "adaptive",
+            "--metrics-out", str(out),
+        ])
+        capsys.readouterr()
+        return out
+
+    def test_trace_export_lays_out_timed_slices(self, tmp_path, capsys):
+        report = self._report(tmp_path, capsys)
+        trace = tmp_path / "trace.json"
+        assert main(["trace-export", str(report), "--out", str(trace)]) == 0
+        events = _load(trace)["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+        assert any(e["ts"] > 0 for e in events if e["ph"] != "M")
+
+    def test_dash_draws_the_lane_view(self, tmp_path, capsys):
+        report = self._report(tmp_path, capsys)
+        html = tmp_path / "dash.html"
+        assert main(["dash", str(report), "--out", str(html)]) == 0
+        text = html.read_text()
+        assert "<svg" in text and 'class="lane"' in text
+
+    def test_readers_reject_an_invalid_report(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "other"}')
+        for command in ("stats", "trace-export", "dash"):
+            assert main([command, str(bad)]) == 2
+            assert "invalid run report" in capsys.readouterr().err

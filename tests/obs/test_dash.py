@@ -9,13 +9,12 @@ from repro.obs import chrome_trace, collecting, render_dash, write_chrome_trace
 from repro.obs.dash import write_dash
 from repro.obs.report import build_run_report
 from repro.obs.telemetry import Telemetry
-from repro.obs.timeline import build_timeline_document
 from repro.obs.traceexport import PAIR_PID, WORKER_PID
 from repro.workloads import figure1, get
 
 
 def _campaign():
-    """One recorded figure1 campaign: (timeline snapshot, v3 report)."""
+    """One recorded figure1 campaign: (its snapshot, its run report)."""
     with collecting() as telemetry:
         race_directed_test(
             get("figure1").build(),
@@ -50,15 +49,21 @@ class TestDash:
         label = f"{figure1.REAL_PAIR.first.site}|{figure1.REAL_PAIR.second.site}"
         assert label in html
         assert "<svg" in html  # posterior sparkline
+        assert 'class="lane"' in html  # wall-clock chunk lanes
 
-    def test_renders_from_timeline_document(self, campaign):
-        snapshot, _ = campaign
-        document = build_timeline_document(
-            snapshot, command="fuzz", workload="figure1"
+    def test_renders_lanes_and_health_from_report(self):
+        telemetry = Telemetry()
+        telemetry.emit("chunk", ("a|b", 0), {"trials": 2}, wall_s=5.0, dur_s=0.2)
+        telemetry.emit(
+            "health", (1, "degraded"), {"reason": "store-pressure"}, wall_s=5.1
         )
-        html = render_dash(document)
+        telemetry.gauge_max("health.state", 1)
+        report = build_run_report(telemetry.snapshot(), command="fuzz")
+        html = render_dash(report)
         _assert_standalone_html(html)
-        assert "<svg" in html
+        assert 'class="lane"' in html
+        assert "store-pressure" in html
+        assert 'class="health-degraded"' in html
 
     def test_write_dash(self, tmp_path, campaign):
         _, report = campaign
@@ -80,8 +85,8 @@ class TestDash:
                 chunk_size=2,
                 max_steps=20_000,
             )
-        document = build_timeline_document(telemetry.snapshot(), command="fuzz")
-        html = render_dash(document)
+        report = build_run_report(telemetry.snapshot(), command="fuzz")
+        html = render_dash(report)
         _assert_standalone_html(html)
         assert "<svg" in html
 
@@ -118,11 +123,13 @@ class TestChromeTrace:
         ]
         assert pair_rows  # chunk/trial events appear on the pair track
 
-    def test_accepts_document_and_section(self, campaign):
+    def test_report_section_keeps_timed_slices(self, campaign):
         snapshot, report = campaign
-        document = build_timeline_document(snapshot, command="fuzz")
-        assert chrome_trace(document)["traceEvents"]
-        assert chrome_trace(report["timeline"])["traceEvents"]
+        events = chrome_trace(report["timeline"])["traceEvents"]
+        assert events == chrome_trace(snapshot)["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X" and e["cat"] == "chunk"]
+        assert slices
+        assert any(e["ts"] > 0 for e in events if e["ph"] != "M")
 
     def test_write_chrome_trace(self, tmp_path, campaign):
         snapshot, _ = campaign

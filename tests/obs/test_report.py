@@ -105,15 +105,17 @@ class TestValidate:
         assert any("schedule.rounds" in e for e in errors)
 
     def test_v3_report_with_timeline_section_passes(self):
+        # The name predates v4.
         report = build_run_report(_snapshot(), command="fuzz")
-        assert report["version"] == 3
+        assert report["version"] == REPORT_VERSION == 4
         assert report["timeline"]["events"]
         assert validate_run_report(report) == []
 
     def test_timeline_on_old_version_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")
-        errors = validate_run_report(dict(report, version=2))
-        assert any("version must be 3" in e for e in errors)
+        for old in (2, 3):
+            errors = validate_run_report(dict(report, version=old))
+            assert any("version must be 4" in e for e in errors)
 
     def test_missing_timeline_section_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")

@@ -1,6 +1,6 @@
 """Campaign timeline: identity, merge laws, sections, serial==parallel."""
 
-import json
+import os
 
 import pytest
 
@@ -13,17 +13,14 @@ from repro.obs.telemetry import (
     maybe_telemetry,
     recording_timeline,
 )
+from repro.obs.report import build_run_report, snapshot_from_report
 from repro.obs.timeline import (
     DETERMINISTIC_KINDS,
-    TIMELINE_KIND,
-    build_timeline_document,
-    load_timeline,
+    deterministic_section,
     pair_label,
     pair_trajectories,
-    snapshot_from_document,
     timeline_section,
     validate_timeline_section,
-    write_timeline,
 )
 from repro.workloads import figure1, get
 
@@ -168,43 +165,52 @@ class TestSerialization:
         restored = TelemetrySnapshot.from_jsonable(snapshot.to_jsonable())
         assert restored.events == snapshot.events
 
-    def test_document_round_trip(self, tmp_path):
-        snapshot = _recorder_with(("trial", ("w", 1), {"n": 1})).snapshot()
-        path = tmp_path / "timeline.json"
-        written = write_timeline(
-            path, snapshot, command="fuzz", workload="figure1"
-        )
-        loaded = load_timeline(path)
-        assert loaded == written
-        assert loaded["kind"] == TIMELINE_KIND
-        restored = snapshot_from_document(loaded)
-        assert restored.events == snapshot.events
-
-    def test_document_is_json_serializable(self):
-        snapshot = _recorder_with(("trial", ("w", 1), {"n": 1})).snapshot()
-        json.dumps(build_timeline_document(snapshot, command="fuzz"))
-
     def test_section_events_rebuild_as_snapshot(self):
         snapshot = _recorder_with(("trial", ("w", 1), {"n": 1})).snapshot()
         section = timeline_section(snapshot)
-        restored = snapshot_from_document(section)
-        assert [e.identity for e in restored.events] == [
-            e.identity for e in snapshot.events
-        ]
+        restored = TelemetrySnapshot.from_jsonable(section)
+        assert restored.events == snapshot.events
+
+    def test_report_keeps_every_event_with_display_fields(self):
+        telemetry = Telemetry()
+        telemetry.emit("chunk", ("a|b", 0), {"trials": 2}, wall_s=7.0, dur_s=0.5)
+        telemetry.emit("store", ("w", 1, "hit"), {}, wall_s=8.0)
+        telemetry.emit("health", (1, "degraded"), {"reason": "x"}, wall_s=9.0)
+        telemetry.emit("task.retry", ("fuzz", 0, 1), {"kind": "crash"})
+        telemetry.emit("task.quarantine", ("fuzz", 0), {"kind": "crash"})
+        snapshot = telemetry.snapshot()
+        restored = snapshot_from_report(build_run_report(snapshot, command="fuzz"))
+        assert restored.events == snapshot.events
+        assert {e.kind for e in restored.events} == {
+            "chunk", "store", "health", "task.retry", "task.quarantine",
+        }
+        chunk = next(e for e in restored.events if e.kind == "chunk")
+        assert (chunk.wall_s, chunk.dur_s, chunk.track) == (
+            7.0, 0.5, f"p{os.getpid()}",
+        )
 
 
 class TestSection:
     def test_only_deterministic_kinds_enter_the_section(self):
+        # ... of the deterministic projection; the report section keeps
+        # every kind.
         recorder = _recorder_with(
             ("trial", ("w", 1), {"n": 1}),
             ("store", ("w", 1, "hit"), {}),
             ("health", (0, "degraded"), {"reason": "x"}),
             ("task.retry", ("fuzz", 0, 1), {"kind": "crash"}),
         )
-        section = timeline_section(recorder.snapshot())
-        kinds = {entry[0] for entry in section["events"]}
+        snapshot = recorder.snapshot()
+        kinds = {entry[0] for entry in deterministic_section(snapshot)["events"]}
         assert kinds == {"trial"}
         assert kinds <= DETERMINISTIC_KINDS
+        assert len(timeline_section(snapshot)["events"]) == 4
+
+    def test_projection_strips_display_fields(self):
+        telemetry = Telemetry()
+        telemetry.emit("trial", ("w", 1), {"n": 1}, wall_s=3.0, dur_s=0.1)
+        projection = deterministic_section(telemetry.snapshot())
+        assert projection["events"] == [["trial", ["w", 1], {"n": 1}]]
 
     def test_section_validates(self):
         section = timeline_section(
@@ -217,6 +223,15 @@ class TestSection:
         assert validate_timeline_section({"version": 0}) != []
         assert validate_timeline_section(
             {"version": 1, "budget": 8, "dropped": 0, "events": [["k"]]}
+        ) != []
+        # A bare [kind, key, attrs] triple is not an event object.
+        assert validate_timeline_section(
+            {"version": 1, "budget": 8, "dropped": 0,
+             "events": [["trial", ["w", 1], {}]]}
+        ) != []
+        assert validate_timeline_section(
+            {"version": 1, "budget": 8, "dropped": 0,
+             "events": [{"kind": "trial", "key": [], "attrs": {}, "track": 3}]}
         ) != []
         assert validate_timeline_section(
             {"version": 1, "budget": -1, "dropped": 0, "events": []}
@@ -232,7 +247,9 @@ class TestSection:
                 ("trial", ("w", 1), {"n": 1}), ("trial", ("w", 2), {"n": 2})
             ).snapshot()
         )
-        merged = snapshot_from_document(a).merged(snapshot_from_document(b))
+        merged = TelemetrySnapshot.from_jsonable(a).merged(
+            TelemetrySnapshot.from_jsonable(b)
+        )
         assert len(timeline_section(merged)["events"]) == 2
 
 
@@ -258,7 +275,7 @@ def _campaign_section(jobs, *, schedule=None, trials=6):
             schedule=schedule,
             jobs=jobs,
         )
-    return timeline_section(recorder.snapshot())
+    return deterministic_section(recorder.snapshot())
 
 
 class TestSerialParallelEquivalence:
@@ -280,7 +297,7 @@ class TestSerialParallelEquivalence:
                     schedule="adaptive",
                     jobs=jobs,
                 )
-            return timeline_section(recorder.snapshot())
+            return deterministic_section(recorder.snapshot())
 
         assert section(1) == section(2)
 
@@ -324,8 +341,6 @@ class TestWorkerShipping:
         # With a pool, chunk events are recorded in the worker process and
         # shipped home on the MeteredResult — their track names the worker
         # pid, which must differ from the parent's.
-        import os
-
         with collecting() as recorder:
             fuzz_races(
                 get("figure1").build(),

@@ -260,12 +260,26 @@ class TestParser:
             ["detect", "figure1", "--jobs", "-2"],
             ["record", "figure1", "--seeds", "-2", "--trace-dir", "unused"],
             ["table1", "--trials", "-1", "figure1"],
+            ["figure2", "--runs", "0"],
+            ["figure2", "--paddings", "a,b"],
+            ["figure2", "--paddings", "0,-5"],
+            ["store", "gc", "--trace-dir", "unused", "--max-entries", "-1"],
+            ["replay", "figure1", "--max-events", "-3"],
+            ["replay", "figure1", "--find-crash", "-2"],
+            ["analyze", "unused", "--max-events", "-3"],
         ],
         ids=" ".join,
     )
     def test_bad_numbers_are_usage_errors(self, argv, capsys):
         """Exit 2 before anything runs: exit 1 is fuzz's "race confirmed"."""
         self._assert_usage_error(argv, capsys)
+
+    def test_analyze_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["analyze", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert f"no such trace file or store: {missing}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
