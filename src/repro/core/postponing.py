@@ -17,14 +17,27 @@ Loop structure (paper line numbers in comments):
     report it and resolve randomly                         (lines 8-19)
   * else postpone the thread                               (line 21)
 * otherwise just execute                                   (line 24)
-* if every enabled thread is postponed, release one        (lines 26-28)
+* if every enabled thread is postponed (or only polling),
+  release one                                              (lines 26-28)
 * at termination, report a real deadlock if threads remain (lines 30-32)
 
-Two engineering details from Section 4 are included: the livelock watchdog
-(a postponed thread is released after ``patience`` global steps, standing
-in for the paper's monitor thread) and sync-only preemption (threads run
-without interruption between synchronization operations and target
-statements, keeping the instrumentation-free fast path fast).
+Two engineering details from Section 4 are included: the livelock breaker
+(standing in for the paper's monitor thread) and sync-only preemption
+(threads run without interruption between synchronization operations and
+target statements, keeping the instrumentation-free fast path fast).
+
+The livelock breaker has two rules.  Lines 26-28 are widened from "every
+enabled thread is postponed" to "every enabled thread is postponed or
+*polling*": a thread polls when its last two ``yield`` ops were at the
+same statement, it read shared state between them, and no thread has
+changed state since the earlier one (see :class:`PollWatch`).  Such a
+thread is spinning on a flag only a postponed thread can set, the signal
+CHESS's fair scheduler uses too, so one postponed thread is released at
+once (``FuzzResult.idle_releases``).  A spinner the rule cannot see, for
+example one that writes, is caught by the watchdog backstop: a thread
+postponed for more than ``patience`` global steps is released
+(``FuzzResult.watchdog_releases``).  Both rules read only the trial's own
+state, so a trial replays from its seed alone.
 """
 
 from __future__ import annotations
@@ -38,11 +51,21 @@ from repro.obs import WALL_BUCKETS, maybe_telemetry
 from repro.runtime.errors import ExecutionLimitExceeded
 from repro.runtime.interpreter import Execution, ExecutionResult
 from repro.runtime.observer import ExecutionObserver
+from repro.runtime.ops import OpKind
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
+from repro.runtime.thread import ThreadState
 
 #: the ``preemption=`` modes a postponing driver accepts.
 PREEMPTION_MODES = ("every", "sync")
+
+_READ = OpKind.READ
+_YIELD = OpKind.YIELD
+#: op kinds that leave every other thread's view of the program unchanged;
+#: any other executed op is a state change that ends every polling streak.
+_QUIET_KINDS = frozenset(
+    {OpKind.READ, OpKind.LOCK, OpKind.UNLOCK, OpKind.YIELD, OpKind.CHECK}
+)
 
 
 @dataclass(frozen=True)
@@ -69,6 +92,9 @@ class FuzzResult:
     forced_releases: int = 0
     #: how many times the livelock watchdog released a thread.
     watchdog_releases: int = 0
+    #: how many times a thread was released because every other enabled
+    #: thread was postponed or polling (the widened lines 26-28).
+    idle_releases: int = 0
     #: global steps the watchdog-released threads spent postponed, summed
     #: over releases (each release adds more than ``patience``).
     stall_steps: int = 0
@@ -95,6 +121,57 @@ class FuzzResult:
     def __str__(self) -> str:
         status = f"{len(self.hits)} hit(s), pairs={sorted(map(str, self.pairs_created))}"
         return f"FuzzResult[{status}] {self.result}"
+
+
+class PollWatch:
+    """Which threads of one trial are only polling.
+
+    A thread polls when its last two ``yield`` ops were at the same
+    statement, it read at least one shared location between them, and no
+    thread has changed state since the earlier of the two.  A state change
+    is any executed op outside ``_QUIET_KINDS``, or a race resolution.
+    Changes are counted by ``epoch``; a thread's polling streak is the
+    epoch of the earlier yield, and it still polls while that equals the
+    current epoch.
+
+    The driver feeds it only while its postponed set is non-empty, and
+    bumps the epoch whenever a thread enters an empty postponed set, so
+    nothing seen before an untracked gap can make a thread look idle
+    after it.
+    """
+
+    __slots__ = ("epoch", "_last_yield", "_read", "_streak")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        #: tid -> (statement, epoch) of the thread's last yield.
+        self._last_yield: dict[int, tuple] = {}
+        #: tids that read shared state since their last yield.
+        self._read: set[int] = set()
+        #: tid -> epoch at the earlier yield of the thread's polling streak.
+        self._streak: dict[int, int] = {}
+
+    def note(self, execution: Execution, ts: ThreadState) -> None:
+        """Account for the op ``ts`` is about to execute."""
+        op = ts.pending
+        kind = op.kind if op is not None else None
+        if kind is _READ:
+            self._read.add(ts.tid)
+        elif kind is _YIELD:
+            tid = ts.tid
+            stmt = execution.next_stmt(tid)
+            last = self._last_yield.get(tid)
+            if last is not None and last[0] == stmt and tid in self._read:
+                self._streak[tid] = last[1]
+            else:
+                self._streak.pop(tid, None)
+            self._last_yield[tid] = (stmt, self.epoch)
+            self._read.discard(tid)
+        elif kind not in _QUIET_KINDS:
+            self.epoch += 1
+
+    def polling(self, tid: int) -> bool:
+        return self._streak.get(tid, -1) == self.epoch
 
 
 class PostponingDriver:
@@ -168,6 +245,7 @@ class PostponingDriver:
         # statements" (the paper's Case 1 narrative) instead of being
         # re-postponed at the same statement forever.
         exempt: set[int] = set()
+        watch = PollWatch()
         rng = execution.rng
 
         try:
@@ -181,26 +259,27 @@ class PostponingDriver:
                     if tid not in enabled_set:  # died or became blocked: drop it
                         del postponed[tid]
                 choosable = [tid for tid in enabled if tid not in postponed]
-                if not choosable:
-                    # Lines 26-28: everyone is postponed; release one at random.
+                if postponed and self._idle(execution, choosable, watch):
+                    # Lines 26-28, widened: no one else can make progress
+                    # until a postponed thread moves; release one at random.
                     victim = sorted(postponed)[rng.randrange(len(postponed))]
                     del postponed[victim]
                     exempt.add(victim)
-                    fuzz.forced_releases += 1
+                    if choosable:
+                        fuzz.idle_releases += 1
+                    else:
+                        fuzz.forced_releases += 1
                     continue
                 tid = choosable[rng.randrange(len(choosable))]
                 if self.is_target(execution, tid) and tid not in exempt:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
-                        self._resolve(execution, tid, rivals, postponed, fuzz)
+                        self._resolve(execution, tid, rivals, postponed, watch, fuzz)
                     else:
-                        postponed[tid] = execution.step_count  # line 21
-                        fuzz.postpones += 1
-                        if len(postponed) > fuzz.postponed_high_water:
-                            fuzz.postponed_high_water = len(postponed)
+                        self._postpone(execution, tid, postponed, watch, fuzz)  # line 21
                 else:
                     exempt.discard(tid)
-                    self._execute_run(execution, tid, postponed, exempt, fuzz)
+                    self._execute_run(execution, tid, postponed, exempt, watch, fuzz)
         except ExecutionLimitExceeded:
             # The budget check in `schedulable()` catches most exhaustion,
             # but race resolution (lines 12/15-18) steps threads directly
@@ -221,6 +300,7 @@ class PostponingDriver:
             telemetry.inc("fuzz.coin_flips", fuzz.coin_flips)
             telemetry.inc("fuzz.forced_releases", fuzz.forced_releases)
             telemetry.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
+            telemetry.inc("fuzz.idle_releases", fuzz.idle_releases)
             telemetry.inc("fuzz.stall_steps", fuzz.stall_steps)
             telemetry.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
             telemetry.observe(
@@ -238,6 +318,7 @@ class PostponingDriver:
                     "coin_flips": fuzz.coin_flips,
                     "forced": fuzz.forced_releases,
                     "watchdog": fuzz.watchdog_releases,
+                    "idle": fuzz.idle_releases,
                 },
                 wall_s=trial_wall,
                 dur_s=execution.result.wall_time,
@@ -246,12 +327,39 @@ class PostponingDriver:
 
     # --- internals -------------------------------------------------------- #
 
+    @staticmethod
+    def _idle(execution: Execution, choosable: list[int], watch: PollWatch) -> bool:
+        """Must a postponed thread be released?  Yes when every enabled
+        thread outside ``postponed`` is polling and no live thread will
+        change state on its own (a sleeper or timed waiter)."""
+        for tid in choosable:
+            if not watch.polling(tid):
+                return False
+        return not choosable or not execution.deadlines()
+
+    @staticmethod
+    def _postpone(
+        execution: Execution,
+        tid: int,
+        postponed: dict[int, int],
+        watch: PollWatch,
+        fuzz: FuzzResult,
+    ) -> None:
+        """Lines 14 and 21: add ``tid`` to the postponed set."""
+        if not postponed:
+            watch.epoch += 1  # polling is tracked again from here on
+        postponed[tid] = execution.step_count
+        fuzz.postpones += 1
+        if len(postponed) > fuzz.postponed_high_water:
+            fuzz.postponed_high_water = len(postponed)
+
     def _resolve(
         self,
         execution: Execution,
         tid: int,
         rivals: list[int],
         postponed: dict[int, int],
+        watch: PollWatch,
         fuzz: FuzzResult,
     ) -> None:
         """Lines 8-19: report the created situation and resolve it randomly."""
@@ -260,6 +368,7 @@ class PostponingDriver:
         location_name = op.location.describe() if op.location is not None else "?"
         execute_arrival = self.resolve_arrival_first(execution, tid, rivals)
         fuzz.coin_flips += 1
+        watch.epoch += 1
         for rival in rivals:
             hit = TargetHit(
                 step=execution.step_count,
@@ -274,10 +383,7 @@ class PostponingDriver:
         if execute_arrival:
             execution.step(tid)  # line 12; rivals stay postponed
         else:
-            postponed[tid] = execution.step_count  # line 14
-            fuzz.postpones += 1
-            if len(postponed) > fuzz.postponed_high_water:
-                fuzz.postponed_high_water = len(postponed)
+            self._postpone(execution, tid, postponed, watch, fuzz)  # line 14
             for rival in rivals:  # lines 15-18
                 execution.step(rival)
                 postponed.pop(rival, None)
@@ -288,16 +394,19 @@ class PostponingDriver:
         tid: int,
         postponed: dict[int, int],
         exempt: set[int],
+        watch: PollWatch,
         fuzz: FuzzResult,
     ) -> None:
         """Line 24, plus the sync-only preemption burst from Section 4."""
+        threads = execution.threads
+        if postponed:
+            watch.note(execution, threads[tid])
         execution.step(tid)
         if self.preemption != "sync":
             return
         # The burst loop runs once per step of every trial, observed or
         # not, so it fetches the thread state once per iteration instead
         # of going through is_enabled/next_op (a fetch each).
-        threads = execution.threads
         max_steps = self.max_steps
         while execution.ops_executed < max_steps:
             ts = threads.get(tid)
@@ -308,11 +417,16 @@ class PostponingDriver:
                 return
             if self.is_target(execution, tid):
                 return
-            execution.step(tid)
-            if postponed and (execution.step_count & 0x3F) == 0:
-                # Long uninterrupted bursts must not starve the watchdog
-                # (the paper's monitor thread runs concurrently; we poll).
-                self._run_watchdog(execution, postponed, exempt, fuzz)
+            if postponed:
+                watch.note(execution, ts)
+                execution.step(tid)
+                if (execution.step_count & 0x3F) == 0:
+                    # Long uninterrupted bursts must not starve the
+                    # watchdog (the paper's monitor thread runs
+                    # concurrently; we poll).
+                    self._run_watchdog(execution, postponed, exempt, fuzz)
+            else:
+                execution.step(tid)
 
     def _run_watchdog(
         self,
@@ -321,7 +435,7 @@ class PostponingDriver:
         exempt: set[int],
         fuzz: FuzzResult,
     ) -> None:
-        """Section 4's livelock breaker: free threads postponed too long."""
+        """Section 4's livelock backstop: free threads postponed too long."""
         now = execution.step_count
         for tid, since in list(postponed.items()):
             if now - since > self.patience:

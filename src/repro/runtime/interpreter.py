@@ -350,14 +350,7 @@ class Execution:
         """
         enabled = self.enabled_tids()
         if not enabled:
-            deadlines = [
-                ts.wake_at
-                for ts in self._live
-                if (
-                    ts.status is _SLEEPING
-                    or (ts.status is _WAITING and ts.wake_at)
-                )
-            ]
+            deadlines = self.deadlines()
             if deadlines:
                 # Nothing runnable but time can pass: jump to the earliest
                 # sleeper wakeup or timed-wait deadline.
@@ -367,6 +360,15 @@ class Execution:
             self.result.truncated = True
             return []
         return enabled
+
+    def deadlines(self) -> list[int]:
+        """Wake steps of the live threads that change state on their own
+        once the clock reaches them: sleepers and timed waiters."""
+        return [
+            ts.wake_at
+            for ts in self._live
+            if ts.status is _SLEEPING or (ts.status is _WAITING and ts.wake_at)
+        ]
 
     def alive_tids(self) -> list[int]:
         """Threads not yet terminated — the paper's ``Alive(s)``."""

@@ -73,9 +73,6 @@ class ThreadState:
     error: BaseException | None = None
     #: statement at which the uncaught exception escaped.
     error_stmt: Statement | None = None
-    #: step at which the thread was added to an active scheduler's postponed
-    #: set; used by the livelock watchdog (engine does not touch this).
-    postponed_since: int | None = None
 
     @property
     def handle(self) -> ThreadHandle:

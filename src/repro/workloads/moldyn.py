@@ -12,8 +12,8 @@ benign) races that were missed by previous dynamic analysis tools":
   coordinator while workers write it under their lock.
 
 The paper also observed *livelocks* in moldyn under RaceFuzzer because a
-spin-wait assumes a fair scheduler; we reproduce that with the coordinator
-busy-polling a start flag, which exercises the postponed-set watchdog.
+spin-wait assumes a fair scheduler.  Our workers spin on a start flag at a
+racing read, so a rendezvous or a forced release (line 27) ends the spin.
 False positives for the hybrid detector come from the per-particle
 velocity cells: they are handed off between phases by the barrier
 generation flag (lock-protected flag, unprotected data — the Figure 1

@@ -1,9 +1,10 @@
 """The Algorithm 1 main loop: postponement, releases, watchdog, deadlocks."""
 
 from repro.core import RaceFuzzer, detect_races
-from repro.core.postponing import FuzzResult, PostponingDriver
+from repro.core.postponing import FuzzResult, PollWatch, PostponingDriver
 from repro.obs import collecting
 from repro.runtime import (
+    Execution,
     Lock,
     Program,
     SharedVar,
@@ -12,7 +13,7 @@ from repro.runtime import (
     spawn_all,
 )
 from repro.runtime.statement import Statement, StatementPair
-from repro.workloads import figure1, sor
+from repro.workloads import figure1, figure2, sor
 import pytest
 
 
@@ -73,33 +74,222 @@ class TestForcedRelease:
         assert created >= 8  # nearly every run should still create the race
 
 
+def spin_program(*, spinner_writes=False, idler=None):
+    """One thread sets a flag that another spins on: the spin-wait
+    livelock pattern.  With ``spinner_writes`` the spinner also writes on every
+    iteration, so it never looks idle; ``idler`` adds a third thread."""
+
+    def factory():
+        flag = SharedVar("flag", 0)
+        spins = SharedVar("spins", 0)
+
+        def setter():
+            yield flag.write(1, label="set-flag")
+
+        def spinner():
+            while (yield flag.read()) == 0:
+                if spinner_writes:
+                    yield spins.write(1)
+                yield ops.yield_point()
+
+        def main():
+            bodies = [setter, spinner] + ([idler] if idler else [])
+            handles = yield from spawn_all(bodies)
+            yield from join_all(handles)
+
+        return main()
+
+    return Program(factory)
+
+
+#: the setter's write paired with a statement no thread reaches, so the
+#: setter waits in the postponed set until a release frees it.
+LONELY_PAIR = StatementPair(Statement(label="set-flag"), Statement(label="other"))
+
+
 class TestWatchdog:
     def test_watchdog_frees_thread_blocked_behind_spin_loop(self):
-        """The moldyn livelock pattern: one thread spins on a flag that only
-        the postponed thread can set.  The watchdog must unwedge it."""
+        """The spin-wait livelock pattern: one thread spins on a flag that
+        only the postponed thread can set.  The spinner only polls, so the idle
+        rule frees the setter long before the watchdog would."""
+        fuzzer = RaceFuzzer(LONELY_PAIR, patience=100, max_steps=50_000)
+        outcome = fuzzer.run(spin_program(), seed=0)
+        assert not outcome.result.truncated
+        assert not outcome.result.deadlock
+        assert outcome.idle_releases >= 1
+        assert outcome.watchdog_releases == 0
+
+    def test_watchdog_backstop_frees_a_writing_spinner(self):
+        """A spinner that writes on every iteration changes state, so it is
+        never polling: only ``patience`` can free the setter."""
+        fuzzer = RaceFuzzer(LONELY_PAIR, patience=100, max_steps=50_000)
+        for seed in range(5):
+            outcome = fuzzer.run(spin_program(spinner_writes=True), seed=seed)
+            assert not outcome.result.truncated
+            assert not outcome.result.deadlock
+            assert outcome.watchdog_releases >= 1
+            assert outcome.idle_releases == 0
+
+
+class TestIdleRelease:
+    """The widened lines 26-28: release once every other thread polls."""
+
+    def test_read_free_yield_loop_is_not_polling(self):
+        """Figure 2's padding yields at one statement but reads nothing, so
+        the postponed writer waits and the race is created every time."""
+        fuzzer = RaceFuzzer(figure2.RACING_PAIR)
+        outcomes = [fuzzer.run(figure2.build(40), seed=s) for s in range(100)]
+        assert sum(o.created for o in outcomes) == 100
+        assert sum(o.idle_releases for o in outcomes) == 0
+
+    @pytest.mark.parametrize("timer", ["sleep", "timed-wait"])
+    def test_timer_blocks_the_release(self, timer):
+        """A sleeper or timed waiter changes state on its own later, so
+        the spinner's idleness proves nothing while one is alive."""
+        monitor = Lock("monitor")
+
+        def sleeper():
+            yield ops.sleep(10_000)
+
+        def timed_waiter():
+            yield monitor.acquire()
+            yield monitor.wait(timeout=10_000)
+            yield monitor.release()
+
+        idler = sleeper if timer == "sleep" else timed_waiter
+        fuzzer = RaceFuzzer(LONELY_PAIR, patience=100, max_steps=50_000)
+        outcome = fuzzer.run(spin_program(idler=idler), seed=0)
+        assert outcome.idle_releases == 0
+        assert outcome.watchdog_releases >= 1
+
+    def test_idle_releases_replay_from_the_seed(self):
+        pair = detect_races(sor.build(), seeds=(0,)).pairs[0]
+        for seed in range(5):
+            first, again = (RaceFuzzer(pair).run(sor.build(), seed=seed) for _ in range(2))
+            assert first.idle_releases >= 1
+            assert first.idle_releases == again.idle_releases
+            assert first.result.steps == again.result.steps
+            assert first.postpones == again.postpones
+
+    def test_untracked_state_change_is_not_mistaken_for_idleness(self):
+        """Polling is tracked only while a thread is postponed.  The writer
+        is released once, changes the flag while nothing is postponed,
+        and is postponed again: the spinner's streak from before must not
+        count, or the writer is released before the reader can arrive."""
+
+        def factory():
+            flag, x = SharedVar("flag", 0), SharedVar("x", 0)
+
+            def writer():
+                yield x.write(0, label="W")
+                yield flag.write(1)
+                yield x.write(1, label="W")
+
+            def reader():
+                while (yield flag.read()) == 0:
+                    yield ops.yield_point()
+                yield x.read(label="R")
+
+            def main():
+                handles = yield from spawn_all([writer, reader])
+                yield from join_all(handles)
+
+            return main()
+
+        fuzzer = RaceFuzzer(StatementPair(Statement(label="W"), Statement(label="R")))
+        outcomes = [fuzzer.run(Program(factory), seed=s) for s in range(20)]
+        assert all(o.created for o in outcomes)
+        assert all(o.idle_releases >= 1 for o in outcomes)
+
+    def test_race_resolution_ends_every_polling_streak(self):
+        """Two setters race at one statement while a third thread spins on
+        the flag they set.  Once the race resolves, the spinner sees the
+        flag and leaves: no idle release may fire on its stale streak."""
 
         def factory():
             flag = SharedVar("flag", 0)
 
             def setter():
-                yield flag.write(1, label="set-flag")
+                yield flag.write(1, label="A")
 
             def spinner():
                 while (yield flag.read()) == 0:
                     yield ops.yield_point()
 
             def main():
-                handles = yield from spawn_all([setter, spinner])
+                handles = yield from spawn_all([setter, setter, spinner])
                 yield from join_all(handles)
 
             return main()
 
-        pair = StatementPair(Statement(label="set-flag"), Statement(label="other"))
-        fuzzer = RaceFuzzer(pair, patience=100, max_steps=50_000)
-        outcome = fuzzer.run(Program(factory), seed=0)
-        assert not outcome.result.truncated
-        assert not outcome.result.deadlock
-        assert outcome.watchdog_releases >= 1
+        stmt = Statement(label="A")
+        fuzzer = RaceFuzzer(StatementPair(stmt, stmt))
+        outcomes = [fuzzer.run(Program(factory), seed=s) for s in range(20)]
+        assert all(o.created for o in outcomes)
+        assert sum(o.idle_releases for o in outcomes) == 0
+
+
+class TestPollWatch:
+    @staticmethod
+    def _watched(*bodies):
+        """An execution with ``bodies`` spawned as tids 1.., and a step
+        function that feeds each op to a fresh :class:`PollWatch`."""
+
+        def factory():
+            def main():
+                for body in bodies:
+                    yield ops.spawn(body)
+
+            return main()
+
+        execution = Execution(Program(factory), seed=0)
+        execution.start()
+        while 0 in execution.alive_tids():
+            execution.step(0)
+        watch = PollWatch()
+
+        def step(tid, times=1):
+            for _ in range(times):
+                watch.note(execution, execution.threads[tid])
+                execution.step(tid)
+
+        return watch, step
+
+    def test_state_change_ends_a_polling_streak(self):
+        flag = SharedVar("flag", 0)
+
+        def spinner():
+            for _ in range(4):
+                yield flag.read()
+                yield ops.yield_point()
+
+        def writer():
+            yield flag.write(1)
+
+        watch, step = self._watched(spinner, writer)
+        step(1, times=4)  # read, yield, read, yield
+        assert watch.polling(1)
+        step(2)  # the write is a state change
+        assert not watch.polling(1)
+        step(1, times=2)  # the streak's earlier yield predates the write
+        assert not watch.polling(1)
+        step(1, times=2)  # a fresh streak
+        assert watch.polling(1)
+
+    def test_yields_at_two_statements_are_not_polling(self):
+        flag = SharedVar("flag", 0)
+
+        def spinner():
+            for _ in range(4):
+                yield flag.read()
+                yield ops.yield_point()
+                yield flag.read()
+                yield ops.yield_point()
+
+        watch, step = self._watched(spinner)
+        for _ in range(8):
+            step(1)
+            assert not watch.polling(1)
 
 
 class TestResolution:
@@ -242,14 +432,16 @@ class TestStallSteps:
 
     SEEDS = range(3)
 
-    def _sor_pair(self):
-        # sor's boundary pairs are ordered by a lock-protected flag, so a
-        # postponed side waits out the watchdog on every trial.
-        return sor.build, detect_races(sor.build(), seeds=(0,)).pairs[0]
+    def _backstop(self):
+        # The writing spinner never polls, so the postponed setter waits
+        # out the watchdog on every trial.
+        return (
+            lambda: spin_program(spinner_writes=True),
+            RaceFuzzer(LONELY_PAIR, patience=100, max_steps=50_000),
+        )
 
     def test_each_release_waited_more_than_patience(self):
-        build, pair = self._sor_pair()
-        fuzzer = RaceFuzzer(pair)
+        build, fuzzer = self._backstop()
         for seed in self.SEEDS:
             outcome = fuzzer.run(build(), seed=seed)
             assert outcome.watchdog_releases >= 1
@@ -265,11 +457,20 @@ class TestStallSteps:
             assert outcome.stall_steps == 0
 
     def test_telemetry_counter_sums_the_trials(self):
-        build, pair = self._sor_pair()
+        build, fuzzer = self._backstop()
         with collecting() as telemetry:
-            outcomes = [
-                RaceFuzzer(pair).run(build(), seed=seed) for seed in self.SEEDS
-            ]
+            outcomes = [fuzzer.run(build(), seed=seed) for seed in self.SEEDS]
         counters = telemetry.snapshot().counters
         assert counters["fuzz.stall_steps"] == sum(o.stall_steps for o in outcomes)
         assert counters["fuzz.stall_steps"] > 0
+
+    def test_idle_counter_sums_the_trials(self):
+        pair = detect_races(sor.build(), seeds=(0,)).pairs[0]
+        with collecting() as telemetry:
+            outcomes = [
+                RaceFuzzer(pair).run(sor.build(), seed=seed) for seed in self.SEEDS
+            ]
+        counters = telemetry.snapshot().counters
+        assert counters["fuzz.idle_releases"] == sum(o.idle_releases for o in outcomes)
+        assert counters["fuzz.idle_releases"] > 0
+        assert counters.get("fuzz.watchdog_releases", 0) == 0

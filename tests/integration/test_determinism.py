@@ -23,7 +23,8 @@ from repro.obs import collecting
 from repro.obs.timeline import deterministic_section
 from repro.workloads import get
 
-WORKLOADS = ["figure1", "philosophers"]
+#: montecarlo is a stall row: its trials end in idle releases.
+WORKLOADS = ["figure1", "philosophers", "montecarlo"]
 TRIALS = 8
 #: histograms of wall-clock seconds: only their observation count is
 #: schedule-determined.
