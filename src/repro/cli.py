@@ -361,7 +361,6 @@ def _cmd_fuzz(args) -> int:
             max_steps=spec.max_steps,
             jobs=args.jobs,
             chunk_size=args.chunk_size,
-            stop_on_confirm=args.stop_on_confirm,
             deadline=args.deadline,
             retries=args.retries,
             checkpoint=args.checkpoint,
@@ -726,11 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=POSITIVE_INT,
         default=25,
         help="Phase-2 trials per worker task",
-    )
-    fuzz_parser.add_argument(
-        "--stop-on-confirm",
-        action="store_true",
-        help="abandon a pair's remaining trials once one confirms the race",
     )
     fuzz_parser.add_argument(
         "--deadline",

@@ -15,7 +15,7 @@ Every entry point runs its tasks on one
 ``1`` (default) runs the same tasks inline on the caller's program;
 ``N > 1`` (or ``None``/``0`` for one worker per core) fans them out
 across a process pool.  Pool workers rebuild the program from the
-workload registry, so ``jobs != 1`` needs a registered workload
+workload registry, so a pool needs a registered workload
 (``program.name`` resolvable via :func:`repro.workloads.get`); merged
 results are identical to the inline run for the same seed set.
 ``detect_races(trace_dir=...)`` is the same one campaign: each detect
@@ -77,13 +77,14 @@ def _registered_name(program: Program) -> str:
 def _campaign(program: Program, jobs: int | None, **options):
     """Open the one :class:`ParallelCampaign` behind a pipeline call.
 
-    Yields the engine and the workload name its tasks carry.  At
-    ``jobs=1`` the tasks run inline on the caller's live program, so any
-    program works; a pool rebuilds the program from the registry in each
-    worker, so only then must its name be registered.
+    Yields the engine and the workload name its tasks carry.  When
+    ``jobs`` resolves to one worker (``1``, or ``None``/``0`` on a
+    one-core host) the tasks run inline on the caller's live program, so
+    any program works; a pool rebuilds the program from the registry in
+    each worker, so only then must its name be registered.
     """
     with ParallelCampaign(jobs=jobs, **options) as engine:
-        if jobs == 1:
+        if engine.jobs == 1:
             with inline_program(program):
                 yield engine, program.name
         else:
@@ -177,7 +178,6 @@ def fuzz_races(
     max_steps: int = 1_000_000,
     jobs: int = 1,
     chunk_size: int = 25,
-    stop_on_confirm: bool = False,
     deadline: float | None = None,
     retries: int | None = None,
     checkpoint=None,
@@ -213,10 +213,6 @@ def fuzz_races(
     rejected) spreads them over a worker pool with merged verdicts
     identical to the inline run (posterior updates are commutative, and
     allocation decisions happen only at round boundaries).
-    ``stop_on_confirm`` ends a chunk at its first created race and
-    abandons the pair's remaining chunks once one confirms the race real
-    — same classification, fewer trials (and timing-dependent trial
-    counts when ``jobs > 1``).
 
     The resilience options tune the campaign supervisor: ``deadline``
     bounds each chunk's wall-clock (distinct from ``max_steps``),
@@ -243,7 +239,6 @@ def fuzz_races(
         program,
         jobs,
         chunk_size=chunk_size,
-        stop_on_confirm=stop_on_confirm,
         deadline=deadline,
         retry=retries,
         checkpoint=checkpoint,
@@ -304,7 +299,6 @@ def race_directed_test(
     pairs: Iterable[StatementPair] | None = None,
     jobs: int = 1,
     chunk_size: int = 25,
-    stop_on_confirm: bool = False,
     deadline: float | None = None,
     retries: int | None = None,
     checkpoint=None,
@@ -351,7 +345,6 @@ def race_directed_test(
         program,
         jobs,
         chunk_size=chunk_size,
-        stop_on_confirm=stop_on_confirm,
         deadline=deadline,
         retry=retries,
         checkpoint=checkpoint,

@@ -38,13 +38,6 @@ Design constraints, and how they are met:
   for every detector, inline or in a worker alike, so store counters and
   quotas behave the same at every ``jobs``.
 
-``stop_on_confirm`` adds the one useful deviation from strict determinism:
-a chunk stops at its first created race, and once any chunk confirms a
-pair real (``times_created > 0``), the pair's not-yet-started chunks are
-cancelled.  Verdict *classification* is unaffected (a confirmed pair stays
-confirmed) but pooled trial counts then depend on worker timing, so
-equivalence tests must keep it off.
-
 Every dispatch goes through the :mod:`~repro.core.supervisor` layer, which
 adds the failure story: per-task wall-clock deadlines, retry with backoff,
 broken-pool recovery, quarantine, and checkpoint/resume.  See that module
@@ -167,8 +160,6 @@ class FuzzTask:
     preemption: str = "sync"
     patience: int = 400
     max_steps: int = 1_000_000
-    #: end the chunk at its first created race (``stop_on_confirm``).
-    stop_on_confirm: bool = False
 
 
 #: the caller's program that inline task bodies run (see inline_program).
@@ -291,8 +282,6 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     with span(pair_span_name(task.pair)):
         for seed in range(task.seed_start, task.seed_start + task.count):
             verdict.absorb(fuzzer.run(program, seed=seed))
-            if task.stop_on_confirm and verdict.times_created > 0:
-                break
     if telemetry is not None:
         telemetry.emit(
             "chunk",
@@ -314,9 +303,6 @@ def fuzz_task_key(task: FuzzTask) -> str:
     Covers every field that affects the chunk's verdict, so a journaled
     result is only reused by a campaign running the *same* protocol; any
     parameter change misses the cache and re-executes.
-    ``stop_on_confirm`` enters the key only when set, so a journal
-    written without it keeps serving runs without it and never satisfies
-    a run with it.
     """
     first, second = task.pair.first, task.pair.second
     fields = {
@@ -331,8 +317,6 @@ def fuzz_task_key(task: FuzzTask) -> str:
         "patience": task.patience,
         "max_steps": task.max_steps,
     }
-    if task.stop_on_confirm:
-        fields["stop_on_confirm"] = True
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
@@ -393,11 +377,6 @@ class ParallelCampaign:
             better; large chunks amortize per-task overhead.  Chunking
             never changes merged aggregates (trials are independent and
             the merge is associative).
-        stop_on_confirm: end each chunk at its first created race and
-            cancel the pair's remaining chunks once one chunk confirms
-            the race real.  Faster on campaigns with high-probability
-            races, but pooled trial counts become timing-dependent
-            (classification does not).
         deadline: per-task wall-clock budget in seconds (distinct from
             the abstract ``max_steps`` budget; ``None`` = unlimited).
         retry: a :class:`~repro.core.supervisor.RetryPolicy`, or an int
@@ -427,7 +406,6 @@ class ParallelCampaign:
         jobs: int | None = None,
         *,
         chunk_size: int = 25,
-        stop_on_confirm: bool = False,
         deadline: float | None = None,
         retry: RetryPolicy | int | None = None,
         checkpoint=None,
@@ -439,7 +417,6 @@ class ParallelCampaign:
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.chunk_size = _validate_chunk_size(chunk_size)
-        self.stop_on_confirm = stop_on_confirm
         self.on_progress = on_progress
         self.health = health if health is not None else HealthController(
             pool_death_critical=pool_death_limit + 1
@@ -480,7 +457,7 @@ class ParallelCampaign:
         start = time.monotonic()
         state = {"done": 0}
 
-        def on_settle(index: int, result, outcome: str) -> None:
+        def on_settle(index: int, result) -> None:
             state["done"] += 1
             confirms = (
                 count_confirm(index, result) if count_confirm is not None else None
@@ -528,9 +505,11 @@ class ParallelCampaign:
         """
         single = isinstance(detector, str)
         names: tuple[str, ...] = (detector,) if single else tuple(detector)
-        assert names, "detect needs at least one detector"
+        if not names:
+            raise ValueError("detect needs at least one detector")
         seed_list = list(seeds)
-        assert seed_list, "detect needs at least one seed"
+        if not seed_list:
+            raise ValueError("detect needs at least one seed")
         tasks = [
             DetectTask(
                 workload=workload,
@@ -640,8 +619,7 @@ class ParallelCampaign:
         Chunk verdicts for one pair merge in seed order within each
         round, and posterior updates are commutative, so aggregates are
         the same at every ``jobs`` value for one seed set and schedule
-        (except wall-clock sums, which are measured, and trial counts
-        under ``stop_on_confirm``).
+        (except wall-clock sums, which are measured).
         """
         pair_list = list(pairs)
         sched = make_schedule(schedule, trials=trials)
@@ -654,7 +632,6 @@ class ParallelCampaign:
         verdicts: dict[StatementPair, PairVerdict] = {
             pair: PairVerdict(pair=pair) for pair in pair_list
         }
-        confirmed: set[tuple[str, str]] = set()  # stop_on_confirm, all rounds
         confirmed_pairs: set[tuple[str, str]] = set()  # progress display
         start = time.monotonic()
         state = {"done": 0, "issued": 0}
@@ -673,49 +650,17 @@ class ParallelCampaign:
                         preemption=preemption,
                         patience=patience,
                         max_steps=max_steps,
-                        stop_on_confirm=self.stop_on_confirm,
                     )
                     for chunk in batch
                 ]
                 state["issued"] += len(tasks)
-                settled: set[int] = set()
-                marked: set[int] = set()  # cancel-requested, not yet settled
 
-                on_result = None
-                if self.stop_on_confirm:
-
-                    def on_result(index: int, verdict) -> list[int]:
-                        if not isinstance(verdict, PairVerdict):
-                            return []
-                        key = pair_key(tasks[index].pair)
-                        if verdict.times_created > 0 and key not in confirmed:
-                            confirmed.add(key)
-                            cancels = [
-                                other
-                                for other, task in enumerate(tasks)
-                                if other != index
-                                and other not in settled
-                                and pair_key(task.pair) == key
-                            ]
-                            marked.update(cancels)
-                            return cancels
-                        return []
-
-                def on_settle(index: int, result, outcome: str) -> None:
-                    settled.add(index)
-                    marked.discard(index)
-                    chunk = batch[index]
-                    if outcome in ("ok", "cached") and isinstance(
-                        result, PairVerdict
-                    ):
-                        sched.record(chunk, result)
-                    elif outcome == "quarantined":
-                        sched.record_failure(chunk)
-                    elif outcome == "cancelled":
-                        sched.cancel(chunk)
+                def on_settle(index: int, result) -> None:
+                    if result is not None:
+                        sched.record(batch[index], result)
                     state["done"] += 1
                     if self.on_progress is not None:
-                        if isinstance(result, PairVerdict) and result.times_created > 0:
+                        if result is not None and result.times_created > 0:
                             confirmed_pairs.add(pair_key(tasks[index].pair))
                         planned = sched.planned_chunks()
                         self.on_progress(
@@ -726,13 +671,7 @@ class ParallelCampaign:
                                 confirms=len(confirmed_pairs),
                                 elapsed_s=time.monotonic() - start,
                                 health=self.health.state,
-                                remaining=max(
-                                    0,
-                                    state["issued"]
-                                    - state["done"]
-                                    - len(marked),
-                                )
-                                + planned,
+                                remaining=state["issued"] - state["done"] + planned,
                             )
                         )
 
@@ -745,7 +684,6 @@ class ParallelCampaign:
                     key_fn=fuzz_task_key,
                     encode=lambda verdict: verdict.to_jsonable(),
                     decode=PairVerdict.from_jsonable,
-                    on_result=on_result,
                     on_settle=on_settle,
                 )
                 self.last_report = report

@@ -27,8 +27,8 @@ honours it at every ``jobs`` value):
    :class:`TrialChunk` in it (order inside a batch is the submission
    order — deterministic);
 3. feed each chunk's *delta* verdict back through
-   :meth:`~CampaignSchedule.record` (or :meth:`record_failure` /
-   :meth:`cancel` for chunks that never produced one);
+   :meth:`~CampaignSchedule.record` (a quarantined chunk produces none:
+   its trials stay spent and the policy learns nothing from them);
 4. stop when ``next_batch`` returns an empty list.
 
 Posterior updates are pure count accumulations — commutative and
@@ -80,6 +80,13 @@ def chunk_spans(start: int, count: int, chunk_size: int) -> list[tuple[int, int]
         (s, min(chunk_size, start + count - s))
         for s in range(start, start + count, chunk_size)
     ]
+
+
+#: the Beta pseudo-counts (alpha, beta) every adaptive pair starts from.
+PRIOR = (1.0, 1.0)
+
+#: standard deviations above the posterior mean that early stopping reads.
+STOP_Z = 2.0
 
 
 def beta_mean(alpha: float, beta: float) -> float:
@@ -200,14 +207,6 @@ class CampaignSchedule:
         completion order.
         """
 
-    def record_failure(self, chunk: TrialChunk) -> None:
-        """A chunk was quarantined: its trials ran (or tried to) but
-        produced no verdict.  Budget stays spent; the posterior is not
-        touched."""
-
-    def cancel(self, chunk: TrialChunk) -> None:
-        """A chunk was cancelled before running (``stop_on_confirm``)."""
-
     def planned_trials(self) -> int:
         """Trials the policy still expects to issue beyond those already
         allocated (best estimate).
@@ -312,7 +311,6 @@ class _PairPosterior:
     beta: float
     trials: int = 0
     created: int = 0
-    issued: int = 0
     stopped: bool = False
 
     @property
@@ -322,8 +320,8 @@ class _PairPosterior:
     def mean(self) -> float:
         return beta_mean(self.alpha, self.beta)
 
-    def upper(self, z: float) -> float:
-        return beta_upper_bound(self.alpha, self.beta, z)
+    def upper(self) -> float:
+        return beta_upper_bound(self.alpha, self.beta, STOP_Z)
 
 
 class AdaptiveSchedule(CampaignSchedule):
@@ -354,9 +352,6 @@ class AdaptiveSchedule(CampaignSchedule):
         round_width: int = 8,
         min_trials: int = 25,
         stop_threshold: float = 0.1,
-        stop_z: float = 2.0,
-        prior: tuple[float, float] = (1.0, 1.0),
-        max_trials_per_pair: int | None = None,
         grade_boost: float = 1.0,
     ) -> None:
         super().__init__()
@@ -372,8 +367,6 @@ class AdaptiveSchedule(CampaignSchedule):
             raise ValueError(
                 f"stop_threshold must be in (0, 1), got {stop_threshold}"
             )
-        if prior[0] <= 0 or prior[1] <= 0:
-            raise ValueError(f"prior pseudo-counts must be positive, got {prior}")
         if grade_boost < 0:
             raise ValueError(f"grade_boost must be >= 0, got {grade_boost}")
         self.trial_budget = trial_budget
@@ -382,9 +375,6 @@ class AdaptiveSchedule(CampaignSchedule):
         self.round_width = round_width
         self.min_trials = min_trials
         self.stop_threshold = stop_threshold
-        self.stop_z = stop_z
-        self.prior = prior
-        self.max_trials_per_pair = max_trials_per_pair
         self.grade_boost = grade_boost
         self.early_stopped = 0
         self.confirmed = 0
@@ -406,9 +396,8 @@ class AdaptiveSchedule(CampaignSchedule):
         # and off unless grades were supplied (all-None adds nothing).
         self._posteriors = [
             _PairPosterior(
-                alpha=self.prior[0]
-                + (self.grade_boost if self.grades[i] else 0.0),
-                beta=self.prior[1],
+                alpha=PRIOR[0] + (self.grade_boost if self.grades[i] else 0.0),
+                beta=PRIOR[1],
             )
             for i in range(len(self.pairs))
         ]
@@ -441,19 +430,8 @@ class AdaptiveSchedule(CampaignSchedule):
                     {"reason": "confirmed"},
                 )
 
-    def cancel(self, chunk: TrialChunk) -> None:
-        # Refund the seeds so budget accounting reflects work not done.
-        # Only reachable under stop_on_confirm, whose trial counts are
-        # documented as timing-dependent anyway.
-        self._posteriors[chunk.pair_index].issued -= chunk.count
-        self.trials_allocated -= chunk.count
-
     def planned_trials(self) -> int:
-        live = [
-            i
-            for i, p in enumerate(self._posteriors)
-            if not p.stopped and not p.confirmed
-        ]
+        live = self._live_indices()
         if not live or self.time_exhausted or self.budget_exhausted:
             return 0
         # Estimate one more round over the live set (bounded by the
@@ -489,7 +467,7 @@ class AdaptiveSchedule(CampaignSchedule):
                 continue
             if post.trials < self.min_trials:
                 continue
-            if post.created == 0 and post.upper(self.stop_z) < self.stop_threshold:
+            if post.created == 0 and post.upper() < self.stop_threshold:
                 post.stopped = True
                 self.early_stopped += 1
                 telemetry = maybe_telemetry()
@@ -504,17 +482,11 @@ class AdaptiveSchedule(CampaignSchedule):
                     )
 
     def _live_indices(self) -> list[int]:
-        live = []
-        for index, post in enumerate(self._posteriors):
-            if post.stopped or post.confirmed:
-                continue
-            if (
-                self.max_trials_per_pair is not None
-                and post.issued >= self.max_trials_per_pair
-            ):
-                continue
-            live.append(index)
-        return live
+        return [
+            index
+            for index, post in enumerate(self._posteriors)
+            if not post.stopped and not post.confirmed
+        ]
 
     def plan_round(self) -> list[TrialChunk]:
         if self._out_of_time():
@@ -548,11 +520,6 @@ class AdaptiveSchedule(CampaignSchedule):
         winners = [i for _, i in sampled[: self.round_width]]
         winners.sort()  # issue chunks in pair order within the round
         grants = [self.chunk_size] * len(winners)
-        if self.max_trials_per_pair is not None:
-            grants = [
-                min(grant, self.max_trials_per_pair - self._posteriors[i].issued)
-                for grant, i in zip(grants, winners)
-            ]
         if budget_left is not None and sum(grants) > budget_left:
             # Too little budget left for a full chunk each: split it
             # evenly (the first winners in pair order take the odd
@@ -566,9 +533,7 @@ class AdaptiveSchedule(CampaignSchedule):
         for index, grant in zip(winners, grants):
             if grant <= 0:
                 continue
-            for chunk in self.take_seeds(index, grant):
-                batch.append(chunk)
-                self._posteriors[index].issued += chunk.count
+            batch.extend(self.take_seeds(index, grant))
             if budget_left is not None:
                 budget_left -= grant
         if budget_left is not None and budget_left <= 0:

@@ -52,7 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs import HealthController, MeteredResult, collecting, maybe_telemetry
 
@@ -406,7 +406,7 @@ class SupervisorReport:
     """What happened while supervising one task batch.
 
     ``results`` is indexed by submission position; an entry is ``None``
-    for quarantined or cancelled tasks.  Campaign-level aggregates fold
+    for quarantined tasks.  Campaign-level aggregates fold
     ``results`` in index order, which is what keeps supervised output
     byte-identical to the fault-free serial run.
     """
@@ -417,11 +417,9 @@ class SupervisorReport:
     retried: int = 0
     pool_deaths: int = 0
     serial_fallback: bool = False
-    cancelled: int = 0
 
 
 _UNSET = object()
-_CANCELLED = object()
 
 
 class CampaignSupervisor:
@@ -541,39 +539,32 @@ class CampaignSupervisor:
         key_fn: Callable[[Any], str] | None = None,
         encode: Callable[[Any], Any] | None = None,
         decode: Callable[[Any], Any] | None = None,
-        on_result: Callable[[int, Any], Iterable[int]] | None = None,
-        on_settle: Callable[[int, Any, str], None] | None = None,
+        on_settle: Callable[[int, Any], None] | None = None,
     ) -> SupervisorReport:
-        """Run every task to success, quarantine, or cancellation.
+        """Run every task to success or quarantine.
 
         ``fn`` names the worker entrypoint, one of
         :data:`~repro.core.faults.PHASES`, and doubles as the fault-plan
         phase.  ``validate(task, result)``
         rejects malformed results (rejections are retried like crashes).
-        ``on_result(index, result)`` fires on every success and returns
-        indices to cancel — the hook behind ``stop_on_confirm``.
-        ``on_settle(index, result_or_None, outcome)`` fires once per task
-        when it reaches *any* terminal state; ``outcome`` says which —
-        ``"ok"`` (fresh success), ``"cached"`` (checkpoint-journal hit),
-        ``"quarantined"`` or ``"cancelled"`` — so consumers (live
-        progress, the campaign scheduler's posterior feedback) can tell
-        executed work from skipped work without re-deriving it.
+        ``on_settle(index, result_or_None)`` fires once per task when it
+        settles: with the result on a fresh success or a checkpoint-journal
+        hit, with ``None`` on quarantine.
         """
         n = len(tasks)
         results: list[Any] = [_UNSET] * n
         attempts = [0] * n  # failed attempts so far, per task
         history: list[list[str]] = [[] for _ in range(n)]
         failures: list[TaskFailure] = []
-        cancelled: set[int] = set()
         report = SupervisorReport(results=results)
         keys = [key_fn(task) if key_fn is not None else None for task in tasks]
         telemetry = maybe_telemetry()
         failed_attempt_kinds: dict[str, int] = {}
         pool_deaths_before = self.pool_deaths
 
-        def settle(index: int, result: Any, outcome: str) -> None:
+        def settle(index: int, result: Any) -> None:
             if on_settle is not None:
-                on_settle(index, result, outcome)
+                on_settle(index, result)
 
         journal = (
             CheckpointJournal(self.checkpoint)
@@ -581,18 +572,7 @@ class CampaignSupervisor:
             else None
         )
 
-        def request_cancels(indices: Iterable[int], future_of: dict[int, Future]):
-            for j in indices:
-                if results[j] is _UNSET and j not in cancelled:
-                    cancelled.add(j)
-                    future = future_of.get(j)
-                    if future is not None:
-                        # Only dequeues not-yet-started work; a running
-                        # chunk finishes and its result is kept, matching
-                        # the pre-supervisor stop_on_confirm semantics.
-                        future.cancel()
-
-        def settle_success(index: int, result: Any, future_of: dict[int, Future]) -> bool:
+        def settle_success(index: int, result: Any) -> bool:
             """Accept a validated result; returns False if malformed."""
             result, snapshot = _unwrap_metered(result)
             if validate is not None and not validate(tasks[index], result):
@@ -606,9 +586,7 @@ class CampaignSupervisor:
                 journal.append(
                     keys[index], encode(result) if encode is not None else result
                 )
-            if on_result is not None:
-                request_cancels(on_result(index, result), future_of)
-            settle(index, result, "ok")
+            settle(index, result)
             return True
 
         def record_failure(index: int, kind: str, message: str) -> float | None:
@@ -644,7 +622,7 @@ class CampaignSupervisor:
                     )
                 )
                 results[index] = None
-                settle(index, None, "quarantined")
+                settle(index, None)
                 self.health.record_quarantine(kind)
                 return None
             report.retried += 1
@@ -690,9 +668,7 @@ class CampaignSupervisor:
                             results[index] = _UNSET  # corrupt record: re-run
                             continue
                         report.cached += 1
-                        if on_result is not None:
-                            request_cancels(on_result(index, results[index]), {})
-                        settle(index, results[index], "cached")
+                        settle(index, results[index])
 
             pending: list[tuple[float, int]] = [
                 (0.0, index) for index in range(n) if results[index] is _UNSET
@@ -700,25 +676,23 @@ class CampaignSupervisor:
             if self.jobs > 1 and not self.serial_fallback:
                 pending = self._drain_pool(
                     pending, envelope_for, settle_success, record_failure,
-                    cancelled, results, report, settle,
+                    results, report,
                 )
             # Inline path: jobs=1 from the start, serial fallback after
             # repeated pool deaths, or the tail of a degraded pool run.
             self._drain_inline(
-                pending, envelope_for, settle_success, record_failure,
-                cancelled, results, settle,
+                pending, envelope_for, settle_success, record_failure
             )
         finally:
             if journal is not None:
                 journal.close()
 
         for index in range(n):
-            if results[index] is _CANCELLED or results[index] is _UNSET:
+            if results[index] is _UNSET:
                 results[index] = None
         report.failures = failures
         report.pool_deaths = self.pool_deaths
         report.serial_fallback = self.serial_fallback
-        report.cancelled = len(cancelled)
         if telemetry is not None:
             telemetry.inc("supervisor.batches")
             telemetry.inc("supervisor.tasks", n)
@@ -726,7 +700,6 @@ class CampaignSupervisor:
             telemetry.inc("supervisor.quarantines", len(failures))
             telemetry.inc("supervisor.pool_deaths", self.pool_deaths - pool_deaths_before)
             telemetry.inc("supervisor.cached", report.cached)
-            telemetry.inc("supervisor.cancelled", report.cancelled)
             telemetry.inc(
                 "supervisor.deadline_kills", failed_attempt_kinds.get("deadline", 0)
             )
@@ -740,16 +713,11 @@ class CampaignSupervisor:
     # -- inline (serial) execution -------------------------------------- #
 
     def _drain_inline(
-        self, pending, envelope_for, settle_success, record_failure,
-        cancelled, results, settle,
+        self, pending, envelope_for, settle_success, record_failure
     ) -> None:
         while pending:
             pending.sort()
             ready_at, index = pending.pop(0)
-            if index in cancelled:
-                results[index] = _CANCELLED
-                settle(index, None, "cancelled")
-                continue
             delay = ready_at - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
@@ -758,7 +726,7 @@ class CampaignSupervisor:
             except Exception as exc:
                 verdict = record_failure(index, *_classify_failure(exc))
             else:
-                if settle_success(index, result, {}):
+                if settle_success(index, result):
                     continue
                 verdict = record_failure(index, *_classify_failure(None, result))
             if verdict is not None:
@@ -768,23 +736,24 @@ class CampaignSupervisor:
 
     def _drain_pool(
         self, pending, envelope_for, settle_success, record_failure,
-        cancelled, results, report, settle,
+        results, report,
     ) -> list[tuple[float, int]]:
         """Run the batch on the pool; returns tasks left for inline mode.
 
         The parent-side stall backstop fires when *no* task completes for
-        several deadline windows — only possible when every worker is
-        wedged in a way its own alarm cannot interrupt — and treats the
-        pool like it died.
+        several deadline windows while work is in flight — only possible
+        when every worker is wedged in a way its own alarm cannot
+        interrupt — and treats the pool like it died.  The window restarts
+        whenever an idle or rebuilt pool receives work, so backoff sleeps
+        and rebuilds never count as stalled time.
         """
         in_flight: dict[Future, int] = {}
-        future_of: dict[int, Future] = {}
         stall_window = (
             max(3.0 * self.deadline, self.deadline + 1.0)
             if self.deadline is not None
             else None
         )
-        last_completion = time.monotonic()
+        window_start = time.monotonic()
 
         def fail_in_flight(kind: str, message: str) -> None:
             self.pool_deaths += 1
@@ -796,13 +765,12 @@ class CampaignSupervisor:
             # recommendation (half, floor 1).
             self.jobs = self.health.recommended_jobs(self.jobs)
             for index in list(in_flight.values()):
-                if results[index] is not _UNSET or index in cancelled:
+                if results[index] is not _UNSET:
                     continue
                 ready_at = record_failure(index, kind, message)
                 if ready_at is not None:
                     pending.append((ready_at, index))
             in_flight.clear()
-            future_of.clear()
             if self.pool_deaths > self.pool_death_limit:
                 self.serial_fallback = True
 
@@ -810,15 +778,12 @@ class CampaignSupervisor:
             if self.serial_fallback:
                 break
             now = time.monotonic()
+            was_idle = not in_flight
             # Submit everything whose backoff has elapsed.
             pending.sort()
             still_waiting: list[tuple[float, int]] = []
             submit_error: str | None = None
             for ready_at, index in pending:
-                if index in cancelled:
-                    results[index] = _CANCELLED
-                    settle(index, None, "cancelled")
-                    continue
                 if ready_at > now or submit_error is not None:
                     still_waiting.append((ready_at, index))
                     continue
@@ -831,11 +796,12 @@ class CampaignSupervisor:
                     submit_error = f"pool rejected submission: {exc}"
                     continue
                 in_flight[future] = index
-                future_of[index] = future
             pending = still_waiting
             if submit_error is not None:
                 fail_in_flight("pool", submit_error)
                 continue
+            if was_idle and in_flight:
+                window_start = time.monotonic()
 
             if not in_flight:
                 if not pending:
@@ -850,32 +816,27 @@ class CampaignSupervisor:
                 next_ready = min(ready_at for ready_at, _ in pending)
                 timeout = max(0.0, next_ready - time.monotonic())
             if stall_window is not None:
-                remaining = stall_window - (time.monotonic() - last_completion)
-                timeout = remaining if timeout is None else min(timeout, remaining)
-                if timeout <= 0:
+                remaining = stall_window - (time.monotonic() - window_start)
+                if remaining <= 0:
                     fail_in_flight(
                         "stall",
                         f"no task completed within {stall_window:.1f}s; "
                         f"terminated the worker pool",
                     )
                     continue
+                timeout = remaining if timeout is None else min(timeout, remaining)
 
             done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
             if not done:
                 continue
-            last_completion = time.monotonic()
+            window_start = time.monotonic()
             pool_broken = False
             for future in done:
                 index = in_flight.pop(future)
-                future_of.pop(index, None)
-                if future.cancelled():
-                    results[index] = _CANCELLED
-                    settle(index, None, "cancelled")
-                    continue
                 exc = future.exception()
                 if exc is None:
                     result = future.result()
-                    if settle_success(index, result, future_of):
+                    if settle_success(index, result):
                         continue
                     ready_at = record_failure(index, *_classify_failure(None, result))
                 elif isinstance(exc, BrokenProcessPool):

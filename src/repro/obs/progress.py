@@ -29,10 +29,9 @@ class ProgressUpdate:
     #: "degraded"/"critical" are worth a reader's glance).
     health: str = "healthy"
     #: work units still *scheduled* to run, when the producer knows better
-    #: than ``total - done`` — under ``stop_on_confirm`` cancellations or
-    #: an adaptive schedule, much of ``total - done`` will never execute
-    #: (or ``total`` will keep growing), so the naive extrapolation is
-    #: nonsense.  ``None`` falls back to ``total - done``.
+    #: than ``total - done`` — under an adaptive schedule ``total`` keeps
+    #: growing round by round, so the naive extrapolation is nonsense.
+    #: ``None`` falls back to ``total - done``.
     remaining: int | None = None
 
     @property

@@ -1,5 +1,7 @@
 """The two-phase pipeline: detect_races, fuzz_races, race_directed_test."""
 
+import os
+
 import pytest
 
 from repro.core import (
@@ -33,7 +35,7 @@ class TestDetectRaces:
             detect_races(figure1.build(), detector="psychic")
 
     def test_needs_at_least_one_seed(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="at least one seed"):
             detect_races(figure1.build(), seeds=())
 
 
@@ -171,6 +173,11 @@ class TestOneEngine:
         with collecting() as registry:
             with pytest.raises(KeyError, match="psychic"):
                 detect_races(figure1.build(), detector="psychic", jobs=jobs)
+            # Checked by raising, not assert, so python -O keeps them.
+            with pytest.raises(ValueError, match="at least one seed"):
+                detect_races(figure1.build(), seeds=[], jobs=jobs)
+            with pytest.raises(ValueError, match="at least one detector"):
+                detect_races(figure1.build(), detector=[], jobs=jobs)
             with pytest.raises(ValueError, match="preemption"):
                 fuzz_races(
                     figure1.build(),
@@ -180,6 +187,14 @@ class TestOneEngine:
                     jobs=jobs,
                 )
         assert registry.counter("supervisor.tasks") == 0
+
+    def test_auto_jobs_on_one_core_runs_inline(self, monkeypatch):
+        # jobs=0 resolves to one worker per core; on a one-core host that
+        # is the inline engine, which runs the caller's own program.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        anonymous = Program(figure1.build().factory, name="anonymous")
+        report = detect_races(anonymous, jobs=0)
+        assert figure1.REAL_PAIR in report.pairs
 
     def test_raising_program_is_quarantined_inline(self):
         def factory():

@@ -1,4 +1,4 @@
-"""The parallel campaign engine: determinism, chunking, early exit.
+"""The parallel campaign engine: determinism and chunking.
 
 The contract under test is the paper's claim that trials are independent
 seeded runs, so fanning a campaign out over a process pool must yield a
@@ -144,56 +144,6 @@ class TestCampaignEquivalence:
         assert not campaign.failures
         with pytest.raises(ValueError, match="not in"):
             race_directed_test(racy, trials=4, jobs=2)
-
-
-class TestStopOnConfirm:
-    def test_serial_early_exit_stops_at_first_confirmation(self):
-        # figure1's real pair is created with probability 1, so the first
-        # trial confirms it and the remaining 49 are skipped.
-        verdicts = fuzz_races(
-            figure1.build(), [figure1.REAL_PAIR], trials=50, stop_on_confirm=True
-        )
-        assert verdicts[figure1.REAL_PAIR].is_real
-        assert verdicts[figure1.REAL_PAIR].trials == 1
-
-    def test_chunk_stops_at_first_creation(self):
-        task = FuzzTask(
-            workload="figure1", pair=figure1.REAL_PAIR, count=5,
-            stop_on_confirm=True,
-        )
-        assert run_fuzz_task(task).trials == 1
-
-    def test_journal_without_the_flag_does_not_serve_it(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        pair = figure1.REAL_PAIR
-        plain = fuzz_races(figure1.build(), [pair], trials=5, checkpoint=journal)
-        assert plain[pair].trials == 5
-        flagged = fuzz_races(
-            figure1.build(), [pair], trials=5, checkpoint=journal,
-            stop_on_confirm=True,
-        )
-        assert flagged[pair].trials == 1
-
-    def test_false_pair_still_gets_all_trials(self):
-        verdicts = fuzz_races(
-            figure1.build(), [figure1.FALSE_PAIR], trials=10, stop_on_confirm=True
-        )
-        assert not verdicts[figure1.FALSE_PAIR].is_real
-        assert verdicts[figure1.FALSE_PAIR].trials == 10
-
-    def test_parallel_early_exit_preserves_classification(self):
-        verdicts = fuzz_races(
-            figure1.build(),
-            [figure1.REAL_PAIR, figure1.FALSE_PAIR],
-            trials=20,
-            jobs=2,
-            chunk_size=5,
-            stop_on_confirm=True,
-        )
-        assert verdicts[figure1.REAL_PAIR].is_real
-        assert verdicts[figure1.REAL_PAIR].trials <= 20
-        assert not verdicts[figure1.FALSE_PAIR].is_real
-        assert verdicts[figure1.FALSE_PAIR].trials == 20
 
 
 class TestParallelCampaignObject:

@@ -11,6 +11,7 @@ produce the same final report.
 import json
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -234,6 +235,45 @@ class TestFaultInjectionAcceptance:
         for pair in PAIRS[1:4]:
             assert not verdicts[pair].quarantined
             assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
+
+    def test_backoff_on_an_idle_pool_is_not_a_stall(self):
+        # The retry waits out a 2 s backoff on an idle pool, longer than
+        # the 1.5 s stall window: the window must restart when the retry
+        # is submitted, not run from the crash.
+        plan = FaultPlan([FaultSpec(kind="crash", index=0, attempts=1)])
+        with ParallelCampaign(
+            jobs=2,
+            deadline=0.5,
+            retry=RetryPolicy(max_retries=1, backoff_base=2.0, jitter=0.0),
+            faults=plan,
+        ) as engine:
+            verdicts = engine.fuzz("figure1", [figure1.REAL_PAIR], trials=4)
+        assert not engine.failures
+        assert engine.supervisor.pool_deaths == 0
+        assert engine.last_report.retried == 1
+        assert verdicts[figure1.REAL_PAIR].trials == 4
+
+    def test_retry_due_during_a_slow_submission_is_not_a_stall(
+        self, monkeypatch
+    ):
+        # After the pool death, the retries' jittered backoffs expire
+        # while earlier retries are still being submitted; a retry that
+        # is merely due must not read as a stalled pool.
+        submit = ProcessPoolExecutor.submit
+
+        def slow_submit(pool, *args, **kwargs):
+            time.sleep(0.05)
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
+        plan = FaultPlan([FaultSpec(kind="pool_kill", index=0, attempts=1)])
+        with ParallelCampaign(
+            jobs=2, chunk_size=4, deadline=1.0, faults=plan
+        ) as engine:
+            engine.fuzz("figure1", PAIRS[:4], trials=4)
+        assert not engine.failures
+        assert engine.supervisor.pool_deaths == 1
+        assert not engine.supervisor.serial_fallback
 
     def test_detect_phase_quarantine_keeps_other_seeds(self):
         plan = FaultPlan(
