@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 from repro.runtime.interpreter import Execution
 from repro.runtime.statement import Statement
+from repro.runtime.thread import ThreadState
 
-from .postponing import PostponingDriver
+from .postponing import PostponingDriver, TargetSites
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,12 @@ class AtomicityFuzzer(PostponingDriver):
         super().__init__(**kwargs)
         self.region = region
         self.rival = rival
-        self._targets = frozenset({region.second, rival})
+        self._sites = TargetSites((region.second, rival))
 
-    def is_target(self, execution: Execution, tid: int) -> bool:
-        return execution.next_stmt(tid) in self._targets
+    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
+        """Any op kind can be a region half or the rival: a lock
+        acquisition, a memory access, a ``check``."""
+        return self._sites.holds(ts)
 
     def conflicting(self, execution: Execution, tid: int, postponed):
         """Role-based conflict: a region half meets a postponed rival (or

@@ -37,8 +37,9 @@ from repro.runtime.observer import ExecutionObserver
 from repro.runtime.ops import OpKind
 from repro.runtime.program import Program
 from repro.runtime.statement import Statement
+from repro.runtime.thread import ThreadState
 
-from .postponing import PostponingDriver
+from .postponing import PostponingDriver, TargetSites
 from .schedulers import RandomScheduler
 
 
@@ -172,19 +173,20 @@ class DeadlockFuzzer(PostponingDriver):
 
     def __init__(self, target_statements, **kwargs):
         super().__init__(**kwargs)
-        self.target_statements = frozenset(target_statements)
+        self._sites = TargetSites(target_statements)
+        self.target_statements = self._sites.statements
         if not self.target_statements:
             raise ValueError("DeadlockFuzzer needs at least one target statement")
 
-    def is_target(self, execution: Execution, tid: int) -> bool:
-        op = execution.next_op(tid)
+    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
+        op = ts.pending
         if op is None or op.kind is not OpKind.LOCK:
             return False
-        if execution.next_stmt(tid) not in self.target_statements:
+        if not self._sites.holds(ts):
             return False
         # Only a hold-and-wait is dangerous: the thread must already hold
         # some other lock for this acquisition to be an inner one.
-        return bool(execution.locks.held_by(tid))
+        return bool(execution.locks.held_by(ts.tid))
 
     def conflicting(self, execution, tid, postponed):
         # Deadlocks are created by *keeping* threads postponed, never by the

@@ -26,6 +26,17 @@ Two engineering details from Section 4 are included: the livelock breaker
 (threads run without interruption between synchronization operations and
 target statements, keeping the instrumentation-free fast path fast).
 
+The step kernel does the least the algorithm needs.  With nothing
+postponed, a scheduling decision is one draw from the enabled list: no
+watchdog, prune or ``choosable`` rebuild.  The burst, inlined in the
+main loop, reuses the chosen thread's state and steps it through the
+interpreter's unchecked ``_execute``; before each step it checks only
+the thread's status, the sync flag of its pending op and the target
+hook, since a runnable thread whose pending op is not a sync op is
+enabled by construction.  The hook gets the thread state, and
+:class:`TargetSites` answers it from the raw yield site without building
+a statement.
+
 The livelock breaker has two rules.  Lines 26-28 are widened from "every
 enabled thread is postponed" to "every enabled thread is postponed or
 *polling*": a thread polls when its last two ``yield`` ops were at the
@@ -53,12 +64,13 @@ from repro.runtime.interpreter import Execution, ExecutionResult
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.ops import OpKind
 from repro.runtime.program import Program
-from repro.runtime.statement import StatementPair
-from repro.runtime.thread import ThreadState
+from repro.runtime.statement import Statement, StatementPair
+from repro.runtime.thread import ThreadState, ThreadStatus
 
 #: the ``preemption=`` modes a postponing driver accepts.
 PREEMPTION_MODES = ("every", "sync")
 
+_RUNNABLE = ThreadStatus.RUNNABLE
 _READ = OpKind.READ
 _YIELD = OpKind.YIELD
 #: op kinds that leave every other thread's view of the program unchanged;
@@ -121,6 +133,35 @@ class FuzzResult:
     def __str__(self) -> str:
         status = f"{len(self.hits)} hit(s), pairs={sorted(map(str, self.pairs_created))}"
         return f"FuzzResult[{status}] {self.result}"
+
+
+class TargetSites:
+    """A fixed statement set that answers "is this thread's next statement
+    a member?" from the thread's raw yield site.
+
+    The engine records an unlabelled op's site as ``(code, line)`` and
+    interns the :class:`Statement` only on demand.  An unlabelled
+    statement equals a member exactly when its ``(file, line)`` does, so
+    the probe is an int-set test on the line, and then a ``(file, line)``
+    set test at the few sites that pass it.  No statement is built.
+    Labelled ops carry their interned statement already.
+    """
+
+    __slots__ = ("statements", "_lines", "_sites")
+
+    def __init__(self, statements: Iterable[Statement]) -> None:
+        self.statements = frozenset(statements)
+        unlabelled = [s for s in self.statements if s.label is None]
+        self._lines = frozenset(s.line for s in unlabelled)
+        self._sites = frozenset((s.file, s.line) for s in unlabelled)
+
+    def holds(self, ts: ThreadState) -> bool:
+        """Is the statement of ``ts``'s pending op in the set?"""
+        code = ts.stmt_code
+        if code is None:
+            return ts.pending_stmt in self.statements
+        line = ts.stmt_line
+        return line in self._lines and (code.co_filename, line) in self._sites
 
 
 class PollWatch:
@@ -201,8 +242,13 @@ class PostponingDriver:
         pair label so trials group under one pair track."""
         return ""
 
-    def is_target(self, execution: Execution, tid: int) -> bool:
-        """Is ``tid``'s next statement in the target set? (line 6)"""
+    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
+        """Is the next statement of thread ``ts`` in the target set? (line 6)
+
+        Probed before every step of the sync-preemption burst that is not
+        a sync op, so an override should answer from the raw site (see
+        :class:`TargetSites`) rather than build a statement per call.
+        """
         raise NotImplementedError
 
     def conflicting(
@@ -247,18 +293,27 @@ class PostponingDriver:
         exempt: set[int] = set()
         watch = PollWatch()
         rng = execution.rng
+        threads = execution.threads
+        schedulable = execution.schedulable
+        execute = execution._execute
+        is_target = self.is_target
+        burst = self.preemption == "sync"
+        max_steps = self.max_steps
 
         try:
             while True:
-                enabled = execution.schedulable()
+                enabled = schedulable()
                 if not enabled:
                     break
-                self._run_watchdog(execution, postponed, exempt, fuzz)
-                enabled_set = set(enabled)
-                for tid in list(postponed):
-                    if tid not in enabled_set:  # died or became blocked: drop it
-                        del postponed[tid]
-                choosable = [tid for tid in enabled if tid not in postponed]
+                choosable = enabled
+                if postponed:
+                    self._run_watchdog(execution, postponed, exempt, fuzz)
+                    choosable = [tid for tid in enabled if tid not in postponed]
+                    # Unless every postponed thread is still enabled, drop
+                    # those that died or became blocked.
+                    if len(enabled) - len(choosable) != len(postponed):
+                        for tid in postponed.keys() - enabled:
+                            del postponed[tid]
                 if postponed and self._idle(execution, choosable, watch):
                     # Lines 26-28, widened: no one else can make progress
                     # until a postponed thread moves; release one at random.
@@ -271,15 +326,41 @@ class PostponingDriver:
                         fuzz.forced_releases += 1
                     continue
                 tid = choosable[rng.randrange(len(choosable))]
-                if self.is_target(execution, tid) and tid not in exempt:
+                ts = threads[tid]
+                if is_target(execution, ts) and tid not in exempt:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
                         self._resolve(execution, tid, rivals, postponed, watch, fuzz)
                     else:
                         self._postpone(execution, tid, postponed, watch, fuzz)  # line 21
-                else:
-                    exempt.discard(tid)
-                    self._execute_run(execution, tid, postponed, exempt, watch, fuzz)
+                    continue
+                # Line 24, then Section 4's sync-only preemption burst.  The
+                # thread was just chosen from schedulable(), so it is enabled
+                # and the step budget has room: it steps through the
+                # unchecked _execute.  So does the burst, because a runnable
+                # thread whose pending op is not a sync op is enabled by
+                # construction (only LOCK, REACQUIRE and JOIN block, and all
+                # three are sync ops): the status is its only enabledness
+                # check.
+                exempt.discard(tid)
+                if postponed:
+                    watch.note(execution, ts)
+                execute(ts)
+                if not burst:
+                    continue
+                while ts.status is _RUNNABLE and execution.ops_executed < max_steps:
+                    if ts.pending.is_sync or is_target(execution, ts):
+                        break
+                    if postponed:
+                        watch.note(execution, ts)
+                        execute(ts)
+                        if (execution.step_count & 0x3F) == 0:
+                            # Long uninterrupted bursts must not starve the
+                            # watchdog (the paper's monitor thread runs
+                            # concurrently; we poll).
+                            self._run_watchdog(execution, postponed, exempt, fuzz)
+                    else:
+                        execute(ts)
         except ExecutionLimitExceeded:
             # The budget check in `schedulable()` catches most exhaustion,
             # but race resolution (lines 12/15-18) steps threads directly
@@ -388,46 +469,6 @@ class PostponingDriver:
                 execution.step(rival)
                 postponed.pop(rival, None)
 
-    def _execute_run(
-        self,
-        execution: Execution,
-        tid: int,
-        postponed: dict[int, int],
-        exempt: set[int],
-        watch: PollWatch,
-        fuzz: FuzzResult,
-    ) -> None:
-        """Line 24, plus the sync-only preemption burst from Section 4."""
-        threads = execution.threads
-        if postponed:
-            watch.note(execution, threads[tid])
-        execution.step(tid)
-        if self.preemption != "sync":
-            return
-        # The burst loop runs once per step of every trial, observed or
-        # not, so it fetches the thread state once per iteration instead
-        # of going through is_enabled/next_op (a fetch each).
-        max_steps = self.max_steps
-        while execution.ops_executed < max_steps:
-            ts = threads.get(tid)
-            if ts is None or not execution._enabled(ts):
-                return
-            op = ts.pending
-            if op is None or op.is_sync:
-                return
-            if self.is_target(execution, tid):
-                return
-            if postponed:
-                watch.note(execution, ts)
-                execution.step(tid)
-                if (execution.step_count & 0x3F) == 0:
-                    # Long uninterrupted bursts must not starve the
-                    # watchdog (the paper's monitor thread runs
-                    # concurrently; we poll).
-                    self._run_watchdog(execution, postponed, exempt, fuzz)
-            else:
-                execution.step(tid)
-
     def _run_watchdog(
         self,
         execution: Execution,
@@ -435,11 +476,19 @@ class PostponingDriver:
         exempt: set[int],
         fuzz: FuzzResult,
     ) -> None:
-        """Section 4's livelock backstop: free threads postponed too long."""
+        """Section 4's livelock backstop: free threads postponed too long.
+
+        ``postponed`` is ordered by postponement step (entries are only
+        ever added at the current step, which never decreases), so the scan
+        stops at the first thread that has not yet waited ``patience``.
+        """
         now = execution.step_count
-        for tid, since in list(postponed.items()):
-            if now - since > self.patience:
-                del postponed[tid]
-                exempt.add(tid)
-                fuzz.watchdog_releases += 1
-                fuzz.stall_steps += now - since
+        patience = self.patience
+        while postponed:
+            tid, since = next(iter(postponed.items()))
+            if now - since <= patience:
+                return
+            del postponed[tid]
+            exempt.add(tid)
+            fuzz.watchdog_releases += 1
+            fuzz.stall_steps += now - since

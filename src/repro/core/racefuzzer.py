@@ -20,6 +20,12 @@ Typical use::
 
 Replaying ``run(program, seed=42)`` reproduces the identical execution —
 the engine owns all non-determinism and draws it from the seed.
+
+Line 6's probe (``is_target``) runs before every non-sync step of a
+burst.  It answers from the pending op's raw ``(code, line)`` site via
+:class:`~repro.core.postponing.TargetSites`: a line prefilter, then an
+exact ``(file, line)`` test, so no statement is interned at a site that
+is not in the pair.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from typing import Iterable
 from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
 from repro.runtime.statement import Statement, StatementPair
+from repro.runtime.thread import ThreadState
 
-from .postponing import FuzzResult, PostponingDriver, TargetHit
+from .postponing import FuzzResult, PostponingDriver, TargetHit, TargetSites
 
 
 class RaceFuzzer(PostponingDriver):
@@ -61,7 +68,8 @@ class RaceFuzzer(PostponingDriver):
             )
         if not statements:
             raise ValueError("RaceFuzzer needs a non-empty racing statement set")
-        self.race_set = frozenset(statements)
+        self._sites = TargetSites(statements)
+        self.race_set = self._sites.statements
 
     def timeline_target(self) -> str:
         """Timeline identity of this fuzzer's trials: the pair label
@@ -70,25 +78,16 @@ class RaceFuzzer(PostponingDriver):
 
     # --- Algorithm 1, line 6 -------------------------------------------- #
 
-    def is_target(self, execution: Execution, tid: int) -> bool:
+    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
         """Line 6 of Algorithm 1: is the thread's next statement in the
         racing pair (and a memory access)?
 
-        Probed on every step of the sync-preemption burst loop, so it does
-        a single thread-state fetch and reuses the cached pending
-        statement instead of going through ``next_op``/``next_stmt``
-        (which would fetch the state twice more).
+        Probed before every non-sync step of the sync-preemption burst, so
+        it answers from the raw yield site (:class:`TargetSites`) and
+        builds no statement.
         """
-        ts = execution.threads.get(tid)
-        if ts is None:
-            return False
         op = ts.pending
-        if op is None or not op.is_mem:
-            return False
-        stmt = ts.pending_stmt
-        if stmt is None:
-            stmt = execution._stmt(ts)
-        return stmt in self.race_set
+        return op is not None and op.is_mem and self._sites.holds(ts)
 
     # --- Algorithm 2 ------------------------------------------------------ #
 

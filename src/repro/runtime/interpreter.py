@@ -7,7 +7,8 @@ An :class:`Execution` owns all the non-determinism of one run of a
   time when only sleepers remain);
 * ``next_op(t)``      — the paper's ``NextStmt(s, t)``, with its statement
   identity and dynamic memory location;
-* ``step(t)``         — the paper's ``Execute(s, t)``;
+* ``step(t)``         — the paper's ``Execute(s, t)``, checked: it raises
+  :class:`SchedulerMisuse` for a thread that is not enabled;
 * ``alive()``         — the paper's ``Alive(s)``.
 
 Drivers (schedulers, RaceFuzzer) sit on top of this API and decide *which*
@@ -23,12 +24,19 @@ thread-as-crash-domain (an uncaught exception kills only its thread).
 
 Hot-path design (see INTERNALS "Interpreter fast path")
 -------------------------------------------------------
-Every campaign bottoms out in :meth:`Execution.step`, so the per-step work
-is kept to integer/identity operations:
+Every campaign bottoms out in :meth:`Execution._execute`, so the per-step
+work is kept to integer/identity operations:
 
+* **Checked and unchecked stepping** — the public ``step(tid)`` checks the
+  thread and the step budget, then calls ``_execute(ts)``.  Callers that
+  have proved both already (``run()``'s scheduler-continuation path, the
+  postponing driver's burst) call ``_execute`` directly.
 * **Precompiled dispatch** — each :class:`~repro.runtime.ops.Op` carries a
-  dense ``kind_index`` resolved at construction; ``step`` indexes a tuple
-  of bound handlers instead of hashing an enum into a dict.
+  dense ``kind_index`` resolved at construction; ``_execute`` indexes a
+  tuple of bound handlers instead of hashing an enum into a dict.
+* **Inline enabledness** — ``enabled_tids`` decides a runnable thread whose
+  pending op cannot block without a call; a pending ``JOIN`` resolves its
+  target once (``ThreadState.join_target``).
 * **Lazy interned statements** — the yield site is captured as a raw
   ``(code, line)`` pair at resume time (two attribute reads); the interned
   :class:`~repro.runtime.statement.Statement` is materialized only when an
@@ -290,6 +298,8 @@ class Execution:
         choose = scheduler.choose
         schedulable = self.schedulable
         step = self.step
+        execute = self._execute
+        threads = self.threads
         max_steps = self.max_steps
         try:
             self.start()
@@ -297,7 +307,9 @@ class Execution:
                 if continuation is not None and self.ops_executed < max_steps:
                     tid = continuation(self)
                     if tid is not None:
-                        step(tid)
+                        # The hook returns only an enabled thread, and the
+                        # budget was checked just above.
+                        execute(threads[tid])
                         continue
                 enabled = schedulable()
                 if not enabled:
@@ -323,8 +335,12 @@ class Execution:
                 return True
             if blocking == 1:  # LOCK / REACQUIRE
                 return self.locks.can_acquire(op.lock, ts.tid)
-            # JOIN: enabled once the target is dead.
-            return not self.threads[resolve_tid(op.target)].alive
+            # JOIN: enabled once the target is dead.  The target is resolved
+            # once per pending JOIN; _do_join clears it.
+            target = ts.join_target
+            if target is None:
+                target = ts.join_target = self.threads[resolve_tid(op.target)]
+            return target.status is _TERMINATED
         if status is _WAITING:
             # A timed wait becomes enabled at its deadline: the next step
             # transitions it to monitor re-acquisition (Object.wait(long)).
@@ -339,8 +355,19 @@ class Execution:
 
     def enabled_tids(self) -> list[int]:
         """All currently enabled thread ids, in tid order."""
+        # The common case, a runnable thread whose pending op cannot block,
+        # is decided inline; _enabled sees only the rest.
         enabled = self._enabled
-        return [ts.tid for ts in self._live if enabled(ts)]
+        return [
+            ts.tid
+            for ts in self._live
+            if (
+                ts.status is _RUNNABLE
+                and (op := ts.pending) is not None
+                and op.blocking == 0
+            )
+            or enabled(ts)
+        ]
 
     def schedulable(self) -> list[int]:
         """Enabled tids, fast-forwarding the clock past an all-sleeping lull.
@@ -401,13 +428,22 @@ class Execution:
             raise ExecutionLimitExceeded(
                 f"{self.program.name}: exceeded {self.max_steps} steps"
             )
+        self._execute(ts)
+
+    def _execute(self, ts: ThreadState) -> None:
+        """:meth:`step` without its checks.
+
+        The caller must already know that ``ts`` is enabled and that
+        ``ops_executed < max_steps``: the scheduler-continuation path of
+        :meth:`run` and the postponing driver's burst both do.
+        """
         self.step_count += 1
         self.ops_executed += 1
         counts = self._m_counts
-        if counts is not None and tid != self._m_last_tid:
+        if counts is not None and ts.tid != self._m_last_tid:
             if self._m_last_tid >= 0:
                 self._m_switches += 1
-            self._m_last_tid = tid
+            self._m_last_tid = ts.tid
         status = ts.status
         if status is _RUNNABLE:
             op = ts.pending
@@ -517,6 +553,7 @@ class Execution:
 
     def _do_join(self, ts: ThreadState, op: Op) -> None:
         target = resolve_tid(op.target)
+        ts.join_target = None
         msg = self._term_msg.get(target)
         if msg is not None and self._observing:
             self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))

@@ -11,6 +11,14 @@ These wrap raw ops so benchmark programs read naturally::
         ...
         yield lock.release()
 
+Locations and unlabelled read ops are built once per location and reused:
+``SharedCells.loc(i)`` and ``SharedObject.loc(f)`` return the same object
+on every call (equality and uids are unchanged; the cached hash is reused),
+and ``read``/``get`` without a label return the same :class:`Op`, as do
+``Lock.acquire``/``release``.  That is safe because nothing mutates an op
+once built.  A structure's ``init`` or ``defaults`` therefore describe its
+initial state: set them before the first read of the location they cover.
+
 All of these are *libraries over the instruction set*, not engine features:
 ``Barrier``, ``CountDownLatch`` and ``BlockingQueue`` are built from locks
 and wait/notify exactly as their ``java.util.concurrent`` counterparts are
@@ -34,9 +42,15 @@ class SharedVar:
         self.name = name
         self.init = init
         self.loc = VarLoc(fresh_uid(), name)
+        self._read_op: Op | None = None
 
     def read(self, label: str | None = None) -> Op:
-        return ops.read(self.loc, default=self.init, label=label)
+        if label is not None:
+            return ops.read(self.loc, default=self.init, label=label)
+        op = self._read_op
+        if op is None:
+            op = self._read_op = ops.read(self.loc, default=self.init)
+        return op
 
     def write(self, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc, value, label=label)
@@ -58,12 +72,22 @@ class SharedCells:
         self.name = name
         self.init = init
         self.uid = fresh_uid()
+        self._locs: dict[int, ElemLoc] = {}
+        self._reads: dict[int, Op] = {}
 
     def loc(self, index: int) -> ElemLoc:
-        return ElemLoc(self.uid, self.name, index)
+        loc = self._locs.get(index)
+        if loc is None:
+            loc = self._locs[index] = ElemLoc(self.uid, self.name, index)
+        return loc
 
     def read(self, index: int, label: str | None = None) -> Op:
-        return ops.read(self.loc(index), default=self.init, label=label)
+        if label is not None:
+            return ops.read(self.loc(index), default=self.init, label=label)
+        op = self._reads.get(index)
+        if op is None:
+            op = self._reads[index] = ops.read(self.loc(index), default=self.init)
+        return op
 
     def write(self, index: int, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc(index), value, label=label)
@@ -104,12 +128,26 @@ class SharedObject:
         self.name = name
         self.uid = fresh_uid()
         self.defaults = defaults
+        self._locs: dict[str, FieldLoc] = {}
+        self._gets: dict[str, Op] = {}
 
     def loc(self, field: str) -> FieldLoc:
-        return FieldLoc(self.uid, self.name, field)
+        loc = self._locs.get(field)
+        if loc is None:
+            loc = self._locs[field] = FieldLoc(self.uid, self.name, field)
+        return loc
 
     def get(self, field: str, label: str | None = None) -> Op:
-        return ops.read(self.loc(field), default=self.defaults.get(field), label=label)
+        if label is not None:
+            return ops.read(
+                self.loc(field), default=self.defaults.get(field), label=label
+            )
+        op = self._gets.get(field)
+        if op is None:
+            op = self._gets[field] = ops.read(
+                self.loc(field), default=self.defaults.get(field)
+            )
+        return op
 
     def set(self, field: str, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc(field), value, label=label)
@@ -124,11 +162,17 @@ class Lock:
     def __init__(self, name: str = ""):
         self.id = LockId(fresh_uid(), name)
         self.name = name
+        self._acquire_op = ops.lock(self.id)
+        self._release_op = ops.unlock(self.id)
 
     def acquire(self, label: str | None = None) -> Op:
+        if label is None:
+            return self._acquire_op
         return ops.lock(self.id, label=label)
 
     def release(self, label: str | None = None) -> Op:
+        if label is None:
+            return self._release_op
         return ops.unlock(self.id, label=label)
 
     def wait(self, timeout: int | None = None, label: str | None = None) -> Op:

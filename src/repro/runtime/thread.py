@@ -62,6 +62,9 @@ class ThreadState:
     #: recursion depth to restore on re-acquisition.
     waiting_on: Any = None
     wait_depth: int = 0
+    #: state of the thread a pending JOIN waits for, resolved on the first
+    #: enabledness check of that JOIN and cleared when it executes.
+    join_target: ThreadState | None = None
     #: absolute step at which a SLEEPING thread wakes.
     wake_at: int = 0
     #: Java-style interrupt status flag.

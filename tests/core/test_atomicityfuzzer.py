@@ -2,7 +2,7 @@
 
 from repro.core import AtomicityFuzzer, AtomicRegion, RandomScheduler
 from repro.runtime import Execution, Lock, Program, SharedVar, join_all, ops, spawn_all
-from repro.runtime.statement import Statement
+from repro.runtime.statement import Statement, StatementPair
 
 
 def _check_then_act_factory(pad: int = 8):
@@ -136,3 +136,40 @@ class TestAtomicityFuzzer:
             outcome = fuzzer.run(Program(factory), seed=seed)
             assert not outcome.crashes, f"seed {seed}"
             assert not outcome.result.deadlock
+
+
+class TestNonMemoryTargets:
+    def test_burst_stops_at_a_check_inside_the_region(self):
+        """A region half may be any statement, here a ``check``: neither a
+        memory access nor a sync op, so only the target probe stops the
+        sync-preemption burst in front of it.  Without that stop the region
+        runs to its end in one burst and the rival never gets in."""
+
+        def factory():
+            x = SharedVar("x", 0)
+
+            def region():
+                seen = yield x.read(label="first")
+                yield ops.check(seen >= 0, "negative x", label="second")
+                now = yield x.read()
+                yield ops.check(now == seen, "x changed inside the region")
+
+            def rival():
+                yield x.write(1, label="rival")
+
+            def main():
+                handles = yield from spawn_all([region, rival])
+                yield from join_all(handles)
+
+            return main()
+
+        region = AtomicRegion(Statement(label="first"), Statement(label="second"))
+        fuzzer = AtomicityFuzzer(region, Statement(label="rival"), max_steps=10_000)
+        for seed in range(10):
+            outcome = fuzzer.run(Program(factory), seed=seed)
+            assert [h.pair for h in outcome.hits] == [
+                StatementPair(Statement(label="second"), Statement(label="rival"))
+            ], f"seed {seed}"
+            assert [c.error.message for c in outcome.crashes] == [
+                "x changed inside the region"
+            ], f"seed {seed}"

@@ -11,10 +11,11 @@ op tallies must still fold into the same ``interp.ops.*`` counters.
 from collections import Counter
 
 from repro.obs import collecting
-from repro.runtime import SharedVar, join_all, ops, spawn_all
+from repro.runtime import SharedCells, SharedVar, join_all, ops, spawn_all
 from repro.runtime import interpreter as interp_mod
 from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
+from repro.core import RaceFuzzer, detect_races
 from repro.core.schedulers import RandomScheduler
 
 
@@ -122,3 +123,59 @@ class TestWakeMetricsAttribution:
             if name.startswith("interp.ops.")
         )
         assert op_total == counters["interp.steps"]
+
+
+def _probe_program(iterations=30):
+    """Two workers race on ``x``; every iteration also crosses two
+    memory sites that race with nothing (a shared read-only limit, and a
+    cell of the worker's own).  A worker ends on its ``x`` write, whose
+    statement its termination records."""
+
+    def make():
+        x = SharedVar("x", 0)
+        limit = SharedVar("limit", iterations)
+        own = SharedCells("own", 0)
+
+        def worker(wid):
+            for _ in range(iterations):
+                yield limit.read()
+                yield own.write(wid, 1)
+                value = yield x.read()
+                yield x.write(value + 1)
+
+        def main():
+            threads = yield from spawn_all(
+                [lambda: worker(0), lambda: worker(1)], prefix="w"
+            )
+            yield from join_all(threads)
+
+        return main()
+
+    return Program(make, name="probe")
+
+
+class TestTargetProbe:
+    def test_bursts_build_no_statement_at_non_target_sites(self, monkeypatch):
+        """RaceFuzzer's line-6 probe answers from the raw yield site: with
+        no observer, no trial interns a statement for a site of the
+        workers' bursts outside the racing pair."""
+        program = _probe_program()
+        pairs = detect_races(program, seeds=(0, 1)).pairs
+        assert pairs and all("worker" in p.first.func for p in pairs)
+        pair = pairs[0]
+        built: list = []
+        real = interp_mod.statement_at
+
+        def recording(code, line):
+            stmt = real(code, line)
+            built.append(stmt)
+            return stmt
+
+        monkeypatch.setattr(interp_mod, "statement_at", recording)
+        outcomes = [RaceFuzzer(pair).run(program, seed=seed) for seed in range(5)]
+        assert sum(o.result.steps for o in outcomes) > 500
+        assert any(o.created for o in outcomes)
+        in_bursts = {stmt for stmt in built if "worker" in stmt.func}
+        assert in_bursts <= {pair.first, pair.second}, (
+            f"statements built at non-target sites: {in_bursts - {pair.first, pair.second}}"
+        )

@@ -1,6 +1,11 @@
 """The Algorithm 1 main loop: postponement, releases, watchdog, deadlocks."""
 
-from repro.core import RaceFuzzer, detect_races
+import hashlib
+
+from repro import workloads
+from repro.core import AtomicityFuzzer, DeadlockFuzzer, RaceFuzzer, detect_races
+from repro.core.atomicity_detect import detect_atomic_regions
+from repro.core.deadlockfuzzer import detect_lock_order_inversions
 from repro.core.postponing import FuzzResult, PollWatch, PostponingDriver
 from repro.obs import collecting
 from repro.runtime import (
@@ -381,7 +386,7 @@ class TestDriverValidation:
     def test_base_class_hooks_are_abstract(self):
         driver = PostponingDriver()
         with pytest.raises(NotImplementedError):
-            driver.is_target(None, 0)
+            driver.is_target(None, None)
         with pytest.raises(NotImplementedError):
             driver.conflicting(None, 0, [])
 
@@ -474,3 +479,103 @@ class TestStallSteps:
         assert counters["fuzz.idle_releases"] == sum(o.idle_releases for o in outcomes)
         assert counters["fuzz.idle_releases"] > 0
         assert counters.get("fuzz.watchdog_releases", 0) == 0
+
+
+def _trial_digest(outcome: FuzzResult) -> str:
+    """Everything a Phase-2 trial decided, in a form stable across processes
+    (statement sites, not location uids).  A crash names the function it
+    escaped from, not the line, so the pin survives edits to library code
+    such as ``synchronized``."""
+    result = outcome.result
+    return repr(
+        [
+            [(h.step, h.tids, str(h.pair), h.executed_arrival) for h in outcome.hits],
+            (
+                outcome.forced_releases, outcome.watchdog_releases,
+                outcome.idle_releases, outcome.stall_steps, outcome.postpones,
+                outcome.coin_flips, outcome.postponed_high_water,
+            ),
+            result.steps,
+            [
+                (
+                    c.tid, c.name, c.error.type, c.error.message,
+                    c.stmt and (c.stmt.label or c.stmt.func), c.step,
+                )
+                for c in result.crashes
+            ],
+            (result.deadlock, result.deadlocked_tids, result.truncated),
+        ]
+    )
+
+
+def _campaign_digest(drivers, program, seeds=range(5)) -> str:
+    digest = hashlib.sha256()
+    for driver in drivers:
+        for seed in seeds:
+            digest.update(_trial_digest(driver.run(program, seed=seed)).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+#: sha256 of every trial of every Phase-1 pair, seeds 0-4.  A digest moves
+#: only when some trial's schedule moves; if that is the point of a change,
+#: print ``_campaign_digest`` for the row and update it here.
+GOLDEN_PHASE2 = {
+    "cache4j": "845f13ed849db7451d00bbcab30037c9f99e235cc6f179fe92fce344913347b6",
+    "vector": "baa750a0bbd579cc2cd5e19fe57377da9c1aeaeef55ce9f5dc53b24399e629e1",
+    "linkedlist": "8aa063297a376cf42f19e778661d842f586dc49a8def5a4b3060b37e371b8ae2",
+    "arraylist": "c757c42ba2f673c7c2f4d7b3cfebff7e657880de8b4440f493d397e4c75be082",
+    "hashset": "bfb5dc24096c44d72073f627a4663b8074b81b304104573254caede99e1bc27b",
+    "treeset": "167c868b88c68cb7fca20af2835b70e72da999c6b27a5dff2a7397c9c0f63559",
+    "hedc": "30f84f1dae36e66ae6c5ce11dc572b2ddc7cf036d0014faae30cb45df0164662",
+    "jigsaw": "1106e7b8e79b1d1779bcb67c497783fec45d1a598c9b326c6ecd73cc093aad2c",
+    "jspider": "b166e7d32a98f2cc4f43a334e7cfda53295dec8992e0f453d370f80fac617091",
+    "moldyn": "cc0dc212745c1087e1bc350bc9eefc722ffb1eb4239f55b77cb1782fd74d2a03",
+    "montecarlo": "84678a13f0a31efdf1e20a46a69dfb48e237b7fc296574419fd35fa683c7bae6",
+    "raytracer": "975f7f8e97e307d9df3d5723508f3915fb57cb6e304b7866ed8f261ceaf4e4b0",
+    "sor": "2c7a673a9fc603a1b1ccc972207c45b61d2a1d401ef77168eb96903458acb5b8",
+    "weblech": "0d19e30cf5e8d0f8350472b046122b08001cf4014bd5e0e6962e2d843790be32",
+}
+
+#: the same for the other two postponing drivers on the philosophers
+#: workload: its mined lock-order target, and each mined atomic region
+#: (whose halves are lock acquisitions, not memory accesses).
+GOLDEN_SUBCLASSES = (
+    "08e1d5351124623af90be3f9b32c3ff71b116dedbbcb09eb31223d8fdd54a94a",
+    "a9aacee30bc0f44e78d05a0be7cef5f17134a6592987c2b685a9568943f33f5b",
+    "600647e7c9df786ca743a9a5e0e569fe1d73e9b9593f1b97d16ceb49b8ddd5a5",
+)
+
+
+class TestGoldenPhase2:
+    """Phase-2 schedules are pinned: the postponing loop may get faster,
+    never different."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PHASE2))
+    def test_racefuzzer_trials_match_the_pin(self, name):
+        spec = workloads.get(name)
+        pairs = detect_races(
+            spec.build(), seeds=spec.phase1_seeds, max_steps=spec.max_steps
+        ).pairs
+        drivers = [
+            RaceFuzzer(pair, max_steps=spec.max_steps)
+            for pair in sorted(pairs, key=str)
+        ]
+        assert _campaign_digest(drivers, spec.build()) == GOLDEN_PHASE2[name]
+
+    def test_deadlock_and_atomicity_trials_match_the_pin(self):
+        spec = workloads.get("philosophers")
+        targets = detect_lock_order_inversions(
+            spec.build(), seeds=range(3), max_steps=spec.max_steps
+        ).target_statements()
+        regions = detect_atomic_regions(
+            spec.build(), seeds=range(3), max_steps=spec.max_steps
+        )
+        drivers = [DeadlockFuzzer(targets, max_steps=spec.max_steps)] + [
+            AtomicityFuzzer(c.region, c.rival, max_steps=spec.max_steps)
+            for c in regions
+        ]
+        digests = tuple(
+            _campaign_digest([driver], spec.build()) for driver in drivers
+        )
+        assert digests == GOLDEN_SUBCLASSES

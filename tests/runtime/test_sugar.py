@@ -295,3 +295,58 @@ class TestAtomicCounter:
         counter = AtomicCounter("c", init=5)
         op = counter.read_unlocked()
         assert op.is_mem and not op.is_write
+
+
+class TestInterning:
+    """Locations, unlabelled read ops and a lock's unlabelled acquire and
+    release ops are each built once."""
+
+    def test_cells_location_is_interned(self):
+        cells = SharedCells("c")
+        assert cells.loc(3) is cells.loc(3)
+        assert cells.loc(3) != cells.loc(4)
+
+    def test_object_location_is_interned(self):
+        obj = SharedObject("o", f=1)
+        assert obj.loc("f") is obj.loc("f")
+        assert obj.loc("f") != obj.loc("g")
+
+    def test_interned_location_keeps_value_identity(self):
+        from repro.runtime.location import ElemLoc, FieldLoc
+
+        cells, obj = SharedCells("c"), SharedObject("o")
+        assert cells.loc(2) == ElemLoc(cells.uid, "c", 2)
+        assert hash(cells.loc(2)) == hash(ElemLoc(cells.uid, "c", 2))
+        assert obj.loc("f") == FieldLoc(obj.uid, "o", "f")
+
+    def test_unlabelled_ops_are_reused(self):
+        var, cells, obj = SharedVar("v", 1), SharedCells("c", 0), SharedObject("o", f=2)
+        assert var.read() is var.read()
+        assert cells.read(5) is cells.read(5)
+        assert cells.read(5) is not cells.read(6)
+        assert obj.get("f") is obj.get("f")
+        assert obj.get("f").default == 2
+        array = SharedArray(4, "a", init=0)
+        assert array.read(1) is array.read(1)
+        lock = Lock("L")
+        assert lock.acquire() is lock.acquire()
+        assert lock.release() is lock.release()
+
+    def test_labelled_op_carries_its_own_label(self):
+        var, cells, obj = SharedVar("v"), SharedCells("c"), SharedObject("o")
+        lock = Lock("L")
+        for plain, labelled in (
+            (var.read, lambda: var.read(label="r")),
+            (lambda: cells.read(1), lambda: cells.read(1, label="r")),
+            (lambda: obj.get("f"), lambda: obj.get("f", label="r")),
+            (lock.acquire, lambda: lock.acquire(label="r")),
+            (lock.release, lambda: lock.release(label="r")),
+        ):
+            cached = plain()
+            op = labelled()
+            assert op.label == "r"
+            assert op is not cached
+            assert (op.kind, op.location, op.lock) == (
+                cached.kind, cached.location, cached.lock
+            )
+            assert plain() is cached and cached.label is None
