@@ -116,7 +116,6 @@ def detect_races(
     detector: str | Sequence[str] = "hybrid",
     seeds: Sequence[int] = (0, 1, 2),
     max_steps: int = 1_000_000,
-    history_cap: int = 128,
     jobs: int = 1,
     deadline: float | None = None,
     retries: int | None = None,
@@ -161,7 +160,6 @@ def detect_races(
             detector=detector,
             seeds=seeds,
             max_steps=max_steps,
-            history_cap=history_cap,
             trace_dir=trace_dir,
             store_quota=store_quota,
         )

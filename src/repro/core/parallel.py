@@ -117,7 +117,6 @@ class DetectTask:
     seed: int = 0
     detectors: tuple[str, ...] = ("hybrid",)
     max_steps: int = 1_000_000
-    history_cap: int = 128
     trace_dir: str | None = None
     compress: bool = False
     store_quota: int | None = None
@@ -209,10 +208,7 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
     """Worker entrypoint: one seed's detector reports, by name."""
     program = _build_workload(task.workload)
     if task.trace_dir is None:
-        observers = {
-            name: make_detector(name, history_cap=task.history_cap)
-            for name in task.detectors
-        }
+        observers = {name: make_detector(name) for name in task.detectors}
         Execution(
             program,
             seed=task.seed,
@@ -234,9 +230,7 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
         reports = store.with_recovery(
             task.trace_key(),
             program,
-            lambda path: analyze_trace(
-                path, task.detectors, history_cap=task.history_cap
-            ),
+            lambda path: analyze_trace(path, task.detectors),
         )
     telemetry = maybe_telemetry()
     if telemetry is not None:
@@ -484,7 +478,6 @@ class ParallelCampaign:
         detector: "str | Sequence[str]" = "hybrid",
         seeds: Sequence[int] = (0, 1, 2),
         max_steps: int = 1_000_000,
-        history_cap: int = 128,
         trace_dir=None,
         compress: bool = False,
         store_quota: int | None = None,
@@ -516,7 +509,6 @@ class ParallelCampaign:
                 seed=seed,
                 detectors=names,
                 max_steps=max_steps,
-                history_cap=history_cap,
                 trace_dir=None if trace_dir is None else str(trace_dir),
                 compress=compress,
                 store_quota=store_quota,

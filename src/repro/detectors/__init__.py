@@ -1,40 +1,55 @@
 """Phase 1 detectors: imprecise (and precise) dynamic race detection.
 
+Four of them are configurations of one history kernel,
+:class:`HistoryRaceDetector` (:mod:`repro.detectors.base`), which runs
+the Section 2.2 check over a per-location access history.
+
 Observed-order detectors (what was concurrent in this schedule):
 
 * :class:`HybridRaceDetector` — the paper's Phase 1 (lockset + start/join/
   notify happens-before);
 * :class:`HappensBeforeDetector` — precise HB baseline;
-* :class:`EraserLocksetDetector` — pure lockset baseline.
+* :class:`EraserLocksetDetector` — pure lockset baseline (its own state
+  machine, outside the kernel).
 
 Predictive detectors (what could be concurrent in some feasible
-reordering of the same trace — see :mod:`repro.detectors.predict`):
+reordering of the same trace).  The trace layer made executions
+record-once / analyze-many, and these exploit it: they report a strictly
+larger candidate set per recorded execution, feeding Phase 2 more leads
+per CPU-second spent executing programs:
 
 * :class:`ShbRaceDetector` — SHB-style, keeps predicting past the first
   race, grades pairs by strong-dependently-precedes concurrency;
 * :class:`WcpRaceDetector` — WCP-style near-complete prediction with
   lock-acquisition-history guard reasoning;
-* :class:`SamplingRaceDetector` — O(1)-per-location sampling screen.
+* :class:`SamplingRaceDetector` — O(1)-per-location sampling screen
+  (:mod:`repro.detectors.sample`, no clocks).
 
-All emit :class:`RaceReport` / :class:`PairEvidence`.  Any of them (or a
-hand-written pair list) can seed Phase 2: RaceFuzzer only needs "a set of
-statements whose simultaneous execution could lead to a concurrency
-problem" (Section 1).
+All are ordinary :class:`~repro.runtime.observer.ExecutionObserver`
+detectors emitting :class:`RaceReport` / :class:`PairEvidence`: they run
+live on an execution, or offline over any stored trace through
+:func:`repro.trace.analyze_trace`, with identical results.  Any of them
+(or a hand-written pair list) can seed Phase 2: RaceFuzzer only needs "a
+set of statements whose simultaneous execution could lead to a
+concurrency problem" (Section 1).
 """
 
-import inspect
-
-from .base import AccessRecord, HistoryRaceDetector
-from .happensbefore import HappensBeforeDetector
-from .hybrid import HybridRaceDetector
+from .base import (
+    AccessRecord,
+    HappensBeforeDetector,
+    HistoryRaceDetector,
+    HybridRaceDetector,
+    ShbRaceDetector,
+    WcpRaceDetector,
+)
 from .lockset import EraserLocksetDetector
-from .predict import SamplingRaceDetector, ShbRaceDetector, WcpRaceDetector
 from .report import (
     PairEvidence,
     RaceReport,
     schedulable_grades,
     union_reports,
 )
+from .sample import SamplingRaceDetector
 from .vectorclock import VectorClock
 
 DETECTORS = {
@@ -53,15 +68,8 @@ def available_detectors() -> list[str]:
     return sorted(DETECTORS)
 
 
-def make_detector(name: str, **options):
-    """Build a registered detector by name, keyword-tolerantly.
-
-    Detector classes accept different construction options (the
-    history-based ones take ``history_cap``, the sampling screener takes
-    ``sample_cap``, others take nothing), so callers configuring
-    "whichever detector was requested" would otherwise have to
-    special-case each class.  This factory passes through only the
-    options the chosen class actually accepts.
+def make_detector(name: str):
+    """Build a registered detector by name, with its default settings.
 
     Raises ``KeyError`` for names not in :data:`DETECTORS`.
     """
@@ -71,14 +79,7 @@ def make_detector(name: str, **options):
         raise KeyError(
             f"unknown detector {name!r}; registered: {available_detectors()}"
         ) from None
-    params = inspect.signature(cls.__init__).parameters
-    tolerant = any(p.kind is p.VAR_KEYWORD for p in params.values())
-    accepted = {
-        key: value
-        for key, value in options.items()
-        if tolerant or key in params
-    }
-    return cls(**accepted)
+    return cls()
 
 
 __all__ = [

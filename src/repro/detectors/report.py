@@ -177,7 +177,8 @@ def union_reports(
         ordered = list(reports.values())
     else:
         ordered = list(reports)
-    assert ordered, "union_reports needs at least one report"
+    if not ordered:
+        raise ValueError("union_reports needs at least one report")
     if detector is None:
         detector = "+".join(r.detector for r in ordered)
     if program is None:

@@ -99,17 +99,11 @@ def replay_events(
 def analyze_trace(
     trace,
     detectors: Sequence[str] = ("hybrid",),
-    *,
-    history_cap: int = 128,
-    **detector_options,
 ) -> "Mapping[str, object]":
     """Run named detectors over one recorded trace; reports by name.
 
     ``trace`` is a path or an open :class:`~repro.trace.io.TraceReader`.
-    All detectors consume a single streamed pass over the file.  Extra
-    keyword options (e.g. ``sample_cap``) reach whichever detectors
-    accept them, via :func:`~repro.detectors.make_detector`'s
-    keyword-tolerant construction.
+    All detectors consume a single streamed pass over the file.
 
     While telemetry is on, each detector's share of the
     pass is metered and published as a ``predict.analyze.<name>`` span,
@@ -118,10 +112,7 @@ def analyze_trace(
     from repro.detectors import make_detector  # detectors don't import trace
 
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-    built = {
-        name: make_detector(name, history_cap=history_cap, **detector_options)
-        for name in detectors
-    }
+    built = {name: make_detector(name) for name in detectors}
     telemetry = maybe_telemetry()
     if telemetry is not None:
         telemetry.inc("trace.replays")

@@ -14,10 +14,10 @@ from repro.runtime import (
 from repro.workloads import figure1
 
 
-def detect(factory, seeds=range(5), history_cap=128):
+def detect(factory, seeds=range(5), detector_class=HybridRaceDetector):
     merged = None
     for seed in seeds:
-        detector = HybridRaceDetector(history_cap=history_cap)
+        detector = detector_class()
         Execution(Program(factory), seed=seed, observers=[detector]).run(
             RandomScheduler(preemption="every")
         )
@@ -270,7 +270,10 @@ class TestHistoryCap:
 
             return main()
 
-        report = detect(factory, seeds=(0,), history_cap=8)
+        class SmallHistoryDetector(HybridRaceDetector):
+            max_history = 8
+
+        report = detect(factory, seeds=(0,), detector_class=SmallHistoryDetector)
         assert report.truncated_locations >= 1
 
 
