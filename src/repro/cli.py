@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect_parser.add_argument(
         "--retries",
         type=COUNT,
-        default=None,
+        default=2,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
     )
@@ -737,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--retries",
         type=COUNT,
-        default=None,
+        default=2,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
     )

@@ -44,7 +44,6 @@ from .schedule import (
 )
 from .supervisor import (
     CampaignSupervisor,
-    RetryPolicy,
     SupervisorReport,
     TaskDeadlineExceeded,
     compute_backoff,
@@ -99,7 +98,6 @@ __all__ = [
     "SCHEDULES",
     "CampaignSupervisor",
     "SupervisorReport",
-    "RetryPolicy",
     "compute_backoff",
     "TaskDeadlineExceeded",
     "TaskFailure",

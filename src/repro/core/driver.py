@@ -118,7 +118,7 @@ def detect_races(
     max_steps: int = 1_000_000,
     jobs: int = 1,
     deadline: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     trace_dir=None,
     faults=None,
     store_quota: int | None = None,
@@ -153,7 +153,7 @@ def detect_races(
     """
     _check_inputs(detector)
     with _campaign(
-        program, jobs, deadline=deadline, retry=retries, faults=faults
+        program, jobs, deadline=deadline, retries=retries, faults=faults
     ) as (engine, name):
         return engine.detect(
             name,
@@ -177,7 +177,7 @@ def fuzz_races(
     jobs: int = 1,
     chunk_size: int = 25,
     deadline: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     checkpoint=None,
     faults=None,
     memory_budget_mb: float | None = None,
@@ -238,7 +238,7 @@ def fuzz_races(
         jobs,
         chunk_size=chunk_size,
         deadline=deadline,
-        retry=retries,
+        retries=retries,
         checkpoint=checkpoint,
         faults=faults,
         memory_budget_mb=memory_budget_mb,
@@ -298,7 +298,7 @@ def race_directed_test(
     jobs: int = 1,
     chunk_size: int = 25,
     deadline: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     checkpoint=None,
     faults=None,
     memory_budget_mb: float | None = None,
@@ -325,45 +325,36 @@ def race_directed_test(
     trial-allocation policy knobs.
     """
     _check_inputs(detector, preemption)
-    phase2 = dict(
+    sched = make_schedule(
+        schedule,
         trials=trials,
-        base_seed=base_seed,
-        preemption=preemption,
-        patience=patience,
-        max_steps=max_steps,
-        schedule=make_schedule(
-            schedule,
-            trials=trials,
-            trial_budget=trial_budget,
-            time_budget_s=time_budget,
-            seed=base_seed,
-        ),
+        trial_budget=trial_budget,
+        time_budget_s=time_budget,
+        seed=base_seed,
     )
     with _campaign(
         program,
         jobs,
         chunk_size=chunk_size,
         deadline=deadline,
-        retry=retries,
+        retries=retries,
         checkpoint=checkpoint,
         faults=faults,
         memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
     ) as (engine, name):
-        if pairs is None:
-            return _emit_funnel(
-                engine.run(
-                    name, detector=detector, phase1_seeds=phase1_seeds, **phase2
-                )
-            )
-        pair_list = list(pairs)
-        verdicts = engine.fuzz(name, pair_list, **phase2)
         return _emit_funnel(
-            CampaignReport(
-                program=name,
-                phase1=RaceReport.from_pairs(pair_list, program=name),
-                verdicts=verdicts,
-                failures=list(engine.failures),
+            engine.run(
+                name,
+                detector=detector,
+                phase1_seeds=phase1_seeds,
+                pairs=pairs,
+                trials=trials,
+                base_seed=base_seed,
+                preemption=preemption,
+                patience=patience,
+                max_steps=max_steps,
+                schedule=sched,
             )
         )
 
@@ -378,7 +369,7 @@ def baseline_exceptions(
     jobs: int = 1,
     chunk_size: int = 25,
     deadline: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
 ) -> Counter:
     """Count exception types over passive-scheduler runs (Table 1, col 10).
 
@@ -393,7 +384,7 @@ def baseline_exceptions(
     """
     baseline_scheduler(scheduler)  # reject unknown specs before any run
     with _campaign(
-        program, jobs, chunk_size=chunk_size, deadline=deadline, retry=retries
+        program, jobs, chunk_size=chunk_size, deadline=deadline, retries=retries
     ) as (engine, name):
         return engine.baseline(
             name,

@@ -38,11 +38,13 @@ Design constraints, and how they are met:
   for every detector, inline or in a worker alike, so store counters and
   quotas behave the same at every ``jobs``.
 
-Every dispatch goes through the :mod:`~repro.core.supervisor` layer, which
-adds the failure story: per-task wall-clock deadlines, retry with backoff,
-broken-pool recovery, quarantine, and checkpoint/resume.  See that module
-for the semantics; this one stays about *what* a task is and *how* results
-merge.
+The engine, :class:`ParallelCampaign`, is a
+:class:`~repro.core.supervisor.CampaignSupervisor`: it inherits the
+failure story (per-task wall-clock deadlines, retry with backoff,
+broken-pool recovery, quarantine, checkpoint/resume) and every setting
+that tunes it, and adds only ``chunk_size`` and ``on_progress``.  See
+that module for the semantics; this one stays about *what* a task is and
+*how* results merge.
 """
 
 from __future__ import annotations
@@ -68,19 +70,13 @@ from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .faults import FaultPlan
 from .results import CampaignReport, PairVerdict
 from .schedule import CampaignSchedule, chunk_spans, make_schedule
 from .schedulers import RandomScheduler
-from .supervisor import CampaignSupervisor, RetryPolicy, resolve_jobs
+from .supervisor import CampaignSupervisor, resolve_jobs
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def pair_key(pair: StatementPair) -> tuple[str, str]:
-    """Stable cross-process identity for a pair (sorting / grouping key)."""
-    return (str(pair.first), str(pair.second))
 
 
 def pair_span_name(pair: StatementPair) -> str:
@@ -354,120 +350,86 @@ def pool_map(
 # --------------------------------------------------------------------- #
 
 
-class ParallelCampaign:
+class ParallelCampaign(CampaignSupervisor):
     """Fan a two-phase campaign out across supervised worker processes.
 
-    Every task — Phase-1 detection runs and Phase-2 fuzz chunks alike —
-    is dispatched through a :class:`~repro.core.supervisor.CampaignSupervisor`,
-    which adds per-task wall-clock deadlines, bounded retry with backoff,
-    broken-pool recovery (with graceful degradation to inline serial
-    execution), quarantine of persistently failing tasks, and
-    checkpoint/resume for Phase-2 chunks.
+    The engine *is* a :class:`~repro.core.supervisor.CampaignSupervisor`:
+    every task — Phase-1 detection runs, baseline chunks and Phase-2 fuzz
+    chunks alike — runs through its ``supervise`` loop, with per-task
+    wall-clock deadlines, bounded retry with backoff, broken-pool recovery
+    (with graceful degradation to inline serial execution), quarantine of
+    persistently failing tasks, and checkpoint/resume for Phase-2 chunks.
+    It takes the supervisor's settings (``jobs``, ``deadline``,
+    ``retries``, ``checkpoint``, ``faults``, ``memory_budget_mb``) and
+    adds two of its own.
 
     Parameters:
-        jobs: worker processes (``None``/``0`` = one per core; ``1`` =
-            run inline with no pool).
-        chunk_size: Phase-2 seeds per task.  Small chunks parallelize
-            better; large chunks amortize per-task overhead.  Chunking
-            never changes merged aggregates (trials are independent and
-            the merge is associative).
-        deadline: per-task wall-clock budget in seconds (distinct from
-            the abstract ``max_steps`` budget; ``None`` = unlimited).
-        retry: a :class:`~repro.core.supervisor.RetryPolicy`, or an int
-            meaning ``RetryPolicy(max_retries=N)``, or ``None`` for the
-            default (2 retries, exponential backoff with seeded jitter).
-        checkpoint: path to an append-only JSONL journal of completed
-            Phase-2 chunks; a restarted campaign skips journaled chunks.
-        faults: a :class:`~repro.core.faults.FaultPlan` for deterministic
-            failure injection.
-        pool_death_limit: rebuild a broken worker pool at most this many
-            times before degrading to inline serial execution.
-        memory_budget_mb: per-attempt memory budget in MiB, enforced
-            worker-side as a ``ru_maxrss`` delta.
-        health: shared :class:`~repro.obs.health.HealthController`; one
-            is created when not given, and its state rides on every
-            :class:`~repro.obs.ProgressUpdate`.
+        chunk_size: Phase-2 (and baseline) seeds per task.  Small chunks
+            parallelize better; large chunks amortize per-task overhead.
+            Chunking never changes merged aggregates (trials are
+            independent and the merge is associative).
+        on_progress: called with a :class:`~repro.obs.ProgressUpdate`
+            each time a task settles; the campaign's :attr:`health` state
+            rides on every update.
 
     Quarantined tasks accumulate on :attr:`failures` (and, for fuzz
-    chunks, on the owning verdict's ``errors``); :attr:`last_report`
-    holds the :class:`~repro.core.supervisor.SupervisorReport` of the
-    most recent batch.  Use as a context manager (or call :meth:`close`)
-    to reclaim the pool.
+    chunks, on the owning verdict's ``errors``).
     """
 
     def __init__(
         self,
-        jobs: int | None = None,
         *,
         chunk_size: int = 25,
-        deadline: float | None = None,
-        retry: RetryPolicy | int | None = None,
-        checkpoint=None,
-        faults: FaultPlan | None = None,
-        pool_death_limit: int = 2,
-        memory_budget_mb: float | None = None,
-        health: HealthController | None = None,
         on_progress: Callable[[ProgressUpdate], None] | None = None,
+        **supervision,
     ) -> None:
-        self.jobs = resolve_jobs(jobs)
+        super().__init__(**supervision)
         self.chunk_size = _validate_chunk_size(chunk_size)
         self.on_progress = on_progress
-        self.health = health if health is not None else HealthController(
-            pool_death_critical=pool_death_limit + 1
-        )
-        self.supervisor = CampaignSupervisor(
-            jobs=self.jobs,
-            deadline=deadline,
-            retry=retry,
-            pool_death_limit=pool_death_limit,
-            checkpoint=checkpoint,
-            faults=faults,
-            memory_budget_mb=memory_budget_mb,
-            health=self.health,
-        )
-        self.failures = []
-        self.last_report = None
 
-    # -- lifecycle ----------------------------------------------------- #
+    def _settle_hooks(
+        self,
+        phase: str,
+        planned: Callable[[], int] = lambda: 0,
+        confirms: Callable[[], int] | None = None,
+    ):
+        """The one progress path: ``on_settle`` callbacks for ``phase``.
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        self.supervisor.close()
-
-    def __enter__(self) -> "ParallelCampaign":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _settle_hook(self, phase: str, total: int, count_confirm=None):
-        """An ``on_settle`` callback feeding :attr:`on_progress` updates.
-
-        ``count_confirm(index, result)`` (optional) returns the running
-        number of confirmed pairs to display.
+        Returns ``hook(tasks, record=None)``, to call once per supervised
+        batch of ``phase``.  The callback it builds hands each settled
+        result to ``record(index, result)``, then reports to
+        :attr:`on_progress`: tasks settled so far against every task
+        issued plus ``planned()`` tasks still to come (the schedule's
+        estimate), and the ``confirms()`` count when given.
         """
-        if self.on_progress is None:
-            return None
         start = time.monotonic()
-        state = {"done": 0}
+        counts = {"done": 0, "issued": 0}
 
-        def on_settle(index: int, result) -> None:
-            state["done"] += 1
-            confirms = (
-                count_confirm(index, result) if count_confirm is not None else None
-            )
-            self.on_progress(
-                ProgressUpdate(
-                    phase=phase,
-                    done=state["done"],
-                    total=total,
-                    confirms=confirms,
-                    elapsed_s=time.monotonic() - start,
-                    health=self.health.state,
+        def hook(tasks, record=None):
+            counts["issued"] += len(tasks)
+
+            def on_settle(index: int, result) -> None:
+                if record is not None and result is not None:
+                    record(index, result)
+                counts["done"] += 1
+                if self.on_progress is None:
+                    return
+                later = planned()
+                self.on_progress(
+                    ProgressUpdate(
+                        phase=phase,
+                        done=counts["done"],
+                        total=counts["issued"] + later,
+                        confirms=None if confirms is None else confirms(),
+                        elapsed_s=time.monotonic() - start,
+                        health=self.health.state,
+                        remaining=counts["issued"] - counts["done"] + later,
+                    )
                 )
-            )
 
-        return on_settle
+            return on_settle
+
+        return hook
 
     # -- Phase 1 ------------------------------------------------------- #
 
@@ -517,14 +479,12 @@ class ParallelCampaign:
         ]
         inline_health = self.health if self.jobs == 1 else None
         with span("phase1.detect"), _bound(_INLINE_HEALTH, inline_health):
-            report = self.supervisor.supervise(
+            report = self.supervise(
                 "detect",
                 tasks,
                 validate=lambda task, r: isinstance(r, dict),
-                on_settle=self._settle_hook("detect", len(tasks)),
+                on_settle=self._settle_hooks("detect")(tasks),
             )
-        self.last_report = report
-        self.failures.extend(report.failures)
         # Quarantined seeds lose their coverage contribution (recorded on
         # `failures`) but never abort the phase.
         merged = {
@@ -565,14 +525,12 @@ class ParallelCampaign:
             for start, count in chunk_spans(base_seed, runs, self.chunk_size)
         ]
         with span("baseline"):
-            report = self.supervisor.supervise(
+            report = self.supervise(
                 "baseline",
                 tasks,
                 validate=lambda task, r: isinstance(r, Counter),
-                on_settle=self._settle_hook("baseline", len(tasks)),
+                on_settle=self._settle_hooks("baseline")(tasks),
             )
-        self.last_report = report
-        self.failures.extend(report.failures)
         crashes: Counter = Counter()
         for result in report.results:
             if result is not None:
@@ -624,15 +582,12 @@ class ParallelCampaign:
         verdicts: dict[StatementPair, PairVerdict] = {
             pair: PairVerdict(pair=pair) for pair in pair_list
         }
-        confirmed_pairs: set[tuple[str, str]] = set()  # progress display
-        start = time.monotonic()
-        state = {"done": 0, "issued": 0}
-
+        confirmed: set[StatementPair] = set()  # progress display
+        hook = self._settle_hooks(
+            "fuzz", planned=sched.planned_chunks, confirms=lambda: len(confirmed)
+        )
         with span("phase2.fuzz"):
-            while True:
-                batch = sched.next_batch()
-                if not batch:
-                    break
+            while batch := sched.next_batch():
                 tasks = [
                     FuzzTask(
                         workload=workload,
@@ -645,29 +600,13 @@ class ParallelCampaign:
                     )
                     for chunk in batch
                 ]
-                state["issued"] += len(tasks)
 
-                def on_settle(index: int, result) -> None:
-                    if result is not None:
-                        sched.record(batch[index], result)
-                    state["done"] += 1
-                    if self.on_progress is not None:
-                        if result is not None and result.times_created > 0:
-                            confirmed_pairs.add(pair_key(tasks[index].pair))
-                        planned = sched.planned_chunks()
-                        self.on_progress(
-                            ProgressUpdate(
-                                phase="fuzz",
-                                done=state["done"],
-                                total=state["issued"] + planned,
-                                confirms=len(confirmed_pairs),
-                                elapsed_s=time.monotonic() - start,
-                                health=self.health.state,
-                                remaining=state["issued"] - state["done"] + planned,
-                            )
-                        )
+                def record(index: int, verdict: PairVerdict) -> None:
+                    sched.record(batch[index], verdict)
+                    if verdict.times_created:
+                        confirmed.add(tasks[index].pair)
 
-                report = self.supervisor.supervise(
+                report = self.supervise(
                     "fuzz",
                     tasks,
                     validate=lambda task, r: (
@@ -676,10 +615,8 @@ class ParallelCampaign:
                     key_fn=fuzz_task_key,
                     encode=lambda verdict: verdict.to_jsonable(),
                     decode=PairVerdict.from_jsonable,
-                    on_settle=on_settle,
+                    on_settle=hook(tasks, record),
                 )
-                self.last_report = report
-                self.failures.extend(report.failures)
                 for task, verdict in zip(tasks, report.results):  # submission order
                     if verdict is not None:
                         verdicts[task.pair].merge(verdict)
@@ -693,6 +630,7 @@ class ParallelCampaign:
         *,
         detector: "str | Sequence[str]" = "hybrid",
         phase1_seeds: Sequence[int] = (0, 1, 2),
+        pairs: Iterable[StatementPair] | None = None,
         trials: int = 100,
         base_seed: int = 0,
         preemption: str = "sync",
@@ -704,17 +642,23 @@ class ParallelCampaign:
 
         A detector sequence runs a multi-detector Phase 1 (one execution
         per seed feeding all of them) and fuzzes the *union* of their
-        candidate pairs — the predictive Phase-1 pipeline.
+        candidate pairs — the predictive Phase-1 pipeline.  Supplied
+        ``pairs`` (e.g. from a static tool) skip Phase 1: they are fuzzed
+        in the given order and reported as an evidence-free Phase 1.
         """
-        phase1 = self.detect(
-            workload,
-            detector=detector,
-            seeds=phase1_seeds,
-            max_steps=max_steps,
-        )
-        if isinstance(phase1, dict):
-            phase1 = union_reports(phase1, program=workload)
-        pair_list = phase1.pairs
+        if pairs is None:
+            phase1 = self.detect(
+                workload,
+                detector=detector,
+                seeds=phase1_seeds,
+                max_steps=max_steps,
+            )
+            if isinstance(phase1, dict):
+                phase1 = union_reports(phase1, program=workload)
+            pair_list = phase1.pairs
+        else:
+            pair_list = list(pairs)
+            phase1 = RaceReport.from_pairs(pair_list, program=workload)
         # Phase-1 grades seed the adaptive schedule's priors.
         grades = schedulable_grades(phase1, pair_list)
         verdicts = self.fuzz(
@@ -747,7 +691,6 @@ __all__ = [
     "fuzz_task_key",
     "inline_program",
     "pool_map",
-    "pair_key",
     "pair_span_name",
     "resolve_jobs",
 ]

@@ -120,19 +120,6 @@ class CampaignSchedule:
     name = "base"
 
     def __init__(self) -> None:
-        self.pairs: list[StatementPair] = []
-        self.base_seed = 0
-        self.chunk_size = 25
-        self.rounds = 0
-        self.trials_allocated = 0
-        #: every allocation ever issued, as (pair_index, seed_start, count)
-        #: — the determinism witness asserted by tests/core/test_schedule.py.
-        self.allocation_log: list[tuple[int, int, int]] = []
-        #: per-pair Phase-1 ``schedulable`` grade (None until bind).
-        self.grades: list[bool | None] = []
-        #: per-pair next unused seed (parallel fixed chunking and adaptive
-        #: incremental allocation both consume seeds from these cursors).
-        self._cursors: list[int] = []
         self._bound = False
 
     # -- executor surface ---------------------------------------------- #
@@ -151,21 +138,32 @@ class CampaignSchedule:
         each pair (``True`` = graded schedulable, ``False`` = speculative,
         ``None`` = ungraded).  The base policy only records them;
         :class:`AdaptiveSchedule` boosts graded-schedulable priors.
+
+        Binding starts a campaign from scratch: every round counter, log
+        and cursor resets, so one instance can serve campaigns in turn.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.pairs = list(pairs)
+        self.pairs: list[StatementPair] = list(pairs)
         self.base_seed = base_seed
         self.chunk_size = chunk_size
-        if grades is None:
-            self.grades: list[bool | None] = [None] * len(self.pairs)
-        else:
-            self.grades = list(grades)
-            if len(self.grades) != len(self.pairs):
-                raise ValueError(
-                    f"grades length {len(self.grades)} != "
-                    f"pairs length {len(self.pairs)}"
-                )
+        #: per-pair Phase-1 ``schedulable`` grade.
+        self.grades: list[bool | None] = (
+            [None] * len(self.pairs) if grades is None else list(grades)
+        )
+        if len(self.grades) != len(self.pairs):
+            raise ValueError(
+                f"grades length {len(self.grades)} != "
+                f"pairs length {len(self.pairs)}"
+            )
+        self.rounds = 0
+        self.trials_allocated = 0
+        #: every allocation issued this campaign, as (pair_index,
+        #: seed_start, count) — the determinism witness asserted by
+        #: tests/core/test_schedule.py.
+        self.allocation_log: list[tuple[int, int, int]] = []
+        #: per-pair next unused seed (parallel fixed chunking and adaptive
+        #: incremental allocation both consume seeds from these cursors).
         self._cursors = [base_seed] * len(self.pairs)
         self._bound = True
 
@@ -245,7 +243,7 @@ class CampaignSchedule:
 
     def _pair_bind_attrs(self, index: int) -> dict:
         attrs = {"pair": pair_label(self.pairs[index])}
-        grade = self.grades[index] if index < len(self.grades) else None
+        grade = self.grades[index]
         if grade is not None:
             attrs["grade"] = "schedulable" if grade else "speculative"
         return attrs
@@ -331,17 +329,28 @@ class AdaptiveSchedule(CampaignSchedule):
     Beta(alpha, beta) posterior — using ``Random(f"{seed}:{round}")``, so
     the draw sequence is a pure function of the constructor seed and the
     (deterministic) round number — and allocates one ``chunk_size`` chunk
-    to each of the ``round_width`` highest-sampled pairs.  A pair leaves
-    the live set when it is *confirmed* (one created race proves it real;
-    further trials add nothing to the confirmed-race set) or
-    *early-stopped* (``min_trials`` trials without a single creation and
-    a posterior upper bound below ``stop_threshold``).  The campaign ends
-    when the live set empties, the global ``trial_budget`` is spent, or
-    ``time_budget_s`` of wall-clock has elapsed (the one deliberately
-    nondeterministic stop — equivalence tests leave it off).
+    to each of the :attr:`ROUND_WIDTH` highest-sampled pairs.  A pair
+    leaves the live set when it is *confirmed* (one created race proves it
+    real; further trials add nothing to the confirmed-race set) or
+    *early-stopped* (:attr:`MIN_TRIALS` trials without a single creation
+    and a posterior upper bound below :attr:`STOP_THRESHOLD`).  The
+    campaign ends when the live set empties, the global ``trial_budget``
+    is spent, or ``time_budget_s`` of wall-clock has elapsed (the one
+    deliberately nondeterministic stop — equivalence tests leave it off).
+    The four capitalized tuning values are class constants; a test that
+    needs other values sets them on a subclass.
     """
 
     name = "adaptive"
+
+    #: chunks granted per round, to the highest-sampled live pairs.
+    ROUND_WIDTH = 8
+    #: trials a pair must have had before early stopping may retire it.
+    MIN_TRIALS = 25
+    #: posterior upper bound below which a creation-less pair retires.
+    STOP_THRESHOLD = 0.1
+    #: extra prior pseudo-successes of a graded-schedulable pair.
+    GRADE_BOOST = 1.0
 
     def __init__(
         self,
@@ -349,10 +358,6 @@ class AdaptiveSchedule(CampaignSchedule):
         trial_budget: int | None = None,
         time_budget_s: float | None = None,
         seed: int = 0,
-        round_width: int = 8,
-        min_trials: int = 25,
-        stop_threshold: float = 0.1,
-        grade_boost: float = 1.0,
     ) -> None:
         super().__init__()
         if trial_budget is not None and trial_budget < 1:
@@ -361,28 +366,13 @@ class AdaptiveSchedule(CampaignSchedule):
             raise ValueError(
                 f"time_budget_s must be positive, got {time_budget_s}"
             )
-        if round_width < 1:
-            raise ValueError(f"round_width must be >= 1, got {round_width}")
-        if not 0.0 < stop_threshold < 1.0:
-            raise ValueError(
-                f"stop_threshold must be in (0, 1), got {stop_threshold}"
-            )
-        if grade_boost < 0:
-            raise ValueError(f"grade_boost must be >= 0, got {grade_boost}")
         self.trial_budget = trial_budget
         self.time_budget_s = time_budget_s
         self.seed = seed
-        self.round_width = round_width
-        self.min_trials = min_trials
-        self.stop_threshold = stop_threshold
-        self.grade_boost = grade_boost
-        self.early_stopped = 0
-        self.confirmed = 0
-        self.budget_exhausted = False
-        self.time_exhausted = False
-        self._posteriors: list[_PairPosterior] = []
-        self._started: float | None = None
-        self._last_draws: list[list] = []
+        #: the default budget per pair (set by :func:`make_schedule` from
+        #: ``trials`` when no ``trial_budget`` is given): each ``bind``
+        #: sizes :attr:`trial_budget` to it times the campaign's pairs.
+        self.trials_per_pair: int | None = None
 
     # -- executor surface ----------------------------------------------- #
 
@@ -390,18 +380,25 @@ class AdaptiveSchedule(CampaignSchedule):
         super().bind(
             pairs, base_seed=base_seed, chunk_size=chunk_size, grades=grades
         )
+        if self.trials_per_pair is not None:
+            self.trial_budget = self.trials_per_pair * len(self.pairs)
+        self.early_stopped = 0
+        self.confirmed = 0
+        self.budget_exhausted = False
+        self.time_exhausted = False
         # A Phase-1 "schedulable" grade is strong evidence the pair can
         # actually be brought adjacent, so it starts with extra prior
         # pseudo-successes and wins early Thompson rounds.  Deterministic
         # and off unless grades were supplied (all-None adds nothing).
         self._posteriors = [
             _PairPosterior(
-                alpha=PRIOR[0] + (self.grade_boost if self.grades[i] else 0.0),
+                alpha=PRIOR[0] + (self.GRADE_BOOST if grade else 0.0),
                 beta=PRIOR[1],
             )
-            for i in range(len(self.pairs))
+            for grade in self.grades
         ]
-        self._started = None
+        self._started: float | None = None
+        self._last_draws: list[list] = []
 
     def record(self, chunk: TrialChunk, verdict) -> None:
         post = self._posteriors[chunk.pair_index]
@@ -437,7 +434,7 @@ class AdaptiveSchedule(CampaignSchedule):
         # Estimate one more round over the live set (bounded by the
         # budget) — a deliberately conservative floor that shrinks as
         # pairs resolve, which is all the ETA needs.
-        planned = min(len(live), self.round_width) * self.chunk_size
+        planned = min(len(live), self.ROUND_WIDTH) * self.chunk_size
         if self.trial_budget is not None:
             planned = min(
                 planned, max(0, self.trial_budget - self.trials_allocated)
@@ -465,9 +462,9 @@ class AdaptiveSchedule(CampaignSchedule):
         for index, post in enumerate(self._posteriors):
             if post.stopped or post.confirmed:
                 continue
-            if post.trials < self.min_trials:
+            if post.trials < self.MIN_TRIALS:
                 continue
-            if post.created == 0 and post.upper() < self.stop_threshold:
+            if post.created == 0 and post.upper() < self.STOP_THRESHOLD:
                 post.stopped = True
                 self.early_stopped += 1
                 telemetry = maybe_telemetry()
@@ -517,7 +514,7 @@ class AdaptiveSchedule(CampaignSchedule):
         ]
         # Highest sampled win the round; ties break on pair order.
         sampled.sort(key=lambda pair: (-pair[0], pair[1]))
-        winners = [i for _, i in sampled[: self.round_width]]
+        winners = [i for _, i in sampled[: self.ROUND_WIDTH]]
         winners.sort()  # issue chunks in pair order within the round
         grants = [self.chunk_size] * len(winners)
         if budget_left is not None and sum(grants) > budget_left:
@@ -549,8 +546,8 @@ class AdaptiveSchedule(CampaignSchedule):
         attrs = super()._bind_event_attrs()
         attrs.update(
             {
-                "round_width": self.round_width,
-                "grade_boost": self.grade_boost,
+                "round_width": self.ROUND_WIDTH,
+                "grade_boost": self.GRADE_BOOST,
             }
         )
         if self.trial_budget is not None:
@@ -601,44 +598,26 @@ def make_schedule(
     ``None`` and ``"fixed"`` give the paper's protocol.  ``"adaptive"``
     defaults its global trial budget to ``trials`` per pair — the same
     total spend as fixed, allocated by expected yield — unless an
-    explicit ``trial_budget`` overrides it; pair count isn't known here,
-    so that default is finalized at ``bind`` time via
-    :attr:`AdaptiveSchedule.trial_budget` staying ``None`` until then.
+    explicit ``trial_budget`` overrides it; the pair count isn't known
+    here, so :attr:`AdaptiveSchedule.trials_per_pair` carries the default
+    to ``bind``.
     """
     if isinstance(spec, CampaignSchedule):
         return spec
     if spec is None or spec == "fixed":
         return FixedSchedule(trials=trials)
     if spec == "adaptive":
-        schedule = _AdaptiveWithDefaultBudget(
+        schedule = AdaptiveSchedule(
             trial_budget=trial_budget,
             time_budget_s=time_budget_s,
             seed=seed,
         )
-        schedule.default_trials_per_pair = (
-            trials if trial_budget is None else None
-        )
+        if trial_budget is None:
+            schedule.trials_per_pair = trials
         return schedule
     raise ValueError(
         f"unknown schedule {spec!r}; expected one of {', '.join(SCHEDULES)}"
     )
-
-
-class _AdaptiveWithDefaultBudget(AdaptiveSchedule):
-    """Adaptive schedule whose default budget is ``trials x len(pairs)``.
-
-    The CLI knows ``--trials`` but not the pair count; this subclass
-    finalizes the budget when the pair list arrives.
-    """
-
-    default_trials_per_pair: int | None = None
-
-    def bind(self, pairs, *, base_seed=0, chunk_size=25, grades=None) -> None:
-        super().bind(
-            pairs, base_seed=base_seed, chunk_size=chunk_size, grades=grades
-        )
-        if self.trial_budget is None and self.default_trials_per_pair is not None:
-            self.trial_budget = max(1, self.default_trials_per_pair * len(self.pairs))
 
 
 __all__ = [

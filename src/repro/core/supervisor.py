@@ -17,12 +17,13 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    (covering workers whose alarm cannot fire).
 2. **Bounded retry with exponential backoff + jitter** — transient
    failures (a crash, a missed deadline, a malformed result) are retried
-   up to :attr:`RetryPolicy.max_retries` times.  Backoff jitter is drawn
-   from a seeded RNG so retry schedules are reproducible.
+   up to ``retries`` times.  The backoff shape is fixed by this module's
+   ``BACKOFF_*`` constants, and its jitter is drawn from a seeded RNG so
+   retry schedules are reproducible (:func:`compute_backoff`).
 3. **Pool-death recovery** — a worker dying (OOM, segfault) breaks the
    whole ``ProcessPoolExecutor``.  The supervisor rebuilds the pool and
    re-queues every unfinished task, charging each one a failed attempt;
-   after ``pool_death_limit`` deaths it degrades gracefully to inline
+   after :data:`POOL_DEATH_LIMIT` deaths it degrades gracefully to inline
    serial execution, where a poisoned task can only hurt itself.
 4. **Quarantine** — a task that fails every allowed attempt is recorded
    as a structured :class:`~repro.core.results.TaskFailure` and the
@@ -32,6 +33,10 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    append-only JSONL file (:class:`CheckpointJournal`).  A restarted
    campaign skips already-journaled task keys and merges their cached
    results, preserving the deterministic seed-order merge.
+
+The campaign engine, :class:`~repro.core.parallel.ParallelCampaign`, *is*
+a :class:`CampaignSupervisor`: it inherits every setting above and adds
+only what a task is and how results merge.
 
 Results are always folded in submission order — never completion order —
 so a supervised campaign's aggregates are identical to the fault-free
@@ -148,47 +153,39 @@ def wall_deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and seeded jitter.
+#: the retry backoff: the delay before retry ``k`` (0-based failed-attempt
+#: count) is ``min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** k)``
+#: seconds, stretched by up to ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.25
+#: the seed of the jitter draws.
+JITTER_SEED = 0
 
-    A task is attempted at most ``max_retries + 1`` times; the delay
-    before retry ``k`` (0-based failed-attempt count) is::
+#: rebuild a broken worker pool at most this many times, then finish the
+#: campaign inline.  The health controller's critical threshold is one
+#: more death, so the event that forces serial fallback marks the
+#: campaign critical.
+POOL_DEATH_LIMIT = 2
 
-        min(backoff_max, backoff_base * backoff_factor ** k) * (1 + jitter * u)
 
-    where ``u`` is drawn from ``Random(f"{seed}:{index}:{k}")`` — fully
-    deterministic per (policy, task, attempt), so tests can assert the
-    exact schedule.
+def compute_backoff(index: int, attempt: int) -> float:
+    """The deterministic delay before re-attempting task ``index``.
+
+    ``attempt`` is the 0-based failed-attempt count.  The jitter factor
+    ``1 + BACKOFF_JITTER * u`` draws ``u`` from
+    ``Random(f"{JITTER_SEED}:{index}:{attempt}")``, so the delay is a pure
+    function of (task, attempt) and tests can assert the exact schedule.
     """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-
-
-def compute_backoff(policy: RetryPolicy, index: int, attempt: int) -> float:
-    """The deterministic delay before re-attempting task ``index``."""
-    raw = min(
-        policy.backoff_max,
-        policy.backoff_base * policy.backoff_factor**attempt,
-    )
-    if not policy.jitter:
+    raw = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR**attempt)
+    if not BACKOFF_JITTER:
         return raw
     # String seeding is hash-randomization-proof, so the jitter — like
     # every other source of nondeterminism in this codebase — is a pure
     # function of explicit seeds.
-    u = Random(f"{policy.seed}:{index}:{attempt}").random()
-    return raw * (1.0 + policy.jitter * u)
+    u = Random(f"{JITTER_SEED}:{index}:{attempt}").random()
+    return raw * (1.0 + BACKOFF_JITTER * u)
 
 
 @dataclass(frozen=True)
@@ -316,14 +313,14 @@ class CheckpointJournal:
         #: torn/malformed lines skipped by the most recent :meth:`load`.
         self.skipped_lines = 0
 
-    def load(self, *, quiet: bool = False) -> dict[str, Any]:
+    def load(self) -> dict[str, Any]:
         """All well-formed journaled records, keyed by task key.
 
         Unreadable lines are skipped (last-wins on duplicate keys), but
         never silently: the count lands in :attr:`skipped_lines`, the
-        ``supervisor.journal_skipped`` metric, and — unless ``quiet`` —
-        a recovery note on stderr, so a journal quietly losing lines to
-        torn writes is visible long before the data matters.
+        ``supervisor.journal_skipped`` metric, and a recovery note on
+        stderr, so a journal quietly losing lines to torn writes is
+        visible long before the data matters.
         """
         records: dict[str, Any] = {}
         skipped = 0
@@ -351,13 +348,12 @@ class CheckpointJournal:
             t = maybe_telemetry()
             if t is not None:
                 t.inc("supervisor.journal_skipped", skipped)
-            if not quiet:
-                print(
-                    f"repro: checkpoint journal {self.path}: skipped "
-                    f"{skipped} torn/malformed line(s); the affected "
-                    f"task(s) will re-run",
-                    file=sys.stderr,
-                )
+            print(
+                f"repro: checkpoint journal {self.path}: skipped "
+                f"{skipped} torn/malformed line(s); the affected "
+                f"task(s) will re-run",
+                file=sys.stderr,
+            )
         return records
 
     def append(self, key: str, result: Any) -> None:
@@ -367,33 +363,6 @@ class CheckpointJournal:
             )
         line = json.dumps({"key": key, "result": result}, separators=(",", ":"))
         os.write(self._fd, line.encode("utf-8") + b"\n")
-
-    def compact(self) -> int:
-        """Rewrite the journal with one well-formed line per key.
-
-        Drops torn lines and superseded duplicates (keeping the last
-        record per key, i.e. exactly what :meth:`load` would return) and
-        publishes atomically via ``os.replace``.  Returns the number of
-        lines dropped.
-        """
-        self.close()
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                total = sum(1 for line in fh if line.strip())
-        except FileNotFoundError:
-            return 0
-        records = self.load(quiet=True)
-        tmp = f"{self.path}.{os.getpid()}.compact.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key, result in records.items():
-                fh.write(
-                    json.dumps(
-                        {"key": key, "result": result}, separators=(",", ":")
-                    )
-                    + "\n"
-                )
-        os.replace(tmp, self.path)
-        return total - len(records)
 
     def close(self) -> None:
         if self._fd is not None:
@@ -431,11 +400,7 @@ class CampaignSupervisor:
         deadline: per-task wall-clock budget in seconds (``None`` = no
             wall-clock limit; the abstract ``max_steps`` budget still
             applies inside each task).
-        retry: a :class:`RetryPolicy`, or an int meaning
-            ``RetryPolicy(max_retries=N)``, or ``None`` for the default.
-        pool_death_limit: rebuild a broken pool at most this many times,
-            then fall back to inline serial execution for the remainder
-            of the campaign.
+        retries: re-attempts of a failing task before it is quarantined.
         checkpoint: path to an append-only JSONL journal; completed tasks
             are journaled and a restarted campaign skips them.  Only
             batches that provide a ``key_fn`` participate.
@@ -444,9 +409,13 @@ class CampaignSupervisor:
         memory_budget_mb: per-attempt memory budget in MiB, enforced in
             the executing process as a ``ru_maxrss`` delta; a blown
             budget is a retryable ``memory``-kind failure.
-        health: the campaign's shared
-            :class:`~repro.obs.health.HealthController`; a private one is
-            created when not given, so signals are always tracked.
+
+    Every batch reports its infrastructure signals to :attr:`health`, the
+    campaign's :class:`~repro.obs.health.HealthController`.  Quarantined
+    tasks accumulate on :attr:`failures` across batches, and
+    :attr:`last_report` holds the most recent batch's
+    :class:`SupervisorReport`.  Use as a context manager (or call
+    :meth:`close`) to reclaim the pool.
     """
 
     def __init__(
@@ -454,27 +423,18 @@ class CampaignSupervisor:
         *,
         jobs: int | None = 1,
         deadline: float | None = None,
-        retry: RetryPolicy | int | None = None,
-        pool_death_limit: int = 2,
+        retries: int = 2,
         checkpoint=None,
         faults: FaultPlan | None = None,
         memory_budget_mb: float | None = None,
-        health: HealthController | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive or None, got {deadline}")
         self.deadline = deadline
-        if retry is None:
-            retry = RetryPolicy()
-        elif isinstance(retry, int):
-            retry = RetryPolicy(max_retries=retry)
-        self.retry = retry
-        if pool_death_limit < 0:
-            raise ValueError(
-                f"pool_death_limit must be >= 0, got {pool_death_limit}"
-            )
-        self.pool_death_limit = pool_death_limit
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        self.retries = retries
         self.checkpoint = checkpoint
         self.faults = faults
         if memory_budget_mb is not None and memory_budget_mb <= 0:
@@ -483,11 +443,11 @@ class CampaignSupervisor:
                 f"{memory_budget_mb}"
             )
         self.memory_budget_mb = memory_budget_mb
-        self.health = health if health is not None else HealthController(
-            pool_death_critical=pool_death_limit + 1
-        )
+        self.health = HealthController()
         self.pool_deaths = 0
         self.serial_fallback = False
+        self.failures: list[TaskFailure] = []
+        self.last_report: SupervisorReport | None = None
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------- #
@@ -549,7 +509,9 @@ class CampaignSupervisor:
         rejects malformed results (rejections are retried like crashes).
         ``on_settle(index, result_or_None)`` fires once per task when it
         settles: with the result on a fresh success or a checkpoint-journal
-        hit, with ``None`` on quarantine.
+        hit, with ``None`` on quarantine.  The returned report is also
+        kept on :attr:`last_report`, and its quarantines are appended to
+        :attr:`failures`.
         """
         n = len(tasks)
         results: list[Any] = [_UNSET] * n
@@ -602,7 +564,7 @@ class CampaignSupervisor:
                 self.health.record_memory_failure()
             elif kind == "disk":
                 self.health.record_disk_budget_hit()
-            if attempts[index] > self.retry.max_retries:
+            if attempts[index] > self.retries:
                 if telemetry is not None:
                     telemetry.emit(
                         "task.quarantine",
@@ -633,7 +595,7 @@ class CampaignSupervisor:
                     {"kind": kind},
                     wall_s=time.time(),
                 )
-            delay = compute_backoff(self.retry, index, attempts[index] - 1)
+            delay = compute_backoff(index, attempts[index] - 1)
             return time.monotonic() + delay
 
         def envelope_for(index: int) -> TaskEnvelope:
@@ -708,6 +670,8 @@ class CampaignSupervisor:
                     f"supervisor.failed_attempts.{kind}",
                     failed_attempt_kinds[kind],
                 )
+        self.last_report = report
+        self.failures.extend(failures)
         return report
 
     # -- inline (serial) execution -------------------------------------- #
@@ -771,7 +735,7 @@ class CampaignSupervisor:
                 if ready_at is not None:
                     pending.append((ready_at, index))
             in_flight.clear()
-            if self.pool_deaths > self.pool_death_limit:
+            if self.pool_deaths > POOL_DEATH_LIMIT:
                 self.serial_fallback = True
 
         while pending or in_flight:
@@ -860,7 +824,6 @@ class CampaignSupervisor:
 __all__ = [
     "CampaignSupervisor",
     "SupervisorReport",
-    "RetryPolicy",
     "compute_backoff",
     "TaskEnvelope",
     "TaskDeadlineExceeded",

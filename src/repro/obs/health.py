@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from .telemetry import maybe_telemetry
 
@@ -47,6 +46,24 @@ HEALTH_STATES = (HEALTHY, DEGRADED, CRITICAL)
 #: numeric rank of each state, exported as the ``health.state`` high-water
 #: gauge (0 = healthy, 1 = degraded, 2 = critical).
 STATE_RANK = {HEALTHY: 0, DEGRADED: 1, CRITICAL: 2}
+
+# The thresholds; every count is per controller, i.e. per campaign.
+
+#: pool deaths before ``degraded``.
+POOL_DEATH_DEGRADED = 1
+#: pool deaths before ``critical``: one more than the supervisor's
+#: ``POOL_DEATH_LIMIT``, so the same event that forces serial fallback
+#: marks the campaign critical.
+POOL_DEATH_CRITICAL = 3
+#: ``memory``-kind task failures before ``degraded``.
+MEMORY_DEGRADED = 2
+#: quarantined corrupt traces before ``degraded`` (a single recovered
+#: corruption is routine, not pressure).
+CORRUPT_DEGRADED = 3
+#: disk budget hits after which
+#: :attr:`HealthController.trace_recording_enabled` turns off and new
+#: trace-store entries become ephemeral.
+DISK_DISABLE_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
@@ -63,44 +80,11 @@ class HealthTransition:
 class HealthController:
     """Fold infrastructure signals into a load-shedding policy.
 
-    Thresholds (all counts are per controller, i.e. per campaign):
-
-    Parameters:
-        pool_death_degraded: pool deaths before ``degraded``.
-        pool_death_critical: pool deaths before ``critical`` (align this
-            with the supervisor's ``pool_death_limit + 1``: the same
-            event that forces serial fallback marks the campaign
-            critical).
-        memory_degraded: ``memory``-kind task failures before
-            ``degraded``.
-        corrupt_degraded: quarantined corrupt traces before ``degraded``
-            (a single recovered corruption is routine, not pressure).
-        disk_disable_threshold: disk budget hits after which
-            :attr:`trace_recording_enabled` turns off and new trace-store
-            entries become ephemeral.
+    The thresholds are this module's constants; :attr:`transitions` keeps
+    every state change, in order.
     """
 
-    def __init__(
-        self,
-        *,
-        pool_death_degraded: int = 1,
-        pool_death_critical: int = 3,
-        memory_degraded: int = 2,
-        corrupt_degraded: int = 3,
-        disk_disable_threshold: int = 3,
-        on_transition: Callable[[HealthTransition], None] | None = None,
-    ) -> None:
-        if pool_death_critical < pool_death_degraded:
-            raise ValueError(
-                f"pool_death_critical ({pool_death_critical}) must be >= "
-                f"pool_death_degraded ({pool_death_degraded})"
-            )
-        self.pool_death_degraded = pool_death_degraded
-        self.pool_death_critical = pool_death_critical
-        self.memory_degraded = memory_degraded
-        self.corrupt_degraded = corrupt_degraded
-        self.disk_disable_threshold = disk_disable_threshold
-        self.on_transition = on_transition
+    def __init__(self) -> None:
         self.state = HEALTHY
         self.transitions: list[HealthTransition] = []
         self.pool_deaths = 0
@@ -116,8 +100,7 @@ class HealthController:
         if STATE_RANK[state] <= STATE_RANK[self.state]:
             return
         self.state = state
-        transition = HealthTransition(state=state, reason=reason)
-        self.transitions.append(transition)
+        self.transitions.append(HealthTransition(state=state, reason=reason))
         t = maybe_telemetry()
         if t is not None:
             t.inc("health.transitions")
@@ -133,8 +116,6 @@ class HealthController:
                 {"reason": reason},
                 wall_s=time.time(),
             )
-        if self.on_transition is not None:
-            self.on_transition(transition)
 
     # -- signals -------------------------------------------------------- #
 
@@ -144,11 +125,11 @@ class HealthController:
         t = maybe_telemetry()
         if t is not None:
             t.inc("health.pool_deaths")
-        if self.pool_deaths >= self.pool_death_critical:
+        if self.pool_deaths >= POOL_DEATH_CRITICAL:
             self._escalate(
                 CRITICAL, f"{self.pool_deaths} worker pool death(s)"
             )
-        elif self.pool_deaths >= self.pool_death_degraded:
+        elif self.pool_deaths >= POOL_DEATH_DEGRADED:
             self._escalate(
                 DEGRADED, f"{self.pool_deaths} worker pool death(s)"
             )
@@ -159,7 +140,7 @@ class HealthController:
         t = maybe_telemetry()
         if t is not None:
             t.inc("health.memory_failures")
-        if self.memory_failures >= self.memory_degraded:
+        if self.memory_failures >= MEMORY_DEGRADED:
             self._escalate(
                 DEGRADED, f"{self.memory_failures} memory budget failure(s)"
             )
@@ -180,7 +161,7 @@ class HealthController:
         t = maybe_telemetry()
         if t is not None:
             t.inc("health.corrupt_traces")
-        if self.corrupt_traces >= self.corrupt_degraded:
+        if self.corrupt_traces >= CORRUPT_DEGRADED:
             self._escalate(
                 DEGRADED, f"{self.corrupt_traces} corrupt trace(s) quarantined"
             )
@@ -198,14 +179,14 @@ class HealthController:
     def trace_recording_enabled(self) -> bool:
         """May the trace store persist *new* cache entries?
 
-        Off once disk pressure repeats (``disk_disable_threshold`` budget
-        hits) or the campaign is critical.  Analysis still works — the
+        Off once disk pressure repeats (:data:`DISK_DISABLE_THRESHOLD`
+        budget hits) or the campaign is critical.  Analysis still works — the
         store records ephemerally and discards — but the cache stops
         growing under pressure.
         """
         if self.state == CRITICAL:
             return False
-        return self.disk_budget_hits < self.disk_disable_threshold
+        return self.disk_budget_hits < DISK_DISABLE_THRESHOLD
 
     def recommended_jobs(self, jobs: int) -> int:
         """Pool width to rebuild with after a death: halve, floor 1.

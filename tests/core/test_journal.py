@@ -1,4 +1,4 @@
-"""CheckpointJournal recovery: torn lines, duplicates, compaction.
+"""CheckpointJournal recovery: torn lines and duplicate keys.
 
 A journal is only as good as its failure story: a campaign killed
 mid-write leaves a torn line, a resumed campaign appends duplicate keys,
@@ -39,7 +39,7 @@ class TestLoad:
         journal, _ = _journal(
             tmp_path, [_record("a", 1), '{"key": "b", "resu'],
         )
-        assert journal.load(quiet=True) == {"a": 1}
+        assert journal.load() == {"a": 1}
         assert journal.skipped_lines == 1
 
     def test_torn_mid_file_line_skipped_both_sides_survive(self, tmp_path):
@@ -47,25 +47,25 @@ class TestLoad:
             tmp_path,
             [_record("a", 1), "garbage not json\n", _record("b", 2)],
         )
-        assert journal.load(quiet=True) == {"a": 1, "b": 2}
+        assert journal.load() == {"a": 1, "b": 2}
         assert journal.skipped_lines == 1
 
     def test_parseable_non_record_lines_are_skipped(self, tmp_path):
         journal, _ = _journal(
             tmp_path, [_record("a", 1), '["not", "a", "record"]\n', '{"no": "key"}\n'],
         )
-        assert journal.load(quiet=True) == {"a": 1}
+        assert journal.load() == {"a": 1}
         assert journal.skipped_lines == 2
 
     def test_duplicate_keys_last_wins(self, tmp_path):
         journal, _ = _journal(
             tmp_path, [_record("a", 1), _record("b", 5), _record("a", 2)],
         )
-        assert journal.load(quiet=True) == {"a": 2, "b": 5}
+        assert journal.load() == {"a": 2, "b": 5}
 
     def test_blank_lines_are_not_counted_as_torn(self, tmp_path):
         journal, _ = _journal(tmp_path, [_record("a", 1), "\n", "\n"])
-        assert journal.load(quiet=True) == {"a": 1}
+        assert journal.load() == {"a": 1}
         assert journal.skipped_lines == 0
 
 
@@ -73,7 +73,7 @@ class TestVisibility:
     def test_skips_land_in_the_metric(self, tmp_path):
         journal, _ = _journal(tmp_path, [_record("a", 1), "torn{"])
         with collecting() as registry:
-            journal.load(quiet=True)
+            journal.load()
         assert registry.snapshot().counters["supervisor.journal_skipped"] == 1
 
     def test_skips_print_a_recovery_note(self, tmp_path, capsys):
@@ -82,50 +82,7 @@ class TestVisibility:
         err = capsys.readouterr().err
         assert "skipped 2 torn/malformed line(s)" in err
 
-    def test_quiet_load_stays_silent(self, tmp_path, capsys):
-        journal, _ = _journal(tmp_path, ["torn{"])
-        journal.load(quiet=True)
-        assert capsys.readouterr().err == ""
-
     def test_clean_load_prints_nothing(self, tmp_path, capsys):
         journal, _ = _journal(tmp_path, [_record("a", 1)])
         journal.load()
         assert capsys.readouterr().err == ""
-
-
-class TestCompact:
-    def test_compaction_round_trip(self, tmp_path):
-        journal, path = _journal(
-            tmp_path,
-            [
-                _record("a", 1),
-                "torn line{\n",
-                _record("b", 5),
-                _record("a", 2),  # supersedes the first "a"
-            ],
-        )
-        before = journal.load(quiet=True)
-        dropped = journal.compact()
-        assert dropped == 2  # the torn line + the superseded duplicate
-        after = journal.load(quiet=True)
-        assert after == before == {"a": 2, "b": 5}
-        assert journal.skipped_lines == 0
-        # One well-formed line per key, nothing else.
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        assert len(lines) == 2
-        assert all("key" in json.loads(l) for l in lines)
-
-    def test_compact_missing_file_is_a_noop(self, tmp_path):
-        assert CheckpointJournal(tmp_path / "absent.jsonl").compact() == 0
-
-    def test_compact_is_appendable_afterwards(self, tmp_path):
-        journal, _ = _journal(tmp_path, [_record("a", 1), "torn{"])
-        journal.compact()
-        journal.append("b", 2)
-        journal.close()
-        assert journal.load(quiet=True) == {"a": 1, "b": 2}
-
-    def test_compact_leaves_no_temp_files(self, tmp_path):
-        journal, path = _journal(tmp_path, [_record("a", 1), "torn{"])
-        journal.compact()
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]

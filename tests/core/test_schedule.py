@@ -41,11 +41,22 @@ def _campaign_signature(verdicts):
     return {str(pair): _verdict_signature(v) for pair, v in verdicts.items()}
 
 
-def _adaptive(**overrides):
+class _SmallAdaptive(AdaptiveSchedule):
     """An adaptive schedule tuned small enough for fast unit campaigns."""
-    params = dict(seed=0, round_width=4, min_trials=10, stop_threshold=0.2)
-    params.update(overrides)
-    return AdaptiveSchedule(**params)
+
+    ROUND_WIDTH = 4
+    MIN_TRIALS = 10
+    STOP_THRESHOLD = 0.2
+
+
+class _PatientAdaptive(_SmallAdaptive):
+    """Early stopping all but off, so only a budget ends the campaign."""
+
+    STOP_THRESHOLD = 0.01
+
+
+class _BoostedAdaptive(_SmallAdaptive):
+    GRADE_BOOST = 2.5
 
 
 class TestChunkSpans:
@@ -105,7 +116,7 @@ class TestMakeSchedule:
             assert sched.trials == 7
 
     def test_instance_passes_through(self):
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         assert make_schedule(sched) is sched
 
     def test_adaptive_budget_defaults_to_trials_per_pair(self):
@@ -118,14 +129,55 @@ class TestMakeSchedule:
         sched.bind(PAIRS, chunk_size=5)
         assert sched.trial_budget == 11
 
+    def test_adaptive_default_budget_of_zero_plans_nothing(self):
+        verdicts = fuzz_races(
+            figure1.build(), PAIRS, trials=0, schedule="adaptive"
+        )
+        fixed = fuzz_races(figure1.build(), PAIRS, trials=0)
+        assert [v.trials for v in verdicts.values()] == [0, 0]
+        assert _campaign_signature(verdicts) == _campaign_signature(fixed)
+        with pytest.raises(ValueError, match="trial_budget"):
+            make_schedule("adaptive", trial_budget=0)
+
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule"):
             make_schedule("greedy")
 
 
+class TestReuse:
+    """bind starts a fresh campaign: one instance serves campaigns in turn."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FixedSchedule(trials=4),
+            lambda: make_schedule("adaptive", trials=4),
+            lambda: _SmallAdaptive(trial_budget=20),
+        ],
+        ids=["fixed", "adaptive-default-budget", "adaptive"],
+    )
+    def test_second_campaign_repeats_the_first(self, make):
+        sched = make()
+        runs = []
+        for _ in range(2):
+            verdicts = fuzz_races(
+                figure1.build(), PAIRS, trials=4, chunk_size=2, schedule=sched
+            )
+            runs.append((list(sched.allocation_log), _campaign_signature(verdicts)))
+        assert runs[0][0]  # the first campaign planned something
+        assert runs[1] == runs[0]
+
+    def test_default_budget_follows_the_bound_pairs(self):
+        sched = make_schedule("adaptive", trials=5)
+        sched.bind(PAIRS, chunk_size=5)
+        assert sched.trial_budget == 10
+        sched.bind(PAIRS[:1], chunk_size=5)
+        assert sched.trial_budget == 5
+
+
 class TestAdaptiveAllocation:
     def test_confirmed_pairs_stop_receiving_trials(self):
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         verdicts = fuzz_races(
             figure1.build(), PAIRS, chunk_size=5, schedule=sched
         )
@@ -136,7 +188,7 @@ class TestAdaptiveAllocation:
         assert sched.confirmed == 1
 
     def test_hopeless_pair_early_stopped(self):
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         verdicts = fuzz_races(
             figure1.build(), [figure1.FALSE_PAIR], chunk_size=5,
             schedule=sched,
@@ -159,7 +211,7 @@ class TestAdaptiveAllocation:
         )
 
     def test_trial_budget_is_a_hard_ceiling(self):
-        sched = _adaptive(trial_budget=12, stop_threshold=0.01)
+        sched = _PatientAdaptive(trial_budget=12)
         verdicts = fuzz_races(
             figure1.build(), [figure1.FALSE_PAIR], chunk_size=5,
             schedule=sched,
@@ -173,14 +225,14 @@ class TestAdaptiveAllocation:
         # budget out in pair order gave all 16 to the first pair and none
         # to the second (the false pair (1, 10) sorts first, so figure1
         # confirmed nothing).  Each winner gets half instead.
-        sched = _adaptive(trial_budget=16)
+        sched = _SmallAdaptive(trial_budget=16)
         sched.bind([figure1.FALSE_PAIR, figure1.REAL_PAIR], chunk_size=25)
         batch = sched.next_batch()
         assert [(c.pair_index, c.count) for c in batch] == [(0, 8), (1, 8)]
         assert sched.budget_exhausted
 
     def test_odd_budget_tail_goes_to_the_first_winners(self):
-        sched = _adaptive(trial_budget=5)
+        sched = _SmallAdaptive(trial_budget=5)
         sched.bind([figure1.FALSE_PAIR, figure1.REAL_PAIR], chunk_size=25)
         assert [(c.pair_index, c.count) for c in sched.next_batch()] == [
             (0, 3), (1, 2),
@@ -195,7 +247,7 @@ class TestAdaptiveAllocation:
 
     def test_time_budget_stops_scheduling(self):
         # Not a determinism property (wall-clock), just the stop switch.
-        sched = _adaptive(time_budget_s=1e-9, stop_threshold=0.01)
+        sched = _PatientAdaptive(time_budget_s=1e-9)
         verdicts = fuzz_races(
             figure1.build(), [figure1.FALSE_PAIR], chunk_size=5,
             schedule=sched,
@@ -208,8 +260,8 @@ class TestAdaptiveAllocation:
 
 class TestAdaptiveDeterminism:
     def test_serial_vs_jobs4_identical_allocations_and_verdicts(self):
-        serial_sched = _adaptive()
-        parallel_sched = _adaptive()
+        serial_sched = _SmallAdaptive()
+        parallel_sched = _SmallAdaptive()
         serial = fuzz_races(
             figure1.build(), PAIRS, chunk_size=5, schedule=serial_sched
         )
@@ -230,8 +282,8 @@ class TestAdaptiveDeterminism:
         assert _campaign_signature(one) == _campaign_signature(two)
 
     def test_different_seed_may_differ_but_stays_deterministic(self):
-        sched_a = _adaptive(seed=1)
-        sched_b = _adaptive(seed=1)
+        sched_a = _SmallAdaptive(seed=1)
+        sched_b = _SmallAdaptive(seed=1)
         sched_a.bind(PAIRS, chunk_size=5)
         sched_b.bind(PAIRS, chunk_size=5)
         assert sched_a.next_batch() == sched_b.next_batch()
@@ -239,7 +291,7 @@ class TestAdaptiveDeterminism:
 
 class TestGradeBoost:
     def test_graded_pairs_start_with_boosted_alpha(self):
-        sched = _adaptive(grade_boost=2.5)
+        sched = _BoostedAdaptive()
         sched.bind(PAIRS, chunk_size=5, grades=[True, None])
         alphas = [post.alpha for post in sched._posteriors]
         assert alphas == [1.0 + 2.5, 1.0]
@@ -247,13 +299,13 @@ class TestGradeBoost:
         assert betas == [1.0, 1.0]
 
     def test_speculative_and_ungraded_get_no_boost(self):
-        sched = _adaptive(grade_boost=2.5)
+        sched = _BoostedAdaptive()
         sched.bind(PAIRS, chunk_size=5, grades=[False, None])
         assert [post.alpha for post in sched._posteriors] == [1.0, 1.0]
 
     def test_no_grades_leaves_priors_untouched(self):
-        plain = _adaptive()
-        graded = _adaptive()
+        plain = _SmallAdaptive()
+        graded = _SmallAdaptive()
         plain.bind(PAIRS, chunk_size=5)
         graded.bind(PAIRS, chunk_size=5, grades=[None, None])
         assert [p.alpha for p in plain._posteriors] == [
@@ -262,17 +314,13 @@ class TestGradeBoost:
         assert plain.next_batch() == graded.next_batch()
 
     def test_grades_length_mismatch_rejected(self):
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         with pytest.raises(ValueError, match="grades length"):
             sched.bind(PAIRS, chunk_size=5, grades=[True])
 
-    def test_negative_grade_boost_rejected(self):
-        with pytest.raises(ValueError, match="grade_boost"):
-            _adaptive(grade_boost=-0.1)
-
     def test_graded_campaign_stays_deterministic(self):
         def run():
-            sched = _adaptive(grade_boost=3.0)
+            sched = _BoostedAdaptive()
             verdicts = fuzz_races(
                 figure1.build(), PAIRS, chunk_size=5, schedule=sched,
                 grades=[True, False],
@@ -284,7 +332,7 @@ class TestGradeBoost:
     def test_driver_feeds_phase1_grades_into_schedule(self):
         from repro.core import race_directed_test
 
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         race_directed_test(
             figure1.build(),
             detector="shb",
@@ -301,7 +349,7 @@ class TestGradeBoost:
 
 class TestCheckpointResume:
     def _run(self, tmp_path, journal_name="journal.jsonl"):
-        sched = _adaptive()
+        sched = _SmallAdaptive()
         verdicts = fuzz_races(
             figure1.build(),
             PAIRS,

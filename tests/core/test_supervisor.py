@@ -18,14 +18,15 @@ import pytest
 from repro.core import (
     ParallelCampaign,
     RaceFuzzer,
-    RetryPolicy,
     TaskDeadlineExceeded,
     compute_backoff,
     fuzz_races,
     race_directed_test,
 )
-from repro.core.faults import FaultPlan, FaultSpec
+from repro.core import supervisor
+from repro.core.faults import FaultPlan, FaultSpec, parse_fault_plan
 from repro.core.supervisor import CampaignSupervisor, CheckpointJournal, resolve_jobs, wall_deadline
+from repro.obs import collecting
 from repro.runtime.statement import Statement, StatementPair
 from repro.workloads import figure1
 
@@ -37,7 +38,7 @@ PAIRS = [figure1.REAL_PAIR, figure1.FALSE_PAIR] + [
     for i in range(18)
 ]
 
-FAST_RETRY = 2  # default max_retries, spelled out where tests rely on it
+FAST_RETRY = 2  # default retries, spelled out where tests rely on it
 
 
 def _signature(verdict):
@@ -89,31 +90,26 @@ class TestPrimitives:
         assert signal.getsignal(signal.SIGALRM) is before
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=1.0, jitter=0.25
-        )
         for index in range(4):
-            for attempt in range(6):
-                delay = compute_backoff(policy, index, attempt)
-                assert delay == compute_backoff(policy, index, attempt)
-                raw = min(1.0, 0.1 * 2.0**attempt)
+            for attempt in range(8):
+                delay = compute_backoff(index, attempt)
+                assert delay == compute_backoff(index, attempt)
+                raw = min(2.0, 0.05 * 2.0**attempt)
                 assert raw <= delay <= raw * 1.25
 
-    def test_backoff_without_jitter_is_exact(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=3.0, jitter=0.0)
-        assert compute_backoff(policy, 0, 0) == 0.5
-        assert compute_backoff(policy, 0, 1) == 1.5
-        assert compute_backoff(policy, 0, 5) == 2.0  # capped
+    def test_backoff_without_jitter_is_exact(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.0)
+        assert compute_backoff(0, 0) == 0.05
+        assert compute_backoff(0, 1) == 0.1
+        assert compute_backoff(0, 6) == 2.0  # capped
 
     def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
+        with pytest.raises(ValueError, match="retries"):
+            CampaignSupervisor(retries=-1)
 
     def test_supervisor_coerces_int_retry(self):
-        supervisor = CampaignSupervisor(retry=5)
-        assert supervisor.retry.max_retries == 5
+        assert CampaignSupervisor(retries=5).retries == 5
+        assert CampaignSupervisor().retries == FAST_RETRY
         with pytest.raises(ValueError, match="deadline"):
             CampaignSupervisor(deadline=0.0)
 
@@ -220,15 +216,16 @@ class TestFaultInjectionAcceptance:
         assert "deadline" in verdict.errors[0].message
 
     def test_persistent_pool_kill_degrades_to_serial_fallback(
-        self, serial_baseline
+        self, serial_baseline, monkeypatch
     ):
+        # One rebuild only, so the fallback comes before any task runs
+        # out of retries.
+        monkeypatch.setattr(supervisor, "POOL_DEATH_LIMIT", 1)
         plan = FaultPlan([FaultSpec(kind="pool_kill", index=0, attempts=99)])
-        with ParallelCampaign(
-            jobs=2, chunk_size=4, faults=plan, pool_death_limit=1
-        ) as engine:
+        with ParallelCampaign(jobs=2, chunk_size=4, faults=plan) as engine:
             verdicts = engine.fuzz("figure1", PAIRS[:4], trials=4)
-        assert engine.supervisor.serial_fallback
-        assert engine.supervisor.pool_deaths == 2
+        assert engine.serial_fallback
+        assert engine.pool_deaths == 2
         # The killer itself ends quarantined (inline it degrades to a
         # crash), everyone else completes with serial-identical verdicts.
         assert verdicts[PAIRS[0]].quarantined
@@ -236,20 +233,19 @@ class TestFaultInjectionAcceptance:
             assert not verdicts[pair].quarantined
             assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
 
-    def test_backoff_on_an_idle_pool_is_not_a_stall(self):
+    def test_backoff_on_an_idle_pool_is_not_a_stall(self, monkeypatch):
         # The retry waits out a 2 s backoff on an idle pool, longer than
         # the 1.5 s stall window: the window must restart when the retry
         # is submitted, not run from the crash.
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 2.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.0)
         plan = FaultPlan([FaultSpec(kind="crash", index=0, attempts=1)])
         with ParallelCampaign(
-            jobs=2,
-            deadline=0.5,
-            retry=RetryPolicy(max_retries=1, backoff_base=2.0, jitter=0.0),
-            faults=plan,
+            jobs=2, deadline=0.5, retries=1, faults=plan
         ) as engine:
             verdicts = engine.fuzz("figure1", [figure1.REAL_PAIR], trials=4)
         assert not engine.failures
-        assert engine.supervisor.pool_deaths == 0
+        assert engine.pool_deaths == 0
         assert engine.last_report.retried == 1
         assert verdicts[figure1.REAL_PAIR].trials == 4
 
@@ -272,20 +268,42 @@ class TestFaultInjectionAcceptance:
         ) as engine:
             engine.fuzz("figure1", PAIRS[:4], trials=4)
         assert not engine.failures
-        assert engine.supervisor.pool_deaths == 1
-        assert not engine.supervisor.serial_fallback
+        assert engine.pool_deaths == 1
+        assert not engine.serial_fallback
 
     def test_detect_phase_quarantine_keeps_other_seeds(self):
         plan = FaultPlan(
             [FaultSpec(kind="crash", index=1, phase="detect", attempts=99)]
         )
-        with ParallelCampaign(jobs=1, faults=plan, retry=0) as engine:
+        with ParallelCampaign(jobs=1, faults=plan, retries=0) as engine:
             report = engine.detect("figure1", seeds=[0, 1, 2])
         assert len(engine.failures) == 1
         assert engine.failures[0].phase == "detect"
         # Seeds 0 and 2 still contributed: the union covers both pairs.
         assert figure1.REAL_PAIR in report.pairs
         assert figure1.FALSE_PAIR in report.pairs
+
+    def test_a_pool_death_halves_the_one_jobs(self):
+        # The detect-phase pool death halves the campaign's width to 1, so
+        # Phase 2 runs inline: its pool_kill fault degrades to a crash
+        # attempt there, charged and retried, not a second pool death.
+        options = dict(phase1_seeds=[0, 1], trials=4)
+        with ParallelCampaign(jobs=2) as clean:
+            expected = clean.run("figure1", **options)
+        plan = parse_fault_plan("detect:0:pool_kill:1,fuzz:0:pool_kill:1")
+        with collecting() as telemetry, ParallelCampaign(
+            jobs=2, faults=plan
+        ) as engine:
+            report = engine.run("figure1", **options)
+        assert telemetry.counter("supervisor.failed_attempts.crash") == 1
+        assert engine.last_report.retried == 1
+        assert engine.jobs == 1
+        assert engine.pool_deaths == 1
+        assert not engine.failures
+        assert report.phase1.pairs == expected.phase1.pairs
+        assert set(report.verdicts) == set(expected.verdicts)
+        for pair, verdict in expected.verdicts.items():
+            assert _signature(report.verdicts[pair]) == _signature(verdict)
 
     def test_failures_reach_the_campaign_report(self):
         plan = FaultPlan([FaultSpec(kind="crash", index=0, attempts=99)])
@@ -430,7 +448,7 @@ class TestResourceGovernance:
     def test_persistent_disk_full_quarantines_as_disk(self):
         plan = FaultPlan([FaultSpec(kind="disk_full", index=0, attempts=99)])
         with ParallelCampaign(
-            jobs=1, chunk_size=4, faults=plan, retry=0
+            jobs=1, chunk_size=4, faults=plan, retries=0
         ) as engine:
             engine.fuzz("figure1", PAIRS[:2], trials=4)
         assert [f.kind for f in engine.failures] == ["disk"]
@@ -469,7 +487,7 @@ class TestResourceGovernance:
         feed = itertools.count(100.0, 300.0)
         monkeypatch.setattr(supervisor, "_maxrss_mb", lambda: next(feed))
         with ParallelCampaign(
-            jobs=1, chunk_size=4, memory_budget_mb=50, retry=0
+            jobs=1, chunk_size=4, memory_budget_mb=50, retries=0
         ) as engine:
             engine.fuzz("figure1", PAIRS[:2], trials=4)
         assert sorted(f.kind for f in engine.failures) == ["memory", "memory"]

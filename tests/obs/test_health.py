@@ -1,8 +1,7 @@
 """The HealthController state machine: escalation, policy, one-way-ness."""
 
-import pytest
-
-from repro.obs import collecting
+from repro.core import supervisor
+from repro.obs import collecting, health as health_module
 from repro.obs.health import (
     CRITICAL,
     DEGRADED,
@@ -10,8 +9,12 @@ from repro.obs.health import (
     HEALTHY,
     STATE_RANK,
     HealthController,
-    HealthTransition,
 )
+
+
+def _critical_at(monkeypatch, deaths):
+    """Lower the critical pool-death threshold for one test."""
+    monkeypatch.setattr(health_module, "POOL_DEATH_CRITICAL", deaths)
 
 
 class TestEscalation:
@@ -28,7 +31,7 @@ class TestEscalation:
         assert health.state == DEGRADED
 
     def test_pool_deaths_escalate_to_critical(self):
-        health = HealthController(pool_death_critical=3)
+        health = HealthController()
         for _ in range(3):
             health.record_pool_death()
         assert health.state == CRITICAL
@@ -36,14 +39,14 @@ class TestEscalation:
         assert [t.state for t in health.transitions] == [DEGRADED, CRITICAL]
 
     def test_memory_failures_degrade_at_threshold(self):
-        health = HealthController(memory_degraded=2)
+        health = HealthController()
         health.record_memory_failure()
         assert health.state == HEALTHY
         health.record_memory_failure()
         assert health.state == DEGRADED
 
     def test_single_corrupt_trace_is_routine(self):
-        health = HealthController(corrupt_degraded=3)
+        health = HealthController()
         health.record_corrupt_trace()
         health.record_corrupt_trace()
         assert health.state == HEALTHY
@@ -55,9 +58,10 @@ class TestEscalation:
         health.record_disk_budget_hit()
         assert health.state == DEGRADED
 
-    def test_machine_is_one_way(self):
+    def test_machine_is_one_way(self, monkeypatch):
         # No signal ever de-escalates: reproducibility beats adaptivity.
-        health = HealthController(pool_death_critical=1)
+        _critical_at(monkeypatch, 1)
+        health = HealthController()
         health.record_pool_death()
         assert health.state == CRITICAL
         health.record_memory_failure()
@@ -66,8 +70,10 @@ class TestEscalation:
         assert len(health.transitions) == 1
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="pool_death_critical"):
-            HealthController(pool_death_degraded=5, pool_death_critical=2)
+        # Degraded before critical, and critical exactly at the pool
+        # death that forces the supervisor's serial fallback.
+        assert health_module.POOL_DEATH_DEGRADED <= health_module.POOL_DEATH_CRITICAL
+        assert health_module.POOL_DEATH_CRITICAL == supervisor.POOL_DEATH_LIMIT + 1
 
     def test_state_rank_covers_all_states(self):
         assert sorted(STATE_RANK) == sorted(HEALTH_STATES)
@@ -76,15 +82,16 @@ class TestEscalation:
 
 class TestPolicy:
     def test_recording_disabled_after_repeated_disk_pressure(self):
-        health = HealthController(disk_disable_threshold=3)
+        health = HealthController()
         for _ in range(2):
             health.record_disk_budget_hit()
         assert health.trace_recording_enabled  # degraded but still caching
         health.record_disk_budget_hit()
         assert not health.trace_recording_enabled
 
-    def test_recording_disabled_when_critical(self):
-        health = HealthController(pool_death_critical=1)
+    def test_recording_disabled_when_critical(self, monkeypatch):
+        _critical_at(monkeypatch, 1)
+        health = HealthController()
         health.record_pool_death()
         assert not health.trace_recording_enabled
 
@@ -96,27 +103,29 @@ class TestPolicy:
         assert health.recommended_jobs(1) == 1  # floor
 
     def test_describe_names_every_transition(self):
-        health = HealthController(pool_death_critical=2)
-        health.record_pool_death()
-        health.record_pool_death()
+        health = HealthController()
+        for _ in range(3):
+            health.record_pool_death()
         described = health.describe()
         assert described.startswith(CRITICAL)
         assert "pool death" in described
 
 
 class TestObservability:
-    def test_transitions_fire_the_callback(self):
-        seen: list[HealthTransition] = []
-        health = HealthController(on_transition=seen.append)
+    def test_transitions_are_recorded_once_per_state(self):
+        health = HealthController()
         health.record_disk_budget_hit()
         health.record_disk_budget_hit()  # same state: no second transition
+        seen = health.transitions
         assert [t.state for t in seen] == [DEGRADED]
         assert "disk budget" in seen[0].reason
         assert seen[0].describe() == f"-> {DEGRADED}: {seen[0].reason}"
 
-    def test_signals_and_transitions_are_metered(self):
+    def test_signals_and_transitions_are_metered(self, monkeypatch):
+        _critical_at(monkeypatch, 2)
+        monkeypatch.setattr(health_module, "MEMORY_DEGRADED", 1)
         with collecting() as registry:
-            health = HealthController(pool_death_critical=2, memory_degraded=1)
+            health = HealthController()
             health.record_pool_death()
             health.record_pool_death()
             health.record_memory_failure()

@@ -9,7 +9,7 @@ oldest-first eviction while never evicting the entry being read.
 import pytest
 
 from repro.core import detect_races
-from repro.obs import HealthController, collecting
+from repro.obs import HealthController, collecting, health as health_module
 from repro.obs.health import CRITICAL, DEGRADED, HEALTHY
 from repro.trace import (
     QUARANTINE_DIR,
@@ -107,8 +107,9 @@ class TestRecovery:
         with pytest.raises(FileNotFoundError):
             store.with_recovery(KEY, figure1.build(), always_evicted)
 
-    def test_quarantine_signals_health(self, tmp_path):
-        health = HealthController(corrupt_degraded=2)
+    def test_quarantine_signals_health(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(health_module, "CORRUPT_DEGRADED", 2)
+        health = HealthController()
         store = TraceStore(tmp_path, health=health)
         for _ in range(2):
             _corrupt(store.ensure(KEY, figure1.build()))
@@ -154,8 +155,9 @@ class TestBudget:
         with pytest.raises(ValueError, match="max_entries"):
             TraceStore(tmp_path, max_entries=-1)
 
-    def test_repeated_budget_hits_degrade_health(self, tmp_path):
-        health = HealthController(disk_disable_threshold=2)
+    def test_repeated_budget_hits_degrade_health(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(health_module, "DISK_DISABLE_THRESHOLD", 2)
+        health = HealthController()
         store = TraceStore(tmp_path, max_entries=1, health=health)
         _fill(store, 3)  # two eviction passes -> two budget hits
         assert health.disk_budget_hits >= 2
@@ -192,8 +194,9 @@ def test_repeated_quota_hits_switch_detect_to_ephemeral(tmp_path):
 
 class TestEphemeralMode:
     def _pressured_health(self):
-        health = HealthController(disk_disable_threshold=1)
-        health.record_disk_budget_hit()
+        health = HealthController()
+        for _ in range(health_module.DISK_DISABLE_THRESHOLD):
+            health.record_disk_budget_hit()
         assert not health.trace_recording_enabled
         return health
 
@@ -221,8 +224,9 @@ class TestEphemeralMode:
         assert not any(tmp_path.glob("*.ephemeral*"))
 
     def test_critical_health_disables_recording(self, tmp_path):
-        health = HealthController(pool_death_critical=1)
-        health.record_pool_death()
+        health = HealthController()
+        for _ in range(health_module.POOL_DEATH_CRITICAL):
+            health.record_pool_death()
         assert health.state == CRITICAL
         store = TraceStore(tmp_path, health=health)
         assert ".ephemeral." in store.ensure(KEY, figure1.build()).name
