@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.detectors import (
     RaceReport,
-    make_detector,
+    make_detectors,
     schedulable_grades,
     union_reports,
 )
@@ -204,14 +204,14 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
     """Worker entrypoint: one seed's detector reports, by name."""
     program = _build_workload(task.workload)
     if task.trace_dir is None:
-        observers = {name: make_detector(name) for name in task.detectors}
+        observers, collect = make_detectors(task.detectors)
         Execution(
             program,
             seed=task.seed,
-            observers=list(observers.values()),
+            observers=observers,
             max_steps=task.max_steps,
         ).run(RandomScheduler(preemption="every"))
-        reports = {name: observer.report for name, observer in observers.items()}
+        reports = collect()
     else:
         # Looked up at call time, not import time, so a caller that swaps
         # these module attributes sees every store and analysis.

@@ -2,7 +2,9 @@
 
 Four of them are configurations of one history kernel,
 :class:`HistoryRaceDetector` (:mod:`repro.detectors.base`), which runs
-the Section 2.2 check over a per-location access history.
+the Section 2.2 check over a per-location access history.  One kernel
+serves any set of them in a single walk of each event; a multi-detector
+run gets it from :func:`make_detectors`.
 
 Observed-order detectors (what was concurrent in this schedule):
 
@@ -35,7 +37,7 @@ concurrency problem" (Section 1).
 """
 
 from .base import (
-    AccessRecord,
+    CONFIGURATIONS,
     HappensBeforeDetector,
     HistoryRaceDetector,
     HybridRaceDetector,
@@ -49,7 +51,7 @@ from .report import (
     schedulable_grades,
     union_reports,
 )
-from .sample import SamplingRaceDetector
+from .sample import AccessRecord, SamplingRaceDetector
 from .vectorclock import VectorClock
 
 DETECTORS = {
@@ -82,6 +84,32 @@ def make_detector(name: str):
     return cls()
 
 
+def make_detectors(names):
+    """Observers for a multi-detector run, and a function returning their
+    reports by name once the run is over.
+
+    Every kernel configuration among ``names`` (:data:`CONFIGURATIONS`)
+    joins one :class:`HistoryRaceDetector`, so each event is walked once
+    for all of them; every other name gets its own observer.  Raises
+    ``KeyError`` like :func:`make_detector`.
+    """
+    names = tuple(dict.fromkeys(names))
+    kernel_names = [name for name in names if name in CONFIGURATIONS]
+    kernel = HistoryRaceDetector(kernel_names) if kernel_names else None
+    alone = {
+        name: make_detector(name) for name in names if name not in CONFIGURATIONS
+    }
+    observers = ([] if kernel is None else [kernel]) + list(alone.values())
+
+    def reports() -> dict[str, RaceReport]:
+        return {
+            name: alone[name].report if name in alone else kernel.reports[name]
+            for name in names
+        }
+
+    return observers, reports
+
+
 __all__ = [
     "VectorClock",
     "AccessRecord",
@@ -99,4 +127,5 @@ __all__ = [
     "DETECTORS",
     "available_detectors",
     "make_detector",
+    "make_detectors",
 ]

@@ -6,10 +6,10 @@ access against it.  Events ``e_i = MEM(s_i, m, a_i, t_i, L_i)`` and
 ``e_j = MEM(s_j, m, a_j, t_j, L_j)`` race iff they come from different
 threads, at least one writes, no lock rule exonerates them, and neither
 happens-before the other.  :class:`HistoryRaceDetector` implements that
-scan once; ``hybrid``, ``happens-before``, ``shb`` and ``wcp`` are four
-settings of its two class attributes.
+scan once, over any non-empty set of four named configurations
+(:data:`CONFIGURATIONS`), each a lock rule and a reporting order.
 
-``locks`` is the lock reasoning:
+The lock rule:
 
 * ``"order"`` — a lock release→acquire induces a happens-before edge in
   the reporting order and no lockset filter applies (precise
@@ -24,19 +24,19 @@ settings of its two class attributes.
   broken — the "guarded" witnesses of the pair stop vouching for it, and
   the pair is reported as an inconsistently-guarded candidate.
 
-``predictive`` picks what the reporting order keeps.  The observed-order
-detectors (``False``) answer "which pairs were concurrent *in this
+The reporting order.  The observed-order configurations (``hybrid``,
+``happens-before``) answer "which pairs were concurrent *in this
 schedule*?": every message edge joins the reporting clock, and histories
 cap at :attr:`~HistoryRaceDetector.max_history` records per location (a
 location that overflows may lose witnesses and is counted in the report's
-``truncated_locations``).  The predictive detectors (``True``) answer
-"which pairs could be concurrent in *some* schedule consistent with what
-this trace forces?" — a strictly larger candidate set from the very same
-recorded events, which is exactly what Phase 2 wants to be fed (it weeds
-imprecision for free; missed candidates are gone forever).  Two
-vector-clock families then run side by side over one streamed pass:
+``truncated_locations``).  The predictive configurations (``shb``,
+``wcp``) answer "which pairs could be concurrent in *some* schedule
+consistent with what this trace forces?" — a strictly larger candidate
+set from the very same recorded events, which is exactly what Phase 2
+wants to be fed (it weeds imprecision for free; missed candidates are
+gone forever).  Two vector-clock families serve them:
 
-* the **weak** (reporting) clocks order accesses only across *spawn*
+* the **spawn** (reporting) clocks order accesses only across *spawn*
   edges (see :mod:`repro.detectors.edges`) — the sub-relation every
   feasible reordering preserves: a child's events can never precede its
   creation.  Wakeup edges (which notify paired with which wait) are
@@ -56,6 +56,26 @@ vector-clock families then run side by side over one streamed pass:
 
 Predictive histories are unbounded (offline analysis can afford
 completeness).
+
+**One walk.**  A kernel handles each event once, whatever its set of
+configurations: one type dispatch, one :class:`EdgeClassifier`, and each
+clock family kept once — message clocks for ``hybrid``, message+lock
+clocks for ``happens-before``, spawn and SDP clocks shared by ``shb`` and
+``wcp`` (with their message, release and last-write snapshots).  Each
+location has up to two histories, each walked once per access:
+
+* the **observed** history, shared by ``hybrid`` and ``happens-before``:
+  both keep the latest record per ``(tid, stmt, is_write, lockset)`` key
+  and evict the oldest past 128 records, so the two histories would hold
+  the same keys in the same order — one history, each record carrying
+  both epochs;
+* the **predictive** history, shared by ``shb`` and ``wcp``: records carry
+  the spawn and SDP epochs.  wcp's guard set is a subset of the access's
+  lockset, so a record shb's shield passes, wcp's passes too.
+
+Keeping only the latest record per key cannot lose a statement pair: any
+older access the replaced record would have raced with was compared
+before the replacement, because histories are updated in execution order.
 
 **The superset guarantee.**  ``shb`` is ``hybrid``'s configuration with a
 subset of its reporting edges: the same lock rule, spawn edges only.
@@ -81,6 +101,7 @@ Phase 2 is ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.obs import maybe_telemetry
 from repro.runtime.events import (
@@ -94,244 +115,332 @@ from repro.runtime.events import (
 )
 from repro.runtime.location import Location, LockId
 from repro.runtime.observer import ExecutionObserver
-from repro.runtime.statement import Statement
+from repro.runtime.statement import Statement, StatementPair
 
 from .edges import SPAWN, EdgeClassifier
 from .report import RaceReport, _program_name
 from .vectorclock import VectorClock
 
-_NO_LOCKS: frozenset[LockId] = frozenset()
+#: name -> (lock rule, predictive): the configurations of the kernel.
+CONFIGURATIONS: dict[str, tuple[str, bool]] = {
+    "hybrid": ("blanket", False),
+    "happens-before": ("order", False),
+    "shb": ("blanket", True),
+    "wcp": ("consistent", True),
+}
+
+# Clock families, as indices into a thread's clock list and a message's
+# snapshot list: hybrid's message clocks, happens-before's message+lock
+# clocks, and the spawn and SDP clocks of the predictive configurations.
+_MESSAGE, _ORDER, _SPAWN, _STRONG = range(4)
 
 
 @dataclass(slots=True)
-class AccessRecord:
-    """One remembered access for the per-location history.
+class _Record:
+    """One access in a shared per-location history.
 
-    ``epoch`` is the access's stamp under the reporting clocks,
-    ``strong_epoch`` under the SDP clocks (predictive detectors only).
+    ``tid``, ``stmt``, ``is_write`` and ``lockset`` are the dedupe key.
+    ``epoch`` and ``epoch2`` stamp the access under the history's two clock
+    families: message and message+lock clocks in the observed history,
+    spawn and SDP clocks in the predictive one.
     """
 
     tid: int
-    epoch: int
+    stmt: Statement
     is_write: bool
     lockset: frozenset[LockId]
-    stmt: Statement
-    strong_epoch: int = 0
-
-    def key(self) -> tuple:
-        """Records with equal keys are interchangeable for *pair* detection:
-        keeping only the latest cannot lose a statement pair (any older
-        access it would have raced with was compared before the
-        replacement happened, because histories are updated in execution
-        order)."""
-        return (self.tid, self.stmt, self.is_write, self.lockset)
+    epoch: int
+    epoch2: int
 
 
-def _clock(clocks: dict[int, VectorClock], tid: int) -> VectorClock:
-    clock = clocks.get(tid)
-    if clock is None:
-        clock = clocks[tid] = VectorClock.for_thread(tid)
-    return clock
+class _LocationState:
+    """What the kernel keeps per memory location: its two histories, wcp's
+    candidate guard set, and the SDP snapshot at its last write."""
+
+    __slots__ = ("observed", "predictive", "guards", "last_write")
+
+    def __init__(self, held: frozenset[LockId]) -> None:
+        self.observed: list[_Record] = []
+        self.predictive: list[_Record] = []
+        self.guards = held
+        self.last_write: VectorClock | None = None
 
 
-def _publish(clocks: dict[int, VectorClock], tid: int) -> VectorClock:
-    """Snapshot ``tid``'s clock for a send or release, then tick it."""
-    clock = _clock(clocks, tid)
+def _publish(clock: VectorClock, tid: int) -> VectorClock:
+    """Snapshot ``tid``'s clock for a send, release or write, then tick it."""
     snapshot = clock.copy()
     clock.tick(tid)
     return snapshot
 
 
 class HistoryRaceDetector(ExecutionObserver):
-    """The Section 2.2 race check, configured by ``locks`` and
-    ``predictive`` (see the module docstring)."""
+    """The Section 2.2 race check for a set of configurations (see the
+    module docstring); ``reports`` holds one :class:`RaceReport` per name."""
 
-    #: "order", "blanket" or "consistent".
-    locks: str = "blanket"
-    #: spawn-only reporting order, SDP grading, unbounded histories.
-    predictive: bool = False
-    #: per-location history bound of the observed-order detectors.
+    #: per-location bound of the observed history.
     max_history: int = 128
+    #: the kernel's own name; a named subclass is the one configuration it
+    #: names.
     name: str = "history"
 
-    def __init__(self) -> None:
-        self.report: RaceReport = RaceReport(program="?", detector=self.name)
+    def __init__(self, names: Iterable[str] | None = None) -> None:
+        names = (self.name,) if names is None else tuple(dict.fromkeys(names))
+        if not names or any(name not in CONFIGURATIONS for name in names):
+            raise ValueError(
+                f"a history kernel needs a non-empty subset of "
+                f"{sorted(CONFIGURATIONS)}, got {list(names)}"
+            )
+        self.names = names
+        self._observed = "hybrid" in names or "happens-before" in names
+        self._predictive = "shb" in names or "wcp" in names
+        #: which clock families are kept, in family order.
+        self._families = (
+            "hybrid" in names,
+            "happens-before" in names,
+            self._predictive,
+            self._predictive,
+        )
         self._edges = EdgeClassifier()
-        #: reporting clocks, and the SDP clocks (predictive only).
-        self._clocks: dict[int, VectorClock] = {}
-        self._strong: dict[int, VectorClock] = {}
-        #: msg_id -> clock snapshot at SND time, per clock family.
-        self._messages: dict[int, VectorClock] = {}
-        self._strong_messages: dict[int, VectorClock] = {}
-        #: lock -> clock snapshot at its last release, per clock family.
-        self._last_release: dict[LockId, VectorClock] = {}
-        self._strong_release: dict[LockId, VectorClock] = {}
-        self._last_write: dict[Location, VectorClock] = {}
-        self._histories: dict[Location, list[AccessRecord]] = {}
-        #: Eraser-style candidate guard set per location ("consistent").
-        self._guards: dict[Location, frozenset[LockId]] = {}
+        #: tid -> one clock per family (None for a family not kept).
+        self._threads: dict[int, list[VectorClock | None]] = {}
+        #: msg_id -> clock snapshots at SND time, one per family.
+        self._messages: dict[int, list[VectorClock | None]] = {}
+        #: lock -> (message+lock, SDP) snapshots at its last release.
+        self._releases: dict[LockId, tuple[VectorClock | None, VectorClock | None]] = {}
+        self._locations: dict[Location, _LocationState] = {}
+        #: locations whose observed history dropped a record.
         self._overflowed: set[Location] = set()
         self.soft_edges = 0
         self.guard_breaks = 0
+        self._fresh_reports("?")
+
+    def _fresh_reports(self, program: str) -> None:
+        self.reports = {
+            name: RaceReport(program=program, detector=name) for name in self.names
+        }
+        get = self.reports.get
+        self._hybrid = get("hybrid")
+        self._precise = get("happens-before")
+        self._consistent = get("wcp")
+        #: the reports a record disjoint from the access's lockset races in.
+        self._blanket = tuple(
+            report for report in (get("shb"), get("wcp")) if report is not None
+        )
+
+    @property
+    def report(self) -> RaceReport:
+        """The report of a one-configuration kernel."""
+        if len(self.names) != 1:
+            raise AttributeError(
+                f"a kernel over {list(self.names)} has one report per name "
+                f"in .reports"
+            )
+        return self.reports[self.names[0]]
 
     # ------------------------------------------------------------------ #
 
     def on_start(self, execution) -> None:
         """Reset every clock, history and counter for a new execution."""
-        self.report = RaceReport(
-            program=_program_name(execution), detector=self.name
-        )
+        self._fresh_reports(_program_name(execution))
         self._edges.reset()
         for state in (
-            self._clocks, self._strong, self._messages, self._strong_messages,
-            self._last_release, self._strong_release, self._last_write,
-            self._histories, self._guards, self._overflowed,
+            self._threads, self._messages, self._releases, self._locations,
+            self._overflowed,
         ):
             state.clear()
         self.soft_edges = 0
         self.guard_breaks = 0
 
+    def _thread(self, tid: int) -> list[VectorClock | None]:
+        clocks = self._threads.get(tid)
+        if clocks is None:
+            clocks = self._threads[tid] = [
+                VectorClock.for_thread(tid) if kept else None
+                for kept in self._families
+            ]
+        return clocks
+
     def on_event(self, event: Event) -> None:
         """Check a memory access, or fold a synchronisation edge into the
-        clocks."""
-        predictive = self.predictive
-        kind = self._edges.note(event) if predictive else None
+        clocks of every family kept."""
+        kind = self._edges.note(event) if self._predictive else None
         if isinstance(event, MemEvent):
             self._on_mem(event)
         elif isinstance(event, SndEvent):
-            self._messages[event.msg_id] = _publish(self._clocks, event.tid)
-            if predictive:
-                self._strong_messages[event.msg_id] = _publish(
-                    self._strong, event.tid
-                )
+            tid = event.tid
+            self._messages[event.msg_id] = [
+                None if clock is None else _publish(clock, tid)
+                for clock in self._thread(tid)
+            ]
         elif isinstance(event, RcvEvent):
             message = self._messages.get(event.msg_id)
             if message is not None:
-                # The strong order keeps every witnessed dependence; the
-                # predictive reporting order only spawn edges.
-                if predictive:
-                    _clock(self._strong, event.tid).join(
-                        self._strong_messages[event.msg_id]
-                    )
-                if predictive and kind != SPAWN:
-                    self.soft_edges += 1
-                else:
-                    _clock(self._clocks, event.tid).join(message)
+                seen, order, spawn, strong = self._thread(event.tid)
+                if seen is not None:
+                    seen.join(message[_MESSAGE])
+                if order is not None:
+                    order.join(message[_ORDER])
+                if spawn is not None:
+                    # The strong order keeps every witnessed dependence;
+                    # the predictive reporting order only spawn edges.
+                    strong.join(message[_STRONG])
+                    if kind == SPAWN:
+                        spawn.join(message[_SPAWN])
+                    else:
+                        self.soft_edges += 1
         elif isinstance(event, ThreadStartEvent):
-            self._clocks.setdefault(event.child, VectorClock.for_thread(event.child))
-            if predictive:
-                self._strong.setdefault(
-                    event.child, VectorClock.for_thread(event.child)
-                )
+            self._thread(event.child)
         elif isinstance(event, ReleaseEvent):
-            if self.locks == "order":
-                self._last_release[event.lock] = _publish(self._clocks, event.tid)
-            if predictive:
-                self._strong_release[event.lock] = _publish(
-                    self._strong, event.tid
+            _, order, _, strong = self._thread(event.tid)
+            if order is not None or strong is not None:
+                self._releases[event.lock] = (
+                    None if order is None else _publish(order, event.tid),
+                    None if strong is None else _publish(strong, event.tid),
                 )
         elif isinstance(event, AcquireEvent):
-            if self.locks == "order":
-                released = self._last_release.get(event.lock)
-                if released is not None:
-                    _clock(self._clocks, event.tid).join(released)
-            if predictive:
-                released = self._strong_release.get(event.lock)
-                if released is not None:
-                    _clock(self._strong, event.tid).join(released)
+            released = self._releases.get(event.lock)
+            if released is not None:
+                _, order, _, strong = self._thread(event.tid)
+                if order is not None:
+                    order.join(released[0])
+                if strong is not None:
+                    strong.join(released[1])
 
     def on_finish(self, execution) -> None:
         """Publish the truncation count and the predictive counters."""
-        self.report.truncated_locations = len(self._overflowed)
+        for report in (self._hybrid, self._precise):
+            if report is not None:
+                report.truncated_locations = len(self._overflowed)
         telemetry = maybe_telemetry()
-        if telemetry is not None and self.predictive:
-            telemetry.inc(f"predict.{self.name}.pairs", len(self.report))
-            telemetry.inc(f"predict.{self.name}.soft_edges", self.soft_edges)
-            if self.locks == "consistent":
-                telemetry.inc(f"predict.{self.name}.guard_breaks", self.guard_breaks)
+        if telemetry is None:
+            return
+        for name in ("shb", "wcp"):
+            if name in self.reports:
+                telemetry.inc(f"predict.{name}.pairs", len(self.reports[name]))
+                telemetry.inc(f"predict.{name}.soft_edges", self.soft_edges)
+        if self._consistent is not None:
+            telemetry.inc("predict.wcp.guard_breaks", self.guard_breaks)
 
     # ------------------------------------------------------------------ #
 
-    def _guard_set(self, location: Location, held: frozenset[LockId]):
-        """Refine and return ``location``'s candidate guard set."""
-        guards = self._guards.get(location)
-        if guards is None:
-            guards = self._guards[location] = held
-        else:
-            refined = guards & held
-            if refined != guards:
-                self.guard_breaks += 1
-                guards = self._guards[location] = refined
-        return guards
-
     def _on_mem(self, event: MemEvent) -> None:
+        """Walk each of the location's histories once: race the access
+        against every record under each configuration, find the record of
+        the access's key, then replace or append it.
+
+        The walks read the clocks' component maps directly (``_clock``):
+        they are the kernel's hot loop.
+        """
         tid = event.tid
         location = event.location
         held = event.locks_held
         is_write = event.is_write
-        clock = _clock(self._clocks, tid)
-        strong = _clock(self._strong, tid) if self.predictive else None
-        # A record sharing a lock in ``shield`` with this access is
-        # exonerated.  "consistent" suppresses on a common lock still in
-        # the guard set; the refined guard set is a subset of ``held``, so
-        # that is a lock the record shares with the guard set itself.
-        locks = self.locks
-        if locks == "blanket":
-            shield = held
-        elif locks == "consistent":
-            shield = self._guard_set(location, held)
-        else:
-            shield = _NO_LOCKS
-        history = self._histories.setdefault(location, [])
-        for record in history:
-            if record.tid == tid:
-                continue
-            if not (record.is_write or is_write):
-                continue
-            if not record.lockset.isdisjoint(shield):
-                continue
-            if clock.knows(record.tid, record.epoch):
-                continue  # record happens-before this access
-            self.report.record(
-                record.stmt,
-                event.stmt,
-                location=location,
-                tids=(record.tid, tid),
-                both_write=record.is_write and is_write,
-                schedulable=(
-                    None
-                    if strong is None
-                    else not strong.knows(record.tid, record.strong_epoch)
-                ),
-            )
-        new_record = AccessRecord(
-            tid=tid,
-            epoch=clock.get(tid),
-            is_write=is_write,
-            lockset=held,
-            stmt=event.stmt,
-            strong_epoch=0 if strong is None else strong.get(tid),
-        )
-        if strong is not None:
+        stmt = event.stmt
+        seen, order, spawn, strong = self._threads.get(tid) or self._thread(tid)
+        state = self._locations.get(location)
+        if state is None:
+            state = self._locations[location] = _LocationState(held)
+        if self._observed:
+            hybrid = self._hybrid
+            precise = self._precise
+            # hybrid: a common lock exonerates, message edges order;
+            # happens-before: message and lock edges order.
+            seen_of = None if seen is None else seen._clock.get
+            order_of = None if order is None else order._clock.get
+            history = state.observed
+            slot = None
+            for record in history:
+                rtid = record.tid
+                if rtid == tid:
+                    if (
+                        record.is_write is is_write
+                        and record.lockset == held
+                        and (record.stmt is stmt or record.stmt == stmt)
+                    ):
+                        slot = record
+                    continue
+                if not (is_write or record.is_write):
+                    continue
+                racing = (
+                    seen_of is not None
+                    and seen_of(rtid, 0) < record.epoch
+                    and record.lockset.isdisjoint(held)
+                )
+                racing_precise = order_of is not None and order_of(rtid, 0) < record.epoch2
+                if racing or racing_precise:
+                    pair = StatementPair(record.stmt, stmt)
+                    tids = (rtid, tid)
+                    both_write = record.is_write and is_write
+                    if racing:
+                        hybrid.witness(pair, location, tids, both_write)
+                    if racing_precise:
+                        precise.witness(pair, location, tids, both_write)
+            epoch = 0 if seen_of is None else seen_of(tid, 0)
+            epoch2 = 0 if order_of is None else order_of(tid, 0)
+            if slot is not None:
+                slot.epoch = epoch
+                slot.epoch2 = epoch2
+            else:
+                history.append(_Record(tid, stmt, is_write, held, epoch, epoch2))
+                if len(history) > self.max_history:
+                    history.pop(0)
+                    self._overflowed.add(location)
+        if self._predictive:
+            # A record sharing a lock in the shield with this access is
+            # exonerated: shb's shield is the access's lockset, wcp's the
+            # location's guard set, a subset of it — so a record disjoint
+            # from the lockset races under both.
+            consistent = self._consistent
+            guards = state.guards
+            if consistent is not None and not guards <= held:
+                self.guard_breaks += 1
+                guards = state.guards = guards & held
+            blanket = self._blanket
+            spawn_of = spawn._clock.get
+            strong_of = strong._clock.get
+            history = state.predictive
+            slot = None
+            for record in history:
+                rtid = record.tid
+                if rtid == tid:
+                    if (
+                        record.is_write is is_write
+                        and record.lockset == held
+                        and (record.stmt is stmt or record.stmt == stmt)
+                    ):
+                        slot = record
+                    continue
+                if not (is_write or record.is_write):
+                    continue
+                if spawn_of(rtid, 0) >= record.epoch:
+                    continue  # record happens-before this access
+                if record.lockset.isdisjoint(held):
+                    racing = blanket
+                elif consistent is not None and record.lockset.isdisjoint(guards):
+                    racing = (consistent,)
+                else:
+                    continue
+                pair = StatementPair(record.stmt, stmt)
+                tids = (rtid, tid)
+                both_write = record.is_write and is_write
+                schedulable = strong_of(rtid, 0) < record.epoch2
+                for report in racing:
+                    report.witness(pair, location, tids, both_write, schedulable)
+            epoch = spawn_of(tid, 0)
+            epoch2 = strong_of(tid, 0)
+            if slot is not None:
+                slot.epoch = epoch
+                slot.epoch2 = epoch2
+            else:
+                history.append(_Record(tid, stmt, is_write, held, epoch, epoch2))
             # Check-then-update (the SHB discipline): the write→read edge a
             # read induces must not hide the read's own race with that
             # write.  The record keeps the pre-tick epoch, which is what
-            # the snapshot in _last_write carries to future readers.
+            # the snapshot in last_write carries to future readers.
             if is_write:
-                self._last_write[location] = _publish(self._strong, tid)
-            else:
-                observed = self._last_write.get(location)
-                if observed is not None:
-                    strong.join(observed)
-        key = new_record.key()
-        for i, record in enumerate(history):
-            if record.key() == key:
-                history[i] = new_record
-                return
-        history.append(new_record)
-        if strong is None and len(history) > self.max_history:
-            history.pop(0)
-            self._overflowed.add(location)
+                state.last_write = _publish(strong, tid)
+            elif state.last_write is not None:
+                strong.join(state.last_write)
 
 
 class HybridRaceDetector(HistoryRaceDetector):
@@ -348,7 +457,7 @@ class HybridRaceDetector(HistoryRaceDetector):
     """
 
     name = "hybrid"
-    locks = "blanket"
+    locks, predictive = CONFIGURATIONS[name]
 
 
 class HappensBeforeDetector(HistoryRaceDetector):
@@ -364,7 +473,7 @@ class HappensBeforeDetector(HistoryRaceDetector):
     """
 
     name = "happens-before"
-    locks = "order"
+    locks, predictive = CONFIGURATIONS[name]
 
 
 class ShbRaceDetector(HistoryRaceDetector):
@@ -397,8 +506,7 @@ class ShbRaceDetector(HistoryRaceDetector):
     """
 
     name = "shb"
-    locks = "blanket"
-    predictive = True
+    locks, predictive = CONFIGURATIONS[name]
 
 
 class WcpRaceDetector(HistoryRaceDetector):
@@ -430,5 +538,4 @@ class WcpRaceDetector(HistoryRaceDetector):
     """
 
     name = "wcp"
-    locks = "consistent"
-    predictive = True
+    locks, predictive = CONFIGURATIONS[name]

@@ -15,6 +15,10 @@ from repro.runtime.location import Location
 from repro.runtime.statement import Statement, StatementPair
 
 
+#: ``evidence.get`` default telling an unseen pair from a supplied one.
+_UNSEEN = object()
+
+
 def _merge_schedulable(mine: bool | None, other: bool | None) -> bool | None:
     """Combine confidence grades: any schedulable witness grades the pair
     schedulable; otherwise any graded witness keeps it speculative; the
@@ -107,10 +111,22 @@ class RaceReport:
         schedulable: bool | None = None,
     ) -> bool:
         """Add one observation; returns True if the pair is new."""
-        pair = StatementPair(s1, s2)
-        known = pair in self.evidence
-        existing = self.evidence.get(pair)
-        if existing is not None:
+        return self.witness(
+            StatementPair(s1, s2), location, tids, both_write, schedulable
+        )
+
+    def witness(
+        self,
+        pair: StatementPair,
+        location: Location,
+        tids: tuple[int, int],
+        both_write: bool,
+        schedulable: bool | None = None,
+    ) -> bool:
+        """:meth:`record` for a built pair, which a detector racing one
+        access under several configurations builds once."""
+        existing = self.evidence.get(pair, _UNSEEN)
+        if existing is not _UNSEEN and existing is not None:
             existing.count += 1
             existing.both_write = existing.both_write or both_write
             existing.schedulable = _merge_schedulable(
@@ -125,7 +141,7 @@ class RaceReport:
             both_write=both_write,
             schedulable=schedulable,
         )
-        return not known
+        return existing is _UNSEEN
 
     def merge(self, other: "RaceReport") -> None:
         """Union another report into this one (multi-run Phase 1)."""

@@ -26,13 +26,33 @@ analysis of one trace is byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.obs import maybe_telemetry
 from repro.runtime.events import Event, MemEvent
-from repro.runtime.location import Location
+from repro.runtime.location import Location, LockId
 from repro.runtime.observer import ExecutionObserver
+from repro.runtime.statement import Statement
 
-from .base import AccessRecord
 from .report import RaceReport, _program_name
+
+
+@dataclass(slots=True)
+class AccessRecord:
+    """One sampled access of a location (the screener tracks no clocks)."""
+
+    tid: int
+    is_write: bool
+    lockset: frozenset[LockId]
+    stmt: Statement
+
+    def key(self) -> tuple:
+        """Records with equal keys are interchangeable for *pair* detection:
+        keeping only the latest cannot lose a statement pair (any older
+        access it would have raced with was compared before the
+        replacement happened, because samples are updated in execution
+        order)."""
+        return (self.tid, self.stmt, self.is_write, self.lockset)
 
 
 class SamplingRaceDetector(ExecutionObserver):
@@ -75,7 +95,6 @@ class SamplingRaceDetector(ExecutionObserver):
             )
         new_record = AccessRecord(
             tid=event.tid,
-            epoch=0,  # the screener tracks no clocks
             is_write=event.is_write,
             lockset=event.locks_held,
             stmt=event.stmt,

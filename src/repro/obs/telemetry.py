@@ -51,6 +51,7 @@ import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 #: default histogram bounds for step-count style distributions.
@@ -205,8 +206,10 @@ class TimelineEvent:
     dur_s: float = 0.0
     track: str = ""
 
-    @property
+    @cached_property
     def identity(self):
+        """Computed once per event: every compaction and merge dedupes and
+        sorts by it."""
         return (self.kind, _canon(list(self.key)), _canon([list(a) for a in self.attrs]))
 
     @property

@@ -31,10 +31,10 @@ class _TimedObserver(ExecutionObserver):
 
     ``analyze_trace`` streams a trace through all requested detectors at
     once, so a wall-clock span around the pass cannot attribute cost to a
-    single detector.  This wrapper meters each lifecycle call separately;
+    single observer.  This wrapper meters each lifecycle call separately;
     the accumulated seconds are published by ``analyze_trace`` as the
-    ``predict.analyze.<name>`` span.  Only used while telemetry is on —
-    the default analysis path stays wrapper-free.
+    ``predict.analyze.<name>`` span of the observer's ``name``.  Only used
+    while telemetry is on — the default analysis path stays wrapper-free.
     """
 
     __slots__ = ("inner", "seconds")
@@ -103,29 +103,31 @@ def analyze_trace(
     """Run named detectors over one recorded trace; reports by name.
 
     ``trace`` is a path or an open :class:`~repro.trace.io.TraceReader`.
-    All detectors consume a single streamed pass over the file.
+    All detectors consume a single streamed pass over the file, and the
+    history detectors among them one walk of each event
+    (:func:`repro.detectors.make_detectors`).
 
-    While telemetry is on, each detector's share of the
-    pass is metered and published as a ``predict.analyze.<name>`` span,
-    so multi-detector analyses show where the CPU time went.
+    While telemetry is on, each observer's share of the pass is metered
+    and published as a span: ``predict.analyze.history`` for the history
+    kernel, ``predict.analyze.<name>`` for any other detector.
     """
-    from repro.detectors import make_detector  # detectors don't import trace
+    from repro.detectors import make_detectors  # detectors don't import trace
 
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-    built = {name: make_detector(name) for name in detectors}
+    observers, collect = make_detectors(detectors)
     telemetry = maybe_telemetry()
     if telemetry is not None:
         telemetry.inc("trace.replays")
-        telemetry.inc("trace.analyses", len(built))
-        timed = {name: _TimedObserver(obs) for name, obs in built.items()}
-        replay_events(
-            reader, list(timed.values()), program=reader.header.program
-        )
-        for name, wrapper in timed.items():
-            telemetry.observe_span(f"predict.analyze.{name}", wrapper.seconds)
+        telemetry.inc("trace.analyses", len(dict.fromkeys(detectors)))
+        timed = [_TimedObserver(observer) for observer in observers]
+        replay_events(reader, timed, program=reader.header.program)
+        for wrapper in timed:
+            telemetry.observe_span(
+                f"predict.analyze.{wrapper.inner.name}", wrapper.seconds
+            )
     else:
-        replay_events(reader, list(built.values()), program=reader.header.program)
-    return {name: observer.report for name, observer in built.items()}
+        replay_events(reader, observers, program=reader.header.program)
+    return collect()
 
 
 __all__ = ["ReplaySource", "replay_events", "analyze_trace"]

@@ -4,8 +4,10 @@ smaller, never different.
 Every history detector's report on every Table-1 row plus figure1 and
 philosophers, seeds 0-2, is digested (pairs, example location, tids,
 ``both_write``, ``count``, ``schedulable``, ``truncated_locations``) and
-compared with a committed sha256, both live and replayed from the stored
-trace through :func:`repro.trace.analyze_trace`.
+compared with a committed sha256 three ways: live from four
+one-configuration kernels, live from one four-configuration kernel
+(:func:`repro.detectors.make_detectors`, as a multi-detector Phase 1 runs),
+and replayed from the stored trace through :func:`repro.trace.analyze_trace`.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import hashlib
 import pytest
 
 from repro import workloads
-from repro.detectors import make_detector
+from repro.detectors import make_detector, make_detectors
 from repro.trace import TraceStore, analyze_trace, detect_key
 
 DETECTORS = ("hybrid", "happens-before", "shb", "wcp")
@@ -47,24 +49,28 @@ def _report_digest(report) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def _digests(name: str, tmp_path) -> dict[str, str]:
-    """``{"<program>/<seed>/<detector>": digest}`` live, and replayed."""
+def _digests(name: str, tmp_path):
+    """``{"<program>/<seed>/<detector>": digest}`` live from separate
+    kernels, live from one fused kernel, and replayed."""
     spec = workloads.get(name)
     store = TraceStore(tmp_path)
-    live, replayed = {}, {}
+    live, fused, replayed = {}, {}, {}
     for seed in SEEDS:
         observers = [make_detector(detector) for detector in DETECTORS]
+        kernels, collect = make_detectors(DETECTORS)
         path = store.ensure(
             detect_key(name, seed, max_steps=spec.max_steps),
             spec.build(),
-            observers=observers,
+            observers=observers + kernels,
         )
         offline = analyze_trace(path, DETECTORS)
+        together = collect()
         for detector, observer in zip(DETECTORS, observers):
             key = f"{name}/{seed}/{detector}"
             live[key] = _report_digest(observer.report)
+            fused[key] = _report_digest(together[detector])
             replayed[key] = _report_digest(offline[detector])
-    return live, replayed
+    return live, fused, replayed
 
 
 #: sha256 of each report.  A digest moves only when some report moves; if
@@ -269,11 +275,12 @@ GOLDEN_PHASE1 = {
 class TestGoldenPhase1:
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_reports_match_the_pin_live_and_replayed(self, name, tmp_path):
-        live, replayed = _digests(name, tmp_path)
+        live, fused, replayed = _digests(name, tmp_path)
         expected = {
             key: digest
             for key, digest in GOLDEN_PHASE1.items()
             if key.startswith(f"{name}/")
         }
         assert live == expected
+        assert fused == expected
         assert replayed == expected

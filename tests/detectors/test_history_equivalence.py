@@ -7,7 +7,10 @@ that replacement cannot lose a *statement pair*.  This suite checks that
 claim empirically for every configuration of the kernel: a naive
 reference detector, written independently of the kernel, must report
 exactly the same pair set (and, for the predictive configurations, the
-same ``schedulable`` grades) on randomly generated programs.
+same ``schedulable`` grades) on randomly generated programs.  A kernel
+over several configurations walks each event once for all of them, so
+the suite also runs it over subsets of the names: each name's report must
+still equal its reference.
 
 The reference appends every access, never replaces or evicts one,
 compares whole vector-clock snapshots instead of epochs, and recomputes
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RandomScheduler
-from repro.detectors import make_detector
+from repro.detectors import HistoryRaceDetector, make_detector
 from repro.detectors.edges import SPAWN, EdgeClassifier
 from repro.detectors.report import RaceReport
 from repro.detectors.vectorclock import VectorClock
@@ -44,6 +47,22 @@ CONFIGURATIONS = {
     "shb": ("blanket", True),
     "wcp": ("consistent", True),
 }
+
+#: kernels over several configurations: all four, the set the adaptive
+#: campaign runs, the other pairs, and each configuration alone.
+SUBSETS = (
+    ("hybrid", "happens-before", "shb", "wcp"),
+    ("hybrid", "shb"),
+    ("hybrid", "wcp"),
+    ("happens-before", "shb"),
+    ("happens-before", "wcp"),
+    ("hybrid", "happens-before"),
+    ("shb", "wcp"),
+    ("hybrid",),
+    ("happens-before",),
+    ("shb",),
+    ("wcp",),
+)
 
 
 class NaiveHistoryDetector(ExecutionObserver):
@@ -141,9 +160,9 @@ def _grades(report):
     return {pair: info.schedulable for pair, info in report.evidence.items()}
 
 
-def _assert_same(kernel, naive, name):
-    assert set(kernel.report.evidence) == set(naive.report.evidence), name
-    assert _grades(kernel.report) == _grades(naive.report), name
+def _assert_same(report, naive, name):
+    assert set(report.evidence) == set(naive.report.evidence), name
+    assert _grades(report) == _grades(naive.report), name
 
 
 class TestHistoryEquivalence:
@@ -165,7 +184,28 @@ class TestHistoryEquivalence:
         Execution(
             program, seed=seed, observers=[kernel, naive], max_steps=50_000
         ).run(RandomScheduler(preemption="every"))
-        _assert_same(kernel, naive, name)
+        _assert_same(kernel.report, naive, name)
+
+    @pytest.mark.parametrize("names", SUBSETS, ids="+".join)
+    @given(
+        scripts=st.lists(_SCRIPTS, min_size=1, max_size=3),
+        seed=st.integers(0, 5_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_subset_reports_every_name_like_its_reference(
+        self, names, scripts, seed
+    ):
+        kernel = HistoryRaceDetector(names)
+        naives = [NaiveHistoryDetector(name) for name in names]
+        Execution(
+            _make_program(scripts),
+            seed=seed,
+            observers=[kernel, *naives],
+            max_steps=50_000,
+        ).run(RandomScheduler(preemption="every"))
+        assert list(kernel.reports) == list(names)
+        for name, naive in zip(names, naives):
+            _assert_same(kernel.reports[name], naive, f"{name} in {names}")
 
     def test_equivalence_on_a_workload(self):
         from repro.workloads import get
@@ -180,4 +220,4 @@ class TestHistoryEquivalence:
                 max_steps=200_000,
             ).run(RandomScheduler(preemption="every"))
             for name, kernel, naive in zip(CONFIGURATIONS, kernels, naives):
-                _assert_same(kernel, naive, f"{name}/{workload}")
+                _assert_same(kernel.report, naive, f"{name}/{workload}")
