@@ -4,7 +4,8 @@ This package makes the event stream of one execution a serializable,
 cacheable artifact, decoupling the expensive half of Phase 1 (running the
 program) from the cheap half (detector passes over the events):
 
-* :mod:`~repro.trace.schema` — the versioned JSONL wire format;
+* :mod:`~repro.trace.schema` — the versioned JSONL wire format (positional
+  event rows with define-on-first-use tables);
 * :mod:`~repro.trace.io` — :class:`TraceWriter` / :class:`TraceReader` /
   :class:`TraceRecorder` streaming I/O (gzip via a ``.gz`` suffix);
 * :mod:`~repro.trace.store` — the :class:`TraceStore` cache keyed by
@@ -29,12 +30,12 @@ from .io import (
 from .replay import ReplaySource, analyze_trace, replay_events
 from .schema import (
     SCHEMA_VERSION,
+    EventDecoder,
+    EventEncoder,
     TraceCorruptError,
     TraceFooter,
     TraceHeader,
     TraceSchemaError,
-    decode_event,
-    encode_event,
 )
 from .store import (
     PHASE1_SCHEDULER,
@@ -52,8 +53,8 @@ __all__ = [
     "TraceCorruptError",
     "TraceHeader",
     "TraceFooter",
-    "encode_event",
-    "decode_event",
+    "EventEncoder",
+    "EventDecoder",
     "TraceWriter",
     "TraceReader",
     "TraceRecorder",

@@ -1,14 +1,20 @@
 """Streaming trace I/O: write events as they happen, read them back lazily.
 
 * :class:`TraceWriter` — append header, events, footer to a JSONL file
-  (gzip-compressed when the path ends in ``.gz``);
+  (gzip-compressed when the path ends in ``.gz``), each event a positional
+  row from the writer's :class:`~repro.trace.schema.EventEncoder`;
 * :class:`TraceRecorder` — an :class:`~repro.runtime.observer.ExecutionObserver`
   that streams every event of a live execution into a writer, making
   record-while-running a one-liner;
-* :class:`TraceReader` — iterate events back out (header eagerly parsed,
+* :class:`TraceReader` — iterate events back out through the reader's
+  :class:`~repro.trace.schema.EventDecoder` (header eagerly parsed,
   footer available once the stream is exhausted);
 * :func:`record_execution` / :func:`load_trace` — the whole-file
   conveniences built on the above.
+
+Files are read and written in binary mode: the running CRC32 covers the
+raw line bytes, and a byte that is not valid UTF-8 is corruption like any
+other, reported as :class:`~repro.trace.schema.TraceCorruptError`.
 
 Writers never leave half-written files where a reader could mistake them
 for complete traces: callers that publish into a shared directory (the
@@ -30,29 +36,44 @@ from repro.runtime.observer import ExecutionObserver
 from repro.runtime.program import Program
 
 from .schema import (
+    EventDecoder,
+    EventEncoder,
     TraceCorruptError,
     TraceFooter,
     TraceHeader,
     TraceSchemaError,
-    decode_event,
-    encode_event,
 )
 
+#: compact JSON, one encoder object for every line (``json.dumps`` with
+#: non-default separators would build a new encoder per call).
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-def _is_gzip(path: str) -> bool:
-    return str(path).endswith(".gz")
+_raw_decode = json.JSONDecoder().raw_decode
+
+#: what a damaged file can raise from ``readline``: a truncated gzip
+#: stream (EOFError), a bad gzip header or CRC (OSError), bad deflate
+#: data (zlib.error).
+_UNREADABLE = (EOFError, OSError, zlib.error)
 
 
-def _open_write(path: str) -> IO[str]:
-    if _is_gzip(path):
-        return gzip.open(path, "wt", encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+def _loads(line: bytes):
+    """The one JSON value on a raw trace line (trailing whitespace allowed).
+
+    ``json.loads`` would also sniff the byte encoding and strip the line
+    in Python on every call; trace lines are UTF-8 and start at column 0.
+    Raises ``ValueError`` (``UnicodeDecodeError`` included) on bad input.
+    """
+    text = line.decode()
+    value, end = _raw_decode(text)
+    if text[end:].strip():
+        raise ValueError(f"extra data at column {end + 1}")
+    return value
 
 
-def _open_read(path: str) -> IO[str]:
-    if _is_gzip(path):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+def _open(path: str, mode: str) -> IO[bytes]:
+    if str(path).endswith(".gz"):
+        return gzip.open(path, mode)
+    return open(path, mode)
 
 
 class TraceWriter:
@@ -68,18 +89,19 @@ class TraceWriter:
         self.header = header
         self.events_written = 0
         self._crc = 0
-        self._fh: IO[str] | None = _open_write(self.path)
+        self._encode = EventEncoder().encode
+        self._fh: IO[bytes] | None = _open(self.path, "wb")
         self._write_line(header.to_jsonable())
 
-    def _write_line(self, obj: dict, *, checksum: bool = True) -> None:
+    def _write_line(self, obj, *, checksum: bool = True) -> None:
         assert self._fh is not None, "writer already closed"
-        line = json.dumps(obj, separators=(",", ":")) + "\n"
+        line = (_dumps(obj) + "\n").encode()
         if checksum:
-            self._crc = zlib.crc32(line.encode("utf-8"), self._crc)
+            self._crc = zlib.crc32(line, self._crc)
         self._fh.write(line)
 
     def write_event(self, event: Event) -> None:
-        self._write_line(encode_event(event))
+        self._write_line(self._encode(event))
         self.events_written += 1
 
     def write_footer(self, result: ExecutionResult) -> None:
@@ -147,12 +169,13 @@ class TraceReader:
     execution order; :attr:`footer` is populated once the iterator is
     exhausted (or immediately via :meth:`read_events`).
 
-    Integrity is enforced inline: a running CRC32 mirrors the writer's,
-    and the footer's recorded checksum and event count are checked the
-    moment it is parsed.  Any malformed line, undecodable event, missing
-    footer, or checksum mismatch raises
+    Integrity is enforced inline: a running CRC32 over the raw line bytes
+    mirrors the writer's, and the footer's recorded checksum and event
+    count are checked the moment it is parsed.  Any unreadable byte,
+    malformed line, undecodable event or dangling table id, missing
+    footer or footer checksum, or checksum mismatch raises
     :class:`~repro.trace.schema.TraceCorruptError` — never a raw
-    ``json.JSONDecodeError`` or ``KeyError``.
+    ``json.JSONDecodeError``, ``UnicodeDecodeError`` or ``KeyError``.
     """
 
     def __init__(self, path) -> None:
@@ -161,11 +184,12 @@ class TraceReader:
         self.events_read = 0
         self._crc = 0
         self._lineno = 0
-        self._fh: IO[str] | None = None
+        self._decode = EventDecoder().decode
+        self._fh: IO[bytes] | None = None
         try:
-            self._fh = _open_read(self.path)
+            self._fh = _open(self.path, "rb")
             first = self._fh.readline()
-        except (EOFError, OSError) as exc:
+        except _UNREADABLE as exc:
             if isinstance(exc, FileNotFoundError):
                 raise
             self.close()
@@ -175,28 +199,25 @@ class TraceReader:
             self.close()
             raise TraceCorruptError(self.path, 0, "empty trace file")
         try:
-            payload = json.loads(first)
-        except ValueError as exc:
+            payload = _loads(first)
+        except ValueError as exc:  # UnicodeDecodeError included
             self.close()
             raise TraceCorruptError(self.path, 1, f"malformed header: {exc}")
         try:
             self.header = TraceHeader.from_jsonable(payload)
-        except (KeyError, TypeError) as exc:
+        except TraceSchemaError as exc:
+            self.close()
+            if payload.get("kind") == "header" and isinstance(
+                payload.get("schema"), int
+            ):
+                raise  # a header of another version: a mismatch, not damage
+            raise TraceCorruptError(self.path, 1, str(exc))
+        except (AttributeError, KeyError, TypeError) as exc:
             self.close()
             raise TraceCorruptError(
                 self.path, 1, f"undecodable header: {exc!r}"
             )
-        self._crc = zlib.crc32(first.encode("utf-8"))
-
-    def _read_line(self) -> str:
-        assert self._fh is not None, "reader already closed"
-        try:
-            return self._fh.readline()
-        except (EOFError, OSError) as exc:
-            # a truncated gzip stream surfaces here, not as short data
-            raise TraceCorruptError(
-                self.path, self._lineno + 1, f"unreadable: {exc}"
-            )
+        self._crc = zlib.crc32(first)
 
     def _finish_footer(self, obj: dict) -> None:
         try:
@@ -212,7 +233,11 @@ class TraceReader:
                 f"event count mismatch: footer says {footer.events}, "
                 f"read {self.events_read}",
             )
-        if footer.crc32 is not None and footer.crc32 != self._crc:
+        if not isinstance(footer.crc32, int):
+            raise TraceCorruptError(
+                self.path, self._lineno, "footer carries no crc32"
+            )
+        if footer.crc32 != self._crc:
             raise TraceCorruptError(
                 self.path,
                 0,
@@ -230,37 +255,41 @@ class TraceReader:
             raise
         self.close()
 
+    def _corrupt(self, reason: str) -> TraceCorruptError:
+        return TraceCorruptError(self.path, self._lineno, reason)
+
     def _iter_events(self) -> Iterator[Event]:
+        readline = self._fh.readline
+        decode = self._decode
+        crc = self._crc
         while True:
-            line = self._read_line()
+            try:
+                line = readline()
+            except _UNREADABLE as exc:
+                self._lineno += 1
+                raise self._corrupt(f"unreadable: {exc}")
             if not line:
-                raise TraceCorruptError(
-                    self.path, self._lineno, "truncated: footer missing"
-                )
+                raise self._corrupt("truncated: footer missing")
             self._lineno += 1
-            stripped = line.strip()
-            if not stripped:
-                raise TraceCorruptError(
-                    self.path, self._lineno, "blank line inside trace"
-                )
             try:
-                obj = json.loads(stripped)
-            except ValueError as exc:
-                raise TraceCorruptError(
-                    self.path, self._lineno, f"malformed line: {exc}"
-                )
-            if isinstance(obj, dict) and obj.get("kind") == "footer":
-                self._finish_footer(obj)
-                break
-            self._crc = zlib.crc32(line.encode("utf-8"), self._crc)
+                row = _loads(line)
+            except ValueError as exc:  # UnicodeDecodeError included
+                if not line.strip():
+                    raise self._corrupt("blank line inside trace")
+                raise self._corrupt(f"malformed line: {exc}")
+            if row.__class__ is not list:
+                if isinstance(row, dict) and row.get("kind") == "footer":
+                    self._crc = crc
+                    self._finish_footer(row)
+                    return
+                raise self._corrupt(f"not an event row: {row!r}")
+            crc = zlib.crc32(line, crc)
             try:
-                event = decode_event(obj)
+                event = decode(row)
             except TraceSchemaError as exc:
-                raise TraceCorruptError(self.path, self._lineno, str(exc))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise TraceCorruptError(
-                    self.path, self._lineno, f"undecodable event: {exc!r}"
-                )
+                raise self._corrupt(str(exc))
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise self._corrupt(f"undecodable event: {exc!r}")
             self.events_read += 1
             yield event
 
@@ -308,7 +337,12 @@ def record_execution(
         observers=[recorder, *observers],
         max_steps=max_steps,
     )
-    return execution.run(scheduler)
+    try:
+        return execution.run(scheduler)
+    finally:
+        # on_finish closes it after a clean run; a failed run leaves it open
+        if recorder.writer is not None:
+            recorder.writer.close()
 
 
 def load_trace(path) -> tuple[TraceHeader, list[Event], TraceFooter | None]:

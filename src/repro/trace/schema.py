@@ -1,12 +1,22 @@
 """Versioned wire schema for serialized execution traces.
 
-One trace file is a JSONL stream: a header object, one object per runtime
-event in execution order, and a footer object summarizing the
-:class:`~repro.runtime.interpreter.ExecutionResult`.  Every payload type
-(statements, locations, lock ids, errors) round-trips through the stable
-token encodings the runtime value objects define, so ``decode_event``
-rebuilds events that compare equal to the originals — which is what makes
-"analyze a recorded trace" produce reports identical to the live run.
+One trace file is a JSONL stream: a header object, one positional row
+per runtime event in execution order, and a footer object summarizing the
+:class:`~repro.runtime.interpreter.ExecutionResult`.
+
+An event row is a JSON array ``[kind, step, tid, ...]`` with a small
+integer ``kind``; a memory access is ``[0, step, tid, stmt, loc,
+is_write, lockset]``.  Statements, locations, locks and locksets travel
+through define-on-first-use tables: the first row that uses one writes
+it in full as ``[id, token]`` (a lockset's token is the list of its lock
+refs), and every later row names it by the bare int ``id``.  The tables
+live on a stateful :class:`EventEncoder` / :class:`EventDecoder` pair,
+one per trace file, so a trace adds no lines beyond its events and the
+decoder hands out one shared object per table entry.  Tokens are the
+stable encodings the runtime value objects define, so decoded events
+compare equal to the originals -- display fields (``Statement.func``,
+``Location.name``, ``LockId.name``) included: an equal object that comes
+back with other display fields redefines its slot.
 
 Versioning discipline: ``SCHEMA_VERSION`` bumps on any change to the
 encoding of existing event kinds or tokens.  The version is part of both
@@ -35,13 +45,15 @@ from repro.runtime.events import (
     ThreadStartEvent,
 )
 from repro.runtime.interpreter import ExecutionResult
-from repro.runtime.location import location_from_token
+from repro.runtime.location import Location, LockId, location_from_token
 from repro.runtime.statement import Statement
 
 #: bump on ANY change to event/token encodings (see module docstring).
 #: v2: the footer carries a CRC32 of every preceding line plus the event
 #: count, and readers enforce both (integrity became part of the format).
-SCHEMA_VERSION = 2
+#: v3: positional event rows with define-on-first-use tables for
+#: statements, locations, locks and locksets; the footer must carry the CRC.
+SCHEMA_VERSION = 3
 
 
 class TraceSchemaError(ValueError):
@@ -204,113 +216,209 @@ def _encode_error(info: ErrorInfo | None) -> dict | None:
 def _decode_error(token: dict | None) -> ErrorInfo | None:
     if token is None:
         return None
-    return ErrorInfo(
-        type=token["t"], message=token.get("m", ""), module=token.get("mod", "")
-    )
+    try:
+        return ErrorInfo(
+            type=token["t"], message=token.get("m", ""), module=token.get("mod", "")
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise TraceSchemaError(f"malformed error token {token!r}: {exc!r}") from None
 
 
-def _encode_stmt(stmt: Statement | None) -> dict | None:
-    return None if stmt is None else stmt.to_token()
+#: positional row kinds; a row is ``[kind, step, tid, *payload]``.
+MEM, SND, RCV, ACQ, REL, TS, TE, ERR, DL = range(9)
+
+_WRITE = Access.WRITE
+_READ = Access.READ
 
 
-def _decode_stmt(token: dict | None) -> Statement | None:
-    return None if token is None else Statement.from_token(token)
+def _ref(table: dict, value, display: str):
+    """``value``'s id in ``table``, or its ``[id, token]`` definition.
 
-
-def encode_event(event: Event) -> dict:
-    """One event -> one JSON-safe dict (the trace line payload)."""
-    obj: dict = {"s": event.step, "t": event.tid}
-    if isinstance(event, MemEvent):
-        obj["k"] = "MEM"
-        obj["st"] = event.stmt.to_token()
-        obj["loc"] = event.location.to_token()
-        obj["a"] = "w" if event.access is Access.WRITE else "r"
-        obj["L"] = [
-            lock.to_token()
-            for lock in sorted(event.locks_held, key=lambda l: l.uid)
-        ]
-    elif isinstance(event, SndEvent):
-        obj["k"] = "SND"
-        obj["g"] = event.msg_id
-    elif isinstance(event, RcvEvent):
-        obj["k"] = "RCV"
-        obj["g"] = event.msg_id
-    elif isinstance(event, AcquireEvent):
-        obj["k"] = "ACQ"
-        obj["l"] = event.lock.to_token()
-        obj["st"] = _encode_stmt(event.stmt)
-    elif isinstance(event, ReleaseEvent):
-        obj["k"] = "REL"
-        obj["l"] = event.lock.to_token()
-        obj["st"] = _encode_stmt(event.stmt)
-    elif isinstance(event, ThreadStartEvent):
-        obj["k"] = "TS"
-        obj["c"] = event.child
-        obj["n"] = event.name
-    elif isinstance(event, ThreadEndEvent):
-        obj["k"] = "TE"
-        obj["e"] = _encode_error(event.error)
-    elif isinstance(event, ErrorEvent):
-        obj["k"] = "ERR"
-        obj["st"] = _encode_stmt(event.stmt)
-        obj["e"] = _encode_error(event.error)
-    elif isinstance(event, DeadlockEvent):
-        obj["k"] = "DL"
-        obj["b"] = list(event.blocked)
+    A value is defined on first use, and redefined under the same id when
+    its ``display`` field differs from the object last defined there
+    (``==`` ignores display fields, so the table lookup cannot tell).
+    """
+    entry = table.get(value)
+    if entry is None:
+        vid = len(table)
     else:
+        vid, known = entry
+        if known is value or getattr(known, display) == getattr(value, display):
+            return vid
+    table[value] = (vid, value)
+    return [vid, value.to_token()]
+
+
+class EventEncoder:
+    """Events -> positional rows, defining table entries on first use.
+
+    One encoder serves one trace file: its tables are the writer-side
+    mirror of what an :class:`EventDecoder` of the same rows will hold.
+    Each table maps a value to ``(id, the object last defined there)``.
+    """
+
+    def __init__(self) -> None:
+        self._stmts: dict[Statement, tuple[int, Statement]] = {}
+        self._locs: dict[Location, tuple[int, Location]] = {}
+        self._locks: dict[LockId, tuple[int, LockId]] = {}
+        #: lockset -> (id, {lock uid: lock name} as defined)
+        self._locksets: dict[frozenset, tuple[int, dict[int, str]]] = {}
+
+    def _stmt(self, stmt: Statement | None):
+        return None if stmt is None else _ref(self._stmts, stmt, "func")
+
+    def _lock(self, lock: LockId):
+        return _ref(self._locks, lock, "name")
+
+    def _lockset(self, locks: frozenset):
+        entry = self._locksets.get(locks)
+        if entry is None:
+            sid = len(self._locksets)
+        else:
+            sid, names = entry
+            for lock in locks:
+                if names[lock.uid] != lock.name:
+                    break
+            else:
+                return sid
+        self._locksets[locks] = (sid, {lock.uid: lock.name for lock in locks})
+        ordered = sorted(locks, key=lambda lock: lock.uid)
+        return [sid, [self._lock(lock) for lock in ordered]]
+
+    def encode(self, event: Event) -> list:
+        """One event -> one JSON-safe row (the trace line payload)."""
+        if isinstance(event, MemEvent):
+            return [
+                MEM,
+                event.step,
+                event.tid,
+                _ref(self._stmts, event.stmt, "func"),
+                _ref(self._locs, event.location, "name"),
+                1 if event.access is _WRITE else 0,
+                self._lockset(event.locks_held),
+            ]
+        if isinstance(event, SndEvent):
+            return [SND, event.step, event.tid, event.msg_id]
+        if isinstance(event, RcvEvent):
+            return [RCV, event.step, event.tid, event.msg_id]
+        if isinstance(event, AcquireEvent):
+            lock, stmt = self._lock(event.lock), self._stmt(event.stmt)
+            return [ACQ, event.step, event.tid, lock, stmt]
+        if isinstance(event, ReleaseEvent):
+            lock, stmt = self._lock(event.lock), self._stmt(event.stmt)
+            return [REL, event.step, event.tid, lock, stmt]
+        if isinstance(event, ThreadStartEvent):
+            return [TS, event.step, event.tid, event.child, event.name]
+        if isinstance(event, ThreadEndEvent):
+            return [TE, event.step, event.tid, _encode_error(event.error)]
+        if isinstance(event, ErrorEvent):
+            return [
+                ERR,
+                event.step,
+                event.tid,
+                self._stmt(event.stmt),
+                _encode_error(event.error),
+            ]
+        if isinstance(event, DeadlockEvent):
+            return [DL, event.step, event.tid, list(event.blocked)]
         raise TraceSchemaError(
             f"cannot encode unknown event type {type(event).__name__}"
         )
-    return obj
 
 
-def decode_event(obj: dict) -> Event:
-    """One trace line payload -> the event it encoded (value-equal)."""
-    from repro.runtime.location import LockId  # local alias for brevity
+def _define(table: dict, definition, build):
+    """Store ``build(token)`` under a ``[id, token]`` definition's id.
 
-    kind = obj.get("k")
-    step, tid = obj["s"], obj["t"]
-    if kind == "MEM":
-        return MemEvent(
-            step=step,
-            tid=tid,
-            stmt=Statement.from_token(obj["st"]),
-            location=location_from_token(obj["loc"]),
-            access=Access.WRITE if obj["a"] == "w" else Access.READ,
-            locks_held=frozenset(LockId.from_token(t) for t in obj["L"]),
-        )
-    if kind == "SND":
-        return SndEvent(step=step, tid=tid, msg_id=obj["g"])
-    if kind == "RCV":
-        return RcvEvent(step=step, tid=tid, msg_id=obj["g"])
-    if kind == "ACQ":
-        return AcquireEvent(
-            step=step,
-            tid=tid,
-            lock=LockId.from_token(obj["l"]),
-            stmt=_decode_stmt(obj.get("st")),
-        )
-    if kind == "REL":
-        return ReleaseEvent(
-            step=step,
-            tid=tid,
-            lock=LockId.from_token(obj["l"]),
-            stmt=_decode_stmt(obj.get("st")),
-        )
-    if kind == "TS":
-        return ThreadStartEvent(step=step, tid=tid, child=obj["c"], name=obj["n"])
-    if kind == "TE":
-        return ThreadEndEvent(step=step, tid=tid, error=_decode_error(obj.get("e")))
-    if kind == "ERR":
-        return ErrorEvent(
-            step=step,
-            tid=tid,
-            stmt=_decode_stmt(obj.get("st")),
-            error=_decode_error(obj["e"]),
-        )
-    if kind == "DL":
-        return DeadlockEvent(step=step, tid=tid, blocked=tuple(obj["b"]))
-    raise TraceSchemaError(f"unknown event kind {kind!r} in trace")
+    Ids are dense: a definition either redefines a known id or adds the
+    next one, so anything else is damage, not a schema variant.
+    """
+    try:
+        slot, token = definition
+        if slot.__class__ is not int or not 0 <= slot <= len(table):
+            raise ValueError(f"id {slot!r} out of sequence")
+        value = build(token)
+    except TraceSchemaError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TraceSchemaError(
+            f"malformed table definition {definition!r}: {exc!r}"
+        ) from None
+    table[slot] = value
+    return value
+
+
+class EventDecoder:
+    """Positional rows -> events, holding the tables the rows define.
+
+    The mirror of :class:`EventEncoder`: one decoder per trace file, fed
+    its rows in order.  Each table entry is built once, so every event
+    that names it shares one ``Statement``/``Location``/``LockId`` or
+    lockset ``frozenset`` whose hash is cached after first use.  A row
+    naming an id no earlier row defined raises :class:`TraceSchemaError`.
+    """
+
+    def __init__(self) -> None:
+        self._stmts: dict[int, Statement] = {}
+        self._locs: dict[int, Location] = {}
+        self._locks: dict[int, LockId] = {}
+        self._locksets: dict[int, frozenset] = {}
+
+    def _stmt(self, ref) -> Statement | None:
+        if ref.__class__ is int:
+            return self._stmts[ref]
+        if ref is None:
+            return None
+        return _define(self._stmts, ref, Statement.from_token)
+
+    def _lock(self, ref) -> LockId:
+        if ref.__class__ is int:
+            return self._locks[ref]
+        return _define(self._locks, ref, LockId.from_token)
+
+    def _lockset(self, refs) -> frozenset:
+        return frozenset([self._lock(ref) for ref in refs])
+
+    def decode(self, row: list) -> Event:
+        """One trace line payload -> the event it encoded (value-equal)."""
+        try:
+            kind = row[0]
+            if kind == MEM:
+                _, step, tid, stmt, loc, write, locks = row
+                if stmt.__class__ is int:
+                    stmt = self._stmts[stmt]
+                else:
+                    stmt = _define(self._stmts, stmt, Statement.from_token)
+                if loc.__class__ is int:
+                    loc = self._locs[loc]
+                else:
+                    loc = _define(self._locs, loc, location_from_token)
+                if locks.__class__ is int:
+                    locks = self._locksets[locks]
+                else:
+                    locks = _define(self._locksets, locks, self._lockset)
+                return MemEvent(step, tid, stmt, loc, _WRITE if write else _READ, locks)
+            step, tid = row[1], row[2]
+            if kind == SND:
+                return SndEvent(step, tid, row[3])
+            if kind == RCV:
+                return RcvEvent(step, tid, row[3])
+            if kind == ACQ:
+                return AcquireEvent(step, tid, self._lock(row[3]), self._stmt(row[4]))
+            if kind == REL:
+                return ReleaseEvent(step, tid, self._lock(row[3]), self._stmt(row[4]))
+            if kind == TS:
+                return ThreadStartEvent(step, tid, row[3], row[4])
+            if kind == TE:
+                return ThreadEndEvent(step, tid, _decode_error(row[3]))
+            if kind == ERR:
+                return ErrorEvent(step, tid, self._stmt(row[3]), _decode_error(row[4]))
+            if kind == DL:
+                return DeadlockEvent(step, tid, tuple(row[3]))
+        except KeyError as exc:
+            # _define and _decode_error raise their own errors, so a bare
+            # KeyError here is a lookup of an id no earlier row defined.
+            raise TraceSchemaError(f"undefined table id {exc}") from None
+        raise TraceSchemaError(f"unknown event kind {kind!r} in trace")
 
 
 __all__ = [
@@ -319,6 +427,6 @@ __all__ = [
     "TraceCorruptError",
     "TraceHeader",
     "TraceFooter",
-    "encode_event",
-    "decode_event",
+    "EventEncoder",
+    "EventDecoder",
 ]

@@ -1,7 +1,8 @@
 """Trace integrity: per-file CRC32, event counts, TraceCorruptError.
 
-The durability contract (ISSUE 7): every way a trace file can rot on
-disk — truncation, a torn line, a flipped byte, a vanished footer — must
+The durability contract: every way a trace file can rot on disk —
+truncation, a torn line, a flipped byte (valid UTF-8 or not), a dangling
+table id, a vanished footer or footer checksum — must
 surface as a structured :class:`TraceCorruptError` naming the file, the
 offending line and the reason, never as a raw ``JSONDecodeError`` or
 ``KeyError`` escaping the reader.
@@ -13,10 +14,12 @@ import json
 import pytest
 
 from repro.trace import (
+    QUARANTINE_DIR,
     TraceCorruptError,
     TraceReader,
     TraceSchemaError,
     TraceStore,
+    analyze_trace,
     detect_key,
     load_trace,
     verify_trace,
@@ -117,9 +120,9 @@ class TestCorruptionModes:
     def test_tampered_line_fails_the_checksum(self, trace_path):
         # Stays valid JSON and a valid event -> only the CRC can catch it.
         lines = _lines(trace_path)
-        event = json.loads(lines[1])
-        event["step"] = event.get("step", 0) + 999
-        lines[1] = json.dumps(event).encode("utf-8") + b"\n"
+        row = json.loads(lines[1])
+        row[1] += 999  # the positional step field
+        lines[1] = json.dumps(row).encode("utf-8") + b"\n"
         _rewrite(trace_path, lines)
         with pytest.raises(TraceCorruptError, match="checksum") as info:
             verify_trace(trace_path)
@@ -140,15 +143,72 @@ class TestCorruptionModes:
         with pytest.raises(TraceCorruptError):
             verify_trace(path)
 
-    def test_footer_without_crc_is_tolerated(self, trace_path):
-        # Hand-built traces (schema v1 shape) may omit crc32; the event
-        # count still guards them.
+    def test_flipped_byte_in_gzip_body(self, tmp_path):
+        # Damaged deflate data raises zlib.error, not OSError.
+        path = TraceStore(tmp_path, compress=True).ensure(KEY, figure1.build())
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceCorruptError):
+            verify_trace(path)
+
+    def test_footer_without_crc_is_rejected(self, trace_path):
+        # A rotted key name must not switch the checksum off.
         lines = _lines(trace_path)
-        footer = json.loads(lines[-1])
-        footer.pop("crc32", None)
-        lines[-1] = json.dumps(footer).encode("utf-8") + b"\n"
+        lines[-1] = lines[-1].replace(b'"crc32"', b'"crc33"')
         _rewrite(trace_path, lines)
-        assert verify_trace(trace_path).crc32 is None
+        with pytest.raises(TraceCorruptError, match="no crc32") as info:
+            verify_trace(trace_path)
+        assert info.value.offset == len(lines)
+
+    def test_dangling_table_reference(self, trace_path):
+        # The first memory access defines statement, location and lockset
+        # id 0.  Without it the next access names id 0 or defines an id
+        # past it; either is corruption at that access's line.
+        lines = _lines(trace_path)
+        rows = [json.loads(line) for line in lines]
+        kinds = [row[0] if isinstance(row, list) else None for row in rows]
+        first_mem = kinds.index(0)
+        del lines[first_mem]
+        _rewrite(trace_path, lines)
+        with pytest.raises(TraceCorruptError) as info:
+            verify_trace(trace_path)
+        next_mem = kinds.index(0, first_mem + 1)  # now one line earlier
+        assert info.value.offset == next_mem  # 1-based: index + 1 - 1
+
+    def test_flipped_byte_in_header(self, trace_path):
+        lines = _lines(trace_path)
+        lines[0] = lines[0][:5] + b"\xff" + lines[0][6:]
+        _rewrite(trace_path, lines)
+        with pytest.raises(TraceCorruptError, match="malformed header") as info:
+            verify_trace(trace_path)
+        assert info.value.offset == 1
+
+    def test_damaged_header_key_is_corruption(self, trace_path):
+        lines = _lines(trace_path)
+        lines[0] = lines[0].replace(b'"kind"', b'"kimd"', 1)
+        _rewrite(trace_path, lines)
+        with pytest.raises(TraceCorruptError) as info:
+            verify_trace(trace_path)
+        assert info.value.offset == 1
+
+    def test_older_schema_is_a_version_mismatch_not_corruption(self, trace_path):
+        lines = _lines(trace_path)
+        header = json.loads(lines[0])
+        header["schema"] = 2
+        lines[0] = json.dumps(header).encode("utf-8") + b"\n"
+        _rewrite(trace_path, lines)
+        with pytest.raises(TraceSchemaError, match="schema v2") as info:
+            verify_trace(trace_path)
+        assert not isinstance(info.value, TraceCorruptError)
+
+    def test_flipped_byte_in_event_line(self, trace_path):
+        lines = _lines(trace_path)
+        lines[3] = lines[3][:2] + b"\xff" + lines[3][3:]
+        _rewrite(trace_path, lines)
+        with pytest.raises(TraceCorruptError, match="malformed line") as info:
+            verify_trace(trace_path)
+        assert info.value.offset == 4
 
     def test_reader_closes_file_on_corruption(self, trace_path):
         # Quarantine renames the file right after the error; a reader
@@ -158,3 +218,31 @@ class TestCorruptionModes:
         with pytest.raises(TraceCorruptError):
             list(reader)
         assert reader._fh is None
+
+
+def _without_uids(report):
+    return report.pairs, [
+        e and (e.tids, e.both_write, e.count, e.location.describe())
+        for e in report.evidence.values()
+    ]
+
+
+def test_recovery_heals_a_flipped_byte(tmp_path):
+    store = TraceStore(tmp_path)
+    program = figure1.build()
+    detectors = ["hybrid", "happens-before", "shb", "wcp"]
+    path = store.ensure(KEY, program)
+    clean = analyze_trace(path, detectors)
+    lines = _lines(path)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+    _rewrite(path, lines)
+
+    healed = store.with_recovery(KEY, program, lambda p: analyze_trace(p, detectors))
+    # The re-recording allocates fresh location uids; all else is equal.
+    assert {n: _without_uids(r) for n, r in healed.items()} == {
+        n: _without_uids(r) for n, r in clean.items()
+    }
+    assert store.stats.corrupt == 1 and store.stats.recovered == 1
+    assert store.stats.executions == 2  # the original recording + one re-record
+    assert (tmp_path / QUARANTINE_DIR / path.name).exists()
+    verify_trace(store.get(KEY))

@@ -1,9 +1,12 @@
 """Wire-schema round-trips: every event type survives JSON and pickle.
 
-The trace layer's contract is that ``decode_event(encode_event(e)) == e``
-for every event the runtime can emit — including error-carrying events,
-which is what the :class:`~repro.runtime.events.ErrorInfo` refactor bought
-(live ``BaseException`` payloads neither pickle nor JSON-serialize).
+The trace layer's contract is that a stream of events encoded by one
+:class:`EventEncoder`, sent through JSON and decoded by one
+:class:`EventDecoder` comes back equal, event for event, for every event
+the runtime can emit — including error-carrying events, which is what the
+:class:`~repro.runtime.events.ErrorInfo` refactor bought (live
+``BaseException`` payloads neither pickle nor JSON-serialize) — and with
+every display field intact, although ``==`` ignores those.
 """
 
 import json
@@ -38,9 +41,9 @@ from repro.trace import (
     SCHEMA_VERSION,
     TraceFooter,
     TraceHeader,
+    EventDecoder,
+    EventEncoder,
     TraceSchemaError,
-    decode_event,
-    encode_event,
 )
 
 STMT = Statement(file="prog.py", line=12, func="worker")
@@ -95,10 +98,62 @@ EVENTS = [
 _ids = [f"{i}-{type(e).__name__}" for i, e in enumerate(EVENTS)]
 
 
+def _round_trip(events):
+    """Encode ``events`` with one encoder, JSON each row, decode with one decoder."""
+    encode, decode = EventEncoder().encode, EventDecoder().decode
+    return [decode(json.loads(json.dumps(encode(event)))) for event in events]
+
+
 @pytest.mark.parametrize("event", EVENTS, ids=_ids)
 def test_json_round_trip(event):
-    wire = json.loads(json.dumps(encode_event(event)))
-    assert decode_event(wire) == event
+    assert _round_trip([event]) == [event]
+
+
+def test_json_round_trip_of_one_stream():
+    # One encoder/decoder pair: later rows name earlier definitions by id.
+    assert _round_trip(EVENTS) == EVENTS
+
+
+def test_display_fields_survive_redefinition():
+    # ``==`` ignores func/name, so each decoded event's display fields are
+    # checked one by one: an equal value with other display fields must
+    # come back with its own, not the first occurrence's.
+    events = [
+        MemEvent(1, 0, STMT, VarLoc(4, "x"), Access.READ, frozenset({LockId(3, "L")})),
+        MemEvent(
+            2,
+            0,
+            Statement(file="prog.py", line=12, func="other"),
+            VarLoc(4, "y"),
+            Access.READ,
+            frozenset({LockId(3)}),
+        ),
+        AcquireEvent(3, 0, LockId(3, "L"), STMT),
+        ReleaseEvent(4, 0, LockId(3), Statement(file="prog.py", line=12)),
+        MemEvent(5, 0, STMT, VarLoc(4, "x"), Access.WRITE, frozenset({LockId(3, "L")})),
+    ]
+    decoded = _round_trip(events)
+    assert decoded == events
+    assert [e.stmt.func for e in decoded] == ["worker", "other", "worker", "", "worker"]
+    assert [decoded[i].location.name for i in (0, 1, 4)] == ["x", "y", "x"]
+    assert [decoded[i].lock.name for i in (2, 3)] == ["L", ""]
+    held = [[lock.name for lock in decoded[i].locks_held] for i in (0, 1, 4)]
+    assert held == [["L"], [""], ["L"]]
+
+
+def test_decoded_events_share_table_objects():
+    events = [EVENTS[0], EVENTS[2], EVENTS[0]]
+    first, _, again = _round_trip(events)
+    assert first.stmt is again.stmt
+    assert first.location is again.location
+    assert first.locks_held is again.locks_held
+
+
+def test_rows_name_known_values_by_id():
+    encode = EventEncoder().encode
+    first, again = encode(EVENTS[0]), encode(EVENTS[0])
+    assert first[0] == 0 and isinstance(first[3], list)  # MEM, defined in full
+    assert again[3:] == [0, 0, 0, 0]  # stmt, loc, is_write, lockset: all ids
 
 
 @pytest.mark.parametrize("event", EVENTS, ids=_ids)
@@ -119,14 +174,36 @@ def test_every_event_type_is_exercised():
 
 
 def test_unknown_event_kind_rejected():
-    with pytest.raises(TraceSchemaError):
-        decode_event({"k": "XXX", "s": 0, "t": 0})
+    with pytest.raises(TraceSchemaError, match="unknown event kind"):
+        EventDecoder().decode([99, 0, 0])
 
     class Mystery(Event):
         pass
 
-    with pytest.raises(TraceSchemaError):
-        encode_event(Mystery(step=0, tid=0))
+    with pytest.raises(TraceSchemaError, match="unknown event type"):
+        EventEncoder().encode(Mystery(step=0, tid=0))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0, 1, 0, 5, [0, {"k": "var", "u": 4}], 0, [0, []]],
+        [0, 1, 0, [0, {"lb": "s"}], 5, 0, [0, []]],
+        [0, 1, 0, [0, {"lb": "s"}], [0, {"k": "var", "u": 4}], 0, 5],
+        [0, 1, 0, [0, {"lb": "s"}], [0, {"k": "var", "u": 4}], 0, [0, [5]]],
+        [3, 1, 0, 5, None],
+        [4, 1, 0, [0, {"u": 3}], 5],
+    ],
+    ids=["statement", "location", "lockset", "lockset-member", "lock", "rel-statement"],
+)
+def test_undefined_id_rejected(row):
+    with pytest.raises(TraceSchemaError, match="undefined|malformed"):
+        EventDecoder().decode(row)
+
+
+def test_definition_out_of_sequence_rejected():
+    with pytest.raises(TraceSchemaError, match="out of sequence"):
+        EventDecoder().decode([3, 1, 0, [1, {"u": 3}], None])
 
 
 class TestTokens:
