@@ -160,8 +160,9 @@ def detect_atomic_regions(
         for rival in observer.writers.get((lock, location), ()):
             if rival == region.second:
                 continue  # the act's own critical section is not a rival
-            # Locations and locks get fresh uids per execution, but the
-            # fuzzer consumes statements; dedupe on those across seeds.
+            # Run-time locations and locks are numbered in schedule order,
+            # so their uids can differ across seeds; the fuzzer consumes
+            # statements, so dedupe on those.
             key = (region, rival)
             candidates.setdefault(
                 key,

@@ -42,15 +42,16 @@ def conflict_signature(events) -> tuple:
     their predecessor context — concretely: every write, plus every read
     together with the index of the last preceding write (reads between the
     same writes commute, so they are recorded as an unordered set).
-    Location uids differ across executions, so locations are keyed by
-    their first-access order and display name instead.
+    Uids allocated at run time (jdk nodes, say) are numbered in schedule
+    order, so one location can carry another uid under another schedule;
+    locations are keyed by display name instead.
     """
     per_location: dict = {}
     for event in events:
         if not isinstance(event, MemEvent):
             continue
-        # Key locations by display name: uids are per-execution and
-        # first-access order is itself schedule-dependent.  Same-named
+        # Key locations by display name: run-time uids follow the
+        # schedule, and so does first-access order.  Same-named
         # distinct locations merge, which coarsens but never invents
         # distinctions — acceptable for a coverage metric.
         key = event.location.describe()

@@ -24,10 +24,7 @@ Design constraints, and how they are met:
   deltas (pure value objects).  The parent indexes every future by its
   submission position and folds results in *submission* order — never
   completion order — so the merged campaign is identical to the serial
-  run for the same seed set, regardless of worker scheduling.  (Location
-  uids inside Phase-1 evidence are per-process and only meaningful for
-  display; pair identity lives in statements, which are stable across
-  processes.)
+  run for the same seed set, regardless of worker scheduling.
 * **``jobs=1`` runs the same tasks inline on the caller's program.**  The
   engine runs task bodies in submission order with no pool, and
   :func:`inline_program` resolves the task's workload name to the

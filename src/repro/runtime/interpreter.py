@@ -53,6 +53,7 @@ work is kept to integer/identity operations:
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections.abc import Generator
@@ -83,6 +84,7 @@ from .events import (
 from repro.obs import STEP_BUCKETS, maybe_telemetry
 
 from .heap import Heap
+from .location import use_uids
 from .locks import LockTable
 from .observer import ExecutionObserver, ObserverChain
 from .ops import KIND_VALUES, Op, OpKind
@@ -192,6 +194,8 @@ class Execution:
         self._next_tid = 0
         self._next_msg = 0
         self._term_msg: dict[int, int] = {}  # tid -> its termination message id
+        #: this execution's location/lock uids, installed while it runs.
+        self._uids = itertools.count(1)
         self._started = False
         self._finished = False
         self._start_time = 0.0
@@ -227,6 +231,7 @@ class Execution:
         self._start_time = time.perf_counter()
         if self._observing:
             self.observer.on_start(self)
+        use_uids(self._uids)
         main_gen = self.program.instantiate()
         self._create_thread(main_gen, name="main", parent=None)
 
@@ -278,11 +283,13 @@ class Execution:
         A token thread (:mod:`repro.native`) parks a real OS thread until
         it is closed; a suspended generator needs nothing.  ``finish``
         calls this, and so do the driver loops when an error aborts the
-        run, so no OS thread outlives its execution.  Idempotent.
+        run, so no OS thread outlives its execution; and uninstalls the
+        uid counter.  Idempotent.
         """
         for ts in self._live:
             if ts.gen.__class__ is not GeneratorType:
                 ts.gen.close()
+        use_uids(None)
 
     def run(self, scheduler) -> ExecutionResult:
         """Convenience loop: let ``scheduler`` pick among enabled threads.
@@ -428,14 +435,18 @@ class Execution:
             raise ExecutionLimitExceeded(
                 f"{self.program.name}: exceeded {self.max_steps} steps"
             )
+        # Executions stepped alternately each keep their own uid sequence.
+        use_uids(self._uids)
         self._execute(ts)
 
     def _execute(self, ts: ThreadState) -> None:
         """:meth:`step` without its checks.
 
-        The caller must already know that ``ts`` is enabled and that
-        ``ops_executed < max_steps``: the scheduler-continuation path of
-        :meth:`run` and the postponing driver's burst both do.
+        The caller must already know that ``ts`` is enabled, that
+        ``ops_executed < max_steps`` and that no other execution has run
+        since this one's ``start()`` (whose uid counter is installed):
+        the scheduler-continuation path of :meth:`run` and the postponing
+        driver's burst both do.
         """
         self.step_count += 1
         self.ops_executed += 1

@@ -5,10 +5,12 @@ memory location.  A *location* here is the dynamic entity two accesses must
 share for ``Racing()`` (Algorithm 2) to fire: a global variable, an object
 field, or an array element.
 
-Locations are value objects keyed by a per-process unique id (``uid``) that
-the owning shared structure allocates at construction time.  Uids are only
-ever compared *within* one execution, so the global counter is safe across
-replays; statements (not locations) are what cross executions.
+Locations are value objects keyed by a unique id (``uid``) that the owning
+shared structure allocates at construction time, at build or in a thread
+body.  Uids count up from 1 in allocation order inside the running
+execution, which installs its counter (:func:`use_uids`) in a module slot
+that native OS threads see too, so one seed gives the same uids in any
+process.  Allocations outside any execution count down from -1.
 
 Every location kind has a stable token encoding (:meth:`Location.to_token`
 / :func:`location_from_token`) that preserves the concrete subclass, so a
@@ -20,14 +22,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
-_uids = itertools.count(1)
+#: uids allocated outside any execution: negative, so never an execution's.
+_outside = itertools.count(-1, -1)
+#: the counter :func:`fresh_uid` draws from: the running execution's.
+_uids: Iterator[int] = _outside
 
 
 def fresh_uid() -> int:
-    """Allocate a process-unique id for a shared structure or lock."""
+    """Allocate the next uid of the running execution (or an outside one)."""
     return next(_uids)
+
+
+def use_uids(counter: Iterator[int] | None) -> None:
+    """Make :func:`fresh_uid` draw from ``counter`` (``None``: outside)."""
+    global _uids
+    _uids = _outside if counter is None else counter
 
 
 @dataclass(frozen=True, slots=True)

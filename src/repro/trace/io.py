@@ -28,7 +28,7 @@ import gzip
 import json
 import os
 import zlib
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 from repro.runtime.events import Event
 from repro.runtime.interpreter import Execution, ExecutionResult
@@ -70,12 +70,6 @@ def _loads(line: bytes):
     return value
 
 
-def _open(path: str, mode: str) -> IO[bytes]:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
-
-
 class TraceWriter:
     """Stream one execution's events into a trace file.
 
@@ -90,7 +84,10 @@ class TraceWriter:
         self.events_written = 0
         self._crc = 0
         self._encode = EventEncoder().encode
-        self._fh: IO[bytes] | None = _open(self.path, "wb")
+        self._file = self._fh = open(self.path, "wb")
+        if self.path.endswith(".gz"):
+            # No file name and no mtime in the header: same events, same bytes.
+            self._fh = gzip.GzipFile("", "wb", fileobj=self._file, mtime=0)
         self._write_line(header.to_jsonable())
 
     def _write_line(self, obj, *, checksum: bool = True) -> None:
@@ -114,8 +111,11 @@ class TraceWriter:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self._fh.close()  # a GzipFile leaves its file open
+            finally:
+                self._file.close()
+                self._fh = None
 
     def __enter__(self) -> "TraceWriter":
         return self
@@ -187,7 +187,8 @@ class TraceReader:
         self._decode = EventDecoder().decode
         self._fh: IO[bytes] | None = None
         try:
-            self._fh = _open(self.path, "rb")
+            opener = gzip.open if self.path.endswith(".gz") else open
+            self._fh = opener(self.path, "rb")
             first = self._fh.readline()
         except _UNREADABLE as exc:
             if isinstance(exc, FileNotFoundError):
@@ -317,14 +318,8 @@ def record_execution(
     seed: int = 0,
     max_steps: int = 1_000_000,
     scheduler_spec: str = "",
-    observers: Iterable[ExecutionObserver] = (),
 ) -> ExecutionResult:
-    """Run ``program`` once, recording every event to ``path``.
-
-    Extra ``observers`` (e.g. live detectors) ride along on the same
-    execution, which is how the equivalence tests compare online and
-    offline analysis of the *same* schedule with a single run.
-    """
+    """Run ``program`` once, recording every event to ``path``."""
     from repro.obs import maybe_telemetry
 
     telemetry = maybe_telemetry()
@@ -332,10 +327,7 @@ def record_execution(
         telemetry.inc("trace.records")
     recorder = TraceRecorder(path, scheduler=scheduler_spec)
     execution = Execution(
-        program,
-        seed=seed,
-        observers=[recorder, *observers],
-        max_steps=max_steps,
+        program, seed=seed, observers=[recorder], max_steps=max_steps
     )
     try:
         return execution.run(scheduler)

@@ -38,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.obs import HealthController, maybe_telemetry
 from repro.runtime.program import Program
@@ -172,20 +172,8 @@ class TraceStore:
 
     # -- record-or-load ------------------------------------------------- #
 
-    def ensure(
-        self,
-        key: TraceKey,
-        program: Program,
-        *,
-        observers: Iterable = (),
-    ) -> Path:
-        """Return a trace for ``key``, executing the program only on miss.
-
-        ``observers`` (live detectors, usually) are attached to the
-        recording execution on a miss and see nothing on a hit — callers
-        doing record-once/analyze-many should replay the returned trace
-        rather than rely on them.
-        """
+    def ensure(self, key: TraceKey, program: Program) -> Path:
+        """Return a trace for ``key``, executing the program only on miss."""
         telemetry = maybe_telemetry()
         cached = self.get(key)
         if cached is not None:
@@ -213,7 +201,6 @@ class TraceStore:
                 seed=key.seed,
                 max_steps=key.max_steps,
                 scheduler_spec=key.scheduler,
-                observers=observers,
             )
         except BaseException:
             remove_partial(tmp)
@@ -317,8 +304,6 @@ class TraceStore:
         key: TraceKey,
         program: Program,
         consume: Callable[[Path], object],
-        *,
-        observers: Iterable = (),
     ):
         """Run ``consume(path)`` on the trace for ``key``, healing corruption.
 
@@ -331,7 +316,7 @@ class TraceStore:
         was read (another process's quota evicted it) is re-recorded
         once the same way, without quarantine.
         """
-        path = self.ensure(key, program, observers=observers)
+        path = self.ensure(key, program)
         corrupt = False
         try:
             return consume(path)

@@ -105,16 +105,18 @@ class TestFormatTraceFile:
 
     def test_same_rendering_as_live_events(self, tmp_path):
         from repro.core.traceview import format_trace_file
-        from repro.runtime import EventTrace
+        from repro.runtime import EventTrace, Execution
         from repro.trace import record_execution
 
-        witness = EventTrace()
         record_execution(
             figure1.build(),
             RandomScheduler(preemption="every"),
             path=tmp_path / "t.jsonl",
             seed=0,
             max_steps=10_000,
-            observers=[witness],
         )
+        witness = EventTrace()
+        Execution(
+            figure1.build(), seed=0, observers=[witness], max_steps=10_000
+        ).run(RandomScheduler(preemption="every"))
         assert format_trace(witness.events) in format_trace_file(tmp_path / "t.jsonl")

@@ -15,7 +15,9 @@ import hashlib
 import pytest
 
 from repro import workloads
+from repro.core import RandomScheduler
 from repro.detectors import make_detector, make_detectors
+from repro.runtime import Execution
 from repro.trace import TraceStore, analyze_trace, detect_key
 
 DETECTORS = ("hybrid", "happens-before", "shb", "wcp")
@@ -26,9 +28,9 @@ PROGRAMS = tuple(
 
 
 def _report_digest(report) -> str:
-    """A report in a form stable across processes: location uids come from
-    a process-wide counter, so each is replaced by its rank of first
-    appearance in the (deterministically ordered) pair list."""
+    """A report with each location uid replaced by its rank of first
+    appearance in the (deterministically ordered) pair list, so a digest
+    pins what was reported, not how the execution numbered its uids."""
     ranks: dict[int, int] = {}
     rows = []
     for pair in report.pairs:
@@ -58,10 +60,14 @@ def _digests(name: str, tmp_path):
     for seed in SEEDS:
         observers = [make_detector(detector) for detector in DETECTORS]
         kernels, collect = make_detectors(DETECTORS)
-        path = store.ensure(
-            detect_key(name, seed, max_steps=spec.max_steps),
+        Execution(
             spec.build(),
+            seed=seed,
             observers=observers + kernels,
+            max_steps=spec.max_steps,
+        ).run(RandomScheduler(preemption="every"))
+        path = store.ensure(
+            detect_key(name, seed, max_steps=spec.max_steps), spec.build()
         )
         offline = analyze_trace(path, DETECTORS)
         together = collect()

@@ -382,8 +382,11 @@ class TestOfflineDeterminism:
         spec = get("philosophers")
         store = TraceStore(tmp_path)
         live = [make_detector(name) for name in ("shb", "wcp", "sample")]
+        Execution(spec.build(), seed=1, observers=live, max_steps=STEP_CAP).run(
+            RandomScheduler(preemption="every")
+        )
         key = detect_key(spec.name, 1, max_steps=STEP_CAP)
-        path = store.ensure(key, spec.build(), observers=live)
+        path = store.ensure(key, spec.build())
         offline = analyze_trace(path, ("shb", "wcp", "sample"))
         for observer, name in zip(live, ("shb", "wcp", "sample")):
             assert observer.report == offline[name]

@@ -2,11 +2,11 @@
 
 A campaign here is Phase 1 (``detect_races``) then Phase 2
 (``fuzz_races``) on one workload, with telemetry on.  Its result is the
-Phase-1 pairs with their evidence counts, the Phase-2 verdict signatures,
-the deterministic projection of the timeline, and the ``interp.*`` /
-``fuzz.*`` / ``trace.*`` counters, gauges and histograms.
-``trace.store_bytes`` is left out: location uids are per process, so the
-same trace differs in size between processes.
+Phase-1 report (full ``==``, evidence included), the Phase-2 verdict
+signatures, the deterministic projection of the timeline, and the
+``interp.*`` / ``fuzz.*`` / ``trace.*`` counters, gauges and histograms,
+``trace.store_bytes`` included: location uids are numbered per execution,
+so one seed records the same bytes in any process.
 
 Each variant changes one way of running the campaign: a process pool,
 another chunk size, or a resume from a half-written checkpoint journal.
@@ -45,7 +45,6 @@ def _metrics(snapshot):
         return name.split(".", 1)[0] in ("interp", "fuzz", "trace")
 
     counters = {n: v for n, v in snapshot.counters.items() if ours(n)}
-    counters.pop("trace.store_bytes", None)
     histograms = {
         n: h.count if n in TIMING_HISTOGRAMS else h
         for n, h in snapshot.histograms.items()
@@ -84,10 +83,7 @@ def _campaign(workload, scratch, *, store=None, jobs=1, chunk_size=2, resume=Fal
         verdicts = fuzz_races(spec.build(), report.pairs, **phase2)
     snapshot = telemetry.snapshot()
     return {
-        "phase1": (
-            {str(p): (e.count, e.both_write) for p, e in report.evidence.items()},
-            report.truncated_locations,
-        ),
+        "phase1": report,
         "verdicts": {
             str(pair): (
                 v.trials, v.times_created, dict(v.exceptions),

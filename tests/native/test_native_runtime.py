@@ -370,6 +370,31 @@ class TestEventsAndReplay:
         for seed in range(6):
             assert signature(seed) == signature(seed)
 
+    def test_lock_uids_repeat_across_runs(self):
+        def uids(seed):
+            made = []
+
+            def program(rt):
+                made.append(rt.lock("main").uid)
+
+                def worker(k):
+                    lock = rt.lock(f"w{k}")  # allocated on the OS thread
+                    made.append(lock.uid)
+                    rt.acquire(lock)
+                    rt.release(lock)
+
+                handles = [rt.spawn(worker, k) for k in range(3)]
+                for handle in handles:
+                    rt.join(handle)
+
+            run_native(program, seed=seed)
+            return made
+
+        for seed in range(4):
+            first = uids(seed)
+            assert sorted(first) == [1, 2, 3, 4]
+            assert uids(seed) == first
+
     def test_runtime_runs_once(self):
         def program(rt):
             rt.yield_point()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RandomScheduler
-from repro.runtime import EventTrace
+from repro.runtime import EventTrace, Execution
 from repro.trace import (
     TraceReader,
     TraceSchemaError,
@@ -13,9 +13,17 @@ from repro.trace import (
 from repro.workloads import figure1
 
 
-def _record(tmp_path, name="t.jsonl", **kwargs):
-    path = tmp_path / name
+def _witness():
+    """The events of an unrecorded run of the seed the tests record."""
     witness = EventTrace()
+    Execution(
+        figure1.build(), seed=0, observers=[witness], max_steps=10_000
+    ).run(RandomScheduler(preemption="every"))
+    return witness
+
+
+def _record(tmp_path, name="t.jsonl"):
+    path = tmp_path / name
     result = record_execution(
         figure1.build(),
         RandomScheduler(preemption="every"),
@@ -23,18 +31,16 @@ def _record(tmp_path, name="t.jsonl", **kwargs):
         seed=0,
         max_steps=10_000,
         scheduler_spec="random:every",
-        observers=[witness],
-        **kwargs,
     )
-    return path, witness, result
+    return path, _witness(), result
 
 
 class TestRecordAndRead:
     def test_events_round_trip_exactly(self, tmp_path):
         path, witness, _ = _record(tmp_path)
         header, events, footer = load_trace(path)
-        # The witness observed the same execution the recorder streamed,
-        # so decoded events must equal the live ones, element for element.
+        # The witness ran the same seed in its own execution, so decoded
+        # events equal the live ones, uids included, element for element.
         assert events == witness.events
         assert header.program == "figure1"
         assert header.seed == 0
@@ -71,14 +77,9 @@ class TestRecordAndRead:
     def test_recording_is_schedule_neutral(self, tmp_path):
         """A recorded run is the identical schedule an unobserved run takes."""
         path, witness, _ = _record(tmp_path)
-        bare = EventTrace()
-        record_execution(
-            figure1.build(),
-            RandomScheduler(preemption="every"),
-            path=tmp_path / "second.jsonl",
-            seed=0,
-            max_steps=10_000,
-            observers=[bare],
+        _, events, footer = load_trace(path)
+        plain = Execution(figure1.build(), seed=0, max_steps=10_000).run(
+            RandomScheduler(preemption="every")
         )
-        signature = [(type(e).__name__, e.tid, e.step) for e in witness.events]
-        assert signature == [(type(e).__name__, e.tid, e.step) for e in bare.events]
+        assert footer.steps == plain.steps
+        assert events == witness.events

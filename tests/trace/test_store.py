@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ParallelCampaign
 from repro.trace import (
     PHASE1_SCHEDULER,
     TraceKey,
@@ -75,15 +76,9 @@ class TestStore:
         assert path.name.endswith(".jsonl.gz")
         # A plain store finds the gz entry for the same key (and vice versa).
         assert TraceStore(tmp_path).get(KEY) == path
-        # Same key -> same deterministic schedule (uids are per-execution,
-        # so compare the structural signature, not full event equality).
+        # Same key -> the same events, uids included.
         plain = TraceStore(tmp_path / "plain").ensure(KEY, figure1.build())
-        signature = [
-            (type(e).__name__, e.tid, e.step) for e in load_trace(path)[1]
-        ]
-        assert signature == [
-            (type(e).__name__, e.tid, e.step) for e in load_trace(plain)[1]
-        ]
+        assert load_trace(path)[1] == load_trace(plain)[1]
 
     def test_open_returns_reader(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -116,3 +111,37 @@ class TestStore:
             store.ensure(KEY, Program(bad_build, name="figure1"))
         assert store.get(KEY) is None
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+
+class TestReproducibleBytes:
+    """One key always records the same bytes: uids are numbered per
+    execution and the gzip header carries no file name and no mtime."""
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_recorded_twice_in_one_process(self, tmp_path, compress):
+        first = TraceStore(tmp_path / "a", compress=compress).ensure(
+            KEY, figure1.build()
+        )
+        second = TraceStore(tmp_path / "b", compress=compress).ensure(
+            KEY, figure1.build()
+        )
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_inline_and_pool_worker_recordings(self, tmp_path, compress):
+        stores = {}
+        for jobs in (1, 2):
+            stores[jobs] = TraceStore(tmp_path / f"jobs{jobs}", compress=compress)
+            with ParallelCampaign(jobs=jobs) as engine:
+                engine.detect(
+                    "figure1",
+                    seeds=(0, 1),
+                    max_steps=KEY.max_steps,
+                    trace_dir=stores[jobs].root,
+                    compress=compress,
+                )
+        inline, pooled = stores[1].entries(), stores[2].entries()
+        assert [p.name for p in inline] == [p.name for p in pooled]
+        assert len(inline) == 2
+        for a, b in zip(inline, pooled):
+            assert a.read_bytes() == b.read_bytes()
