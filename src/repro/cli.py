@@ -286,10 +286,7 @@ def _cmd_analyze(args) -> int:
     if not paths:
         print(f"no traces under {target}", file=sys.stderr)
         return 2
-    names = args.detector or [
-        name.strip() for name in args.detectors.split(",") if name.strip()
-    ]
-    detectors = _checked_detectors(names)
+    detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
     for path in paths:
@@ -647,19 +644,13 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="one trace file, or a trace-store directory"
     )
     analyze_parser.add_argument(
-        "--detectors",
-        default="hybrid",
-        metavar="NAMES",
-        help="comma-separated detector names (hybrid, happens-before, "
-        "lockset, shb, wcp, sample); all analyses share one streamed "
-        "pass per trace",
-    )
-    analyze_parser.add_argument(
         "--detector",
         action="append",
         default=None,
         metavar="NAME",
-        help="detector to run (repeatable); overrides --detectors",
+        help="detector to run (default hybrid); repeat the flag to run "
+        "several, all sharing one streamed pass per trace. Names: hybrid, "
+        "happens-before, lockset, shb, wcp, sample",
     )
     analyze_parser.add_argument(
         "--show-trace",

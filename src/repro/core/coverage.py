@@ -15,11 +15,11 @@ linearizations.  This module makes that measurable:
 * :func:`measure_coverage` — run a strategy over N seeds and count the
   distinct signatures it produced.
 
-``benchmarks/bench_coverage.py`` uses this to regenerate the comparison:
-the passive strategies (uniform walk, RAPOS) spread their run budget over
-dozens of partial orders, while RaceFuzzer intentionally collapses
-coverage onto the error-prone corner of the space — high diversity is
-exactly what the paper argues does NOT find rare bugs.
+``tests/core/test_coverage.py`` compares strategies one program at a
+time: on a two-thread counter the passive ones (uniform walk, RAPOS) see
+44-49 partial orders in 60 runs and RaceFuzzer 18-20 per directed pair;
+on ``figure2(8)`` each sees one or two, and only RaceFuzzer reaches ERROR.
+High diversity is not what finds rare bugs.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ probability because the number of partial orders ... can be astronomically
 large.  Therefore, we focused on testing error-prone schedules."
 
 This module reimplements RAPOS from its published description so the
-comparison can be *run* (``benchmarks/bench_rapos_comparison.py``): instead
+comparison can be *run* (``tests/core/test_rapos.py``): instead
 of a uniform random walk over interleavings (which oversamples schedules
 with many equivalent linearizations), RAPOS repeatedly
 

@@ -1,12 +1,19 @@
-"""Schedule-coverage metrics: signature soundness and strategy comparison."""
+"""Schedule-coverage metrics: signature soundness and strategy comparison.
+
+The strategy comparison (EXPERIMENTS.md, "The RAPOS comparison") puts
+every strategy on the same program: the passive ones spread over many
+partial orders, RaceFuzzer visits fewer of them and reaches ERROR where
+they never do."""
 
 from repro.core import (
+    RaceFuzzer,
     RandomScheduler,
     conflict_signature,
+    detect_races,
     measure_coverage,
 )
 from repro.runtime import EventTrace, Execution, Lock, Program, SharedVar, join_all, ops, spawn_all
-from repro.workloads import figure1
+from repro.workloads import figure1, figure2
 
 
 def _trace(program, seed, scheduler=None):
@@ -15,6 +22,37 @@ def _trace(program, seed, scheduler=None):
         scheduler or RandomScheduler("every")
     )
     return trace.events
+
+
+def counter_program(increments: int = 3):
+    """Two unlocked incrementers: plenty of distinct partial orders."""
+
+    def factory():
+        x = SharedVar("x", 0)
+
+        def worker(k):
+            for _ in range(increments):
+                value = yield x.read(label=f"r{k}")
+                yield x.write(value + 1, label=f"w{k}")
+
+        def main():
+            handles = yield from spawn_all(
+                [lambda: worker(1), lambda: worker(2)]
+            )
+            yield from join_all(handles)
+
+        return main()
+
+    return Program(factory)
+
+
+def _directed_at(pair):
+    """A ``measure_coverage`` hook: one RaceFuzzer trial per seed."""
+
+    def run_once(program, seed, observers):
+        return RaceFuzzer(pair, observers=observers).run(program, seed=seed)
+
+    return run_once
 
 
 class TestConflictSignature:
@@ -106,35 +144,13 @@ class TestMeasureCoverage:
         assert 0 <= report.diversity <= 1
         assert "distinct partial orders" in str(report)
 
-    @staticmethod
-    def counter_program(increments: int = 3):
-        """Two unlocked incrementers: plenty of distinct partial orders."""
-
-        def factory():
-            x = SharedVar("x", 0)
-
-            def worker(k):
-                for _ in range(increments):
-                    value = yield x.read(label=f"r{k}")
-                    yield x.write(value + 1, label=f"w{k}")
-
-            def main():
-                handles = yield from spawn_all(
-                    [lambda: worker(1), lambda: worker(2)]
-                )
-                yield from join_all(handles)
-
-            return main()
-
-        return Program(factory)
-
     def test_passive_strategies_explore_many_partial_orders(self):
         runs = 60
         random_coverage = measure_coverage(
-            self.counter_program(), strategy="random", seeds=range(runs)
+            counter_program(), strategy="random", seeds=range(runs)
         )
         rapos_coverage = measure_coverage(
-            self.counter_program(), strategy="rapos", seeds=range(runs)
+            counter_program(), strategy="rapos", seeds=range(runs)
         )
         # Both passive strategies spread across the schedule space.
         assert random_coverage.distinct_signatures >= 5
@@ -148,3 +164,36 @@ class TestMeasureCoverage:
 
         with pytest.raises(ValueError):
             measure_coverage(figure1.build(), strategy="psychic", seeds=range(2))
+
+
+class TestDirectedCoverage:
+    RUNS = 60
+
+    def test_racefuzzer_visits_fewer_partial_orders_than_random_walk(self):
+        """On the counter program (random walk 49 partial orders in 60
+        runs), RaceFuzzer directed at any one Phase-1 pair visits 18-20."""
+        walk = measure_coverage(
+            counter_program(), strategy="random", seeds=range(self.RUNS)
+        )
+        pairs = detect_races(counter_program(), seeds=range(5)).pairs
+        assert pairs
+        for pair in pairs:
+            directed = measure_coverage(
+                counter_program(), run_once=_directed_at(pair),
+                seeds=range(self.RUNS),
+            )
+            assert directed.distinct_signatures < walk.distinct_signatures, pair
+
+    def test_only_racefuzzer_reaches_error_on_figure2(self):
+        """On ``figure2(8)`` every strategy sees one or two partial orders,
+        but only the directed one reaches ERROR."""
+        for strategy in ("random", "rapos"):
+            passive = measure_coverage(
+                figure2.build(8), strategy=strategy, seeds=range(self.RUNS)
+            )
+            assert passive.crashing_runs == 0, strategy
+        directed = measure_coverage(
+            figure2.build(8), run_once=_directed_at(figure2.RACING_PAIR),
+            seeds=range(self.RUNS),
+        )
+        assert directed.crashing_runs > 0

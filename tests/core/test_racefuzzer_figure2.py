@@ -11,7 +11,7 @@ RUNS = 50
 
 
 class TestRaceFuzzerProbability:
-    @pytest.mark.parametrize("padding", [0, 5, 25])
+    @pytest.mark.parametrize("padding", [0, 2, 5, 8, 10, 20, 25, 40, 60, 160])
     def test_race_created_with_probability_one(self, padding):
         outcomes = fuzz_pair(
             figure2.build(padding), figure2.RACING_PAIR, seeds=range(RUNS)

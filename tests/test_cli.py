@@ -90,6 +90,15 @@ class TestDetect:
 
 
 class TestAnalyze:
+    def test_default_detector_is_hybrid(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["record", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
+        capsys.readouterr()
+        assert main(["analyze", store]) == 0
+        out = capsys.readouterr().out
+        assert "hybrid report" in out
+        assert "shb report" not in out
+
     def test_repeated_detector_flags(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["record", "figure1", "--seeds", "1", "--trace-dir", store]) == 0

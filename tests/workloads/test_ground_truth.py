@@ -10,7 +10,7 @@ appear.  The full-trial numbers live in EXPERIMENTS.md.
 import pytest
 
 from repro.harness.table1 import measure_row
-from repro.workloads import get
+from repro.workloads import get, table1_workloads
 
 TRIALS = 30
 
@@ -134,11 +134,12 @@ class TestCollectionDrivers:
         assert row.deadlocks_found > 0
 
 
+@pytest.mark.parametrize("name", [spec.name for spec in table1_workloads()])
 class TestInvariants:
-    @pytest.mark.parametrize(
-        "name",
-        ["moldyn", "raytracer", "cache4j", "sor", "hedc", "linkedlist"],
-    )
+    def test_harmful_at_most_real(self, rows, name):
+        row = rows(name)
+        assert row.harmful <= row.real
+
     def test_real_subset_of_potential(self, rows, name):
         row = rows(name)
         created = set()

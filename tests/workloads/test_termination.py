@@ -4,9 +4,9 @@ errors and step-budget truncation are not)."""
 
 import pytest
 
-from repro.core import DefaultScheduler, RandomScheduler
+from repro.core import DefaultScheduler, RaceFuzzer, RandomScheduler, detect_races
 from repro.runtime import Execution
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, moldyn
 
 WORKLOADS = [spec for spec in all_workloads()]
 
@@ -41,3 +41,15 @@ class TestTermination:
             return (result.steps, tuple(result.exception_types), result.deadlock)
 
         assert signature(3) == signature(3)
+
+
+@pytest.mark.parametrize("nthreads", [2, 3, 4])
+def test_racefuzzer_trial_on_moldyn_is_not_truncated(nthreads):
+    """More workers mean more postponement candidates at each racing
+    statement; a directed trial must still finish inside its step budget."""
+    program = moldyn.build(nthreads=nthreads, particles=6)
+    pair = detect_races(program, seeds=(0,), max_steps=2_000_000).pairs[0]
+    fuzzer = RaceFuzzer(pair, max_steps=2_000_000)
+    for seed in range(1, 4):
+        outcome = fuzzer.run(program, seed=seed)
+        assert not outcome.result.truncated, f"seed {seed} truncated"
