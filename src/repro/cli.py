@@ -763,7 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write a versioned JSON run report of the campaign's metrics "
         "and timeline (trial/chunk spans, schedule rounds with their "
-        "Thompson draws, per-pair posterior updates, health transitions; "
+        "Thompson draws, per-pair posterior updates, task retries and "
+        "quarantines; "
         "read it with `repro stats`, `repro trace-export` or `repro dash`); "
         "with --checkpoint, a resumed run merges into the prior report",
     )

@@ -118,10 +118,18 @@ def measure_coverage(
 ) -> CoverageReport:
     """Count distinct conflict signatures over seeded runs of one strategy.
 
-    ``strategy`` may be ``"random"``, ``"rapos"``, or ``"custom"`` with a
-    ``run_once(program, seed, observers) -> result`` callable.
+    ``strategy`` is ``"random"`` or ``"rapos"``.  With a
+    ``run_once(program, seed, observers) -> result`` callable, the runs
+    are its own and ``strategy`` is only the report's label, which must
+    name it: a built-in name there raises :class:`ValueError`, so a
+    directed run never reads as a passive one.
     """
     from collections import Counter
+
+    if run_once is not None and strategy in ("random", "rapos"):
+        raise ValueError(
+            f"run_once runs its own strategy; label it, not {strategy!r}"
+        )
 
     signatures: Counter = Counter()
     crashes = 0
@@ -140,7 +148,7 @@ def measure_coverage(
         signatures[conflict_signature(trace.events)] += 1
         crashes += bool(result.crashes)
     return CoverageReport(
-        strategy=strategy if run_once is None else "custom",
+        strategy=strategy,
         runs=len(list(seeds)),
         distinct_signatures=len(signatures),
         crashing_runs=crashes,

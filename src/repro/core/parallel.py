@@ -61,7 +61,7 @@ from repro.detectors import (
     schedulable_grades,
     union_reports,
 )
-from repro.obs import HealthController, ProgressUpdate, maybe_telemetry, span
+from repro.obs import ProgressUpdate, maybe_telemetry, span
 from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
@@ -159,22 +159,8 @@ _INLINE_PROGRAM: ContextVar[Program | None] = ContextVar(
     "inline_program", default=None
 )
 
-#: the campaign health controller that inline detect tasks' stores report
-#: to; pool workers see ``None`` and report to no controller.
-_INLINE_HEALTH: ContextVar[HealthController | None] = ContextVar(
-    "inline_health", default=None
-)
-
 
 @contextmanager
-def _bound(var: ContextVar, value):
-    token = var.set(value)
-    try:
-        yield
-    finally:
-        var.reset(token)
-
-
 def inline_program(program: Program):
     """Run inline tasks addressed to ``program.name`` on ``program`` itself.
 
@@ -184,7 +170,11 @@ def inline_program(program: Program):
     needs no registered workload.  Bind it only around an engine that
     starts no pool: pool workers resolve names through the registry.
     """
-    return _bound(_INLINE_PROGRAM, program)
+    token = _INLINE_PROGRAM.set(program)
+    try:
+        yield
+    finally:
+        _INLINE_PROGRAM.reset(token)
 
 
 def _build_workload(name: str):
@@ -218,7 +208,6 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
             task.trace_dir,
             compress=task.compress,
             max_bytes=task.store_quota,
-            health=_INLINE_HEALTH.get(),
         )
         reports = store.with_recovery(
             task.trace_key(),
@@ -366,8 +355,7 @@ class ParallelCampaign(CampaignSupervisor):
             Chunking never changes merged aggregates (trials are
             independent and the merge is associative).
         on_progress: called with a :class:`~repro.obs.ProgressUpdate`
-            each time a task settles; the campaign's :attr:`health` state
-            rides on every update.
+            each time a task settles.
 
     Quarantined tasks accumulate on :attr:`failures` (and, for fuzz
     chunks, on the owning verdict's ``errors``).
@@ -419,7 +407,6 @@ class ParallelCampaign(CampaignSupervisor):
                         total=counts["issued"] + later,
                         confirms=None if confirms is None else confirms(),
                         elapsed_s=time.monotonic() - start,
-                        health=self.health.state,
                         remaining=counts["issued"] - counts["done"] + later,
                     )
                 )
@@ -452,8 +439,7 @@ class ParallelCampaign(CampaignSupervisor):
         ``{name: merged report}`` dict (a string argument returns the bare
         :class:`RaceReport`).  ``trace_dir``/``compress``/``store_quota``
         send every seed through the trace store there (see
-        :class:`DetectTask`); at ``jobs=1`` the stores report disk
-        pressure to this campaign's :attr:`health`.
+        :class:`DetectTask`).
         """
         single = isinstance(detector, str)
         names: tuple[str, ...] = (detector,) if single else tuple(detector)
@@ -474,8 +460,7 @@ class ParallelCampaign(CampaignSupervisor):
             )
             for seed in seed_list
         ]
-        inline_health = self.health if self.jobs == 1 else None
-        with span("phase1.detect"), _bound(_INLINE_HEALTH, inline_health):
+        with span("phase1.detect"):
             report = self.supervise(
                 "detect",
                 tasks,

@@ -21,10 +21,12 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    ``BACKOFF_*`` constants, and its jitter is drawn from a seeded RNG so
    retry schedules are reproducible (:func:`compute_backoff`).
 3. **Pool-death recovery** — a worker dying (OOM, segfault) breaks the
-   whole ``ProcessPoolExecutor``.  The supervisor rebuilds the pool and
-   re-queues every unfinished task, charging each one a failed attempt;
-   after :data:`POOL_DEATH_LIMIT` deaths it degrades gracefully to inline
-   serial execution, where a poisoned task can only hurt itself.
+   whole ``ProcessPoolExecutor``.  The supervisor halves its width,
+   re-queues every unfinished task, charging each one a failed attempt,
+   and rebuilds the pool at the new width.  Width 1 means inline serial
+   execution, where a poisoned task can only hurt itself: a campaign
+   started at ``jobs=N`` runs inline after ⌊log2 N⌋ deaths, for the rest
+   of the current batch and every later one.
 4. **Quarantine** — a task that fails every allowed attempt is recorded
    as a structured :class:`~repro.core.results.TaskFailure` and the
    campaign moves on.  One poisoned (pair, seed-chunk) can never sink the
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Sequence
 
-from repro.obs import HealthController, MeteredResult, collecting, maybe_telemetry
+from repro.obs import MeteredResult, collecting, maybe_telemetry
 
 from .faults import (
     MALFORMED,
@@ -162,12 +164,6 @@ BACKOFF_MAX = 2.0
 BACKOFF_JITTER = 0.25
 #: the seed of the jitter draws.
 JITTER_SEED = 0
-
-#: rebuild a broken worker pool at most this many times, then finish the
-#: campaign inline.  The health controller's critical threshold is one
-#: more death, so the event that forces serial fallback marks the
-#: campaign critical.
-POOL_DEATH_LIMIT = 2
 
 
 def compute_backoff(index: int, attempt: int) -> float:
@@ -385,7 +381,6 @@ class SupervisorReport:
     cached: int = 0
     retried: int = 0
     pool_deaths: int = 0
-    serial_fallback: bool = False
 
 
 _UNSET = object()
@@ -396,7 +391,7 @@ class CampaignSupervisor:
 
     Parameters:
         jobs: worker processes (``None``/``0`` = one per core, ``1`` =
-            inline execution with no pool).
+            inline execution with no pool).  Each pool death halves it.
         deadline: per-task wall-clock budget in seconds (``None`` = no
             wall-clock limit; the abstract ``max_steps`` budget still
             applies inside each task).
@@ -410,9 +405,7 @@ class CampaignSupervisor:
             the executing process as a ``ru_maxrss`` delta; a blown
             budget is a retryable ``memory``-kind failure.
 
-    Every batch reports its infrastructure signals to :attr:`health`, the
-    campaign's :class:`~repro.obs.health.HealthController`.  Quarantined
-    tasks accumulate on :attr:`failures` across batches, and
+    Quarantined tasks accumulate on :attr:`failures` across batches, and
     :attr:`last_report` holds the most recent batch's
     :class:`SupervisorReport`.  Use as a context manager (or call
     :meth:`close`) to reclaim the pool.
@@ -443,9 +436,7 @@ class CampaignSupervisor:
                 f"{memory_budget_mb}"
             )
         self.memory_budget_mb = memory_budget_mb
-        self.health = HealthController()
         self.pool_deaths = 0
-        self.serial_fallback = False
         self.failures: list[TaskFailure] = []
         self.last_report: SupervisorReport | None = None
         self._pool: ProcessPoolExecutor | None = None
@@ -560,10 +551,6 @@ class CampaignSupervisor:
             attempts[index] += 1
             history[index].append(f"{kind}: {message}")
             failed_attempt_kinds[kind] = failed_attempt_kinds.get(kind, 0) + 1
-            if kind == "memory":
-                self.health.record_memory_failure()
-            elif kind == "disk":
-                self.health.record_disk_budget_hit()
             if attempts[index] > self.retries:
                 if telemetry is not None:
                     telemetry.emit(
@@ -585,7 +572,6 @@ class CampaignSupervisor:
                 )
                 results[index] = None
                 settle(index, None)
-                self.health.record_quarantine(kind)
                 return None
             report.retried += 1
             if telemetry is not None:
@@ -635,13 +621,13 @@ class CampaignSupervisor:
             pending: list[tuple[float, int]] = [
                 (0.0, index) for index in range(n) if results[index] is _UNSET
             ]
-            if self.jobs > 1 and not self.serial_fallback:
+            if self.jobs > 1:
                 pending = self._drain_pool(
                     pending, envelope_for, settle_success, record_failure,
                     results, report,
                 )
-            # Inline path: jobs=1 from the start, serial fallback after
-            # repeated pool deaths, or the tail of a degraded pool run.
+            # Inline path: jobs=1 from the start, or what pool deaths left
+            # once they halved the width to 1.
             self._drain_inline(
                 pending, envelope_for, settle_success, record_failure
             )
@@ -654,7 +640,6 @@ class CampaignSupervisor:
                 results[index] = None
         report.failures = failures
         report.pool_deaths = self.pool_deaths
-        report.serial_fallback = self.serial_fallback
         if telemetry is not None:
             telemetry.inc("supervisor.batches")
             telemetry.inc("supervisor.tasks", n)
@@ -704,6 +689,9 @@ class CampaignSupervisor:
     ) -> list[tuple[float, int]]:
         """Run the batch on the pool; returns tasks left for inline mode.
 
+        Each pool death halves :attr:`jobs`; once it reaches 1 the loop
+        stops and hands what is left to the inline path.
+
         The parent-side stall backstop fires when *no* task completes for
         several deadline windows while work is in flight — only possible
         when every worker is wedged in a way its own alarm cannot
@@ -722,12 +710,10 @@ class CampaignSupervisor:
         def fail_in_flight(kind: str, message: str) -> None:
             self.pool_deaths += 1
             report.pool_deaths = self.pool_deaths
-            self.health.record_pool_death()
             self._destroy_pool(terminate=True)
             # Shed load before the rebuild: a pool that just died at
-            # width N has better odds at the health controller's
-            # recommendation (half, floor 1).
-            self.jobs = self.health.recommended_jobs(self.jobs)
+            # width N has better odds at N/2, and width 1 is inline.
+            self.jobs = max(1, self.jobs // 2)
             for index in list(in_flight.values()):
                 if results[index] is not _UNSET:
                     continue
@@ -735,12 +721,8 @@ class CampaignSupervisor:
                 if ready_at is not None:
                     pending.append((ready_at, index))
             in_flight.clear()
-            if self.pool_deaths > POOL_DEATH_LIMIT:
-                self.serial_fallback = True
 
-        while pending or in_flight:
-            if self.serial_fallback:
-                break
+        while (pending or in_flight) and self.jobs > 1:
             now = time.monotonic()
             was_idle = not in_flight
             # Submit everything whose backoff has elapsed.

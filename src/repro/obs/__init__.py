@@ -22,9 +22,11 @@ The package every other layer is instrumented against:
   (``repro dash``).
 * :mod:`repro.obs.progress` — the ``on_progress`` hook's
   :class:`ProgressUpdate` value type and the stock throttled printer.
-* :mod:`repro.obs.health` — the campaign :class:`HealthController`
-  state machine (healthy → degraded → critical) that folds supervisor /
-  trace-store pressure signals into a load-shedding policy.
+
+Observability only reports: no signal recorded here changes what a
+campaign does.  Pool deaths, quarantines, failed attempts by kind and
+trace-store evictions are plain counters (``supervisor.*``, ``trace.*``);
+the layer that sees each failure owns the one rule that answers it.
 
 This package exports what the rest of the code base imports; everything
 else is reachable from its submodule.  Import discipline: this package
@@ -33,7 +35,6 @@ imports nothing from ``repro.runtime`` / ``repro.core`` / ``repro.trace``
 """
 
 from .dash import render_dash
-from .health import HealthController
 from .progress import ProgressPrinter, ProgressUpdate
 from .report import (
     REQUIRED_COUNTERS,
@@ -80,8 +81,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "render_dash",
-    # progress & health
+    # progress
     "ProgressPrinter",
     "ProgressUpdate",
-    "HealthController",
 ]

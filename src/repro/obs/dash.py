@@ -7,14 +7,13 @@ network at all.  Input is a run report (``--metrics-out``); its counters
 and its ``timeline`` section, which carries every event with its display
 fields, feed the panels:
 
-* **stat tiles** — the campaign's headline counters;
+* **stat tiles** — the campaign's headline counters, pool deaths and
+  quarantined tasks among them;
 * **detector funnel** — candidate pairs → graded schedulable →
   confirmed real, from the ``funnel`` event;
 * **posterior sparklines** — per-pair Beta posterior mean over
   cumulative trials, from the reconstructed trajectories;
 * **budget burn-down** — trials allocated per schedule round;
-* **health band** — the campaign's health state and its ``health``
-  transition events;
 * **trial timeline** — wall-clock chunk lanes, one per worker track.
 """
 
@@ -42,8 +41,6 @@ td, th { padding: .25rem .7rem; border-bottom: 1px solid #eee;
 .bar { height: .9rem; background: #4a6fa5; display: inline-block;
        vertical-align: middle; border-radius: .15rem; }
 .bar.ok { background: #2e8b57; } .bar.warn { background: #c9a227; }
-.health-healthy { color: #2e8b57; } .health-degraded { color: #c9a227; }
-.health-critical { color: #b03030; }
 svg { background: #fafaff; border: 1px solid #eee; border-radius: .3rem; }
 .lane { fill: #4a6fa5; opacity: .85; }
 .note { color: #888; font-size: .8rem; }
@@ -159,25 +156,6 @@ def _burndown(rounds: list) -> str:
     )
 
 
-def _health_band(state: str, transitions: list) -> str:
-    body = (
-        f'<p>campaign health: <strong class="health-{_esc(state)}">'
-        f"{_esc(state)}</strong></p>"
-    )
-    if transitions:
-        rows = "".join(
-            f"<tr><td>{_esc(step)}</td><td>{_esc(to_state)}</td>"
-            f"<td>{_esc(reason)}</td></tr>"
-            for step, to_state, reason in transitions
-        )
-        body += (
-            "<table><tr><th>#</th><th>state</th><th>reason</th></tr>"
-            + rows
-            + "</table>"
-        )
-    return body
-
-
 def _timeline_lanes(events, *, width=640, lane_h=14) -> str:
     """Wall-clock chunk lanes, one row per worker track."""
     timed = sorted(
@@ -215,9 +193,6 @@ def _model(report: dict) -> dict:
     section = report.get("timeline") or {}
     counters = report.get("counters", {})
     events = TelemetrySnapshot.from_jsonable(section).events
-    rank = report.get("gauges", {}).get("health.state", 0)
-    state = {0: "healthy", 1: "degraded", 2: "critical"}.get(int(rank), "healthy")
-    health = sorted((e for e in events if e.kind == "health"), key=lambda e: e.key)
     rounds = sorted(
         (e.key[0], e.attrs_dict.get("trials", 0))
         for e in events
@@ -234,14 +209,12 @@ def _model(report: dict) -> dict:
             "pairs confirmed": counters.get("schedule.pairs_confirmed", 0),
             "store hits": counters.get("trace.store_hits", 0),
             "retries": counters.get("supervisor.retries", 0),
+            "pool deaths": counters.get("supervisor.pool_deaths", 0),
+            "quarantined": counters.get("supervisor.quarantines", 0),
         },
         "funnel": funnel_counts(events) or {},
         "pairs": section.get("pairs") or {},
         "rounds": rounds,
-        "health_state": state,
-        "health_transitions": [
-            (e.key[0], e.key[1], e.attrs_dict.get("reason", "")) for e in health
-        ],
         "events": events,
     }
 
@@ -267,8 +240,6 @@ def render_dash(report: dict) -> str:
         _pair_section(model["pairs"]),
         "<h2>Trial allocation burn-down</h2>",
         _burndown(model["rounds"]),
-        "<h2>Health</h2>",
-        _health_band(model["health_state"], model["health_transitions"]),
         "<h2>Trial timeline</h2>",
         _timeline_lanes(model["events"]),
         "</body></html>",

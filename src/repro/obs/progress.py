@@ -25,9 +25,6 @@ class ProgressUpdate:
     #: pairs confirmed real so far (fuzz phases only; None elsewhere).
     confirms: int | None = None
     elapsed_s: float = 0.0
-    #: campaign health state ("healthy" stays off the rendered line;
-    #: "degraded"/"critical" are worth a reader's glance).
-    health: str = "healthy"
     #: work units still *scheduled* to run, when the producer knows better
     #: than ``total - done`` — under an adaptive schedule ``total`` keeps
     #: growing round by round, so the naive extrapolation is nonsense.
@@ -65,8 +62,6 @@ class ProgressUpdate:
         eta = self.eta_s
         if eta is not None and not self.final:
             bits.append(f"eta {eta:.1f}s")
-        if self.health != "healthy":
-            bits.append(f"health={self.health}")
         return ", ".join(bits)
 
 

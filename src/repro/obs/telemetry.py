@@ -17,7 +17,7 @@ What one telemetry object holds:
   cheap enough to wrap every (pair, chunk) in a campaign;
 * **events** — typed, sparse :class:`TimelineEvent` entries (*why* the
   campaign did what it did: binds, Thompson draws, posterior deltas,
-  trials, retries, health, store traffic) in a bounded ring.  An event's
+  trials, retries, quarantines, store traffic) in a bounded ring.  An event's
   identity is ``(kind, key, attrs)`` — schedule-determined values only;
   wall time, duration and the worker track are display fields that never
   take part in equality, ordering or dedup.

@@ -12,10 +12,10 @@ document that carries them, the run report (``--metrics-out``):
   trajectories.  ``repro trace-export`` and ``repro dash`` read it.
 * :func:`deterministic_section` — the projection that is the serial ==
   ``--jobs N`` == resumed equality surface: only the
-  :data:`DETERMINISTIC_KINDS`, display fields stripped.  Health
-  transitions and retries depend on timing, and so do store hits and
-  misses once a quota lets concurrent tasks evict each other's entries,
-  so they stay out of it.
+  :data:`DETERMINISTIC_KINDS`, display fields stripped.  Retries and
+  quarantines depend on timing, and so do store hits and misses once a
+  quota lets concurrent tasks evict each other's entries, so they stay
+  out of it.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ franca of ``ui.perfetto.dev`` and ``chrome://tracing``.  The mapping:
   (trials, chunks, store fills) as ``"X"`` complete slices;
 * every racing pair becomes a thread under the "pairs" process, so the
   per-pair view lines the same chunks up by pair instead of by worker;
-* untimed events (schedule rounds, posterior updates, health
-  transitions) become ``"i"`` instants on their track.
+* untimed events (schedule rounds, posterior updates, retries and
+  quarantines) become ``"i"`` instants on their track.
 
 Timestamps are wall-clock microseconds normalized to the earliest timed
 event, so a campaign that ran at 3am renders starting at t=0.  Events

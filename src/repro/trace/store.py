@@ -24,10 +24,10 @@ fails integrity checks on read (see
 sidecar directory and transparently re-recorded — via
 :meth:`TraceStore.with_recovery`, a corrupt entry costs one execution,
 never the campaign.  A disk budget (``max_bytes`` / ``max_entries``)
-bounds the cache with LRU-by-mtime eviction, and a
-:class:`~repro.obs.health.HealthController` can switch the store to
-*ephemeral* recording (analyze-and-discard, cache stops growing) once
-disk pressure repeats.
+bounds the cache with LRU-by-mtime eviction.  The store has one
+behaviour in every process: it always publishes what it records and
+enforces its budget by eviction alone, so it behaves the same at every
+``jobs``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.obs import HealthController, maybe_telemetry
+from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 
 from .io import TraceReader, record_execution, remove_partial, verify_trace
@@ -113,8 +113,6 @@ class StoreStats:
     #: entries deleted by the disk budget (LRU) or an explicit ``gc``.
     evictions: int = 0
     evicted_bytes: int = 0
-    #: recordings that were analyzed and discarded (recording disabled).
-    ephemeral: int = 0
 
 
 class TraceStore:
@@ -127,10 +125,6 @@ class TraceStore:
         max_entries: same budget expressed as an entry count.
         fsync: fsync each trace (and the store directory) before
             publishing — survives power loss at the cost of write latency.
-        health: campaign :class:`~repro.obs.health.HealthController` to
-            notify of corruption/budget signals and to consult for the
-            ephemeral-recording policy.  ``None`` = standalone store,
-            always persists.
     """
 
     def __init__(
@@ -141,7 +135,6 @@ class TraceStore:
         max_bytes: int | None = None,
         max_entries: int | None = None,
         fsync: bool = False,
-        health: HealthController | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
@@ -153,7 +146,6 @@ class TraceStore:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.fsync = fsync
-        self.health = health
         self.stats = StoreStats()
 
     # -- addressing ---------------------------------------------------- #
@@ -208,17 +200,6 @@ class TraceStore:
         if telemetry is not None:
             telemetry.inc("trace.store_executions")
             telemetry.inc("trace.store_bytes", tmp.stat().st_size)
-        if not self._recording_enabled():
-            # Under disk pressure the cache stops growing: hand the caller
-            # an unpublished file to analyze and discard.
-            ephemeral = final.with_name(
-                final.name.replace(".jsonl", f".{os.getpid()}.ephemeral.jsonl", 1)
-            )
-            os.replace(tmp, ephemeral)
-            self.stats.ephemeral += 1
-            if telemetry is not None:
-                telemetry.inc("trace.store_ephemeral")
-            return ephemeral
         if self.fsync:
             self._fsync_file(tmp)
         os.replace(tmp, final)
@@ -226,9 +207,6 @@ class TraceStore:
             self._fsync_dir()
         self._enforce_budget(keep=final)
         return final
-
-    def _recording_enabled(self) -> bool:
-        return self.health is None or self.health.trace_recording_enabled
 
     @staticmethod
     def _emit_store_event(telemetry, key: TraceKey, outcome: str) -> None:
@@ -257,11 +235,6 @@ class TraceStore:
         finally:
             os.close(fd)
 
-    def discard(self, path) -> None:
-        """Drop an ephemeral (unpublished) trace once analyzed."""
-        if ".ephemeral." in Path(path).name:
-            remove_partial(path)
-
     def open(self, key: TraceKey) -> TraceReader | None:
         path = self.get(key)
         return None if path is None else TraceReader(path)
@@ -284,8 +257,6 @@ class TraceStore:
         telemetry = maybe_telemetry()
         if telemetry is not None:
             telemetry.inc("trace.store_corrupt")
-        if self.health is not None:
-            self.health.record_corrupt_trace()
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         dest = self.quarantine_dir / src.name
         n = 0
@@ -325,13 +296,7 @@ class TraceStore:
         except TraceCorruptError as exc:
             self.quarantine(exc.path, exc.reason)
             corrupt = True
-        finally:
-            self.discard(path)
-        fresh = self.ensure(key, program)
-        try:
-            result = consume(fresh)
-        finally:
-            self.discard(fresh)
+        result = consume(self.ensure(key, program))
         if corrupt:
             self.stats.recovered += 1
             telemetry = maybe_telemetry()
@@ -348,7 +313,6 @@ class TraceStore:
             for p in self.root.iterdir()
             if p.name.endswith((".jsonl", ".jsonl.gz"))
             and ".tmp" not in p.name
-            and ".ephemeral" not in p.name
         )
 
     def total_bytes(self) -> int:
@@ -397,8 +361,6 @@ class TraceStore:
             if telemetry is not None:
                 telemetry.inc("trace.store_evictions", removed)
                 telemetry.inc("trace.store_evicted_bytes", removed_bytes)
-            if self.health is not None:
-                self.health.record_disk_budget_hit()
         return (removed, removed_bytes)
 
     def gc(self) -> tuple[int, int]:

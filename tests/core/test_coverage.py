@@ -165,6 +165,17 @@ class TestMeasureCoverage:
         with pytest.raises(ValueError):
             measure_coverage(figure1.build(), strategy="psychic", seeds=range(2))
 
+    def test_run_once_needs_its_own_label(self):
+        import pytest
+
+        run_once = _directed_at(figure1.REAL_PAIR)
+        for builtin in ("random", "rapos"):
+            with pytest.raises(ValueError, match="label"):
+                measure_coverage(
+                    figure1.build(), strategy=builtin, run_once=run_once,
+                    seeds=range(2),
+                )
+
 
 class TestDirectedCoverage:
     RUNS = 60
@@ -178,10 +189,12 @@ class TestDirectedCoverage:
         pairs = detect_races(counter_program(), seeds=range(5)).pairs
         assert pairs
         for pair in pairs:
+            label = f"racefuzzer {pair}"
             directed = measure_coverage(
-                counter_program(), run_once=_directed_at(pair),
+                counter_program(), strategy=label, run_once=_directed_at(pair),
                 seeds=range(self.RUNS),
             )
+            assert str(directed).startswith(f"{label}: ")
             assert directed.distinct_signatures < walk.distinct_signatures, pair
 
     def test_only_racefuzzer_reaches_error_on_figure2(self):
@@ -192,8 +205,10 @@ class TestDirectedCoverage:
                 figure2.build(8), strategy=strategy, seeds=range(self.RUNS)
             )
             assert passive.crashing_runs == 0, strategy
+        label = f"racefuzzer {figure2.RACING_PAIR}"
         directed = measure_coverage(
-            figure2.build(8), run_once=_directed_at(figure2.RACING_PAIR),
-            seeds=range(self.RUNS),
+            figure2.build(8), strategy=label,
+            run_once=_directed_at(figure2.RACING_PAIR), seeds=range(self.RUNS),
         )
+        assert label in str(directed)
         assert directed.crashing_runs > 0

@@ -215,17 +215,22 @@ class TestFaultInjectionAcceptance:
         assert verdict.errors[0].kind == "deadline"
         assert "deadline" in verdict.errors[0].message
 
-    def test_persistent_pool_kill_degrades_to_serial_fallback(
-        self, serial_baseline, monkeypatch
-    ):
-        # One rebuild only, so the fallback comes before any task runs
-        # out of retries.
-        monkeypatch.setattr(supervisor, "POOL_DEATH_LIMIT", 1)
+    def test_persistent_pool_kill_goes_inline(self, serial_baseline, monkeypatch):
+        # One death halves jobs=2 to 1, and width 1 is inline: the rest
+        # of the batch runs in this process, never in a one-worker pool.
+        widths = []
+
+        def pool(max_workers):
+            widths.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", pool)
         plan = FaultPlan([FaultSpec(kind="pool_kill", index=0, attempts=99)])
         with ParallelCampaign(jobs=2, chunk_size=4, faults=plan) as engine:
             verdicts = engine.fuzz("figure1", PAIRS[:4], trials=4)
-        assert engine.serial_fallback
-        assert engine.pool_deaths == 2
+        assert engine.jobs == 1
+        assert engine.pool_deaths == 1
+        assert widths == [2]
         # The killer itself ends quarantined (inline it degrades to a
         # crash), everyone else completes with serial-identical verdicts.
         assert verdicts[PAIRS[0]].quarantined
@@ -253,8 +258,9 @@ class TestFaultInjectionAcceptance:
         self, monkeypatch
     ):
         # After the pool death, the retries' jittered backoffs expire
-        # while earlier retries are still being submitted; a retry that
-        # is merely due must not read as a stalled pool.
+        # while earlier retries are still being submitted to the rebuilt
+        # 2-wide pool; a retry that is merely due must not read as a
+        # stalled pool.
         submit = ProcessPoolExecutor.submit
 
         def slow_submit(pool, *args, **kwargs):
@@ -264,12 +270,12 @@ class TestFaultInjectionAcceptance:
         monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
         plan = FaultPlan([FaultSpec(kind="pool_kill", index=0, attempts=1)])
         with ParallelCampaign(
-            jobs=2, chunk_size=4, deadline=1.0, faults=plan
+            jobs=4, chunk_size=4, deadline=1.0, faults=plan
         ) as engine:
             engine.fuzz("figure1", PAIRS[:4], trials=4)
         assert not engine.failures
         assert engine.pool_deaths == 1
-        assert not engine.serial_fallback
+        assert engine.jobs == 2
 
     def test_detect_phase_quarantine_keeps_other_seeds(self):
         plan = FaultPlan(
@@ -432,16 +438,18 @@ class TestTruncation:
 
 
 class TestResourceGovernance:
-    """ISSUE 7: memory budgets, disk-kind classification, health wiring."""
+    """Memory budgets and the disk and memory failure kinds."""
 
     def test_transient_disk_full_recovers(self, serial_baseline):
         plan = FaultPlan([FaultSpec(kind="disk_full", index=0, attempts=1)])
-        with ParallelCampaign(jobs=1, chunk_size=4, faults=plan) as engine:
+        with collecting() as telemetry, ParallelCampaign(
+            jobs=1, chunk_size=4, faults=plan
+        ) as engine:
             verdicts = engine.fuzz("figure1", PAIRS[:3], trials=4)
         assert engine.last_report.retried == 1
         assert not engine.failures
-        # ENOSPC is disk pressure: the health controller heard about it.
-        assert engine.health.disk_budget_hits == 1
+        # ENOSPC is counted as a disk-kind failed attempt.
+        assert telemetry.counter("supervisor.failed_attempts.disk") == 1
         for pair in PAIRS[:3]:
             assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
 
@@ -467,13 +475,13 @@ class TestResourceGovernance:
         # Attempt 0 of task 0 grows peak RSS 100 -> 400 MiB (over budget);
         # every later reading holds at 400, so retries see a zero delta.
         self._fake_rss(monkeypatch, [100.0, 400.0, 400.0])
-        with ParallelCampaign(
+        with collecting() as telemetry, ParallelCampaign(
             jobs=1, chunk_size=4, memory_budget_mb=50
         ) as engine:
             verdicts = engine.fuzz("figure1", PAIRS[:3], trials=4)
         assert engine.last_report.retried == 1
         assert not engine.failures
-        assert engine.health.memory_failures == 1
+        assert telemetry.counter("supervisor.failed_attempts.memory") == 1
         for pair in PAIRS[:3]:
             assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
 
@@ -486,13 +494,12 @@ class TestResourceGovernance:
 
         feed = itertools.count(100.0, 300.0)
         monkeypatch.setattr(supervisor, "_maxrss_mb", lambda: next(feed))
-        with ParallelCampaign(
+        with collecting() as telemetry, ParallelCampaign(
             jobs=1, chunk_size=4, memory_budget_mb=50, retries=0
         ) as engine:
             engine.fuzz("figure1", PAIRS[:2], trials=4)
         assert sorted(f.kind for f in engine.failures) == ["memory", "memory"]
-        assert engine.health.memory_failures == 2
-        assert engine.health.state == "degraded"
+        assert telemetry.counter("supervisor.failed_attempts.memory") == 2
 
     def test_memory_budget_validation(self):
         with pytest.raises(ValueError, match="memory_budget_mb"):

@@ -7,7 +7,7 @@ import pytest
 from repro.core.driver import race_directed_test
 from repro.obs import chrome_trace, collecting, render_dash, write_chrome_trace
 from repro.obs.dash import write_dash
-from repro.obs.report import build_run_report
+from repro.obs.report import build_run_report, validate_run_report
 from repro.obs.telemetry import Telemetry
 from repro.obs.traceexport import PAIR_PID, WORKER_PID
 from repro.workloads import figure1, get
@@ -51,19 +51,25 @@ class TestDash:
         assert "<svg" in html  # posterior sparkline
         assert 'class="lane"' in html  # wall-clock chunk lanes
 
-    def test_renders_lanes_and_health_from_report(self):
+    def test_renders_lanes_from_a_report_with_retired_health_fields(self):
+        # Reports written before the campaign health state machine was
+        # removed carry its timeline event, transition counter and state
+        # gauge; they stay valid v4 reports and still render.
         telemetry = Telemetry()
         telemetry.emit("chunk", ("a|b", 0), {"trials": 2}, wall_s=5.0, dur_s=0.2)
         telemetry.emit(
             "health", (1, "degraded"), {"reason": "store-pressure"}, wall_s=5.1
         )
-        telemetry.gauge_max("health.state", 1)
+        telemetry.inc("health.transitions")
+        telemetry.gauge_max(".".join(("health", "state")), 1)
+        telemetry.inc("supervisor.pool_deaths")
         report = build_run_report(telemetry.snapshot(), command="fuzz")
+        assert validate_run_report(report) == []
         html = render_dash(report)
         _assert_standalone_html(html)
         assert 'class="lane"' in html
-        assert "store-pressure" in html
-        assert 'class="health-degraded"' in html
+        assert '<div class="v">1</div><div class="k">pool deaths</div>' in html
+        assert '<div class="v">0</div><div class="k">quarantined</div>' in html
 
     def test_write_dash(self, tmp_path, campaign):
         _, report = campaign

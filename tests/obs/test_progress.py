@@ -58,13 +58,6 @@ class TestProgressUpdate:
     def test_zero_total_renders(self):
         assert "100%" in ProgressUpdate(phase="fuzz", done=0, total=0).render()
 
-    def test_healthy_state_stays_off_the_line(self):
-        assert "health" not in ProgressUpdate(phase="fuzz", done=1, total=2).render()
-
-    def test_degraded_state_is_rendered(self):
-        update = ProgressUpdate(phase="fuzz", done=1, total=2, health="degraded")
-        assert "health=degraded" in update.render()
-
 
 class TestProgressPrinter:
     def _update(self, done, total=10):
