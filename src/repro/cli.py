@@ -19,9 +19,9 @@ Commands:
   trace-event JSON for Perfetto / chrome://tracing;
 * ``dash``     — render a run report as a self-contained
   zero-dependency HTML dashboard;
-* ``table1``   — regenerate Table 1 (delegates to repro.harness.table1);
-* ``figure2``  — the probability sweep (delegates to
-  repro.harness.figure2_prob).
+* ``table1``   — regenerate Table 1 (:mod:`repro.harness.table1`);
+* ``figure2``  — the Figure 2 probability sweep
+  (:mod:`repro.harness.figure2_prob`).
 
 The run report (``--metrics-out``) is the one telemetry document:
 ``stats``, ``trace-export`` and ``dash`` all load and validate it
@@ -33,13 +33,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from contextlib import nullcontext
 
 from repro.core import (
-    DefaultScheduler,
-    RandomScheduler,
     RaposDriver,
+    baseline_scheduler,
     detect_races,
     parse_fault_plan,
     race_directed_test,
@@ -155,6 +155,25 @@ def _fault_plan(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _budgets_misused(args) -> bool:
+    """True (after saying why) when a trial or time budget is given
+    without ``--schedule adaptive``; ``fuzz`` and ``table1`` then exit 2."""
+    if args.schedule == "adaptive":
+        return False
+    for flag, value in (
+        ("--trial-budget", args.trial_budget),
+        ("--time-budget", args.time_budget),
+    ):
+        if value is not None:
+            print(
+                f"repro {args.command}: {flag} only applies with "
+                "--schedule adaptive",
+                file=sys.stderr,
+            )
+            return True
+    return False
+
+
 def _cmd_list(args) -> int:
     for spec in all_workloads():
         row = ""
@@ -176,14 +195,9 @@ def _cmd_run(args) -> int:
                 spec.build(), seed=args.seed
             )
         else:
-            scheduler = (
-                DefaultScheduler()
-                if args.scheduler == "default"
-                else RandomScheduler(preemption="every")
-            )
             result = Execution(
                 spec.build(), seed=args.seed, max_steps=spec.max_steps
-            ).run(scheduler)
+            ).run(baseline_scheduler(args.scheduler))
     print(result)
     if telemetry is not None:
         write_run_report(
@@ -336,18 +350,9 @@ def _cmd_fuzz(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
+    if _budgets_misused(args):
+        return 2
     on_progress = ProgressPrinter(sys.stderr) if args.progress else None
-    if args.schedule != "adaptive":
-        for flag, value in (
-            ("--trial-budget", args.trial_budget),
-            ("--time-budget", args.time_budget),
-        ):
-            if value is not None:
-                print(
-                    f"fuzz: {flag} only applies with --schedule adaptive",
-                    file=sys.stderr,
-                )
-                return 2
     with _telemetry_scope(args) as telemetry:
         campaign = race_directed_test(
             spec.build(),
@@ -508,18 +513,100 @@ def _cmd_dash(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    from repro.harness import table1
+    from repro.harness.table1 import (
+        build_table,
+        render_comparison,
+        render_measured,
+    )
+    from repro.obs import ProgressUpdate
 
-    argv = list(args.rest)
-    table1.main(argv)
+    if _budgets_misused(args):
+        return 2
+    sizes = {}
+    if args.quick:
+        sizes = {"trials": 20, "baseline_runs": 20, "timing_runs": 2}
+    if args.trials is not None:
+        sizes["trials"] = args.trials
+    specs = [get(name) for name in args.names] if args.names else None
+    on_progress = None
+    if args.progress:
+        printer = ProgressPrinter()
+        started = time.perf_counter()
+
+        def on_progress(done: int, total: int) -> None:
+            printer(
+                ProgressUpdate(
+                    phase="table1",
+                    done=done,
+                    total=total,
+                    elapsed_s=time.perf_counter() - started,
+                )
+            )
+
+    with _telemetry_scope(args) as telemetry:
+        rows = build_table(
+            specs,
+            jobs=args.jobs,
+            on_progress=on_progress,
+            checkpoint=args.checkpoint,
+            schedule=args.schedule,
+            trial_budget=args.trial_budget,
+            time_budget=args.time_budget,
+            **sizes,
+        )
+    if telemetry is not None:
+        write_run_report(
+            args.metrics_out,
+            telemetry.snapshot(),
+            command="table1",
+            merge_existing=args.checkpoint is not None,
+        )
+    print(render_measured(rows))
+    print()
+    print(render_comparison(rows))
     return 0
 
 
 def _cmd_figure2(args) -> int:
-    from repro.harness import figure2_prob
+    from repro.harness.figure2_prob import render_sweep, sweep
 
-    figure2_prob.main(list(args.rest))
+    print(render_sweep(sweep(args.paddings, runs=args.runs)))
     return 0
+
+
+def _paddings(text: str) -> tuple[int, ...]:
+    """An argparse ``type=``: comma-separated non-negative paddings."""
+    return tuple(COUNT(padding) for padding in text.split(","))
+
+
+def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
+    """The Phase-2 trial-allocation flags ``fuzz`` and ``table1`` share."""
+    parser.add_argument(
+        "--schedule",
+        choices=("fixed", "adaptive"),
+        default="fixed",
+        help="Phase-2 trial allocation policy: 'fixed' spends exactly "
+        "--trials per pair (the paper's protocol; Table 1 numbers are only "
+        "comparable under it); 'adaptive' reallocates a global budget "
+        "toward pairs whose posterior race probability is still undecided, "
+        "early-stopping hopeless ones (deterministic per seed)",
+    )
+    parser.add_argument(
+        "--trial-budget",
+        type=POSITIVE_INT,
+        default=None,
+        metavar="N",
+        help="adaptive only: global cap on a campaign's total Phase-2 "
+        "trials across all pairs (default: --trials per pair)",
+    )
+    parser.add_argument(
+        "--time-budget",
+        type=POSITIVE_FLOAT,
+        default=None,
+        metavar="SECONDS",
+        help="adaptive only: wall-clock cap on a campaign's Phase 2; no new "
+        "chunks are scheduled past it (already-running chunks finish)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -672,32 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the same Phase-1 executions",
     )
     fuzz_parser.add_argument("--trials", type=COUNT, default=100)
-    fuzz_parser.add_argument(
-        "--schedule",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="Phase-2 trial allocation policy: 'fixed' spends exactly "
-        "--trials per pair (the paper's protocol); 'adaptive' reallocates "
-        "a global budget toward pairs whose posterior race probability is "
-        "still undecided, early-stopping hopeless ones (deterministic per "
-        "--seed)",
-    )
-    fuzz_parser.add_argument(
-        "--trial-budget",
-        type=POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="adaptive only: global cap on total Phase-2 trials across "
-        "all pairs (default: --trials per pair)",
-    )
-    fuzz_parser.add_argument(
-        "--time-budget",
-        type=POSITIVE_FLOAT,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive only: wall-clock cap on Phase 2; no new chunks are "
-        "scheduled past it (already-running chunks finish)",
-    )
+    _add_schedule_flags(fuzz_parser)
     fuzz_parser.add_argument(
         "--seed",
         type=int,
@@ -873,33 +935,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dash_parser.set_defaults(handler=_cmd_dash)
 
-    table_parser = commands.add_parser("table1", help="regenerate Table 1")
-    table_parser.add_argument("rest", nargs=argparse.REMAINDER)
+    table_parser = commands.add_parser(
+        "table1", help="regenerate Table 1 (experiments E1-E5)"
+    )
+    table_parser.add_argument("names", nargs="*", help="benchmarks (default: all)")
+    table_parser.add_argument("--trials", type=COUNT, default=None)
+    table_parser.add_argument(
+        "--quick", action="store_true", help="20 trials, 20 baseline runs"
+    )
+    _add_schedule_flags(table_parser)
+    table_parser.add_argument(
+        "--jobs",
+        type=COUNT,
+        default=1,
+        help="measure benchmark rows in N worker processes (0 = per core)",
+    )
+    table_parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="PATH",
+        help="JSONL journal of completed fuzzing chunks; restart with the "
+        "same path to resume a killed table run",
+    )
+    table_parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="write a versioned JSON run report of the whole table run, "
+        "timeline events included (read it with `repro stats`, "
+        "`repro trace-export` or `repro dash`); with --checkpoint, a "
+        "resumed run merges into the prior report",
+    )
+    table_parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="print a progress line to stderr as each row finishes",
+    )
     table_parser.set_defaults(handler=_cmd_table1)
 
-    figure_parser = commands.add_parser("figure2", help="probability sweep")
-    figure_parser.add_argument("rest", nargs=argparse.REMAINDER)
+    figure_parser = commands.add_parser(
+        "figure2", help="race-creation probability vs padding (experiment E7)"
+    )
+    figure_parser.add_argument("--runs", type=POSITIVE_INT, default=100)
+    figure_parser.add_argument(
+        "--paddings",
+        type=_paddings,
+        default="0,2,5,10,20,40",
+        help="comma-separated padding distances (non-negative integers)",
+    )
     figure_parser.set_defaults(handler=_cmd_figure2)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # The harness commands own their argument parsing; hand over before
-    # argparse can trip on their leading-dash options (an argparse
-    # REMAINDER quirk with subparsers).
-    if argv and argv[0] == "table1":
-        from repro.harness import table1
-
-        table1.main(argv[1:])
-        return 0
-    if argv and argv[0] == "figure2":
-        from repro.harness import figure2_prob
-
-        figure2_prob.main(argv[1:])
-        return 0
     args = build_parser().parse_args(argv)
     return args.handler(args)
 

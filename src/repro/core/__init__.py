@@ -49,7 +49,6 @@ from .supervisor import (
     compute_backoff,
 )
 from .schedulers import (
-    SCHEDULERS,
     DefaultScheduler,
     RandomScheduler,
     Scheduler,
@@ -75,7 +74,6 @@ __all__ = [
     "RandomScheduler",
     "DefaultScheduler",
     "baseline_scheduler",
-    "SCHEDULERS",
     "DeadlockFuzzer",
     "detect_lock_order_inversions",
     "AtomicityFuzzer",

@@ -27,7 +27,7 @@ budget), ``retries=`` (bounded retry with backoff), ``checkpoint=``
 deterministic :class:`~repro.core.faults.FaultPlan`) tune the
 supervisor; a task that fails every attempt is quarantined onto the
 campaign's failures instead of raising.  Bad caller input (an unknown
-detector, preemption mode or scheduler) raises before any task runs.
+detector or scheduler) raises before any task runs.
 See :mod:`repro.core.supervisor` for the failure semantics.
 """
 
@@ -41,13 +41,13 @@ from repro.detectors import (
     RaceReport,
     available_detectors,
     schedulable_grades,
+    union_reports,
 )
 from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
 from .parallel import ParallelCampaign, inline_program
-from .postponing import PREEMPTION_MODES
 from .results import CampaignReport, PairVerdict
 from .schedule import CampaignSchedule, make_schedule
 from .schedulers import baseline_scheduler
@@ -91,10 +91,8 @@ def _campaign(program: Program, jobs: int | None, **options):
             yield engine, _registered_name(program)
 
 
-def _check_inputs(
-    detector: str | Sequence[str] = (), preemption: str = "sync"
-) -> None:
-    """Reject bad caller input before any task runs, at every ``jobs``.
+def _check_detectors(detector: str | Sequence[str]) -> None:
+    """Reject unknown detector names before any task runs, at every ``jobs``.
 
     A task body would raise on these too, but the supervisor would then
     retry and quarantine every task instead of telling the caller.
@@ -106,8 +104,6 @@ def _check_inputs(
             f"unknown detector(s): {', '.join(unknown)}; "
             f"registered: {available_detectors()}"
         )
-    if preemption not in PREEMPTION_MODES:
-        raise ValueError(f"unknown preemption mode: {preemption!r}")
 
 
 def detect_races(
@@ -151,7 +147,7 @@ def detect_races(
     ``faults`` injects a deterministic plan into the campaign (phase
     ``"detect"``).
     """
-    _check_inputs(detector)
+    _check_detectors(detector)
     with _campaign(
         program, jobs, deadline=deadline, retries=retries, faults=faults
     ) as (engine, name):
@@ -171,8 +167,6 @@ def fuzz_races(
     *,
     trials: int = 100,
     base_seed: int = 0,
-    preemption: str = "sync",
-    patience: int = 400,
     max_steps: int = 1_000_000,
     jobs: int = 1,
     chunk_size: int = 25,
@@ -185,15 +179,12 @@ def fuzz_races(
     schedule: str | CampaignSchedule | None = None,
     trial_budget: int | None = None,
     time_budget: float | None = None,
-    grades: Sequence[bool | None] | None = None,
 ) -> dict[StatementPair, PairVerdict]:
     """Phase 2: fuzz the candidate pairs under a trial-allocation policy.
 
-    ``grades`` optionally aligns Phase-1 ``schedulable`` grades with the
-    pairs (see :func:`repro.detectors.schedulable_grades`); the adaptive
-    schedule boosts graded-schedulable priors so those pairs win early
-    Thompson rounds.  Deterministic, and a no-op when absent or under the
-    fixed schedule.
+    Every trial is one seeded Algorithm-1 run of
+    :class:`~repro.core.racefuzzer.RaceFuzzer` with its own defaults, the
+    paper's Section 5.2 protocol.
 
     ``schedule`` picks the policy (see :mod:`repro.core.schedule`):
     ``None``/``"fixed"`` is the paper's protocol — exactly ``trials``
@@ -224,7 +215,6 @@ def fuzz_races(
     quarantined onto its verdict's ``errors`` instead of sinking the
     campaign.
     """
-    _check_inputs(preemption=preemption)
     pair_list = list(pairs)
     sched = make_schedule(
         schedule,
@@ -249,11 +239,8 @@ def fuzz_races(
             pair_list,
             trials=trials,
             base_seed=base_seed,
-            preemption=preemption,
-            patience=patience,
             max_steps=max_steps,
             schedule=sched,
-            grades=grades,
         )
 
 
@@ -291,8 +278,6 @@ def race_directed_test(
     phase1_seeds: Sequence[int] = (0, 1, 2),
     trials: int = 100,
     base_seed: int = 0,
-    preemption: str = "sync",
-    patience: int = 400,
     max_steps: int = 1_000_000,
     pairs: Iterable[StatementPair] | None = None,
     jobs: int = 1,
@@ -322,9 +307,10 @@ def race_directed_test(
     apply to both phases; tasks that fail every retry end up on
     ``CampaignReport.failures`` instead of aborting the campaign.
     ``schedule``/``trial_budget``/``time_budget`` are Phase 2's
-    trial-allocation policy knobs.
+    trial-allocation policy knobs, and a predictive detector's
+    ``schedulable`` grades seed the adaptive schedule's priors.
     """
-    _check_inputs(detector, preemption)
+    _check_detectors(detector)
     sched = make_schedule(
         schedule,
         trials=trials,
@@ -343,18 +329,31 @@ def race_directed_test(
         memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
     ) as (engine, name):
+        if pairs is None:
+            phase1 = engine.detect(
+                name, detector=detector, seeds=phase1_seeds, max_steps=max_steps
+            )
+            if isinstance(phase1, dict):
+                phase1 = union_reports(phase1, program=name)
+            pair_list = phase1.pairs
+        else:
+            pair_list = list(pairs)
+            phase1 = RaceReport.from_pairs(pair_list, program=name)
+        verdicts = engine.fuzz(
+            name,
+            pair_list,
+            trials=trials,
+            base_seed=base_seed,
+            max_steps=max_steps,
+            schedule=sched,
+            grades=schedulable_grades(phase1, pair_list),
+        )
         return _emit_funnel(
-            engine.run(
-                name,
-                detector=detector,
-                phase1_seeds=phase1_seeds,
-                pairs=pairs,
-                trials=trials,
-                base_seed=base_seed,
-                preemption=preemption,
-                patience=patience,
-                max_steps=max_steps,
-                schedule=sched,
+            CampaignReport(
+                program=name,
+                phase1=phase1,
+                verdicts=verdicts,
+                failures=list(engine.failures),
             )
         )
 

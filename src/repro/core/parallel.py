@@ -55,19 +55,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.detectors import (
-    RaceReport,
-    make_detectors,
-    schedulable_grades,
-    union_reports,
-)
+from repro.detectors import RaceReport, make_detectors
 from repro.obs import ProgressUpdate, maybe_telemetry, span
 from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .results import CampaignReport, PairVerdict
+from .results import PairVerdict
 from .schedule import CampaignSchedule, chunk_spans, make_schedule
 from .schedulers import RandomScheduler
 from .supervisor import CampaignSupervisor, resolve_jobs
@@ -149,8 +144,6 @@ class FuzzTask:
     pair: StatementPair
     seed_start: int = 0
     count: int = 1
-    preemption: str = "sync"
-    patience: int = 400
     max_steps: int = 1_000_000
 
 
@@ -245,12 +238,7 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     from .racefuzzer import RaceFuzzer  # deferred: avoid import cycle
 
     program = _build_workload(task.workload)
-    fuzzer = RaceFuzzer(
-        task.pair,
-        preemption=task.preemption,
-        patience=task.patience,
-        max_steps=task.max_steps,
-    )
+    fuzzer = RaceFuzzer(task.pair, max_steps=task.max_steps)
     verdict = PairVerdict(pair=task.pair)
     telemetry = maybe_telemetry()
     chunk_wall = time.time() if telemetry is not None else 0.0
@@ -289,8 +277,6 @@ def fuzz_task_key(task: FuzzTask) -> str:
         ],
         "seed_start": task.seed_start,
         "count": task.count,
-        "preemption": task.preemption,
-        "patience": task.patience,
         "max_steps": task.max_steps,
     }
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))
@@ -528,8 +514,6 @@ class ParallelCampaign(CampaignSupervisor):
         *,
         trials: int = 100,
         base_seed: int = 0,
-        preemption: str = "sync",
-        patience: int = 400,
         max_steps: int = 1_000_000,
         schedule: str | CampaignSchedule | None = None,
         grades: "Sequence[bool | None] | None" = None,
@@ -576,8 +560,6 @@ class ParallelCampaign(CampaignSupervisor):
                         pair=pair_list[chunk.pair_index],
                         seed_start=chunk.seed_start,
                         count=chunk.count,
-                        preemption=preemption,
-                        patience=patience,
                         max_steps=max_steps,
                     )
                     for chunk in batch
@@ -605,61 +587,6 @@ class ParallelCampaign(CampaignSupervisor):
                 for failure in report.failures:
                     verdicts[tasks[failure.index].pair].errors.append(failure)
         return verdicts
-
-    def run(
-        self,
-        workload: str,
-        *,
-        detector: "str | Sequence[str]" = "hybrid",
-        phase1_seeds: Sequence[int] = (0, 1, 2),
-        pairs: Iterable[StatementPair] | None = None,
-        trials: int = 100,
-        base_seed: int = 0,
-        preemption: str = "sync",
-        patience: int = 400,
-        max_steps: int = 1_000_000,
-        schedule: str | CampaignSchedule | None = None,
-    ) -> CampaignReport:
-        """Both phases end to end, against one workload by name.
-
-        A detector sequence runs a multi-detector Phase 1 (one execution
-        per seed feeding all of them) and fuzzes the *union* of their
-        candidate pairs — the predictive Phase-1 pipeline.  Supplied
-        ``pairs`` (e.g. from a static tool) skip Phase 1: they are fuzzed
-        in the given order and reported as an evidence-free Phase 1.
-        """
-        if pairs is None:
-            phase1 = self.detect(
-                workload,
-                detector=detector,
-                seeds=phase1_seeds,
-                max_steps=max_steps,
-            )
-            if isinstance(phase1, dict):
-                phase1 = union_reports(phase1, program=workload)
-            pair_list = phase1.pairs
-        else:
-            pair_list = list(pairs)
-            phase1 = RaceReport.from_pairs(pair_list, program=workload)
-        # Phase-1 grades seed the adaptive schedule's priors.
-        grades = schedulable_grades(phase1, pair_list)
-        verdicts = self.fuzz(
-            workload,
-            pair_list,
-            trials=trials,
-            base_seed=base_seed,
-            preemption=preemption,
-            patience=patience,
-            max_steps=max_steps,
-            schedule=schedule,
-            grades=grades,
-        )
-        return CampaignReport(
-            program=workload,
-            phase1=phase1,
-            verdicts=verdicts,
-            failures=list(self.failures),
-        )
 
 
 __all__ = [

@@ -126,19 +126,13 @@ class DefaultScheduler(Scheduler):
         return self._current
 
 
-SCHEDULERS = {
-    "random": RandomScheduler,
-    "default": DefaultScheduler,
-}
-
-
 def baseline_scheduler(spec: str) -> Scheduler:
-    """Build a fresh scheduler for one baseline run.
+    """Build a fresh passive scheduler for one run, by name.
 
-    The baseline spec names (``default`` / ``random`` / ``random-sync``)
-    predate the trace layer's ``random:every``-style specs and are kept
-    for CLI/harness compatibility.  A new instance per run matters:
-    schedulers carry per-execution state (queues, slice budgets).
+    The one name table for passive schedulers (``default`` / ``random``
+    / ``random-sync``), shared by ``repro run`` and the baseline
+    campaigns.  A new instance per run matters: schedulers carry
+    per-execution state (queues, slice budgets).
     """
     if spec == "default":
         return DefaultScheduler()

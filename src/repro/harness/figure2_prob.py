@@ -8,16 +8,16 @@ Sweeps the Figure 2 padding length and reports, per padding value:
   statements temporally adjacent, and of reaching ERROR (claim: decays
   towards 0 as padding grows).
 
-Run as a script::
-
-    python -m repro.harness.figure2_prob [--runs N] [--paddings 0,5,10,...]
+Run ``repro figure2 [--runs N] [--paddings 0,5,10,...]`` (or
+``python -m repro.harness.figure2_prob ...``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from repro.core import RandomScheduler, fuzz_pair, pool_map
+from repro.core import RandomScheduler, fuzz_pair
 from repro.runtime import Execution, EventTrace, MemEvent
 from repro.workloads import figure2
 
@@ -78,23 +78,11 @@ def measure_point(padding: int, runs: int = 100) -> ProbabilityPoint:
     )
 
 
-def _measure_point_task(payload: tuple[int, int]) -> ProbabilityPoint:
-    """Worker entrypoint: one padding value's full measurement."""
-    padding, runs = payload
-    return measure_point(padding, runs=runs)
-
-
 def sweep(
-    paddings=(0, 2, 5, 10, 20, 40), runs: int = 100, jobs: int = 1
+    paddings=(0, 2, 5, 10, 20, 40), runs: int = 100
 ) -> list[ProbabilityPoint]:
-    """Measure every padding value; ``jobs=N`` sweeps points concurrently.
-
-    Points are independent (each builds its own program and seeds runs
-    identically), so the series matches the serial sweep exactly.
-    """
-    return pool_map(
-        _measure_point_task, [(padding, runs) for padding in paddings], jobs=jobs
-    )
+    """Measure every padding value, in order."""
+    return [measure_point(padding, runs=runs) for padding in paddings]
 
 
 def render_sweep(points: list[ProbabilityPoint]) -> str:
@@ -118,31 +106,7 @@ def render_sweep(points: list[ProbabilityPoint]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-
-    from repro.cli import COUNT, POSITIVE_INT
-
-    def paddings(text):
-        return tuple(COUNT(p) for p in text.split(","))
-
-    parser = argparse.ArgumentParser(prog="repro figure2", description=__doc__)
-    parser.add_argument("--runs", type=POSITIVE_INT, default=100)
-    parser.add_argument(
-        "--paddings",
-        type=paddings,
-        default="0,2,5,10,20,40",
-        help="comma-separated padding distances (non-negative integers)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=COUNT,
-        default=1,
-        help="sweep padding points in N worker processes (0 = per core)",
-    )
-    args = parser.parse_args(argv)
-    print(render_sweep(sweep(args.paddings, runs=args.runs, jobs=args.jobs)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.cli import main
+
+    raise SystemExit(main(["figure2", *sys.argv[1:]]))

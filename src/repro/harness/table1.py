@@ -13,23 +13,22 @@ For each benchmark this measures, with the same protocol as Section 5.2:
   (the paper ran RaceFuzzer 100 times per pair; so does this, unless
   ``trials`` is overridden).
 
-Run as a script for the full table::
-
-    python -m repro.harness.table1 [--trials N] [--quick] [names...]
+Run ``repro table1 [--trials N] [--quick] [names...]`` (or
+``python -m repro.harness.table1 ...``) for the full table.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 import time
 from dataclasses import dataclass, field
 
 from repro.core import (
     RandomScheduler,
     baseline_exceptions,
-    detect_races,
-    fuzz_races,
     pool_map,
+    race_directed_test,
 )
 from repro.core.results import CampaignReport
 from repro.detectors import HybridRaceDetector
@@ -107,6 +106,10 @@ def measure_row(
 ) -> Table1Row:
     """Run the full two-phase protocol for one benchmark.
 
+    The row's campaign is one :func:`~repro.core.race_directed_test`
+    call, so its ``failures`` carry every quarantined task of either
+    phase, as on ``repro fuzz``.
+
     ``checkpoint`` journals completed Phase-2 chunks to an append-only
     JSONL file (chunk keys embed the workload name, so all rows can
     share one journal); a killed table run restarted with the same path
@@ -120,30 +123,24 @@ def measure_row(
     it for race *discovery* runs, not for reproducing the paper's
     numbers.
     """
-    trials = trials if trials is not None else spec.trials
-    phase1 = detect_races(
-        spec.build(), seeds=spec.phase1_seeds, max_steps=spec.max_steps
-    )
-    verdicts = fuzz_races(
+    campaign = race_directed_test(
         spec.build(),
-        phase1.pairs,
-        trials=trials,
+        phase1_seeds=spec.phase1_seeds,
+        trials=trials if trials is not None else spec.trials,
         max_steps=spec.max_steps,
         checkpoint=checkpoint,
         schedule=schedule,
         trial_budget=trial_budget,
         time_budget=time_budget,
     )
-    campaign = CampaignReport(
-        program=spec.name, phase1=phase1, verdicts=verdicts
-    )
     simple = baseline_exceptions(
         spec.build(), runs=baseline_runs, scheduler="default",
         max_steps=spec.max_steps,
     )
-    rf_wall = sum(v.total_wall for v in verdicts.values())
-    rf_trials = sum(v.trials for v in verdicts.values())
-    deadlocks = sum(v.deadlocks for v in verdicts.values())
+    verdicts = campaign.verdicts.values()
+    rf_wall = sum(v.total_wall for v in verdicts)
+    rf_trials = sum(v.trials for v in verdicts)
+    deadlocks = sum(v.deadlocks for v in verdicts)
     return Table1Row(
         spec=spec,
         sloc=_count_module_sloc(spec),
@@ -275,119 +272,7 @@ def render_comparison(rows: list[Table1Row]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-    from contextlib import nullcontext
-
-    from repro.cli import COUNT, POSITIVE_FLOAT, POSITIVE_INT
-    from repro.obs import ProgressPrinter, ProgressUpdate, write_run_report
-    from repro.workloads.base import get
-
-    parser = argparse.ArgumentParser(prog="repro table1", description=__doc__)
-    parser.add_argument("names", nargs="*", help="benchmarks (default: all)")
-    parser.add_argument("--trials", type=COUNT, default=None)
-    parser.add_argument(
-        "--quick", action="store_true", help="20 trials, 20 baseline runs"
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("fixed", "adaptive"),
-        default="fixed",
-        help="Phase-2 trial allocation policy; 'fixed' reproduces the "
-        "paper's per-pair protocol (Table 1 numbers are only comparable "
-        "under it), 'adaptive' spends a global budget by expected yield",
-    )
-    parser.add_argument(
-        "--trial-budget",
-        type=POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="adaptive only: global trial cap per row (default: trials "
-        "per pair)",
-    )
-    parser.add_argument(
-        "--time-budget",
-        type=POSITIVE_FLOAT,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive only: wall-clock cap on each row's Phase 2",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=COUNT,
-        default=1,
-        help="measure benchmark rows in N worker processes (0 = per core)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="JSONL journal of completed fuzzing chunks; restart with the "
-        "same path to resume a killed table run",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write a versioned JSON run report of the whole table run, "
-        "timeline events included (read it with `repro stats`, "
-        "`repro trace-export` or `repro dash`); with --checkpoint, a "
-        "resumed run merges into the prior report",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print a progress line to stderr as each row finishes",
-    )
-    args = parser.parse_args(argv)
-
-    kwargs = {}
-    if args.quick:
-        kwargs = {"trials": 20, "baseline_runs": 20, "timing_runs": 2}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.checkpoint is not None:
-        kwargs["checkpoint"] = args.checkpoint
-    if args.schedule != "adaptive" and (
-        args.trial_budget is not None or args.time_budget is not None
-    ):
-        parser.error("--trial-budget/--time-budget require --schedule adaptive")
-    if args.schedule != "fixed":
-        kwargs["schedule"] = args.schedule
-        kwargs["trial_budget"] = args.trial_budget
-        kwargs["time_budget"] = args.time_budget
-    specs = [get(name) for name in args.names] if args.names else None
-
-    on_progress = None
-    if args.progress:
-        printer = ProgressPrinter()
-        started = time.perf_counter()
-
-        def on_progress(done: int, total: int) -> None:
-            printer(
-                ProgressUpdate(
-                    phase="table1",
-                    done=done,
-                    total=total,
-                    elapsed_s=time.perf_counter() - started,
-                )
-            )
-
-    with collecting() if args.metrics_out is not None else nullcontext() as telemetry:
-        rows = build_table(
-            specs, jobs=args.jobs, on_progress=on_progress, **kwargs
-        )
-    if telemetry is not None:
-        write_run_report(
-            args.metrics_out,
-            telemetry.snapshot(),
-            command="table1",
-            merge_existing=args.checkpoint is not None,
-        )
-    print(render_measured(rows))
-    print()
-    print(render_comparison(rows))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.cli import main
+
+    raise SystemExit(main(["table1", *sys.argv[1:]]))

@@ -178,14 +178,6 @@ class TestOneEngine:
                 detect_races(figure1.build(), seeds=[], jobs=jobs)
             with pytest.raises(ValueError, match="at least one detector"):
                 detect_races(figure1.build(), detector=[], jobs=jobs)
-            with pytest.raises(ValueError, match="preemption"):
-                fuzz_races(
-                    figure1.build(),
-                    [figure1.REAL_PAIR],
-                    trials=2,
-                    preemption="sometimes",
-                    jobs=jobs,
-                )
         assert registry.counter("supervisor.tasks") == 0
 
     def test_auto_jobs_on_one_core_runs_inline(self, monkeypatch):

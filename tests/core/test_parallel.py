@@ -148,8 +148,9 @@ class TestCampaignEquivalence:
 
 class TestParallelCampaignObject:
     def test_run_end_to_end_by_name(self):
-        with ParallelCampaign(jobs=2, chunk_size=4) as engine:
-            campaign = engine.run("figure1", trials=8)
+        campaign = race_directed_test(
+            figure1.build(), trials=8, jobs=2, chunk_size=4
+        )
         assert campaign.program == "figure1"
         assert figure1.REAL_PAIR in campaign.real_pairs
         assert figure1.FALSE_PAIR not in campaign.real_pairs

@@ -15,6 +15,7 @@ import pytest
 from repro.core import (
     AdaptiveSchedule,
     FixedSchedule,
+    ParallelCampaign,
     fuzz_races,
     make_schedule,
 )
@@ -321,10 +322,10 @@ class TestGradeBoost:
     def test_graded_campaign_stays_deterministic(self):
         def run():
             sched = _BoostedAdaptive()
-            verdicts = fuzz_races(
-                figure1.build(), PAIRS, chunk_size=5, schedule=sched,
-                grades=[True, False],
-            )
+            with ParallelCampaign(chunk_size=5) as engine:
+                verdicts = engine.fuzz(
+                    "figure1", PAIRS, schedule=sched, grades=[True, False]
+                )
             return sched.allocation_log, _campaign_signature(verdicts)
 
         assert run() == run()

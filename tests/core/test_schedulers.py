@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DefaultScheduler, RandomScheduler, SCHEDULERS
+from repro.core import DefaultScheduler, RandomScheduler, baseline_scheduler
 from repro.runtime import (
     EventTrace,
     Execution,
@@ -119,5 +119,10 @@ class TestDefaultScheduler:
 
 class TestRegistry:
     def test_scheduler_registry(self):
-        assert set(SCHEDULERS) == {"random", "default"}
-        assert SCHEDULERS["random"] is RandomScheduler
+        assert isinstance(baseline_scheduler("default"), DefaultScheduler)
+        assert baseline_scheduler("random").preemption == "every"
+        assert baseline_scheduler("random-sync").preemption == "sync"
+        # A fresh instance per run: schedulers carry per-execution state.
+        assert baseline_scheduler("default") is not baseline_scheduler("default")
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            baseline_scheduler("rapos")

@@ -293,23 +293,26 @@ class TestFaultInjectionAcceptance:
         # The detect-phase pool death halves the campaign's width to 1, so
         # Phase 2 runs inline: its pool_kill fault degrades to a crash
         # attempt there, charged and retried, not a second pool death.
-        options = dict(phase1_seeds=[0, 1], trials=4)
+        def both_phases(engine):
+            pairs = engine.detect("figure1", seeds=[0, 1]).pairs
+            return pairs, engine.fuzz("figure1", pairs, trials=4)
+
         with ParallelCampaign(jobs=2) as clean:
-            expected = clean.run("figure1", **options)
+            expected_pairs, expected = both_phases(clean)
         plan = parse_fault_plan("detect:0:pool_kill:1,fuzz:0:pool_kill:1")
         with collecting() as telemetry, ParallelCampaign(
             jobs=2, faults=plan
         ) as engine:
-            report = engine.run("figure1", **options)
+            pairs, verdicts = both_phases(engine)
         assert telemetry.counter("supervisor.failed_attempts.crash") == 1
         assert engine.last_report.retried == 1
         assert engine.jobs == 1
         assert engine.pool_deaths == 1
         assert not engine.failures
-        assert report.phase1.pairs == expected.phase1.pairs
-        assert set(report.verdicts) == set(expected.verdicts)
-        for pair, verdict in expected.verdicts.items():
-            assert _signature(report.verdicts[pair]) == _signature(verdict)
+        assert pairs == expected_pairs
+        assert set(verdicts) == set(expected)
+        for pair, verdict in expected.items():
+            assert _signature(verdicts[pair]) == _signature(verdict)
 
     def test_failures_reach_the_campaign_report(self):
         plan = FaultPlan([FaultSpec(kind="crash", index=0, attempts=99)])

@@ -14,14 +14,15 @@ Phase-2 campaign four ways:
   one malformed result), which pays real retry work.
 
 One campaign takes a few hundredths of a second, too short to time
-once, so the supervised and governed paths are timed over
-:data:`ROUNDS` alternated rounds (the first of the two swaps every
-round).  ``governed_overhead_ratio`` is the median of the per-round
+once, so all four are timed over :data:`ROUNDS` alternated rounds (the
+order reverses every round) and the record reports medians.
+``governed_overhead_ratio`` is the median of the per-round
 governed/supervised ratios; the per-round list rides in the record.
 
 It also times the trace store's durability machinery on its clean path:
 recording with the always-on CRC32 checksum, and recording under a disk
-budget that never evicts (every publish pays one stat pass).
+budget that never evicts (every publish pays one stat pass), over
+:data:`STORE_ROUNDS` alternated rounds, reported the same way.
 
 Run it from the repository root::
 
@@ -44,8 +45,12 @@ from repro.workloads import figure1
 
 PAIRS = [figure1.REAL_PAIR, figure1.FALSE_PAIR]
 
-#: alternated supervised/governed rounds behind ``governed_overhead_ratio``.
+#: alternated rounds of the four campaigns (bare, supervised, governed,
+#: faulted) behind every campaign time and ``governed_overhead_ratio``.
 ROUNDS = 15
+
+#: alternated plain/quota store rounds behind ``store_quota_overhead_ratio``.
+STORE_ROUNDS = 25
 
 #: Transient faults only — every retry succeeds, nothing is quarantined,
 #: so the faulted campaign's verdicts still match the bare run.
@@ -102,58 +107,63 @@ def main(argv=None):
     parser.add_argument("--output", required=True)
     args = parser.parse_args(argv)
 
-    start = time.perf_counter()
-    bare = _bare(args.trials)
-    bare_s = time.perf_counter() - start
-
     runs = {
-        "clean": dict(chunk_size=args.chunk_size),
-        "governed": dict(chunk_size=args.chunk_size, memory_budget_mb=4096),
+        "bare": lambda: _bare(args.trials),
+        "clean": lambda: _supervised(args.trials, chunk_size=args.chunk_size),
+        "governed": lambda: _supervised(
+            args.trials, chunk_size=args.chunk_size, memory_budget_mb=4096
+        ),
+        "faulted": lambda: _supervised(
+            args.trials, faults=FAULTS, chunk_size=args.chunk_size
+        ),
     }
-    results = []
+    results = {name: [] for name in runs}
     times = {name: [] for name in runs}
     for round_index in range(ROUNDS):
-        order = sorted(runs, reverse=bool(round_index % 2))
-        for name in order:
+        # Alternate the order, keeping supervised and governed adjacent.
+        for name in reversed(runs) if round_index % 2 else runs:
             start = time.perf_counter()
-            results.append(_supervised(args.trials, **runs[name]))
+            results[name].append(runs[name]())
             times[name].append(time.perf_counter() - start)
     round_ratios = [
         governed / clean
         for clean, governed in zip(times["clean"], times["governed"])
     ]
-    clean_s = median(times["clean"])
-    governed_s = median(times["governed"])
-
-    start = time.perf_counter()
-    faulted = _supervised(
-        args.trials, faults=FAULTS, chunk_size=args.chunk_size
+    bare_s, clean_s, governed_s, faulted_s = (
+        median(times[name]) for name in ("bare", "clean", "governed", "faulted")
     )
-    faulted_s = time.perf_counter() - start
 
     # Transient faults and a never-firing budget must both be invisible
     # in the aggregates.
+    bare = results["bare"][0]
+    every_run = [run for name in runs for run in results[name]]
     for pair in bare:
-        for run in (*results, faulted):
+        for run in every_run:
             assert run[pair].trials == bare[pair].trials
             assert run[pair].times_created == bare[pair].times_created
             assert run[pair].exceptions == bare[pair].exceptions
             assert not run[pair].quarantined
 
     # Store durability clean path: checksummed record + verify read,
-    # without and with a (never-evicting) disk budget.
+    # without and with a (never-evicting) disk budget, alternated.
     import tempfile
 
     with tempfile.TemporaryDirectory() as warm_dir:
         _store_round(warm_dir, 1)  # imports + codec warm-up, untimed
-    with tempfile.TemporaryDirectory() as plain_dir:
-        start = time.perf_counter()
-        _store_round(plain_dir, args.store_seeds)
-        store_plain_s = time.perf_counter() - start
-    with tempfile.TemporaryDirectory() as quota_dir:
-        start = time.perf_counter()
-        _store_round(quota_dir, args.store_seeds, max_bytes=1 << 30)
-        store_quota_s = time.perf_counter() - start
+    store_kwargs = {"plain": {}, "quota": {"max_bytes": 1 << 30}}
+    store_times = {name: [] for name in store_kwargs}
+    for round_index in range(STORE_ROUNDS):
+        for name in sorted(store_kwargs, reverse=bool(round_index % 2)):
+            with tempfile.TemporaryDirectory() as trace_dir:
+                start = time.perf_counter()
+                _store_round(trace_dir, args.store_seeds, **store_kwargs[name])
+                store_times[name].append(time.perf_counter() - start)
+    store_plain_s = median(store_times["plain"])
+    store_quota_s = median(store_times["quota"])
+    store_ratios = [
+        quota / plain
+        for plain, quota in zip(store_times["plain"], store_times["quota"])
+    ]
 
     record = {
         "benchmark": "supervisor-resilience",
@@ -163,9 +173,9 @@ def main(argv=None):
         "chunk_size": args.chunk_size,
         "cpu_count": os.cpu_count(),
         "env": environment_metadata(),
-        "bare_s": round(bare_s, 4),
         "rounds": ROUNDS,
         #: medians over the alternated rounds.
+        "bare_s": round(bare_s, 4),
         "supervised_clean_s": round(clean_s, 4),
         "governed_clean_s": round(governed_s, 4),
         "supervised_faulted_s": round(faulted_s, 4),
@@ -179,13 +189,15 @@ def main(argv=None):
             round(faulted_s / bare_s, 3) if bare_s else None
         ),
         "store_seeds": args.store_seeds,
+        "store_rounds": STORE_ROUNDS,
+        #: medians over the alternated store rounds.
         "store_record_verify_s": round(store_plain_s, 4),
         "store_quota_record_verify_s": round(store_quota_s, 4),
         #: disk budget armed (never evicts) on top of checksummed
-        #: record+verify — the quota clean-path cost.
-        "store_quota_overhead_ratio": (
-            round(store_quota_s / store_plain_s, 3) if store_plain_s else None
-        ),
+        #: record+verify — the quota clean-path cost, as the median
+        #: per-round ratio.
+        "store_quota_overhead_ratio": round(median(store_ratios), 3),
+        "store_quota_overhead_rounds": [round(r, 3) for r in store_ratios],
         "injected_faults": [
             f"{s.phase}:{s.index}:{s.kind}" for s in FAULTS.specs
         ],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import parallel
 from repro.harness.table1 import (
     Table1Row,
     build_table,
@@ -9,7 +10,7 @@ from repro.harness.table1 import (
     render_comparison,
     render_measured,
 )
-from repro.workloads import get
+from repro.workloads import figure1, get
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,28 @@ class TestMeasureRow:
         assert row.harmful == 0
         assert row.probability == 1.0
         assert row.campaign is not None
+
+    def test_phase1_quarantine_reaches_the_row(self, monkeypatch):
+        """A Phase-1 seed that fails every attempt is quarantined onto the
+        row's campaign, as on ``repro fuzz``; the other seeds still count."""
+        run_detect_task = parallel.run_detect_task
+
+        def failing_seed_1(task):
+            if task.seed == 1:
+                raise RuntimeError("injected detect failure")
+            return run_detect_task(task)
+
+        monkeypatch.setattr(parallel, "run_detect_task", failing_seed_1)
+        spec = get("figure1")
+        assert spec.phase1_seeds == (0, 1, 2)
+        row = measure_row(spec, trials=4, baseline_runs=2, timing_runs=1)
+        failures = row.campaign.failures
+        assert [failure.phase for failure in failures] == ["detect"]
+        assert failures[0].index == 1
+        assert set(row.campaign.phase1.pairs) == {
+            figure1.REAL_PAIR,
+            figure1.FALSE_PAIR,
+        }
 
     def test_timing_shape(self, raytracer_row):
         """The paper's qualitative timing claim: hybrid instrumentation

@@ -197,6 +197,18 @@ class TestFuzz:
         assert main(["fuzz", "sor", "--time-budget", "1.0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--trial-budget", "5"), ("--time-budget", "1")]
+    )
+    def test_table1_shares_the_budget_check(self, flag, value, capsys):
+        assert main(["fuzz", "figure1", flag, value]) == 2
+        fuzz_err = capsys.readouterr().err
+        assert f"{flag} only applies with --schedule adaptive" in fuzz_err
+        assert main(["table1", flag, value, "figure1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.replace("repro table1", "repro fuzz") == fuzz_err
+
     def test_checkpoint_restart_reuses_the_journal(self, tmp_path, capsys):
         path = str(tmp_path / "journal.jsonl")
         args = ["fuzz", "figure1", "--trials", "4", "--checkpoint", path]
