@@ -13,8 +13,7 @@ Commands:
 * ``store``    — trace-store maintenance: ``gc`` enforces a disk budget,
   ``verify`` integrity-checks every entry (optionally quarantining the
   damaged ones);
-* ``stats``    — render a ``--metrics-out`` run report (tables or
-  Prometheus text format);
+* ``stats``    — render a ``--metrics-out`` run report as tables;
 * ``trace-export`` — render a run report's timeline as Chrome
   trace-event JSON for Perfetto / chrome://tracing;
 * ``dash``     — render a run report as a self-contained
@@ -33,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from contextlib import nullcontext
 
@@ -52,7 +50,6 @@ from repro.obs import (
     collecting,
     load_run_report,
     render_dash,
-    render_prometheus,
     render_stats_table,
     validate_run_report,
     write_chrome_trace,
@@ -467,10 +464,7 @@ def _cmd_stats(args) -> int:
     if report is None:
         return 2
     try:
-        if args.prometheus:
-            print(render_prometheus(report), end="")
-        else:
-            print(render_stats_table(report))
+        print(render_stats_table(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # Downstream head/pager closed the pipe early; redirect stdout to
@@ -518,7 +512,6 @@ def _cmd_table1(args) -> int:
         render_comparison,
         render_measured,
     )
-    from repro.obs import ProgressUpdate
 
     if _budgets_misused(args):
         return 2
@@ -528,26 +521,11 @@ def _cmd_table1(args) -> int:
     if args.trials is not None:
         sizes["trials"] = args.trials
     specs = [get(name) for name in args.names] if args.names else None
-    on_progress = None
-    if args.progress:
-        printer = ProgressPrinter()
-        started = time.perf_counter()
-
-        def on_progress(done: int, total: int) -> None:
-            printer(
-                ProgressUpdate(
-                    phase="table1",
-                    done=done,
-                    total=total,
-                    elapsed_s=time.perf_counter() - started,
-                )
-            )
-
     with _telemetry_scope(args) as telemetry:
         rows = build_table(
             specs,
             jobs=args.jobs,
-            on_progress=on_progress,
+            on_progress=ProgressPrinter(sys.stderr) if args.progress else None,
             checkpoint=args.checkpoint,
             schedule=args.schedule,
             trial_budget=args.trial_budget,
@@ -902,11 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="render a run report's metrics as tables"
     )
     stats_parser.add_argument("path", help="a --metrics-out run report")
-    stats_parser.add_argument(
-        "--prometheus",
-        action="store_true",
-        help="emit Prometheus text exposition format instead of tables",
-    )
     stats_parser.set_defaults(handler=_cmd_stats)
 
     export_parser = commands.add_parser(
@@ -948,7 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=COUNT,
         default=1,
-        help="measure benchmark rows in N worker processes (0 = per core)",
+        help="run every row's tasks on N supervised worker processes "
+        "(0 = per core)",
     )
     table_parser.add_argument(
         "--checkpoint",
@@ -969,7 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
     table_parser.add_argument(
         "--progress",
         action="store_true",
-        help="print a progress line to stderr as each row finishes",
+        help="print throttled progress lines (settled/scheduled tasks of "
+        "each phase, over every row) to stderr",
     )
     table_parser.set_defaults(handler=_cmd_table1)
 

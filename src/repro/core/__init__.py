@@ -21,7 +21,6 @@ from .parallel import (
     FuzzTask,
     ParallelCampaign,
     fuzz_task_key,
-    pool_map,
 )
 from .postponing import FuzzResult, PostponingDriver, TargetHit
 from .racefuzzer import RaceFuzzer, fuzz_pair
@@ -87,7 +86,6 @@ __all__ = [
     "schedule_signature",
     "signature_from_trace",
     "fuzz_task_key",
-    "pool_map",
     "CampaignSchedule",
     "FixedSchedule",
     "AdaptiveSchedule",

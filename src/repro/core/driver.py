@@ -7,6 +7,8 @@
 ``race_directed_test``— both phases; returns a :class:`CampaignReport`
                         whose fields map 1:1 onto the paper's Table 1
                         columns for one benchmark program.
+``race_directed_campaigns``— both phases for several workloads on one
+                        engine (every Table 1 row at once).
 ``baseline_exceptions``— the passive-scheduler control (columns 10 and,
                         for Figure 2, the probability comparison).
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.detectors import (
     RaceReport,
@@ -47,48 +49,41 @@ from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .parallel import ParallelCampaign, inline_program
+from .parallel import ParallelCampaign, inline_program, per_workload
 from .results import CampaignReport, PairVerdict
 from .schedule import CampaignSchedule, make_schedule
 from .schedulers import baseline_scheduler
 
 
-def _registered_name(program: Program) -> str:
-    """Resolve a program to its workload-registry name (pooled mode).
+@contextmanager
+def open_campaign(programs: Mapping[str, Program], jobs: int | None, **options):
+    """Open the one :class:`ParallelCampaign` behind a pipeline call.
 
-    Worker processes rebuild the program from the registry, so a pooled
-    campaign is only meaningful for programs whose registry entry builds
-    the same program the caller holds.
+    ``programs`` maps each workload name the tasks will carry to the
+    caller's program; yields the engine and those names.  When ``jobs``
+    resolves to one worker (``1``, or ``None``/``0`` on a one-core host)
+    the tasks run inline on the caller's live programs, so any program
+    works; a pool rebuilds each program from the registry in its
+    workers, so only then must every name be registered.
     """
     from repro import workloads  # deferred: core must import without workloads
 
-    try:
-        workloads.get(program.name)
-    except KeyError:
-        raise ValueError(
-            f"jobs>1 needs a registered workload so worker processes can "
-            f"rebuild the program, but {program.name!r} is not in "
-            f"repro.workloads; register it or use jobs=1"
-        ) from None
-    return program.name
-
-
-@contextmanager
-def _campaign(program: Program, jobs: int | None, **options):
-    """Open the one :class:`ParallelCampaign` behind a pipeline call.
-
-    Yields the engine and the workload name its tasks carry.  When
-    ``jobs`` resolves to one worker (``1``, or ``None``/``0`` on a
-    one-core host) the tasks run inline on the caller's live program, so
-    any program works; a pool rebuilds the program from the registry in
-    each worker, so only then must its name be registered.
-    """
+    names = list(programs)
     with ParallelCampaign(jobs=jobs, **options) as engine:
         if engine.jobs == 1:
-            with inline_program(program):
-                yield engine, program.name
-        else:
-            yield engine, _registered_name(program)
+            with inline_program(programs):
+                yield engine, names
+            return
+        for name in names:
+            try:
+                workloads.get(name)
+            except KeyError:
+                raise ValueError(
+                    f"jobs>1 needs a registered workload so worker processes "
+                    f"can rebuild the program, but {name!r} is not in "
+                    f"repro.workloads; register it or use jobs=1"
+                ) from None
+        yield engine, names
 
 
 def _check_detectors(detector: str | Sequence[str]) -> None:
@@ -148,9 +143,9 @@ def detect_races(
     ``"detect"``).
     """
     _check_detectors(detector)
-    with _campaign(
-        program, jobs, deadline=deadline, retries=retries, faults=faults
-    ) as (engine, name):
+    with open_campaign(
+        {program.name: program}, jobs, deadline=deadline, retries=retries, faults=faults
+    ) as (engine, [name]):
         return engine.detect(
             name,
             detector=detector,
@@ -223,8 +218,8 @@ def fuzz_races(
         time_budget_s=time_budget,
         seed=base_seed,
     )
-    with _campaign(
-        program,
+    with open_campaign(
+        {program.name: program},
         jobs,
         chunk_size=chunk_size,
         deadline=deadline,
@@ -233,7 +228,7 @@ def fuzz_races(
         faults=faults,
         memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
-    ) as (engine, name):
+    ) as (engine, [name]):
         return engine.fuzz(
             name,
             pair_list,
@@ -269,6 +264,79 @@ def _emit_funnel(report: CampaignReport) -> CampaignReport:
             },
         )
     return report
+
+
+def race_directed_campaigns(
+    engine: ParallelCampaign,
+    workloads: Sequence[str],
+    *,
+    detector: str | Sequence[str] = "hybrid",
+    phase1_seeds: Sequence[int] = (0, 1, 2),
+    trials: int = 100,
+    base_seed: int = 0,
+    max_steps: int = 1_000_000,
+    pairs: Iterable[StatementPair] | None = None,
+    schedule: str | CampaignSchedule | None = None,
+    trial_budget: int | None = None,
+    time_budget: float | None = None,
+) -> dict[str, CampaignReport]:
+    """Both phases for every workload on ``engine``; one report each.
+
+    Every workload's Phase-1 seeds run as one ``detect`` batch, then its
+    pairs in lockstep ``fuzz`` rounds under its own schedule; each
+    report's ``failures`` are its own workload's quarantined tasks.
+    ``phase1_seeds``, ``trials``, ``max_steps`` and ``pairs`` may be
+    :func:`~repro.core.parallel.per_workload` mappings.
+    """
+    schedules = {
+        name: make_schedule(
+            schedule,
+            trials=per_workload(trials, name),
+            trial_budget=trial_budget,
+            time_budget_s=time_budget,
+            seed=base_seed,
+        )
+        for name in workloads
+    }
+    if pairs is None:
+        found = engine.detect(
+            workloads, detector=detector, seeds=phase1_seeds, max_steps=max_steps
+        )
+        phase1 = {
+            name: union_reports(report, program=name)
+            if isinstance(report, dict)
+            else report
+            for name, report in found.items()
+        }
+        pair_lists = {name: report.pairs for name, report in phase1.items()}
+    else:
+        pair_lists = {name: list(per_workload(pairs, name)) for name in workloads}
+        phase1 = {
+            name: RaceReport.from_pairs(pair_list, program=name)
+            for name, pair_list in pair_lists.items()
+        }
+    verdicts = engine.fuzz(
+        workloads,
+        pair_lists,
+        base_seed=base_seed,
+        max_steps=max_steps,
+        schedule=schedules,
+        grades={
+            name: schedulable_grades(phase1[name], pair_lists[name])
+            for name in workloads
+        },
+    )
+    return {
+        name: _emit_funnel(
+            CampaignReport(
+                program=name,
+                phase1=phase1[name],
+                verdicts=verdicts[name],
+                failures=list(engine.failures_by_workload.get(name, ())),
+            )
+        )
+        for name in workloads
+    }
 
 
 def race_directed_test(
@@ -309,17 +377,11 @@ def race_directed_test(
     ``schedule``/``trial_budget``/``time_budget`` are Phase 2's
     trial-allocation policy knobs, and a predictive detector's
     ``schedulable`` grades seed the adaptive schedule's priors.
+    This is :func:`race_directed_campaigns` over one workload.
     """
     _check_detectors(detector)
-    sched = make_schedule(
-        schedule,
-        trials=trials,
-        trial_budget=trial_budget,
-        time_budget_s=time_budget,
-        seed=base_seed,
-    )
-    with _campaign(
-        program,
+    with open_campaign(
+        {program.name: program},
         jobs,
         chunk_size=chunk_size,
         deadline=deadline,
@@ -328,34 +390,20 @@ def race_directed_test(
         faults=faults,
         memory_budget_mb=memory_budget_mb,
         on_progress=on_progress,
-    ) as (engine, name):
-        if pairs is None:
-            phase1 = engine.detect(
-                name, detector=detector, seeds=phase1_seeds, max_steps=max_steps
-            )
-            if isinstance(phase1, dict):
-                phase1 = union_reports(phase1, program=name)
-            pair_list = phase1.pairs
-        else:
-            pair_list = list(pairs)
-            phase1 = RaceReport.from_pairs(pair_list, program=name)
-        verdicts = engine.fuzz(
-            name,
-            pair_list,
+    ) as (engine, [name]):
+        return race_directed_campaigns(
+            engine,
+            [name],
+            detector=detector,
+            phase1_seeds=phase1_seeds,
             trials=trials,
             base_seed=base_seed,
             max_steps=max_steps,
-            schedule=sched,
-            grades=schedulable_grades(phase1, pair_list),
-        )
-        return _emit_funnel(
-            CampaignReport(
-                program=name,
-                phase1=phase1,
-                verdicts=verdicts,
-                failures=list(engine.failures),
-            )
-        )
+            pairs=pairs,
+            schedule=schedule,
+            trial_budget=trial_budget,
+            time_budget=time_budget,
+        )[name]
 
 
 def baseline_exceptions(
@@ -382,9 +430,13 @@ def baseline_exceptions(
     campaign's failure list) instead of aborting the control experiment.
     """
     baseline_scheduler(scheduler)  # reject unknown specs before any run
-    with _campaign(
-        program, jobs, chunk_size=chunk_size, deadline=deadline, retries=retries
-    ) as (engine, name):
+    with open_campaign(
+        {program.name: program},
+        jobs,
+        chunk_size=chunk_size,
+        deadline=deadline,
+        retries=retries,
+    ) as (engine, [name]):
         return engine.baseline(
             name,
             runs=runs,

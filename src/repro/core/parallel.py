@@ -49,11 +49,10 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.detectors import RaceReport, make_detectors
 from repro.obs import ProgressUpdate, maybe_telemetry, span
@@ -62,13 +61,10 @@ from repro.runtime.interpreter import Execution
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .results import PairVerdict
+from .results import PairVerdict, TaskFailure
 from .schedule import CampaignSchedule, chunk_spans, make_schedule
 from .schedulers import RandomScheduler
-from .supervisor import CampaignSupervisor, resolve_jobs
-
-T = TypeVar("T")
-R = TypeVar("R")
+from .supervisor import CampaignSupervisor, SupervisorReport
 
 
 def pair_span_name(pair: StatementPair) -> str:
@@ -147,37 +143,49 @@ class FuzzTask:
     max_steps: int = 1_000_000
 
 
-#: the caller's program that inline task bodies run (see inline_program).
-_INLINE_PROGRAM: ContextVar[Program | None] = ContextVar(
-    "inline_program", default=None
+#: the caller's programs, by workload name, that inline task bodies run
+#: (see inline_program).
+_INLINE_PROGRAMS: ContextVar[Mapping[str, Program]] = ContextVar(
+    "inline_programs", default={}
 )
 
 
 @contextmanager
-def inline_program(program: Program):
-    """Run inline tasks addressed to ``program.name`` on ``program`` itself.
+def inline_program(programs: Mapping[str, Program]):
+    """Run inline tasks addressed to a name in ``programs`` on its program.
 
     Task specs carry a workload name so they stay picklable; in this
-    process, while the block runs, that name resolves to the caller's
+    process, while the block runs, each name resolves to the caller's
     live program instead of a registry rebuild, so a ``jobs=1`` campaign
     needs no registered workload.  Bind it only around an engine that
     starts no pool: pool workers resolve names through the registry.
     """
-    token = _INLINE_PROGRAM.set(program)
+    token = _INLINE_PROGRAMS.set(dict(programs))
     try:
         yield
     finally:
-        _INLINE_PROGRAM.reset(token)
+        _INLINE_PROGRAMS.reset(token)
 
 
 def _build_workload(name: str):
-    """The program a task names: the inline program, else a registry build."""
-    live = _INLINE_PROGRAM.get()
-    if live is not None and live.name == name:
+    """The program a task names: an inline program, else a registry build."""
+    live = _INLINE_PROGRAMS.get().get(name)
+    if live is not None:
         return live
     from repro import workloads  # deferred: keep core importable alone
 
     return workloads.get(name).build()
+
+
+def per_workload(value, name: str):
+    """``name``'s share of an argument of a call over several workloads:
+    ``value[name]`` for a ``{workload: value}`` mapping, else ``value``."""
+    return value[name] if isinstance(value, Mapping) else value
+
+
+def _workload_names(workload: str | Sequence[str]) -> list[str]:
+    """The workload names of an engine call: one name, or several."""
+    return [workload] if isinstance(workload, str) else list(workload)
 
 
 def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
@@ -282,41 +290,6 @@ def fuzz_task_key(task: FuzzTask) -> str:
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
-def pool_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int | None = None,
-    *,
-    on_progress: Callable[[int, int], None] | None = None,
-) -> list[R]:
-    """Order-preserving process-pool map; ``jobs=1`` runs inline.
-
-    The harness modules (Table 1 rows, the Figure 2 sweep) use this for
-    coarse-grained fan-out where every task is one independent measurement
-    and results are consumed positionally.  ``on_progress(done, total)``
-    fires as tasks complete (completion order; results still merge in
-    submission order).
-    """
-    jobs = resolve_jobs(jobs)
-    total = len(items)
-    if jobs == 1 or total <= 1:
-        results = []
-        for index, item in enumerate(items):
-            results.append(fn(item))
-            if on_progress is not None:
-                on_progress(index + 1, total)
-        return results
-    with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-        if on_progress is None:
-            return list(pool.map(fn, items))
-        futures = [pool.submit(fn, item) for item in items]
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-            on_progress(total - len(outstanding), total)
-        return [future.result() for future in futures]
-
-
 # --------------------------------------------------------------------- #
 # The campaign engine.
 # --------------------------------------------------------------------- #
@@ -343,8 +316,12 @@ class ParallelCampaign(CampaignSupervisor):
         on_progress: called with a :class:`~repro.obs.ProgressUpdate`
             each time a task settles.
 
-    Quarantined tasks accumulate on :attr:`failures` (and, for fuzz
-    chunks, on the owning verdict's ``errors``).
+    :meth:`detect`, :meth:`baseline` and :meth:`fuzz` take one workload
+    name, or several whose tasks then share each batch.
+
+    Quarantined tasks accumulate on :attr:`failures` and, by the task's
+    workload, on :attr:`failures_by_workload` (and, for fuzz chunks, on
+    the owning verdict's ``errors``).
     """
 
     def __init__(
@@ -357,6 +334,15 @@ class ParallelCampaign(CampaignSupervisor):
         super().__init__(**supervision)
         self.chunk_size = _validate_chunk_size(chunk_size)
         self.on_progress = on_progress
+        self.failures_by_workload: dict[str, list[TaskFailure]] = {}
+
+    def supervise(self, fn: str, tasks, **options) -> SupervisorReport:
+        """Supervise one batch, filing each quarantine under its workload."""
+        report = super().supervise(fn, tasks, **options)
+        for failure in report.failures:
+            workload = tasks[failure.index].workload
+            self.failures_by_workload.setdefault(workload, []).append(failure)
+        return report
 
     def _settle_hooks(
         self,
@@ -405,7 +391,7 @@ class ParallelCampaign(CampaignSupervisor):
 
     def detect(
         self,
-        workload: str,
+        workload: str | Sequence[str],
         *,
         detector: "str | Sequence[str]" = "hybrid",
         seeds: Sequence[int] = (0, 1, 2),
@@ -426,26 +412,33 @@ class ParallelCampaign(CampaignSupervisor):
         :class:`RaceReport`).  ``trace_dir``/``compress``/``store_quota``
         send every seed through the trace store there (see
         :class:`DetectTask`).
+
+        For a sequence of ``workload`` names, ``seeds`` and
+        ``max_steps`` may be :func:`per_workload` mappings and the
+        result is ``{workload: result}``.
         """
         single = isinstance(detector, str)
-        names: tuple[str, ...] = (detector,) if single else tuple(detector)
-        if not names:
+        detectors: tuple[str, ...] = (detector,) if single else tuple(detector)
+        if not detectors:
             raise ValueError("detect needs at least one detector")
-        seed_list = list(seeds)
-        if not seed_list:
-            raise ValueError("detect needs at least one seed")
-        tasks = [
-            DetectTask(
-                workload=workload,
-                seed=seed,
-                detectors=names,
-                max_steps=max_steps,
-                trace_dir=None if trace_dir is None else str(trace_dir),
-                compress=compress,
-                store_quota=store_quota,
+        workloads = _workload_names(workload)
+        tasks = []
+        for name in workloads:
+            seed_list = list(per_workload(seeds, name))
+            if not seed_list:
+                raise ValueError("detect needs at least one seed")
+            tasks.extend(
+                DetectTask(
+                    workload=name,
+                    seed=seed,
+                    detectors=detectors,
+                    max_steps=per_workload(max_steps, name),
+                    trace_dir=None if trace_dir is None else str(trace_dir),
+                    compress=compress,
+                    store_quota=store_quota,
+                )
+                for seed in seed_list
             )
-            for seed in seed_list
-        ]
         with span("phase1.detect"):
             report = self.supervise(
                 "detect",
@@ -456,40 +449,47 @@ class ParallelCampaign(CampaignSupervisor):
         # Quarantined seeds lose their coverage contribution (recorded on
         # `failures`) but never abort the phase.
         merged = {
-            name: RaceReport(program=workload, detector=name) for name in names
+            name: {d: RaceReport(program=name, detector=d) for d in detectors}
+            for name in workloads
         }
-        for result in report.results:  # seed order
+        for task, result in zip(tasks, report.results):  # seed order
             if result is not None:
-                for name in names:
-                    merged[name].merge(result[name])
-        return merged[detector] if single else merged
+                for d in detectors:
+                    merged[task.workload][d].merge(result[d])
+        if single:
+            merged = {name: reports[detector] for name, reports in merged.items()}
+        return merged[workload] if isinstance(workload, str) else merged
 
     # -- baseline (passive-scheduler control) -------------------------- #
 
     def baseline(
         self,
-        workload: str,
+        workload: str | Sequence[str],
         *,
         runs: int = 100,
         scheduler: str = "default",
         base_seed: int = 0,
         max_steps: int = 1_000_000,
-    ) -> Counter:
+    ) -> "Counter | dict[str, Counter]":
         """Chunked passive-scheduler control runs; summed crash counter.
 
         Counter addition is commutative, so the merged tally is the same
         at every ``jobs`` value for whatever chunks completed; quarantined
         chunks drop their runs (recorded on :attr:`failures`) instead of
-        sinking the control experiment.
+        sinking the control experiment.  For several workloads,
+        ``max_steps`` may be :func:`per_workload` and the result is
+        ``{workload: counter}``.
         """
+        workloads = _workload_names(workload)
         tasks = [
             BaselineTask(
-                workload=workload,
+                workload=name,
                 scheduler=scheduler,
                 seed_start=start,
                 count=count,
-                max_steps=max_steps,
+                max_steps=per_workload(max_steps, name),
             )
+            for name in workloads
             for start, count in chunk_spans(base_seed, runs, self.chunk_size)
         ]
         with span("baseline"):
@@ -499,17 +499,17 @@ class ParallelCampaign(CampaignSupervisor):
                 validate=lambda task, r: isinstance(r, Counter),
                 on_settle=self._settle_hooks("baseline")(tasks),
             )
-        crashes: Counter = Counter()
-        for result in report.results:
+        crashes = {name: Counter() for name in workloads}
+        for task, result in zip(tasks, report.results):
             if result is not None:
-                crashes.update(result)
-        return crashes
+                crashes[task.workload].update(result)
+        return crashes[workload] if isinstance(workload, str) else crashes
 
     # -- Phase 2 ------------------------------------------------------- #
 
     def fuzz(
         self,
-        workload: str,
+        workload: str | Sequence[str],
         pairs: Iterable[StatementPair],
         *,
         trials: int = 100,
@@ -517,7 +517,7 @@ class ParallelCampaign(CampaignSupervisor):
         max_steps: int = 1_000_000,
         schedule: str | CampaignSchedule | None = None,
         grades: "Sequence[bool | None] | None" = None,
-    ) -> dict[StatementPair, PairVerdict]:
+    ) -> "dict[StatementPair, PairVerdict] | dict[str, dict]":
         """Fuzz every pair under a trial-allocation policy; merge verdicts.
 
         ``schedule`` picks the allocation policy (see
@@ -536,39 +536,64 @@ class ParallelCampaign(CampaignSupervisor):
         round, and posterior updates are commutative, so aggregates are
         the same at every ``jobs`` value for one seed set and schedule
         (except wall-clock sums, which are measured).
+
+        For a sequence of ``workload`` names, ``pairs`` is a ``{workload:
+        pairs}`` mapping, ``schedule`` (one instance per workload),
+        ``grades`` and ``max_steps`` may be :func:`per_workload` mappings,
+        and the result is ``{workload: verdicts}``.  Each batch holds the
+        next round of every workload whose schedule still issues one, so
+        each schedule sees exactly the results it would see alone.
         """
-        pair_list = list(pairs)
-        sched = make_schedule(schedule, trials=trials)
-        sched.bind(
-            pair_list,
-            base_seed=base_seed,
-            chunk_size=self.chunk_size,
-            grades=grades,
-        )
-        verdicts: dict[StatementPair, PairVerdict] = {
-            pair: PairVerdict(pair=pair) for pair in pair_list
+        workloads = _workload_names(workload)
+        pair_lists = {name: list(per_workload(pairs, name)) for name in workloads}
+        schedules = {
+            name: make_schedule(per_workload(schedule, name), trials=trials)
+            for name in workloads
         }
-        confirmed: set[StatementPair] = set()  # progress display
+        for name, sched in schedules.items():
+            sched.bind(
+                pair_lists[name],
+                base_seed=base_seed,
+                chunk_size=self.chunk_size,
+                grades=per_workload(grades, name),
+            )
+        verdicts = {
+            name: {pair: PairVerdict(pair=pair) for pair in pair_list}
+            for name, pair_list in pair_lists.items()
+        }
+        live = dict(schedules)  # workloads whose schedule still issues rounds
+        confirmed: set[tuple[str, StatementPair]] = set()  # progress display
         hook = self._settle_hooks(
-            "fuzz", planned=sched.planned_chunks, confirms=lambda: len(confirmed)
+            "fuzz",
+            planned=lambda: sum(sched.planned_chunks() for sched in live.values()),
+            confirms=lambda: len(confirmed),
         )
         with span("phase2.fuzz"):
-            while batch := sched.next_batch():
+            while True:
+                chunks = []
+                for name in list(live):
+                    batch = live[name].next_batch()
+                    if not batch:
+                        del live[name]
+                    chunks.extend((name, chunk) for chunk in batch)
+                if not chunks:
+                    break
                 tasks = [
                     FuzzTask(
-                        workload=workload,
-                        pair=pair_list[chunk.pair_index],
+                        workload=name,
+                        pair=pair_lists[name][chunk.pair_index],
                         seed_start=chunk.seed_start,
                         count=chunk.count,
-                        max_steps=max_steps,
+                        max_steps=per_workload(max_steps, name),
                     )
-                    for chunk in batch
+                    for name, chunk in chunks
                 ]
 
                 def record(index: int, verdict: PairVerdict) -> None:
-                    sched.record(batch[index], verdict)
+                    name, chunk = chunks[index]
+                    schedules[name].record(chunk, verdict)
                     if verdict.times_created:
-                        confirmed.add(tasks[index].pair)
+                        confirmed.add((name, tasks[index].pair))
 
                 report = self.supervise(
                     "fuzz",
@@ -583,10 +608,11 @@ class ParallelCampaign(CampaignSupervisor):
                 )
                 for task, verdict in zip(tasks, report.results):  # submission order
                     if verdict is not None:
-                        verdicts[task.pair].merge(verdict)
+                        verdicts[task.workload][task.pair].merge(verdict)
                 for failure in report.failures:
-                    verdicts[tasks[failure.index].pair].errors.append(failure)
-        return verdicts
+                    task = tasks[failure.index]
+                    verdicts[task.workload][task.pair].errors.append(failure)
+        return verdicts[workload] if isinstance(workload, str) else verdicts
 
 
 __all__ = [
@@ -599,7 +625,6 @@ __all__ = [
     "run_baseline_task",
     "fuzz_task_key",
     "inline_program",
-    "pool_map",
+    "per_workload",
     "pair_span_name",
-    "resolve_jobs",
 ]

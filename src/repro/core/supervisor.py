@@ -32,9 +32,10 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    campaign moves on.  One poisoned (pair, seed-chunk) can never sink the
    other pairs' verdicts.
 5. **Checkpoint/resume** — completed task results are journaled to an
-   append-only JSONL file (:class:`CheckpointJournal`).  A restarted
-   campaign skips already-journaled task keys and merges their cached
-   results, preserving the deterministic seed-order merge.
+   append-only JSONL file with a CRC per record
+   (:class:`CheckpointJournal`).  A restarted campaign skips
+   already-journaled task keys and merges their cached results,
+   preserving the deterministic seed-order merge.
 
 The campaign engine, :class:`~repro.core.parallel.ParallelCampaign`, *is*
 a :class:`CampaignSupervisor`: it inherits every setting above and adds
@@ -54,6 +55,7 @@ import signal
 import sys
 import threading
 import time
+import zlib
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -292,15 +294,23 @@ def _classify_failure(
     return "crash", f"{type(exc).__name__}: {exc}"
 
 
+def _crc(key: str, result: Any) -> int:
+    """The CRC32 a journal record carries, over its key and result."""
+    body = json.dumps({"key": key, "result": result}, separators=(",", ":"))
+    return zlib.crc32(body.encode())
+
+
 class CheckpointJournal:
     """Append-only JSONL journal of completed task results.
 
-    Each line is ``{"key": <task key>, "result": <encoded result>}``.
-    Records are written with a single ``os.write`` on an ``O_APPEND`` fd,
-    so concurrent appenders (e.g. Table-1 rows in worker processes
-    sharing one journal) cannot interleave a record, and a campaign
-    killed mid-write leaves at most one torn *trailing* line — which
-    :meth:`load` skips, sacrificing that one task, not the journal.
+    Each line is ``{"key": <task key>, "result": <encoded result>,
+    "crc": <CRC32>}``, where the CRC covers the compact JSON of the key
+    and result.  The supervising parent is the one writer: it appends
+    each record with a single ``os.write`` on an ``O_APPEND`` fd, so a
+    campaign killed mid-write leaves at most one torn *trailing* line.
+    :meth:`load` skips a torn line, and a record whose CRC is missing
+    or does not match, sacrificing that one task, not the journal: a
+    damaged record re-runs instead of being reused.
     """
 
     def __init__(self, path) -> None:
@@ -312,11 +322,11 @@ class CheckpointJournal:
     def load(self) -> dict[str, Any]:
         """All well-formed journaled records, keyed by task key.
 
-        Unreadable lines are skipped (last-wins on duplicate keys), but
-        never silently: the count lands in :attr:`skipped_lines`, the
-        ``supervisor.journal_skipped`` metric, and a recovery note on
-        stderr, so a journal quietly losing lines to torn writes is
-        visible long before the data matters.
+        Unreadable lines and CRC mismatches are skipped (last-wins on
+        duplicate keys), but never silently: the count lands in
+        :attr:`skipped_lines`, the ``supervisor.journal_skipped`` metric,
+        and a recovery note on stderr, so a journal quietly losing lines
+        to torn writes or damage is visible long before the data matters.
         """
         records: dict[str, Any] = {}
         skipped = 0
@@ -335,10 +345,14 @@ class CheckpointJournal:
                 except json.JSONDecodeError:
                     skipped += 1  # torn write from a killed run
                     continue
-                if isinstance(record, dict) and "key" in record:
+                if (
+                    isinstance(record, dict)
+                    and "key" in record
+                    and record.get("crc") == _crc(record["key"], record.get("result"))
+                ):
                     records[record["key"]] = record.get("result")
                 else:
-                    skipped += 1  # parseable but not a journal record
+                    skipped += 1  # not a journal record, or damaged
         self.skipped_lines = skipped
         if skipped:
             t = maybe_telemetry()
@@ -357,7 +371,8 @@ class CheckpointJournal:
             self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
-        line = json.dumps({"key": key, "result": result}, separators=(",", ":"))
+        record = {"key": key, "result": result, "crc": _crc(key, result)}
+        line = json.dumps(record, separators=(",", ":"))
         os.write(self._fd, line.encode("utf-8") + b"\n")
 
     def close(self) -> None:

@@ -13,6 +13,9 @@ For each benchmark this measures, with the same protocol as Section 5.2:
   (the paper ran RaceFuzzer 100 times per pair; so does this, unless
   ``trials`` is overridden).
 
+Every row's tasks run on one supervised
+:class:`~repro.core.parallel.ParallelCampaign` (see :func:`build_table`).
+
 Run ``repro table1 [--trials N] [--quick] [names...]`` (or
 ``python -m repro.harness.table1 ...``) for the full table.
 """
@@ -24,15 +27,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.core import (
-    RandomScheduler,
-    baseline_exceptions,
-    pool_map,
-    race_directed_test,
-)
+from repro.core import RandomScheduler
+from repro.core.driver import open_campaign, race_directed_campaigns
 from repro.core.results import CampaignReport
 from repro.detectors import HybridRaceDetector
-from repro.obs import TelemetrySnapshot, collecting, maybe_telemetry
 from repro.runtime import Execution
 from repro.workloads.base import WorkloadSpec, table1_workloads
 
@@ -55,9 +53,6 @@ class Table1Row:
     probability: float | None
     deadlocks_found: int
     campaign: CampaignReport = field(repr=False, default=None)
-    #: the row's own telemetry snapshot, when the table run has telemetry
-    #: on (rows measure in worker processes, so each carries its share home).
-    metrics: TelemetrySnapshot | None = field(repr=False, default=None)
 
     @property
     def name(self) -> str:
@@ -104,16 +99,49 @@ def measure_row(
     trial_budget: int | None = None,
     time_budget: float | None = None,
 ) -> Table1Row:
-    """Run the full two-phase protocol for one benchmark.
+    """Run the full two-phase protocol for one benchmark: a one-row,
+    inline :func:`build_table`."""
+    return build_table(
+        [spec],
+        trials=trials,
+        timing_runs=timing_runs,
+        baseline_runs=baseline_runs,
+        checkpoint=checkpoint,
+        schedule=schedule,
+        trial_budget=trial_budget,
+        time_budget=time_budget,
+    )[0]
 
-    The row's campaign is one :func:`~repro.core.race_directed_test`
-    call, so its ``failures`` carry every quarantined task of either
-    phase, as on ``repro fuzz``.
+
+def build_table(
+    specs: list[WorkloadSpec] | None = None,
+    *,
+    jobs: int = 1,
+    on_progress=None,
+    trials: int | None = None,
+    timing_runs: int = 5,
+    baseline_runs: int = 100,
+    checkpoint: str | None = None,
+    schedule: str | None = None,
+    trial_budget: int | None = None,
+    time_budget: float | None = None,
+) -> list[Table1Row]:
+    """Measure every row on one supervised engine.
+
+    Every row's Phase-1 seeds run as one batch, every row's pairs as
+    lockstep rounds under per-row schedules (see
+    :func:`~repro.core.driver.race_directed_campaigns`), then every
+    row's baseline chunks as one batch, on ``jobs`` worker processes.
+    A quarantined detect or fuzz task lands on its own row's
+    ``campaign.failures`` and the table still finishes.  The Normal and Hybrid timing runs follow
+    in this process once the pool is shut down; every other column is
+    the same at every ``jobs``.  ``on_progress`` receives the engine's
+    :class:`~repro.obs.ProgressUpdate` for each settled task.
 
     ``checkpoint`` journals completed Phase-2 chunks to an append-only
-    JSONL file (chunk keys embed the workload name, so all rows can
-    share one journal); a killed table run restarted with the same path
-    skips the fuzzing work it already finished.
+    JSONL file (chunk keys embed the workload name, so all rows share
+    one journal); a killed table run restarted with the same path skips
+    the fuzzing work it already finished.
 
     ``schedule``/``trial_budget``/``time_budget`` pick the Phase-2
     trial-allocation policy (see :mod:`repro.core.schedule`).  The
@@ -121,26 +149,42 @@ def measure_row(
     whose probability column is comparable to Table 1 — the adaptive
     schedule deliberately truncates hopeless pairs' trial counts, so use
     it for race *discovery* runs, not for reproducing the paper's
-    numbers.
+    numbers.  Rows fuzz side by side, so each row's ``time_budget``
+    clock also runs while other rows' chunks execute.
     """
-    campaign = race_directed_test(
-        spec.build(),
-        phase1_seeds=spec.phase1_seeds,
-        trials=trials if trials is not None else spec.trials,
-        max_steps=spec.max_steps,
+    specs = specs if specs is not None else table1_workloads()
+    max_steps = {spec.name: spec.max_steps for spec in specs}
+    with open_campaign(
+        {spec.name: spec.build() for spec in specs},
+        jobs,
         checkpoint=checkpoint,
-        schedule=schedule,
-        trial_budget=trial_budget,
-        time_budget=time_budget,
-    )
-    simple = baseline_exceptions(
-        spec.build(), runs=baseline_runs, scheduler="default",
-        max_steps=spec.max_steps,
-    )
+        on_progress=on_progress,
+    ) as (engine, names):
+        campaigns = race_directed_campaigns(
+            engine,
+            names,
+            phase1_seeds={spec.name: spec.phase1_seeds for spec in specs},
+            trials={
+                spec.name: spec.trials if trials is None else trials
+                for spec in specs
+            },
+            max_steps=max_steps,
+            schedule=schedule,
+            trial_budget=trial_budget,
+            time_budget=time_budget,
+        )
+        simple = engine.baseline(names, runs=baseline_runs, max_steps=max_steps)
+    return [
+        _row(spec, campaigns[spec.name], simple[spec.name], timing_runs)
+        for spec in specs
+    ]
+
+
+def _row(spec, campaign, simple, timing_runs: int) -> Table1Row:
+    """One row's columns from its campaign, its baseline and its timings."""
     verdicts = campaign.verdicts.values()
     rf_wall = sum(v.total_wall for v in verdicts)
     rf_trials = sum(v.trials for v in verdicts)
-    deadlocks = sum(v.deadlocks for v in verdicts)
     return Table1Row(
         spec=spec,
         sloc=_count_module_sloc(spec),
@@ -152,64 +196,9 @@ def measure_row(
         harmful=len(campaign.harmful_pairs),
         exceptions_simple=len([t for t in simple if t != "Deadlock"]),
         probability=campaign.mean_probability() if campaign.real_pairs else None,
-        deadlocks_found=deadlocks,
+        deadlocks_found=sum(v.deadlocks for v in verdicts),
         campaign=campaign,
     )
-
-
-def _measure_row_task(payload: tuple) -> Table1Row:
-    """Worker entrypoint: measure one row, addressed by workload name.
-
-    The spec is dropped from the returned row because some registry specs
-    hold closure build functions that cannot cross the process boundary;
-    the parent reattaches its own copy.  With ``collect`` the row measures
-    under its own telemetry and carries the snapshot home — workers don't
-    inherit the parent's telemetry, so this is how per-row telemetry
-    crosses the process boundary.
-    """
-    from repro.workloads.base import get
-
-    name, kwargs, collect = payload
-    if not collect:
-        row = measure_row(get(name), **kwargs)
-    else:
-        with collecting() as telemetry:
-            row = measure_row(get(name), **kwargs)
-        row.metrics = telemetry.snapshot()
-    row.spec = None
-    return row
-
-
-def build_table(
-    specs: list[WorkloadSpec] | None = None,
-    *,
-    jobs: int = 1,
-    on_progress=None,
-    **kwargs,
-) -> list[Table1Row]:
-    """Measure every row; ``jobs=N`` measures rows in worker processes.
-
-    Row-level parallelism keeps each row's protocol (and its seed
-    discipline) untouched, so the numbers match a serial run — apart from
-    the wall-clock columns, which measure a now-contended machine.
-
-    With telemetry on, every row carries a
-    :class:`~repro.obs.TelemetrySnapshot` that is merged into the
-    caller's telemetry, in row order, so serial and parallel table runs
-    report identical counters.  ``on_progress(done, total)`` fires as
-    rows finish.
-    """
-    specs = specs if specs is not None else table1_workloads()
-    telemetry = maybe_telemetry()
-    payloads = [(spec.name, kwargs, telemetry is not None) for spec in specs]
-    rows = pool_map(
-        _measure_row_task, payloads, jobs=jobs, on_progress=on_progress
-    )
-    for spec, row in zip(specs, rows):
-        row.spec = spec
-        if telemetry is not None:
-            telemetry.merge_snapshot(row.metrics)
-    return rows
 
 
 def render_measured(rows: list[Table1Row]) -> str:

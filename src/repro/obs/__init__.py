@@ -9,8 +9,8 @@ The package every other layer is instrumented against:
   :func:`maybe_telemetry`).  Off by default: every instrumented site
   then costs one ``None``-check.
 * :mod:`repro.obs.report` — the versioned JSON run report
-  (``--metrics-out``), the one telemetry document: schema validation,
-  Prometheus text rendering, and the ``repro stats`` table renderer.
+  (``--metrics-out``), the one telemetry document: schema validation
+  and the ``repro stats`` table renderer.
 * :mod:`repro.obs.timeline` — the run report's ``timeline`` section
   (every event, display fields included), its deterministic projection
   (the serial == ``--jobs N`` == resumed equality surface), and per-pair
@@ -40,7 +40,6 @@ from .report import (
     REQUIRED_COUNTERS,
     environment_metadata,
     load_run_report,
-    render_prometheus,
     render_stats_table,
     validate_run_report,
     write_run_report,
@@ -73,7 +72,6 @@ __all__ = [
     "REQUIRED_COUNTERS",
     "environment_metadata",
     "load_run_report",
-    "render_prometheus",
     "render_stats_table",
     "validate_run_report",
     "write_run_report",

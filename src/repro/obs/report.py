@@ -6,8 +6,8 @@ campaign's :class:`~repro.obs.telemetry.TelemetrySnapshot` and its
 ``timeline`` section, which carries every event with its display fields.
 CI smoke jobs validate emitted reports against
 :func:`validate_run_report`; humans read them back via ``repro stats``
-(:func:`render_stats_table`), ``repro trace-export`` and ``repro dash``,
-or scrape them via :func:`render_prometheus`.  The serial == ``--jobs
+(:func:`render_stats_table`), ``repro trace-export`` and ``repro dash``.
+The serial == ``--jobs
 N`` == resumed equality surface is the projection
 :func:`~repro.obs.timeline.deterministic_section` of the snapshot
 :func:`snapshot_from_report` recovers.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import re
 from typing import Any, Mapping
 
 from .telemetry import TelemetrySnapshot
@@ -230,67 +229,10 @@ def validate_run_report(report: Any) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
-def _metric_name(name: str) -> str:
-    return "repro_" + re.sub(r"[^a-zA-Z0-9_]", "_", name)
-
-
 def _format_value(value: float) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-def _escape_label(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format:
-    backslash, double quote, and line feed (a raw newline would truncate
-    the sample line and corrupt every series after it)."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def render_prometheus(report: Mapping) -> str:
-    """The report in Prometheus text exposition format.
-
-    Counters and gauges become one series each; histograms follow the
-    cumulative ``_bucket{le=...}`` convention; spans export as
-    ``repro_span_seconds_*`` series labelled by span name.
-    """
-    lines: list[str] = []
-    for name, value in sorted(report.get("counters", {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in sorted(report.get("gauges", {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(value)}")
-    for name, h in sorted(report.get("histograms", {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(h["bounds"], h["counts"]):
-            cumulative += count
-            lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
-        cumulative += h["counts"][-1]
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_format_value(h['total'])}")
-        lines.append(f"{metric}_count {h['count']}")
-    spans = sorted(report.get("spans", {}).items())
-    if spans:
-        lines.append("# TYPE repro_span_seconds_count counter")
-        lines.append("# TYPE repro_span_seconds_sum counter")
-        lines.append("# TYPE repro_span_seconds_max gauge")
-    for name, s in spans:
-        label = _escape_label(name)
-        lines.append(f'repro_span_seconds_count{{span="{label}"}} {s["count"]}')
-        lines.append(
-            f'repro_span_seconds_sum{{span="{label}"}} {_format_value(s["total_s"])}'
-        )
-        lines.append(
-            f'repro_span_seconds_max{{span="{label}"}} {_format_value(s["max_s"])}'
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _render_section(title: str, headers: list[str], rows: list[list]) -> str:
@@ -380,6 +322,5 @@ __all__ = [
     "load_run_report",
     "snapshot_from_report",
     "validate_run_report",
-    "render_prometheus",
     "render_stats_table",
 ]

@@ -1,11 +1,13 @@
-"""CheckpointJournal recovery: torn lines and duplicate keys.
+"""CheckpointJournal recovery: torn lines, damaged records, duplicate keys.
 
 A journal is only as good as its failure story: a campaign killed
-mid-write leaves a torn line, a resumed campaign appends duplicate keys,
-and both must be survivable *and visible* (ISSUE 7, satellite S2/S3).
+mid-write leaves a torn line, a record changed on disk fails its CRC, a
+resumed campaign appends duplicate keys, and all must be survivable
+*and visible*.
 """
 
 import json
+import zlib
 
 from repro.core.supervisor import CheckpointJournal
 from repro.obs import collecting
@@ -18,7 +20,9 @@ def _journal(tmp_path, lines):
 
 
 def _record(key, result):
-    return json.dumps({"key": key, "result": result}) + "\n"
+    body = json.dumps({"key": key, "result": result}, separators=(",", ":"))
+    crc = zlib.crc32(body.encode())
+    return json.dumps({"key": key, "result": result, "crc": crc}) + "\n"
 
 
 class TestLoad:
@@ -62,6 +66,26 @@ class TestLoad:
             tmp_path, [_record("a", 1), _record("b", 5), _record("a", 2)],
         )
         assert journal.load() == {"a": 2, "b": 5}
+
+    def test_record_without_crc_is_skipped(self, tmp_path):
+        journal, _ = _journal(
+            tmp_path,
+            [_record("a", 1), json.dumps({"key": "b", "result": 2}) + "\n"],
+        )
+        assert journal.load() == {"a": 1}
+        assert journal.skipped_lines == 1
+
+    def test_changed_record_fails_its_crc(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.append("a", {"created": 0})
+        journal.append("b", {"created": 0})
+        journal.close()
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"created":0', '"created":1')
+        path.write_text("\n".join(lines) + "\n")
+        assert journal.load() == {"a": {"created": 0}}
+        assert journal.skipped_lines == 1
 
     def test_blank_lines_are_not_counted_as_torn(self, tmp_path):
         journal, _ = _journal(tmp_path, [_record("a", 1), "\n", "\n"])

@@ -1,5 +1,7 @@
 """Table 1 harness: one full row measured end-to-end, and rendering."""
 
+import os
+
 import pytest
 
 from repro.core import parallel
@@ -11,6 +13,17 @@ from repro.harness.table1 import (
     render_measured,
 )
 from repro.workloads import figure1, get
+
+
+def _columns(row):
+    """A row's deterministic columns (everything but the timings)."""
+    return (
+        row.potential,
+        row.real,
+        row.harmful,
+        row.exceptions_simple,
+        row.probability,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +67,34 @@ class TestMeasureRow:
             figure1.REAL_PAIR,
             figure1.FALSE_PAIR,
         }
+
+    def test_worker_death_is_quarantined_on_its_row(self, monkeypatch):
+        """A worker that dies in one row's fuzz chunk costs that row the
+        chunk, never the table: the pool death halves ``jobs=2`` to
+        inline, the chunk's inline retries raise, and it is quarantined
+        on its own row while every other row equals a clean run."""
+        specs = [get("figure1"), get("vector")]
+        sizes = dict(trials=4, baseline_runs=2, timing_runs=1)
+        clean = build_table(specs, jobs=2, **sizes)
+        run_fuzz_task = parallel.run_fuzz_task
+        parent = os.getpid()
+
+        def dies_on_figure1_false_pair(task):
+            if task.workload == "figure1" and task.pair == figure1.FALSE_PAIR:
+                if os.getpid() != parent:
+                    os._exit(1)
+                raise RuntimeError("injected fuzz failure")
+            return run_fuzz_task(task)
+
+        monkeypatch.setattr(parallel, "run_fuzz_task", dies_on_figure1_false_pair)
+        rows = build_table(specs, jobs=2, **sizes)
+        assert [row.name for row in rows] == ["figure1", "vector"]
+        assert _columns(rows[1]) == _columns(clean[1])
+        assert not rows[1].campaign.failures
+        campaign = rows[0].campaign
+        assert [failure.phase for failure in campaign.failures] == ["fuzz"]
+        assert campaign.verdict_for(figure1.FALSE_PAIR).errors == campaign.failures
+        assert campaign.real_pairs == [figure1.REAL_PAIR]
 
     def test_timing_shape(self, raytracer_row):
         """The paper's qualitative timing claim: hybrid instrumentation

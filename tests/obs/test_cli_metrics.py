@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import main
-from repro.obs import REQUIRED_COUNTERS, validate_run_report
+from repro.obs import validate_run_report
 
 
 def _load(path):
@@ -100,13 +100,6 @@ class TestStats:
         assert "command: fuzz" in text
         assert "fuzz.trials" in text
         assert "spans (seconds)" in text
-
-    def test_stats_prometheus(self, tmp_path, capsys):
-        out = self._report(tmp_path, capsys)
-        assert main(["stats", str(out), "--prometheus"]) == 0
-        text = capsys.readouterr().out
-        for key in REQUIRED_COUNTERS:
-            assert "repro_" + key.replace(".", "_") in text
 
     def test_stats_rejects_missing_file(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.json")]) == 2

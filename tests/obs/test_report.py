@@ -9,7 +9,6 @@ from repro.obs.report import (
     build_run_report,
     environment_metadata,
     load_run_report,
-    render_prometheus,
     render_stats_table,
     snapshot_from_report,
     validate_run_report,
@@ -205,37 +204,6 @@ class TestWriteLoad:
 
 
 class TestRender:
-    def test_prometheus_format(self):
-        report = build_run_report(_snapshot(), command="fuzz")
-        text = render_prometheus(report)
-        assert "# TYPE repro_fuzz_trials counter" in text
-        assert "repro_fuzz_trials 7" in text
-        assert "repro_fuzz_postponed_high_water 2" in text
-        assert 'repro_interp_steps_per_execution_bucket{le="100"} 1' in text
-        assert 'repro_interp_steps_per_execution_bucket{le="+Inf"} 1' in text
-        assert 'repro_span_seconds_count{span="phase2.fuzz"} 1' in text
-        assert text.endswith("\n")
-
-    def test_prometheus_declares_span_series_types(self):
-        text = render_prometheus(build_run_report(_snapshot(), command="fuzz"))
-        assert "# TYPE repro_span_seconds_count counter" in text
-        assert "# TYPE repro_span_seconds_sum counter" in text
-        assert "# TYPE repro_span_seconds_max gauge" in text
-
-    def test_prometheus_escapes_span_labels(self):
-        telemetry = Telemetry()
-        telemetry.inc("fuzz.trials", 1)
-        telemetry.observe_span('odd\nspan"with\\stuff', 0.1)
-        text = render_prometheus(
-            build_run_report(telemetry.snapshot(), command="fuzz")
-        )
-        # Prometheus exposition: \n, " and \ must be escaped inside
-        # label values — a raw newline would split the sample line.
-        assert '{span="odd\\nspan\\"with\\\\stuff"}' in text
-        for line in text.splitlines():
-            if "odd" in line:
-                assert "\n" not in line
-
     def test_stats_table(self):
         report = build_run_report(_snapshot(), command="fuzz", workload="figure1")
         text = render_stats_table(report)

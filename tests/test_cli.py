@@ -220,6 +220,27 @@ class TestFuzz:
         assert capsys.readouterr().out == first
         assert len(open(path).read().splitlines()) == journal_size
 
+    def test_damaged_journal_record_re_runs(self, tmp_path, capsys):
+        """A journal record changed on disk fails its CRC: it is skipped
+        with a note and its chunk re-runs, so a flipped digit can never
+        turn a pair that did not race into a REAL one."""
+        path = tmp_path / "journal.jsonl"
+        args = ["fuzz", "figure1", "--trials", "20", "--checkpoint", str(path)]
+        assert main(args) == 1
+        clean = capsys.readouterr().out
+        lines = path.read_text().splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if '"times_created":0' in line
+        )
+        lines[index] = lines[index].replace(
+            '"times_created":0', '"times_created":1'
+        )
+        path.write_text("\n".join(lines) + "\n")
+        assert main(args) == 1
+        resumed = capsys.readouterr()
+        assert resumed.out == clean
+        assert "skipped 1 torn/malformed line(s)" in resumed.err
+
 
 class TestReplay:
     def test_replay_renders_interleaving(self, capsys):
