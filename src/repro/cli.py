@@ -13,18 +13,17 @@ Commands:
 * ``store``    — trace-store maintenance: ``gc`` enforces a disk budget,
   ``verify`` integrity-checks every entry (optionally quarantining the
   damaged ones);
-* ``stats``    — render a ``--metrics-out`` run report as tables;
+* ``stats``    — render a ``--metrics-out`` run report as tables:
+  counters, the detector funnel and each fuzzed pair's outcome;
 * ``trace-export`` — render a run report's timeline as Chrome
   trace-event JSON for Perfetto / chrome://tracing;
-* ``dash``     — render a run report as a self-contained
-  zero-dependency HTML dashboard;
 * ``table1``   — regenerate Table 1 (:mod:`repro.harness.table1`);
 * ``figure2``  — the Figure 2 probability sweep
   (:mod:`repro.harness.figure2_prob`).
 
 The run report (``--metrics-out``) is the one telemetry document:
-``stats``, ``trace-export`` and ``dash`` all load and validate it
-through one helper.
+``stats`` and ``trace-export`` both load and validate it through one
+helper.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.obs import (
     chrome_trace,
     collecting,
     load_run_report,
-    render_dash,
     render_stats_table,
     validate_run_report,
     write_chrome_trace,
@@ -446,8 +444,8 @@ def _cmd_replay(args) -> int:
 
 
 def _load_report(path) -> dict | None:
-    """Load and validate a run report for ``stats``, ``trace-export`` and
-    ``dash``; prints the problem and returns None on failure."""
+    """Load and validate a run report for ``stats`` and ``trace-export``;
+    prints the problem and returns None on failure."""
     try:
         report = load_run_report(path)
     except (OSError, ValueError) as exc:
@@ -489,20 +487,6 @@ def _cmd_trace_export(args) -> int:
         )
     else:
         print(_json.dumps(chrome_trace(section), indent=1))
-    return 0
-
-
-def _cmd_dash(args) -> int:
-    report = _load_report(args.path)
-    if report is None:
-        return 2
-    html = render_dash(report)
-    if args.out == "-":
-        print(html, end="")
-        return 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(html)
-    print(f"dashboard -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -609,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write a versioned JSON run report of the execution's metrics "
-        "and timeline events (read it with `repro stats`, "
-        "`repro trace-export` or `repro dash`)",
+        "and timeline events (read it with `repro stats` or "
+        "`repro trace-export`)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -803,9 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write a versioned JSON run report of the campaign's metrics "
         "and timeline (trial/chunk spans, schedule rounds with their "
-        "Thompson draws, per-pair posterior updates, task retries and "
-        "quarantines; "
-        "read it with `repro stats`, `repro trace-export` or `repro dash`); "
+        "Thompson draws, per-pair outcomes, task retries and quarantines; "
+        "read it with `repro stats` or `repro trace-export`); "
         "with --checkpoint, a resumed run merges into the prior report",
     )
     fuzz_parser.add_argument(
@@ -877,7 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser.set_defaults(handler=_cmd_store)
 
     stats_parser = commands.add_parser(
-        "stats", help="render a run report's metrics as tables"
+        "stats",
+        help="render a run report as tables: metrics, the detector funnel "
+        "per workload and each fuzzed pair's outcome",
     )
     stats_parser.add_argument("path", help="a --metrics-out run report")
     stats_parser.set_defaults(handler=_cmd_stats)
@@ -895,18 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trace JSON here instead of stdout",
     )
     export_parser.set_defaults(handler=_cmd_trace_export)
-
-    dash_parser = commands.add_parser(
-        "dash", help="render a self-contained HTML campaign dashboard"
-    )
-    dash_parser.add_argument("path", help="a --metrics-out run report")
-    dash_parser.add_argument(
-        "--out",
-        default="dash.html",
-        metavar="FILE",
-        help="output HTML file (default dash.html; '-' for stdout)",
-    )
-    dash_parser.set_defaults(handler=_cmd_dash)
 
     table_parser = commands.add_parser(
         "table1", help="regenerate Table 1 (experiments E1-E5)"
@@ -936,8 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write a versioned JSON run report of the whole table run, "
-        "timeline events included (read it with `repro stats`, "
-        "`repro trace-export` or `repro dash`); with --checkpoint, a "
+        "timeline events included (read it with `repro stats` or "
+        "`repro trace-export`); with --checkpoint, a "
         "resumed run merges into the prior report",
     )
     table_parser.add_argument(

@@ -47,6 +47,7 @@ that module for the semantics; this one stays about *what* a task is and
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -257,7 +258,7 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     if telemetry is not None:
         telemetry.emit(
             "chunk",
-            (pair_label(task.pair), task.seed_start),
+            (task.workload, pair_label(task.pair), task.seed_start),
             {
                 "count": task.count,
                 "trials": verdict.trials,
@@ -267,6 +268,18 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
             dur_s=time.perf_counter() - chunk_t0,
         )
     return verdict
+
+
+#: the ``repro`` package directory, with a trailing separator.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PACKAGE_DIR += os.sep
+
+
+def _key_path(path: str) -> str:
+    """A statement's file as a journal key spells it: relative to the
+    ``repro`` package for a file inside it, so a journal resumes in any
+    checkout; absolute otherwise (native programs, tests)."""
+    return path[len(_PACKAGE_DIR):] if path.startswith(_PACKAGE_DIR) else path
 
 
 def fuzz_task_key(task: FuzzTask) -> str:
@@ -280,8 +293,8 @@ def fuzz_task_key(task: FuzzTask) -> str:
     fields = {
         "workload": task.workload,
         "pair": [
-            [first.file, first.line, first.label],
-            [second.file, second.line, second.label],
+            [_key_path(first.file), first.line, first.label],
+            [_key_path(second.file), second.line, second.label],
         ],
         "seed_start": task.seed_start,
         "count": task.count,
@@ -553,6 +566,7 @@ class ParallelCampaign(CampaignSupervisor):
         for name, sched in schedules.items():
             sched.bind(
                 pair_lists[name],
+                workload=name,
                 base_seed=base_seed,
                 chunk_size=self.chunk_size,
                 grades=per_workload(grades, name),

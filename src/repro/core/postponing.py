@@ -392,7 +392,7 @@ class PostponingDriver:
             # wall/duration ride along for Perfetto export only.
             telemetry.emit(
                 "trial",
-                (self.timeline_target() or program.name, seed),
+                (program.name, self.timeline_target(), seed),
                 {
                     "created": len(fuzz.hits),
                     "postpones": fuzz.postpones,

@@ -128,13 +128,17 @@ class CampaignSchedule:
         self,
         pairs: Sequence[StatementPair],
         *,
+        workload: str = "",
         base_seed: int = 0,
         chunk_size: int = 25,
         grades: Sequence[bool | None] | None = None,
     ) -> None:
         """Attach the campaign's pair list; must precede ``next_batch``.
 
-        ``grades`` optionally aligns a Phase-1 ``schedulable`` grade with
+        ``workload`` names the program the pairs belong to; it leads the
+        key of every timeline event the schedule emits, so the events of
+        campaigns over different workloads never collide.  ``grades``
+        optionally aligns a Phase-1 ``schedulable`` grade with
         each pair (``True`` = graded schedulable, ``False`` = speculative,
         ``None`` = ungraded).  The base policy only records them;
         :class:`AdaptiveSchedule` boosts graded-schedulable priors.
@@ -145,6 +149,7 @@ class CampaignSchedule:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.pairs: list[StatementPair] = list(pairs)
+        self.workload = workload
         self.base_seed = base_seed
         self.chunk_size = chunk_size
         #: per-pair Phase-1 ``schedulable`` grade.
@@ -193,7 +198,9 @@ class CampaignSchedule:
                 ],
             }
             attrs.update(self._round_event_attrs())
-            telemetry.emit("schedule.round", (self.rounds - 1,), attrs)
+            telemetry.emit(
+                "schedule.round", (self.workload, self.rounds - 1), attrs
+            )
         return batch
 
     def record(self, chunk: TrialChunk, verdict) -> None:
@@ -229,9 +236,15 @@ class CampaignSchedule:
         """Timeline: one ``schedule.bind`` summary plus a ``pair.bind``
         per pair, emitted lazily before the first planned round (so
         subclass state — posteriors, finalized budgets — exists)."""
-        telemetry.emit("schedule.bind", (), self._bind_event_attrs())
+        telemetry.emit("schedule.bind", (self.workload,), self._bind_event_attrs())
         for index in range(len(self.pairs)):
-            telemetry.emit("pair.bind", (index,), self._pair_bind_attrs(index))
+            telemetry.emit(
+                "pair.bind", self._pair_key(index), self._pair_bind_attrs(index)
+            )
+
+    def _pair_key(self, index: int) -> tuple[str, str]:
+        """The timeline key of pair ``index``: ``(workload, label)``."""
+        return (self.workload, pair_label(self.pairs[index]))
 
     def _bind_event_attrs(self) -> dict:
         return {
@@ -242,7 +255,9 @@ class CampaignSchedule:
         }
 
     def _pair_bind_attrs(self, index: int) -> dict:
-        attrs = {"pair": pair_label(self.pairs[index])}
+        # The index decodes the ``allocated`` and ``draws`` lists of this
+        # campaign's ``schedule.round`` events.
+        attrs = {"index": index}
         grade = self.grades[index]
         if grade is not None:
             attrs["grade"] = "schedulable" if grade else "speculative"
@@ -376,9 +391,15 @@ class AdaptiveSchedule(CampaignSchedule):
 
     # -- executor surface ----------------------------------------------- #
 
-    def bind(self, pairs, *, base_seed=0, chunk_size=25, grades=None) -> None:
+    def bind(
+        self, pairs, *, workload="", base_seed=0, chunk_size=25, grades=None
+    ) -> None:
         super().bind(
-            pairs, base_seed=base_seed, chunk_size=chunk_size, grades=grades
+            pairs,
+            workload=workload,
+            base_seed=base_seed,
+            chunk_size=chunk_size,
+            grades=grades,
         )
         if self.trials_per_pair is not None:
             self.trial_budget = self.trials_per_pair * len(self.pairs)
@@ -407,23 +428,14 @@ class AdaptiveSchedule(CampaignSchedule):
         post.created += verdict.times_created
         post.alpha += verdict.times_created
         post.beta += verdict.trials - verdict.times_created
-        telemetry = maybe_telemetry()
-        if telemetry is not None:
-            # Deltas, not running totals: feedback arrives in completion
-            # order under --jobs N, so the event must not depend on what
-            # settled before it.  Trajectories are rebuilt by seed order.
-            telemetry.emit(
-                "schedule.posterior",
-                (chunk.pair_index, chunk.seed_start),
-                {"trials": verdict.trials, "created": verdict.times_created},
-            )
         if post.confirmed and not was_confirmed:
             self.confirmed += 1
+            telemetry = maybe_telemetry()
             if telemetry is not None:
                 telemetry.inc("schedule.pairs_confirmed")
                 telemetry.emit(
                     "schedule.stop",
-                    (chunk.pair_index,),
+                    self._pair_key(chunk.pair_index),
                     {"reason": "confirmed"},
                 )
 
@@ -474,7 +486,7 @@ class AdaptiveSchedule(CampaignSchedule):
                     # boundary, so the decision is settle-order-free.
                     telemetry.emit(
                         "schedule.stop",
-                        (index,),
+                        self._pair_key(index),
                         {"reason": "early_stopped"},
                     )
 
@@ -535,11 +547,6 @@ class AdaptiveSchedule(CampaignSchedule):
                 budget_left -= grant
         if budget_left is not None and budget_left <= 0:
             self.budget_exhausted = True
-        telemetry = maybe_telemetry()
-        if telemetry is not None and batch:
-            means = [p.mean() for p in self._posteriors]
-            telemetry.gauge_max("schedule.posterior_mean_max", max(means))
-            telemetry.gauge_max("schedule.budget_spent", float(self.trials_allocated))
         return batch
 
     def _bind_event_attrs(self) -> dict:

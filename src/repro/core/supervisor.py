@@ -22,11 +22,12 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    retry schedules are reproducible (:func:`compute_backoff`).
 3. **Pool-death recovery** — a worker dying (OOM, segfault) breaks the
    whole ``ProcessPoolExecutor``.  The supervisor halves its width,
-   re-queues every unfinished task, charging each one a failed attempt,
-   and rebuilds the pool at the new width.  Width 1 means inline serial
-   execution, where a poisoned task can only hurt itself: a campaign
-   started at ``jobs=N`` runs inline after ⌊log2 N⌋ deaths, for the rest
-   of the current batch and every later one.
+   re-queues every task it had in flight (at most
+   :data:`IN_FLIGHT_PER_WORKER` per worker), charging each one a failed
+   attempt, and rebuilds the pool at the new width.  Width 1 means
+   inline serial execution, where a poisoned task can only hurt itself:
+   a campaign started at ``jobs=N`` runs inline after ⌊log2 N⌋ deaths,
+   for the rest of the current batch and every later one.
 4. **Quarantine** — a task that fails every allowed attempt is recorded
    as a structured :class:`~repro.core.results.TaskFailure` and the
    campaign moves on.  One poisoned (pair, seed-chunk) can never sink the
@@ -400,6 +401,11 @@ class SupervisorReport:
 
 _UNSET = object()
 
+#: futures kept in flight per pool worker: enough to keep every worker
+#: busy while the parent settles a result, few enough that a pool death
+#: charges a failed attempt only to tasks that were actually submitted.
+IN_FLIGHT_PER_WORKER = 2
+
 
 class CampaignSupervisor:
     """Drive a batch of independent tasks to a verdict, no matter what.
@@ -705,7 +711,9 @@ class CampaignSupervisor:
         """Run the batch on the pool; returns tasks left for inline mode.
 
         Each pool death halves :attr:`jobs`; once it reaches 1 the loop
-        stops and hands what is left to the inline path.
+        stops and hands what is left to the inline path.  At most
+        :data:`IN_FLIGHT_PER_WORKER` futures per worker are in flight, so
+        each ``wait`` walks a handful of futures, not the whole batch.
 
         The parent-side stall backstop fires when *no* task completes for
         several deadline windows while work is in flight — only possible
@@ -740,14 +748,17 @@ class CampaignSupervisor:
         while (pending or in_flight) and self.jobs > 1:
             now = time.monotonic()
             was_idle = not in_flight
-            # Submit everything whose backoff has elapsed.
+            # Submit what the cap admits of the tasks whose backoff has
+            # elapsed.
+            room = IN_FLIGHT_PER_WORKER * self.jobs - len(in_flight)
             pending.sort()
             still_waiting: list[tuple[float, int]] = []
             submit_error: str | None = None
             for ready_at, index in pending:
-                if ready_at > now or submit_error is not None:
+                if ready_at > now or submit_error is not None or room <= 0:
                     still_waiting.append((ready_at, index))
                     continue
+                room -= 1
                 try:
                     future = self._executor().submit(
                         run_envelope, envelope_for(index)
@@ -773,7 +784,7 @@ class CampaignSupervisor:
                 continue
 
             timeout = None
-            if pending:
+            if pending and room > 0:
                 next_ready = min(ready_at for ready_at, _ in pending)
                 timeout = max(0.0, next_ready - time.monotonic())
             if stall_window is not None:

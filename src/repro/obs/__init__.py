@@ -10,16 +10,15 @@ The package every other layer is instrumented against:
   then costs one ``None``-check.
 * :mod:`repro.obs.report` — the versioned JSON run report
   (``--metrics-out``), the one telemetry document: schema validation
-  and the ``repro stats`` table renderer.
+  and the ``repro stats`` table renderer (counters, the detector funnel
+  per workload, and each fuzzed pair's outcome).
 * :mod:`repro.obs.timeline` — the run report's ``timeline`` section
   (every event, display fields included), its deterministic projection
-  (the serial == ``--jobs N`` == resumed equality surface), and per-pair
-  posterior trajectories.
+  (the serial == ``--jobs N`` == resumed equality surface), and each
+  fuzzed pair's outcome by workload.
 * :mod:`repro.obs.traceexport` — Chrome trace-event JSON rendering of a
   report's ``timeline`` section, loadable in Perfetto /
-  ``chrome://tracing``.
-* :mod:`repro.obs.dash` — the zero-dependency standalone HTML dashboard
-  (``repro dash``).
+  ``chrome://tracing``: the wall-clock view.
 * :mod:`repro.obs.progress` — the ``on_progress`` hook's
   :class:`ProgressUpdate` value type and the stock throttled printer.
 
@@ -34,7 +33,6 @@ imports nothing from ``repro.runtime`` / ``repro.core`` / ``repro.trace``
 (they all import *it*).
 """
 
-from .dash import render_dash
 from .progress import ProgressPrinter, ProgressUpdate
 from .report import (
     REQUIRED_COUNTERS,
@@ -75,10 +73,9 @@ __all__ = [
     "render_stats_table",
     "validate_run_report",
     "write_run_report",
-    # trace export & dashboard
+    # trace export
     "chrome_trace",
     "write_chrome_trace",
-    "render_dash",
     # progress
     "ProgressPrinter",
     "ProgressUpdate",

@@ -6,9 +6,9 @@ campaign's :class:`~repro.obs.telemetry.TelemetrySnapshot` and its
 ``timeline`` section, which carries every event with its display fields.
 CI smoke jobs validate emitted reports against
 :func:`validate_run_report`; humans read them back via ``repro stats``
-(:func:`render_stats_table`), ``repro trace-export`` and ``repro dash``.
-The serial == ``--jobs
-N`` == resumed equality surface is the projection
+(:func:`render_stats_table`: metrics, the detector funnel and each
+fuzzed pair's outcome) and ``repro trace-export`` (wall-clock lanes).
+The serial == ``--jobs N`` == resumed equality surface is the projection
 :func:`~repro.obs.timeline.deterministic_section` of the snapshot
 :func:`snapshot_from_report` recovers.
 
@@ -30,16 +30,16 @@ from .telemetry import TelemetrySnapshot
 from .timeline import timeline_section, validate_timeline_section
 
 #: bump when the report layout changes incompatibly; only the current
-#: version validates.  v4's ``timeline`` section carries every event of
-#: the snapshot in its ``TimelineEvent.to_jsonable`` form (v3 kept only
-#: the deterministic kinds, as compact triples without display fields).
-REPORT_VERSION = 4
+#: version validates.  v5 keys every per-pair and per-schedule event by
+#: workload first and its ``timeline.pairs`` by workload, then pair label
+#: (v4 keyed them by pair index and carried posterior series).
+REPORT_VERSION = 5
 
 #: discriminator so tooling can reject arbitrary JSON files early.
 REPORT_KIND = "repro-run-report"
 
 #: counters every run report carries (zero-filled when a layer never ran),
-#: so downstream dashboards can rely on the keys existing.
+#: so readers can rely on the keys existing.
 REQUIRED_COUNTERS: tuple[str, ...] = (
     "interp.executions",
     "interp.steps",
@@ -229,6 +229,12 @@ def validate_run_report(report: Any) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
+#: the detector funnel's stages, in the order a pair passes them.
+FUNNEL_STAGES = (
+    "candidates", "schedulable", "speculative", "ungraded", "confirmed",
+)
+
+
 def _format_value(value: float) -> str:
     if isinstance(value, int):
         return str(value)
@@ -306,6 +312,43 @@ def render_stats_table(report: Mapping) -> str:
             _render_section(
                 "spans (seconds)",
                 ["name", "count", "total", "mean", "min", "max"],
+                rows,
+            )
+        )
+    section = report.get("timeline", {})
+    funnels = sorted(
+        (event["key"][0], event["attrs"])
+        for event in section.get("events", ())
+        if event["kind"] == "funnel"
+    )
+    if funnels:
+        sections.append(
+            _render_section(
+                "detector funnel",
+                ["workload", *FUNNEL_STAGES],
+                [
+                    [workload, *(attrs.get(stage, 0) for stage in FUNNEL_STAGES)]
+                    for workload, attrs in funnels
+                ],
+            )
+        )
+    rows = [
+        [
+            workload,
+            label,
+            row.get("grade", "-"),
+            row["trials"],
+            row["created"],
+            row.get("stopped", "-"),
+        ]
+        for workload, pairs in section.get("pairs", {}).items()
+        for label, row in pairs.items()
+    ]
+    if rows:
+        sections.append(
+            _render_section(
+                "pairs",
+                ["workload", "pair", "grade", "trials", "created", "stopped"],
                 rows,
             )
         )

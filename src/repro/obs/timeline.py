@@ -8,8 +8,9 @@ document that carries them, the run report (``--metrics-out``):
 * :func:`timeline_section` — the report's ``timeline`` section: every
   event in its :meth:`~repro.obs.telemetry.TimelineEvent.to_jsonable`
   form, display fields (``wall_s``/``dur_s``/``track``) and
-  non-deterministic kinds included, plus per-pair posterior
-  trajectories.  ``repro trace-export`` and ``repro dash`` read it.
+  non-deterministic kinds included, plus :func:`pair_outcomes`, each
+  fuzzed pair's trials, creations, grade and stop reason by workload.
+  ``repro stats`` and ``repro trace-export`` read it.
 * :func:`deterministic_section` — the projection that is the serial ==
   ``--jobs N`` == resumed equality surface: only the
   :data:`DETERMINISTIC_KINDS`, display fields stripped.  Retries and
@@ -30,7 +31,6 @@ DETERMINISTIC_KINDS = frozenset(
         "schedule.bind",
         "pair.bind",
         "schedule.round",
-        "schedule.posterior",
         "schedule.stop",
         "chunk",
         "trial",
@@ -55,13 +55,13 @@ def pair_label(pair):
 
 def timeline_section(snapshot):
     """The run report's ``timeline`` section: every event of ``snapshot``
-    with its display fields, and the per-pair posterior trajectories."""
+    with its display fields, and each fuzzed pair's outcome."""
     return {
         "version": TIMELINE_VERSION,
         "budget": snapshot.budget,
         "dropped": snapshot.dropped,
         "events": [event.to_jsonable() for event in snapshot.events],
-        "pairs": pair_trajectories(deterministic_events(snapshot.events)),
+        "pairs": pair_outcomes(deterministic_events(snapshot.events)),
     }
 
 
@@ -121,104 +121,40 @@ def validate_timeline_section(section, *, path="timeline"):
     return errors
 
 
-# -- derived views ---------------------------------------------------
+# -- the per-pair view -----------------------------------------------
 
 
-def pair_trajectories(events):
-    """Per-pair posterior trajectory series, keyed by pair label.
+def pair_outcomes(events):
+    """Each fuzzed pair's outcome: ``{workload: {label: row}}``.
 
-    Reconstructed from deterministic *delta* events (``schedule.posterior``
-    per settled chunk, ``chunk`` per executed chunk) sorted by seed
-    range, so the series is identical no matter what order chunks
-    settled in.  Adaptive campaigns carry explicit Beta priors from
-    ``pair.bind``; fixed campaigns fall back to Beta(1, 1) so the
-    dashboard can still plot a posterior-mean sparkline.
+    One pass over ``chunk``, ``pair.bind`` and ``schedule.stop`` events,
+    all keyed ``(workload, label, ...)``.  A row's ``trials`` and
+    ``created`` sum its executed chunks, so they count what
+    ``fuzz.trials`` counts; ``grade`` is the Phase-1 grade the pair was
+    bound with and ``stopped`` the reason the adaptive schedule retired
+    it, each present only when recorded.  Sums commute, so the rows are
+    the same however the chunks settled.
     """
-    binds = {}  # pair index -> bind attrs
-    posteriors = {}  # pair index -> [(seed_start, trials, created)]
-    chunks = {}  # label -> [(seed_start, trials, created)]
-    stops = {}  # pair index -> reason
+    pairs = {}
     for event in events:
-        if event.kind == "pair.bind":
-            binds[event.key[0]] = event.attrs_dict
-        elif event.kind == "schedule.posterior":
-            index, seed_start = event.key[0], event.key[1]
-            attrs = event.attrs_dict
-            posteriors.setdefault(index, []).append(
-                (seed_start, attrs.get("trials", 0), attrs.get("created", 0))
-            )
-        elif event.kind == "chunk":
-            label, seed_start = event.key[0], event.key[1]
-            attrs = event.attrs_dict
-            chunks.setdefault(label, []).append(
-                (seed_start, attrs.get("trials", 0), attrs.get("created", 0))
-            )
-        elif event.kind == "schedule.stop":
-            stops[event.key[0]] = event.attrs_dict.get("reason")
-
-    label_for = {
-        index: attrs.get("pair", str(index)) for index, attrs in binds.items()
-    }
-    index_for = {label: index for index, label in label_for.items()}
-
-    out = {}
-
-    def _series(deltas, alpha0, beta0):
-        trials = created = 0
-        alpha, beta = alpha0, beta0
-        points = [[0, round(alpha, 6), round(beta, 6)]]
-        for _, chunk_trials, chunk_created in sorted(deltas):
-            trials += chunk_trials
-            created += chunk_created
-            alpha += chunk_created
-            beta += chunk_trials - chunk_created
-            points.append([trials, round(alpha, 6), round(beta, 6)])
-        return trials, created, points
-
-    indices = set(binds) | set(posteriors)
-    for index in sorted(indices, key=lambda i: (str(type(i)), str(i))):
-        attrs = binds.get(index, {})
-        label = label_for.get(index, str(index))
-        alpha0 = attrs.get("alpha", 1.0)
-        beta0 = attrs.get("beta", 1.0)
-        deltas = posteriors.get(index)
-        if deltas is None:
-            deltas = chunks.get(label, [])
-        trials, created, points = _series(deltas, alpha0, beta0)
-        entry = {
-            "index": index,
-            "trials": trials,
-            "created": created,
-            "prior": [alpha0, beta0],
-            "trajectory": points,
-        }
-        if "grade" in attrs:
-            entry["grade"] = attrs["grade"]
-        if index in stops:
-            entry["stopped"] = stops[index]
-        out[label] = entry
-
-    # pairs seen only as executed chunks (e.g. fixed schedule without
-    # bind events in the retained window)
-    for label, deltas in chunks.items():
-        if label in out or label in index_for:
+        if event.kind not in ("chunk", "pair.bind", "schedule.stop"):
             continue
-        trials, created, points = _series(deltas, 1.0, 1.0)
-        out[label] = {
-            "trials": trials,
-            "created": created,
-            "prior": [1.0, 1.0],
-            "trajectory": points,
-        }
-    return out
-
-
-def funnel_counts(events):
-    """The detector funnel (candidates → schedulable → confirmed)."""
-    for event in events:
-        if event.kind == "funnel":
-            return event.attrs_dict
-    return None
+        workload, label = event.key[0], event.key[1]
+        row = pairs.setdefault(workload, {}).setdefault(
+            label, {"trials": 0, "created": 0}
+        )
+        attrs = event.attrs_dict
+        if event.kind == "chunk":
+            row["trials"] += attrs.get("trials", 0)
+            row["created"] += attrs.get("created", 0)
+        elif event.kind == "schedule.stop":
+            row["stopped"] = attrs["reason"]
+        elif "grade" in attrs:
+            row["grade"] = attrs["grade"]
+    return {
+        workload: dict(sorted(rows.items()))
+        for workload, rows in sorted(pairs.items())
+    }
 
 
 __all__ = [
@@ -226,9 +162,8 @@ __all__ = [
     "TIMELINE_VERSION",
     "deterministic_events",
     "deterministic_section",
-    "funnel_counts",
     "pair_label",
-    "pair_trajectories",
+    "pair_outcomes",
     "timeline_section",
     "validate_timeline_section",
 ]

@@ -9,7 +9,7 @@ franca of ``ui.perfetto.dev`` and ``chrome://tracing``.  The mapping:
   (trials, chunks, store fills) as ``"X"`` complete slices;
 * every racing pair becomes a thread under the "pairs" process, so the
   per-pair view lines the same chunks up by pair instead of by worker;
-* untimed events (schedule rounds, posterior updates, retries and
+* untimed events (schedule binds, rounds and stops, retries and
   quarantines) become ``"i"`` instants on their track.
 
 Timestamps are wall-clock microseconds normalized to the earliest timed
@@ -27,8 +27,10 @@ from .telemetry import TelemetrySnapshot
 WORKER_PID = 1
 PAIR_PID = 2
 
-#: event kinds whose key starts with a pair label (mirrored onto the
-#: per-pair process so chunks group by pair as well as by worker).
+#: event kinds keyed ``(workload, pair label, seed)``, mirrored onto the
+#: per-pair process so chunks group by pair as well as by worker (the
+#: trials of a driver with no target pair carry an empty label and stay
+#: on their worker track only).
 PAIR_KEYED_KINDS = frozenset({"chunk", "trial"})
 
 
@@ -117,10 +119,10 @@ def chrome_trace(document) -> dict:
             base["ph"] = "i"
             base["s"] = "t"  # instant scoped to its thread
         trace.append(base)
-        if event.kind in PAIR_KEYED_KINDS and event.key:
+        if event.kind in PAIR_KEYED_KINDS and event.key[1]:
             mirrored = dict(base)
             mirrored["pid"] = PAIR_PID
-            mirrored["tid"] = pair_tid(str(event.key[0]))
+            mirrored["tid"] = pair_tid(f"{event.key[0]}/{event.key[1]}")
             trace.append(mirrored)
 
     return {"traceEvents": trace, "displayTimeUnit": "ms"}

@@ -7,6 +7,8 @@ inline run for the same seed set.  Chunk sizes, trace stores and resume
 are varied by ``tests/integration/test_determinism.py``.
 """
 
+import json
+import os
 import pickle
 
 import pytest
@@ -19,10 +21,10 @@ from repro.core import (
     fuzz_races,
     race_directed_test,
 )
-from repro.core.parallel import run_detect_task, run_fuzz_task
+from repro.core.parallel import fuzz_task_key, run_detect_task, run_fuzz_task
 from repro.core.schedule import chunk_spans
 from repro.runtime import Program
-from repro.workloads import figure1
+from repro.workloads import figure1, get
 
 
 def _verdict_signature(verdict):
@@ -72,6 +74,19 @@ class TestTaskSpecs:
     def test_chunk_ranges_reject_bad_size(self):
         with pytest.raises(ValueError):
             chunk_spans(0, 10, 0)
+
+    def test_journal_key_names_no_checkout_path(self):
+        # A registered workload's statements live inside the package, so
+        # its key spells their files relative to it: a journal written in
+        # one checkout resumes in another.
+        spec = get("sor")
+        pair = detect_races(spec.build(), seeds=[0], max_steps=spec.max_steps).pairs[0]
+        assert os.path.isabs(pair.first.file)
+        key = fuzz_task_key(FuzzTask(workload="sor", pair=pair))
+        assert [site[0] for site in json.loads(key)["pair"]] == [
+            os.path.join("workloads", "sor.py")
+        ] * 2
+        assert os.path.dirname(pair.first.file) not in key
 
 
 class TestDetectEquivalence:

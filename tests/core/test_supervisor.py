@@ -325,6 +325,43 @@ class TestFaultInjectionAcceptance:
         assert campaign.failures[0].describe() in str(campaign)
 
 
+class TestInFlightCap:
+    """At most ``2 * jobs`` futures are in flight."""
+
+    def test_a_pool_death_charges_only_submitted_tasks(self, serial_baseline):
+        # 40 chunks; the pool dies on the first.  Only what was in flight
+        # (at most 4 at jobs=2) is charged a failed attempt, then the
+        # batch finishes inline.
+        plan = FaultPlan([FaultSpec(kind="pool_kill", index=0, attempts=1)])
+        with ParallelCampaign(jobs=2, chunk_size=2, faults=plan) as engine:
+            verdicts = engine.fuzz("figure1", PAIRS, trials=4)
+        assert engine.pool_deaths == 1
+        assert engine.last_report.retried <= 4  # 2 * jobs
+        assert not engine.failures
+        for pair in PAIRS:
+            assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
+
+    def test_outstanding_futures_never_exceed_the_cap(self, monkeypatch):
+        high_water = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.futures = []
+
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                self.futures.append(future)
+                high_water.append(sum(not f.done() for f in self.futures))
+                return future
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", CountingPool)
+        with ParallelCampaign(jobs=2, chunk_size=2) as engine:
+            engine.fuzz("figure1", PAIRS, trials=4)
+        assert len(high_water) == 40
+        assert max(high_water) <= 4  # 2 * jobs
+
+
 class TestCheckpointResume:
     def test_killed_campaign_resumes_from_journal(self, tmp_path):
         path = str(tmp_path / "campaign.jsonl")

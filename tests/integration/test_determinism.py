@@ -30,7 +30,7 @@ TRIALS = 8
 #: schedule-determined.
 TIMING_HISTOGRAMS = ("fuzz.trial_wall_s",)
 #: timeline kinds that describe the chunking itself; chunk-size variants
-#: compare the rest of the timeline.
+#: compare the rest of the timeline and the per-pair outcomes it sums.
 CHUNKING_KINDS = ("schedule.bind", "schedule.round", "chunk")
 VARIANTS = {
     "pool": dict(jobs=2),
@@ -125,9 +125,13 @@ def test_same_seeds_same_campaign(workload, store, variant, reference, tmp_path)
         del expected["supervisor"], result["supervisor"]
     if "chunk_size" in VARIANTS[variant]:
         for r in (expected, result):
-            r["timeline"] = [
-                e for e in r["timeline"]["events"] if e[0] not in CHUNKING_KINDS
-            ]
+            r["timeline"] = {
+                "events": [
+                    e for e in r["timeline"]["events"]
+                    if e[0] not in CHUNKING_KINDS
+                ],
+                "pairs": r["timeline"]["pairs"],
+            }
     assert result == expected
     live = reference(workload, None)
     for part in ("phase1", "verdicts", "timeline"):

@@ -101,6 +101,27 @@ class TestStats:
         assert "fuzz.trials" in text
         assert "spans (seconds)" in text
 
+    def test_stats_shows_funnel_and_pairs(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main([
+            "fuzz", "figure1", "--trials", "8", "--schedule", "adaptive",
+            "--metrics-out", str(out),
+        ])
+        capsys.readouterr()
+        assert main(["stats", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        funnel = lines.index("detector funnel")
+        assert lines[funnel + 1].split()[0] == "workload"
+        assert lines[funnel + 3].split() == ["figure1", "2", "0", "0", "2", "1"]
+        pairs = lines.index("pairs")
+        assert lines[pairs + 1].split() == [
+            "workload", "pair", "grade", "trials", "created", "stopped",
+        ]
+        assert [line.split() for line in lines[pairs + 3:]] == [
+            ["figure1", "1|10", "-", "8", "0", "-"],
+            ["figure1", "5|7", "-", "8", "8", "confirmed"],
+        ]
+
     def test_stats_rejects_missing_file(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -113,7 +134,7 @@ class TestStats:
 
 
 class TestReportReaders:
-    """``trace-export`` and ``dash`` read the one run report."""
+    """``stats`` and ``trace-export`` read the one run report."""
 
     def _report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -132,16 +153,9 @@ class TestReportReaders:
         assert any(e["ph"] == "X" for e in events)
         assert any(e["ts"] > 0 for e in events if e["ph"] != "M")
 
-    def test_dash_draws_the_lane_view(self, tmp_path, capsys):
-        report = self._report(tmp_path, capsys)
-        html = tmp_path / "dash.html"
-        assert main(["dash", str(report), "--out", str(html)]) == 0
-        text = html.read_text()
-        assert "<svg" in text and 'class="lane"' in text
-
     def test_readers_reject_an_invalid_report(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "other"}')
-        for command in ("stats", "trace-export", "dash"):
+        for command in ("stats", "trace-export"):
             assert main([command, str(bad)]) == 2
             assert "invalid run report" in capsys.readouterr().err

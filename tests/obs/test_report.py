@@ -104,17 +104,17 @@ class TestValidate:
         assert any("schedule.rounds" in e for e in errors)
 
     def test_v3_report_with_timeline_section_passes(self):
-        # The name predates v4.
+        # The name predates v4 and v5.
         report = build_run_report(_snapshot(), command="fuzz")
-        assert report["version"] == REPORT_VERSION == 4
+        assert report["version"] == REPORT_VERSION == 5
         assert report["timeline"]["events"]
         assert validate_run_report(report) == []
 
     def test_timeline_on_old_version_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")
-        for old in (2, 3):
+        for old in (2, 3, 4):
             errors = validate_run_report(dict(report, version=old))
-            assert any("version must be 4" in e for e in errors)
+            assert any("version must be 5" in e for e in errors)
 
     def test_missing_timeline_section_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")
@@ -126,6 +126,21 @@ class TestValidate:
         assert validate_run_report(dict(report, timeline=[1, 2])) != []
         bad_events = {"version": 1, "budget": 8, "dropped": 0, "events": [["k"]]}
         assert validate_run_report(dict(report, timeline=bad_events)) != []
+
+    def test_report_with_retired_health_fields_still_validates(self):
+        # Reports written before the campaign health state machine was
+        # removed carry its timeline event, transition counter and state
+        # gauge; nothing in the schema forbids them.
+        telemetry = Telemetry()
+        telemetry.emit("chunk", ("a|b", 0), {"trials": 2}, wall_s=5.0, dur_s=0.2)
+        telemetry.emit(
+            "health", (1, "degraded"), {"reason": "store-pressure"}, wall_s=5.1
+        )
+        telemetry.inc("health.transitions")
+        telemetry.gauge_max(".".join(("health", "state")), 1)
+        telemetry.inc("supervisor.pool_deaths")
+        report = build_run_report(telemetry.snapshot(), command="fuzz")
+        assert validate_run_report(report) == []
 
     def test_rejects_inconsistent_histogram(self):
         report = build_run_report(_snapshot(), command="fuzz")
@@ -212,3 +227,35 @@ class TestRender:
         assert "fuzz.trials" in text
         assert "phase2.fuzz" in text
         assert "counters" in text and "spans (seconds)" in text
+        # No funnel or chunk events: neither table is drawn.
+        assert "detector funnel" not in text and "\npairs\n" not in text
+
+    def test_stats_funnel_and_pair_tables(self):
+        telemetry = Telemetry()
+        for workload, confirmed in (("vector", 1), ("figure1", 0)):
+            telemetry.emit(
+                "funnel", (workload,),
+                {"candidates": 2, "ungraded": 2, "confirmed": confirmed},
+            )
+            telemetry.emit("chunk", (workload, "a|b", 0), {"trials": 3, "created": 1})
+            telemetry.emit("schedule.stop", (workload, "a|b"), {"reason": "confirmed"})
+        telemetry.emit(
+            "pair.bind", ("figure1", "c|d"), {"index": 1, "grade": "speculative"}
+        )
+        text = render_stats_table(build_run_report(telemetry.snapshot(), command="fuzz"))
+        funnel = text[text.index("detector funnel"):].splitlines()
+        assert funnel[1].split() == [
+            "workload", "candidates", "schedulable", "speculative", "ungraded",
+            "confirmed",
+        ]
+        assert funnel[3].split() == ["figure1", "2", "0", "0", "2", "0"]
+        assert funnel[4].split() == ["vector", "2", "0", "0", "2", "1"]
+        pairs = text[text.index("\npairs\n"):].strip().splitlines()
+        assert pairs[1].split() == [
+            "workload", "pair", "grade", "trials", "created", "stopped",
+        ]
+        assert [row.split() for row in pairs[3:]] == [
+            ["figure1", "a|b", "-", "3", "1", "confirmed"],
+            ["figure1", "c|d", "speculative", "0", "0", "-"],
+            ["vector", "a|b", "-", "3", "1", "confirmed"],
+        ]

@@ -18,7 +18,7 @@ from repro.obs.timeline import (
     DETERMINISTIC_KINDS,
     deterministic_section,
     pair_label,
-    pair_trajectories,
+    pair_outcomes,
     timeline_section,
     validate_timeline_section,
 )
@@ -302,38 +302,64 @@ class TestSerialParallelEquivalence:
         assert section(1) == section(2)
 
 
-class TestTrajectories:
-    def test_adaptive_campaign_builds_trajectories(self):
+class TestPairOutcomes:
+    def test_adaptive_campaign_records_trials_and_stops(self):
         section = _campaign_section(1, schedule="adaptive")
-        label = pair_label(figure1.REAL_PAIR)
-        assert label in section["pairs"]
-        info = section["pairs"][label]
-        trajectory = info["trajectory"]
-        assert trajectory[0][1:] == info["prior"]
-        # alpha + beta grows by exactly the trials folded in so far.
-        for cum_trials, alpha, beta in trajectory:
-            assert alpha + beta == pytest.approx(
-                sum(info["prior"]) + cum_trials
-            )
-
-    def test_fixed_campaign_falls_back_to_chunk_events(self):
-        section = _campaign_section(1, schedule=None)
-        info = section["pairs"][pair_label(figure1.REAL_PAIR)]
-        assert info["trials"] == 6
-        assert info["trajectory"][-1][0] == 6
-
-    def test_trajectories_from_raw_events(self):
-        events = (
-            _event("pair.bind", (0,), {"pair": "a|b", "alpha": 1.0, "beta": 1.0}),
-            _event("schedule.posterior", (0, 0), {"trials": 2, "created": 1}),
-            _event("schedule.posterior", (0, 2), {"trials": 2, "created": 0}),
+        pairs = section["pairs"]["figure1"]
+        real = pairs[pair_label(figure1.REAL_PAIR)]
+        assert real["created"] > 0
+        assert real["stopped"] == "confirmed"
+        assert sum(row["trials"] for row in pairs.values()) == sum(
+            e[2]["trials"] for e in section["events"] if e[0] == "chunk"
         )
-        pairs = pair_trajectories(events)
-        assert pairs["a|b"]["trajectory"] == [
-            [0, 1.0, 1.0],
-            [2, 2.0, 2.0],
-            [4, 2.0, 4.0],
-        ]
+
+    def test_fixed_campaign_counts_every_chunk(self):
+        section = _campaign_section(1, schedule=None)
+        row = section["pairs"]["figure1"][pair_label(figure1.REAL_PAIR)]
+        assert row["trials"] == 6
+        assert "stopped" not in row
+
+    def test_outcomes_from_raw_events(self):
+        events = (
+            _event("pair.bind", ("w", "a|b"), {"index": 0, "grade": "schedulable"}),
+            _event("chunk", ("w", "a|b", 0), {"count": 2, "trials": 2, "created": 1}),
+            _event("chunk", ("w", "a|b", 2), {"count": 2, "trials": 2, "created": 0}),
+            _event("schedule.stop", ("w", "a|b"), {"reason": "confirmed"}),
+            _event("chunk", ("v", "a|b", 0), {"count": 2, "trials": 2, "created": 0}),
+        )
+        assert pair_outcomes(events) == {
+            "v": {"a|b": {"trials": 2, "created": 0}},
+            "w": {
+                "a|b": {
+                    "trials": 4,
+                    "created": 1,
+                    "grade": "schedulable",
+                    "stopped": "confirmed",
+                }
+            },
+        }
+
+    def test_two_workload_table_keeps_each_row_apart(self):
+        # Both rows bind a pair 0 and both may share a label, so events
+        # keyed by pair index alone would conflate them.
+        from repro.harness.table1 import build_table
+
+        with collecting() as telemetry:
+            build_table(
+                [get("figure1"), get("vector")],
+                trials=20,
+                timing_runs=1,
+                baseline_runs=2,
+                schedule="adaptive",
+            )
+        snapshot = telemetry.snapshot()
+        pairs = timeline_section(snapshot)["pairs"]
+        assert set(pairs) == {"figure1", "vector"}
+        assert pair_label(figure1.REAL_PAIR) in pairs["figure1"]
+        assert all(label.startswith("vector.py:") for label in pairs["vector"])
+        assert sum(
+            row["trials"] for rows in pairs.values() for row in rows.values()
+        ) == snapshot.counters["fuzz.trials"]
 
 
 class TestWorkerShipping:

@@ -284,6 +284,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_dash_is_not_a_command(self, tmp_path, capsys):
+        # Run reports are read by `stats` (tables) and `trace-export`
+        # (Perfetto); there is no HTML dashboard.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dash", str(tmp_path / "report.json")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'dash'" in capsys.readouterr().err
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["run", "not-a-workload"])
