@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 from repro.runtime.interpreter import Execution
 from repro.runtime.statement import Statement
-from repro.runtime.thread import ThreadState
 
-from .postponing import PostponingDriver, TargetSites
+from .postponing import PostponingDriver, TargetProbe, TargetSites
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,10 @@ class AtomicityFuzzer(PostponingDriver):
         self.rival = rival
         self._sites = TargetSites((region.second, rival))
 
-    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
+    def target_probe(self, execution: Execution) -> TargetProbe:
         """Any op kind can be a region half or the rival: a lock
         acquisition, a memory access, a ``check``."""
-        return self._sites.holds(ts)
+        return self._sites.probe()
 
     def conflicting(self, execution: Execution, tid: int, postponed):
         """Role-based conflict: a region half meets a postponed rival (or

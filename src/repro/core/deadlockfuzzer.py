@@ -39,7 +39,7 @@ from repro.runtime.program import Program
 from repro.runtime.statement import Statement
 from repro.runtime.thread import ThreadState
 
-from .postponing import PostponingDriver, TargetSites
+from .postponing import PostponingDriver, TargetProbe, TargetSites
 from .schedulers import RandomScheduler
 
 
@@ -178,15 +178,18 @@ class DeadlockFuzzer(PostponingDriver):
         if not self.target_statements:
             raise ValueError("DeadlockFuzzer needs at least one target statement")
 
-    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
-        op = ts.pending
-        if op is None or op.kind is not OpKind.LOCK:
-            return False
-        if not self._sites.holds(ts):
-            return False
-        # Only a hold-and-wait is dangerous: the thread must already hold
-        # some other lock for this acquisition to be an inner one.
-        return bool(execution.locks.held_by(ts.tid))
+    def target_probe(self, execution: Execution) -> TargetProbe:
+        at_site = self._sites.probe()
+        locks = execution.locks
+
+        def inner_acquire(ts: ThreadState) -> bool:
+            if ts.pending.kind is not OpKind.LOCK or not at_site(ts):
+                return False
+            # Only a hold-and-wait is dangerous: the thread must already
+            # hold some other lock for this acquisition to be an inner one.
+            return bool(locks.held_by(ts.tid))
+
+        return inner_acquire
 
     def conflicting(self, execution, tid, postponed):
         # Deadlocks are created by *keeping* threads postponed, never by the

@@ -26,16 +26,21 @@ Two engineering details from Section 4 are included: the livelock breaker
 (threads run without interruption between synchronization operations and
 target statements, keeping the instrumentation-free fast path fast).
 
-The step kernel does the least the algorithm needs.  With nothing
-postponed, a scheduling decision is one draw from the enabled list: no
-watchdog, prune or ``choosable`` rebuild.  The burst, inlined in the
-main loop, reuses the chosen thread's state and steps it through the
-interpreter's unchecked ``_execute``; before each step it checks only
-the thread's status, the sync flag of its pending op and the target
-hook, since a runnable thread whose pending op is not a sync op is
-enabled by construction.  The hook gets the thread state, and
-:class:`TargetSites` answers it from the raw yield site without building
-a statement.
+The step kernel does the least the algorithm needs.  The enabled list
+comes from the engine, which maintains it (no thread is rescanned per
+decision), and every draw goes through the engine's
+:func:`~repro.runtime.interpreter.pick`.  With nothing postponed, a
+scheduling decision is one draw from that list: no watchdog, prune or
+``choosable`` rebuild; with threads postponed, the watchdog is called
+only once the head of ``postponed`` may have waited past ``patience``.  The
+burst, inlined in the main loop, reuses the chosen thread's state and
+steps it through the interpreter's unchecked ``_execute``; before each
+step it checks only the thread's status, the sync flag of its pending op
+and the target probe, since a runnable thread whose pending op is not a
+sync op is enabled by construction.  The probe is one call: a function
+of the thread state built once per trial by
+:meth:`PostponingDriver.target_probe`, which answers from the raw yield
+site (:meth:`TargetSites.probe`) without building a statement.
 
 The livelock breaker has two rules.  Lines 26-28 are widened from "every
 enabled thread is postponed" to "every enabled thread is postponed or
@@ -54,13 +59,13 @@ state, so a trial replays from its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import time
 
 from repro.obs import WALL_BUCKETS, maybe_telemetry
 from repro.runtime.errors import ExecutionLimitExceeded
-from repro.runtime.interpreter import Execution, ExecutionResult
+from repro.runtime.interpreter import Execution, ExecutionResult, pick
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.ops import OpKind
 from repro.runtime.program import Program
@@ -70,13 +75,19 @@ from repro.runtime.thread import ThreadState, ThreadStatus
 #: the ``preemption=`` modes a postponing driver accepts.
 PREEMPTION_MODES = ("every", "sync")
 
+#: line 6's test, built once per trial: is the statement of this thread's
+#: pending op a target?
+TargetProbe = Callable[[ThreadState], bool]
+
 _RUNNABLE = ThreadStatus.RUNNABLE
-_READ = OpKind.READ
-_YIELD = OpKind.YIELD
-#: op kinds that leave every other thread's view of the program unchanged;
-#: any other executed op is a state change that ends every polling streak.
-_QUIET_KINDS = frozenset(
-    {OpKind.READ, OpKind.LOCK, OpKind.UNLOCK, OpKind.YIELD, OpKind.CHECK}
+_READ = OpKind.READ.index
+_YIELD = OpKind.YIELD.index
+#: per ``kind_index``: does the op kind leave every other thread's view of
+#: the program unchanged?  Any other executed op is a state change that
+#: ends every polling streak.
+_QUIET = tuple(
+    kind in (OpKind.READ, OpKind.LOCK, OpKind.UNLOCK, OpKind.YIELD, OpKind.CHECK)
+    for kind in OpKind
 )
 
 
@@ -151,17 +162,29 @@ class TargetSites:
 
     def __init__(self, statements: Iterable[Statement]) -> None:
         self.statements = frozenset(statements)
-        unlabelled = [s for s in self.statements if s.label is None]
-        self._lines = frozenset(s.line for s in unlabelled)
-        self._sites = frozenset((s.file, s.line) for s in unlabelled)
+        # A labelled statement's line is 0, as is the recorded line of a
+        # labelled op, so the line prefilter lets labelled ops through
+        # exactly when the set has a labelled member.
+        self._lines = frozenset(s.line for s in self.statements)
+        self._sites = frozenset(
+            (s.file, s.line) for s in self.statements if s.label is None
+        )
 
-    def holds(self, ts: ThreadState) -> bool:
-        """Is the statement of ``ts``'s pending op in the set?"""
-        code = ts.stmt_code
-        if code is None:
-            return ts.pending_stmt in self.statements
-        line = ts.stmt_line
-        return line in self._lines and (code.co_filename, line) in self._sites
+    def probe(self, *, mem_only: bool = False) -> TargetProbe:
+        """A one-call test "is the statement of ``ts``'s pending op in the
+        set?", also requiring a memory access when ``mem_only``."""
+        statements, lines, sites = self.statements, self._lines, self._sites
+
+        def holds(ts: ThreadState) -> bool:
+            line = ts.stmt_line
+            if line not in lines or (mem_only and not ts.pending.is_mem):
+                return False
+            code = ts.stmt_code
+            if code is None:
+                return ts.pending_stmt in statements
+            return (code.co_filename, line) in sites
+
+        return holds
 
 
 class PollWatch:
@@ -194,11 +217,10 @@ class PollWatch:
 
     def note(self, execution: Execution, ts: ThreadState) -> None:
         """Account for the op ``ts`` is about to execute."""
-        op = ts.pending
-        kind = op.kind if op is not None else None
-        if kind is _READ:
+        kind = ts.pending.kind_index  # a thread about to step has one
+        if kind == _READ:
             self._read.add(ts.tid)
-        elif kind is _YIELD:
+        elif kind == _YIELD:
             tid = ts.tid
             stmt = execution.next_stmt(tid)
             last = self._last_yield.get(tid)
@@ -208,7 +230,7 @@ class PollWatch:
                 self._streak.pop(tid, None)
             self._last_yield[tid] = (stmt, self.epoch)
             self._read.discard(tid)
-        elif kind not in _QUIET_KINDS:
+        elif not _QUIET[kind]:
             self.epoch += 1
 
     def polling(self, tid: int) -> bool:
@@ -242,12 +264,14 @@ class PostponingDriver:
         pair label so trials group under one pair track."""
         return ""
 
-    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
-        """Is the next statement of thread ``ts`` in the target set? (line 6)
+    def target_probe(self, execution: Execution) -> TargetProbe:
+        """Line 6's test for one trial: a function of a thread's state that
+        says whether its next statement is in the target set.
 
-        Probed before every step of the sync-preemption burst that is not
-        a sync op, so an override should answer from the raw site (see
-        :class:`TargetSites`) rather than build a statement per call.
+        Built once per trial and called before every step of the
+        sync-preemption burst that is not a sync op, so it should answer
+        from the raw site (see :meth:`TargetSites.probe`) rather than build
+        a statement per call.
         """
         raise NotImplementedError
 
@@ -296,38 +320,53 @@ class PostponingDriver:
         threads = execution.threads
         schedulable = execution.schedulable
         execute = execution._execute
-        is_target = self.is_target
+        is_target = self.target_probe(execution)
         burst = self.preemption == "sync"
         max_steps = self.max_steps
+        patience = self.patience
+        # A step after which the watchdog may find a thread to release:
+        # never later than the head of ``postponed`` (the dict is ordered
+        # by postponement step) plus ``patience``, and reset from the head
+        # after each call, so calling only past it releases exactly what a
+        # call at every decision would.
+        watch_at = patience
 
         try:
             while True:
                 enabled = schedulable()
                 if not enabled:
                     break
-                choosable = enabled
                 if postponed:
-                    self._run_watchdog(execution, postponed, exempt, fuzz)
+                    if execution.step_count > watch_at:
+                        self._run_watchdog(execution, postponed, exempt, fuzz)
+                        watch_at = patience + (
+                            next(iter(postponed.values()))
+                            if postponed
+                            else execution.step_count
+                        )
                     choosable = [tid for tid in enabled if tid not in postponed]
                     # Unless every postponed thread is still enabled, drop
                     # those that died or became blocked.
                     if len(enabled) - len(choosable) != len(postponed):
                         for tid in postponed.keys() - enabled:
                             del postponed[tid]
-                if postponed and self._idle(execution, choosable, watch):
-                    # Lines 26-28, widened: no one else can make progress
-                    # until a postponed thread moves; release one at random.
-                    victim = sorted(postponed)[rng.randrange(len(postponed))]
-                    del postponed[victim]
-                    exempt.add(victim)
-                    if choosable:
-                        fuzz.idle_releases += 1
-                    else:
-                        fuzz.forced_releases += 1
-                    continue
-                tid = choosable[rng.randrange(len(choosable))]
+                    if postponed and self._idle(execution, choosable, watch):
+                        # Lines 26-28, widened: no one else can make
+                        # progress until a postponed thread moves; release
+                        # one at random.
+                        victim = pick(rng, sorted(postponed))
+                        del postponed[victim]
+                        exempt.add(victim)
+                        if choosable:
+                            fuzz.idle_releases += 1
+                        else:
+                            fuzz.forced_releases += 1
+                        continue
+                else:
+                    choosable = enabled
+                tid = pick(rng, choosable)
                 ts = threads[tid]
-                if is_target(execution, ts) and tid not in exempt:
+                if is_target(ts) and tid not in exempt:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
                         self._resolve(execution, tid, rivals, postponed, watch, fuzz)
@@ -342,14 +381,15 @@ class PostponingDriver:
                 # construction (only LOCK, REACQUIRE and JOIN block, and all
                 # three are sync ops): the status is its only enabledness
                 # check.
-                exempt.discard(tid)
+                if exempt:
+                    exempt.discard(tid)
                 if postponed:
                     watch.note(execution, ts)
                 execute(ts)
                 if not burst:
                     continue
                 while ts.status is _RUNNABLE and execution.ops_executed < max_steps:
-                    if ts.pending.is_sync or is_target(execution, ts):
+                    if ts.pending.is_sync or is_target(ts):
                         break
                     if postponed:
                         watch.note(execution, ts)

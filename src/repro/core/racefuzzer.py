@@ -21,11 +21,12 @@ Typical use::
 Replaying ``run(program, seed=42)`` reproduces the identical execution —
 the engine owns all non-determinism and draws it from the seed.
 
-Line 6's probe (``is_target``) runs before every non-sync step of a
-burst.  It answers from the pending op's raw ``(code, line)`` site via
-:class:`~repro.core.postponing.TargetSites`: a line prefilter, then an
-exact ``(file, line)`` test, so no statement is interned at a site that
-is not in the pair.
+Line 6's probe runs before every non-sync step of a burst.  It is built
+once per trial (``target_probe``) and answers in one call from the
+pending op's kind and raw ``(code, line)`` site via
+:meth:`~repro.core.postponing.TargetSites.probe`: a memory-access test,
+a line prefilter, then an exact ``(file, line)`` test, so no statement is
+interned at a site that is not in the pair.
 """
 
 from __future__ import annotations
@@ -35,9 +36,14 @@ from typing import Iterable
 from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
 from repro.runtime.statement import Statement, StatementPair
-from repro.runtime.thread import ThreadState
 
-from .postponing import FuzzResult, PostponingDriver, TargetHit, TargetSites
+from .postponing import (
+    FuzzResult,
+    PostponingDriver,
+    TargetHit,
+    TargetProbe,
+    TargetSites,
+)
 
 
 class RaceFuzzer(PostponingDriver):
@@ -78,16 +84,15 @@ class RaceFuzzer(PostponingDriver):
 
     # --- Algorithm 1, line 6 -------------------------------------------- #
 
-    def is_target(self, execution: Execution, ts: ThreadState) -> bool:
+    def target_probe(self, execution: Execution) -> TargetProbe:
         """Line 6 of Algorithm 1: is the thread's next statement in the
         racing pair (and a memory access)?
 
-        Probed before every non-sync step of the sync-preemption burst, so
-        it answers from the raw yield site (:class:`TargetSites`) and
+        Called before every non-sync step of the sync-preemption burst,
+        so it answers from the raw yield site (:class:`TargetSites`) and
         builds no statement.
         """
-        op = ts.pending
-        return op is not None and op.is_mem and self._sites.holds(ts)
+        return self._sites.probe(mem_only=True)
 
     # --- Algorithm 2 ------------------------------------------------------ #
 

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.runtime.interpreter import Execution
+from repro.runtime.interpreter import Execution, pick
 
 
 class Scheduler:
     """Strategy interface used by :meth:`Execution.run`."""
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:
+        """Pick the next thread from ``enabled``, the engine's maintained
+        list: the same object for as long as no thread's enabledness
+        changes, and never to be mutated."""
         raise NotImplementedError
 
 
@@ -41,41 +44,18 @@ class RandomScheduler(Scheduler):
         if preemption not in ("every", "sync"):
             raise ValueError(f"unknown preemption mode: {preemption!r}")
         self.preemption = preemption
+        self._sync = preemption == "sync"
         self._last: int | None = None
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:
-        if (
-            self.preemption == "sync"
-            and self._last is not None
-            and self._last in enabled
-        ):
-            op = execution.next_op(self._last)
-            if op is not None and not op.is_sync:
-                return self._last
-        self._last = enabled[execution.rng.randrange(len(enabled))]
-        return self._last
-
-    def continuation(self, execution: Execution) -> int | None:
-        """Fast-path hook for :meth:`Execution.run` (see its docstring).
-
-        Draw-equivalent to :meth:`choose`: it returns the previous thread
-        exactly when ``choose`` would have returned it *without touching
-        the rng* (sync mode, still enabled, next op not a sync op), and
-        ``None`` otherwise — in which case ``run`` falls back to the full
-        enabled-list path and ``choose`` draws as before.  Schedules are
-        therefore byte-identical; only the enabled-list construction is
-        skipped on uncontended runs of thread-local ops.
-        """
-        if self.preemption != "sync":
-            return None
         last = self._last
-        if last is None:
-            return None
-        ts = execution.threads[last]
-        op = ts.pending
-        if op is not None and not op.is_sync and execution._enabled(ts):
-            return last
-        return None
+        if self._sync and last is not None:
+            ts = execution.threads[last]
+            # An enabled thread always has a pending op.
+            if ts.enabled and not ts.pending.is_sync:
+                return last
+        last = self._last = pick(execution.rng, enabled)
+        return last
 
 
 class DefaultScheduler(Scheduler):
@@ -97,21 +77,31 @@ class DefaultScheduler(Scheduler):
         self.quantum = quantum
         self._queue: deque[int] = deque()
         self._current: int | None = None
-        self._slice_used = 0
-        self._slice_limit = quantum
+        #: steps the current thread may still take in its slice.
+        self._slice_left = 0
+        #: the enabled list of the last choice (see ``choose``).
+        self._seen: list[int] | None = None
 
     def _new_slice(self, execution: Execution) -> None:
         low = max(1, self.quantum // 2)
-        self._slice_limit = execution.rng.randint(low, self.quantum)
-        self._slice_used = 1
+        self._slice_left = execution.rng.randint(low, self.quantum) - 1
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:
+        if enabled is self._seen and self._slice_left:
+            # The engine hands over the same list object until some
+            # thread's enabledness changes, so the enabled set is the one
+            # the last choice saw: that choice returned ``_current`` from
+            # it and left every other member queued, so the full path
+            # below would queue nothing and return ``_current`` too.
+            self._slice_left -= 1
+            return self._current
+        self._seen = enabled
         enabled_set = set(enabled)
         for tid in enabled:
             if tid != self._current and tid not in self._queue:
                 self._queue.append(tid)
-        if self._current in enabled_set and self._slice_used < self._slice_limit:
-            self._slice_used += 1
+        if self._current in enabled_set and self._slice_left:
+            self._slice_left -= 1
             return self._current
         if self._current in enabled_set:
             self._queue.append(self._current)

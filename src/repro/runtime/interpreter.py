@@ -27,20 +27,33 @@ Hot-path design (see INTERNALS "Interpreter fast path")
 Every campaign bottoms out in :meth:`Execution._execute`, so the per-step
 work is kept to integer/identity operations:
 
+* **Maintained Enabled(s)** — ``_enabled(ts)`` is the definition of
+  enabledness, but nothing rescans every live thread with it.  Each
+  :class:`~repro.runtime.thread.ThreadState` keeps its current answer in
+  ``enabled``, and a transition re-derives only the answers it can
+  change: the stepped thread's, the contenders of a lock that changed
+  owner, woken or interrupted waiters and sleepers, the joiners of a
+  thread that ended, a new thread's, and the deadline holders once the
+  clock reaches the soonest deadline.  The tid-ordered list
+  ``schedulable()`` returns is rebuilt only after some answer changed, so
+  while no answer changes it is the *same list object* (a passive
+  scheduler may rely on that; nobody may mutate it).
 * **Checked and unchecked stepping** — the public ``step(tid)`` checks the
   thread and the step budget, then calls ``_execute(ts)``.  Callers that
-  have proved both already (``run()``'s scheduler-continuation path, the
-  postponing driver's burst) call ``_execute`` directly.
+  have proved both already (``run()``, the postponing driver's burst)
+  call ``_execute`` directly.
 * **Precompiled dispatch** — each :class:`~repro.runtime.ops.Op` carries a
   dense ``kind_index`` resolved at construction; ``_execute`` indexes a
   tuple of bound handlers instead of hashing an enum into a dict.
-* **Inline enabledness** — ``enabled_tids`` decides a runnable thread whose
-  pending op cannot block without a call; a pending ``JOIN`` resolves its
-  target once (``ThreadState.join_target``).
+* **One draw helper** — :func:`pick` is ``seq[rng.randrange(len(seq))]``
+  with ``randrange``'s bit loop inlined; every scheduling draw uses it.
 * **Lazy interned statements** — the yield site is captured as a raw
-  ``(code, line)`` pair at resume time (two attribute reads); the interned
-  :class:`~repro.runtime.statement.Statement` is materialized only when an
-  event, a race-set probe, or a crash report actually needs it.
+  ``(code, line)`` pair at resume time, from the thread's last innermost
+  generator while that one is suspended and delegates to nothing (else
+  walking the ``yield from`` chain from it, or from the body once it
+  ended); the interned :class:`~repro.runtime.statement.Statement` is
+  materialized only when an event, a race-set probe, or a crash report
+  actually needs it.
 * **Observer tiers** — ``_observing`` (any observer) and ``_observe_mem``
   (an observer that wants MemEvents) are resolved once per execution; with
   no observer attached, a step allocates no event objects at all, and the
@@ -106,6 +119,27 @@ _TERMINATED = ThreadStatus.TERMINATED
 
 #: index of the synthetic "wake" tally slot (after the real op kinds).
 _WAKE_SLOT = len(KIND_VALUES)
+
+#: ``Execution._wake_next`` when no thread has a deadline.
+_NEVER = 1 << 62
+
+
+def pick(rng: random.Random, seq):
+    """``seq[rng.randrange(len(seq))]``, drawing exactly the same bits.
+
+    ``randrange(n)`` is CPython's ``_randbelow(n)``: ``getrandbits(k)``
+    with ``k = n.bit_length()``, drawn again while the result is ``>= n``.
+    That loop is done here directly, without ``randrange``'s argument
+    handling, so a schedule is the same whichever of the two drew it.
+    """
+    n = len(seq)
+    if not n:
+        raise ValueError("pick from an empty sequence")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,8 +215,19 @@ class Execution:
         self.threads: dict[int, ThreadState] = {}
         #: alive threads in tid order (tids are assigned monotonically and
         #: threads are only ever appended, so list order == tid order; dead
-        #: threads are removed so enabled scans touch only live ones).
+        #: threads are removed).
         self._live: list[ThreadState] = []
+        #: tids of the live threads whose ``enabled`` answer is True, in
+        #: tid order; None once an answer changed, until the next read.
+        self._enabled_list: list[int] | None = []
+        #: tid -> thread whose pending op is a LOCK or REACQUIRE: the only
+        #: threads a lock's change of owner can enable or disable.
+        self._contending: dict[int, ThreadState] = {}
+        #: the soonest deadline of a sleeper or timed waiter that is not
+        #: enabled yet; may lag below the true one, never above it.  The
+        #: clock moves at every step, but the answers of deadline holders
+        #: are brought up to date only when an answer is read.
+        self._wake_next = _NEVER
         #: the abstract clock: advances by 1 per executed op and jumps
         #: forward when only sleepers remain.
         self.step_count = 0
@@ -294,34 +339,29 @@ class Execution:
     def run(self, scheduler) -> ExecutionResult:
         """Convenience loop: let ``scheduler`` pick among enabled threads.
 
-        Schedulers may expose an optional ``continuation(execution)`` hook
-        returning the tid to step next without consulting the full enabled
-        list, or ``None`` to fall back to ``choose``.  The hook must be
-        draw-equivalent to ``choose`` (same rng consumption), so schedules
-        are byte-identical with or without it; it exists purely to skip
-        building the enabled list on uncontended runs-of-steps.
+        ``scheduler.choose(execution, enabled)`` gets the maintained list
+        itself (see :meth:`schedulable`), so the call costs no scan.
         """
-        continuation = getattr(scheduler, "continuation", None)
         choose = scheduler.choose
         schedulable = self.schedulable
-        step = self.step
         execute = self._execute
         threads = self.threads
-        max_steps = self.max_steps
         try:
             self.start()
             while True:
-                if continuation is not None and self.ops_executed < max_steps:
-                    tid = continuation(self)
-                    if tid is not None:
-                        # The hook returns only an enabled thread, and the
-                        # budget was checked just above.
-                        execute(threads[tid])
-                        continue
                 enabled = schedulable()
                 if not enabled:
                     break
-                step(choose(self, enabled))
+                tid = choose(self, enabled)
+                try:
+                    ts = threads[tid]
+                except KeyError:
+                    self.step(tid)  # raises SchedulerMisuse
+                if not ts.enabled:
+                    self.step(tid)  # raises SchedulerMisuse
+                # schedulable() checked the budget; no other execution
+                # has run since start() installed this one's uids.
+                execute(ts)
         except BaseException:
             self.close()
             raise
@@ -331,7 +371,8 @@ class Execution:
     # state inspection (the paper's Enabled / Alive / NextStmt)
 
     def _enabled(self, ts: ThreadState) -> bool:
-        """Enabledness of one thread; the hot kernel behind is_enabled()."""
+        """Enabledness of one thread: the definition the maintained answers
+        (``ThreadState.enabled``) are re-derived from by :meth:`_note`."""
         status = ts.status
         if status is _RUNNABLE:
             op = ts.pending
@@ -358,37 +399,83 @@ class Execution:
 
     def is_enabled(self, tid: int) -> bool:
         """Can ``tid`` make progress if stepped right now?"""
-        return self._enabled(self.threads[tid])
+        if self.step_count >= self._wake_next:
+            self._clock_moved()
+        return self.threads[tid].enabled
+
+    def _note(self, ts: ThreadState) -> None:
+        """Re-derive the maintained answer of one thread after a transition
+        that may have changed it."""
+        answer = self._enabled(ts)
+        if answer != ts.enabled:
+            ts.enabled = answer
+            self._enabled_list = None
+
+    def _lock_moved(self, lock, free: bool) -> None:
+        """``lock`` was just released (``free``) or taken: every thread
+        still contending for it is now enabled, or disabled."""
+        contending = self._contending
+        if contending:
+            uid = lock.uid
+            for ts in contending.values():
+                if ts.enabled != free and ts.pending.lock.uid == uid:
+                    ts.enabled = free
+                    self._enabled_list = None
+
+    def _clock_moved(self) -> None:
+        """The clock reached the soonest deadline: re-derive the answer of
+        every thread whose deadline has passed, and find the next one."""
+        now = self.step_count
+        soonest = _NEVER
+        for ts in self._live:
+            status = ts.status
+            if status is _SLEEPING or (status is _WAITING and ts.wake_at):
+                if ts.wake_at <= now:
+                    self._note(ts)
+                elif ts.wake_at < soonest:
+                    soonest = ts.wake_at
+        self._wake_next = soonest
+
+    def _add_deadline(self, wake_at: int) -> None:
+        if wake_at < self._wake_next:
+            self._wake_next = wake_at
 
     def enabled_tids(self) -> list[int]:
-        """All currently enabled thread ids, in tid order."""
-        # The common case, a runnable thread whose pending op cannot block,
-        # is decided inline; _enabled sees only the rest.
-        enabled = self._enabled
-        return [
-            ts.tid
-            for ts in self._live
-            if (
-                ts.status is _RUNNABLE
-                and (op := ts.pending) is not None
-                and op.blocking == 0
-            )
-            or enabled(ts)
-        ]
+        """All currently enabled thread ids, in tid order.
+
+        The list is the engine's own and stays the same object until some
+        thread's answer changes: read it, never mutate it.
+        """
+        if self.step_count >= self._wake_next:
+            self._clock_moved()
+        enabled = self._enabled_list
+        if enabled is None:
+            enabled = self._enabled_list = [
+                ts.tid for ts in self._live if ts.enabled
+            ]
+        return enabled
 
     def schedulable(self) -> list[int]:
         """Enabled tids, fast-forwarding the clock past an all-sleeping lull.
 
         Returns ``[]`` when the execution is over (all dead or deadlocked)
         or the step budget is exhausted (``result.truncated`` is set).
+        Otherwise it returns :meth:`enabled_tids`' list.
         """
-        enabled = self.enabled_tids()
+        if self.step_count >= self._wake_next:
+            self._clock_moved()
+        enabled = self._enabled_list
+        if enabled and self.ops_executed < self.max_steps:
+            return enabled
+        if enabled is None:
+            enabled = self.enabled_tids()
         if not enabled:
             deadlines = self.deadlines()
             if deadlines:
                 # Nothing runnable but time can pass: jump to the earliest
                 # sleeper wakeup or timed-wait deadline.
                 self.step_count = max(self.step_count, min(deadlines))
+                self._clock_moved()
                 enabled = self.enabled_tids()
         if enabled and self.ops_executed >= self.max_steps:
             self.result.truncated = True
@@ -429,7 +516,9 @@ class Execution:
         ts = self.threads.get(tid)
         if ts is None:
             raise SchedulerMisuse(f"unknown thread {tid}")
-        if not self._enabled(ts):
+        if self.step_count >= self._wake_next:
+            self._clock_moved()
+        if not ts.enabled:
             raise SchedulerMisuse(f"thread {ts} is not enabled")
         if self.ops_executed >= self.max_steps:
             raise ExecutionLimitExceeded(
@@ -445,76 +534,75 @@ class Execution:
         The caller must already know that ``ts`` is enabled, that
         ``ops_executed < max_steps`` and that no other execution has run
         since this one's ``start()`` (whose uid counter is installed):
-        the scheduler-continuation path of :meth:`run` and the postponing
-        driver's burst both do.
+        :meth:`run` and the postponing driver's burst both do.
         """
         self.step_count += 1
         self.ops_executed += 1
         counts = self._m_counts
-        if counts is not None and ts.tid != self._m_last_tid:
-            if self._m_last_tid >= 0:
-                self._m_switches += 1
-            self._m_last_tid = ts.tid
-        status = ts.status
-        if status is _RUNNABLE:
-            op = ts.pending
-            index = op.kind_index
-            if counts is not None:
-                counts[index] += 1
-            self._dispatch[index](ts, op)
-        elif status is _SLEEPING:
+        if counts is not None:
             # Wakeups execute no user op; they are tallied under the
             # synthetic "wake" kind here, where the wake actually happens
             # (a pending SLEEP/WAIT op must not be double-counted).
-            if counts is not None:
+            if ts.status is _RUNNABLE:
+                counts[ts.pending.kind_index] += 1
+            else:
                 counts[_WAKE_SLOT] += 1
-            self._wake_from_sleep(ts)
-        else:  # _WAITING (timed wait at its deadline)
-            if counts is not None:
-                counts[_WAKE_SLOT] += 1
-            self._wake_from_timed_wait(ts)
+            if ts.tid != self._m_last_tid:
+                if self._m_last_tid >= 0:
+                    self._m_switches += 1
+                self._m_last_tid = ts.tid
+        # A sleeper's or timed waiter's pending op stays its SLEEP or WAIT,
+        # whose handler performs the wake.
+        op = ts.pending
+        self._dispatch[op.kind_index](ts, op)
 
     # --- op handlers ---------------------------------------------------- #
 
     def _do_read(self, ts: ThreadState, op: Op) -> None:
-        value = self._cells.get(op.location, op.default)
         if self._observe_mem:
             self._emit_mem(ts, op, Access.READ)
-        self._advance(ts, value=value)
+        self._advance(ts, self._cells.get(op.location, op.default))
 
     def _do_write(self, ts: ThreadState, op: Op) -> None:
         self._cells[op.location] = op.value
         if self._observe_mem:
             self._emit_mem(ts, op, Access.WRITE)
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_lock(self, ts: ThreadState, op: Op) -> None:
         outermost = self.locks.acquire(op.lock, ts.tid)
-        if outermost and self._observing:
-            self.observer.on_event(
-                AcquireEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
+        del self._contending[ts.tid]
+        if outermost:
+            self._lock_moved(op.lock, False)
+            if self._observing:
+                self.observer.on_event(
+                    AcquireEvent(
+                        step=self.step_count, tid=ts.tid, lock=op.lock,
+                        stmt=self._stmt(ts),
+                    )
                 )
-            )
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_unlock(self, ts: ThreadState, op: Op) -> None:
-        fully = self.locks.release(op.lock, ts.tid)
-        if fully and self._observing:
-            self.observer.on_event(
-                ReleaseEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
+        if self.locks.release(op.lock, ts.tid):  # fully released
+            self._lock_moved(op.lock, True)
+            if self._observing:
+                self.observer.on_event(
+                    ReleaseEvent(
+                        step=self.step_count, tid=ts.tid, lock=op.lock,
+                        stmt=self._stmt(ts),
+                    )
                 )
-            )
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_wait(self, ts: ThreadState, op: Op) -> None:
+        if ts.status is _WAITING:  # a timed wait at its deadline
+            self._wake_from_timed_wait(ts)
+            return
         # Java: wait with the interrupt flag already set throws immediately.
         if ts.interrupt_flag:
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
             return
         ts.wake_at = self.step_count + op.duration if op.duration else 0
         depth = self.locks.release_all(op.lock, ts.tid)
@@ -530,16 +618,20 @@ class Execution:
         ts.waiting_on = op.lock
         ts.wait_depth = depth
         # pending stays the WAIT op (not executable) until notify/interrupt.
+        self._note(ts)
+        self._lock_moved(op.lock, True)
+        if ts.wake_at:
+            self._add_deadline(ts.wake_at)
 
     def _do_notify(self, ts: ThreadState, op: Op) -> None:
         self._require_held(ts, op)
-        monitor = self.locks.monitor(op.lock)
-        if monitor.wait_set:
-            index = self.rng.randrange(len(monitor.wait_set))
-            woken = self.locks.unpark_one(op.lock, index)
+        wait_set = self.locks.monitor(op.lock).wait_set
+        if wait_set:
+            woken = pick(self.rng, wait_set)
+            self.locks.remove_waiter(op.lock, woken)
             msg = self._snd(ts.tid)
             self._transition_to_reacquire(self.threads[woken], msg)
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_notify_all(self, ts: ThreadState, op: Op) -> None:
         self._require_held(ts, op)
@@ -548,7 +640,7 @@ class Execution:
             msg = self._snd(ts.tid)
             for tid in woken:
                 self._transition_to_reacquire(self.threads[tid], msg)
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_spawn(self, ts: ThreadState, op: Op) -> None:
         gen = op.func(*op.args)
@@ -560,7 +652,7 @@ class Execution:
         child = self._create_thread(
             gen, name=op.name or getattr(op.func, "__name__", "thread"), parent=ts.tid
         )
-        self._advance(ts, value=child.handle)
+        self._advance(ts, child.handle)
 
     def _do_join(self, ts: ThreadState, op: Op) -> None:
         target = resolve_tid(op.target)
@@ -568,25 +660,27 @@ class Execution:
         msg = self._term_msg.get(target)
         if msg is not None and self._observing:
             self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_sleep(self, ts: ThreadState, op: Op) -> None:
+        if ts.status is _SLEEPING:  # the wake step
+            self._wake_from_sleep(ts)
+            return
         if ts.interrupt_flag:
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
             return
         ts.status = _SLEEPING
         ts.wake_at = self.step_count + max(1, op.duration)
         # pending stays the SLEEP op; the wake step resumes the generator.
+        self._note(ts)
+        self._add_deadline(ts.wake_at)
 
     def _wake_from_timed_wait(self, ts: ThreadState) -> None:
         """A timed wait hit its deadline: leave the wait set and re-contend
-        for the monitor (the wait returns only after re-acquisition)."""
+        for the monitor."""
         self.locks.remove_waiter(ts.waiting_on, ts.tid)
-        ts.pending = Op(
-            OpKind.REACQUIRE, lock=ts.waiting_on, reacquire_count=ts.wait_depth
-        )
-        ts.status = _RUNNABLE
+        self._contend(ts, ts.waiting_on)
         ts.waiting_on = None
         ts.wake_at = 0
 
@@ -601,49 +695,48 @@ class Execution:
                     RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg)
                 )
             ts.waiting_on = None
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
         else:
-            self._advance(ts, value=None)
+            self._advance(ts, None)
 
     def _do_interrupt(self, ts: ThreadState, op: Op) -> None:
         target = self.threads.get(resolve_tid(op.target))
         if target is None or not target.alive:
-            self._advance(ts, value=None)
+            self._advance(ts, None)
             return
         if target.status is _WAITING:
             self.locks.remove_waiter(target.waiting_on, target.tid)
             msg = self._snd(ts.tid)
-            lock = target.waiting_on
-            target.pending = Op(
-                OpKind.REACQUIRE, lock=lock, reacquire_count=target.wait_depth
-            )
-            target.status = _RUNNABLE
+            self._contend(target, target.waiting_on)
             target.waiting_on = msg  # stash the HB message for delivery
             target.deliver_interrupt = True
         elif target.status is _SLEEPING:
             msg = self._snd(ts.tid)
             target.waiting_on = msg
             target.deliver_interrupt = True
+            self._note(target)
         else:
             target.interrupt_flag = True
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_interrupted(self, ts: ThreadState, op: Op) -> None:
         flag = ts.interrupt_flag
         ts.interrupt_flag = False
-        self._advance(ts, value=flag)
+        self._advance(ts, flag)
 
     def _do_yield(self, ts: ThreadState, op: Op) -> None:
-        self._advance(ts, value=None)
+        self._advance(ts, None)
 
     def _do_check(self, ts: ThreadState, op: Op) -> None:
         if op.condition:
-            self._advance(ts, value=None)
+            self._advance(ts, None)
         else:
-            self._advance(ts, exc=AssertionViolation(op.message or "check failed"))
+            self._advance(ts, None, AssertionViolation(op.message or "check failed"))
 
     def _do_reacquire(self, ts: ThreadState, op: Op) -> None:
         self.locks.acquire(op.lock, ts.tid, depth=op.reacquire_count)
+        del self._contending[ts.tid]
+        self._lock_moved(op.lock, False)
         if self._observing:
             self.observer.on_event(
                 AcquireEvent(
@@ -659,20 +752,20 @@ class Execution:
         if ts.deliver_interrupt:
             ts.deliver_interrupt = False
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
         else:
-            self._advance(ts, value=None)
+            self._advance(ts, None)
 
     # ------------------------------------------------------------------ #
     # internals
 
     def _stmt(self, ts: ThreadState) -> Statement | None:
-        """Materialize (and memoize) the statement of ``ts``'s pending op."""
-        stmt = ts.pending_stmt
-        if stmt is None and ts.stmt_code is not None:
-            stmt = statement_at(ts.stmt_code, ts.stmt_line)
-            ts.pending_stmt = stmt
-        return stmt
+        """The statement of ``ts``'s pending op, interned from its raw site
+        (``statement_at`` keeps one per site) unless it is already known."""
+        code = ts.stmt_code
+        if code is None:
+            return ts.pending_stmt
+        return statement_at(code, ts.stmt_line)
 
     def _require_held(self, ts: ThreadState, op: Op) -> None:
         if not self.locks.holds(op.lock, ts.tid):
@@ -684,12 +777,17 @@ class Execution:
 
     def _transition_to_reacquire(self, ts: ThreadState, msg: int) -> None:
         """Move a woken waiter to the monitor-entry competition."""
-        ts.pending = Op(
-            OpKind.REACQUIRE, lock=ts.waiting_on, reacquire_count=ts.wait_depth
-        )
-        ts.status = _RUNNABLE
+        self._contend(ts, ts.waiting_on)
         ts.wake_at = 0  # a pending timed-wait deadline is void once notified
         ts.waiting_on = msg  # carry the SND message until re-acquisition
+
+    def _contend(self, ts: ThreadState, lock) -> None:
+        """A waiter left the wait set: its wait returns only after it
+        re-acquires the monitor, which it now contends for."""
+        ts.pending = Op(OpKind.REACQUIRE, lock=lock, reacquire_count=ts.wait_depth)
+        ts.status = _RUNNABLE
+        self._contending[ts.tid] = ts
+        self._note(ts)
 
     def _snd(self, tid: int) -> int:
         msg = self.fresh_msg()
@@ -713,7 +811,7 @@ class Execution:
     def _create_thread(self, gen, name: str, parent: int | None) -> ThreadState:
         tid = self._next_tid
         self._next_tid += 1
-        ts = ThreadState(tid=tid, name=f"{name}", gen=gen)
+        ts = ThreadState(tid=tid, name=f"{name}", gen=gen, inner=gen)
         self.threads[tid] = ts
         self._live.append(ts)
         if self._observing:
@@ -732,24 +830,24 @@ class Execution:
                 self.observer.on_event(
                     RcvEvent(step=self.step_count, tid=tid, msg_id=msg)
                 )
-        self._advance(ts, value=None, priming=True)
+        self._advance(ts, None)  # send(None) primes a fresh body
+        self._note(ts)
         return ts
 
     def _advance(
-        self,
-        ts: ThreadState,
-        value: Any = None,
-        exc: BaseException | None = None,
-        priming: bool = False,
+        self, ts: ThreadState, value: Any, exc: BaseException | None = None
     ) -> None:
-        """Resume the generator until its next yield (or its end)."""
+        """Resume the generator until its next yield (or its end).
+
+        ``ts`` is the thread being stepped, which was enabled, or a new
+        thread, whose answer :meth:`_create_thread` derives; so only a
+        pending op that can block needs its answer re-derived here.
+        """
         try:
-            if exc is not None:
-                op = ts.gen.throw(exc)
-            elif priming:
-                op = next(ts.gen)
-            else:
+            if exc is None:
                 op = ts.gen.send(value)
+            else:
+                op = ts.gen.throw(exc)
         except StopIteration:
             self._terminate(ts, None)
         except EngineError:
@@ -762,28 +860,41 @@ class Execution:
                     f"{ts} yielded {op!r}; thread bodies must yield Op values"
                 )
             ts.pending = op
+            if op.blocking:
+                if op.blocking == 1:
+                    self._contending[ts.tid] = ts
+                self._note(ts)
             if op.label is not None:
                 ts.pending_stmt = label_statement(op.label)
                 ts.stmt_code = None
+                ts.stmt_line = 0  # a labelled statement's line
             else:
                 # Capture the raw site eagerly (the frame is only readable
                 # while the generator is suspended, and a later crash must
                 # attribute to this op); intern the Statement lazily.  This
                 # is innermost_frame() inlined: follow the yield-from chain
                 # so composed helpers attribute to the line that actually
-                # performed the access.
-                gen = ts.gen
-                while True:
-                    nested = gen.gi_yieldfrom
-                    if nested is None or nested.__class__ is not GeneratorType:
-                        break
-                    gen = nested
+                # performed the access.  A generator leaves the chain only
+                # by finishing, so the last innermost one is still innermost
+                # while it is suspended and delegates to nothing; otherwise
+                # the walk resumes from it, or from the body once it ended.
+                gen = ts.inner
                 frame = gen.gi_frame
+                if frame is None or gen.gi_yieldfrom is not None:
+                    if frame is None:
+                        gen = ts.gen
+                    while True:
+                        nested = gen.gi_yieldfrom
+                        if nested is None or nested.__class__ is not GeneratorType:
+                            break
+                        gen = nested
+                    ts.inner = gen
+                    frame = gen.gi_frame
                 if frame is None:
                     ts.pending_stmt = FINISHED_STATEMENT
                     ts.stmt_code = None
+                    ts.stmt_line = 0
                 else:
-                    ts.pending_stmt = None
                     ts.stmt_code = frame.f_code
                     ts.stmt_line = frame.f_lineno
 
@@ -796,6 +907,13 @@ class Execution:
         ts.pending_stmt = stmt
         ts.stmt_code = None
         self._live.remove(ts)
+        if ts.enabled:
+            ts.enabled = False
+            self._enabled_list = None
+        for other in self._live:  # its joiners
+            op = other.pending
+            if op is not None and op.blocking == 2:
+                self._note(other)
         # Events and crash records carry the picklable ErrorInfo form; the
         # live exception stays on ThreadState for in-process consumers.
         info = ErrorInfo.from_exception(error) if error is not None else None

@@ -105,13 +105,6 @@ class LockTable:
     def park_waiter(self, lock: LockId, tid: int) -> None:
         self.monitor(lock).wait_set.append(tid)
 
-    def unpark_one(self, lock: LockId, index: int) -> int | None:
-        """Remove and return the waiter at ``index`` (scheduler-chosen), if any."""
-        wait_set = self.monitor(lock).wait_set
-        if not wait_set:
-            return None
-        return wait_set.pop(index % len(wait_set))
-
     def unpark_all(self, lock: LockId) -> list[int]:
         wait_set = self.monitor(lock).wait_set
         woken, wait_set[:] = list(wait_set), []

@@ -6,7 +6,9 @@ has yielded but the engine has not yet executed — the paper's
 status plus the executability of the pending op (e.g. a pending ``LOCK`` on
 a monitor owned by another thread disables it), which matches the paper's
 definition: "a thread is disabled if it is waiting to acquire a lock already
-held by some other thread (or waiting on a join or a wait)".
+held by some other thread (or waiting on a join or a wait)".  The engine
+keeps each thread's current answer in ``enabled`` and re-derives it only
+after a transition that can change it.
 """
 
 from __future__ import annotations
@@ -48,16 +50,23 @@ class ThreadState:
     gen: Generator[Op, Any, Any]
     status: ThreadStatus = ThreadStatus.RUNNABLE
     pending: Op | None = None
-    #: statement identity of the pending op.  Materialized lazily: the
-    #: engine records the raw yield site in ``stmt_code``/``stmt_line`` at
-    #: resume time (frame state is only readable while the generator is
-    #: suspended) and builds the interned Statement on first demand.
+    #: the engine's maintained answer to "is this thread enabled?"; see
+    #: ``Execution._note``.
+    enabled: bool = False
+    #: statement identity of the pending op when ``stmt_code`` is None
+    #: (labelled ops, ended threads).  Otherwise it is not kept: the engine
+    #: records the raw yield site in ``stmt_code``/``stmt_line`` at resume
+    #: time (frame state is only readable while the generator is
+    #: suspended) and interns the Statement on demand.
     pending_stmt: Statement | None = None
-    #: raw site of the pending op (``frame.f_code`` / ``f_lineno``); None
-    #: when ``pending_stmt`` is already materialized (labelled ops) or the
-    #: thread has no pending op.
+    #: raw site of the pending op (``frame.f_code`` / ``f_lineno``); None,
+    #: with line 0, when ``pending_stmt`` holds the statement or the thread
+    #: has no pending op.
     stmt_code: Any = None
     stmt_line: int = 0
+    #: innermost generator of the body's ``yield from`` chain at the last
+    #: unlabelled yield; the next site is read from it while it is alive.
+    inner: Any = None
     #: set while parked: the lock whose wait set holds us, and the monitor
     #: recursion depth to restore on re-acquisition.
     waiting_on: Any = None

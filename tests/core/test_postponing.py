@@ -386,7 +386,7 @@ class TestDriverValidation:
     def test_base_class_hooks_are_abstract(self):
         driver = PostponingDriver()
         with pytest.raises(NotImplementedError):
-            driver.is_target(None, None)
+            driver.target_probe(None)
         with pytest.raises(NotImplementedError):
             driver.conflicting(None, 0, [])
 

@@ -1,0 +1,146 @@
+"""Step cost: CPython bytecodes per executed op on each scheduling path.
+
+Every campaign bottoms out in one loop: pick an enabled thread, step it.
+Wall time is too noisy on a shared host to gate that loop, but the number
+of bytecodes the interpreter executes per executed op is exact and
+repeatable for fixed seeds (and the same under any hash seed).  This script counts
+them with ``sys.settrace`` opcode events for three paths on four Table-1
+rows (linkedlist, jigsaw, moldyn, weblech):
+
+* ``phase2``: RaceFuzzer trials of every Phase-1 pair (Phase 1 itself is
+  not counted);
+* ``default``: ``DefaultScheduler`` baseline runs;
+* ``random_every``: ``RandomScheduler("every")`` runs, the scheduler of
+  Phase 1 and of the Hybrid timing run (here without an observer, so the
+  count is the engine's and not a detector's).
+
+An executed op is one call of ``Execution._execute``.  Each path reports
+its ops, its bytecodes per op and the functions that spend the most
+bytecodes per op.  On CPython 3.11 the script exits 1 when a path is above
+its bound in :data:`BOUNDS`; other versions report without the gate,
+since bytecode counts differ between interpreter versions.
+
+Run it from the repository root (about 40 s)::
+
+    PYTHONPATH=src python tests/drills/step_cost.py
+
+It prints one JSON line.
+"""
+
+import json
+import os
+import sys
+from collections import Counter
+
+from repro import workloads
+from repro.core import RaceFuzzer, detect_races
+from repro.core.schedulers import DefaultScheduler, RandomScheduler
+from repro.runtime.interpreter import Execution
+
+ROWS = ("linkedlist", "jigsaw", "moldyn", "weblech")
+
+#: trial seeds per Phase-1 pair, and run seeds per passive scheduler.
+PHASE2_SEEDS = range(4)
+PASSIVE_SEEDS = range(3)
+
+#: bytecodes per executed op on CPython 3.11: the value measured with the
+#: maintained enabled set (365.8, 306.8 and 332.8; before it, 482.3, 566.1
+#: and 588.3), plus 5%.
+BOUNDS = {"phase2": 384.1, "default": 322.1, "random_every": 349.4}
+
+#: functions listed per path.
+TOP = 8
+
+
+class Tally:
+    """Opcode events per code object, and ``_execute`` calls."""
+
+    def __init__(self) -> None:
+        self.by_code: Counter = Counter()
+        self.ops = 0
+        self._execute = Execution._execute.__code__
+
+    def _local(self, frame, event, arg):
+        if event == "opcode":
+            self.by_code[frame.f_code] += 1
+        return self._local
+
+    def _global(self, frame, event, arg):
+        frame.f_trace_opcodes = True
+        if frame.f_code is self._execute:
+            self.ops += 1
+        return self._local
+
+    def run(self, fn, *args):
+        sys.settrace(self._global)
+        try:
+            return fn(*args)
+        finally:
+            sys.settrace(None)
+
+    def report(self) -> dict:
+        if not self.ops:
+            raise SystemExit("step_cost: no Execution._execute call was traced")
+        total = sum(self.by_code.values())
+        top = [
+            [f"{os.path.basename(code.co_filename)}:"
+             f"{getattr(code, 'co_qualname', code.co_name)}",
+             round(count / self.ops, 1)]
+            for code, count in self.by_code.most_common(TOP)
+        ]
+        return {
+            "ops": self.ops,
+            "bytecodes_per_op": round(total / self.ops, 1),
+            "top": top,
+        }
+
+
+def phase2(tally: Tally) -> None:
+    for name in ROWS:
+        spec = workloads.get(name)
+        pairs = detect_races(
+            spec.build(), seeds=spec.phase1_seeds, max_steps=spec.max_steps
+        ).pairs
+        program = spec.build()
+        for pair in sorted(pairs, key=str):
+            fuzzer = RaceFuzzer(pair, max_steps=spec.max_steps)
+            for seed in PHASE2_SEEDS:
+                tally.run(fuzzer.run, program, seed)
+
+
+def passive(tally: Tally, make_scheduler) -> None:
+    for name in ROWS:
+        spec = workloads.get(name)
+        program = spec.build()
+        for seed in PASSIVE_SEEDS:
+            execution = Execution(program, seed=seed, max_steps=spec.max_steps)
+            tally.run(execution.run, make_scheduler())
+
+
+def main() -> int:
+    paths = {}
+    for path, measure in (
+        ("phase2", phase2),
+        ("default", lambda t: passive(t, DefaultScheduler)),
+        ("random_every", lambda t: passive(t, lambda: RandomScheduler("every"))),
+    ):
+        tally = Tally()
+        measure(tally)
+        paths[path] = tally.report()
+    gated = sys.version_info[:2] == (3, 11)
+    over = [
+        path for path, row in paths.items()
+        if row["bytecodes_per_op"] > BOUNDS[path]
+    ]
+    print(json.dumps({
+        "python": sys.version.split()[0],
+        "paths": paths,
+        "bounds": BOUNDS,
+        "gated": gated,
+        "over_bound": over,
+    }))
+    return 1 if gated and over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

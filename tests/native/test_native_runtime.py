@@ -5,13 +5,15 @@ import threading
 
 import pytest
 
-from repro.core import RaceFuzzer, RandomScheduler
+from repro.core import DefaultScheduler, RaceFuzzer, RandomScheduler, postponing
 from repro.native import NativeRuntime, native_program
 from repro.runtime import EngineError, Execution, SchedulerMisuse
 from repro.runtime.errors import IllegalMonitorState
 from repro.runtime.events import AcquireEvent, MemEvent
 from repro.runtime.observer import EventTrace
 from repro.runtime.statement import Statement, StatementPair
+
+from tests.conftest import LawfulExecution
 
 
 def run_native(fn, seed=0, observers=(), max_steps=200_000):
@@ -190,6 +192,57 @@ class TestMonitors:
         for seed in range(10):
             result = run_native(program, seed=seed)
             assert not result.crashes and not result.deadlock, f"seed {seed}"
+
+
+def monitor_and_counter(rt):
+    """Three threads bump an unlocked counter, then wait on a monitor
+    until main notifies them all; main joins them."""
+    lock = rt.lock("L")
+    go = rt.var("go", 0)
+    hits = rt.var("hits", 0)
+
+    def waiter():
+        rt.write(hits, rt.read(hits, label="hit-read") + 1, label="hit-write")
+        rt.acquire(lock)
+        while rt.read(go) == 0:
+            rt.wait(lock)
+        rt.release(lock)
+
+    handles = [rt.spawn(waiter) for _ in range(3)]
+    rt.acquire(lock)
+    rt.write(go, 1)
+    rt.notify_all(lock)
+    rt.release(lock)
+    for handle in handles:
+        rt.join(handle)
+
+
+class TestMaintainedEnabledSet:
+    """After every step the engine's enabled list equals a rescan with
+    ``_enabled`` (see ``tests/runtime/test_enabled_set.py``)."""
+
+    def test_passive_schedulers(self):
+        for make in (DefaultScheduler, RandomScheduler, lambda: RandomScheduler("sync")):
+            for seed in range(3):
+                execution = LawfulExecution(native_program(monitor_and_counter), seed=seed)
+                result = execution.run(make())
+                assert not result.deadlock and not result.crashes
+                assert execution.steps_checked == execution.ops_executed > 0
+
+    def test_racefuzzer(self, monkeypatch):
+        made = []
+
+        def lawful(*args, **kwargs):
+            made.append(LawfulExecution(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(postponing, "Execution", lawful)
+        pair = StatementPair(Statement(label="hit-read"), Statement(label="hit-write"))
+        fuzzer = RaceFuzzer(pair)
+        for seed in range(3):
+            outcome = fuzzer.run(native_program(monitor_and_counter), seed=seed)
+            assert not outcome.deadlock
+        assert all(e.steps_checked == e.ops_executed > 0 for e in made)
 
 
 def crossed_locks(rt):

@@ -66,18 +66,6 @@ class TestWaitSets:
         with pytest.raises(IllegalMonitorState):
             table.release_all(lock_id, 1)
 
-    def test_park_and_unpark_one(self, table, lock_id):
-        table.park_waiter(lock_id, 1)
-        table.park_waiter(lock_id, 2)
-        assert table.unpark_one(lock_id, 0) == 1
-        assert table.unpark_one(lock_id, 0) == 2
-        assert table.unpark_one(lock_id, 0) is None
-
-    def test_unpark_one_index_wraps(self, table, lock_id):
-        table.park_waiter(lock_id, 1)
-        table.park_waiter(lock_id, 2)
-        assert table.unpark_one(lock_id, 5) == 2  # 5 % 2 == 1
-
     def test_unpark_all(self, table, lock_id):
         for tid in (1, 2, 3):
             table.park_waiter(lock_id, tid)
