@@ -63,7 +63,7 @@ from typing import Callable, Iterable
 
 import time
 
-from repro.obs import WALL_BUCKETS, maybe_telemetry
+from repro.obs import maybe_telemetry
 from repro.runtime.errors import ExecutionLimitExceeded
 from repro.runtime.interpreter import Execution, ExecutionResult, pick
 from repro.runtime.observer import ExecutionObserver
@@ -423,11 +423,6 @@ class PostponingDriver:
             telemetry.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
             telemetry.inc("fuzz.idle_releases", fuzz.idle_releases)
             telemetry.inc("fuzz.stall_steps", fuzz.stall_steps)
-            telemetry.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
-            telemetry.observe(
-                "fuzz.trial_wall_s", execution.result.wall_time,
-                bounds=WALL_BUCKETS,
-            )
             # Identity is schedule-determined (target + seed + counters);
             # wall/duration ride along for Perfetto export only.
             telemetry.emit(

@@ -3,14 +3,15 @@
 The package every other layer is instrumented against:
 
 * :mod:`repro.obs.telemetry` — the one :class:`Telemetry` stream
-  (counters, gauges, fixed-bucket histograms, span timers, and the
-  bounded event ring), its picklable :class:`TelemetrySnapshot` with one
+  (three aggregate kinds: counters, span timers, and the bounded ring of
+  timeline events), its picklable :class:`TelemetrySnapshot` with one
   merge law, and the process-wide switch (:func:`collecting` /
   :func:`maybe_telemetry`).  Off by default: every instrumented site
   then costs one ``None``-check.
 * :mod:`repro.obs.report` — the versioned JSON run report
-  (``--metrics-out``), the one telemetry document: schema validation
-  and the ``repro stats`` table renderer (counters, the detector funnel
+  (``--metrics-out``, version 6: counters, spans and the ``timeline``
+  section), the one telemetry document: schema validation and the
+  ``repro stats`` table renderer (counters, spans, the detector funnel
   per workload, and each fuzzed pair's outcome).
 * :mod:`repro.obs.timeline` — the run report's ``timeline`` section
   (every event, display fields included), its deterministic projection
@@ -43,8 +44,6 @@ from .report import (
     write_run_report,
 )
 from .telemetry import (
-    STEP_BUCKETS,
-    WALL_BUCKETS,
     MeteredResult,
     Telemetry,
     TelemetrySnapshot,
@@ -60,8 +59,6 @@ __all__ = [
     "Telemetry",
     "TelemetrySnapshot",
     "MeteredResult",
-    "STEP_BUCKETS",
-    "WALL_BUCKETS",
     "collecting",
     "maybe_telemetry",
     "recording_timeline",

@@ -24,16 +24,18 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 from typing import Any, Mapping
 
 from .telemetry import TelemetrySnapshot
 from .timeline import timeline_section, validate_timeline_section
 
 #: bump when the report layout changes incompatibly; only the current
-#: version validates.  v5 keys every per-pair and per-schedule event by
-#: workload first and its ``timeline.pairs`` by workload, then pair label
-#: (v4 keyed them by pair index and carried posterior series).
-REPORT_VERSION = 5
+#: version validates.  v6 carries two aggregates, ``counters`` and
+#: ``spans`` (v5 also carried gauges and histograms); every per-pair and
+#: per-schedule event is keyed by workload first and ``timeline.pairs``
+#: by workload, then pair label.
+REPORT_VERSION = 6
 
 #: discriminator so tooling can reject arbitrary JSON files early.
 REPORT_KIND = "repro-run-report"
@@ -93,8 +95,6 @@ def build_run_report(
         "workload": workload,
         "env": environment_metadata(),
         "counters": dict(sorted(counters.items())),
-        "gauges": body["gauges"],
-        "histograms": body["histograms"],
         "spans": body["spans"],
         "timeline": timeline_section(snapshot),
     }
@@ -130,17 +130,27 @@ def write_run_report(
     With ``merge_existing`` (used when a campaign resumes from a
     ``--checkpoint`` journal), a valid prior report at ``path`` is folded
     into ``snapshot`` first, so the report accumulates across restarts
-    instead of counting only the resumed tail.  An invalid or missing
-    prior file is ignored.  The prior ``timeline`` section's events join
-    the dedup union too, so a resumed campaign's deterministic projection
-    equals an uninterrupted run's.
+    instead of counting only the resumed tail.  A missing prior file is
+    ignored; an unreadable or invalid one (say, a report of another
+    version) is overwritten with a stderr note naming its first problem.
+    The prior ``timeline`` section's events join the dedup union too, so
+    a resumed campaign's deterministic projection equals an uninterrupted
+    run's.
     """
-    if merge_existing:
+    if merge_existing and os.path.exists(path):
         try:
             prior = load_run_report(path)
-        except (OSError, json.JSONDecodeError):
-            prior = None
-        if prior is not None and not validate_run_report(prior):
+        except (OSError, ValueError) as exc:
+            errors = [str(exc)]
+        else:
+            errors = validate_run_report(prior)
+        if errors:
+            print(
+                f"repro: run report {path}: not merged, overwriting it "
+                f"({errors[0]})",
+                file=sys.stderr,
+            )
+        else:
             snapshot = snapshot_from_report(prior).merged(snapshot)
     report = build_run_report(
         snapshot, command=command, workload=workload, extra=extra
@@ -151,6 +161,14 @@ def write_run_report(
         fh.write("\n")
     os.replace(tmp, path)
     return report
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_run_report(report: Any) -> list[str]:
@@ -179,32 +197,8 @@ def validate_run_report(report: Any) -> list[str]:
             if key not in counters:
                 errors.append(f"missing required counter {key!r}")
         for key, value in counters.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not _is_int(value) or value < 0:
                 errors.append(f"counter {key!r} must be a non-negative int")
-    gauges = report.get("gauges", {})
-    if not isinstance(gauges, Mapping):
-        errors.append("gauges must be an object")
-    else:
-        for key, value in gauges.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"gauge {key!r} must be a number")
-    histograms = report.get("histograms", {})
-    if not isinstance(histograms, Mapping):
-        errors.append("histograms must be an object")
-    else:
-        for key, h in histograms.items():
-            if not isinstance(h, Mapping):
-                errors.append(f"histogram {key!r} must be an object")
-                continue
-            bounds, counts = h.get("bounds"), h.get("counts")
-            if not isinstance(bounds, list) or not isinstance(counts, list):
-                errors.append(f"histogram {key!r} needs bounds and counts lists")
-            elif len(counts) != len(bounds) + 1:
-                errors.append(
-                    f"histogram {key!r}: counts must have len(bounds)+1 entries"
-                )
-            elif sum(counts) != h.get("count"):
-                errors.append(f"histogram {key!r}: counts do not sum to count")
     spans = report.get("spans", {})
     if not isinstance(spans, Mapping):
         errors.append("spans must be an object")
@@ -213,9 +207,17 @@ def validate_run_report(report: Any) -> list[str]:
             if not isinstance(s, Mapping):
                 errors.append(f"span {key!r} must be an object")
                 continue
-            if s.get("count", -1) < 0 or s.get("total_s", -1) < 0:
+            count = s.get("count")
+            total_s, min_s, max_s = (s.get(k) for k in ("total_s", "min_s", "max_s"))
+            if not _is_int(count) or not all(map(_is_number, (total_s, min_s, max_s))):
+                errors.append(
+                    f"span {key!r}: count must be an int and "
+                    f"total_s/min_s/max_s numbers"
+                )
+                continue
+            if count < 0 or total_s < 0:
                 errors.append(f"span {key!r}: count/total_s must be >= 0")
-            if s.get("count", 0) > 0 and s.get("min_s", 0) > s.get("max_s", 0):
+            if count > 0 and min_s > max_s:
                 errors.append(f"span {key!r}: min_s exceeds max_s")
     if "timeline" not in report:
         errors.append("timeline section is missing")
@@ -233,12 +235,6 @@ def validate_run_report(report: Any) -> list[str]:
 FUNNEL_STAGES = (
     "candidates", "schedulable", "speculative", "ungraded", "confirmed",
 )
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
 
 
 def _render_section(title: str, headers: list[str], rows: list[list]) -> str:
@@ -274,24 +270,6 @@ def render_stats_table(report: Mapping) -> str:
                 ["name", "value"],
                 [[name, value] for name, value in sorted(counters.items())],
             )
-        )
-    gauges = report.get("gauges", {})
-    if gauges:
-        sections.append(
-            _render_section(
-                "gauges",
-                ["name", "value"],
-                [[name, _format_value(value)] for name, value in sorted(gauges.items())],
-            )
-        )
-    histograms = report.get("histograms", {})
-    if histograms:
-        rows = []
-        for name, h in sorted(histograms.items()):
-            mean = h["total"] / h["count"] if h["count"] else 0.0
-            rows.append([name, h["count"], f"{mean:.1f}", f"{h['total']:.1f}"])
-        sections.append(
-            _render_section("histograms", ["name", "count", "mean", "total"], rows)
         )
     spans = report.get("spans", {})
     if spans:

@@ -1,4 +1,4 @@
-"""One telemetry stream: counters, gauges, histograms, spans and events.
+"""One telemetry stream: counters, spans and timeline events.
 
 Observability in this codebase follows the same discipline as its
 nondeterminism: one explicit owner, deterministic everywhere.  A single
@@ -12,9 +12,13 @@ it, aggregates and events, into one run report.
 
 What one telemetry object holds:
 
-* **aggregates** — counters, gauges (high-water marks), fixed-bucket
-  histograms and wall-clock spans (``with span("phase2.fuzz"): ...``),
-  cheap enough to wrap every (pair, chunk) in a campaign;
+* **aggregates** — counters and wall-clock spans
+  (``with span("phase2.fuzz"): ...``), cheap enough to wrap every
+  (pair, chunk) in a campaign.  Spans say where the time went; counters
+  and the events say why a pair got its verdict.  A distribution is
+  derived, not recorded: the mean steps per execution is
+  ``interp.steps / interp.executions``, and each trial's wall time is its
+  ``trial`` event's ``dur_s``;
 * **events** — typed, sparse :class:`TimelineEvent` entries (*why* the
   campaign did what it did: binds, Thompson draws, posterior deltas,
   trials, retries, quarantines, store traffic) in a bounded ring.  An event's
@@ -30,11 +34,10 @@ exactly as it does for campaign results:
    task attempt) and ships a :class:`TelemetrySnapshot` home with the
    result in a :class:`MeteredResult`.
 2. **One merge law, field by field** (:meth:`TelemetrySnapshot.merged`):
-   counters add, gauges take the max, histograms add bucket-wise (equal
-   bounds required), spans aggregate ``(count, total, min, max)``, and
+   counters add, spans aggregate ``(count, total, min, max)``, and
    events are a dedup-union by identity truncated to the ring budget
    keeping the *smallest* identities.  The fold is associative and
-   commutative up to display fields (and float rounding of span/histogram
+   commutative up to display fields (and float rounding of span
    totals), so worker snapshots can settle in any order.  ``dropped``
    counts identities cut per fold, so once the budget overflows it is a
    count of cuts, not of distinct lost identities.
@@ -45,84 +48,16 @@ exactly as it does for campaign results:
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Sequence
-
-#: default histogram bounds for step-count style distributions.
-STEP_BUCKETS: tuple[float, ...] = (
-    10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0,
-)
-
-#: default histogram bounds for wall-clock seconds.
-WALL_BUCKETS: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0)
+from typing import Any, Iterator, Mapping
 
 #: default ring budget: events retained per snapshot.
 DEFAULT_BUDGET = 8192
-
-
-@dataclass
-class HistogramData:
-    """One fixed-bucket histogram: ``counts[i]`` observations ``<= bounds[i]``,
-    plus one overflow bucket; ``total``/``count`` give the exact mean."""
-
-    bounds: tuple[float, ...]
-    counts: list[int]
-    total: float = 0.0
-    count: int = 0
-
-    @classmethod
-    def empty(cls, bounds: Sequence[float]) -> "HistogramData":
-        bounds = tuple(float(b) for b in bounds)
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError(f"histogram bounds must be strictly increasing: {bounds}")
-        return cls(bounds=bounds, counts=[0] * (len(bounds) + 1))
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def add(self, other: "HistogramData") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total += other.total
-        self.count += other.count
-
-    def copy(self) -> "HistogramData":
-        return HistogramData(
-            bounds=self.bounds,
-            counts=list(self.counts),
-            total=self.total,
-            count=self.count,
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: Mapping) -> "HistogramData":
-        return cls(
-            bounds=tuple(float(b) for b in obj["bounds"]),
-            counts=[int(c) for c in obj["counts"]],
-            total=float(obj["total"]),
-            count=int(obj["count"]),
-        )
 
 
 @dataclass
@@ -261,7 +196,7 @@ def _merge_events(event_lists, budget: int) -> tuple[list, int]:
 
 
 def _merge_into(mine: dict, theirs: Mapping) -> None:
-    """Fold histogram or span aggregates ``theirs`` into ``mine``."""
+    """Fold span aggregates ``theirs`` into ``mine``."""
     for name, data in theirs.items():
         if name in mine:
             mine[name].add(data)
@@ -278,8 +213,6 @@ class TelemetrySnapshot:
     """
 
     counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, HistogramData] = field(default_factory=dict)
     spans: dict[str, SpanData] = field(default_factory=dict)
     events: tuple = ()
     dropped: int = 0
@@ -290,19 +223,12 @@ class TelemetrySnapshot:
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges.get(name, value), value)
-        histograms = {name: h.copy() for name, h in self.histograms.items()}
-        _merge_into(histograms, other.histograms)
         spans = {name: s.copy() for name, s in self.spans.items()}
         _merge_into(spans, other.spans)
         budget = max(self.budget, other.budget)
         events, cut = _merge_events((self.events, other.events), budget)
         return TelemetrySnapshot(
             counters=counters,
-            gauges=gauges,
-            histograms=histograms,
             spans=spans,
             events=tuple(events),
             dropped=self.dropped + other.dropped + cut,
@@ -312,11 +238,6 @@ class TelemetrySnapshot:
     def to_jsonable(self) -> dict:
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: h.to_jsonable()
-                for name, h in sorted(self.histograms.items())
-            },
             "spans": {
                 name: s.to_jsonable() for name, s in sorted(self.spans.items())
             },
@@ -337,11 +258,6 @@ class TelemetrySnapshot:
         )
         return cls(
             counters={str(k): int(v) for k, v in obj.get("counters", {}).items()},
-            gauges={str(k): float(v) for k, v in obj.get("gauges", {}).items()},
-            histograms={
-                str(k): HistogramData.from_jsonable(v)
-                for k, v in obj.get("histograms", {}).items()
-            },
             spans={
                 str(k): SpanData.from_jsonable(v)
                 for k, v in obj.get("spans", {}).items()
@@ -385,7 +301,7 @@ class _Span:
 
 
 class Telemetry:
-    """Counters, gauges, histograms, spans and the event ring.
+    """Counters, spans and the event ring.
 
     Event appends are O(1); the ring compacts lazily (dedup + canonical
     sort + keep-smallest truncation) once the raw list exceeds twice the
@@ -395,8 +311,6 @@ class Telemetry:
     def __init__(self, *, budget: int = DEFAULT_BUDGET) -> None:
         self.budget = max(1, int(budget))
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, HistogramData] = {}
         self._spans: dict[str, SpanData] = {}
         self._events: list[TimelineEvent] = []
         self._dropped = 0
@@ -407,21 +321,6 @@ class Telemetry:
     def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the counter ``name`` (created at 0)."""
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        """Raise gauge ``name`` to ``value`` if it is a new high-water mark."""
-        current = self._gauges.get(name)
-        if current is None or value > current:
-            self._gauges[name] = value
-
-    def observe(
-        self, name: str, value: float, *, bounds: Sequence[float] = STEP_BUCKETS
-    ) -> None:
-        """Record ``value`` into the fixed-bucket histogram ``name``."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = HistogramData.empty(bounds)
-        histogram.observe(value)
 
     def span(self, name: str) -> _Span:
         """A context manager timing its block into span ``name``."""
@@ -454,9 +353,6 @@ class Telemetry:
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    def gauge(self, name: str) -> float | None:
-        return self._gauges.get(name)
-
     def _compact(self) -> None:
         self._events, cut = _merge_events((self._events,), self.budget)
         self._dropped += cut
@@ -466,8 +362,6 @@ class Telemetry:
         self._compact()
         return TelemetrySnapshot(
             counters=dict(self._counters),
-            gauges=dict(self._gauges),
-            histograms={k: h.copy() for k, h in self._histograms.items()},
             spans={k: s.copy() for k, s in self._spans.items()},
             events=tuple(self._events),
             dropped=self._dropped,
@@ -478,9 +372,6 @@ class Telemetry:
         """Fold a worker's snapshot in, by the snapshot merge law."""
         for name, value in snapshot.counters.items():
             self._counters[name] = self._counters.get(name, 0) + value
-        for name, value in snapshot.gauges.items():
-            self.gauge_max(name, value)
-        _merge_into(self._histograms, snapshot.histograms)
         _merge_into(self._spans, snapshot.spans)
         self._events.extend(snapshot.events)
         self._dropped += snapshot.dropped
@@ -538,9 +429,6 @@ recording_timeline = collecting
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "STEP_BUCKETS",
-    "WALL_BUCKETS",
-    "HistogramData",
     "MeteredResult",
     "SpanData",
     "Telemetry",

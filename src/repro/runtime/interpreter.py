@@ -94,7 +94,7 @@ from .events import (
     ThreadEndEvent,
     ThreadStartEvent,
 )
-from repro.obs import STEP_BUCKETS, maybe_telemetry
+from repro.obs import maybe_telemetry
 
 from .heap import Heap
 from .location import use_uids
@@ -316,10 +316,6 @@ class Execution:
                 m.inc("interp.deadlocks")
             if self.result.truncated:
                 m.inc("interp.truncated")
-            m.observe(
-                "interp.steps_per_execution", self.ops_executed,
-                bounds=STEP_BUCKETS,
-            )
         return self.result
 
     def close(self) -> None:

@@ -24,10 +24,12 @@ fails integrity checks on read (see
 sidecar directory and transparently re-recorded — via
 :meth:`TraceStore.with_recovery`, a corrupt entry costs one execution,
 never the campaign.  A disk budget (``max_bytes`` / ``max_entries``)
-bounds the cache with LRU-by-mtime eviction.  The store has one
-behaviour in every process: it always publishes what it records and
-enforces its budget by eviction alone, so it behaves the same at every
-``jobs``.
+bounds the cache with LRU-by-mtime eviction: a store instance lists the
+directory once, at its first publish under a budget, then keeps a
+running byte and entry count over an oldest-first index of entries.
+The store has one behaviour in every process: it always publishes what
+it records and enforces its budget by eviction alone, so it behaves the
+same at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -147,6 +149,9 @@ class TraceStore:
         self.max_entries = max_entries
         self.fsync = fsync
         self.stats = StoreStats()
+        #: entry -> size, oldest first; built by the first budget check.
+        self._index: dict[Path, int] | None = None
+        self._index_bytes = 0
 
     # -- addressing ---------------------------------------------------- #
 
@@ -197,14 +202,19 @@ class TraceStore:
         except BaseException:
             remove_partial(tmp)
             raise
+        size = tmp.stat().st_size
         if telemetry is not None:
             telemetry.inc("trace.store_executions")
-            telemetry.inc("trace.store_bytes", tmp.stat().st_size)
+            telemetry.inc("trace.store_bytes", size)
         if self.fsync:
             self._fsync_file(tmp)
         os.replace(tmp, final)
         if self.fsync:
             self._fsync_dir()
+        if self._index is not None:
+            self._forget(final)
+            self._index[final] = size
+            self._index_bytes += size
         self._enforce_budget(keep=final)
         return final
 
@@ -263,6 +273,7 @@ class TraceStore:
         while dest.exists():
             n += 1
             dest = self.quarantine_dir / f"{src.name}.{n}"
+        self._forget(src)
         try:
             os.replace(src, dest)
         except FileNotFoundError:
@@ -296,6 +307,9 @@ class TraceStore:
         except TraceCorruptError as exc:
             self.quarantine(exc.path, exc.reason)
             corrupt = True
+        # The store changed under this instance (another process's quota
+        # may have evicted the entry), so the re-recording lists it again.
+        self._index = None
         result = consume(self.ensure(key, program))
         if corrupt:
             self.stats.recovered += 1
@@ -318,6 +332,29 @@ class TraceStore:
     def total_bytes(self) -> int:
         return sum(p.stat().st_size for p in self.entries())
 
+    def _scan(self) -> None:
+        """Build the oldest-first entry index from one directory listing."""
+        aged = []
+        for path in self.entries():
+            try:
+                st = path.stat()
+            except OSError:
+                continue  # removed by another process since the listing
+            aged.append((st.st_mtime, path, st.st_size))
+        aged.sort()
+        self._index = {path: size for _, path, size in aged}
+        self._index_bytes = sum(self._index.values())
+
+    def _forget(self, path: Path) -> None:
+        """Drop ``path`` from the entry index, if it is indexed."""
+        if self._index is not None:
+            self._index_bytes -= self._index.pop(path, 0)
+
+    def _over_budget(self) -> bool:
+        if self.max_entries is not None and len(self._index) > self.max_entries:
+            return True
+        return self.max_bytes is not None and self._index_bytes > self.max_bytes
+
     def _enforce_budget(self, *, keep: Path | None = None) -> tuple[int, int]:
         """Evict oldest-first until the store fits its budget.
 
@@ -327,31 +364,22 @@ class TraceStore:
         """
         if self.max_bytes is None and self.max_entries is None:
             return (0, 0)
-        aged = []
-        for path in self.entries():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            aged.append((st.st_mtime, path, st.st_size))
-        aged.sort()
-        count = len(aged)
-        total = sum(size for _, _, size in aged)
+        if self._index is None:
+            self._scan()
         removed = removed_bytes = 0
-        for _, path, size in aged:
-            over = (self.max_entries is not None and count > self.max_entries) or (
-                self.max_bytes is not None and total > self.max_bytes
-            )
-            if not over:
+        for path, size in list(self._index.items()):
+            if not self._over_budget():
                 break
-            if keep is not None and path == keep:
+            if path == keep:
                 continue
             try:
                 path.unlink()
+            except FileNotFoundError:
+                self._forget(path)  # another process removed it first
+                continue
             except OSError:
                 continue
-            count -= 1
-            total -= size
+            self._forget(path)
             removed += 1
             removed_bytes += size
         if removed:
@@ -364,7 +392,9 @@ class TraceStore:
         return (removed, removed_bytes)
 
     def gc(self) -> tuple[int, int]:
-        """Enforce the disk budget now; returns (entries, bytes) removed."""
+        """Enforce the disk budget now, over a fresh listing; returns
+        (entries, bytes) removed."""
+        self._index = None
         return self._enforce_budget()
 
     def verify(
@@ -387,6 +417,7 @@ class TraceStore:
 
     def clear(self) -> int:
         """Delete every cached trace; returns the number removed."""
+        self._index = None
         removed = 0
         for path in self.entries():
             try:

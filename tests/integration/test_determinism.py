@@ -4,7 +4,7 @@ A campaign here is Phase 1 (``detect_races``) then Phase 2
 (``fuzz_races``) on one workload, with telemetry on.  Its result is the
 Phase-1 report (full ``==``, evidence included), the Phase-2 verdict
 signatures, the deterministic projection of the timeline, and the
-``interp.*`` / ``fuzz.*`` / ``trace.*`` counters, gauges and histograms,
+``interp.*`` / ``fuzz.*`` / ``trace.*`` counters,
 ``trace.store_bytes`` included: location uids are numbered per execution,
 so one seed records the same bytes in any process.
 
@@ -26,9 +26,6 @@ from repro.workloads import get
 #: montecarlo is a stall row: its trials end in idle releases.
 WORKLOADS = ["figure1", "philosophers", "montecarlo"]
 TRIALS = 8
-#: histograms of wall-clock seconds: only their observation count is
-#: schedule-determined.
-TIMING_HISTOGRAMS = ("fuzz.trial_wall_s",)
 #: timeline kinds that describe the chunking itself; chunk-size variants
 #: compare the rest of the timeline and the per-pair outcomes it sums.
 CHUNKING_KINDS = ("schedule.bind", "schedule.round", "chunk")
@@ -41,17 +38,11 @@ VARIANTS = {
 
 
 def _metrics(snapshot):
-    def ours(name):
-        return name.split(".", 1)[0] in ("interp", "fuzz", "trace")
-
-    counters = {n: v for n, v in snapshot.counters.items() if ours(n)}
-    histograms = {
-        n: h.count if n in TIMING_HISTOGRAMS else h
-        for n, h in snapshot.histograms.items()
-        if ours(n)
+    return {
+        name: value
+        for name, value in snapshot.counters.items()
+        if name.split(".", 1)[0] in ("interp", "fuzz", "trace")
     }
-    gauges = {n: v for n, v in snapshot.gauges.items() if ours(n)}
-    return counters, gauges, histograms
 
 
 def _campaign(workload, scratch, *, store=None, jobs=1, chunk_size=2, resume=False):

@@ -153,6 +153,27 @@ class TestReportReaders:
         assert any(e["ph"] == "X" for e in events)
         assert any(e["ts"] > 0 for e in events if e["ph"] != "M")
 
+    def test_readers_reject_a_non_numeric_span_field(self, tmp_path, capsys):
+        # A span field of the wrong type is a usage error, not a crash.
+        out = self._report(tmp_path, capsys)
+        report = _load(out)
+        name = next(iter(report["spans"]))
+        report["spans"][name]["count"] = "3"
+        bad = tmp_path / "bad-span.json"
+        bad.write_text(json.dumps(report))
+        for command in ("stats", "trace-export"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"invalid run report: span {name!r}:")
+
+    def test_readers_reject_a_v5_report(self, tmp_path, capsys):
+        out = self._report(tmp_path, capsys)
+        bad = tmp_path / "v5.json"
+        bad.write_text(json.dumps(dict(_load(out), version=5)))
+        for command in ("stats", "trace-export"):
+            assert main([command, str(bad)]) == 2
+            assert "version must be 6, got 5" in capsys.readouterr().err
+
     def test_readers_reject_an_invalid_report(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "other"}')

@@ -5,22 +5,20 @@ on a process pool otherwise.  Workload counters (``interp.*``,
 ``fuzz.*``, ``trace.*``) and ``supervisor.*`` counters must be identical
 between the two on the same seeds: each attempt collects into its own
 registry and the supervisor folds accepted snapshots deterministically.
-Wall-clock aggregates (spans, ``*_wall_s`` histograms) are
-machine-dependent and excluded.  Chunk sizes, trace stores and resume are
+Wall-clock values (spans, each event's ``dur_s``) are machine-dependent
+and excluded.  Chunk sizes, trace stores and resume are
 varied by ``tests/integration/test_determinism.py``.
 """
 
 import pytest
 
 from repro.core import detect_races, fuzz_races
+from repro.core.racefuzzer import RaceFuzzer
 from repro.obs import collecting
+from repro.obs.timeline import pair_label
 from repro.workloads import get
 
 WORKLOADS = ["figure1", "philosophers"]
-
-#: histograms whose values are wall-clock seconds (not schedule-determined).
-TIMING_HISTOGRAMS = ("fuzz.trial_wall_s",)
-
 
 def _workload_counters(snapshot):
     return {
@@ -65,20 +63,50 @@ class TestSerialParallelEquivalence:
         assert _supervisor_counters(serial) == _supervisor_counters(parallel)
 
     def test_gauges_equal(self, workload):
-        serial = _campaign_snapshot(workload, jobs=1)
-        parallel = _campaign_snapshot(workload, jobs=2)
-        assert serial.gauges == parallel.gauges
+        # The postponed-set high water is no longer a gauge: it stays on
+        # each trial's ``FuzzResult``.  Every trial is seeded, so replaying
+        # the trial events of each campaign recovers it; the replays must
+        # reproduce the events' counters and agree across ``jobs``.
+        snapshot = _campaign_snapshot(workload, jobs=1)
+        serial = _replayed_high_water(workload, snapshot)
+        parallel = _replayed_high_water(workload, _campaign_snapshot(workload, jobs=2))
+        assert len(serial) == snapshot.counters.get("fuzz.trials", 0)
+        assert serial == parallel
 
     def test_schedule_histograms_equal(self, workload):
+        # The per-trial wall time once observed into a histogram rides on
+        # one ``trial`` event per trial as ``dur_s``; the event identities
+        # are schedule-determined and match across ``jobs``.
         serial = _campaign_snapshot(workload, jobs=1)
         parallel = _campaign_snapshot(workload, jobs=2)
-        for name, histogram in serial.histograms.items():
-            if name in TIMING_HISTOGRAMS:
-                # bucket boundaries depend on wall clock; only the
-                # observation count is schedule-determined.
-                assert parallel.histograms[name].count == histogram.count
-            else:
-                assert parallel.histograms[name] == histogram
+        trials = [e for e in serial.events if e.kind == "trial"]
+        assert len(trials) == serial.counters.get("fuzz.trials", 0)
+        assert all(e.dur_s > 0 for e in trials)
+        assert [e.identity for e in trials] == [
+            e.identity for e in parallel.events if e.kind == "trial"
+        ]
+
+
+def _replayed_high_water(name, snapshot):
+    """``{(pair label, seed): postponed_high_water}`` from replaying every
+    ``trial`` event of ``snapshot`` in this process."""
+    spec = get(name)
+    phase1 = detect_races(
+        spec.build(), seeds=spec.phase1_seeds, max_steps=spec.max_steps
+    )
+    pairs = {pair_label(pair): pair for pair in phase1.pairs}
+    high_water = {}
+    for event in snapshot.events:
+        if event.kind != "trial":
+            continue
+        _, label, seed = event.key
+        outcome = RaceFuzzer(pairs[label], max_steps=spec.max_steps).run(
+            spec.build(), seed=seed
+        )
+        replayed = {"postpones": outcome.postpones, "coin_flips": outcome.coin_flips}
+        assert replayed == {k: dict(event.attrs)[k] for k in replayed}
+        high_water[label, seed] = outcome.postponed_high_water
+    return high_water
 
 
 def _deterministic_columns(row):

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import detect_races, fuzz_races, race_directed_test
+from repro.core import (
+    RaceFuzzer,
+    RandomScheduler,
+    detect_races,
+    fuzz_races,
+    race_directed_test,
+)
 from repro.obs import collecting
+from repro.runtime import Execution
 from repro.trace import TraceStore, analyze_trace, detect_key
 from repro.workloads import figure1, get
 
@@ -24,8 +31,19 @@ class TestInterpreterCounters:
             if name.startswith("interp.ops.")
         )
         assert kind_total == snapshot.counters["interp.steps"]
-        h = snapshot.histograms["interp.steps_per_execution"]
-        assert h.count == 2
+
+    def test_steps_per_execution_mean_from_counters(self):
+        # The mean steps per execution is interp.steps / interp.executions:
+        # the counters carry each execution's exact step count.
+        with collecting() as registry:
+            executions = [
+                Execution(figure1.build(), seed=seed) for seed in range(3)
+            ]
+            for execution in executions:
+                execution.run(RandomScheduler())
+        counters = registry.snapshot().counters
+        assert counters["interp.executions"] == 3
+        assert counters["interp.steps"] == sum(e.ops_executed for e in executions)
 
     def test_disabled_run_records_nothing(self):
         report = detect_races(figure1.build(), seeds=range(2), max_steps=20_000)
@@ -53,8 +71,23 @@ class TestFuzzCounters:
         # the real pair postpones at its racing statements every trial
         assert snapshot.counters["fuzz.postpones"] > 0
         assert snapshot.counters["fuzz.coin_flips"] > 0
-        assert snapshot.gauges["fuzz.postponed_high_water"] >= 1
-        assert snapshot.histograms["fuzz.trial_wall_s"].count == trials
+        # each trial's wall time rides on its trial event
+        trial_events = [e for e in snapshot.events if e.kind == "trial"]
+        assert len(trial_events) == trials
+        assert all(e.dur_s > 0 for e in trial_events)
+
+    def test_postponed_high_water_stays_on_the_trial(self):
+        # Each trial's postponed-set high water is a FuzzResult field (the
+        # Phase-2 golden digest reads it); telemetry keeps no copy of it.
+        pairs = detect_races(figure1.build(), seeds=range(3), max_steps=20_000).pairs
+        with collecting() as registry:
+            outcomes = [
+                RaceFuzzer(pair, max_steps=20_000).run(figure1.build(), seed=seed)
+                for pair in pairs
+                for seed in range(4)
+            ]
+        assert max(o.postponed_high_water for o in outcomes) >= 1
+        assert not any("high_water" in name for name in registry.snapshot().counters)
 
     def test_campaign_spans_present(self):
         with collecting() as registry:

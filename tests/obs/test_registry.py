@@ -1,4 +1,4 @@
-"""Telemetry aggregates: counters, gauges, histograms, spans, merging."""
+"""Telemetry aggregates: counters, spans, merging."""
 
 import pickle
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.core import RandomScheduler
 from repro.obs.telemetry import (
-    STEP_BUCKETS,
-    HistogramData,
     SpanData,
     Telemetry,
     TelemetrySnapshot,
@@ -30,48 +28,19 @@ class TestCounters:
         assert Telemetry().counter("nope") == 0
 
 
-class TestGauges:
-    def test_gauge_max_keeps_high_water(self):
+class TestRecordingSurface:
+    def test_three_aggregate_kinds_only(self):
+        # Telemetry records through inc, span/observe_span and emit; a
+        # snapshot holds counters, spans and events, nothing else.
         telemetry = Telemetry()
-        telemetry.gauge_max("depth", 3)
-        telemetry.gauge_max("depth", 1)
-        assert telemetry.gauge("depth") == 3
-        telemetry.gauge_max("depth", 7)
-        assert telemetry.gauge("depth") == 7
-
-    def test_unset_gauge_is_none(self):
-        assert Telemetry().gauge("nope") is None
-
-
-class TestHistograms:
-    def test_observe_buckets_and_mean(self):
-        telemetry = Telemetry()
-        for value in (5, 50, 50, 5_000_000):
-            telemetry.observe("steps", value)
-        h = telemetry.snapshot().histograms["steps"]
-        assert h.bounds == STEP_BUCKETS
-        assert h.counts[0] == 1  # <= 10
-        assert h.counts[1] == 2  # <= 100
-        assert h.counts[-1] == 1  # overflow
-        assert h.count == 4
-        assert h.total == 5 + 50 + 50 + 5_000_000
-
-    def test_boundary_value_lands_in_its_bucket(self):
-        h = HistogramData.empty((10.0, 100.0))
-        h.observe(10.0)
-        assert h.counts == [1, 0, 0]
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramData.empty((10.0, 10.0))
-        with pytest.raises(ValueError):
-            HistogramData.empty((100.0, 10.0))
-
-    def test_merge_requires_equal_bounds(self):
-        a = HistogramData.empty((1.0, 2.0))
-        b = HistogramData.empty((1.0, 3.0))
-        with pytest.raises(ValueError):
-            a.add(b)
+        for retired in ("gauge_max", "gauge", "observe"):
+            assert not hasattr(telemetry, retired)
+        snapshot = telemetry.snapshot()
+        assert not hasattr(snapshot, "gauges")
+        assert not hasattr(snapshot, "histograms")
+        assert set(snapshot.to_jsonable()) == {
+            "counters", "spans", "budget", "dropped", "events",
+        }
 
 
 class TestSpans:
@@ -132,26 +101,21 @@ class TestDisabled:
         assert maybe_telemetry() is None
 
 
-def _snap(counters=None, gauges=None, observations=(), spans=()):
+def _snap(counters=None, spans=()):
     telemetry = Telemetry()
     for name, value in (counters or {}).items():
         telemetry.inc(name, value)
-    for name, value in (gauges or {}).items():
-        telemetry.gauge_max(name, value)
-    for name, value in observations:
-        telemetry.observe(name, value)
     for name, seconds in spans:
         telemetry.observe_span(name, seconds)
     return telemetry.snapshot()
 
 
 class TestSnapshotMerge:
-    def test_counters_add_gauges_max(self):
-        a = _snap(counters={"c": 2}, gauges={"g": 5})
-        b = _snap(counters={"c": 3, "d": 1}, gauges={"g": 2, "h": 9})
+    def test_counters_add(self):
+        a = _snap(counters={"c": 2})
+        b = _snap(counters={"c": 3, "d": 1})
         merged = a.merged(b)
         assert merged.counters == {"c": 5, "d": 1}
-        assert merged.gauges == {"g": 5, "h": 9}
 
     def test_merge_does_not_mutate_inputs(self):
         a = _snap(counters={"c": 2})
@@ -164,8 +128,6 @@ class TestSnapshotMerge:
         snaps = [
             _snap(
                 counters={"c": i, f"only{i}": 1},
-                gauges={"g": float(i)},
-                observations=[("h", 10.0 * i)],
                 spans=[("s", 0.1 * (i + 1))],
             )
             for i in range(1, 4)
@@ -176,8 +138,6 @@ class TestSnapshotMerge:
         swapped = c.merged(a).merged(b)
         for other in (right, swapped):
             assert left.counters == other.counters
-            assert left.gauges == other.gauges
-            assert left.histograms == other.histograms
             # span count/min/max are order-independent exactly; totals
             # only up to float-summation rounding
             for name, mine in left.spans.items():
@@ -188,30 +148,19 @@ class TestSnapshotMerge:
                 assert mine.total_s == pytest.approx(theirs.total_s)
 
     def test_merge_with_empty_is_identity(self):
-        a = _snap(counters={"c": 2}, observations=[("h", 5.0)])
+        a = _snap(counters={"c": 2}, spans=[("s", 0.5)])
         empty = TelemetrySnapshot()
         assert a.merged(empty).counters == a.counters
         assert empty.merged(a).counters == a.counters
 
     def test_snapshot_pickles(self):
-        a = _snap(
-            counters={"c": 2},
-            gauges={"g": 1.0},
-            observations=[("h", 5.0)],
-            spans=[("s", 0.25)],
-        )
+        a = _snap(counters={"c": 2}, spans=[("s", 0.25)])
         b = pickle.loads(pickle.dumps(a))
         assert b.counters == a.counters
-        assert b.histograms == a.histograms
         assert b.spans == a.spans
 
     def test_jsonable_round_trip(self):
-        a = _snap(
-            counters={"c": 2},
-            gauges={"g": 1.5},
-            observations=[("h", 5.0)],
-            spans=[("s", 0.25)],
-        )
+        a = _snap(counters={"c": 2}, spans=[("s", 0.25)])
         b = TelemetrySnapshot.from_jsonable(a.to_jsonable())
         assert b == a
 
@@ -220,12 +169,12 @@ class TestRegistryMerge:
     def test_merge_snapshot_accumulates(self):
         telemetry = Telemetry()
         telemetry.inc("c", 1)
-        telemetry.merge_snapshot(_snap(counters={"c": 4}, gauges={"g": 2.0}))
+        telemetry.merge_snapshot(_snap(counters={"c": 4}, spans=[("s", 0.5)]))
         assert telemetry.counter("c") == 5
-        assert telemetry.gauge("g") == 2.0
+        assert telemetry.snapshot().spans["s"].count == 1
 
     def test_fold_order_equals_single_merge(self):
-        parts = [_snap(counters={"c": i}, observations=[("h", i)]) for i in (1, 2, 3)]
+        parts = [_snap(counters={"c": i}, spans=[("s", i / 4)]) for i in (1, 2, 3)]
         left = Telemetry()
         for part in parts:
             left.merge_snapshot(part)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.report import (
     REPORT_KIND,
     REPORT_VERSION,
@@ -22,8 +24,6 @@ def _snapshot(*seeds):
     telemetry = Telemetry()
     telemetry.inc("fuzz.trials", 7)
     telemetry.inc("interp.steps", 100)
-    telemetry.gauge_max("fuzz.postponed_high_water", 2)
-    telemetry.observe("interp.steps_per_execution", 50)
     telemetry.observe_span("phase2.fuzz", 0.5)
     for seed in seeds or (0,):
         telemetry.emit("trial", ("figure1", seed), {"created": 1})
@@ -104,9 +104,9 @@ class TestValidate:
         assert any("schedule.rounds" in e for e in errors)
 
     def test_v3_report_with_timeline_section_passes(self):
-        # The name predates v4 and v5.
+        # The name predates v4 to v6.
         report = build_run_report(_snapshot(), command="fuzz")
-        assert report["version"] == REPORT_VERSION == 5
+        assert report["version"] == REPORT_VERSION == 6
         assert report["timeline"]["events"]
         assert validate_run_report(report) == []
 
@@ -114,7 +114,27 @@ class TestValidate:
         report = build_run_report(_snapshot(), command="fuzz")
         for old in (2, 3, 4):
             errors = validate_run_report(dict(report, version=old))
-            assert any("version must be 5" in e for e in errors)
+            assert any("version must be 6" in e for e in errors)
+
+    def test_v5_report_rejected(self):
+        # A v5 report carried gauges and histograms beside counters and
+        # spans; v6 carries counters and spans only and reads no v5 file.
+        report = build_run_report(_snapshot(), command="fuzz")
+        v5 = dict(
+            report,
+            version=5,
+            gauges={"fuzz.postponed_high_water": 2.0},
+            histograms={
+                "fuzz.trial_wall_s": {
+                    "bounds": [0.001, 0.01], "counts": [1, 0, 0],
+                    "total": 0.0005, "count": 1,
+                },
+            },
+        )
+        assert validate_run_report(v5) == [
+            "version must be 6, got 5 (reports of other versions are not read)"
+        ]
+        assert set(report) & {"gauges", "histograms"} == set()
 
     def test_missing_timeline_section_rejected(self):
         report = build_run_report(_snapshot(), command="fuzz")
@@ -129,27 +149,49 @@ class TestValidate:
 
     def test_report_with_retired_health_fields_still_validates(self):
         # Reports written before the campaign health state machine was
-        # removed carry its timeline event, transition counter and state
-        # gauge; nothing in the schema forbids them.
+        # removed carry its timeline event and transition counter;
+        # nothing in the schema forbids them.
         telemetry = Telemetry()
         telemetry.emit("chunk", ("a|b", 0), {"trials": 2}, wall_s=5.0, dur_s=0.2)
         telemetry.emit(
             "health", (1, "degraded"), {"reason": "store-pressure"}, wall_s=5.1
         )
         telemetry.inc("health.transitions")
-        telemetry.gauge_max(".".join(("health", "state")), 1)
         telemetry.inc("supervisor.pool_deaths")
         report = build_run_report(telemetry.snapshot(), command="fuzz")
         assert validate_run_report(report) == []
 
-    def test_rejects_inconsistent_histogram(self):
+    def test_rejects_inconsistent_span(self):
         report = build_run_report(_snapshot(), command="fuzz")
-        h = dict(report["histograms"]["interp.steps_per_execution"])
-        h["count"] = h["count"] + 5
-        errors = validate_run_report(
-            dict(report, histograms={"interp.steps_per_execution": h})
-        )
-        assert any("sum" in e for e in errors)
+        span = dict(report["spans"]["phase2.fuzz"], min_s=2.0, max_s=1.0)
+        errors = validate_run_report(dict(report, spans={"phase2.fuzz": span}))
+        assert errors == ["span 'phase2.fuzz': min_s exceeds max_s"]
+        span = dict(span, min_s=0.5, max_s=0.5, count=-1)
+        errors = validate_run_report(dict(report, spans={"phase2.fuzz": span}))
+        assert errors == ["span 'phase2.fuzz': count/total_s must be >= 0"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("count", "3"),
+            ("count", 1.5),
+            ("count", True),
+            ("count", None),
+            ("total_s", "0.5"),
+            ("min_s", [0]),
+            ("max_s", None),
+        ],
+    )
+    def test_rejects_non_numeric_span_field(self, field, value):
+        report = build_run_report(_snapshot(), command="fuzz")
+        span = dict(report["spans"]["phase2.fuzz"], **{field: value})
+        if value is None:
+            del span[field]
+        errors = validate_run_report(dict(report, spans={"phase2.fuzz": span}))
+        assert errors == [
+            "span 'phase2.fuzz': count must be an int and "
+            "total_s/min_s/max_s numbers"
+        ]
 
 
 class TestWriteLoad:
@@ -169,28 +211,45 @@ class TestWriteLoad:
         write_run_report(path, _snapshot(), command="fuzz")
         assert load_run_report(path)["counters"]["fuzz.trials"] == 7
 
-    def test_merge_existing_accumulates(self, tmp_path):
+    def test_merge_existing_accumulates(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         write_run_report(path, _snapshot(), command="fuzz")
         write_run_report(path, _snapshot(), command="fuzz", merge_existing=True)
+        assert capsys.readouterr().err == ""  # a merged prior needs no note
         report = load_run_report(path)
         assert report["counters"]["fuzz.trials"] == 14
         assert report["counters"]["interp.steps"] == 200
-        # gauges take the max, not the sum
-        assert report["gauges"]["fuzz.postponed_high_water"] == 2
         assert report["spans"]["phase2.fuzz"]["count"] == 2
         assert validate_run_report(report) == []
 
-    def test_merge_existing_ignores_missing_prior(self, tmp_path):
+    def test_merge_existing_ignores_missing_prior(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         write_run_report(path, _snapshot(), command="fuzz", merge_existing=True)
         assert load_run_report(path)["counters"]["fuzz.trials"] == 7
+        assert capsys.readouterr().err == ""
 
-    def test_merge_existing_ignores_invalid_prior(self, tmp_path):
+    def test_merge_existing_ignores_invalid_prior(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text("{not json")
         write_run_report(path, _snapshot(), command="fuzz", merge_existing=True)
         assert load_run_report(path)["counters"]["fuzz.trials"] == 7
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: run report {path}: not merged")
+        assert len(err.splitlines()) == 1
+
+    def test_merge_existing_notes_an_old_version_prior(self, tmp_path, capsys):
+        # Resuming across a report-version bump overwrites the earlier
+        # run's report, and says so once, naming the first problem.
+        path = tmp_path / "report.json"
+        write_run_report(path, _snapshot(), command="fuzz")
+        old = dict(load_run_report(path), version=5)
+        path.write_text(json.dumps(old))
+        write_run_report(path, _snapshot(), command="fuzz", merge_existing=True)
+        assert load_run_report(path)["counters"]["fuzz.trials"] == 7
+        assert capsys.readouterr().err == (
+            f"repro: run report {path}: not merged, overwriting it "
+            "(version must be 6, got 5 (reports of other versions are not read))\n"
+        )
 
     def test_merge_existing_unions_timeline_sections(self, tmp_path):
         # Checkpoint-resume: two partial writes must land on the same
@@ -227,6 +286,7 @@ class TestRender:
         assert "fuzz.trials" in text
         assert "phase2.fuzz" in text
         assert "counters" in text and "spans (seconds)" in text
+        assert "gauges" not in text and "histograms" not in text
         # No funnel or chunk events: neither table is drawn.
         assert "detector funnel" not in text and "\npairs\n" not in text
 

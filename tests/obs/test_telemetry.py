@@ -20,8 +20,6 @@ _seconds = st.integers(0, 16).map(lambda k: k / 8)
 
 _op = st.one_of(
     st.tuples(st.just("inc"), st.sampled_from("ab"), st.integers(0, 5)),
-    st.tuples(st.just("gauge"), st.sampled_from("gh"), st.integers(0, 9)),
-    st.tuples(st.just("observe"), st.sampled_from("hk"), st.integers(0, 10**7)),
     st.tuples(st.just("span"), st.sampled_from("st"), _seconds),
     st.tuples(
         st.just("emit"),
@@ -41,10 +39,6 @@ def snapshots(draw):
     for op, name, value in draw(st.lists(_op, max_size=12)):
         if op == "inc":
             telemetry.inc(name, value)
-        elif op == "gauge":
-            telemetry.gauge_max(name, float(value))
-        elif op == "observe":
-            telemetry.observe(name, value)
         elif op == "span":
             telemetry.observe_span(name, value)
         else:
@@ -60,8 +54,6 @@ def _identities(snapshot):
 def _aggregates(snapshot):
     return (
         snapshot.counters,
-        snapshot.gauges,
-        snapshot.histograms,
         snapshot.spans,
         snapshot.budget,
     )

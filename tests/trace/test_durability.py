@@ -29,10 +29,11 @@ def _corrupt(path):
     path.write_bytes(b"".join(lines[:-1]))
 
 
-def _fill(store, n):
-    """Record n distinct entries; returns their paths in seed order."""
+def _fill(store, n, *, first=0):
+    """Record n distinct entries from seed ``first``; returns their paths
+    in seed order."""
     paths = []
-    for seed in range(n):
+    for seed in range(first, first + n):
         key = detect_key("figure1", seed, max_steps=10_000)
         paths.append(store.ensure(key, figure1.build()))
     return paths
@@ -137,6 +138,51 @@ class TestBudget:
         evicted, freed = store.gc()
         assert evicted == 2 and freed > 0
         assert len(store.entries()) == 1
+
+    def test_publishes_under_a_quota_list_the_directory_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The first publish lists the store; later ones keep the running
+        # byte and entry count over the oldest-first index.
+        store = TraceStore(tmp_path, max_entries=2)
+        listings = []
+        entries = store.entries
+        monkeypatch.setattr(
+            store, "entries", lambda: listings.append(1) or entries()
+        )
+        paths = _fill(store, 5)
+        assert len(listings) == 1
+        assert entries() == sorted(paths[-2:])
+        assert store.stats.evictions == 3
+
+    def test_entry_removed_elsewhere_is_skipped(self, tmp_path):
+        # Another process evicts an indexed entry: it leaves the count
+        # without counting as this store's eviction.
+        store = TraceStore(tmp_path, max_entries=2)
+        paths = _fill(store, 2)
+        paths[0].unlink()
+        paths += _fill(store, 2, first=2)
+        assert store.entries() == sorted(paths[-2:])
+        assert store.stats.evictions == 1
+
+    def test_rerecord_after_a_foreign_eviction_relists(self, tmp_path):
+        # Another process publishes and evicts this store's entry between
+        # its publish and its read: the re-recording lists the store
+        # again, so it sees and evicts the other process's entry.
+        store = TraceStore(tmp_path, max_entries=1)
+        other = TraceStore(tmp_path, max_entries=1)
+        other_key = detect_key("figure1", 1, max_steps=10_000)
+        reads = []
+
+        def read_after_foreign_publish(path):
+            if not reads:
+                other.ensure(other_key, figure1.build())
+            reads.append(path)
+            return verify_trace(path)
+
+        store.with_recovery(KEY, figure1.build(), read_after_foreign_publish)
+        assert len(reads) == 2
+        assert store.entries() == [store.path_for(KEY)]
 
     def test_budget_validation(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
