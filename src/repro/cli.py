@@ -5,8 +5,8 @@ Commands:
 * ``list``     — registered benchmark workloads, with their paper rows;
 * ``run``      — one execution of a workload under a passive scheduler;
 * ``detect``   — Phase 1: report potentially racing statement pairs
-  (``--trace-dir`` caches each seed's execution as a replayable trace);
-* ``record``   — fill a trace store: one recorded execution per seed;
+  (``--trace-dir`` fills a trace store: each seed's execution is recorded
+  once and every report replays it);
 * ``analyze``  — run detectors offline over recorded trace files;
 * ``fuzz``     — the full two-phase RaceFuzzer campaign;
 * ``replay``   — re-run one (pair, seed) with a rendered interleaving;
@@ -207,6 +207,12 @@ def _cmd_detect(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
+    if args.store_quota is not None and args.trace_dir is None:
+        print(
+            "repro detect: --store-quota only applies with --trace-dir",
+            file=sys.stderr,
+        )
+        return 2
     # The trace-store stats line rides on the telemetry stream, so a
     # --trace-dir run collects even without an output flag.
     with _telemetry_scope(args, also=args.trace_dir is not None) as telemetry:
@@ -251,41 +257,11 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_record(args) -> int:
-    from repro.core import ParallelCampaign
-    from repro.trace import TraceStore, detect_key
-
-    spec = get(args.workload)
-    store = TraceStore(args.trace_dir, compress=args.compress)
-    keys = [
-        detect_key(spec.name, seed, max_steps=spec.max_steps)
-        for seed in range(args.seeds)
-    ]
-    cached = sum(store.get(key) is not None for key in keys)
-    # Phase 1 through the store: each seed's detect task records its
-    # trace on a miss.
-    with ParallelCampaign(jobs=args.jobs) as engine:
-        engine.detect(
-            spec.name,
-            seeds=range(args.seeds),
-            max_steps=spec.max_steps,
-            trace_dir=store.root,
-            compress=args.compress,
-        )
-    for key in keys:
-        print(store.get(key))
-    print(
-        f"{len(keys) - cached} recorded, {cached} already cached -> {store.root}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     from pathlib import Path
 
     from repro.core.traceview import format_trace_file
-    from repro.trace import TraceStore, analyze_trace
+    from repro.trace import TraceSchemaError, TraceStore, analyze_trace
 
     target = Path(args.path)
     if not target.exists():
@@ -298,31 +274,35 @@ def _cmd_analyze(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
+    damaged = 0
     for path in paths:
-        reports = analyze_trace(path, detectors)
+        try:
+            reports = analyze_trace(path, detectors)
+        except TraceSchemaError as exc:
+            # A TraceCorruptError's reason leaves out the path printed here.
+            reason = getattr(exc, "reason", exc)
+            print(f"CORRUPT {path}: {reason}", file=sys.stderr)
+            damaged += 1
+            continue
         print(f"== {path}")
         for name in detectors:
             print(reports[name])
         if args.show_trace:
             print()
             print(format_trace_file(path, max_events=args.max_events))
-    return 0
+    return 1 if damaged else 0
 
 
 def _cmd_store(args) -> int:
     from repro.trace import TraceStore
 
-    store = TraceStore(
-        args.trace_dir,
-        max_bytes=args.quota,
-        max_entries=args.max_entries,
-    )
+    if not os.path.isdir(args.trace_dir):
+        print(f"no such trace store: {args.trace_dir}", file=sys.stderr)
+        return 2
+    store = TraceStore(args.trace_dir, max_bytes=args.quota)
     if args.action == "gc":
-        if args.quota is None and args.max_entries is None:
-            print(
-                "store gc: give a budget with --quota and/or --max-entries",
-                file=sys.stderr,
-            )
+        if args.quota is None:
+            print("store gc: give a budget with --quota", file=sys.stderr)
             return 2
         evicted, freed = store.gc()
         print(
@@ -667,25 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.set_defaults(handler=_cmd_detect)
 
-    record_parser = commands.add_parser(
-        "record", help="record executions into a trace store"
-    )
-    record_parser.add_argument("workload")
-    record_parser.add_argument("--seeds", type=POSITIVE_INT, default=3)
-    record_parser.add_argument(
-        "--trace-dir", required=True, metavar="DIR", help="store directory"
-    )
-    record_parser.add_argument(
-        "--compress", action="store_true", help="gzip trace files"
-    )
-    record_parser.add_argument(
-        "--jobs",
-        type=COUNT,
-        default=1,
-        help="worker processes for recording (0 = one per core)",
-    )
-    record_parser.set_defaults(handler=_cmd_record)
-
     analyze_parser = commands.add_parser(
         "analyze", help="run detectors offline over recorded traces"
     )
@@ -843,13 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SIZE",
         help="byte budget for gc (e.g. 512K, 10M, 1G)",
-    )
-    store_parser.add_argument(
-        "--max-entries",
-        type=POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="entry-count budget for gc",
     )
     store_parser.add_argument(
         "--quarantine",

@@ -138,7 +138,8 @@ def detect_races(
     answers a repeated call with *zero* program executions, and adding
     detectors to a later call costs only detector passes.
 
-    ``store_quota`` (bytes) bounds the trace cache with LRU eviction, and
+    ``store_quota`` (bytes) bounds the trace cache with LRU eviction (a
+    quota without a ``trace_dir`` raises ``ValueError``), and
     ``faults`` injects a deterministic plan into the campaign (phase
     ``"detect"``).
     """

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import errno
 import os
-import random
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -183,52 +182,6 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.specs!r})"
-
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        n_tasks: int,
-        *,
-        phase: str = "fuzz",
-        crash_rate: float = 0.0,
-        hang_rate: float = 0.0,
-        malformed_rate: float = 0.0,
-        pool_kill_rate: float = 0.0,
-        attempts: int = 1,
-        delay: float = 30.0,
-    ) -> "FaultPlan":
-        """Draw a reproducible plan: same seed and rates, same plan.
-
-        Each task index independently receives at most one fault; the
-        rates are cumulative probabilities and must sum to <= 1.
-        """
-        total = crash_rate + hang_rate + malformed_rate + pool_kill_rate
-        if total > 1.0:
-            raise ValueError(f"fault rates sum to {total}, must be <= 1")
-        rng = random.Random(seed)
-        thresholds = (
-            (crash_rate, CRASH),
-            (crash_rate + hang_rate, HANG),
-            (crash_rate + hang_rate + malformed_rate, MALFORMED),
-            (total, POOL_KILL),
-        )
-        specs = []
-        for index in range(n_tasks):
-            roll = rng.random()
-            for cutoff, kind in thresholds:
-                if roll < cutoff:
-                    specs.append(
-                        FaultSpec(
-                            kind=kind,
-                            index=index,
-                            phase=phase,
-                            attempts=attempts,
-                            delay=delay,
-                        )
-                    )
-                    break
-        return cls(specs)
 
 
 def apply_fault(spec: FaultSpec, *, in_worker: bool = True, task=None) -> None:

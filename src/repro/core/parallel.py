@@ -103,7 +103,6 @@ class DetectTask:
     detectors: tuple[str, ...] = ("hybrid",)
     max_steps: int = 1_000_000
     trace_dir: str | None = None
-    compress: bool = False
     store_quota: int | None = None
 
     def trace_key(self):
@@ -206,11 +205,7 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
         # these module attributes sees every store and analysis.
         from repro.trace import TraceStore, analyze_trace
 
-        store = TraceStore(
-            task.trace_dir,
-            compress=task.compress,
-            max_bytes=task.store_quota,
-        )
+        store = TraceStore(task.trace_dir, max_bytes=task.store_quota)
         reports = store.with_recovery(
             task.trace_key(),
             program,
@@ -410,7 +405,6 @@ class ParallelCampaign(CampaignSupervisor):
         seeds: Sequence[int] = (0, 1, 2),
         max_steps: int = 1_000_000,
         trace_dir=None,
-        compress: bool = False,
         store_quota: int | None = None,
     ) -> "RaceReport | dict[str, RaceReport]":
         """Run one detection per seed concurrently; union the reports.
@@ -422,9 +416,9 @@ class ParallelCampaign(CampaignSupervisor):
         ``detector`` may be a sequence of names: each seed then executes
         *once* with every detector attached, and the result is a
         ``{name: merged report}`` dict (a string argument returns the bare
-        :class:`RaceReport`).  ``trace_dir``/``compress``/``store_quota``
-        send every seed through the trace store there (see
-        :class:`DetectTask`).
+        :class:`RaceReport`).  ``trace_dir``/``store_quota`` send
+        every seed through the trace store there (see :class:`DetectTask`);
+        a ``store_quota`` without a ``trace_dir`` is a ``ValueError``.
 
         For a sequence of ``workload`` names, ``seeds`` and
         ``max_steps`` may be :func:`per_workload` mappings and the
@@ -434,6 +428,8 @@ class ParallelCampaign(CampaignSupervisor):
         detectors: tuple[str, ...] = (detector,) if single else tuple(detector)
         if not detectors:
             raise ValueError("detect needs at least one detector")
+        if store_quota is not None and trace_dir is None:
+            raise ValueError("store_quota only applies with a trace_dir")
         workloads = _workload_names(workload)
         tasks = []
         for name in workloads:
@@ -447,7 +443,6 @@ class ParallelCampaign(CampaignSupervisor):
                     detectors=detectors,
                     max_steps=per_workload(max_steps, name),
                     trace_dir=None if trace_dir is None else str(trace_dir),
-                    compress=compress,
                     store_quota=store_quota,
                 )
                 for seed in seed_list

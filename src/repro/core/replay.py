@@ -60,10 +60,9 @@ def replay_race(
     drawn from the execution's seeded RNG), so the replay is the original
     execution — the paper's "lightweight replay mechanism".
 
-    ``trace_path`` additionally records the replay to a trace file (gzip
-    when the path ends in ``.gz``), so the interleaving can be re-rendered
-    or re-analyzed later without re-running anything — see
-    :func:`repro.core.traceview.format_trace_file`.
+    ``trace_path`` additionally records the replay to a trace file, so
+    the interleaving can be re-rendered or re-analyzed later without
+    re-running anything — see :func:`repro.core.traceview.format_trace_file`.
     """
     trace = EventTrace()
     observers = tuple(fuzzer_kwargs.pop("observers", ())) + (trace,)

@@ -113,7 +113,7 @@ def format_trace_file(path, **kwargs) -> str:
     """Render a recorded trace file as an interleaving listing.
 
     Built on :class:`~repro.trace.TraceReader`, so the diagram renders
-    from any trace the ``record`` command (or a :class:`TraceStore`)
+    from any trace a :class:`TraceStore` or ``replay --save-trace``
     produced — no re-execution, no live ``Execution`` required.  Keyword
     arguments pass through to :func:`format_trace`.
     """

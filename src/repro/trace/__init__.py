@@ -7,16 +7,16 @@ program) from the cheap half (detector passes over the events):
 * :mod:`~repro.trace.schema` — the versioned JSONL wire format (positional
   event rows with define-on-first-use tables);
 * :mod:`~repro.trace.io` — :class:`TraceWriter` / :class:`TraceReader` /
-  :class:`TraceRecorder` streaming I/O (gzip via a ``.gz`` suffix);
-* :mod:`~repro.trace.store` — the :class:`TraceStore` cache keyed by
-  (workload, seed, scheduler spec, max_steps, schema version);
+  :class:`TraceRecorder` streaming I/O over plain JSONL files;
+* :mod:`~repro.trace.store` — the :class:`TraceStore` cache of Phase-1
+  executions keyed by (workload, seed, max_steps, schema version);
 * :mod:`~repro.trace.replay` — :func:`replay_events`, which drives any
   :class:`~repro.runtime.observer.ExecutionObserver` over a recorded
   stream, and :func:`analyze_trace` for named detectors.
 
 ``detect_races(..., trace_dir=...)`` builds the record-once /
-analyze-many pipeline on these pieces; the CLI exposes them as the
-``record`` and ``analyze`` subcommands.
+analyze-many pipeline on these pieces; on the CLI, ``detect --trace-dir``
+fills a store and ``analyze`` reads one.
 """
 
 from .io import (
@@ -44,7 +44,6 @@ from .store import (
     TraceKey,
     TraceStore,
     detect_key,
-    scheduler_from_spec,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "detect_key",
     "QUARANTINE_DIR",
     "PHASE1_SCHEDULER",
-    "scheduler_from_spec",
     "ReplaySource",
     "replay_events",
     "analyze_trace",

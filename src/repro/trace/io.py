@@ -1,8 +1,8 @@
 """Streaming trace I/O: write events as they happen, read them back lazily.
 
-* :class:`TraceWriter` — append header, events, footer to a JSONL file
-  (gzip-compressed when the path ends in ``.gz``), each event a positional
-  row from the writer's :class:`~repro.trace.schema.EventEncoder`;
+* :class:`TraceWriter` — append header, events, footer to a plain JSONL
+  file, each event a positional row from the writer's
+  :class:`~repro.trace.schema.EventEncoder`;
 * :class:`TraceRecorder` — an :class:`~repro.runtime.observer.ExecutionObserver`
   that streams every event of a live execution into a writer, making
   record-while-running a one-liner;
@@ -24,7 +24,6 @@ for complete traces: callers that publish into a shared directory (the
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import zlib
@@ -49,11 +48,6 @@ from .schema import (
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 _raw_decode = json.JSONDecoder().raw_decode
-
-#: what a damaged file can raise from ``readline``: a truncated gzip
-#: stream (EOFError), a bad gzip header or CRC (OSError), bad deflate
-#: data (zlib.error).
-_UNREADABLE = (EOFError, OSError, zlib.error)
 
 
 def _loads(line: bytes):
@@ -84,10 +78,7 @@ class TraceWriter:
         self.events_written = 0
         self._crc = 0
         self._encode = EventEncoder().encode
-        self._file = self._fh = open(self.path, "wb")
-        if self.path.endswith(".gz"):
-            # No file name and no mtime in the header: same events, same bytes.
-            self._fh = gzip.GzipFile("", "wb", fileobj=self._file, mtime=0)
+        self._fh = open(self.path, "wb")
         self._write_line(header.to_jsonable())
 
     def _write_line(self, obj, *, checksum: bool = True) -> None:
@@ -111,11 +102,8 @@ class TraceWriter:
 
     def close(self) -> None:
         if self._fh is not None:
-            try:
-                self._fh.close()  # a GzipFile leaves its file open
-            finally:
-                self._file.close()
-                self._fh = None
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "TraceWriter":
         return self
@@ -187,10 +175,9 @@ class TraceReader:
         self._decode = EventDecoder().decode
         self._fh: IO[bytes] | None = None
         try:
-            opener = gzip.open if self.path.endswith(".gz") else open
-            self._fh = opener(self.path, "rb")
+            self._fh = open(self.path, "rb")
             first = self._fh.readline()
-        except _UNREADABLE as exc:
+        except OSError as exc:
             if isinstance(exc, FileNotFoundError):
                 raise
             self.close()
@@ -266,7 +253,7 @@ class TraceReader:
         while True:
             try:
                 line = readline()
-            except _UNREADABLE as exc:
+            except OSError as exc:
                 self._lineno += 1
                 raise self._corrupt(f"unreadable: {exc}")
             if not line:

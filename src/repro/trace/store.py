@@ -3,15 +3,17 @@
 Executions are the expensive half of Phase 1 — a detector pass over an
 event stream is cheap by comparison.  The :class:`TraceStore` makes the
 execution a cacheable artifact: traces are keyed by everything that
-determines the event stream —
+varies in the event stream —
 
-    (workload, seed, scheduler spec, max_steps, schema version)
+    (workload, seed, max_steps, schema version)
 
 — and *nothing* that doesn't (detector choice, history caps: those are
 analysis parameters, which is the whole point of record-once /
-analyze-many).  A warm store answers ``detect_races`` campaigns with zero
-program executions; a schema bump or any execution-parameter change
-misses cleanly and re-records.
+analyze-many).  Every entry is a Phase-1 execution recorded under
+:data:`PHASE1_SCHEDULER`, so the scheduler is provenance in the trace
+header, not part of the key.  A warm store answers ``detect_races``
+campaigns with zero program executions; a schema bump or any
+execution-parameter change misses cleanly and re-records.
 
 Concurrency: workers recording into a shared store write to a unique temp
 name and ``os.replace`` into the final path, so concurrent recorders of
@@ -23,10 +25,10 @@ fails integrity checks on read (see
 :class:`~repro.trace.schema.TraceCorruptError`) is quarantined to a
 sidecar directory and transparently re-recorded — via
 :meth:`TraceStore.with_recovery`, a corrupt entry costs one execution,
-never the campaign.  A disk budget (``max_bytes`` / ``max_entries``)
-bounds the cache with LRU-by-mtime eviction: a store instance lists the
-directory once, at its first publish under a budget, then keeps a
-running byte and entry count over an oldest-first index of entries.
+never the campaign.  A disk budget (``max_bytes``) bounds the cache
+with LRU-by-mtime eviction: a store instance lists the directory once,
+at its first publish under a budget, then keeps a running byte count
+over an oldest-first index of entries.
 The store has one behaviour in every process: it always publishes what
 it records and enforces its budget by eviction alone, so it behaves the
 same at every ``jobs``.
@@ -45,31 +47,15 @@ from typing import Callable
 from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 
-from .io import TraceReader, record_execution, remove_partial, verify_trace
+from .io import record_execution, remove_partial, verify_trace
 from .schema import SCHEMA_VERSION, TraceCorruptError
 
 #: subdirectory (under the store root) where corrupt entries are moved.
 QUARANTINE_DIR = "quarantine"
 
-#: scheduler spec used by every Phase-1 detection run.
+#: the scheduler every stored trace was recorded under, written into
+#: each trace header as provenance.
 PHASE1_SCHEDULER = "random:every"
-
-
-def scheduler_from_spec(spec: str):
-    """Build the scheduler a spec string names.
-
-    Specs are the serializable identity of a scheduling policy:
-    ``random:every``, ``random:sync``, or ``default``.  (Imported lazily:
-    schedulers live in :mod:`repro.core`, which itself imports this
-    package at module load.)
-    """
-    from repro.core.schedulers import DefaultScheduler, RandomScheduler
-
-    if spec == "default":
-        return DefaultScheduler()
-    if spec.startswith("random:"):
-        return RandomScheduler(preemption=spec.split(":", 1)[1])
-    raise ValueError(f"unknown scheduler spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +64,6 @@ class TraceKey:
 
     workload: str
     seed: int
-    scheduler: str = PHASE1_SCHEDULER
     max_steps: int = 1_000_000
     schema: int = SCHEMA_VERSION
 
@@ -87,7 +72,6 @@ class TraceKey:
             {
                 "workload": self.workload,
                 "seed": self.seed,
-                "scheduler": self.scheduler,
                 "max_steps": self.max_steps,
                 "schema": self.schema,
             },
@@ -121,10 +105,8 @@ class TraceStore:
     """Filesystem cache mapping :class:`TraceKey` -> trace file.
 
     Parameters:
-        compress: record ``.jsonl.gz`` instead of plain ``.jsonl``.
         max_bytes: disk budget — total bytes of cached traces after which
             the oldest entries (by mtime) are evicted.  ``None`` = no cap.
-        max_entries: same budget expressed as an entry count.
         fsync: fsync each trace (and the store directory) before
             publishing — survives power loss at the cost of write latency.
     """
@@ -133,20 +115,14 @@ class TraceStore:
         self,
         root,
         *,
-        compress: bool = False,
         max_bytes: int | None = None,
-        max_entries: int | None = None,
         fsync: bool = False,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.compress = compress
         self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self.fsync = fsync
         self.stats = StoreStats()
         #: entry -> size, oldest first; built by the first budget check.
@@ -156,16 +132,12 @@ class TraceStore:
     # -- addressing ---------------------------------------------------- #
 
     def path_for(self, key: TraceKey) -> Path:
-        suffix = ".jsonl.gz" if self.compress else ".jsonl"
-        return self.root / f"{key.workload}-s{key.seed}-{key.digest()}{suffix}"
+        return self.root / f"{key.workload}-s{key.seed}-{key.digest()}.jsonl"
 
     def get(self, key: TraceKey) -> Path | None:
-        """The cached trace for ``key``, in either compression flavor."""
-        for suffix in (".jsonl", ".jsonl.gz"):
-            path = self.root / f"{key.workload}-s{key.seed}-{key.digest()}{suffix}"
-            if path.exists():
-                return path
-        return None
+        """The cached trace for ``key``, if the store has it."""
+        path = self.path_for(key)
+        return path if path.exists() else None
 
     # -- record-or-load ------------------------------------------------- #
 
@@ -183,21 +155,20 @@ class TraceStore:
         if telemetry is not None:
             telemetry.inc("trace.store_misses")
             self._emit_store_event(telemetry, key, "miss")
+        # Imported here: repro.core imports this package at module load.
+        from repro.core.schedulers import RandomScheduler
+
         final = self.path_for(key)
-        # Keep the gz suffix decision on the temp name so the writer picks
-        # the right codec, then publish atomically.
         tmp = final.parent / f"{final.stem}.{os.getpid()}.tmp.jsonl"
-        if self.compress:
-            tmp = tmp.with_name(tmp.name + ".gz")
         try:
             self.stats.executions += 1
             record_execution(
                 program,
-                scheduler_from_spec(key.scheduler),
+                RandomScheduler(preemption="every"),
                 path=tmp,
                 seed=key.seed,
                 max_steps=key.max_steps,
-                scheduler_spec=key.scheduler,
+                scheduler_spec=PHASE1_SCHEDULER,
             )
         except BaseException:
             remove_partial(tmp)
@@ -227,7 +198,7 @@ class TraceStore:
         telemetry.emit(
             "store",
             (key.workload, key.seed, outcome),
-            {"scheduler": key.scheduler, "max_steps": key.max_steps},
+            {"max_steps": key.max_steps},
             wall_s=time.time(),
         )
 
@@ -244,10 +215,6 @@ class TraceStore:
             os.fsync(fd)
         finally:
             os.close(fd)
-
-    def open(self, key: TraceKey) -> TraceReader | None:
-        path = self.get(key)
-        return None if path is None else TraceReader(path)
 
     # -- corruption recovery -------------------------------------------- #
 
@@ -325,7 +292,7 @@ class TraceStore:
         return sorted(
             p
             for p in self.root.iterdir()
-            if p.name.endswith((".jsonl", ".jsonl.gz"))
+            if p.name.endswith(".jsonl")
             and ".tmp" not in p.name
         )
 
@@ -350,11 +317,6 @@ class TraceStore:
         if self._index is not None:
             self._index_bytes -= self._index.pop(path, 0)
 
-    def _over_budget(self) -> bool:
-        if self.max_entries is not None and len(self._index) > self.max_entries:
-            return True
-        return self.max_bytes is not None and self._index_bytes > self.max_bytes
-
     def _enforce_budget(self, *, keep: Path | None = None) -> tuple[int, int]:
         """Evict oldest-first until the store fits its budget.
 
@@ -362,13 +324,13 @@ class TraceStore:
         never evicted, even if it alone exceeds the budget.  Returns
         ``(entries_removed, bytes_removed)``.
         """
-        if self.max_bytes is None and self.max_entries is None:
+        if self.max_bytes is None:
             return (0, 0)
         if self._index is None:
             self._scan()
         removed = removed_bytes = 0
         for path, size in list(self._index.items()):
-            if not self._over_budget():
+            if self._index_bytes <= self.max_bytes:
                 break
             if path == keep:
                 continue
@@ -415,35 +377,17 @@ class TraceStore:
                     self.quarantine(path, exc.reason)
         return bad
 
-    def clear(self) -> int:
-        """Delete every cached trace; returns the number removed."""
-        self._index = None
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
 
 def detect_key(
     workload: str, seed: int, *, max_steps: int = 1_000_000
 ) -> TraceKey:
     """The cache key of one Phase-1 detection execution."""
-    return TraceKey(
-        workload=workload,
-        seed=seed,
-        scheduler=PHASE1_SCHEDULER,
-        max_steps=max_steps,
-    )
+    return TraceKey(workload=workload, seed=seed, max_steps=max_steps)
 
 
 __all__ = [
     "PHASE1_SCHEDULER",
     "QUARANTINE_DIR",
-    "scheduler_from_spec",
     "TraceKey",
     "TraceStore",
     "StoreStats",

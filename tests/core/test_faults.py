@@ -83,18 +83,6 @@ class TestFaultPlan:
             specs, key=lambda s: (s.phase, s.index)
         )
 
-    def test_sample_is_reproducible(self):
-        kwargs = dict(crash_rate=0.2, hang_rate=0.1, pool_kill_rate=0.05)
-        one = FaultPlan.sample(7, 100, **kwargs)
-        two = FaultPlan.sample(7, 100, **kwargs)
-        assert one == two
-        assert len(one) > 0
-        assert FaultPlan.sample(8, 100, **kwargs) != one
-
-    def test_sample_rejects_rates_over_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            FaultPlan.sample(0, 10, crash_rate=0.7, hang_rate=0.5)
-
 
 class TestApplyFault:
     def test_crash_raises_injected_crash(self):

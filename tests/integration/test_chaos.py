@@ -120,8 +120,10 @@ class TestStoreCLI:
         assert "1 quarantined" in captured.out
         assert "CORRUPT" in captured.err
 
+        # A byte budget that holds the larger of the two survivors.
+        quota = max(p.stat().st_size for p in TraceStore(trace_dir).entries())
         assert (
-            main(["store", "gc", "--trace-dir", trace_dir, "--max-entries", "1"])
+            main(["store", "gc", "--trace-dir", trace_dir, "--quota", str(quota)])
             == 0
         )
         assert "evicted 1 entry" in capsys.readouterr().out
@@ -130,6 +132,18 @@ class TestStoreCLI:
     def test_gc_without_budget_is_an_error(self, tmp_path, capsys):
         assert main(["store", "gc", "--trace-dir", str(tmp_path)]) == 2
         assert "--quota" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["gc", "--quota", "1K"]], ids=" ".join
+    )
+    def test_missing_store_is_a_usage_error(self, tmp_path, capsys, argv):
+        # A mistyped path must not pass as an empty, healthy store.
+        missing = tmp_path / "typo"
+        assert main(["store", *argv, "--trace-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert f"no such trace store: {missing}" in captured.err
+        assert captured.out == ""
+        assert not missing.exists()
 
     def test_bad_quota_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

@@ -88,11 +88,20 @@ class TestDetect:
         assert "== wcp" in captured.out
         assert "0 recorded execution(s)" in captured.err  # warm store
 
+    def test_store_quota_without_trace_dir_is_a_usage_error(self, capsys):
+        assert main(["detect", "figure1", "--store-quota", "1K"]) == 2
+        captured = capsys.readouterr()
+        assert (
+            "repro detect: --store-quota only applies with --trace-dir"
+            in captured.err
+        )
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_default_detector_is_hybrid(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["record", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
+        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
         capsys.readouterr()
         assert main(["analyze", store]) == 0
         out = capsys.readouterr().out
@@ -101,7 +110,7 @@ class TestAnalyze:
 
     def test_repeated_detector_flags(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["record", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
+        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
         capsys.readouterr()
         assert (
             main(["analyze", store, "--detector", "shb", "--detector", "sample"])
@@ -113,10 +122,23 @@ class TestAnalyze:
 
     def test_unknown_detector_is_a_usage_error(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["record", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
+        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
         capsys.readouterr()
         assert main(["analyze", store, "--detector", "bogus"]) == 2
         assert "unknown detector(s): bogus" in capsys.readouterr().err
+
+    def test_damaged_trace_is_reported_and_skipped(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        argv = ["detect", "figure1", "--seeds", "2", "--trace-dir", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        damaged = sorted(store.glob("*.jsonl"))[0]
+        damaged.write_text("garbage\n")
+        assert main(["analyze", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert f"CORRUPT {damaged}: malformed header" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out.count("hybrid report") == 1  # the healthy trace
 
 
 class TestFuzz:
@@ -292,6 +314,13 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "invalid choice: 'dash'" in capsys.readouterr().err
 
+    def test_record_is_not_a_command(self, tmp_path, capsys):
+        # `detect --trace-dir` fills the trace store.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["record", "figure1", "--trace-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'record'" in capsys.readouterr().err
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["run", "not-a-workload"])
@@ -308,12 +337,12 @@ class TestParser:
             ["fuzz", "figure1", "--schedule", "adaptive", "--trial-budget", "0"],
             ["fuzz", "figure1", "--trials", "many"],
             ["detect", "figure1", "--jobs", "-2"],
-            ["record", "figure1", "--seeds", "-2", "--trace-dir", "unused"],
+            ["detect", "figure1", "--seeds", "-2"],
             ["table1", "--trials", "-1", "figure1"],
             ["figure2", "--runs", "0"],
             ["figure2", "--paddings", "a,b"],
             ["figure2", "--paddings", "0,-5"],
-            ["store", "gc", "--trace-dir", "unused", "--max-entries", "-1"],
+            ["store", "gc", "--trace-dir", "unused", "--quota", "-1"],
             ["replay", "figure1", "--max-events", "-3"],
             ["replay", "figure1", "--find-crash", "-2"],
             ["analyze", "unused", "--max-events", "-3"],

@@ -39,6 +39,13 @@ def _fill(store, n, *, first=0):
     return paths
 
 
+def _budget(tmp_path, n, *, first=0):
+    """A byte budget that holds exactly the n entries from seed ``first``:
+    their total size, recorded in a scratch store."""
+    probe = TraceStore(tmp_path / "probe")
+    return sum(path.stat().st_size for path in _fill(probe, n, first=first))
+
+
 class TestRecovery:
     def test_corrupt_entry_quarantined_and_rerecorded(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -109,10 +116,10 @@ class TestRecovery:
 
 
 class TestBudget:
-    def test_max_entries_evicts_oldest(self, tmp_path):
+    def test_max_bytes_evicts_oldest(self, tmp_path):
         import os
 
-        store = TraceStore(tmp_path, max_entries=2)
+        store = TraceStore(tmp_path, max_bytes=_budget(tmp_path, 2, first=2))
         paths = _fill(store, 4)
         # Deterministic LRU order regardless of filesystem timestamp
         # granularity: age the files explicitly.
@@ -133,8 +140,8 @@ class TestBudget:
         verify_trace(path)
 
     def test_gc_enforces_a_late_budget(self, tmp_path):
-        _fill(TraceStore(tmp_path), 3)
-        store = TraceStore(tmp_path, max_entries=1)
+        paths = _fill(TraceStore(tmp_path), 3)
+        store = TraceStore(tmp_path, max_bytes=paths[-1].stat().st_size)
         evicted, freed = store.gc()
         assert evicted == 2 and freed > 0
         assert len(store.entries()) == 1
@@ -143,8 +150,8 @@ class TestBudget:
         self, tmp_path, monkeypatch
     ):
         # The first publish lists the store; later ones keep the running
-        # byte and entry count over the oldest-first index.
-        store = TraceStore(tmp_path, max_entries=2)
+        # byte count over the oldest-first index.
+        store = TraceStore(tmp_path, max_bytes=_budget(tmp_path, 2, first=3))
         listings = []
         entries = store.entries
         monkeypatch.setattr(
@@ -158,7 +165,7 @@ class TestBudget:
     def test_entry_removed_elsewhere_is_skipped(self, tmp_path):
         # Another process evicts an indexed entry: it leaves the count
         # without counting as this store's eviction.
-        store = TraceStore(tmp_path, max_entries=2)
+        store = TraceStore(tmp_path, max_bytes=_budget(tmp_path, 2, first=2))
         paths = _fill(store, 2)
         paths[0].unlink()
         paths += _fill(store, 2, first=2)
@@ -169,8 +176,8 @@ class TestBudget:
         # Another process publishes and evicts this store's entry between
         # its publish and its read: the re-recording lists the store
         # again, so it sees and evicts the other process's entry.
-        store = TraceStore(tmp_path, max_entries=1)
-        other = TraceStore(tmp_path, max_entries=1)
+        store = TraceStore(tmp_path, max_bytes=1)
+        other = TraceStore(tmp_path, max_bytes=1)
         other_key = detect_key("figure1", 1, max_steps=10_000)
         reads = []
 
@@ -187,8 +194,8 @@ class TestBudget:
     def test_budget_validation(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             TraceStore(tmp_path, max_bytes=0)
-        with pytest.raises(ValueError, match="max_entries"):
-            TraceStore(tmp_path, max_entries=-1)
+        with pytest.raises(ValueError, match="max_bytes"):
+            TraceStore(tmp_path, max_bytes=-1)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +221,11 @@ def test_store_quota_bounds_the_store_at_every_jobs(tmp_path, options):
         executions = telemetry.counter("trace.store_executions")
         assert executions == 8
         assert telemetry.counter("trace.store_evictions") == executions - 1
+
+
+def test_store_quota_needs_a_trace_dir():
+    with pytest.raises(ValueError, match="trace_dir"):
+        detect_races(figure1.build(), seeds=(0,), store_quota=1)
 
 
 class TestMaintenance:

@@ -16,7 +16,7 @@ import pytest
 from repro.core import detect_races
 from repro.detectors import make_detector
 from repro.runtime.interpreter import Execution
-from repro.trace import TraceStore, detect_key, replay_events
+from repro.trace import TraceReader, TraceStore, detect_key, replay_events
 from repro.workloads import all_workloads, figure1, get
 
 DETECTORS = ("hybrid", "happens-before", "lockset", "shb", "wcp", "sample")
@@ -46,9 +46,9 @@ def test_offline_reports_identical_to_live(workload, tmp_path):
 def test_replay_events_drives_full_observer_lifecycle(tmp_path):
     store = TraceStore(tmp_path)
     key = detect_key("figure1", 0, max_steps=10_000)
-    store.ensure(key, figure1.build())
+    path = store.ensure(key, figure1.build())
     detector = make_detector("hybrid")
-    with store.open(key) as reader:
+    with TraceReader(path) as reader:
         (driven,) = replay_events(reader, [detector], program=reader.header.program)
     assert driven is detector
     assert detector.report.program == "figure1"

@@ -22,8 +22,8 @@ def _witness():
     return witness
 
 
-def _record(tmp_path, name="t.jsonl"):
-    path = tmp_path / name
+def _record(tmp_path):
+    path = tmp_path / "t.jsonl"
     result = record_execution(
         figure1.build(),
         RandomScheduler(preemption="every"),
@@ -47,10 +47,6 @@ class TestRecordAndRead:
         assert header.scheduler == "random:every"
         assert footer is not None
         assert footer.events == len(events)
-
-    def test_gzip_round_trip(self, tmp_path):
-        gz, witness, _ = _record(tmp_path, name="t.jsonl.gz")
-        assert load_trace(gz)[1] == witness.events
 
     def test_footer_summarizes_result(self, tmp_path):
         path, _, result = _record(tmp_path)
