@@ -41,6 +41,7 @@ from repro.core import (
     parse_fault_plan,
     race_directed_test,
 )
+from repro.core.driver import open_campaign
 from repro.core.replay import replay_race
 from repro.core.traceview import format_replay
 from repro.obs import (
@@ -213,21 +214,28 @@ def _cmd_detect(args) -> int:
             file=sys.stderr,
         )
         return 2
+    seeds = range(args.seeds)
     # The trace-store stats line rides on the telemetry stream, so a
-    # --trace-dir run collects even without an output flag.
+    # --trace-dir run collects even without an output flag.  The engine is
+    # opened here, as detect_races would, so its quarantined tasks can be
+    # reported.
     with _telemetry_scope(args, also=args.trace_dir is not None) as telemetry:
-        report = detect_races(
-            spec.build(),
-            detector=detectors[0] if len(detectors) == 1 else detectors,
-            seeds=range(args.seeds),
-            max_steps=spec.max_steps,
-            jobs=args.jobs,
+        with open_campaign(
+            {spec.name: spec.build()},
+            args.jobs,
             deadline=args.deadline,
             retries=args.retries,
-            trace_dir=args.trace_dir,
             faults=args.fault_plan,
-            store_quota=args.store_quota,
-        )
+        ) as (engine, [name]):
+            report = engine.detect(
+                name,
+                detector=detectors[0] if len(detectors) == 1 else detectors,
+                seeds=seeds,
+                max_steps=spec.max_steps,
+                trace_dir=args.trace_dir,
+                store_quota=args.store_quota,
+            )
+            failures = list(engine.failures)
     if isinstance(report, dict):
         # One section per requested detector, all fed by the same
         # recorded execution(s) of each seed.
@@ -254,6 +262,18 @@ def _cmd_detect(args) -> int:
                 f"written",
                 file=sys.stderr,
             )
+    # Exit 3, as fuzz does: a quarantined seed's coverage is missing from
+    # the report, however complete it looks.
+    if failures:
+        named = ", ".join(str(seeds[failure.index]) for failure in failures)
+        print(
+            f"repro detect: {len(failures)} Phase-1 seed task(s) quarantined "
+            f"(seed(s) {named}); the report lacks their executions",
+            file=sys.stderr,
+        )
+        for failure in failures:
+            print(f"  {failure.describe()}", file=sys.stderr)
+        return 3
     return 0
 
 

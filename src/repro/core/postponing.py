@@ -28,8 +28,10 @@ target statements, keeping the instrumentation-free fast path fast).
 
 The step kernel does the least the algorithm needs.  The enabled list
 comes from the engine, which maintains it (no thread is rescanned per
-decision), and every draw goes through the engine's
-:func:`~repro.runtime.interpreter.pick`.  With nothing postponed, a
+decision); the loop reads it directly and calls ``schedulable()`` only
+when it is empty, a deadline fell due or the budget is spent.  Every draw
+uses the bits of the engine's :func:`~repro.runtime.interpreter.pick`,
+inlined for the choice of a thread.  With nothing postponed, a
 scheduling decision is one draw from that list: no watchdog, prune or
 ``choosable`` rebuild; with threads postponed, the watchdog is called
 only once the head of ``postponed`` may have waited past ``patience``.  The
@@ -37,10 +39,11 @@ burst, inlined in the main loop, reuses the chosen thread's state and
 steps it through the interpreter's unchecked ``_execute``; before each
 step it checks only the thread's status, the sync flag of its pending op
 and the target probe, since a runnable thread whose pending op is not a
-sync op is enabled by construction.  The probe is one call: a function
-of the thread state built once per trial by
-:meth:`PostponingDriver.target_probe`, which answers from the raw yield
-site (:meth:`TargetSites.probe`) without building a statement.
+sync op is enabled by construction.  The probe is a function of the
+thread state built once per trial by :meth:`PostponingDriver.target_probe`,
+which answers from the raw yield site (:meth:`TargetSites.probe`) without
+building a statement, and the loop calls it only when the site's line is
+one of the target lines (``TargetSites.lines``), tested inline.
 
 The livelock breaker has two rules.  Lines 26-28 are widened from "every
 enabled thread is postponed" to "every enabled thread is postponed or
@@ -158,14 +161,16 @@ class TargetSites:
     Labelled ops carry their interned statement already.
     """
 
-    __slots__ = ("statements", "_lines", "_sites")
+    __slots__ = ("statements", "lines", "_sites")
 
     def __init__(self, statements: Iterable[Statement]) -> None:
         self.statements = frozenset(statements)
-        # A labelled statement's line is 0, as is the recorded line of a
-        # labelled op, so the line prefilter lets labelled ops through
-        # exactly when the set has a labelled member.
-        self._lines = frozenset(s.line for s in self.statements)
+        #: the lines of the members: a probe answers True only for a thread
+        #: whose ``stmt_line`` is one of them.  A labelled statement's line
+        #: is 0, as is the recorded line of a labelled op, so the line
+        #: prefilter lets labelled ops through exactly when the set has a
+        #: labelled member.
+        self.lines = frozenset(s.line for s in self.statements)
         self._sites = frozenset(
             (s.file, s.line) for s in self.statements if s.label is None
         )
@@ -173,7 +178,7 @@ class TargetSites:
     def probe(self, *, mem_only: bool = False) -> TargetProbe:
         """A one-call test "is the statement of ``ts``'s pending op in the
         set?", also requiring a memory access when ``mem_only``."""
-        statements, lines, sites = self.statements, self._lines, self._sites
+        statements, lines, sites = self.statements, self.lines, self._sites
 
         def holds(ts: ThreadState) -> bool:
             line = ts.stmt_line
@@ -239,6 +244,11 @@ class PollWatch:
 
 class PostponingDriver:
     """Template for Algorithm 1; subclasses define what a "target" is."""
+
+    #: the target statements, set by each subclass; its probe answers True
+    #: only at one of their lines, so the main loop tests a thread's line
+    #: against ``_sites.lines`` itself and calls the probe only on a match.
+    _sites: TargetSites
 
     def __init__(
         self,
@@ -317,12 +327,13 @@ class PostponingDriver:
         exempt: set[int] = set()
         watch = PollWatch()
         rng = execution.rng
+        getrandbits = rng.getrandbits
         threads = execution.threads
         schedulable = execution.schedulable
         execute = execution._execute
         is_target = self.target_probe(execution)
+        lines = self._sites.lines
         burst = self.preemption == "sync"
-        max_steps = self.max_steps
         patience = self.patience
         # A step after which the watchdog may find a thread to release:
         # never later than the head of ``postponed`` (the dict is ordered
@@ -333,9 +344,18 @@ class PostponingDriver:
 
         try:
             while True:
-                enabled = schedulable()
-                if not enabled:
-                    break
+                # schedulable()'s fast path, inlined: the maintained list,
+                # unless a deadline fell due, it is empty or the budget is
+                # spent.
+                enabled = execution._enabled_list
+                if (
+                    not enabled
+                    or execution.step_count >= execution._wake_next
+                    or execution.step_count >= execution.step_limit
+                ):
+                    enabled = schedulable()
+                    if not enabled:
+                        break
                 if postponed:
                     if execution.step_count > watch_at:
                         self._run_watchdog(execution, postponed, exempt, fuzz)
@@ -364,9 +384,16 @@ class PostponingDriver:
                         continue
                 else:
                     choosable = enabled
-                tid = pick(rng, choosable)
+                # pick(rng, choosable) inlined, drawing the same bits;
+                # choosable is never empty here.
+                n = len(choosable)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                tid = choosable[r]
                 ts = threads[tid]
-                if is_target(ts) and tid not in exempt:
+                if ts.stmt_line in lines and is_target(ts) and tid not in exempt:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
                         self._resolve(execution, tid, rivals, postponed, watch, fuzz)
@@ -388,8 +415,13 @@ class PostponingDriver:
                 execute(ts)
                 if not burst:
                     continue
-                while ts.status is _RUNNABLE and execution.ops_executed < max_steps:
-                    if ts.pending.is_sync or is_target(ts):
+                while (
+                    ts.status is _RUNNABLE
+                    and execution.step_count < execution.step_limit
+                ):
+                    if ts.pending.is_sync or (
+                        ts.stmt_line in lines and is_target(ts)
+                    ):
                         break
                     if postponed:
                         watch.note(execution, ts)
@@ -448,8 +480,9 @@ class PostponingDriver:
         """Must a postponed thread be released?  Yes when every enabled
         thread outside ``postponed`` is polling and no live thread will
         change state on its own (a sleeper or timed waiter)."""
+        streak, epoch = watch._streak, watch.epoch
         for tid in choosable:
-            if not watch.polling(tid):
+            if streak.get(tid, -1) != epoch:  # watch.polling(tid), inlined
                 return False
         return not choosable or not execution.deadlines()
 

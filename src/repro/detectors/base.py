@@ -113,7 +113,7 @@ from repro.runtime.events import (
     SndEvent,
     ThreadStartEvent,
 )
-from repro.runtime.location import Location, LockId
+from repro.runtime.location import LockId
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.statement import Statement, StatementPair
 
@@ -205,11 +205,12 @@ class HistoryRaceDetector(ExecutionObserver):
         self._threads: dict[int, list[VectorClock | None]] = {}
         #: msg_id -> clock snapshots at SND time, one per family.
         self._messages: dict[int, list[VectorClock | None]] = {}
-        #: lock -> (message+lock, SDP) snapshots at its last release.
-        self._releases: dict[LockId, tuple[VectorClock | None, VectorClock | None]] = {}
-        self._locations: dict[Location, _LocationState] = {}
-        #: locations whose observed history dropped a record.
-        self._overflowed: set[Location] = set()
+        #: lock uid -> (message+lock, SDP) snapshots at its last release.
+        self._releases: dict[int, tuple[VectorClock | None, VectorClock | None]] = {}
+        #: keyed by ``Location.key``, which hashes in C.
+        self._locations: dict[tuple, _LocationState] = {}
+        #: keys of the locations whose observed history dropped a record.
+        self._overflowed: set[tuple] = set()
         self.soft_edges = 0
         self.guard_breaks = 0
         self._fresh_reports("?")
@@ -293,12 +294,12 @@ class HistoryRaceDetector(ExecutionObserver):
         elif isinstance(event, ReleaseEvent):
             _, order, _, strong = self._thread(event.tid)
             if order is not None or strong is not None:
-                self._releases[event.lock] = (
+                self._releases[event.lock.uid] = (
                     None if order is None else _publish(order, event.tid),
                     None if strong is None else _publish(strong, event.tid),
                 )
         elif isinstance(event, AcquireEvent):
-            released = self._releases.get(event.lock)
+            released = self._releases.get(event.lock.uid)
             if released is not None:
                 _, order, _, strong = self._thread(event.tid)
                 if order is not None:
@@ -337,9 +338,9 @@ class HistoryRaceDetector(ExecutionObserver):
         is_write = event.is_write
         stmt = event.stmt
         seen, order, spawn, strong = self._threads.get(tid) or self._thread(tid)
-        state = self._locations.get(location)
+        state = self._locations.get(location.key)
         if state is None:
-            state = self._locations[location] = _LocationState(held)
+            state = self._locations[location.key] = _LocationState(held)
         if self._observed:
             hybrid = self._hybrid
             precise = self._precise
@@ -384,7 +385,7 @@ class HistoryRaceDetector(ExecutionObserver):
                 history.append(_Record(tid, stmt, is_write, held, epoch, epoch2))
                 if len(history) > self.max_history:
                     history.pop(0)
-                    self._overflowed.add(location)
+                    self._overflowed.add(location.key)
         if self._predictive:
             # A record sharing a lock in the shield with this access is
             # exonerated: shb's shield is the access's lockset, wcp's the

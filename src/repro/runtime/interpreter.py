@@ -41,12 +41,21 @@ work is kept to integer/identity operations:
 * **Checked and unchecked stepping** — the public ``step(tid)`` checks the
   thread and the step budget, then calls ``_execute(ts)``.  Callers that
   have proved both already (``run()``, the postponing driver's burst)
-  call ``_execute`` directly.
-* **Precompiled dispatch** — each :class:`~repro.runtime.ops.Op` carries a
-  dense ``kind_index`` resolved at construction; ``_execute`` indexes a
-  tuple of bound handlers instead of hashing an enum into a dict.
+  call ``_execute`` directly, after ``schedulable()``'s fast path inlined.
+  The budget is a clock reading, ``step_limit``, so a step advances one
+  counter; ``ops_executed`` is derived from it.
+* **One resume site** — READ, WRITE and YIELD execute inside ``_execute``
+  itself; every other kind goes to a handler, found by the op's dense
+  ``kind_index`` in a tuple of bound handlers, which *returns* the value
+  to send (or :data:`_PARKED`, or a :class:`_Throw`).  ``_execute`` then
+  resumes the body, the only place a generator is resumed; priming a new
+  thread's body goes through it too.
+* **Heap keyed in C** — the heap's cells are keyed by ``Location.key``,
+  a plain tuple built with the location, so a READ or WRITE hashes no
+  Python object; the lock table is keyed by ``LockId.uid``.
 * **One draw helper** — :func:`pick` is ``seq[rng.randrange(len(seq))]``
-  with ``randrange``'s bit loop inlined; every scheduling draw uses it.
+  with ``randrange``'s bit loop inlined; every scheduling draw uses its
+  bits (the postponing driver's choice inlines it once more).
 * **Lazy interned statements** — the yield site is captured as a raw
   ``(code, line)`` pair at resume time, from the thread's last innermost
   generator while that one is suspended and delegates to nothing (else
@@ -122,6 +131,28 @@ _WAKE_SLOT = len(KIND_VALUES)
 
 #: ``Execution._wake_next`` when no thread has a deadline.
 _NEVER = 1 << 62
+
+#: the ``kind_index`` of each kind ``Execution._execute`` runs inline.
+_READ = OpKind.READ.index
+_WRITE = OpKind.WRITE.index
+_YIELD = OpKind.YIELD.index
+
+_REACQUIRE = OpKind.REACQUIRE
+_ACCESS_READ = Access.READ
+_ACCESS_WRITE = Access.WRITE
+
+#: an op handler's answer when the thread is not resumed this step: it
+#: parked in a wait set, fell asleep, or went back to contend for a monitor.
+_PARKED = object()
+
+
+class _Throw:
+    """An op handler's answer: resume the thread by raising ``error`` in it."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
 
 
 def pick(rng: random.Random, seq):
@@ -231,10 +262,11 @@ class Execution:
         #: the abstract clock: advances by 1 per executed op and jumps
         #: forward when only sleepers remain.
         self.step_count = 0
-        #: ops actually executed — the budget max_steps is charged against
-        #: (virtual sleep time is free).
-        self.ops_executed = 0
         self.max_steps = max_steps
+        #: the clock reading at which the op budget (``max_steps``) is
+        #: spent: it moves with every fast-forward, since virtual sleep
+        #: time is free, so a step only advances the clock.
+        self.step_limit = max_steps
         self.result = ExecutionResult(program=program.name, seed=seed)
         self._next_tid = 0
         self._next_msg = 0
@@ -247,13 +279,16 @@ class Execution:
         self.observer = ObserverChain(observers)
         self._observing = bool(self.observer.observers)
         self._observe_mem = self._observing and self.observer.wants_mem_events
-        # Dispatch: one bound handler per OpKind, indexed by Op.kind_index.
+        # Dispatch: one bound handler per OpKind, indexed by Op.kind_index
+        # (None for READ, WRITE and YIELD, which _execute runs inline).
         self._dispatch = tuple(
-            getattr(self, name) for name in _HANDLER_NAMES
+            getattr(self, name, None) for name in _HANDLER_NAMES
         )
-        # Direct alias of the heap's cell dict: READ/WRITE are the two
-        # hottest ops and go straight to dict.get / dict.__setitem__.
+        # Direct aliases of the heap's dicts: READ/WRITE are the two
+        # hottest ops and go straight to dict.get / dict.__setitem__ on
+        # the location's key.
         self._cells = self.heap._cells
+        self._written = self.heap._locations
         # Metrics: resolved once per execution so the per-step cost with
         # telemetry off is a single None-check.  Per-kind tallies are a
         # plain list indexed by kind_index (plus one trailing "wake" slot)
@@ -345,9 +380,18 @@ class Execution:
         try:
             self.start()
             while True:
-                enabled = schedulable()
-                if not enabled:
-                    break
+                # schedulable()'s fast path, inlined: the maintained list,
+                # unless a deadline fell due, it is empty or the budget is
+                # spent.
+                enabled = self._enabled_list
+                if (
+                    not enabled
+                    or self.step_count >= self._wake_next
+                    or self.step_count >= self.step_limit
+                ):
+                    enabled = schedulable()
+                    if not enabled:
+                        break
                 tid = choose(self, enabled)
                 try:
                     ts = threads[tid]
@@ -461,7 +505,7 @@ class Execution:
         if self.step_count >= self._wake_next:
             self._clock_moved()
         enabled = self._enabled_list
-        if enabled and self.ops_executed < self.max_steps:
+        if enabled and self.step_count < self.step_limit:
             return enabled
         if enabled is None:
             enabled = self.enabled_tids()
@@ -470,10 +514,12 @@ class Execution:
             if deadlines:
                 # Nothing runnable but time can pass: jump to the earliest
                 # sleeper wakeup or timed-wait deadline.
-                self.step_count = max(self.step_count, min(deadlines))
+                now = max(self.step_count, min(deadlines))
+                self.step_limit += now - self.step_count
+                self.step_count = now
                 self._clock_moved()
                 enabled = self.enabled_tids()
-        if enabled and self.ops_executed >= self.max_steps:
+        if enabled and self.step_count >= self.step_limit:
             self.result.truncated = True
             return []
         return enabled
@@ -486,6 +532,12 @@ class Execution:
             for ts in self._live
             if ts.status is _SLEEPING or (ts.status is _WAITING and ts.wake_at)
         ]
+
+    @property
+    def ops_executed(self) -> int:
+        """Ops actually executed: the clock less the virtual time skipped,
+        what ``max_steps`` is charged against."""
+        return self.step_count - self.step_limit + self.max_steps
 
     def alive_tids(self) -> list[int]:
         """Threads not yet terminated — the paper's ``Alive(s)``."""
@@ -516,7 +568,7 @@ class Execution:
             self._clock_moved()
         if not ts.enabled:
             raise SchedulerMisuse(f"thread {ts} is not enabled")
-        if self.ops_executed >= self.max_steps:
+        if self.step_count >= self.step_limit:
             raise ExecutionLimitExceeded(
                 f"{self.program.name}: exceeded {self.max_steps} steps"
             )
@@ -524,326 +576,72 @@ class Execution:
         use_uids(self._uids)
         self._execute(ts)
 
-    def _execute(self, ts: ThreadState) -> None:
-        """:meth:`step` without its checks.
+    def _execute(self, ts: ThreadState, prime: bool = False) -> None:
+        """:meth:`step` without its checks, and the one place a thread body
+        is resumed.
 
         The caller must already know that ``ts`` is enabled, that
-        ``ops_executed < max_steps`` and that no other execution has run
-        since this one's ``start()`` (whose uid counter is installed):
-        :meth:`run` and the postponing driver's burst both do.
+        ``step_count < step_limit`` (the budget has room) and that no other
+        execution has run since this one's ``start()`` (whose uid counter
+        is installed): :meth:`run` and the postponing driver's burst both
+        do.
+
+        READ, WRITE and YIELD execute here; every other kind goes to its
+        handler, which returns the value to send into the thread,
+        :data:`_PARKED` when the thread does not resume this step, or a
+        :class:`_Throw`.  With ``prime`` nothing executes and the thread, a
+        new one, is resumed with None to reach its first op.
         """
-        self.step_count += 1
-        self.ops_executed += 1
-        counts = self._m_counts
-        if counts is not None:
-            # Wakeups execute no user op; they are tallied under the
-            # synthetic "wake" kind here, where the wake actually happens
-            # (a pending SLEEP/WAIT op must not be double-counted).
-            if ts.status is _RUNNABLE:
-                counts[ts.pending.kind_index] += 1
+        throw = None
+        if prime:
+            value = None
+        else:
+            self.step_count += 1
+            counts = self._m_counts
+            if counts is not None:
+                # Wakeups execute no user op; they are tallied under the
+                # synthetic "wake" kind here, where the wake actually
+                # happens (a pending SLEEP/WAIT op must not be
+                # double-counted).
+                if ts.status is _RUNNABLE:
+                    counts[ts.pending.kind_index] += 1
+                else:
+                    counts[_WAKE_SLOT] += 1
+                if ts.tid != self._m_last_tid:
+                    if self._m_last_tid >= 0:
+                        self._m_switches += 1
+                    self._m_last_tid = ts.tid
+            # A sleeper's or timed waiter's pending op stays its SLEEP or
+            # WAIT, whose handler performs the wake.
+            op = ts.pending
+            kind = op.kind_index
+            if kind == _READ:
+                if self._observe_mem:
+                    self._emit_mem(ts, op, _ACCESS_READ)
+                value = self._cells.get(op.location.key, op.default)
+            elif kind == _WRITE:
+                location = op.location
+                self._cells[location.key] = op.value
+                self._written[location.key] = location
+                if self._observe_mem:
+                    self._emit_mem(ts, op, _ACCESS_WRITE)
+                value = None
+            elif kind == _YIELD:
+                value = None
             else:
-                counts[_WAKE_SLOT] += 1
-            if ts.tid != self._m_last_tid:
-                if self._m_last_tid >= 0:
-                    self._m_switches += 1
-                self._m_last_tid = ts.tid
-        # A sleeper's or timed waiter's pending op stays its SLEEP or WAIT,
-        # whose handler performs the wake.
-        op = ts.pending
-        self._dispatch[op.kind_index](ts, op)
-
-    # --- op handlers ---------------------------------------------------- #
-
-    def _do_read(self, ts: ThreadState, op: Op) -> None:
-        if self._observe_mem:
-            self._emit_mem(ts, op, Access.READ)
-        self._advance(ts, self._cells.get(op.location, op.default))
-
-    def _do_write(self, ts: ThreadState, op: Op) -> None:
-        self._cells[op.location] = op.value
-        if self._observe_mem:
-            self._emit_mem(ts, op, Access.WRITE)
-        self._advance(ts, None)
-
-    def _do_lock(self, ts: ThreadState, op: Op) -> None:
-        outermost = self.locks.acquire(op.lock, ts.tid)
-        del self._contending[ts.tid]
-        if outermost:
-            self._lock_moved(op.lock, False)
-            if self._observing:
-                self.observer.on_event(
-                    AcquireEvent(
-                        step=self.step_count, tid=ts.tid, lock=op.lock,
-                        stmt=self._stmt(ts),
-                    )
-                )
-        self._advance(ts, None)
-
-    def _do_unlock(self, ts: ThreadState, op: Op) -> None:
-        if self.locks.release(op.lock, ts.tid):  # fully released
-            self._lock_moved(op.lock, True)
-            if self._observing:
-                self.observer.on_event(
-                    ReleaseEvent(
-                        step=self.step_count, tid=ts.tid, lock=op.lock,
-                        stmt=self._stmt(ts),
-                    )
-                )
-        self._advance(ts, None)
-
-    def _do_wait(self, ts: ThreadState, op: Op) -> None:
-        if ts.status is _WAITING:  # a timed wait at its deadline
-            self._wake_from_timed_wait(ts)
-            return
-        # Java: wait with the interrupt flag already set throws immediately.
-        if ts.interrupt_flag:
-            ts.interrupt_flag = False
-            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
-            return
-        ts.wake_at = self.step_count + op.duration if op.duration else 0
-        depth = self.locks.release_all(op.lock, ts.tid)
-        if self._observing:
-            self.observer.on_event(
-                ReleaseEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
-                )
-            )
-        self.locks.park_waiter(op.lock, ts.tid)
-        ts.status = _WAITING
-        ts.waiting_on = op.lock
-        ts.wait_depth = depth
-        # pending stays the WAIT op (not executable) until notify/interrupt.
-        self._note(ts)
-        self._lock_moved(op.lock, True)
-        if ts.wake_at:
-            self._add_deadline(ts.wake_at)
-
-    def _do_notify(self, ts: ThreadState, op: Op) -> None:
-        self._require_held(ts, op)
-        wait_set = self.locks.monitor(op.lock).wait_set
-        if wait_set:
-            woken = pick(self.rng, wait_set)
-            self.locks.remove_waiter(op.lock, woken)
-            msg = self._snd(ts.tid)
-            self._transition_to_reacquire(self.threads[woken], msg)
-        self._advance(ts, None)
-
-    def _do_notify_all(self, ts: ThreadState, op: Op) -> None:
-        self._require_held(ts, op)
-        woken = self.locks.unpark_all(op.lock)
-        if woken:
-            msg = self._snd(ts.tid)
-            for tid in woken:
-                self._transition_to_reacquire(self.threads[tid], msg)
-        self._advance(ts, None)
-
-    def _do_spawn(self, ts: ThreadState, op: Op) -> None:
-        gen = op.func(*op.args)
-        if not isinstance(gen, Generator):
-            raise EngineError(
-                f"spawn target {op.func!r} must return a generator "
-                f"(a thread body), got {type(gen).__name__}"
-            )
-        child = self._create_thread(
-            gen, name=op.name or getattr(op.func, "__name__", "thread"), parent=ts.tid
-        )
-        self._advance(ts, child.handle)
-
-    def _do_join(self, ts: ThreadState, op: Op) -> None:
-        target = resolve_tid(op.target)
-        ts.join_target = None
-        msg = self._term_msg.get(target)
-        if msg is not None and self._observing:
-            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
-        self._advance(ts, None)
-
-    def _do_sleep(self, ts: ThreadState, op: Op) -> None:
-        if ts.status is _SLEEPING:  # the wake step
-            self._wake_from_sleep(ts)
-            return
-        if ts.interrupt_flag:
-            ts.interrupt_flag = False
-            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
-            return
-        ts.status = _SLEEPING
-        ts.wake_at = self.step_count + max(1, op.duration)
-        # pending stays the SLEEP op; the wake step resumes the generator.
-        self._note(ts)
-        self._add_deadline(ts.wake_at)
-
-    def _wake_from_timed_wait(self, ts: ThreadState) -> None:
-        """A timed wait hit its deadline: leave the wait set and re-contend
-        for the monitor."""
-        self.locks.remove_waiter(ts.waiting_on, ts.tid)
-        self._contend(ts, ts.waiting_on)
-        ts.waiting_on = None
-        ts.wake_at = 0
-
-    def _wake_from_sleep(self, ts: ThreadState) -> None:
-        ts.status = _RUNNABLE
-        if ts.deliver_interrupt:
-            ts.deliver_interrupt = False
-            ts.interrupt_flag = False
-            msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
-            if msg is not None and self._observing:
-                self.observer.on_event(
-                    RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg)
-                )
-            ts.waiting_on = None
-            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
-        else:
-            self._advance(ts, None)
-
-    def _do_interrupt(self, ts: ThreadState, op: Op) -> None:
-        target = self.threads.get(resolve_tid(op.target))
-        if target is None or not target.alive:
-            self._advance(ts, None)
-            return
-        if target.status is _WAITING:
-            self.locks.remove_waiter(target.waiting_on, target.tid)
-            msg = self._snd(ts.tid)
-            self._contend(target, target.waiting_on)
-            target.waiting_on = msg  # stash the HB message for delivery
-            target.deliver_interrupt = True
-        elif target.status is _SLEEPING:
-            msg = self._snd(ts.tid)
-            target.waiting_on = msg
-            target.deliver_interrupt = True
-            self._note(target)
-        else:
-            target.interrupt_flag = True
-        self._advance(ts, None)
-
-    def _do_interrupted(self, ts: ThreadState, op: Op) -> None:
-        flag = ts.interrupt_flag
-        ts.interrupt_flag = False
-        self._advance(ts, flag)
-
-    def _do_yield(self, ts: ThreadState, op: Op) -> None:
-        self._advance(ts, None)
-
-    def _do_check(self, ts: ThreadState, op: Op) -> None:
-        if op.condition:
-            self._advance(ts, None)
-        else:
-            self._advance(ts, None, AssertionViolation(op.message or "check failed"))
-
-    def _do_reacquire(self, ts: ThreadState, op: Op) -> None:
-        self.locks.acquire(op.lock, ts.tid, depth=op.reacquire_count)
-        del self._contending[ts.tid]
-        self._lock_moved(op.lock, False)
-        if self._observing:
-            self.observer.on_event(
-                AcquireEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
-                )
-            )
-        msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
-        if msg is not None and self._observing:
-            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
-        ts.waiting_on = None
-        ts.wait_depth = 0
-        if ts.deliver_interrupt:
-            ts.deliver_interrupt = False
-            ts.interrupt_flag = False
-            self._advance(ts, None, InterruptedException(f"{ts.name} interrupted"))
-        else:
-            self._advance(ts, None)
-
-    # ------------------------------------------------------------------ #
-    # internals
-
-    def _stmt(self, ts: ThreadState) -> Statement | None:
-        """The statement of ``ts``'s pending op, interned from its raw site
-        (``statement_at`` keeps one per site) unless it is already known."""
-        code = ts.stmt_code
-        if code is None:
-            return ts.pending_stmt
-        return statement_at(code, ts.stmt_line)
-
-    def _require_held(self, ts: ThreadState, op: Op) -> None:
-        if not self.locks.holds(op.lock, ts.tid):
-            from .errors import IllegalMonitorState
-
-            raise IllegalMonitorState(
-                f"{ts} notified {op.lock} without holding it"
-            )
-
-    def _transition_to_reacquire(self, ts: ThreadState, msg: int) -> None:
-        """Move a woken waiter to the monitor-entry competition."""
-        self._contend(ts, ts.waiting_on)
-        ts.wake_at = 0  # a pending timed-wait deadline is void once notified
-        ts.waiting_on = msg  # carry the SND message until re-acquisition
-
-    def _contend(self, ts: ThreadState, lock) -> None:
-        """A waiter left the wait set: its wait returns only after it
-        re-acquires the monitor, which it now contends for."""
-        ts.pending = Op(OpKind.REACQUIRE, lock=lock, reacquire_count=ts.wait_depth)
-        ts.status = _RUNNABLE
-        self._contending[ts.tid] = ts
-        self._note(ts)
-
-    def _snd(self, tid: int) -> int:
-        msg = self.fresh_msg()
-        if self._observing:
-            self.observer.on_event(SndEvent(step=self.step_count, tid=tid, msg_id=msg))
-        return msg
-
-    def _emit_mem(self, ts: ThreadState, op: Op, access: Access) -> None:
-        # Only reached when an observer wants MemEvents (_observe_mem).
-        self.observer.on_event(
-            MemEvent(
-                step=self.step_count,
-                tid=ts.tid,
-                stmt=self._stmt(ts),
-                location=op.location,
-                access=access,
-                locks_held=self.locks.held_by(ts.tid),
-            )
-        )
-
-    def _create_thread(self, gen, name: str, parent: int | None) -> ThreadState:
-        tid = self._next_tid
-        self._next_tid += 1
-        ts = ThreadState(tid=tid, name=f"{name}", gen=gen, inner=gen)
-        self.threads[tid] = ts
-        self._live.append(ts)
-        if self._observing:
-            self.observer.on_event(
-                ThreadStartEvent(
-                    step=self.step_count, tid=parent if parent is not None else tid,
-                    child=tid, name=ts.name,
-                )
-            )
-        if parent is not None:
-            # SND by parent at spawn, RCV by child immediately: the child has
-            # produced no events yet, so receiving now is equivalent to
-            # receiving at its first step, and far simpler.
-            msg = self._snd(parent)
-            if self._observing:
-                self.observer.on_event(
-                    RcvEvent(step=self.step_count, tid=tid, msg_id=msg)
-                )
-        self._advance(ts, None)  # send(None) primes a fresh body
-        self._note(ts)
-        return ts
-
-    def _advance(
-        self, ts: ThreadState, value: Any, exc: BaseException | None = None
-    ) -> None:
-        """Resume the generator until its next yield (or its end).
-
-        ``ts`` is the thread being stepped, which was enabled, or a new
-        thread, whose answer :meth:`_create_thread` derives; so only a
-        pending op that can block needs its answer re-derived here.
-        """
+                value = self._dispatch[kind](ts, op)
+                if value is _PARKED:
+                    return
+                if value.__class__ is _Throw:
+                    throw = value.error
+        # Resume the body until its next yield (or its end).  ``ts`` was
+        # enabled, or is new and _create_thread derives its answer, so only
+        # a pending op that can block needs its answer re-derived here.
         try:
-            if exc is None:
+            if throw is None:
                 op = ts.gen.send(value)
             else:
-                op = ts.gen.throw(exc)
+                op = ts.gen.throw(throw)
         except StopIteration:
             self._terminate(ts, None)
         except EngineError:
@@ -894,6 +692,267 @@ class Execution:
                     ts.stmt_code = frame.f_code
                     ts.stmt_line = frame.f_lineno
 
+    # --- op handlers ---------------------------------------------------- #
+    # READ, WRITE and YIELD have none: _execute runs them inline.
+
+    def _do_lock(self, ts: ThreadState, op: Op) -> None:
+        outermost = self.locks.acquire(op.lock, ts.tid)
+        del self._contending[ts.tid]
+        if outermost:
+            self._lock_moved(op.lock, False)
+            if self._observing:
+                self.observer.on_event(
+                    AcquireEvent(
+                        step=self.step_count, tid=ts.tid, lock=op.lock,
+                        stmt=self._stmt(ts),
+                    )
+                )
+        return None
+
+    def _do_unlock(self, ts: ThreadState, op: Op) -> None:
+        if self.locks.release(op.lock, ts.tid):  # fully released
+            self._lock_moved(op.lock, True)
+            if self._observing:
+                self.observer.on_event(
+                    ReleaseEvent(
+                        step=self.step_count, tid=ts.tid, lock=op.lock,
+                        stmt=self._stmt(ts),
+                    )
+                )
+        return None
+
+    def _do_wait(self, ts: ThreadState, op: Op) -> Any:
+        if ts.status is _WAITING:  # a timed wait at its deadline
+            self._wake_from_timed_wait(ts)
+            return _PARKED
+        # Java: wait with the interrupt flag already set throws immediately.
+        if ts.interrupt_flag:
+            ts.interrupt_flag = False
+            return _Throw(InterruptedException(f"{ts.name} interrupted"))
+        ts.wake_at = self.step_count + op.duration if op.duration else 0
+        depth = self.locks.release_all(op.lock, ts.tid)
+        if self._observing:
+            self.observer.on_event(
+                ReleaseEvent(
+                    step=self.step_count, tid=ts.tid, lock=op.lock,
+                    stmt=self._stmt(ts),
+                )
+            )
+        self.locks.park_waiter(op.lock, ts.tid)
+        ts.status = _WAITING
+        ts.waiting_on = op.lock
+        ts.wait_depth = depth
+        # pending stays the WAIT op (not executable) until notify/interrupt.
+        self._note(ts)
+        self._lock_moved(op.lock, True)
+        if ts.wake_at:
+            self._add_deadline(ts.wake_at)
+        return _PARKED
+
+    def _do_notify(self, ts: ThreadState, op: Op) -> None:
+        self._require_held(ts, op)
+        wait_set = self.locks.monitor(op.lock).wait_set
+        if wait_set:
+            woken = pick(self.rng, wait_set)
+            self.locks.remove_waiter(op.lock, woken)
+            msg = self._snd(ts.tid)
+            self._transition_to_reacquire(self.threads[woken], msg)
+        return None
+
+    def _do_notify_all(self, ts: ThreadState, op: Op) -> None:
+        self._require_held(ts, op)
+        woken = self.locks.unpark_all(op.lock)
+        if woken:
+            msg = self._snd(ts.tid)
+            for tid in woken:
+                self._transition_to_reacquire(self.threads[tid], msg)
+        return None
+
+    def _do_spawn(self, ts: ThreadState, op: Op) -> Any:
+        gen = op.func(*op.args)
+        if not isinstance(gen, Generator):
+            raise EngineError(
+                f"spawn target {op.func!r} must return a generator "
+                f"(a thread body), got {type(gen).__name__}"
+            )
+        child = self._create_thread(
+            gen, name=op.name or getattr(op.func, "__name__", "thread"), parent=ts.tid
+        )
+        return child.handle
+
+    def _do_join(self, ts: ThreadState, op: Op) -> None:
+        target = resolve_tid(op.target)
+        ts.join_target = None
+        msg = self._term_msg.get(target)
+        if msg is not None and self._observing:
+            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
+        return None
+
+    def _do_sleep(self, ts: ThreadState, op: Op) -> Any:
+        if ts.status is _SLEEPING:  # the wake step
+            return self._wake_from_sleep(ts)
+        if ts.interrupt_flag:
+            ts.interrupt_flag = False
+            return _Throw(InterruptedException(f"{ts.name} interrupted"))
+        ts.status = _SLEEPING
+        ts.wake_at = self.step_count + max(1, op.duration)
+        # pending stays the SLEEP op; the wake step resumes the generator.
+        self._note(ts)
+        self._add_deadline(ts.wake_at)
+        return _PARKED
+
+    def _wake_from_timed_wait(self, ts: ThreadState) -> None:
+        """A timed wait hit its deadline: leave the wait set and re-contend
+        for the monitor."""
+        self.locks.remove_waiter(ts.waiting_on, ts.tid)
+        self._contend(ts, ts.waiting_on)
+        ts.waiting_on = None
+        ts.wake_at = 0
+
+    def _wake_from_sleep(self, ts: ThreadState) -> Any:
+        ts.status = _RUNNABLE
+        if ts.deliver_interrupt:
+            ts.deliver_interrupt = False
+            ts.interrupt_flag = False
+            msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
+            if msg is not None and self._observing:
+                self.observer.on_event(
+                    RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg)
+                )
+            ts.waiting_on = None
+            return _Throw(InterruptedException(f"{ts.name} interrupted"))
+        return None
+
+    def _do_interrupt(self, ts: ThreadState, op: Op) -> None:
+        target = self.threads.get(resolve_tid(op.target))
+        if target is None or not target.alive:
+            return None
+        if target.status is _WAITING:
+            self.locks.remove_waiter(target.waiting_on, target.tid)
+            msg = self._snd(ts.tid)
+            self._contend(target, target.waiting_on)
+            target.waiting_on = msg  # stash the HB message for delivery
+            target.deliver_interrupt = True
+        elif target.status is _SLEEPING:
+            msg = self._snd(ts.tid)
+            target.waiting_on = msg
+            target.deliver_interrupt = True
+            self._note(target)
+        else:
+            target.interrupt_flag = True
+        return None
+
+    def _do_interrupted(self, ts: ThreadState, op: Op) -> bool:
+        flag = ts.interrupt_flag
+        ts.interrupt_flag = False
+        return flag
+
+    def _do_check(self, ts: ThreadState, op: Op) -> Any:
+        if op.condition:
+            return None
+        return _Throw(AssertionViolation(op.message or "check failed"))
+
+    def _do_reacquire(self, ts: ThreadState, op: Op) -> Any:
+        self.locks.acquire(op.lock, ts.tid, depth=op.reacquire_count)
+        del self._contending[ts.tid]
+        self._lock_moved(op.lock, False)
+        if self._observing:
+            self.observer.on_event(
+                AcquireEvent(
+                    step=self.step_count, tid=ts.tid, lock=op.lock,
+                    stmt=self._stmt(ts),
+                )
+            )
+        msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
+        if msg is not None and self._observing:
+            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
+        ts.waiting_on = None
+        ts.wait_depth = 0
+        if ts.deliver_interrupt:
+            ts.deliver_interrupt = False
+            ts.interrupt_flag = False
+            return _Throw(InterruptedException(f"{ts.name} interrupted"))
+        return None
+
+    # ------------------------------------------------------------------ #
+    # internals
+
+    def _stmt(self, ts: ThreadState) -> Statement | None:
+        """The statement of ``ts``'s pending op, interned from its raw site
+        (``statement_at`` keeps one per site) unless it is already known."""
+        code = ts.stmt_code
+        if code is None:
+            return ts.pending_stmt
+        return statement_at(code, ts.stmt_line)
+
+    def _require_held(self, ts: ThreadState, op: Op) -> None:
+        if not self.locks.holds(op.lock, ts.tid):
+            from .errors import IllegalMonitorState
+
+            raise IllegalMonitorState(
+                f"{ts} notified {op.lock} without holding it"
+            )
+
+    def _transition_to_reacquire(self, ts: ThreadState, msg: int) -> None:
+        """Move a woken waiter to the monitor-entry competition."""
+        self._contend(ts, ts.waiting_on)
+        ts.wake_at = 0  # a pending timed-wait deadline is void once notified
+        ts.waiting_on = msg  # carry the SND message until re-acquisition
+
+    def _contend(self, ts: ThreadState, lock) -> None:
+        """A waiter left the wait set: its wait returns only after it
+        re-acquires the monitor, which it now contends for."""
+        ts.pending = Op(
+            _REACQUIRE, None, None, None, lock, None, None, (), None, 0, True,
+            "", None, ts.wait_depth,
+        )
+        ts.status = _RUNNABLE
+        self._contending[ts.tid] = ts
+        self._note(ts)
+
+    def _snd(self, tid: int) -> int:
+        msg = self.fresh_msg()
+        if self._observing:
+            self.observer.on_event(SndEvent(step=self.step_count, tid=tid, msg_id=msg))
+        return msg
+
+    def _emit_mem(self, ts: ThreadState, op: Op, access: Access) -> None:
+        # Only reached when an observer wants MemEvents (_observe_mem).
+        self.observer.on_event(
+            MemEvent(
+                self.step_count, ts.tid, self._stmt(ts), op.location, access,
+                self.locks.held_by(ts.tid),
+            )
+        )
+
+    def _create_thread(self, gen, name: str, parent: int | None) -> ThreadState:
+        tid = self._next_tid
+        self._next_tid += 1
+        ts = ThreadState(tid=tid, name=f"{name}", gen=gen, inner=gen)
+        self.threads[tid] = ts
+        self._live.append(ts)
+        if self._observing:
+            self.observer.on_event(
+                ThreadStartEvent(
+                    step=self.step_count, tid=parent if parent is not None else tid,
+                    child=tid, name=ts.name,
+                )
+            )
+        if parent is not None:
+            # SND by parent at spawn, RCV by child immediately: the child has
+            # produced no events yet, so receiving now is equivalent to
+            # receiving at its first step, and far simpler.
+            msg = self._snd(parent)
+            if self._observing:
+                self.observer.on_event(
+                    RcvEvent(step=self.step_count, tid=tid, msg_id=msg)
+                )
+        # send(None) primes a fresh body.  The base method is named so that
+        # a subclass hooking _execute sees executed ops only.
+        Execution._execute(self, ts, True)
+        self._note(ts)
+        return ts
+
     def _terminate(self, ts: ThreadState, error: BaseException | None) -> None:
         ts.status = _TERMINATED
         stmt = self._stmt(ts)
@@ -934,25 +993,6 @@ class Execution:
 
 
 #: handler method names in OpKind declaration order; ``Execution.__init__``
-#: binds these once so ``step`` dispatches via ``tuple[kind_index]``.
-_HANDLER_NAMES = (
-    "_do_read",
-    "_do_write",
-    "_do_lock",
-    "_do_unlock",
-    "_do_wait",
-    "_do_notify",
-    "_do_notify_all",
-    "_do_spawn",
-    "_do_join",
-    "_do_sleep",
-    "_do_interrupt",
-    "_do_interrupted",
-    "_do_yield",
-    "_do_check",
-    "_do_reacquire",
-)
-
-assert tuple(f"_do_{kind.value}" for kind in OpKind) == _HANDLER_NAMES, (
-    "handler table out of sync with OpKind declaration order"
-)
+#: binds these once so ``_execute`` dispatches via ``tuple[kind_index]``.
+#: READ, WRITE and YIELD name no method: ``_execute`` runs them inline.
+_HANDLER_NAMES = tuple(f"_do_{kind.value}" for kind in OpKind)

@@ -41,28 +41,33 @@ def use_uids(counter: Iterator[int] | None) -> None:
     _uids = _outside if counter is None else counter
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Location:
-    """Base class for dynamic memory locations."""
+    """Base class for dynamic memory locations.
+
+    ``key`` is the location's identity as one plain tuple, built at
+    construction: the class's token tag, the uid, and the field name or
+    element index if any.  Two locations are equal exactly when their keys
+    are, so the heap and the history detectors key their dicts by it and
+    hash it in C; ``hash(location)`` is ``hash(location.key)``.
+    """
 
     uid: int
     name: str = field(default="", compare=False)
-    #: lazily computed hash; locations key every heap access, so hashing
-    #: the same instance repeatedly must not rebuild the key tuple.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    key: tuple = field(default=(), init=False, repr=False, compare=False)
 
     #: token tag identifying the concrete subclass across processes.
     kind: ClassVar[str] = "loc"
 
-    def _hash_key(self) -> tuple:
-        return (self.uid,)
+    # Frozen, so fields are set through their slot descriptors (bound
+    # below), not one ``object.__setattr__`` call each.
+    def __init__(self, uid: int, name: str = "") -> None:
+        _set_uid(self, uid)
+        _set_name(self, name)
+        _set_key(self, (self.kind, uid))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._hash_key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.key)
 
     def describe(self) -> str:
         return self.name or f"loc#{self.uid}"
@@ -78,7 +83,12 @@ class Location:
         return token
 
 
-@dataclass(frozen=True, slots=True)
+_set_uid = Location.__dict__["uid"].__set__
+_set_name = Location.__dict__["name"].__set__
+_set_key = Location.__dict__["key"].__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class VarLoc(Location):
     """A shared scalar variable."""
 
@@ -90,7 +100,7 @@ class VarLoc(Location):
         return self.name or f"var#{self.uid}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FieldLoc(Location):
     """A named field of a shared object."""
 
@@ -99,8 +109,11 @@ class FieldLoc(Location):
 
     __hash__ = Location.__hash__
 
-    def _hash_key(self) -> tuple:
-        return (self.uid, self.fieldname)
+    def __init__(self, uid: int, name: str = "", fieldname: str = "") -> None:
+        _set_uid(self, uid)
+        _set_name(self, name)
+        _set_fieldname(self, fieldname)
+        _set_key(self, ("field", uid, fieldname))
 
     def describe(self) -> str:
         base = self.name or f"obj#{self.uid}"
@@ -112,7 +125,10 @@ class FieldLoc(Location):
         return token
 
 
-@dataclass(frozen=True, slots=True)
+_set_fieldname = FieldLoc.__dict__["fieldname"].__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ElemLoc(Location):
     """An element of a shared array."""
 
@@ -121,8 +137,11 @@ class ElemLoc(Location):
 
     __hash__ = Location.__hash__
 
-    def _hash_key(self) -> tuple:
-        return (self.uid, self.index)
+    def __init__(self, uid: int, name: str = "", index: int = 0) -> None:
+        _set_uid(self, uid)
+        _set_name(self, name)
+        _set_index(self, index)
+        _set_key(self, ("elem", uid, index))
 
     def describe(self) -> str:
         base = self.name or f"arr#{self.uid}"
@@ -132,6 +151,9 @@ class ElemLoc(Location):
         token = Location.to_token(self)
         token["i"] = self.index
         return token
+
+
+_set_index = ElemLoc.__dict__["index"].__set__
 
 
 def location_from_token(token: dict) -> Location:

@@ -27,19 +27,23 @@ class MonitorState:
 
 
 class LockTable:
-    """All monitor state for one execution, keyed by :class:`LockId`."""
+    """All monitor state for one execution, keyed by :class:`LockId`.
+
+    The monitors dict is keyed by ``LockId.uid``, the whole of a lock's
+    identity, so a lookup hashes an int in C rather than calling
+    ``LockId.__hash__``.
+    """
 
     def __init__(self) -> None:
-        self._monitors: dict[LockId, MonitorState] = {}
+        self._monitors: dict[int, MonitorState] = {}
         #: locks currently held by each thread, as a multiset-ish ordered list
         #: of outermost acquisitions (used for MEM-event locksets).
         self._held: dict[int, list[LockId]] = {}
 
     def monitor(self, lock: LockId) -> MonitorState:
-        state = self._monitors.get(lock)
+        state = self._monitors.get(lock.uid)
         if state is None:
-            state = MonitorState()
-            self._monitors[lock] = state
+            state = self._monitors[lock.uid] = MonitorState()
         return state
 
     def can_acquire(self, lock: LockId, tid: int) -> bool:
@@ -49,7 +53,7 @@ class LockTable:
         so it must not allocate: a never-acquired monitor reads as free
         without materializing a :class:`MonitorState` for it.
         """
-        state = self._monitors.get(lock)
+        state = self._monitors.get(lock.uid)
         return state is None or state.owner is None or state.owner == tid
 
     def acquire(self, lock: LockId, tid: int, depth: int = 1) -> bool:
@@ -58,7 +62,7 @@ class LockTable:
         Callers must have checked :meth:`can_acquire`; acquiring a monitor
         owned by another thread is a scheduler bug.
         """
-        state = self.monitor(lock)
+        state = self._monitors.get(lock.uid) or self.monitor(lock)
         if state.owner is not None and state.owner != tid:
             raise IllegalMonitorState(
                 f"thread {tid} acquired {lock} owned by thread {state.owner}"
@@ -72,7 +76,7 @@ class LockTable:
 
     def release(self, lock: LockId, tid: int) -> bool:
         """Release one level of the monitor; returns True if fully released."""
-        state = self.monitor(lock)
+        state = self._monitors.get(lock.uid) or self.monitor(lock)
         if state.owner != tid:
             raise IllegalMonitorState(
                 f"thread {tid} released {lock} it does not hold"

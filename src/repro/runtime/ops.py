@@ -19,7 +19,7 @@ Construct ops through the module-level helpers (``read``, ``write``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Any, Callable
 
 from .location import Location, LockId
@@ -96,43 +96,80 @@ for _index, _kind in enumerate(OpKind):
 del _index, _kind
 
 
-@dataclass(slots=True)
-class Op:
+#: the fields of an :class:`Op`, in positional order: the fourteen a
+#: caller may pass, then the five derived from ``kind``.
+_FIELDS = (
+    "kind", "location", "value", "default", "lock", "target", "func",
+    "args", "name", "duration", "condition", "message", "label",
+    "reacquire_count",
+    "kind_index", "is_mem", "is_write", "is_sync", "blocking",
+)
+
+#: fields shown by ``repr``: not ``reacquire_count`` or the derived flags.
+_REPR_FIELDS = _FIELDS[:13]
+
+
+class Op(namedtuple("_OpFields", _FIELDS)):
     """One abstract-machine operation, yielded by a simulated thread.
 
     Only the fields relevant to ``kind`` are populated.  ``label`` optionally
     overrides the auto-derived statement identity (see
-    :mod:`repro.runtime.statement`).
+    :mod:`repro.runtime.statement`).  The classification fields
+    (``kind_index``, ``is_mem``, ``is_write``, ``is_sync``, ``blocking``)
+    are ``kind.flags``, resolved once at construction.
+
+    An op is an immutable tuple of its fields (``Op._fields``).  ``Op(kind,
+    location=..., ...)`` builds one from keywords; the helpers below build
+    theirs with a single positional ``tuple.__new__`` call, which runs no
+    Python frame (keyword matching against fourteen parameters cost more
+    than everything else an op construction does).  Ops compare equal only
+    to ops, and are not hashable.
     """
 
-    kind: OpKind
-    location: Location | None = None
-    value: Any = None  # WRITE: value to store
-    default: Any = None  # READ: value if the location was never written
-    lock: LockId | None = None
-    target: Any = None  # JOIN/INTERRUPT: ThreadHandle or tid
-    func: Callable[..., Any] | None = None  # SPAWN: generator function
-    args: tuple = ()
-    name: str | None = None  # SPAWN: thread name
-    duration: int = 0  # SLEEP: ticks
-    condition: bool = True  # CHECK: the asserted condition
-    message: str = ""  # CHECK: failure message
-    label: str | None = None
-    reacquire_count: int = field(default=0, repr=False)  # REACQUIRE internal
-    # Derived fields, resolved once at construction (was: a property call
-    # plus frozenset membership test per query, several times per step).
-    kind_index: int = field(init=False, repr=False, compare=False)
-    is_mem: bool = field(init=False, repr=False, compare=False)
-    is_write: bool = field(init=False, repr=False, compare=False)
-    is_sync: bool = field(init=False, repr=False, compare=False)
-    blocking: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # One attribute read + a C-level unpack per constructed op.
-        (
-            self.kind_index, self.is_mem, self.is_write, self.is_sync,
-            self.blocking,
-        ) = self.kind.flags
+    def __new__(
+        cls,
+        kind: OpKind,
+        location: Location | None = None,
+        value: Any = None,  # WRITE: value to store
+        default: Any = None,  # READ: value if the location was never written
+        lock: LockId | None = None,
+        target: Any = None,  # JOIN/INTERRUPT: ThreadHandle or tid
+        func: Callable[..., Any] | None = None,  # SPAWN: generator function
+        args: tuple = (),
+        name: str | None = None,  # SPAWN: thread name
+        duration: int = 0,  # SLEEP/WAIT: ticks
+        condition: bool = True,  # CHECK: the asserted condition
+        message: str = "",  # CHECK: failure message
+        label: str | None = None,
+        reacquire_count: int = 0,  # REACQUIRE internal
+    ) -> "Op":
+        return _new(
+            cls,
+            (
+                kind, location, value, default, lock, target, func, args,
+                name, duration, condition, message, label, reacquire_count,
+            )
+            + kind.flags,
+        )
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self[:14])
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(_REPR_FIELDS, self)
+        )
+        return f"Op({fields})"
 
     def describe(self) -> str:
         """Short human-readable rendering for traces and error messages."""
@@ -152,24 +189,52 @@ class Op:
         return k
 
 
+_new = tuple.__new__
+
+# Each helper builds its op with one positional ``tuple.__new__`` call, in
+# field order: kind, location, value, default, lock, target, func,
+# args, name, duration, condition, message, label, reacquire_count, then
+# the kind's flags (kind_index, is_mem, is_write, is_sync, blocking)
+# spelled out, since a literal tuple is one instruction.
+# tests/runtime/test_ops.py checks every helper against ``Op(kind, ...)``.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+_LOCK = OpKind.LOCK
+_UNLOCK = OpKind.UNLOCK
+_WAIT = OpKind.WAIT
+_NOTIFY = OpKind.NOTIFY
+_NOTIFY_ALL = OpKind.NOTIFY_ALL
+_SPAWN = OpKind.SPAWN
+_JOIN = OpKind.JOIN
+_SLEEP = OpKind.SLEEP
+_INTERRUPT = OpKind.INTERRUPT
+_INTERRUPTED = OpKind.INTERRUPTED
+_YIELD = OpKind.YIELD
+_CHECK = OpKind.CHECK
+
+
 def read(location: Location, default: Any = None, label: str | None = None) -> Op:
     """Read a shared location; the executed op sends the value back."""
-    return Op(OpKind.READ, location=location, default=default, label=label)
+    return _new(Op, (_READ, location, None, default, None, None, None, (),
+                     None, 0, True, "", label, 0, 0, True, False, False, 0))
 
 
 def write(location: Location, value: Any, label: str | None = None) -> Op:
     """Write ``value`` to a shared location."""
-    return Op(OpKind.WRITE, location=location, value=value, label=label)
+    return _new(Op, (_WRITE, location, value, None, None, None, None, (),
+                     None, 0, True, "", label, 0, 1, True, True, False, 0))
 
 
 def lock(lock_id: LockId, label: str | None = None) -> Op:
     """Acquire a reentrant monitor (blocks while another thread holds it)."""
-    return Op(OpKind.LOCK, lock=lock_id, label=label)
+    return _new(Op, (_LOCK, None, None, None, lock_id, None, None, (),
+                     None, 0, True, "", label, 0, 2, False, False, True, 1))
 
 
 def unlock(lock_id: LockId, label: str | None = None) -> Op:
     """Release a monitor held by the current thread."""
-    return Op(OpKind.UNLOCK, lock=lock_id, label=label)
+    return _new(Op, (_UNLOCK, None, None, None, lock_id, None, None, (),
+                     None, 0, True, "", label, 0, 3, False, False, True, 0))
 
 
 def wait(lock_id: LockId, timeout: int | None = None, label: str | None = None) -> Op:
@@ -182,43 +247,52 @@ def wait(lock_id: LockId, timeout: int | None = None, label: str | None = None) 
     """
     if timeout is not None and timeout <= 0:
         raise ValueError("wait timeout must be positive (or None for untimed)")
-    return Op(OpKind.WAIT, lock=lock_id, duration=timeout or 0, label=label)
+    return _new(Op, (_WAIT, None, None, None, lock_id, None, None, (),
+                     None, timeout or 0, True, "", label, 0,
+                     4, False, False, True, 0))
 
 
 def notify(lock_id: LockId, label: str | None = None) -> Op:
     """Wake one waiter of the (held) monitor, if any."""
-    return Op(OpKind.NOTIFY, lock=lock_id, label=label)
+    return _new(Op, (_NOTIFY, None, None, None, lock_id, None, None, (),
+                     None, 0, True, "", label, 0, 5, False, False, True, 0))
 
 
 def notify_all(lock_id: LockId, label: str | None = None) -> Op:
     """Wake every waiter of the (held) monitor."""
-    return Op(OpKind.NOTIFY_ALL, lock=lock_id, label=label)
+    return _new(Op, (_NOTIFY_ALL, None, None, None, lock_id, None, None, (),
+                     None, 0, True, "", label, 0, 6, False, False, True, 0))
 
 
 def spawn(func: Callable[..., Any], *args: Any, name: str | None = None,
           label: str | None = None) -> Op:
     """Start a new thread running ``func(*args)``; sends back a ThreadHandle."""
-    return Op(OpKind.SPAWN, func=func, args=args, name=name, label=label)
+    return _new(Op, (_SPAWN, None, None, None, None, None, func, args,
+                     name, 0, True, "", label, 0, 7, False, False, True, 0))
 
 
 def join(target: Any, label: str | None = None) -> Op:
     """Block until the target thread terminates."""
-    return Op(OpKind.JOIN, target=target, label=label)
+    return _new(Op, (_JOIN, None, None, None, None, target, None, (),
+                     None, 0, True, "", label, 0, 8, False, False, True, 2))
 
 
 def sleep(ticks: int, label: str | None = None) -> Op:
     """Sleep for ``ticks`` abstract time units (1 tick = 1 executed op)."""
-    return Op(OpKind.SLEEP, duration=ticks, label=label)
+    return _new(Op, (_SLEEP, None, None, None, None, None, None, (),
+                     None, ticks, True, "", label, 0, 9, False, False, True, 0))
 
 
 def interrupt(target: Any, label: str | None = None) -> Op:
     """Interrupt the target thread (wakes it from wait/sleep with an error)."""
-    return Op(OpKind.INTERRUPT, target=target, label=label)
+    return _new(Op, (_INTERRUPT, None, None, None, None, target, None, (),
+                     None, 0, True, "", label, 0, 10, False, False, True, 0))
 
 
 def interrupted(label: str | None = None) -> Op:
     """Poll-and-clear the current thread's interrupt flag; sends back a bool."""
-    return Op(OpKind.INTERRUPTED, label=label)
+    return _new(Op, (_INTERRUPTED, None, None, None, None, None, None, (),
+                     None, 0, True, "", label, 0, 11, False, False, False, 0))
 
 
 def yield_point(label: str | None = None) -> Op:
@@ -228,7 +302,8 @@ def yield_point(label: str | None = None) -> Op:
     race hard to hit for passive schedulers — ``yield_point`` is how our
     programs model those filler statements.
     """
-    return Op(OpKind.YIELD, label=label)
+    return _new(Op, (_YIELD, None, None, None, None, None, None, (),
+                     None, 0, True, "", label, 0, 12, False, False, True, 0))
 
 
 def check(condition: bool, message: str = "", label: str | None = None) -> Op:
@@ -237,4 +312,6 @@ def check(condition: bool, message: str = "", label: str | None = None) -> Op:
     This models the paper's ``ERROR`` statements: reaching the statement with
     a falsified condition is the observable "harmful race" outcome.
     """
-    return Op(OpKind.CHECK, condition=condition, message=message, label=label)
+    return _new(Op, (_CHECK, None, None, None, None, None, None, (),
+                     None, 0, condition, message, label, 0,
+                     13, False, False, False, 0))

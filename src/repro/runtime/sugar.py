@@ -13,8 +13,8 @@ These wrap raw ops so benchmark programs read naturally::
 
 Locations and unlabelled read ops are built once per location and reused:
 ``SharedCells.loc(i)`` and ``SharedObject.loc(f)`` return the same object
-on every call (equality and uids are unchanged; the cached hash is reused),
-and ``read``/``get`` without a label return the same :class:`Op`, as do
+on every call (equality, uids and the heap key are unchanged), and
+``read``/``get`` without a label return the same :class:`Op`, as do
 ``Lock.acquire``/``release``.  That is safe because nothing mutates an op
 once built.  A structure's ``init`` or ``defaults`` therefore describe its
 initial state: set them before the first read of the location they cover.
@@ -46,14 +46,14 @@ class SharedVar:
 
     def read(self, label: str | None = None) -> Op:
         if label is not None:
-            return ops.read(self.loc, default=self.init, label=label)
+            return ops.read(self.loc, self.init, label)
         op = self._read_op
         if op is None:
-            op = self._read_op = ops.read(self.loc, default=self.init)
+            op = self._read_op = ops.read(self.loc, self.init)
         return op
 
     def write(self, value: Any, label: str | None = None) -> Op:
-        return ops.write(self.loc, value, label=label)
+        return ops.write(self.loc, value, label)
 
     def __repr__(self) -> str:
         return f"SharedVar({self.name or self.loc.uid})"
@@ -83,14 +83,14 @@ class SharedCells:
 
     def read(self, index: int, label: str | None = None) -> Op:
         if label is not None:
-            return ops.read(self.loc(index), default=self.init, label=label)
+            return ops.read(self.loc(index), self.init, label)
         op = self._reads.get(index)
         if op is None:
-            op = self._reads[index] = ops.read(self.loc(index), default=self.init)
+            op = self._reads[index] = ops.read(self.loc(index), self.init)
         return op
 
     def write(self, index: int, value: Any, label: str | None = None) -> Op:
-        return ops.write(self.loc(index), value, label=label)
+        return ops.write(self._locs.get(index) or self.loc(index), value, label)
 
     def __repr__(self) -> str:
         return f"SharedCells({self.name or self.uid})"
@@ -114,11 +114,11 @@ class SharedArray(SharedCells):
 
     def read(self, index: int, label: str | None = None) -> Op:
         self._check(index)
-        return super().read(index, label=label)
+        return SharedCells.read(self, index, label)
 
     def write(self, index: int, value: Any, label: str | None = None) -> Op:
         self._check(index)
-        return super().write(index, value, label=label)
+        return SharedCells.write(self, index, value, label)
 
 
 class SharedObject:
@@ -140,17 +140,17 @@ class SharedObject:
     def get(self, field: str, label: str | None = None) -> Op:
         if label is not None:
             return ops.read(
-                self.loc(field), default=self.defaults.get(field), label=label
+                self.loc(field), self.defaults.get(field), label
             )
         op = self._gets.get(field)
         if op is None:
             op = self._gets[field] = ops.read(
-                self.loc(field), default=self.defaults.get(field)
+                self.loc(field), self.defaults.get(field)
             )
         return op
 
     def set(self, field: str, value: Any, label: str | None = None) -> Op:
-        return ops.write(self.loc(field), value, label=label)
+        return ops.write(self._locs.get(field) or self.loc(field), value, label)
 
     def __repr__(self) -> str:
         return f"SharedObject({self.name or self.uid})"
@@ -168,21 +168,21 @@ class Lock:
     def acquire(self, label: str | None = None) -> Op:
         if label is None:
             return self._acquire_op
-        return ops.lock(self.id, label=label)
+        return ops.lock(self.id, label)
 
     def release(self, label: str | None = None) -> Op:
         if label is None:
             return self._release_op
-        return ops.unlock(self.id, label=label)
+        return ops.unlock(self.id, label)
 
     def wait(self, timeout: int | None = None, label: str | None = None) -> Op:
-        return ops.wait(self.id, timeout=timeout, label=label)
+        return ops.wait(self.id, timeout, label)
 
     def notify(self, label: str | None = None) -> Op:
-        return ops.notify(self.id, label=label)
+        return ops.notify(self.id, label)
 
     def notify_all(self, label: str | None = None) -> Op:
-        return ops.notify_all(self.id, label=label)
+        return ops.notify_all(self.id, label)
 
     def __repr__(self) -> str:
         return f"Lock({self.name or self.id.uid})"

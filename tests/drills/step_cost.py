@@ -14,11 +14,17 @@ rows (linkedlist, jigsaw, moldyn, weblech):
   Phase 1 and of the Hybrid timing run (here without an observer, so the
   count is the engine's and not a detector's).
 
-An executed op is one call of ``Execution._execute``.  Each path reports
+An executed op is one call of ``Execution._execute`` (a call that only
+primes a new thread's body executes none).  Each path reports
 its ops, its bytecodes per op and the functions that spend the most
 bytecodes per op.  On CPython 3.11 the script exits 1 when a path is above
 its bound in :data:`BOUNDS`; other versions report without the gate,
 since bytecode counts differ between interpreter versions.
+
+Bytecodes miss work done in C, such as matching keyword arguments against
+a long parameter list.  So the output also times one ``ops.write`` call
+(``write_ns``, the minimum over :data:`WRITE_REPEATS` timed loops), for
+the record only: it is not gated.
 
 Run it from the repository root (about 40 s)::
 
@@ -30,12 +36,15 @@ It prints one JSON line.
 import json
 import os
 import sys
+import timeit
 from collections import Counter
 
 from repro import workloads
 from repro.core import RaceFuzzer, detect_races
 from repro.core.schedulers import DefaultScheduler, RandomScheduler
 from repro.runtime.interpreter import Execution
+from repro.runtime.location import VarLoc, fresh_uid
+from repro.runtime.ops import write
 
 ROWS = ("linkedlist", "jigsaw", "moldyn", "weblech")
 
@@ -43,13 +52,18 @@ ROWS = ("linkedlist", "jigsaw", "moldyn", "weblech")
 PHASE2_SEEDS = range(4)
 PASSIVE_SEEDS = range(3)
 
-#: bytecodes per executed op on CPython 3.11: the value measured with the
-#: maintained enabled set (365.8, 306.8 and 332.8; before it, 482.3, 566.1
-#: and 588.3), plus 5%.
-BOUNDS = {"phase2": 384.1, "default": 322.1, "random_every": 349.4}
+#: bytecodes per executed op on CPython 3.11: the value measured with
+#: positional op construction, the C-keyed heap and the one resume site
+#: (315.7, 260.5 and 287.5; with the maintained enabled set alone 365.8,
+#: 306.8 and 332.8; before it, 482.3, 566.1 and 588.3), plus 5%.
+BOUNDS = {"phase2": 331.5, "default": 273.5, "random_every": 301.9}
 
 #: functions listed per path.
 TOP = 8
+
+#: timed loops of ``WRITE_CALLS`` ``ops.write`` calls each.
+WRITE_REPEATS = 5
+WRITE_CALLS = 200_000
 
 
 class Tally:
@@ -67,7 +81,7 @@ class Tally:
 
     def _global(self, frame, event, arg):
         frame.f_trace_opcodes = True
-        if frame.f_code is self._execute:
+        if frame.f_code is self._execute and not frame.f_locals["prime"]:
             self.ops += 1
         return self._local
 
@@ -117,6 +131,20 @@ def passive(tally: Tally, make_scheduler) -> None:
             tally.run(execution.run, make_scheduler())
 
 
+def write_ns() -> float:
+    """Nanoseconds per ``ops.write(location, value)`` call, best loop."""
+    location = VarLoc(fresh_uid(), "x")
+    best = min(
+        timeit.repeat(
+            "write(location, 1)",
+            globals={"write": write, "location": location},
+            number=WRITE_CALLS,
+            repeat=WRITE_REPEATS,
+        )
+    )
+    return round(best / WRITE_CALLS * 1e9, 1)
+
+
 def main() -> int:
     paths = {}
     for path, measure in (
@@ -138,6 +166,7 @@ def main() -> int:
         "bounds": BOUNDS,
         "gated": gated,
         "over_bound": over,
+        "write_ns": write_ns(),
     }))
     return 1 if gated and over else 0
 

@@ -88,6 +88,38 @@ class TestDetect:
         assert "== wcp" in captured.out
         assert "0 recorded execution(s)" in captured.err  # warm store
 
+    def test_quarantined_seeds_exit_three(self, capsys):
+        # Every seed task crashes on every attempt: the report is empty
+        # because coverage is missing, which must not pass for clean.
+        code = main(
+            [
+                "detect", "figure1", "--seeds", "2",
+                "--fault-plan", "detect:0:crash:5,detect:1:crash:5",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "0 potential racing pair(s)" in captured.out
+        assert "2 Phase-1 seed task(s) quarantined (seed(s) 0, 1)" in captured.err
+        assert "detect[1] quarantined" in captured.err
+
+    def test_trace_dir_on_a_file_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        assert main(["detect", "figure1", "--seeds", "2", "--trace-dir", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "quarantined (seed(s) 0, 1)" in err
+        assert "trace store:" in err
+
+    def test_one_quarantined_seed_keeps_the_others(self, capsys):
+        code = main(
+            ["detect", "figure1", "--seeds", "3", "--fault-plan", "detect:0:crash:5"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "(5, 7)" in captured.out
+        assert "1 Phase-1 seed task(s) quarantined (seed(s) 0)" in captured.err
+
     def test_store_quota_without_trace_dir_is_a_usage_error(self, capsys):
         assert main(["detect", "figure1", "--store-quota", "1K"]) == 2
         captured = capsys.readouterr()
