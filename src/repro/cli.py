@@ -35,7 +35,6 @@ import sys
 from contextlib import nullcontext
 
 from repro.core import (
-    RaposDriver,
     baseline_scheduler,
     detect_races,
     parse_fault_plan,
@@ -44,6 +43,7 @@ from repro.core import (
 from repro.core.driver import open_campaign
 from repro.core.replay import replay_race
 from repro.core.traceview import format_replay
+from repro.detectors import available_detectors
 from repro.obs import (
     ProgressPrinter,
     chrome_trace,
@@ -73,8 +73,6 @@ def _checked_detectors(names: list[str]) -> list[str] | None:
     ``KeyError`` from deep inside the pipeline.  Duplicates collapse
     (first occurrence wins), matching the one-observer-per-name protocol.
     """
-    from repro.detectors import available_detectors
-
     deduped = list(dict.fromkeys(names))
     valid = available_detectors()
     unknown = [name for name in deduped if name not in valid]
@@ -186,14 +184,9 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     spec = get(args.workload)
     with _telemetry_scope(args) as telemetry:
-        if args.scheduler == "rapos":
-            result = RaposDriver(max_steps=spec.max_steps).run(
-                spec.build(), seed=args.seed
-            )
-        else:
-            result = Execution(
-                spec.build(), seed=args.seed, max_steps=spec.max_steps
-            ).run(baseline_scheduler(args.scheduler))
+        result = Execution(
+            spec.build(), seed=args.seed, max_steps=spec.max_steps
+        ).run(baseline_scheduler(args.scheduler))
     print(result)
     if telemetry is not None:
         write_run_report(
@@ -608,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="detector to run (default hybrid); repeat the flag to run "
         "several — each seed then executes once with every requested "
         "detector attached, and the output has one section per detector. "
-        "Names: hybrid, happens-before, lockset, shb, wcp, sample",
+        f"Names: {', '.join(available_detectors())}",
     )
     detect_parser.add_argument("--seeds", type=POSITIVE_INT, default=3)
     detect_parser.add_argument(
@@ -679,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="detector to run (default hybrid); repeat the flag to run "
-        "several, all sharing one streamed pass per trace. Names: hybrid, "
-        "happens-before, lockset, shb, wcp, sample",
+        "several, all sharing one streamed pass per trace. "
+        f"Names: {', '.join(available_detectors())}",
     )
     analyze_parser.add_argument(
         "--show-trace",

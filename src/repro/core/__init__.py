@@ -24,7 +24,6 @@ from .parallel import (
 )
 from .postponing import FuzzResult, PostponingDriver, TargetHit
 from .racefuzzer import RaceFuzzer, fuzz_pair
-from .rapos import RaposDriver, rapos_exceptions
 from .replay import (
     ReplayedRun,
     replay_race,
@@ -50,6 +49,7 @@ from .supervisor import (
 from .schedulers import (
     DefaultScheduler,
     RandomScheduler,
+    RaposScheduler,
     Scheduler,
     baseline_scheduler,
 )
@@ -72,6 +72,7 @@ __all__ = [
     "Scheduler",
     "RandomScheduler",
     "DefaultScheduler",
+    "RaposScheduler",
     "baseline_scheduler",
     "DeadlockFuzzer",
     "detect_lock_order_inversions",
@@ -101,8 +102,6 @@ __all__ = [
     "FaultSpec",
     "InjectedCrash",
     "parse_fault_plan",
-    "RaposDriver",
-    "rapos_exceptions",
     "CoverageReport",
     "conflict_signature",
     "measure_coverage",

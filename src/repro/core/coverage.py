@@ -32,7 +32,7 @@ from repro.runtime.interpreter import Execution
 from repro.runtime.observer import EventTrace
 from repro.runtime.program import Program
 
-from .schedulers import RandomScheduler
+from .schedulers import baseline_scheduler
 
 
 def conflict_signature(events) -> tuple:
@@ -118,33 +118,37 @@ def measure_coverage(
 ) -> CoverageReport:
     """Count distinct conflict signatures over seeded runs of one strategy.
 
-    ``strategy`` is ``"random"`` or ``"rapos"``.  With a
-    ``run_once(program, seed, observers) -> result`` callable, the runs
-    are its own and ``strategy`` is only the report's label, which must
-    name it: a built-in name there raises :class:`ValueError`, so a
+    ``strategy`` names a passive scheduler (:func:`baseline_scheduler`).
+    With a ``run_once(program, seed, observers) -> result`` callable, the
+    runs are its own and ``strategy`` is only the report's label, which
+    must name it: a scheduler name there raises :class:`ValueError`, so a
     directed run never reads as a passive one.
     """
     from collections import Counter
 
-    if run_once is not None and strategy in ("random", "rapos"):
-        raise ValueError(
-            f"run_once runs its own strategy; label it, not {strategy!r}"
-        )
+    if run_once is None:
+        baseline_scheduler(strategy)  # reject unknown names before any run
+
+        def run_once(program, seed, observers):
+            return Execution(
+                program, seed=seed, observers=observers, max_steps=max_steps
+            ).run(baseline_scheduler(strategy))
+
+    else:
+        try:
+            baseline_scheduler(strategy)
+        except ValueError:
+            pass
+        else:
+            raise ValueError(
+                f"run_once runs its own strategy; label it, not {strategy!r}"
+            )
 
     signatures: Counter = Counter()
     crashes = 0
     for seed in seeds:
         trace = EventTrace()
-        if run_once is not None:
-            result = run_once(program, seed, [trace])
-        elif strategy == "rapos":
-            result = _rapos_traced(program, seed, trace, max_steps)
-        elif strategy == "random":
-            result = Execution(
-                program, seed=seed, observers=[trace], max_steps=max_steps
-            ).run(RandomScheduler(preemption="every"))
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        result = run_once(program, seed, [trace])
         signatures[conflict_signature(trace.events)] += 1
         crashes += bool(result.crashes)
     return CoverageReport(
@@ -154,9 +158,3 @@ def measure_coverage(
         crashing_runs=crashes,
         signature_counts=dict(signatures),
     )
-
-
-def _rapos_traced(program, seed, trace, max_steps):
-    from .rapos import RaposDriver
-
-    return RaposDriver(max_steps=max_steps).run(program, seed=seed, observers=[trace])

@@ -12,6 +12,9 @@ replay-by-seed property holds for the baselines too).
 * :class:`DefaultScheduler` — a deterministic JVM-like baseline: runs one
   thread until it blocks or terminates, then hands off FIFO.  This is the
   scheduler the paper's column 10 is measured against.
+* :class:`RaposScheduler` — RAPOS, random partial-order sampling (Sen,
+  ASE 2007; [45] in the paper), the author's own earlier baseline that
+  Section 6 compares RaceFuzzer against.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.runtime.interpreter import Execution, pick
+from repro.runtime.ops import Op, OpKind
 
 
 class Scheduler:
@@ -116,13 +120,89 @@ class DefaultScheduler(Scheduler):
         return self._current
 
 
+_STRUCTURAL = (OpKind.SPAWN, OpKind.JOIN, OpKind.INTERRUPT)
+
+
+def _dependent(first: Op, second: Op) -> bool:
+    """Would executing these two operations in either order differ?
+
+    Conservative dependence: conflicting accesses to one location, any two
+    operations on the same lock, and all thread-lifecycle ops (spawn/join/
+    interrupt) depend on everything — they change the thread structure the
+    batch was sampled against.
+    """
+    if first.kind in _STRUCTURAL or second.kind in _STRUCTURAL:
+        return True
+    if first.is_mem and second.is_mem:
+        if first.location == second.location:
+            return first.is_write or second.is_write
+        return False
+    if first.lock is not None and second.lock is not None:
+        return first.lock == second.lock
+    return False
+
+
+class RaposScheduler(Scheduler):
+    """RAPOS: run random batches of pairwise-independent operations.
+
+    "RAPOS cannot often discover error-prone schedules with high
+    probability because the number of partial orders ... can be
+    astronomically large" (Section 6).  Instead of a uniform walk over
+    interleavings, which oversamples schedules with many equivalent
+    linearizations, RAPOS repeatedly
+
+    1. samples a random subset of the enabled threads whose pending
+       operations are pairwise independent (:func:`_dependent`): each
+       independent candidate joins with probability 1/2, so batch
+       composition itself is sampled rather than maximal;
+    2. executes that whole batch in random order, one tid per
+       :meth:`choose`, then samples the next batch.
+
+    Batching independent operations collapses equivalent interleavings,
+    so the walk is spread over partial orders rather than totals.  It
+    remains a *passive* technique: nothing steers it toward the racing
+    pair, which is exactly the gap RaceFuzzer fills.
+    """
+
+    def __init__(self) -> None:
+        #: the members of the current batch not yet handed out.
+        self._rest = iter(())
+
+    def choose(self, execution: Execution, enabled: list[int]) -> int:
+        for tid in self._rest:
+            # A member is disabled by an earlier one only if the
+            # independence test missed an interaction; skip it then.
+            if tid in enabled:
+                return tid
+        rng = execution.rng
+        candidates = list(enabled)
+        rng.shuffle(candidates)
+        batch: list[int] = []
+        batch_ops: list[Op] = []
+        for tid in candidates:
+            op = execution.next_op(tid)
+            if op is None:
+                continue
+            if any(_dependent(op, other) for other in batch_ops):
+                continue
+            if rng.random() < 0.5:
+                batch.append(tid)
+                batch_ops.append(op)
+        if not batch:  # always make progress
+            batch = [candidates[0]]
+        rng.shuffle(batch)
+        self._rest = iter(batch[1:])
+        return batch[0]
+
+
 def baseline_scheduler(spec: str) -> Scheduler:
     """Build a fresh passive scheduler for one run, by name.
 
     The one name table for passive schedulers (``default`` / ``random``
-    / ``random-sync``), shared by ``repro run`` and the baseline
-    campaigns.  A new instance per run matters: schedulers carry
-    per-execution state (queues, slice budgets).
+    / ``random-sync`` / ``rapos``), shared by ``repro run``, schedule
+    coverage and the baseline campaigns.  A new instance per run
+    matters: schedulers carry per-execution state (queues, slice
+    budgets, the rest of a RAPOS batch).
     """
     if spec == "default":
         return DefaultScheduler()
@@ -130,4 +210,6 @@ def baseline_scheduler(spec: str) -> Scheduler:
         return RandomScheduler(preemption="every")
     if spec == "random-sync":
         return RandomScheduler(preemption="sync")
+    if spec == "rapos":
+        return RaposScheduler()
     raise ValueError(f"unknown scheduler: {spec!r}")

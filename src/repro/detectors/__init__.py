@@ -1,6 +1,6 @@
 """Phase 1 detectors: imprecise (and precise) dynamic race detection.
 
-Four of them are configurations of one history kernel,
+Four of the five are configurations of one history kernel,
 :class:`HistoryRaceDetector` (:mod:`repro.detectors.base`), which runs
 the Section 2.2 check over a per-location access history.  One kernel
 serves any set of them in a single walk of each event; a multi-detector
@@ -12,7 +12,7 @@ Observed-order detectors (what was concurrent in this schedule):
   notify happens-before);
 * :class:`HappensBeforeDetector` — precise HB baseline;
 * :class:`EraserLocksetDetector` — pure lockset baseline (its own state
-  machine, outside the kernel).
+  machine, the one detector outside the kernel).
 
 Predictive detectors (what could be concurrent in some feasible
 reordering of the same trace).  The trace layer made executions
@@ -23,9 +23,7 @@ per CPU-second spent executing programs:
 * :class:`ShbRaceDetector` — SHB-style, keeps predicting past the first
   race, grades pairs by strong-dependently-precedes concurrency;
 * :class:`WcpRaceDetector` — WCP-style near-complete prediction with
-  lock-acquisition-history guard reasoning;
-* :class:`SamplingRaceDetector` — O(1)-per-location sampling screen
-  (:mod:`repro.detectors.sample`, no clocks).
+  lock-acquisition-history guard reasoning.
 
 All are ordinary :class:`~repro.runtime.observer.ExecutionObserver`
 detectors emitting :class:`RaceReport` / :class:`PairEvidence`: they run
@@ -51,7 +49,6 @@ from .report import (
     schedulable_grades,
     union_reports,
 )
-from .sample import AccessRecord, SamplingRaceDetector
 from .vectorclock import VectorClock
 
 DETECTORS = {
@@ -60,7 +57,6 @@ DETECTORS = {
     "lockset": EraserLocksetDetector,
     "shb": ShbRaceDetector,
     "wcp": WcpRaceDetector,
-    "sample": SamplingRaceDetector,
 }
 
 
@@ -112,14 +108,12 @@ def make_detectors(names):
 
 __all__ = [
     "VectorClock",
-    "AccessRecord",
     "HistoryRaceDetector",
     "HybridRaceDetector",
     "HappensBeforeDetector",
     "EraserLocksetDetector",
     "ShbRaceDetector",
     "WcpRaceDetector",
-    "SamplingRaceDetector",
     "RaceReport",
     "PairEvidence",
     "union_reports",

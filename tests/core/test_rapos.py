@@ -1,11 +1,23 @@
 """RAPOS: correctness of the independent-batch sampler and the paper's
 comparison claim (RaceFuzzer finds error-prone schedules RAPOS misses)."""
 
-from repro.core import RaposDriver, fuzz_pair, rapos_exceptions
-from repro.core.rapos import _dependent
-from repro.runtime import Lock, Program, SharedVar, join_all, ops, spawn_all
+from repro.core import baseline_exceptions, baseline_scheduler, fuzz_pair
+from repro.core.schedulers import _dependent
+from repro.runtime import (
+    Execution,
+    Lock,
+    Program,
+    SharedVar,
+    join_all,
+    ops,
+    spawn_all,
+)
 from repro.runtime.location import VarLoc, fresh_uid
-from repro.workloads import figure1, figure2
+from repro.workloads import figure1, figure2, get
+
+
+def rapos_run(program, seed, **kwargs):
+    return Execution(program, seed=seed, **kwargs).run(baseline_scheduler("rapos"))
 
 
 class TestDependence:
@@ -57,28 +69,32 @@ class TestRaposExecution:
 
             return main()
 
-        driver = RaposDriver()
         for seed in range(10):
-            result = driver.run(Program(factory), seed=seed)
+            result = rapos_run(Program(factory), seed)
             assert not result.crashes and not result.deadlock, f"seed {seed}"
             assert not result.truncated
 
     def test_replay_determinism(self):
-        driver = RaposDriver()
-
         def signature(seed):
-            result = driver.run(figure1.build(), seed=seed)
+            result = rapos_run(figure1.build(), seed)
             return (result.steps, tuple(result.exception_types))
 
         for seed in range(6):
             assert signature(seed) == signature(seed)
 
     def test_figure1_terminates_all_seeds(self):
-        driver = RaposDriver()
         for seed in range(20):
-            result = driver.run(figure1.build(), seed=seed)
+            result = rapos_run(figure1.build(), seed)
             assert not result.deadlock
             assert not result.truncated
+
+    def test_spent_budget_truncates_mid_batch(self):
+        """A budget spent inside a batch ends the run ``truncated``, like
+        every other scheduler's; it does not raise
+        ``ExecutionLimitExceeded`` from the middle of the batch."""
+        result = rapos_run(get("moldyn").build(), 19, max_steps=97)
+        assert result.truncated
+        assert result.steps == 97
 
 
 class TestPaperComparison:
@@ -88,7 +104,9 @@ class TestPaperComparison:
         RaceFuzzer reaches it in about half the runs."""
         padding = 16
         runs = 60
-        rapos = rapos_exceptions(figure2.build(padding), runs=runs)
+        rapos = baseline_exceptions(
+            figure2.build(padding), runs=runs, scheduler="rapos"
+        )
         rapos_rate = rapos.get("AssertionViolation", 0) / runs
         directed = fuzz_pair(
             figure2.build(padding), figure2.RACING_PAIR, seeds=range(runs)

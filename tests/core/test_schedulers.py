@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import DefaultScheduler, RandomScheduler, baseline_scheduler
+from repro.core import (
+    DefaultScheduler,
+    RandomScheduler,
+    RaposScheduler,
+    baseline_scheduler,
+)
 from repro.runtime import (
     EventTrace,
     Execution,
@@ -122,7 +127,8 @@ class TestRegistry:
         assert isinstance(baseline_scheduler("default"), DefaultScheduler)
         assert baseline_scheduler("random").preemption == "every"
         assert baseline_scheduler("random-sync").preemption == "sync"
+        assert isinstance(baseline_scheduler("rapos"), RaposScheduler)
         # A fresh instance per run: schedulers carry per-execution state.
         assert baseline_scheduler("default") is not baseline_scheduler("default")
         with pytest.raises(ValueError, match="unknown scheduler"):
-            baseline_scheduler("rapos")
+            baseline_scheduler("uniform")

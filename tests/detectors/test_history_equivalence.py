@@ -2,9 +2,9 @@
 
 `HistoryRaceDetector` replaces an old access record when a new one with
 the same (tid, stmt, is_write, lockset) key arrives, and caps the
-observed-order histories.  The module argues (AccessRecord.key docstring)
-that replacement cannot lose a *statement pair*.  This suite checks that
-claim empirically for every configuration of the kernel: a naive
+observed-order histories.  The module docstring of `detectors/base.py`
+argues that replacement cannot lose a *statement pair*.  This suite
+checks that claim empirically for every configuration of the kernel: a naive
 reference detector, written independently of the kernel, must report
 exactly the same pair set (and, for the predictive configurations, the
 same ``schedulable`` grades) on randomly generated programs.  A kernel

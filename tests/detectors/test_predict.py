@@ -1,4 +1,4 @@
-"""The predictive Phase-1 subsystem: shb, wcp, and the sampling screen.
+"""The predictive Phase-1 subsystem: shb and wcp.
 
 The acceptance criteria of the subsystem, as tests:
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import RandomScheduler, detect_races, fuzz_races
 from repro.detectors import (
-    SamplingRaceDetector,
     ShbRaceDetector,
     WcpRaceDetector,
     available_detectors,
@@ -318,7 +317,7 @@ class TestSupersetHierarchy:
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_hybrid_subset_shb_subset_wcp(self, workload):
-        reports = detect_all(workload, ("hybrid", "shb", "wcp", "sample"))
+        reports = detect_all(workload, ("hybrid", "shb", "wcp"))
         hybrid = set(reports["hybrid"].pairs)
         shb = set(reports["shb"].pairs)
         wcp = set(reports["wcp"].pairs)
@@ -371,7 +370,7 @@ class TestOfflineDeterminism:
         store = TraceStore(tmp_path)
         key = detect_key(spec.name, 0, max_steps=STEP_CAP)
         path = store.ensure(key, spec.build())
-        names = ("shb", "wcp", "sample")
+        names = ("shb", "wcp")
         first = analyze_trace(path, names)
         second = analyze_trace(path, names)
         for name in names:
@@ -381,61 +380,16 @@ class TestOfflineDeterminism:
     def test_offline_equals_live_for_predictive_detectors(self, tmp_path):
         spec = get("philosophers")
         store = TraceStore(tmp_path)
-        live = [make_detector(name) for name in ("shb", "wcp", "sample")]
+        names = ("shb", "wcp")
+        live = [make_detector(name) for name in names]
         Execution(spec.build(), seed=1, observers=live, max_steps=STEP_CAP).run(
             RandomScheduler(preemption="every")
         )
         key = detect_key(spec.name, 1, max_steps=STEP_CAP)
         path = store.ensure(key, spec.build())
-        offline = analyze_trace(path, ("shb", "wcp", "sample"))
-        for observer, name in zip(live, ("shb", "wcp", "sample")):
+        offline = analyze_trace(path, names)
+        for observer, name in zip(live, names):
             assert observer.report == offline[name]
-
-
-# --------------------------------------------------------------------- #
-# The sampling screener.
-# --------------------------------------------------------------------- #
-
-
-class TestSamplingScreener:
-    def test_reports_plain_conflicts(self):
-        def factory():
-            x = SharedVar("x", 0)
-
-            def writer():
-                yield x.write(1)
-
-            def main():
-                handles = yield from spawn_all([writer, writer])
-                yield from join_all(handles)
-
-            return main()
-
-        report = run_detector(factory, SamplingRaceDetector())
-        assert len(report) == 1
-
-    def test_cap_bounds_the_sample_and_counts_drops(self):
-        def factory():
-            x = SharedVar("x", 0)
-
-            def hammer():
-                for i in range(12):
-                    yield x.write(i, label=f"w{i}")
-
-            def main():
-                handles = yield from spawn_all([hammer])
-                yield from join_all(handles)
-
-            return main()
-
-        detector = SamplingRaceDetector(sample_cap=4)
-        report = run_detector(factory, detector, seeds=(0,))
-        assert detector.dropped > 0
-        assert report.truncated_locations == 1
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            SamplingRaceDetector(sample_cap=0)
 
 
 # --------------------------------------------------------------------- #
@@ -444,23 +398,18 @@ class TestSamplingScreener:
 
 
 class TestRegistry:
-    def test_available_detectors_lists_all_six(self):
-        names = available_detectors()
-        assert names == sorted(names)
-        for expected in (
-            "hybrid",
+    def test_available_detectors_lists_all_five(self):
+        assert available_detectors() == [
             "happens-before",
+            "hybrid",
             "lockset",
             "shb",
             "wcp",
-            "sample",
-        ):
-            assert expected in names
+        ]
 
     def test_make_detector_builds_predictive_classes(self):
         assert isinstance(make_detector("shb"), ShbRaceDetector)
         assert isinstance(make_detector("wcp"), WcpRaceDetector)
-        assert isinstance(make_detector("sample"), SamplingRaceDetector)
 
     def test_unknown_name_raises_with_valid_names(self):
         with pytest.raises(KeyError, match="shb"):
@@ -502,7 +451,7 @@ class TestObservability:
         with collecting() as registry:
             detect_races(
                 spec.build(),
-                detector=["shb", "wcp", "sample"],
+                detector=["shb", "wcp", "lockset"],
                 seeds=(0,),
                 max_steps=STEP_CAP,
                 trace_dir=tmp_path,
@@ -511,14 +460,13 @@ class TestObservability:
         counters = snapshot.counters
         assert counters.get("predict.shb.pairs", 0) > 0
         assert counters.get("predict.wcp.pairs", 0) > 0
-        assert counters.get("predict.sample.pairs", 0) > 0
         # sor joins its workers: the softened edges are counted.
         assert counters.get("predict.shb.soft_edges", 0) > 0
         assert "predict.wcp.guard_breaks" in counters
-        # shb and wcp share one walk of the history kernel; sample is
+        # shb and wcp share one walk of the history kernel; lockset is
         # its own observer.
         assert "predict.analyze.history" in snapshot.spans
-        assert "predict.analyze.sample" in snapshot.spans
+        assert "predict.analyze.lockset" in snapshot.spans
         assert "predict.analyze.shb" not in snapshot.spans
 
     def test_no_registry_no_crash(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DefaultScheduler, RaceFuzzer, RandomScheduler, RaposDriver
+from repro.core import DefaultScheduler, RaceFuzzer, RandomScheduler, baseline_scheduler
 from repro.runtime import (
     EventTrace,
     Execution,
@@ -66,9 +66,8 @@ class TestValidTraces:
     @given(seed=st.integers(0, 1_000))
     @settings(max_examples=15, deadline=None)
     def test_rapos_traces_validate(self, seed):
-        trace = EventTrace()
-        RaposDriver().run(figure1.build(), seed=seed, observers=[trace])
-        validate_trace(trace.events)
+        rapos = baseline_scheduler("rapos")
+        validate_trace(_trace_of(figure1.build(), rapos, seed=seed))
 
 
 class TestCorruptedTraces:

@@ -47,7 +47,7 @@ class TestDetect:
         assert main(["detect", "figure1", "--detector", "nope"]) == 2
         err = capsys.readouterr().err
         assert "unknown detector(s): nope" in err
-        for name in ("hybrid", "shb", "wcp", "sample"):
+        for name in ("hybrid", "shb", "wcp"):
             assert name in err
 
     def test_repeated_detector_flags_print_one_section_each(self, capsys):
@@ -145,12 +145,12 @@ class TestAnalyze:
         assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
         capsys.readouterr()
         assert (
-            main(["analyze", store, "--detector", "shb", "--detector", "sample"])
+            main(["analyze", store, "--detector", "shb", "--detector", "lockset"])
             == 0
         )
         out = capsys.readouterr().out
         assert "shb report" in out
-        assert "sample report" in out
+        assert "lockset report" in out
 
     def test_unknown_detector_is_a_usage_error(self, tmp_path, capsys):
         store = str(tmp_path / "store")

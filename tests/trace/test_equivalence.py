@@ -19,7 +19,7 @@ from repro.runtime.interpreter import Execution
 from repro.trace import TraceReader, TraceStore, detect_key, replay_events
 from repro.workloads import all_workloads, figure1, get
 
-DETECTORS = ("hybrid", "happens-before", "lockset", "shb", "wcp", "sample")
+DETECTORS = ("hybrid", "happens-before", "lockset", "shb", "wcp")
 
 #: enough steps for every workload to show races, small enough to be quick.
 STEP_CAP = 20_000
