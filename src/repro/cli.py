@@ -42,6 +42,7 @@ from repro.core import (
 )
 from repro.core.driver import open_campaign
 from repro.core.replay import replay_race
+from repro.core.schedulers import BASELINE_SCHEDULERS
 from repro.core.traceview import format_replay
 from repro.detectors import available_detectors
 from repro.obs import (
@@ -149,6 +150,33 @@ def _fault_plan(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+#: each engine setting (see :class:`~repro.core.parallel.ParallelCampaign`)
+#: and the parsed flag that carries it.
+_ENGINE_FLAGS = {
+    "jobs": "jobs",
+    "chunk_size": "chunk_size",
+    "deadline": "deadline",
+    "retries": "retries",
+    "checkpoint": "checkpoint",
+    "faults": "fault_plan",
+    "memory_budget_mb": "memory_budget",
+}
+
+
+def _engine_settings(args) -> dict:
+    """The engine settings of a command's flags: each one the command has
+    and was given (an omitted flag leaves the engine's default), plus a
+    stderr progress printer under ``--progress``."""
+    settings = {
+        setting: getattr(args, flag)
+        for setting, flag in _ENGINE_FLAGS.items()
+        if getattr(args, flag, None) is not None
+    }
+    if getattr(args, "progress", False):
+        settings["on_progress"] = ProgressPrinter(sys.stderr)
+    return settings
+
+
 def _budgets_misused(args) -> bool:
     """True (after saying why) when a trial or time budget is given
     without ``--schedule adaptive``; ``fuzz`` and ``table1`` then exit 2."""
@@ -214,11 +242,7 @@ def _cmd_detect(args) -> int:
     # reported.
     with _telemetry_scope(args, also=args.trace_dir is not None) as telemetry:
         with open_campaign(
-            {spec.name: spec.build()},
-            args.jobs,
-            deadline=args.deadline,
-            retries=args.retries,
-            faults=args.fault_plan,
+            {spec.name: spec.build()}, **_engine_settings(args)
         ) as (engine, [name]):
             report = engine.detect(
                 name,
@@ -340,7 +364,6 @@ def _cmd_fuzz(args) -> int:
         return 2
     if _budgets_misused(args):
         return 2
-    on_progress = ProgressPrinter(sys.stderr) if args.progress else None
     with _telemetry_scope(args) as telemetry:
         campaign = race_directed_test(
             spec.build(),
@@ -349,17 +372,10 @@ def _cmd_fuzz(args) -> int:
             base_seed=args.seed,
             phase1_seeds=spec.phase1_seeds,
             max_steps=spec.max_steps,
-            jobs=args.jobs,
-            chunk_size=args.chunk_size,
-            deadline=args.deadline,
-            retries=args.retries,
-            checkpoint=args.checkpoint,
-            faults=args.fault_plan,
-            memory_budget_mb=args.memory_budget,
-            on_progress=on_progress,
             schedule=args.schedule,
             trial_budget=args.trial_budget,
             time_budget=args.time_budget,
+            **_engine_settings(args),
         )
     if telemetry is not None:
         # A checkpoint-resumed campaign accumulates into the prior report
@@ -501,13 +517,11 @@ def _cmd_table1(args) -> int:
     with _telemetry_scope(args) as telemetry:
         rows = build_table(
             specs,
-            jobs=args.jobs,
-            on_progress=ProgressPrinter(sys.stderr) if args.progress else None,
-            checkpoint=args.checkpoint,
             schedule=args.schedule,
             trial_budget=args.trial_budget,
             time_budget=args.time_budget,
             **sizes,
+            **_engine_settings(args),
         )
     if telemetry is not None:
         write_run_report(
@@ -579,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("workload")
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
-        "--scheduler", choices=("random", "default", "rapos"), default="random"
+        "--scheduler", choices=tuple(BASELINE_SCHEDULERS), default="random"
     )
     run_parser.add_argument(
         "--metrics-out",
@@ -607,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect_parser.add_argument(
         "--jobs",
         type=COUNT,
-        default=1,
         help="worker processes for seed runs (0 = one per core)",
     )
     detect_parser.add_argument(
@@ -637,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect_parser.add_argument(
         "--retries",
         type=COUNT,
-        default=2,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
     )
@@ -706,13 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--jobs",
         type=COUNT,
-        default=1,
         help="worker processes for both phases (0 = one per core)",
     )
     fuzz_parser.add_argument(
         "--chunk-size",
         type=POSITIVE_INT,
-        default=25,
         help="Phase-2 trials per worker task",
     )
     fuzz_parser.add_argument(
@@ -726,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--retries",
         type=COUNT,
-        default=2,
         metavar="N",
         help="re-attempts per failing task before quarantine (default 2)",
     )
@@ -860,7 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     table_parser.add_argument(
         "--jobs",
         type=COUNT,
-        default=1,
         help="run every row's tasks on N supervised worker processes "
         "(0 = per core)",
     )

@@ -68,15 +68,11 @@ class LockOrderReport:
         distinct threads where possible (a single thread cannot deadlock
         with itself on reentrant monitors).
         """
-        import networkx as nx
-
-        graph = nx.DiGraph()
         edges_by_pair: dict[tuple, list[LockOrderEdge]] = {}
         for edge in self.edges:
-            graph.add_edge(edge.held, edge.acquired)
             edges_by_pair.setdefault((edge.held, edge.acquired), []).append(edge)
         found = []
-        for cycle in nx.simple_cycles(graph):
+        for cycle in _simple_cycles(edges_by_pair):
             if len(cycle) < 2:
                 continue
             hops = list(zip(cycle, cycle[1:] + cycle[:1]))
@@ -104,6 +100,37 @@ class LockOrderReport:
             for edge in cycle:
                 statements.add(edge.stmt)
         return frozenset(statements)
+
+
+def _simple_cycles(arcs) -> list[list[LockId]]:
+    """Every simple cycle of the directed graph with ``arcs`` (``(held,
+    acquired)`` pairs), once each, as its locks in arc order from its
+    lowest-uid lock.
+
+    Each cycle is found from its lowest-uid lock by a depth-first walk
+    through higher-uid locks only.  Lock-order graphs have a handful of
+    nodes, so the walk's worst case never matters.
+    """
+    successors: dict[LockId, list[LockId]] = {}
+    for held, acquired in arcs:
+        successors.setdefault(held, []).append(acquired)
+    for targets in successors.values():
+        targets.sort(key=lambda lock: lock.uid)
+    cycles: list[list[LockId]] = []
+    for start in sorted(successors, key=lambda lock: lock.uid):
+        path = [start]
+
+        def walk(node: LockId) -> None:
+            for nxt in successors.get(node, ()):
+                if nxt == start:
+                    cycles.append(list(path))
+                elif nxt.uid > start.uid and nxt not in path:
+                    path.append(nxt)
+                    walk(nxt)
+                    path.pop()
+
+        walk(start)
+    return cycles
 
 
 class _LockOrderObserver(ExecutionObserver):

@@ -13,24 +13,21 @@
                         for Figure 2, the probability comparison).
 
 Every entry point runs its tasks on one
-:class:`~repro.core.parallel.ParallelCampaign` and takes ``jobs=``:
-``1`` (default) runs the same tasks inline on the caller's program;
-``N > 1`` (or ``None``/``0`` for one worker per core) fans them out
-across a process pool.  Pool workers rebuild the program from the
-workload registry, so a pool needs a registered workload
+:class:`~repro.core.parallel.ParallelCampaign`.  Each takes its protocol
+parameters (detector, seeds, trials, schedule, ...) by name and forwards
+every other keyword, as ``**campaign``, to that engine unchanged: the
+eight campaign settings ``jobs``, ``chunk_size``, ``deadline``,
+``retries``, ``checkpoint``, ``faults``, ``memory_budget_mb`` and
+``on_progress`` have their defaults, their checks and their meaning
+there, and nowhere else.  ``jobs=1`` (the default) runs the tasks inline
+on the caller's program; a pool rebuilds each program from the workload
+registry in its workers, so it needs a registered workload
 (``program.name`` resolvable via :func:`repro.workloads.get`); merged
-results are identical to the inline run for the same seed set.
-``detect_races(trace_dir=...)`` is the same one campaign: each detect
-task reads its seed's trace from the store, recording it on a miss.
-
-Every campaign is supervised.  ``deadline=`` (per-task wall-clock
-budget), ``retries=`` (bounded retry with backoff), ``checkpoint=``
-(append-only JSONL journal for kill/resume) and ``faults=`` (a
-deterministic :class:`~repro.core.faults.FaultPlan`) tune the
-supervisor; a task that fails every attempt is quarantined onto the
-campaign's failures instead of raising.  Bad caller input (an unknown
-detector or scheduler) raises before any task runs.
-See :mod:`repro.core.supervisor` for the failure semantics.
+results are identical at every ``jobs``.  Every campaign is supervised
+(see :mod:`repro.core.supervisor`): a task that fails every attempt is
+quarantined onto the campaign's failures instead of raising, while bad
+caller input (an unknown detector, scheduler or schedule) raises before
+any task of its phase runs.
 """
 
 from __future__ import annotations
@@ -39,37 +36,37 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
-from repro.detectors import (
-    RaceReport,
-    available_detectors,
-    schedulable_grades,
-    union_reports,
-)
+from repro.detectors import RaceReport, schedulable_grades, union_reports
 from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
 
-from .parallel import ParallelCampaign, inline_program, per_workload
+from .parallel import (
+    ParallelCampaign,
+    check_detectors,
+    inline_program,
+    per_workload,
+)
 from .results import CampaignReport, PairVerdict
-from .schedule import CampaignSchedule, make_schedule
-from .schedulers import baseline_scheduler
+from .schedule import CampaignSchedule
 
 
 @contextmanager
-def open_campaign(programs: Mapping[str, Program], jobs: int | None, **options):
+def open_campaign(programs: Mapping[str, Program], **settings):
     """Open the one :class:`ParallelCampaign` behind a pipeline call.
 
     ``programs`` maps each workload name the tasks will carry to the
-    caller's program; yields the engine and those names.  When ``jobs``
-    resolves to one worker (``1``, or ``None``/``0`` on a one-core host)
-    the tasks run inline on the caller's live programs, so any program
-    works; a pool rebuilds each program from the registry in its
-    workers, so only then must every name be registered.
+    caller's program, and ``settings`` are the engine's; yields the
+    engine and those names.  When ``jobs`` resolves to one worker
+    (``1``, or ``None``/``0`` on a one-core host) the tasks run inline on
+    the caller's live programs, so any program works; a pool rebuilds
+    each program from the registry in its workers, so only then must
+    every name be registered.
     """
     from repro import workloads  # deferred: core must import without workloads
 
     names = list(programs)
-    with ParallelCampaign(jobs=jobs, **options) as engine:
+    with ParallelCampaign(**settings) as engine:
         if engine.jobs == 1:
             with inline_program(programs):
                 yield engine, names
@@ -86,45 +83,23 @@ def open_campaign(programs: Mapping[str, Program], jobs: int | None, **options):
         yield engine, names
 
 
-def _check_detectors(detector: str | Sequence[str]) -> None:
-    """Reject unknown detector names before any task runs, at every ``jobs``.
-
-    A task body would raise on these too, but the supervisor would then
-    retry and quarantine every task instead of telling the caller.
-    """
-    names = [detector] if isinstance(detector, str) else list(detector)
-    unknown = [name for name in names if name not in available_detectors()]
-    if unknown:
-        raise KeyError(
-            f"unknown detector(s): {', '.join(unknown)}; "
-            f"registered: {available_detectors()}"
-        )
-
-
 def detect_races(
     program: Program,
     *,
     detector: str | Sequence[str] = "hybrid",
     seeds: Sequence[int] = (0, 1, 2),
     max_steps: int = 1_000_000,
-    jobs: int = 1,
-    deadline: float | None = None,
-    retries: int = 2,
     trace_dir=None,
-    faults=None,
     store_quota: int | None = None,
+    **campaign,
 ) -> RaceReport | dict[str, RaceReport]:
     """Phase 1: collect potentially racing statement pairs.
 
     Runs the program once per seed under a fully preemptive random
     scheduler with the chosen detector observing every access, and unions
     the resulting reports (more Phase-1 executions -> more coverage, as
-    with any dynamic analysis).  Seed runs are independent, so ``jobs=N``
-    (``None``/``0`` = one worker per core, ``1`` = inline, negatives
-    rejected) distributes them across workers with identical merged
-    output.  ``deadline``/``retries`` tune the campaign supervisor: a
-    seed run that exceeds its wall-clock deadline or keeps crashing is
-    retried and eventually quarantined instead of aborting the phase.
+    with any dynamic analysis).  Seed runs are independent tasks, so the
+    merged report is the same at every ``jobs``.
 
     ``detector`` may be one name (returns that :class:`RaceReport`,
     unchanged API) or a sequence of names (returns ``{name: report}``);
@@ -137,16 +112,12 @@ def detect_races(
     comes from replaying the stored trace.  A warm store therefore
     answers a repeated call with *zero* program executions, and adding
     detectors to a later call costs only detector passes.
-
     ``store_quota`` (bytes) bounds the trace cache with LRU eviction (a
-    quota without a ``trace_dir`` raises ``ValueError``), and
-    ``faults`` injects a deterministic plan into the campaign (phase
-    ``"detect"``).
+    quota without a ``trace_dir`` raises ``ValueError``).
+
+    ``campaign`` holds the engine settings (see :class:`ParallelCampaign`).
     """
-    _check_detectors(detector)
-    with open_campaign(
-        {program.name: program}, jobs, deadline=deadline, retries=retries, faults=faults
-    ) as (engine, [name]):
+    with open_campaign({program.name: program}, **campaign) as (engine, [name]):
         return engine.detect(
             name,
             detector=detector,
@@ -164,79 +135,30 @@ def fuzz_races(
     trials: int = 100,
     base_seed: int = 0,
     max_steps: int = 1_000_000,
-    jobs: int = 1,
-    chunk_size: int = 25,
-    deadline: float | None = None,
-    retries: int = 2,
-    checkpoint=None,
-    faults=None,
-    memory_budget_mb: float | None = None,
-    on_progress=None,
     schedule: str | CampaignSchedule | None = None,
     trial_budget: int | None = None,
     time_budget: float | None = None,
+    **campaign,
 ) -> dict[StatementPair, PairVerdict]:
     """Phase 2: fuzz the candidate pairs under a trial-allocation policy.
 
-    Every trial is one seeded Algorithm-1 run of
-    :class:`~repro.core.racefuzzer.RaceFuzzer` with its own defaults, the
-    paper's Section 5.2 protocol.
-
-    ``schedule`` picks the policy (see :mod:`repro.core.schedule`):
-    ``None``/``"fixed"`` is the paper's protocol — exactly ``trials``
-    seeded trials per pair — and ``"adaptive"`` reallocates a *global*
-    budget round by round toward pairs whose posterior race probability
-    is still worth buying evidence about (``trial_budget`` caps total
-    trials, defaulting to ``trials`` per pair; ``time_budget`` caps
-    campaign wall-clock seconds; ``base_seed`` also seeds the Thompson
-    draws, so adaptive campaigns are deterministic per seed).  A
-    pre-built :class:`~repro.core.schedule.CampaignSchedule` may be
-    passed for tuned parameters.
-
-    Each round's allocations run as ``chunk_size``-sized tasks; ``jobs=N``
-    (``None``/``0`` = one worker per core, ``1`` = inline, negatives
-    rejected) spreads them over a worker pool with merged verdicts
-    identical to the inline run (posterior updates are commutative, and
-    allocation decisions happen only at round boundaries).
-
-    The resilience options tune the campaign supervisor: ``deadline``
-    bounds each chunk's wall-clock (distinct from ``max_steps``),
-    ``retries`` bounds re-attempts of failing chunks, ``checkpoint``
-    journals completed chunks to an append-only JSONL file so a killed
-    campaign resumes where it left off, and ``faults`` injects a
-    deterministic :class:`~repro.core.faults.FaultPlan`.
-    ``memory_budget_mb`` bounds each attempt's memory growth
-    (``ru_maxrss`` delta), turning a leaky chunk into a retryable
-    ``memory``-kind failure.  A chunk that fails every attempt is
+    ``schedule`` is the paper's fixed ``trials`` per pair by default, or
+    ``"adaptive"`` with its ``trial_budget``/``time_budget``; see
+    :meth:`ParallelCampaign.fuzz`.  A chunk that fails every attempt is
     quarantined onto its verdict's ``errors`` instead of sinking the
-    campaign.
+    campaign.  ``campaign`` holds the engine settings (see
+    :class:`ParallelCampaign`).
     """
-    pair_list = list(pairs)
-    sched = make_schedule(
-        schedule,
-        trials=trials,
-        trial_budget=trial_budget,
-        time_budget_s=time_budget,
-        seed=base_seed,
-    )
-    with open_campaign(
-        {program.name: program},
-        jobs,
-        chunk_size=chunk_size,
-        deadline=deadline,
-        retries=retries,
-        checkpoint=checkpoint,
-        faults=faults,
-        memory_budget_mb=memory_budget_mb,
-        on_progress=on_progress,
-    ) as (engine, [name]):
+    with open_campaign({program.name: program}, **campaign) as (engine, [name]):
         return engine.fuzz(
             name,
-            pair_list,
+            pairs,
             trials=trials,
             base_seed=base_seed,
             max_steps=max_steps,
-            schedule=sched,
+            schedule=schedule,
+            trial_budget=trial_budget,
+            time_budget=time_budget,
         )
 
 
@@ -287,18 +209,9 @@ def race_directed_campaigns(
     pairs in lockstep ``fuzz`` rounds under its own schedule; each
     report's ``failures`` are its own workload's quarantined tasks.
     ``phase1_seeds``, ``trials``, ``max_steps`` and ``pairs`` may be
-    :func:`~repro.core.parallel.per_workload` mappings.
+    :func:`~repro.core.parallel.per_workload` mappings, and so may
+    ``schedule``, one instance per workload.
     """
-    schedules = {
-        name: make_schedule(
-            schedule,
-            trials=per_workload(trials, name),
-            trial_budget=trial_budget,
-            time_budget_s=time_budget,
-            seed=base_seed,
-        )
-        for name in workloads
-    }
     if pairs is None:
         found = engine.detect(
             workloads, detector=detector, seeds=phase1_seeds, max_steps=max_steps
@@ -311,6 +224,7 @@ def race_directed_campaigns(
         }
         pair_lists = {name: report.pairs for name, report in phase1.items()}
     else:
+        check_detectors(detector)  # no Phase 1 runs, but a bad name still raises
         pair_lists = {name: list(per_workload(pairs, name)) for name in workloads}
         phase1 = {
             name: RaceReport.from_pairs(pair_list, program=name)
@@ -319,9 +233,12 @@ def race_directed_campaigns(
     verdicts = engine.fuzz(
         workloads,
         pair_lists,
+        trials=trials,
         base_seed=base_seed,
         max_steps=max_steps,
-        schedule=schedules,
+        schedule=schedule,
+        trial_budget=trial_budget,
+        time_budget=time_budget,
         grades={
             name: schedulable_grades(phase1[name], pair_lists[name])
             for name in workloads
@@ -349,17 +266,10 @@ def race_directed_test(
     base_seed: int = 0,
     max_steps: int = 1_000_000,
     pairs: Iterable[StatementPair] | None = None,
-    jobs: int = 1,
-    chunk_size: int = 25,
-    deadline: float | None = None,
-    retries: int = 2,
-    checkpoint=None,
-    faults=None,
-    memory_budget_mb: float | None = None,
-    on_progress=None,
     schedule: str | CampaignSchedule | None = None,
     trial_budget: int | None = None,
     time_budget: float | None = None,
+    **campaign,
 ) -> CampaignReport:
     """The full RaceFuzzer pipeline over one program.
 
@@ -368,30 +278,17 @@ def race_directed_test(
     be a sequence of names — each Phase-1 seed then executes once with
     every detector attached and Phase 2 fuzzes the *union* of the
     reports, so a predictive detector's extra candidates ride along with
-    the hybrid baseline at no added Phase-1 execution cost.  Both phases
-    share one engine: ``jobs=N`` (``None``/``0`` = one worker per core,
-    ``1`` = inline, negatives rejected) parallelizes them over one
-    supervised process pool.  The resilience options (``deadline``,
-    ``retries``, ``checkpoint``, ``faults`` — see :func:`fuzz_races`)
-    apply to both phases; tasks that fail every retry end up on
-    ``CampaignReport.failures`` instead of aborting the campaign.
+    the hybrid baseline at no added Phase-1 execution cost.
     ``schedule``/``trial_budget``/``time_budget`` are Phase 2's
-    trial-allocation policy knobs, and a predictive detector's
-    ``schedulable`` grades seed the adaptive schedule's priors.
-    This is :func:`race_directed_campaigns` over one workload.
+    trial-allocation policy (see :meth:`ParallelCampaign.fuzz`), and a
+    predictive detector's ``schedulable`` grades seed the adaptive
+    schedule's priors.  Both phases share one engine, whose settings
+    ``campaign`` holds (see :class:`ParallelCampaign`); tasks that fail
+    every retry end up on ``CampaignReport.failures`` instead of
+    aborting the campaign.  This is :func:`race_directed_campaigns` over
+    one workload.
     """
-    _check_detectors(detector)
-    with open_campaign(
-        {program.name: program},
-        jobs,
-        chunk_size=chunk_size,
-        deadline=deadline,
-        retries=retries,
-        checkpoint=checkpoint,
-        faults=faults,
-        memory_budget_mb=memory_budget_mb,
-        on_progress=on_progress,
-    ) as (engine, [name]):
+    with open_campaign({program.name: program}, **campaign) as (engine, [name]):
         return race_directed_campaigns(
             engine,
             [name],
@@ -414,30 +311,20 @@ def baseline_exceptions(
     scheduler: str = "default",
     base_seed: int = 0,
     max_steps: int = 1_000_000,
-    jobs: int = 1,
-    chunk_size: int = 25,
-    deadline: float | None = None,
-    retries: int = 2,
+    **campaign,
 ) -> Counter:
     """Count exception types over passive-scheduler runs (Table 1, col 10).
 
     Baseline runs are independent seeded executions, run as
-    ``chunk_size``-run chunks; ``jobs=N`` (``None``/``0`` = one worker
-    per core, ``1`` = inline, negatives rejected) fans the chunks out
-    across workers, and Counter addition is commutative, so the merged
-    tally is the same at every ``jobs`` value.  ``deadline``/``retries``
-    tune the campaign supervisor like every other pipeline entry point;
-    a chunk that fails every attempt drops its runs (quarantined on the
-    campaign's failure list) instead of aborting the control experiment.
+    ``chunk_size``-run chunks, and Counter addition is commutative, so
+    the merged tally is the same at every ``jobs``; a chunk that fails
+    every attempt drops its runs (quarantined on the campaign's failure
+    list) instead of aborting the control experiment.  ``scheduler``
+    names a :func:`~repro.core.schedulers.baseline_scheduler`.
+    ``campaign`` holds the engine settings (see
+    :class:`ParallelCampaign`).
     """
-    baseline_scheduler(scheduler)  # reject unknown specs before any run
-    with open_campaign(
-        {program.name: program},
-        jobs,
-        chunk_size=chunk_size,
-        deadline=deadline,
-        retries=retries,
-    ) as (engine, [name]):
+    with open_campaign({program.name: program}, **campaign) as (engine, [name]):
         return engine.baseline(
             name,
             runs=runs,

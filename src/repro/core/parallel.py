@@ -55,7 +55,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.detectors import RaceReport, make_detectors
+from repro.detectors import RaceReport, available_detectors, make_detectors
 from repro.obs import ProgressUpdate, maybe_telemetry, span
 from repro.obs.timeline import pair_label
 from repro.runtime.interpreter import Execution
@@ -64,20 +64,13 @@ from repro.runtime.statement import StatementPair
 
 from .results import PairVerdict, TaskFailure
 from .schedule import CampaignSchedule, chunk_spans, make_schedule
-from .schedulers import RandomScheduler
+from .schedulers import RandomScheduler, baseline_scheduler
 from .supervisor import CampaignSupervisor, SupervisorReport
 
 
 def pair_span_name(pair: StatementPair) -> str:
     """The per-pair wall-clock span's name, stable across processes."""
     return f"pair.{pair.first.site}|{pair.second.site}"
-
-
-def _validate_chunk_size(chunk_size: int) -> int:
-    """Shared guard for every chunking entry point."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
 
 
 # --------------------------------------------------------------------- #
@@ -188,6 +181,24 @@ def _workload_names(workload: str | Sequence[str]) -> list[str]:
     return [workload] if isinstance(workload, str) else list(workload)
 
 
+def check_detectors(detector: str | Sequence[str]) -> tuple[str, ...]:
+    """The detector names of a call, as a tuple; ``KeyError`` on any
+    name outside the registry.
+
+    Called before any task is built: a task body would raise on these
+    too, but the supervisor would then retry and quarantine every task
+    instead of telling the caller.
+    """
+    names = (detector,) if isinstance(detector, str) else tuple(detector)
+    unknown = [name for name in names if name not in available_detectors()]
+    if unknown:
+        raise KeyError(
+            f"unknown detector(s): {', '.join(unknown)}; "
+            f"registered: {available_detectors()}"
+        )
+    return names
+
+
 def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
     """Worker entrypoint: one seed's detector reports, by name."""
     program = _build_workload(task.workload)
@@ -223,8 +234,6 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
 
 def run_baseline_task(task: BaselineTask) -> Counter:
     """Worker entrypoint: count crash kinds over one baseline seed range."""
-    from .schedulers import baseline_scheduler  # deferred: avoid cycle
-
     program = _build_workload(task.workload)
     crashes: Counter = Counter()
     for seed in range(task.seed_start, task.seed_start + task.count):
@@ -312,20 +321,25 @@ class ParallelCampaign(CampaignSupervisor):
     wall-clock deadlines, bounded retry with backoff, broken-pool recovery
     (with graceful degradation to inline serial execution), quarantine of
     persistently failing tasks, and checkpoint/resume for Phase-2 chunks.
-    It takes the supervisor's settings (``jobs``, ``deadline``,
-    ``retries``, ``checkpoint``, ``faults``, ``memory_budget_mb``) and
-    adds two of its own.
+    Its eight settings are the campaign settings of every pipeline
+    function (:mod:`repro.core.driver`, :mod:`repro.harness.table1`),
+    which forward them here unchanged, so their defaults and checks live
+    only here.  It takes the supervisor's six (``jobs``, ``deadline``,
+    ``retries``, ``checkpoint``, ``faults``, ``memory_budget_mb``; see
+    :class:`~repro.core.supervisor.CampaignSupervisor`) and adds two.
 
     Parameters:
-        chunk_size: Phase-2 (and baseline) seeds per task.  Small chunks
-            parallelize better; large chunks amortize per-task overhead.
-            Chunking never changes merged aggregates (trials are
-            independent and the merge is associative).
+        chunk_size: Phase-2 (and baseline) seeds per task, at least 1.
+            Small chunks parallelize better; large chunks amortize
+            per-task overhead.  Chunking never changes merged aggregates
+            (trials are independent and the merge is associative).
         on_progress: called with a :class:`~repro.obs.ProgressUpdate`
             each time a task settles.
 
     :meth:`detect`, :meth:`baseline` and :meth:`fuzz` take one workload
-    name, or several whose tasks then share each batch.
+    name, or several whose tasks then share each batch.  Each rejects
+    bad caller input (an unknown detector, scheduler or schedule) before
+    any task runs.
 
     Quarantined tasks accumulate on :attr:`failures` and, by the task's
     workload, on :attr:`failures_by_workload` (and, for fuzz chunks, on
@@ -340,7 +354,9 @@ class ParallelCampaign(CampaignSupervisor):
         **supervision,
     ) -> None:
         super().__init__(**supervision)
-        self.chunk_size = _validate_chunk_size(chunk_size)
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.chunk_size = chunk_size
         self.on_progress = on_progress
         self.failures_by_workload: dict[str, list[TaskFailure]] = {}
 
@@ -416,16 +432,17 @@ class ParallelCampaign(CampaignSupervisor):
         ``detector`` may be a sequence of names: each seed then executes
         *once* with every detector attached, and the result is a
         ``{name: merged report}`` dict (a string argument returns the bare
-        :class:`RaceReport`).  ``trace_dir``/``store_quota`` send
-        every seed through the trace store there (see :class:`DetectTask`);
-        a ``store_quota`` without a ``trace_dir`` is a ``ValueError``.
+        :class:`RaceReport`); an unknown name is a ``KeyError``.
+        ``trace_dir``/``store_quota`` send every seed through the trace
+        store there (see :class:`DetectTask`); a ``store_quota`` without
+        a ``trace_dir`` is a ``ValueError``.
 
         For a sequence of ``workload`` names, ``seeds`` and
         ``max_steps`` may be :func:`per_workload` mappings and the
         result is ``{workload: result}``.
         """
         single = isinstance(detector, str)
-        detectors: tuple[str, ...] = (detector,) if single else tuple(detector)
+        detectors = check_detectors(detector)
         if not detectors:
             raise ValueError("detect needs at least one detector")
         if store_quota is not None and trace_dir is None:
@@ -484,10 +501,12 @@ class ParallelCampaign(CampaignSupervisor):
         Counter addition is commutative, so the merged tally is the same
         at every ``jobs`` value for whatever chunks completed; quarantined
         chunks drop their runs (recorded on :attr:`failures`) instead of
-        sinking the control experiment.  For several workloads,
-        ``max_steps`` may be :func:`per_workload` and the result is
-        ``{workload: counter}``.
+        sinking the control experiment.  ``scheduler`` names a
+        :func:`~repro.core.schedulers.baseline_scheduler`; an unknown name
+        is a ``ValueError``.  For several workloads, ``max_steps`` may be
+        :func:`per_workload` and the result is ``{workload: counter}``.
         """
+        baseline_scheduler(scheduler)  # an unknown name raises here
         workloads = _workload_names(workload)
         tasks = [
             BaselineTask(
@@ -524,17 +543,26 @@ class ParallelCampaign(CampaignSupervisor):
         base_seed: int = 0,
         max_steps: int = 1_000_000,
         schedule: str | CampaignSchedule | None = None,
+        trial_budget: int | None = None,
+        time_budget: float | None = None,
         grades: "Sequence[bool | None] | None" = None,
     ) -> "dict[StatementPair, PairVerdict] | dict[str, dict]":
         """Fuzz every pair under a trial-allocation policy; merge verdicts.
 
-        ``schedule`` picks the allocation policy (see
-        :mod:`repro.core.schedule`): ``None``/``"fixed"`` spends exactly
-        ``trials`` per pair — one batch of pair-major chunks, identical
-        to the pre-schedule engine — while ``"adaptive"`` (or a bound-
-        ready :class:`CampaignSchedule` instance, for tuned parameters)
-        runs the batch loop round by round, feeding every settled chunk's
-        verdict back into the policy between batches.
+        Every trial is one seeded Algorithm-1 run of
+        :class:`~repro.core.racefuzzer.RaceFuzzer` with its own defaults,
+        the paper's Section 5.2 protocol.  ``schedule`` picks the
+        allocation policy (see :mod:`repro.core.schedule`), resolved here
+        once per workload by :func:`~repro.core.schedule.make_schedule`:
+        ``None``/``"fixed"`` spends exactly ``trials`` per pair — one
+        batch of pair-major chunks — while ``"adaptive"`` runs the batch
+        loop round by round, feeding every settled chunk's verdict back
+        into the policy between batches.  Its global budget is
+        ``trial_budget`` trials (default ``trials`` per pair) and
+        ``time_budget`` wall-clock seconds, and ``base_seed`` also seeds
+        its Thompson draws, so adaptive campaigns are deterministic per
+        seed.  A :class:`CampaignSchedule` instance passes through, for
+        tuned parameters.
 
         ``grades`` (optional, aligned with ``pairs``) forwards Phase-1
         ``schedulable`` grades into the schedule — the adaptive policy
@@ -546,18 +574,31 @@ class ParallelCampaign(CampaignSupervisor):
         (except wall-clock sums, which are measured).
 
         For a sequence of ``workload`` names, ``pairs`` is a ``{workload:
-        pairs}`` mapping, ``schedule`` (one instance per workload),
-        ``grades`` and ``max_steps`` may be :func:`per_workload` mappings,
-        and the result is ``{workload: verdicts}``.  Each batch holds the
-        next round of every workload whose schedule still issues one, so
-        each schedule sees exactly the results it would see alone.
+        pairs}`` mapping; ``schedule``, ``trials``, ``grades`` and
+        ``max_steps`` may be :func:`per_workload` mappings, and the
+        result is ``{workload: verdicts}``.  A schedule instance binds to
+        one workload, so one instance given to several is a
+        ``ValueError``.  Each batch holds the next round of every
+        workload whose schedule still issues one, so each schedule sees
+        exactly the results it would see alone.
         """
         workloads = _workload_names(workload)
         pair_lists = {name: list(per_workload(pairs, name)) for name in workloads}
         schedules = {
-            name: make_schedule(per_workload(schedule, name), trials=trials)
+            name: make_schedule(
+                per_workload(schedule, name),
+                trials=per_workload(trials, name),
+                trial_budget=trial_budget,
+                time_budget_s=time_budget,
+                seed=base_seed,
+            )
             for name in workloads
         }
+        if len({id(sched) for sched in schedules.values()}) < len(schedules):
+            raise ValueError(
+                "one CampaignSchedule instance cannot serve several workloads; "
+                "pass a {workload: schedule} mapping with one instance each"
+            )
         for name, sched in schedules.items():
             sched.bind(
                 pair_lists[name],

@@ -292,9 +292,6 @@ class PostponingDriver:
         ``tid``'s next op (for races: same location, at least one write)."""
         raise NotImplementedError
 
-    def on_hit(self, execution: Execution, hit: TargetHit) -> None:
-        """Called whenever the targeted situation is created."""
-
     def resolve_arrival_first(
         self, execution: Execution, tid: int, rivals: list[int]
     ) -> bool:
@@ -528,7 +525,6 @@ class PostponingDriver:
             )
             fuzz.hits.append(hit)
             fuzz.pairs_created.add(hit.pair)
-            self.on_hit(execution, hit)
         if execute_arrival:
             execution.step(tid)  # line 12; rivals stay postponed
         else:

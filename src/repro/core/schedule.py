@@ -89,11 +89,6 @@ PRIOR = (1.0, 1.0)
 STOP_Z = 2.0
 
 
-def beta_mean(alpha: float, beta: float) -> float:
-    """Posterior mean of a Beta(alpha, beta) distribution."""
-    return alpha / (alpha + beta)
-
-
 def beta_upper_bound(alpha: float, beta: float, z: float = 2.0) -> float:
     """An upper credible bound on the success probability.
 
@@ -146,8 +141,6 @@ class CampaignSchedule:
         Binding starts a campaign from scratch: every round counter, log
         and cursor resets, so one instance can serve campaigns in turn.
         """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.pairs: list[StatementPair] = list(pairs)
         self.workload = workload
         self.base_seed = base_seed
@@ -276,14 +269,6 @@ class CampaignSchedule:
             for s, c in chunk_spans(start, count, self.chunk_size)
         ]
 
-    def summary(self) -> dict:
-        """Policy state worth surfacing in run reports / BENCH records."""
-        return {
-            "schedule": self.name,
-            "rounds": self.rounds,
-            "trials_allocated": self.trials_allocated,
-        }
-
 
 class FixedSchedule(CampaignSchedule):
     """The paper's protocol: every pair gets exactly ``trials`` trials.
@@ -329,9 +314,6 @@ class _PairPosterior:
     @property
     def confirmed(self) -> bool:
         return self.created > 0
-
-    def mean(self) -> float:
-        return beta_mean(self.alpha, self.beta)
 
     def upper(self) -> float:
         return beta_upper_bound(self.alpha, self.beta, STOP_Z)
@@ -571,22 +553,6 @@ class AdaptiveSchedule(CampaignSchedule):
     def _round_event_attrs(self) -> dict:
         return {"draws": self._last_draws}
 
-    def summary(self) -> dict:
-        base = super().summary()
-        base.update(
-            {
-                "pairs": len(self.pairs),
-                "confirmed": self.confirmed,
-                "early_stopped": self.early_stopped,
-                "budget_exhausted": self.budget_exhausted,
-                "time_exhausted": self.time_exhausted,
-                "posterior_means": [
-                    round(p.mean(), 6) for p in self._posteriors
-                ],
-            }
-        )
-        return base
-
 
 #: the ``--schedule`` registry.
 SCHEDULES = ("fixed", "adaptive")
@@ -635,6 +601,5 @@ __all__ = [
     "SCHEDULES",
     "make_schedule",
     "chunk_spans",
-    "beta_mean",
     "beta_upper_bound",
 ]

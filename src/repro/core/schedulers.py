@@ -195,21 +195,29 @@ class RaposScheduler(Scheduler):
         return batch[0]
 
 
-def baseline_scheduler(spec: str) -> Scheduler:
-    """Build a fresh passive scheduler for one run, by name.
+#: the one name table for passive schedulers, shared by ``repro run``
+#: (its ``--scheduler`` choices), schedule coverage and the baseline
+#: campaigns: each name's factory builds a fresh scheduler.
+BASELINE_SCHEDULERS = {
+    "default": DefaultScheduler,
+    "random": lambda: RandomScheduler(preemption="every"),
+    "random-sync": lambda: RandomScheduler(preemption="sync"),
+    "rapos": RaposScheduler,
+}
 
-    The one name table for passive schedulers (``default`` / ``random``
-    / ``random-sync`` / ``rapos``), shared by ``repro run``, schedule
-    coverage and the baseline campaigns.  A new instance per run
-    matters: schedulers carry per-execution state (queues, slice
-    budgets, the rest of a RAPOS batch).
+
+def baseline_scheduler(spec: str) -> Scheduler:
+    """Build a fresh passive scheduler for one run, by its
+    :data:`BASELINE_SCHEDULERS` name (``ValueError`` for another).
+
+    A new instance per run matters: schedulers carry per-execution state
+    (queues, slice budgets, the rest of a RAPOS batch).
     """
-    if spec == "default":
-        return DefaultScheduler()
-    if spec == "random":
-        return RandomScheduler(preemption="every")
-    if spec == "random-sync":
-        return RandomScheduler(preemption="sync")
-    if spec == "rapos":
-        return RaposScheduler()
-    raise ValueError(f"unknown scheduler: {spec!r}")
+    try:
+        factory = BASELINE_SCHEDULERS[spec]
+    except KeyError:
+        raise ValueError(
+            f"unknown scheduler: {spec!r}; expected one of "
+            f"{', '.join(BASELINE_SCHEDULERS)}"
+        ) from None
+    return factory()

@@ -94,54 +94,48 @@ def measure_row(
     trials: int | None = None,
     timing_runs: int = 5,
     baseline_runs: int = 100,
-    checkpoint: str | None = None,
     schedule: str | None = None,
     trial_budget: int | None = None,
     time_budget: float | None = None,
+    **campaign,
 ) -> Table1Row:
-    """Run the full two-phase protocol for one benchmark: a one-row,
-    inline :func:`build_table`."""
+    """Run the full two-phase protocol for one benchmark: a one-row
+    :func:`build_table`."""
     return build_table(
         [spec],
         trials=trials,
         timing_runs=timing_runs,
         baseline_runs=baseline_runs,
-        checkpoint=checkpoint,
         schedule=schedule,
         trial_budget=trial_budget,
         time_budget=time_budget,
+        **campaign,
     )[0]
 
 
 def build_table(
     specs: list[WorkloadSpec] | None = None,
     *,
-    jobs: int = 1,
-    on_progress=None,
     trials: int | None = None,
     timing_runs: int = 5,
     baseline_runs: int = 100,
-    checkpoint: str | None = None,
     schedule: str | None = None,
     trial_budget: int | None = None,
     time_budget: float | None = None,
+    **campaign,
 ) -> list[Table1Row]:
     """Measure every row on one supervised engine.
 
     Every row's Phase-1 seeds run as one batch, every row's pairs as
     lockstep rounds under per-row schedules (see
     :func:`~repro.core.driver.race_directed_campaigns`), then every
-    row's baseline chunks as one batch, on ``jobs`` worker processes.
-    A quarantined detect or fuzz task lands on its own row's
-    ``campaign.failures`` and the table still finishes.  The Normal and Hybrid timing runs follow
-    in this process once the pool is shut down; every other column is
-    the same at every ``jobs``.  ``on_progress`` receives the engine's
-    :class:`~repro.obs.ProgressUpdate` for each settled task.
-
-    ``checkpoint`` journals completed Phase-2 chunks to an append-only
-    JSONL file (chunk keys embed the workload name, so all rows share
-    one journal); a killed table run restarted with the same path skips
-    the fuzzing work it already finished.
+    row's baseline chunks as one batch.  A quarantined detect or fuzz
+    task lands on its own row's ``campaign.failures`` and the table
+    still finishes.  The Normal and Hybrid timing runs follow in this
+    process once the pool is shut down; every other column is the same
+    at every ``jobs``.  ``campaign`` holds the engine settings (see
+    :class:`~repro.core.parallel.ParallelCampaign`); a ``checkpoint``
+    journal serves every row, since chunk keys embed the workload name.
 
     ``schedule``/``trial_budget``/``time_budget`` pick the Phase-2
     trial-allocation policy (see :mod:`repro.core.schedule`).  The
@@ -155,10 +149,7 @@ def build_table(
     specs = specs if specs is not None else table1_workloads()
     max_steps = {spec.name: spec.max_steps for spec in specs}
     with open_campaign(
-        {spec.name: spec.build() for spec in specs},
-        jobs,
-        checkpoint=checkpoint,
-        on_progress=on_progress,
+        {spec.name: spec.build() for spec in specs}, **campaign
     ) as (engine, names):
         campaigns = race_directed_campaigns(
             engine,

@@ -437,12 +437,6 @@ class Execution:
             return ts.deliver_interrupt or self.step_count >= ts.wake_at
         return False  # TERMINATED
 
-    def is_enabled(self, tid: int) -> bool:
-        """Can ``tid`` make progress if stepped right now?"""
-        if self.step_count >= self._wake_next:
-            self._clock_moved()
-        return self.threads[tid].enabled
-
     def _note(self, ts: ThreadState) -> None:
         """Re-derive the maintained answer of one thread after a transition
         that may have changed it."""
@@ -665,10 +659,11 @@ class Execution:
             else:
                 # Capture the raw site eagerly (the frame is only readable
                 # while the generator is suspended, and a later crash must
-                # attribute to this op); intern the Statement lazily.  This
-                # is innermost_frame() inlined: follow the yield-from chain
-                # so composed helpers attribute to the line that actually
-                # performed the access.  A generator leaves the chain only
+                # attribute to this op); intern the Statement lazily.
+                # Follow the yield-from chain so composed helpers (the
+                # mini-JDK, Barrier, ...) attribute to the line that
+                # actually performed the access, as bytecode
+                # instrumentation does.  A generator leaves the chain only
                 # by finishing, so the last innermost one is still innermost
                 # while it is suspended and delegates to nothing; otherwise
                 # the walk resumes from it, or from the body once it ended.

@@ -18,9 +18,9 @@ class ExecutionObserver:
     """Base class; override :meth:`on_event` (and optionally the hooks)."""
 
     #: If False, the engine skips delivering MemEvents to this observer.
-    #: RaceFuzzer sets this on its internal bookkeeping to keep the Phase 2
-    #: overhead profile of the paper (only sync ops + the racing pair are
-    #: tracked); the hybrid detector leaves it True and pays full cost.
+    #: The deadlock miner's lock-order observer sets it, since it reads only
+    #: acquires and releases; the race detectors leave it True and pay
+    #: full cost.
     wants_mem_events: bool = True
 
     def on_start(self, execution) -> None:

@@ -188,27 +188,3 @@ def label_statement(label: str) -> Statement:
         stmt = Statement(label=label)
         _LABEL_CACHE[label] = stmt
     return stmt
-
-
-def innermost_frame(gen):
-    """The suspended frame a generator's next yield came from (or None).
-
-    Follows the ``gi_yieldfrom`` chain to the innermost suspended generator
-    so that ``yield from``-composed helpers (the mini-JDK, Barrier, ...)
-    report the line that actually performed the access, mirroring how
-    bytecode instrumentation attributes events to library code.
-    """
-    while True:
-        nested = getattr(gen, "gi_yieldfrom", None)
-        if nested is None or not hasattr(nested, "gi_frame"):
-            break
-        gen = nested
-    return gen.gi_frame
-
-
-def statement_from_generator(gen) -> Statement:
-    """Derive the (interned) statement for the op a generator just yielded."""
-    frame = innermost_frame(gen)
-    if frame is None:  # generator already finished; should not happen mid-yield
-        return FINISHED_STATEMENT
-    return statement_at(frame.f_code, frame.f_lineno)

@@ -61,6 +61,20 @@ class TestLockOrderDetection:
         targets = report.target_statements()
         assert len(targets) == 2  # the two inner acquires
 
+    def test_every_simple_cycle_found_once(self):
+        from repro.core.deadlockfuzzer import _simple_cycles
+        from repro.runtime.location import LockId
+
+        a, b, c, d = (LockId(uid) for uid in (7, 3, 5, 9))
+        # Complete on {a, b, c}: three 2-cycles and two 3-cycles; d hangs
+        # off c on a path that closes no cycle, and a self-loop counts.
+        arcs = [(x, y) for x in (a, b, c) for y in (a, b, c) if x != y]
+        arcs += [(c, d), (d, d)]
+        cycles = _simple_cycles(arcs)
+        assert sorted(tuple(lock.uid for lock in cycle) for cycle in cycles) == [
+            (3, 5), (3, 5, 7), (3, 7), (3, 7, 5), (5, 7), (9,),
+        ]
+
     def test_consistent_order_has_no_cycle(self):
         report = detect_lock_order_inversions(_well_ordered_factory(), seeds=range(3))
         assert report.edges  # a->b edges exist

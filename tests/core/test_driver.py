@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core import (
+    ParallelCampaign,
     baseline_exceptions,
     detect_races,
     fuzz_races,
@@ -178,6 +179,14 @@ class TestOneEngine:
                 detect_races(figure1.build(), seeds=[], jobs=jobs)
             with pytest.raises(ValueError, match="at least one detector"):
                 detect_races(figure1.build(), detector=[], jobs=jobs)
+            # The engine itself checks, for callers that open one directly.
+            with ParallelCampaign(jobs=jobs) as engine:
+                with pytest.raises(KeyError, match="psychic"):
+                    engine.detect("figure1", detector=["hybrid", "psychic"])
+                with pytest.raises(ValueError, match="unknown scheduler"):
+                    engine.baseline("figure1", runs=2, scheduler="magic")
+                with pytest.raises(ValueError, match="unknown schedule"):
+                    engine.fuzz("figure1", [figure1.REAL_PAIR], schedule="greedy")
         assert registry.counter("supervisor.tasks") == 0
 
     def test_auto_jobs_on_one_core_runs_inline(self, monkeypatch):

@@ -173,8 +173,10 @@ class TestParallelCampaignObject:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             ParallelCampaign(jobs=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             ParallelCampaign(chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            fuzz_races(figure1.build(), [figure1.REAL_PAIR], chunk_size=0)
 
     def test_close_is_idempotent(self):
         engine = ParallelCampaign(jobs=2)

@@ -176,6 +176,38 @@ class TestReuse:
         assert sched.trial_budget == 5
 
 
+class TestOneInstancePerWorkload:
+    """A multi-workload fuzz call resolves one schedule per workload."""
+
+    @staticmethod
+    def _pairs(*names):
+        from repro.core import detect_races
+        from repro.workloads import get
+
+        return {
+            name: detect_races(get(name).build(), seeds=(0, 1, 2)).pairs
+            for name in names
+        }
+
+    @pytest.mark.parametrize("other", ["vector", "philosophers"])
+    def test_shared_instance_is_rejected(self, other):
+        # Rebinding a shared instance per workload would index figure1's
+        # chunks into vector's pairs (IndexError), and give figure1 0
+        # trials when bound last to philosophers, which has no pairs.
+        pairs = self._pairs("figure1", other)
+        with ParallelCampaign() as engine:
+            with pytest.raises(ValueError, match=r"\{workload: schedule\}"):
+                engine.fuzz(
+                    list(pairs), pairs, trials=3, schedule=FixedSchedule(trials=3)
+                )
+            assert engine.failures == []
+            mine = {name: FixedSchedule(trials=3) for name in pairs}
+            verdicts = engine.fuzz(list(pairs), pairs, schedule=mine)
+        for name, pair_list in pairs.items():
+            assert [v.trials for v in verdicts[name].values()] == [3] * len(pair_list)
+            assert len(mine[name].allocation_log) == len(pair_list)
+
+
 class TestAdaptiveAllocation:
     def test_confirmed_pairs_stop_receiving_trials(self):
         sched = _SmallAdaptive()

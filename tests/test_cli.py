@@ -26,7 +26,9 @@ class TestRun:
         assert 1 in codes
         capsys.readouterr()
 
-    @pytest.mark.parametrize("scheduler", ["random", "default", "rapos"])
+    @pytest.mark.parametrize(
+        "scheduler", ["random", "default", "rapos", "random-sync"]
+    )
     def test_scheduler_choices(self, scheduler, capsys):
         assert main(["run", "sor", "--scheduler", scheduler]) == 0
         capsys.readouterr()
