@@ -41,6 +41,7 @@ from repro.core import (
     race_directed_test,
 )
 from repro.core.driver import open_campaign
+from repro.core.parallel import check_detectors
 from repro.core.replay import replay_race
 from repro.core.schedulers import BASELINE_SCHEDULERS
 from repro.core.traceview import format_replay
@@ -67,24 +68,17 @@ def _telemetry_scope(args, *, also: bool = False):
 
 
 def _checked_detectors(names: list[str]) -> list[str] | None:
-    """Validate detector names against the registry; None means reject.
+    """The engine's detector check (:func:`check_detectors`) as an exit-2
+    usage error: None (after printing why) means reject.
 
-    Shared by every command taking detector flags, so an unknown name is
-    a friendly exit-2 usage error naming the valid choices — not a raw
-    ``KeyError`` from deep inside the pipeline.  Duplicates collapse
-    (first occurrence wins), matching the one-observer-per-name protocol.
+    Duplicates collapse (first occurrence wins), matching the
+    one-observer-per-name protocol.
     """
-    deduped = list(dict.fromkeys(names))
-    valid = available_detectors()
-    unknown = [name for name in deduped if name not in valid]
-    if unknown:
-        print(
-            f"unknown detector(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(valid)}",
-            file=sys.stderr,
-        )
+    try:
+        return list(check_detectors(list(dict.fromkeys(names))))
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
         return None
-    return deduped
 
 
 _SIZE_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}

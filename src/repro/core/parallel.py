@@ -47,7 +47,6 @@ that module for the semantics; this one stays about *what* a task is and
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -66,11 +65,6 @@ from .results import PairVerdict, TaskFailure
 from .schedule import CampaignSchedule, chunk_spans, make_schedule
 from .schedulers import RandomScheduler, baseline_scheduler
 from .supervisor import CampaignSupervisor, SupervisorReport
-
-
-def pair_span_name(pair: StatementPair) -> str:
-    """The per-pair wall-clock span's name, stable across processes."""
-    return f"pair.{pair.first.site}|{pair.second.site}"
 
 
 # --------------------------------------------------------------------- #
@@ -194,7 +188,7 @@ def check_detectors(detector: str | Sequence[str]) -> tuple[str, ...]:
     if unknown:
         raise KeyError(
             f"unknown detector(s): {', '.join(unknown)}; "
-            f"registered: {available_detectors()}"
+            f"valid: {', '.join(available_detectors())}"
         )
     return names
 
@@ -256,7 +250,7 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     telemetry = maybe_telemetry()
     chunk_wall = time.time() if telemetry is not None else 0.0
     chunk_t0 = time.perf_counter() if telemetry is not None else 0.0
-    with span(pair_span_name(task.pair)):
+    with span(f"pair.{pair_label(task.pair)}"):
         for seed in range(task.seed_start, task.seed_start + task.count):
             verdict.absorb(fuzzer.run(program, seed=seed))
     if telemetry is not None:
@@ -274,32 +268,18 @@ def run_fuzz_task(task: FuzzTask) -> PairVerdict:
     return verdict
 
 
-#: the ``repro`` package directory, with a trailing separator.
-_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_PACKAGE_DIR += os.sep
-
-
-def _key_path(path: str) -> str:
-    """A statement's file as a journal key spells it: relative to the
-    ``repro`` package for a file inside it, so a journal resumes in any
-    checkout; absolute otherwise (native programs, tests)."""
-    return path[len(_PACKAGE_DIR):] if path.startswith(_PACKAGE_DIR) else path
-
-
 def fuzz_task_key(task: FuzzTask) -> str:
     """Stable checkpoint-journal key for one Phase-2 chunk.
 
     Covers every field that affects the chunk's verdict, so a journaled
     result is only reused by a campaign running the *same* protocol; any
-    parameter change misses the cache and re-executes.
+    parameter change misses the cache and re-executes.  The pair is
+    spelled as its statements' tokens, as the journaled verdict spells
+    it, so a journal resumes in any checkout.
     """
-    first, second = task.pair.first, task.pair.second
     fields = {
         "workload": task.workload,
-        "pair": [
-            [_key_path(first.file), first.line, first.label],
-            [_key_path(second.file), second.line, second.label],
-        ],
+        "pair": task.pair.to_token(),
         "seed_start": task.seed_start,
         "count": task.count,
         "max_steps": task.max_steps,
@@ -559,8 +539,9 @@ class ParallelCampaign(CampaignSupervisor):
         loop round by round, feeding every settled chunk's verdict back
         into the policy between batches.  Its global budget is
         ``trial_budget`` trials (default ``trials`` per pair) and
-        ``time_budget`` wall-clock seconds, and ``base_seed`` also seeds
-        its Thompson draws, so adaptive campaigns are deterministic per
+        ``time_budget`` wall-clock seconds (either budget with another
+        schedule is a ``ValueError``), and ``base_seed`` also seeds its
+        Thompson draws, so adaptive campaigns are deterministic per
         seed.  A :class:`CampaignSchedule` instance passes through, for
         tuned parameters.
 
@@ -676,5 +657,4 @@ __all__ = [
     "fuzz_task_key",
     "inline_program",
     "per_workload",
-    "pair_span_name",
 ]

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.detectors.report import RaceReport
-from repro.runtime.statement import Statement, StatementPair
+from repro.runtime.statement import StatementPair
 
 from .postponing import FuzzResult
 
@@ -56,34 +56,6 @@ class TaskFailure:
             "message": self.message,
             "history": list(self.history),
         }
-
-
-def _statement_to_jsonable(stmt: Statement) -> dict:
-    return {
-        "file": stmt.file,
-        "line": stmt.line,
-        "func": stmt.func,
-        "label": stmt.label,
-    }
-
-
-def _statement_from_jsonable(data: dict) -> Statement:
-    return Statement(
-        file=data.get("file", ""),
-        line=data.get("line", 0),
-        func=data.get("func", ""),
-        label=data.get("label"),
-    )
-
-
-def _pair_to_jsonable(pair: StatementPair) -> list[dict]:
-    return [_statement_to_jsonable(pair.first), _statement_to_jsonable(pair.second)]
-
-
-def _pair_from_jsonable(data: list) -> StatementPair:
-    return StatementPair(
-        _statement_from_jsonable(data[0]), _statement_from_jsonable(data[1])
-    )
 
 
 @dataclass
@@ -203,21 +175,21 @@ class PairVerdict:
         that observed the failures, not the resumed one.
         """
         return {
-            "pair": _pair_to_jsonable(self.pair),
+            "pair": self.pair.to_token(),
             "trials": self.trials,
             "times_created": self.times_created,
             "exceptions": dict(self.exceptions),
             "unattributed_exceptions": dict(self.unattributed_exceptions),
             "deadlocks": self.deadlocks,
             "truncated": self.truncated,
-            "created_pairs": [_pair_to_jsonable(p) for p in sorted(self.created_pairs, key=str)],
+            "created_pairs": [p.to_token() for p in sorted(self.created_pairs, key=str)],
             "total_wall": self.total_wall,
         }
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PairVerdict":
         return cls(
-            pair=_pair_from_jsonable(data["pair"]),
+            pair=StatementPair.from_token(data["pair"]),
             trials=data["trials"],
             times_created=data["times_created"],
             exceptions=Counter(data.get("exceptions", {})),
@@ -225,7 +197,7 @@ class PairVerdict:
             deadlocks=data.get("deadlocks", 0),
             truncated=data.get("truncated", 0),
             created_pairs={
-                _pair_from_jsonable(p) for p in data.get("created_pairs", [])
+                StatementPair.from_token(p) for p in data.get("created_pairs", [])
             },
             total_wall=data.get("total_wall", 0.0),
         )

@@ -573,8 +573,14 @@ def make_schedule(
     total spend as fixed, allocated by expected yield — unless an
     explicit ``trial_budget`` overrides it; the pair count isn't known
     here, so :attr:`AdaptiveSchedule.trials_per_pair` carries the default
-    to ``bind``.
+    to ``bind``.  A budget given with any other schedule is a
+    ``ValueError``: only the adaptive policy spends one.
     """
+    if spec != "adaptive" and (trial_budget is not None or time_budget_s is not None):
+        raise ValueError(
+            "a trial or time budget only applies to the 'adaptive' schedule, "
+            f"not {spec!r}"
+        )
     if isinstance(spec, CampaignSchedule):
         return spec
     if spec is None or spec == "fixed":

@@ -30,7 +30,12 @@ dict probe with a precomputed hash.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+
+#: the ``repro`` package directory, with a trailing separator, spelled as
+#: the ``co_filename`` of its modules is (see :meth:`Statement.to_token`).
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +85,18 @@ class Statement:
     def to_token(self) -> dict:
         """Stable JSON-safe encoding; round-trips via :meth:`from_token`.
 
-        Keys with default values are omitted, keeping serialized traces
-        compact (MEM events dominate a trace and each carries a statement).
+        The one on-disk spelling of a statement (trace rows, checkpoint
+        journal records and keys).  A file inside the ``repro`` package is
+        written relative to it under ``p``, so a token read in another
+        checkout names that checkout's file; any other file is written
+        verbatim under ``f``.  Keys with default values are omitted,
+        keeping serialized traces compact (MEM events dominate a trace
+        and each carries a statement).
         """
         token: dict = {}
-        if self.file:
+        if self.file.startswith(_PACKAGE_DIR):
+            token["p"] = self.file[len(_PACKAGE_DIR):]
+        elif self.file:
             token["f"] = self.file
         if self.line:
             token["l"] = self.line
@@ -96,8 +108,10 @@ class Statement:
 
     @classmethod
     def from_token(cls, token: dict) -> "Statement":
+        package_file = token.get("p")
         return cls(
-            file=token.get("f", ""),
+            file=token.get("f", "") if package_file is None
+            else _PACKAGE_DIR + package_file,
             line=token.get("l", 0),
             func=token.get("fn", ""),
             label=token.get("lb"),
@@ -138,6 +152,14 @@ class StatementPair:
         if stmt == self.second:
             return self.first
         raise ValueError(f"{stmt} is not a member of {self}")
+
+    def to_token(self) -> list[dict]:
+        """The pair as its two statements' tokens, in pair order."""
+        return [self.first.to_token(), self.second.to_token()]
+
+    @classmethod
+    def from_token(cls, token: list) -> "StatementPair":
+        return cls(Statement.from_token(token[0]), Statement.from_token(token[1]))
 
     def __str__(self) -> str:
         return f"({self.first.site}, {self.second.site})"

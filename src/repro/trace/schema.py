@@ -53,7 +53,9 @@ from repro.runtime.statement import Statement
 #: count, and readers enforce both (integrity became part of the format).
 #: v3: positional event rows with define-on-first-use tables for
 #: statements, locations, locks and locksets; the footer must carry the CRC.
-SCHEMA_VERSION = 3
+#: v4: a statement token names a file inside the ``repro`` package by
+#: its package-relative path (``p``), so a store serves any checkout.
+SCHEMA_VERSION = 4
 
 
 class TraceSchemaError(ValueError):

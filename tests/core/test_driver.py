@@ -179,6 +179,11 @@ class TestOneEngine:
                 detect_races(figure1.build(), seeds=[], jobs=jobs)
             with pytest.raises(ValueError, match="at least one detector"):
                 detect_races(figure1.build(), detector=[], jobs=jobs)
+            with pytest.raises(ValueError, match="only applies"):
+                fuzz_races(
+                    figure1.build(), [figure1.REAL_PAIR], trials=10,
+                    trial_budget=3, jobs=jobs,
+                )
             # The engine itself checks, for callers that open one directly.
             with ParallelCampaign(jobs=jobs) as engine:
                 with pytest.raises(KeyError, match="psychic"):
@@ -187,6 +192,8 @@ class TestOneEngine:
                     engine.baseline("figure1", runs=2, scheduler="magic")
                 with pytest.raises(ValueError, match="unknown schedule"):
                     engine.fuzz("figure1", [figure1.REAL_PAIR], schedule="greedy")
+                with pytest.raises(ValueError, match="only applies"):
+                    engine.fuzz("figure1", [figure1.REAL_PAIR], time_budget=5.0)
         assert registry.counter("supervisor.tasks") == 0
 
     def test_auto_jobs_on_one_core_runs_inline(self, monkeypatch):

@@ -7,6 +7,7 @@ inline run for the same seed set.  Chunk sizes, trace stores and resume
 are varied by ``tests/integration/test_determinism.py``.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -23,7 +24,10 @@ from repro.core import (
 )
 from repro.core.parallel import fuzz_task_key, run_detect_task, run_fuzz_task
 from repro.core.schedule import chunk_spans
-from repro.runtime import Program
+from repro.core.supervisor import CheckpointJournal
+from repro.obs import collecting
+from repro.runtime import Program, statement
+from repro.runtime.statement import StatementPair
 from repro.workloads import figure1, get
 
 
@@ -38,6 +42,16 @@ def _verdict_signature(verdict):
         verdict.truncated,
         verdict.created_pairs,
     )
+
+
+def _moved_pair(pair, root):
+    """``pair`` as a checkout whose package directory is ``root`` sees it."""
+    real = statement._PACKAGE_DIR
+
+    def move(stmt):
+        return dataclasses.replace(stmt, file=root + stmt.file[len(real):])
+
+    return StatementPair(move(pair.first), move(pair.second))
 
 
 def _campaign_signature(campaign):
@@ -75,18 +89,67 @@ class TestTaskSpecs:
         with pytest.raises(ValueError):
             chunk_spans(0, 10, 0)
 
-    def test_journal_key_names_no_checkout_path(self):
+    def test_journal_key_names_no_checkout_path(self, tmp_path, monkeypatch):
         # A registered workload's statements live inside the package, so
-        # its key spells their files relative to it: a journal written in
-        # one checkout resumes in another.
-        spec = get("sor")
-        pair = detect_races(spec.build(), seeds=[0], max_steps=spec.max_steps).pairs[0]
-        assert os.path.isabs(pair.first.file)
-        key = fuzz_task_key(FuzzTask(workload="sor", pair=pair))
-        assert [site[0] for site in json.loads(key)["pair"]] == [
-            os.path.join("workloads", "sor.py")
+        # the key and the journaled verdict spell their files relative to
+        # it: a journal written in one checkout resumes in another.
+        spec = get("vector")
+        pairs = detect_races(spec.build(), seeds=[0], max_steps=spec.max_steps).pairs[:2]
+        assert os.path.isabs(pairs[0].first.file)
+        key = fuzz_task_key(FuzzTask(workload="vector", pair=pairs[0]))
+        assert [site["p"] for site in json.loads(key)["pair"]] == [
+            os.path.join("jdk", "vector.py")
         ] * 2
-        assert os.path.dirname(pair.first.file) not in key
+        assert os.path.dirname(pairs[0].first.file) not in key
+
+        journal = tmp_path / "journal.jsonl"
+        written = fuzz_races(spec.build(), pairs, trials=4, checkpoint=journal)
+        # Resume as a second checkout would: its package directory, and so
+        # its statements' files, sit under another root.
+        root = str(tmp_path / "checkout-b" / "repro") + os.sep
+        moved = {pair: _moved_pair(pair, root) for pair in pairs}
+        created = {
+            pair: {_moved_pair(c, root) for c in verdict.created_pairs}
+            for pair, verdict in written.items()
+        }
+        monkeypatch.setattr(statement, "_PACKAGE_DIR", root)
+        with collecting() as registry:
+            with ParallelCampaign(checkpoint=journal) as engine:
+                resumed = engine.fuzz("vector", list(moved.values()), trials=4)
+        assert registry.counter("supervisor.cached") == registry.counter(
+            "supervisor.tasks"
+        ) > 0
+        for pair, verdict in written.items():
+            again = resumed[moved[pair]]
+            assert again.pair == moved[pair]
+            assert again.created_pairs == created[pair]
+            assert _verdict_signature(again)[:-1] == _verdict_signature(verdict)[:-1]
+
+    def test_old_format_journal_record_re_runs(self, tmp_path):
+        # A record from before keys spelled statements as tokens: its key
+        # misses, so the chunk re-runs instead of decoding the old payload.
+        journal = tmp_path / "journal.jsonl"
+        pair = figure1.REAL_PAIR
+        old_key = json.dumps(
+            {
+                "workload": "figure1",
+                "pair": [[s.file, s.line, s.label] for s in (pair.first, pair.second)],
+                "seed_start": 0,
+                "count": 4,
+                "max_steps": 1_000_000,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        old_site = {"file": "/elsewhere/figure1.py", "line": 1, "func": "", "label": None}
+        old = CheckpointJournal(journal)
+        old.append(old_key, {"pair": [old_site, old_site], "trials": 4, "times_created": 0})
+        old.close()
+        with collecting() as registry:
+            verdicts = fuzz_races(figure1.build(), [pair], trials=4, checkpoint=journal)
+        assert registry.counter("supervisor.cached") == 0
+        fresh = fuzz_races(figure1.build(), [pair], trials=4)
+        assert _verdict_signature(verdicts[pair]) == _verdict_signature(fresh[pair])
 
 
 class TestDetectEquivalence:

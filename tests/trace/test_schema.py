@@ -36,7 +36,7 @@ from repro.runtime.location import (
     VarLoc,
     location_from_token,
 )
-from repro.runtime.statement import Statement
+from repro.runtime.statement import _PACKAGE_DIR, Statement
 from repro.trace import (
     SCHEMA_VERSION,
     TraceFooter,
@@ -210,6 +210,18 @@ class TestTokens:
     def test_statement_token_round_trip(self):
         for stmt in (STMT, LABELLED, Statement()):
             assert Statement.from_token(stmt.to_token()) == stmt
+
+    def test_package_file_token_is_package_relative(self):
+        # Inside the package: the path relative to it, so a token read in
+        # another checkout names that checkout's file.
+        inside = Statement(file=_PACKAGE_DIR + "jdk/vector.py", line=60, func="add")
+        assert inside.to_token() == {"p": "jdk/vector.py", "l": 60, "fn": "add"}
+        assert Statement.from_token(inside.to_token()) == inside
+        # Outside it, relative or absolute: the file verbatim, never resolved.
+        for file in ("x.py", "/elsewhere/x.py"):
+            outside = Statement(file=file, line=3)
+            assert outside.to_token() == {"f": file, "l": 3}
+            assert Statement.from_token(outside.to_token()).file == file
 
     def test_labelled_statement_token_is_label_only(self):
         token = Statement(file="x.py", line=3, label="t1:5").to_token()

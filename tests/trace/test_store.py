@@ -1,8 +1,14 @@
 """TraceStore cache behaviour: keying, hit/miss, atomic publish."""
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.core import ParallelCampaign
+from repro.obs import collecting
+from repro.runtime import statement
+from repro.runtime.statement import StatementPair
 from repro.trace import (
     PHASE1_SCHEDULER,
     TraceKey,
@@ -10,7 +16,7 @@ from repro.trace import (
     TraceStore,
     detect_key,
 )
-from repro.workloads import figure1
+from repro.workloads import figure1, get
 
 
 KEY = detect_key("figure1", 0, max_steps=10_000)
@@ -35,6 +41,37 @@ class TestKeying:
             assert reader.header.scheduler == PHASE1_SCHEDULER
             assert reader.header.program == "figure1"
             assert reader.header.seed == 0
+
+
+class TestAnotherCheckout:
+    def test_store_serves_a_checkout_under_another_package_root(
+        self, tmp_path, monkeypatch
+    ):
+        # A stored trace names package files relative to the package, so a
+        # checkout reading another's store sees its own statements, which
+        # Phase 2 then matches against its live program.
+        spec = get("vector")
+        store = tmp_path / "store"
+        with ParallelCampaign() as engine:
+            recorded = engine.detect(
+                "vector", seeds=[0], max_steps=spec.max_steps, trace_dir=store
+            )
+        real = statement._PACKAGE_DIR
+        root = str(tmp_path / "checkout-b" / "repro") + os.sep
+        monkeypatch.setattr(statement, "_PACKAGE_DIR", root)
+
+        def move(stmt):
+            return dataclasses.replace(stmt, file=root + stmt.file[len(real):])
+
+        with collecting() as registry, ParallelCampaign() as engine:
+            replayed = engine.detect(
+                "vector", seeds=[0], max_steps=spec.max_steps, trace_dir=store
+            )
+        assert registry.counter("trace.store_hits") == 1
+        assert recorded.pairs and all(p.first.file.startswith(real) for p in recorded.pairs)
+        assert replayed.pairs == [
+            StatementPair(move(p.first), move(p.second)) for p in recorded.pairs
+        ]
 
 
 class TestStore:
