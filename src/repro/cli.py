@@ -37,6 +37,7 @@ from contextlib import nullcontext
 from repro.core import (
     baseline_scheduler,
     detect_races,
+    make_schedule,
     parse_fault_plan,
     race_directed_test,
 )
@@ -171,22 +172,19 @@ def _engine_settings(args) -> dict:
     return settings
 
 
-def _budgets_misused(args) -> bool:
-    """True (after saying why) when a trial or time budget is given
-    without ``--schedule adaptive``; ``fuzz`` and ``table1`` then exit 2."""
-    if args.schedule == "adaptive":
-        return False
-    for flag, value in (
-        ("--trial-budget", args.trial_budget),
-        ("--time-budget", args.time_budget),
-    ):
-        if value is not None:
-            print(
-                f"repro {args.command}: {flag} only applies with "
-                "--schedule adaptive",
-                file=sys.stderr,
-            )
-            return True
+def _schedule_misused(args) -> bool:
+    """The engine's schedule check (:func:`make_schedule`) as an exit-2
+    usage error, made before any task runs: True (after printing why)
+    means reject."""
+    try:
+        make_schedule(
+            args.schedule,
+            trial_budget=args.trial_budget,
+            time_budget_s=args.time_budget,
+        )
+    except ValueError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return True
     return False
 
 
@@ -356,7 +354,7 @@ def _cmd_fuzz(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
-    if _budgets_misused(args):
+    if _schedule_misused(args):
         return 2
     with _telemetry_scope(args) as telemetry:
         campaign = race_directed_test(
@@ -500,7 +498,7 @@ def _cmd_table1(args) -> int:
         render_measured,
     )
 
-    if _budgets_misused(args):
+    if _schedule_misused(args):
         return 2
     sizes = {}
     if args.quick:

@@ -579,7 +579,7 @@ def make_schedule(
     if spec != "adaptive" and (trial_budget is not None or time_budget_s is not None):
         raise ValueError(
             "a trial or time budget only applies to the 'adaptive' schedule, "
-            f"not {spec!r}"
+            f"not {'fixed' if spec is None else spec!r}"
         )
     if isinstance(spec, CampaignSchedule):
         return spec

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.runtime.interpreter import Execution, pick
+from repro.runtime.interpreter import Execution
 from repro.runtime.ops import Op, OpKind
 
 
@@ -58,7 +58,15 @@ class RandomScheduler(Scheduler):
             # An enabled thread always has a pending op.
             if ts.enabled and not ts.pending.is_sync:
                 return last
-        last = self._last = pick(execution.rng, enabled)
+        # pick(execution.rng, enabled) inlined, drawing the same bits;
+        # the engine never hands over an empty list.
+        getrandbits = execution.rng.getrandbits
+        n = len(enabled)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        last = self._last = enabled[r]
         return last
 
 

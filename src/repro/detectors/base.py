@@ -58,11 +58,14 @@ Predictive histories are unbounded (offline analysis can afford
 completeness).
 
 **One walk.**  A kernel handles each event once, whatever its set of
-configurations: one type dispatch, one :class:`EdgeClassifier`, and each
-clock family kept once — message clocks for ``hybrid``, message+lock
-clocks for ``happens-before``, spawn and SDP clocks shared by ``shb`` and
-``wcp`` (with their message, release and last-write snapshots).  Each
-location has up to two histories, each walked once per access:
+configurations: one dispatch on the event's class, one edge
+classification per RCV (:func:`~repro.detectors.edges.classify`), and
+each clock family kept once — message clocks for ``hybrid``,
+message+lock clocks for ``happens-before``, spawn and SDP clocks shared
+by ``shb`` and ``wcp`` (with their message, release and last-write
+snapshots).  A racing pair of statements is built once per execution
+and reused from a cache keyed by the two statements' ids.  Each location
+has up to two histories, each walked once per access:
 
 * the **observed** history, shared by ``hybrid`` and ``happens-before``:
   both keep the latest record per ``(tid, stmt, is_write, lockset)`` key
@@ -101,10 +104,11 @@ Phase 2 is ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.obs import maybe_telemetry
 from repro.runtime.events import (
+    Access,
     AcquireEvent,
     Event,
     MemEvent,
@@ -117,7 +121,7 @@ from repro.runtime.location import LockId
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.statement import Statement, StatementPair
 
-from .edges import SPAWN, EdgeClassifier
+from .edges import SPAWN, classify
 from .report import RaceReport, _program_name
 from .vectorclock import VectorClock
 
@@ -128,6 +132,8 @@ CONFIGURATIONS: dict[str, tuple[str, bool]] = {
     "shb": ("blanket", True),
     "wcp": ("consistent", True),
 }
+
+_WRITE = Access.WRITE
 
 # Clock families, as indices into a thread's clock list and a message's
 # snapshot list: hybrid's message clocks, happens-before's message+lock
@@ -200,7 +206,14 @@ class HistoryRaceDetector(ExecutionObserver):
             self._predictive,
             self._predictive,
         )
-        self._edges = EdgeClassifier()
+        #: event class -> bound handler (see :meth:`on_event`).
+        self._handlers: dict[type, Callable[[Event], None]] = {}
+        self._prev: Event | None = None
+        self._prev2: Event | None = None
+        #: (id(record stmt), id(access stmt)) -> their pair (see
+        #: :meth:`_pair`).  Ids are sound keys: each cached pair holds both
+        #: statements, so neither id can be reused while it is cached.
+        self._pairs: dict[tuple[int, int], StatementPair] = {}
         #: tid -> one clock per family (None for a family not kept).
         self._threads: dict[int, list[VectorClock | None]] = {}
         #: msg_id -> clock snapshots at SND time, one per family.
@@ -243,10 +256,10 @@ class HistoryRaceDetector(ExecutionObserver):
     def on_start(self, execution) -> None:
         """Reset every clock, history and counter for a new execution."""
         self._fresh_reports(_program_name(execution))
-        self._edges.reset()
+        self._prev = self._prev2 = None
         for state in (
             self._threads, self._messages, self._releases, self._locations,
-            self._overflowed,
+            self._overflowed, self._pairs,
         ):
             state.clear()
         self.soft_edges = 0
@@ -263,49 +276,72 @@ class HistoryRaceDetector(ExecutionObserver):
 
     def on_event(self, event: Event) -> None:
         """Check a memory access, or fold a synchronisation edge into the
-        clocks of every family kept."""
-        kind = self._edges.note(event) if self._predictive else None
-        if isinstance(event, MemEvent):
-            self._on_mem(event)
-        elif isinstance(event, SndEvent):
-            tid = event.tid
-            self._messages[event.msg_id] = [
-                None if clock is None else _publish(clock, tid)
-                for clock in self._thread(tid)
-            ]
-        elif isinstance(event, RcvEvent):
-            message = self._messages.get(event.msg_id)
-            if message is not None:
-                seen, order, spawn, strong = self._thread(event.tid)
-                if seen is not None:
-                    seen.join(message[_MESSAGE])
-                if order is not None:
-                    order.join(message[_ORDER])
-                if spawn is not None:
-                    # The strong order keeps every witnessed dependence;
-                    # the predictive reporting order only spawn edges.
-                    strong.join(message[_STRONG])
-                    if kind == SPAWN:
-                        spawn.join(message[_SPAWN])
-                    else:
-                        self.soft_edges += 1
-        elif isinstance(event, ThreadStartEvent):
-            self._thread(event.child)
-        elif isinstance(event, ReleaseEvent):
+        clocks of every family kept: one dispatch on the event's class."""
+        handler = self._handlers.get(event.__class__)
+        if handler is None:
+            handler = self._handler_for(event.__class__)
+        handler(event)
+        # The last two events, which classify a predictive RCV's edge.
+        self._prev2 = self._prev
+        self._prev = event
+
+    def _handler_for(self, cls: type) -> Callable[[Event], None]:
+        """The handler of the nearest event class ``cls`` derives from
+        (a no-op for an event no clock reads), cached for ``cls``."""
+        for base in cls.__mro__:
+            name = _HANDLER_NAMES.get(base)
+            if name is not None:
+                handler = getattr(self, name)
+                break
+        else:
+            handler = _ignore
+        self._handlers[cls] = handler
+        return handler
+
+    def _on_snd(self, event: SndEvent) -> None:
+        tid = event.tid
+        self._messages[event.msg_id] = [
+            None if clock is None else _publish(clock, tid)
+            for clock in self._thread(tid)
+        ]
+
+    def _on_rcv(self, event: RcvEvent) -> None:
+        message = self._messages.get(event.msg_id)
+        if message is None:
+            return
+        seen, order, spawn, strong = self._thread(event.tid)
+        if seen is not None:
+            seen.join(message[_MESSAGE])
+        if order is not None:
+            order.join(message[_ORDER])
+        if spawn is not None:
+            # The strong order keeps every witnessed dependence; the
+            # predictive reporting order only spawn edges.
+            strong.join(message[_STRONG])
+            if classify(event, self._prev, self._prev2) == SPAWN:
+                spawn.join(message[_SPAWN])
+            else:
+                self.soft_edges += 1
+
+    def _on_thread_start(self, event: ThreadStartEvent) -> None:
+        self._thread(event.child)
+
+    def _on_release(self, event: ReleaseEvent) -> None:
+        _, order, _, strong = self._thread(event.tid)
+        if order is not None or strong is not None:
+            self._releases[event.lock.uid] = (
+                None if order is None else _publish(order, event.tid),
+                None if strong is None else _publish(strong, event.tid),
+            )
+
+    def _on_acquire(self, event: AcquireEvent) -> None:
+        released = self._releases.get(event.lock.uid)
+        if released is not None:
             _, order, _, strong = self._thread(event.tid)
-            if order is not None or strong is not None:
-                self._releases[event.lock.uid] = (
-                    None if order is None else _publish(order, event.tid),
-                    None if strong is None else _publish(strong, event.tid),
-                )
-        elif isinstance(event, AcquireEvent):
-            released = self._releases.get(event.lock.uid)
-            if released is not None:
-                _, order, _, strong = self._thread(event.tid)
-                if order is not None:
-                    order.join(released[0])
-                if strong is not None:
-                    strong.join(released[1])
+            if order is not None:
+                order.join(released[0])
+            if strong is not None:
+                strong.join(released[1])
 
     def on_finish(self, execution) -> None:
         """Publish the truncation count and the predictive counters."""
@@ -324,6 +360,15 @@ class HistoryRaceDetector(ExecutionObserver):
 
     # ------------------------------------------------------------------ #
 
+    def _pair(self, first: Statement, second: Statement) -> StatementPair:
+        """The cached pair of two statements, in either order: one object
+        per pair, so a report's evidence lookup matches it by identity."""
+        pair = self._pairs.get((id(second), id(first)))
+        if pair is None:
+            pair = StatementPair(first, second)
+        self._pairs[(id(first), id(second))] = pair
+        return pair
+
     def _on_mem(self, event: MemEvent) -> None:
         """Walk each of the location's histories once: race the access
         against every record under each configuration, find the record of
@@ -332,11 +377,10 @@ class HistoryRaceDetector(ExecutionObserver):
         The walks read the clocks' component maps directly (``_clock``):
         they are the kernel's hot loop.
         """
-        tid = event.tid
-        location = event.location
-        held = event.locks_held
-        is_write = event.is_write
-        stmt = event.stmt
+        _, tid, stmt, location, access, held = event
+        is_write = access is _WRITE
+        pairs = self._pairs
+        sid = id(stmt)
         seen, order, spawn, strong = self._threads.get(tid) or self._thread(tid)
         state = self._locations.get(location.key)
         if state is None:
@@ -355,7 +399,7 @@ class HistoryRaceDetector(ExecutionObserver):
                 if rtid == tid:
                     if (
                         record.is_write is is_write
-                        and record.lockset == held
+                        and (record.lockset is held or record.lockset == held)
                         and (record.stmt is stmt or record.stmt == stmt)
                     ):
                         slot = record
@@ -369,7 +413,9 @@ class HistoryRaceDetector(ExecutionObserver):
                 )
                 racing_precise = order_of is not None and order_of(rtid, 0) < record.epoch2
                 if racing or racing_precise:
-                    pair = StatementPair(record.stmt, stmt)
+                    pair = pairs.get((id(record.stmt), sid))
+                    if pair is None:
+                        pair = self._pair(record.stmt, stmt)
                     tids = (rtid, tid)
                     both_write = record.is_write and is_write
                     if racing:
@@ -406,7 +452,7 @@ class HistoryRaceDetector(ExecutionObserver):
                 if rtid == tid:
                     if (
                         record.is_write is is_write
-                        and record.lockset == held
+                        and (record.lockset is held or record.lockset == held)
                         and (record.stmt is stmt or record.stmt == stmt)
                     ):
                         slot = record
@@ -421,7 +467,9 @@ class HistoryRaceDetector(ExecutionObserver):
                     racing = (consistent,)
                 else:
                     continue
-                pair = StatementPair(record.stmt, stmt)
+                pair = pairs.get((id(record.stmt), sid))
+                if pair is None:
+                    pair = self._pair(record.stmt, stmt)
                 tids = (rtid, tid)
                 both_write = record.is_write and is_write
                 schedulable = strong_of(rtid, 0) < record.epoch2
@@ -442,6 +490,21 @@ class HistoryRaceDetector(ExecutionObserver):
                 state.last_write = _publish(strong, tid)
             elif state.last_write is not None:
                 strong.join(state.last_write)
+
+
+def _ignore(event: Event) -> None:
+    """The handler of an event no clock reads (thread end, error, deadlock)."""
+
+
+#: event class -> the name of the kernel method that handles it.
+_HANDLER_NAMES = {
+    MemEvent: "_on_mem",
+    SndEvent: "_on_snd",
+    RcvEvent: "_on_rcv",
+    ThreadStartEvent: "_on_thread_start",
+    ReleaseEvent: "_on_release",
+    AcquireEvent: "_on_acquire",
+}
 
 
 class HybridRaceDetector(HistoryRaceDetector):

@@ -7,16 +7,17 @@ delivery all look identical to an observer.  The observed-order detectors
 treat them identically too — every RCV joins the receiver's clock, so a
 pair ordered by *any* message is never reported.  Only the predictive
 configurations of :class:`~repro.detectors.base.HistoryRaceDetector`
-consult the classifier.
+consult the classification.
 
 Predictive analysis needs to be choosier.  A spawn edge holds in every
 schedule (the child cannot run before it exists); a wakeup edge records
 which notify happened to pair with which wait *in this schedule*; a join
 edge is real in every schedule but orders exactly the post-join suffix
-that a near-complete predictor deliberately keeps speculating about.  The
-:class:`EdgeClassifier` recovers the kind of each RCV from its local
-stream context, using the interpreter's (stable, tested) emission
-patterns:
+that a near-complete predictor deliberately keeps speculating about.
+:func:`classify` recovers the kind of an RCV from the two events before
+it in the stream (the kernel remembers them; :class:`EdgeClassifier`
+does for a stream fed to it), using the interpreter's (stable, tested)
+emission patterns:
 
 * **spawn** — ``ThreadStartEvent(child=c)`` then ``SndEvent(parent, g)``
   then ``RcvEvent(c, g)``, all at one step (``Execution._create_thread``);
@@ -54,6 +55,26 @@ COMPLETION = "completion"
 EDGE_KINDS = (SPAWN, WAKEUP, COMPLETION)
 
 
+def classify(event: RcvEvent, prev: Event | None, prev2: Event | None) -> str:
+    """The edge kind of the RCV ``event``, given the two events before it
+    in the stream (None before the stream's start)."""
+    if (
+        isinstance(prev, SndEvent)
+        and prev.msg_id == event.msg_id
+        and prev.step == event.step
+        and isinstance(prev2, ThreadStartEvent)
+        and prev2.child == event.tid
+    ):
+        return SPAWN
+    if (
+        isinstance(prev, AcquireEvent)
+        and prev.tid == event.tid
+        and prev.step == event.step
+    ):
+        return WAKEUP
+    return COMPLETION
+
+
 class EdgeClassifier:
     """Streaming RCV-edge classifier over the last two events seen."""
 
@@ -74,26 +95,10 @@ class EdgeClassifier:
         """
         kind = None
         if isinstance(event, RcvEvent):
-            prev, prev2 = self._prev, self._prev2
-            if (
-                isinstance(prev, SndEvent)
-                and prev.msg_id == event.msg_id
-                and prev.step == event.step
-                and isinstance(prev2, ThreadStartEvent)
-                and prev2.child == event.tid
-            ):
-                kind = SPAWN
-            elif (
-                isinstance(prev, AcquireEvent)
-                and prev.tid == event.tid
-                and prev.step == event.step
-            ):
-                kind = WAKEUP
-            else:
-                kind = COMPLETION
+            kind = classify(event, self._prev, self._prev2)
         self._prev2 = self._prev
         self._prev = event
         return kind
 
 
-__all__ = ["EdgeClassifier", "SPAWN", "WAKEUP", "COMPLETION", "EDGE_KINDS"]
+__all__ = ["EdgeClassifier", "classify", "SPAWN", "WAKEUP", "COMPLETION", "EDGE_KINDS"]

@@ -127,11 +127,13 @@ class RaceReport:
         access under several configurations builds once."""
         existing = self.evidence.get(pair, _UNSEEN)
         if existing is not _UNSEEN and existing is not None:
+            # A detector witnesses a pair many times: merge the flags in
+            # line (what _merge_schedulable computes, without the call).
             existing.count += 1
-            existing.both_write = existing.both_write or both_write
-            existing.schedulable = _merge_schedulable(
-                existing.schedulable, schedulable
-            )
+            if both_write:
+                existing.both_write = True
+            if schedulable is not None and existing.schedulable is not True:
+                existing.schedulable = schedulable
             return False
         # New pair, or a supplied pair gaining its first dynamic witness.
         self.evidence[pair] = PairEvidence(

@@ -9,10 +9,16 @@ thread-lifecycle events, which the detectors and the harness use.
 Every event carries ``step``, the global step index at which it occurred,
 so observers can reconstruct the total order of the execution.
 
-All event classes are slotted: campaigns construct millions of them, and
-``__slots__`` dataclasses allocate no per-instance ``__dict__``.
+Every event class is an immutable tuple, built on ``namedtuple`` as
+:class:`~repro.runtime.ops.Op` is: campaigns construct millions of events,
+and the hot emit sites (``Execution._emit_mem``, the SND/RCV/ACQ/REL
+sites, ``EventDecoder.decode``) build each with one positional
+``tuple.__new__`` call, which runs no Python frame.  Field names and order
+are the constructor's parameters; :class:`Event` is the common base, so
+``isinstance`` dispatch and subclassing work as for any class.
 
-Events are pure value objects: every payload (statements, locations, lock
+Events are pure value objects: hashable, picklable, equal only to an
+event of the same class, and every payload (statements, locations, lock
 ids, errors) is a frozen dataclass of primitives, so a whole event stream
 pickles and round-trips through the :mod:`repro.trace` codec losslessly.
 In particular, uncaught simulated exceptions are carried as structured
@@ -24,10 +30,8 @@ exception constructors break naive re-raising).
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
-
-from .location import Location, LockId
-from .statement import Statement
 
 
 class Access(enum.Enum):
@@ -67,88 +71,102 @@ class ErrorInfo:
         return self.describe()
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """Base class for runtime events."""
+class Event(namedtuple("Event", ("step", "tid"))):
+    """Base class for runtime events: ``step`` and ``tid`` lead every event.
 
-    step: int
-    tid: int
+    An event is an immutable tuple of its fields (``type(event)._fields``),
+    built by keywords (``SndEvent(step=3, tid=0, msg_id=7)``), positionally,
+    or, on the hot paths, with one positional ``tuple.__new__`` call.  It
+    compares equal only to an event of the same class, so ``SndEvent(0, 0,
+    1) != RcvEvent(0, 0, 1)`` although the two tuples are equal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class MemEvent(Event):
+def _tuple_base(name: str, *fields: str, defaults: tuple = ()):
+    """The tuple base of one event class: ``step``, ``tid``, then ``fields``."""
+    return namedtuple(name, ("step", "tid") + fields, defaults=defaults)
+
+
+class MemEvent(
+    _tuple_base("MemEvent", "stmt", "location", "access", "locks_held"), Event
+):
     """``MEM(s, m, a, t, L)``: thread ``tid`` accessed location ``location``
-    at statement ``stmt`` holding the set of locks ``locks_held``."""
+    (a :class:`Location`) at statement ``stmt`` (a :class:`Statement`) with
+    ``access`` (an :class:`Access`), holding the set of locks
+    ``locks_held`` (a ``frozenset`` of :class:`LockId`)."""
 
-    stmt: Statement
-    location: Location
-    access: Access
-    locks_held: frozenset[LockId]
+    __slots__ = ()
 
     @property
     def is_write(self) -> bool:
         return self.access is Access.WRITE
 
 
-@dataclass(frozen=True, slots=True)
-class SndEvent(Event):
+class SndEvent(_tuple_base("SndEvent", "msg_id"), Event):
     """``SND(g, t)``: thread ``tid`` sent the message ``msg_id``."""
 
-    msg_id: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RcvEvent(Event):
+class RcvEvent(_tuple_base("RcvEvent", "msg_id"), Event):
     """``RCV(g, t)``: thread ``tid`` received the message ``msg_id``."""
 
-    msg_id: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class AcquireEvent(Event):
-    """Thread ``tid`` acquired ``lock`` (outermost acquisition only)."""
+class AcquireEvent(
+    _tuple_base("AcquireEvent", "lock", "stmt", defaults=(None,)), Event
+):
+    """Thread ``tid`` acquired ``lock`` (outermost acquisition only) at
+    ``stmt`` (None when unknown)."""
 
-    lock: LockId
-    stmt: Statement | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class ReleaseEvent(Event):
-    """Thread ``tid`` released ``lock`` (outermost release only)."""
-
-    lock: LockId
-    stmt: Statement | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ThreadStartEvent(Event):
+class ReleaseEvent(
+    _tuple_base("ReleaseEvent", "lock", "stmt", defaults=(None,)), Event
+):
+    """Thread ``tid`` released ``lock`` (outermost release only) at
+    ``stmt`` (None when unknown)."""
+
+    __slots__ = ()
+
+
+class ThreadStartEvent(_tuple_base("ThreadStartEvent", "child", "name"), Event):
     """A new thread ``child`` was spawned by ``tid`` (tid 0's start has tid 0)."""
 
-    child: int
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ThreadEndEvent(Event):
-    """Thread ``tid`` terminated; ``error`` describes its uncaught
-    exception, if any."""
+class ThreadEndEvent(_tuple_base("ThreadEndEvent", "error"), Event):
+    """Thread ``tid`` terminated; ``error`` (an :class:`ErrorInfo`, or
+    None) describes its uncaught exception, if any."""
 
-    error: ErrorInfo | None
-
-
-@dataclass(frozen=True, slots=True)
-class ErrorEvent(Event):
-    """An uncaught simulated exception escaped thread ``tid`` at ``stmt``."""
-
-    stmt: Statement | None
-    error: ErrorInfo
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DeadlockEvent(Event):
-    """Execution ended with live but permanently blocked threads."""
+class ErrorEvent(_tuple_base("ErrorEvent", "stmt", "error"), Event):
+    """An uncaught simulated exception (``error``, an :class:`ErrorInfo`)
+    escaped thread ``tid`` at ``stmt`` (a :class:`Statement`, or None)."""
 
-    blocked: tuple[int, ...]
+    __slots__ = ()
+
+
+class DeadlockEvent(_tuple_base("DeadlockEvent", "blocked"), Event):
+    """Execution ended with live but permanently blocked threads: the
+    tuple ``blocked`` of their tids."""
+
+    __slots__ = ()
 
 
 __all__ = [

@@ -55,7 +55,8 @@ work is kept to integer/identity operations:
   Python object; the lock table is keyed by ``LockId.uid``.
 * **One draw helper** — :func:`pick` is ``seq[rng.randrange(len(seq))]``
   with ``randrange``'s bit loop inlined; every scheduling draw uses its
-  bits (the postponing driver's choice inlines it once more).
+  bits (the postponing driver's choice and ``RandomScheduler.choose``,
+  one draw per executed op, inline it once more).
 * **Lazy interned statements** — the yield site is captured as a raw
   ``(code, line)`` pair at resume time, from the thread's last innermost
   generator while that one is suspended and delegates to nothing (else
@@ -65,10 +66,13 @@ work is kept to integer/identity operations:
   actually needs it.
 * **Observer tiers** — ``_observing`` (any observer) and ``_observe_mem``
   (an observer that wants MemEvents) are resolved once per execution; with
-  no observer attached, a step allocates no event objects at all, and the
-  ``locks.held_by()`` frozenset snapshot is only built when a MemEvent is
-  actually constructed.  Phase 2 runs RaceFuzzer with no observer: its
-  postponing loop reads ops and statements directly, never events.
+  no observer attached, a step allocates no event objects at all.  An
+  event is one positional ``tuple.__new__`` call, and its lockset is the
+  thread's current ``locks.held_by()`` frozenset, which the lock table
+  rebuilds only after the thread's outermost held locks change; a lone
+  observer gets each event straight from ``ObserverChain.deliver``.
+  Phase 2 runs RaceFuzzer with no observer: its postponing loop reads ops
+  and statements directly, never events.
 * **Int-indexed metrics** — per-kind tallies live in a plain list indexed
   by ``kind_index`` and fold into the telemetry once, at ``finish()``.
 """
@@ -128,6 +132,9 @@ _TERMINATED = ThreadStatus.TERMINATED
 
 #: index of the synthetic "wake" tally slot (after the real op kinds).
 _WAKE_SLOT = len(KIND_VALUES)
+
+#: builds an event from its fields in order (see :mod:`repro.runtime.events`).
+_new = tuple.__new__
 
 #: ``Execution._wake_next`` when no thread has a deadline.
 _NEVER = 1 << 62
@@ -278,6 +285,7 @@ class Execution:
         self._start_time = 0.0
         self.observer = ObserverChain(observers)
         self._observing = bool(self.observer.observers)
+        self._deliver = self.observer.deliver
         self._observe_mem = self._observing and self.observer.wants_mem_events
         # Dispatch: one bound handler per OpKind, indexed by Op.kind_index
         # (None for READ, WRITE and YIELD, which _execute runs inline).
@@ -326,7 +334,7 @@ class Execution:
             self.result.deadlock = True
             self.result.deadlocked_tids = tuple(alive)
             if self._observing:
-                self.observer.on_event(
+                self._deliver(
                     DeadlockEvent(step=self.step_count, tid=-1, blocked=tuple(alive))
                 )
         self.result.steps = self.step_count
@@ -696,24 +704,18 @@ class Execution:
         if outermost:
             self._lock_moved(op.lock, False)
             if self._observing:
-                self.observer.on_event(
-                    AcquireEvent(
-                        step=self.step_count, tid=ts.tid, lock=op.lock,
-                        stmt=self._stmt(ts),
-                    )
-                )
+                self._deliver(_new(
+                    AcquireEvent, (self.step_count, ts.tid, op.lock, self._stmt(ts))
+                ))
         return None
 
     def _do_unlock(self, ts: ThreadState, op: Op) -> None:
         if self.locks.release(op.lock, ts.tid):  # fully released
             self._lock_moved(op.lock, True)
             if self._observing:
-                self.observer.on_event(
-                    ReleaseEvent(
-                        step=self.step_count, tid=ts.tid, lock=op.lock,
-                        stmt=self._stmt(ts),
-                    )
-                )
+                self._deliver(_new(
+                    ReleaseEvent, (self.step_count, ts.tid, op.lock, self._stmt(ts))
+                ))
         return None
 
     def _do_wait(self, ts: ThreadState, op: Op) -> Any:
@@ -727,11 +729,8 @@ class Execution:
         ts.wake_at = self.step_count + op.duration if op.duration else 0
         depth = self.locks.release_all(op.lock, ts.tid)
         if self._observing:
-            self.observer.on_event(
-                ReleaseEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
-                )
+            self._deliver(
+                _new(ReleaseEvent, (self.step_count, ts.tid, op.lock, self._stmt(ts)))
             )
         self.locks.park_waiter(op.lock, ts.tid)
         ts.status = _WAITING
@@ -780,7 +779,7 @@ class Execution:
         ts.join_target = None
         msg = self._term_msg.get(target)
         if msg is not None and self._observing:
-            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
+            self._deliver(_new(RcvEvent, (self.step_count, ts.tid, msg)))
         return None
 
     def _do_sleep(self, ts: ThreadState, op: Op) -> Any:
@@ -811,8 +810,8 @@ class Execution:
             ts.interrupt_flag = False
             msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
             if msg is not None and self._observing:
-                self.observer.on_event(
-                    RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg)
+                self._deliver(
+                    _new(RcvEvent, (self.step_count, ts.tid, msg))
                 )
             ts.waiting_on = None
             return _Throw(InterruptedException(f"{ts.name} interrupted"))
@@ -852,15 +851,12 @@ class Execution:
         del self._contending[ts.tid]
         self._lock_moved(op.lock, False)
         if self._observing:
-            self.observer.on_event(
-                AcquireEvent(
-                    step=self.step_count, tid=ts.tid, lock=op.lock,
-                    stmt=self._stmt(ts),
-                )
+            self._deliver(
+                _new(AcquireEvent, (self.step_count, ts.tid, op.lock, self._stmt(ts)))
             )
         msg = ts.waiting_on if isinstance(ts.waiting_on, int) else None
         if msg is not None and self._observing:
-            self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
+            self._deliver(_new(RcvEvent, (self.step_count, ts.tid, msg)))
         ts.waiting_on = None
         ts.wait_depth = 0
         if ts.deliver_interrupt:
@@ -908,16 +904,16 @@ class Execution:
     def _snd(self, tid: int) -> int:
         msg = self.fresh_msg()
         if self._observing:
-            self.observer.on_event(SndEvent(step=self.step_count, tid=tid, msg_id=msg))
+            self._deliver(_new(SndEvent, (self.step_count, tid, msg)))
         return msg
 
     def _emit_mem(self, ts: ThreadState, op: Op, access: Access) -> None:
         # Only reached when an observer wants MemEvents (_observe_mem).
-        self.observer.on_event(
-            MemEvent(
+        self._deliver(
+            _new(MemEvent, (
                 self.step_count, ts.tid, self._stmt(ts), op.location, access,
                 self.locks.held_by(ts.tid),
-            )
+            ))
         )
 
     def _create_thread(self, gen, name: str, parent: int | None) -> ThreadState:
@@ -927,7 +923,7 @@ class Execution:
         self.threads[tid] = ts
         self._live.append(ts)
         if self._observing:
-            self.observer.on_event(
+            self._deliver(
                 ThreadStartEvent(
                     step=self.step_count, tid=parent if parent is not None else tid,
                     child=tid, name=ts.name,
@@ -939,8 +935,8 @@ class Execution:
             # receiving at its first step, and far simpler.
             msg = self._snd(parent)
             if self._observing:
-                self.observer.on_event(
-                    RcvEvent(step=self.step_count, tid=tid, msg_id=msg)
+                self._deliver(
+                    _new(RcvEvent, (self.step_count, tid, msg))
                 )
         # send(None) primes a fresh body.  The base method is named so that
         # a subclass hooking _execute sees executed ops only.
@@ -976,13 +972,13 @@ class Execution:
             )
             self.result.crashes.append(crash)
             if self._observing:
-                self.observer.on_event(
+                self._deliver(
                     ErrorEvent(step=self.step_count, tid=ts.tid, stmt=stmt, error=info)
                 )
         # Termination message: join edges receive from this.
         self._term_msg[ts.tid] = self._snd(ts.tid)
         if self._observing:
-            self.observer.on_event(
+            self._deliver(
                 ThreadEndEvent(step=self.step_count, tid=ts.tid, error=info)
             )
 

@@ -32,6 +32,13 @@ class LockTable:
     The monitors dict is keyed by ``LockId.uid``, the whole of a lock's
     identity, so a lookup hashes an int in C rather than calling
     ``LockId.__hash__``.
+
+    Each thread's lockset is kept as one ``frozenset``: an outermost
+    :meth:`acquire`, a full :meth:`release` or a :meth:`release_all`
+    marks it stale, and :meth:`held_by` rebuilds a stale one once.  Until
+    the thread's held locks change, :meth:`held_by` returns the same
+    object, so a MEM event costs no set construction, and a run without
+    an observer builds no lockset at all.
     """
 
     def __init__(self) -> None:
@@ -39,6 +46,8 @@ class LockTable:
         #: locks currently held by each thread, as a multiset-ish ordered list
         #: of outermost acquisitions (used for MEM-event locksets).
         self._held: dict[int, list[LockId]] = {}
+        #: ``frozenset(self._held[tid])``, or None once that list changed.
+        self._locksets: dict[int, frozenset[LockId] | None] = {}
 
     def monitor(self, lock: LockId) -> MonitorState:
         state = self._monitors.get(lock.uid)
@@ -72,6 +81,7 @@ class LockTable:
         state.depth += depth
         if outermost:
             self._held.setdefault(tid, []).append(lock)
+            self._locksets[tid] = None
         return outermost
 
     def release(self, lock: LockId, tid: int) -> bool:
@@ -85,6 +95,7 @@ class LockTable:
         if state.depth == 0:
             state.owner = None
             self._held[tid].remove(lock)
+            self._locksets[tid] = None
             return True
         return False
 
@@ -97,14 +108,19 @@ class LockTable:
         state.owner = None
         state.depth = 0
         self._held[tid].remove(lock)
+        self._locksets[tid] = None
         return depth
 
     def holds(self, lock: LockId, tid: int) -> bool:
         return self.monitor(lock).owner == tid
 
     def held_by(self, tid: int) -> frozenset[LockId]:
-        """The lockset ``L`` attached to MEM events of thread ``tid``."""
-        return frozenset(self._held.get(tid, ()))
+        """The lockset ``L`` attached to MEM events of thread ``tid``: one
+        shared object until the thread's held locks change."""
+        locks = self._locksets.get(tid)
+        if locks is None:
+            locks = self._locksets[tid] = frozenset(self._held.get(tid, ()))
+        return locks
 
     def park_waiter(self, lock: LockId, tid: int) -> None:
         self.monitor(lock).wait_set.append(tid)

@@ -40,6 +40,15 @@ class ObserverChain(ExecutionObserver):
         self.observers = list(observers)
 
     @property
+    def deliver(self):
+        """A callable that hands one event to every observer: a lone
+        observer's own ``on_event``, which spares every event the chain's
+        loop, else the chain's."""
+        if len(self.observers) == 1:
+            return self.observers[0].on_event
+        return self.on_event
+
+    @property
     def wants_mem_events(self) -> bool:  # type: ignore[override]
         return any(obs.wants_mem_events for obs in self.observers)
 

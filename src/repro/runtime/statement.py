@@ -22,7 +22,8 @@ Hot-path notes
 Statements are the single most-allocated value object in an execution (one
 per step in the naive design), so the engine goes through the interning
 helpers below instead of the constructor: :func:`statement_at` caches one
-``Statement`` per ``(code object, line)`` site and :func:`label_statement`
+``Statement`` per ``(code object, line)`` site, keyed by the code
+object's id, and :func:`label_statement`
 one per label string.  Interned instances also cache their hash, so the
 race-set membership test RaceFuzzer performs at every sync point costs one
 dict probe with a precomputed hash.
@@ -71,6 +72,11 @@ class Statement:
             h = hash((self.file, self.line, self.label))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        # The cached hash stays out of the pickle: it is only valid under
+        # the hash seed of the process that computed it.
+        return (Statement, (self.file, self.line, self.func, self.label))
 
     @property
     def site(self) -> str:
@@ -135,12 +141,27 @@ class StatementPair:
 
     first: Statement
     second: Statement
+    #: lazily computed hash, as :class:`Statement` caches its own.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, b = self.first, self.second
         if _sort_key(b) < _sort_key(a):
             object.__setattr__(self, "first", b)
             object.__setattr__(self, "second", a)
+
+    def __hash__(self) -> int:
+        # The generated dataclass hash, computed once: a report hashes
+        # the pair on every witness of it.
+        h = self._hash
+        if h is None:
+            h = hash((self.first, self.second))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # Like Statement's, the cached hash stays out of the pickle.
+        return (StatementPair, (self.first, self.second))
 
     def __contains__(self, stmt: Statement) -> bool:
         return stmt == self.first or stmt == self.second
@@ -178,7 +199,8 @@ def _sort_key(stmt: Statement) -> tuple[str, str, int]:
 # sites / distinct labels), not by execution length.
 # --------------------------------------------------------------------- #
 
-_SITE_CACHE: dict[tuple, Statement] = {}
+#: ``id(code)`` -> (the code object, {line: its Statement}).
+_SITE_CACHE: dict[int, tuple[object, dict[int, Statement]]] = {}
 _LABEL_CACHE: dict[str, Statement] = {}
 
 #: sentinel site for an op attributed to an already-finished generator
@@ -193,13 +215,20 @@ def statement_at(code, line: int) -> Statement:
     the raw ``(f_code, f_lineno)`` pair at yield time (two attribute reads)
     and materializes the statement here only when something actually needs
     it — an event, a race-set probe, a crash report.
+
+    The cache is keyed by ``id(code)``, so a lookup hashes no code object
+    (a code object's hash walks its fields).  Each entry holds its code
+    object, so that id cannot be reused while the entry exists.
     """
-    key = (code, line)
-    stmt = _SITE_CACHE.get(key)
+    entry = _SITE_CACHE.get(id(code))
+    if entry is None:
+        entry = _SITE_CACHE[id(code)] = (code, {})
+    stmt = entry[1].get(line)
     if stmt is None:
         func = getattr(code, "co_qualname", code.co_name)
-        stmt = Statement(file=code.co_filename, line=line, func=func)
-        _SITE_CACHE[key] = stmt
+        stmt = entry[1][line] = Statement(
+            file=code.co_filename, line=line, func=func
+        )
     return stmt
 
 

@@ -90,8 +90,9 @@ def replay_events(
     chain = ObserverChain(observers)
     source = ReplaySource(program)
     chain.on_start(source)
+    deliver = chain.deliver
     for event in events:
-        chain.on_event(event)
+        deliver(event)
     chain.on_finish(source)
     return chain.observers
 

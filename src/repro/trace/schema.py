@@ -232,6 +232,9 @@ MEM, SND, RCV, ACQ, REL, TS, TE, ERR, DL = range(9)
 _WRITE = Access.WRITE
 _READ = Access.READ
 
+#: builds an event from its fields in order (see :mod:`repro.runtime.events`).
+_new = tuple.__new__
+
 
 def _ref(table: dict, value, display: str):
     """``value``'s id in ``table``, or its ``[id, token]`` definition.
@@ -398,24 +401,28 @@ class EventDecoder:
                     locks = self._locksets[locks]
                 else:
                     locks = _define(self._locksets, locks, self._lockset)
-                return MemEvent(step, tid, stmt, loc, _WRITE if write else _READ, locks)
+                access = _WRITE if write else _READ
+                return _new(MemEvent, (step, tid, stmt, loc, access, locks))
             step, tid = row[1], row[2]
             if kind == SND:
-                return SndEvent(step, tid, row[3])
+                return _new(SndEvent, (step, tid, row[3]))
             if kind == RCV:
-                return RcvEvent(step, tid, row[3])
+                return _new(RcvEvent, (step, tid, row[3]))
             if kind == ACQ:
-                return AcquireEvent(step, tid, self._lock(row[3]), self._stmt(row[4]))
+                lock, stmt = self._lock(row[3]), self._stmt(row[4])
+                return _new(AcquireEvent, (step, tid, lock, stmt))
             if kind == REL:
-                return ReleaseEvent(step, tid, self._lock(row[3]), self._stmt(row[4]))
+                lock, stmt = self._lock(row[3]), self._stmt(row[4])
+                return _new(ReleaseEvent, (step, tid, lock, stmt))
             if kind == TS:
-                return ThreadStartEvent(step, tid, row[3], row[4])
+                return _new(ThreadStartEvent, (step, tid, row[3], row[4]))
             if kind == TE:
-                return ThreadEndEvent(step, tid, _decode_error(row[3]))
+                return _new(ThreadEndEvent, (step, tid, _decode_error(row[3])))
             if kind == ERR:
-                return ErrorEvent(step, tid, self._stmt(row[3]), _decode_error(row[4]))
+                stmt, error = self._stmt(row[3]), _decode_error(row[4])
+                return _new(ErrorEvent, (step, tid, stmt, error))
             if kind == DL:
-                return DeadlockEvent(step, tid, tuple(row[3]))
+                return _new(DeadlockEvent, (step, tid, tuple(row[3])))
         except KeyError as exc:
             # _define and _decode_error raise their own errors, so a bare
             # KeyError here is a lookup of an id no earlier row defined.

@@ -1,10 +1,11 @@
-"""Step cost: CPython bytecodes per executed op on each scheduling path.
+"""Step cost: CPython bytecodes per executed op on each scheduling path,
+and per delivered event on Phase 1's event path.
 
 Every campaign bottoms out in one loop: pick an enabled thread, step it.
 Wall time is too noisy on a shared host to gate that loop, but the number
 of bytecodes the interpreter executes per executed op is exact and
 repeatable for fixed seeds (and the same under any hash seed).  This script counts
-them with ``sys.settrace`` opcode events for three paths on four Table-1
+them with ``sys.settrace`` opcode events for four paths on four Table-1
 rows (linkedlist, jigsaw, moldyn, weblech):
 
 * ``phase2``: RaceFuzzer trials of every Phase-1 pair (Phase 1 itself is
@@ -12,14 +13,21 @@ rows (linkedlist, jigsaw, moldyn, weblech):
 * ``default``: ``DefaultScheduler`` baseline runs;
 * ``random_every``: ``RandomScheduler("every")`` runs, the scheduler of
   Phase 1 and of the Hybrid timing run (here without an observer, so the
-  count is the engine's and not a detector's).
+  count is the engine's and not a detector's);
+* ``phase1``: Phase 1's event path, counted per delivered event over two
+  passes of each row's Phase-1 seeds: the live run with the four kernel
+  detectors attached (engine, event construction and detectors), and the
+  in-memory replay of the same events through fresh detectors (the
+  detectors alone).
 
 An executed op is one call of ``Execution._execute`` (a call that only
-primes a new thread's body executes none).  Each path reports
-its ops, its bytecodes per op and the functions that spend the most
-bytecodes per op.  On CPython 3.11 the script exits 1 when a path is above
-its bound in :data:`BOUNDS`; other versions report without the gate,
-since bytecode counts differ between interpreter versions.
+primes a new thread's body executes none); a delivered event is one call
+of ``HistoryRaceDetector.on_event``.  Each path reports its ops (or
+events), its bytecodes per op (or event) and the functions that spend
+the most bytecodes per unit; ``phase1`` also reports each pass alone.
+On CPython 3.11 the script exits 1 when a path is above its bound in
+:data:`BOUNDS`; other versions report without the gate, since bytecode
+counts differ between interpreter versions.
 
 Bytecodes miss work done in C, such as matching keyword arguments against
 a long parameter list.  So the output also times one ``ops.write`` call
@@ -42,21 +50,35 @@ from collections import Counter
 from repro import workloads
 from repro.core import RaceFuzzer, detect_races
 from repro.core.schedulers import DefaultScheduler, RandomScheduler
+from repro.detectors import HistoryRaceDetector, make_detectors
 from repro.runtime.interpreter import Execution
+from repro.runtime.observer import EventTrace
+from repro.trace.replay import replay_events
 from repro.runtime.location import VarLoc, fresh_uid
 from repro.runtime.ops import write
 
 ROWS = ("linkedlist", "jigsaw", "moldyn", "weblech")
 
+#: the detectors of the ``phase1`` path: every kernel configuration.
+DETECTORS = ("hybrid", "happens-before", "shb", "wcp")
+
 #: trial seeds per Phase-1 pair, and run seeds per passive scheduler.
 PHASE2_SEEDS = range(4)
 PASSIVE_SEEDS = range(3)
 
-#: bytecodes per executed op on CPython 3.11: the value measured with
-#: positional op construction, the C-keyed heap and the one resume site
-#: (315.7, 260.5 and 287.5; with the maintained enabled set alone 365.8,
-#: 306.8 and 332.8; before it, 482.3, 566.1 and 588.3), plus 5%.
-BOUNDS = {"phase2": 331.5, "default": 273.5, "random_every": 301.9}
+#: bytecodes per executed op (``phase1``: per delivered event) on CPython
+#: 3.11, each the measured value plus 5%.  Per op: with positional op
+#: construction, the C-keyed heap and the one resume site, 315.7, 260.5
+#: and 287.5 (with the maintained enabled set alone 365.8, 306.8 and
+#: 332.8; before it, 482.3, 566.1 and 588.3); random-every 283.3 once
+#: ``RandomScheduler.choose`` drew in line.  Per event: 744.4 with tuple
+#: events, per-thread locksets and the kernel's pair cache (927.9 before).
+BOUNDS = {
+    "phase2": 331.5,
+    "default": 273.5,
+    "random_every": 297.5,
+    "phase1": 781.6,
+}
 
 #: functions listed per path.
 TOP = 8
@@ -67,12 +89,17 @@ WRITE_CALLS = 200_000
 
 
 class Tally:
-    """Opcode events per code object, and ``_execute`` calls."""
+    """Opcode events per code object, and calls of the unit: executed ops
+    (``_execute`` calls), or with ``unit="event"`` delivered events
+    (``HistoryRaceDetector.on_event`` calls)."""
 
-    def __init__(self) -> None:
+    def __init__(self, unit: str = "op") -> None:
         self.by_code: Counter = Counter()
         self.ops = 0
-        self._execute = Execution._execute.__code__
+        self.unit = unit
+        self._unit_code = (
+            Execution._execute if unit == "op" else HistoryRaceDetector.on_event
+        ).__code__
 
     def _local(self, frame, event, arg):
         if event == "opcode":
@@ -81,7 +108,9 @@ class Tally:
 
     def _global(self, frame, event, arg):
         frame.f_trace_opcodes = True
-        if frame.f_code is self._execute and not frame.f_locals["prime"]:
+        if frame.f_code is self._unit_code and (
+            self.unit != "op" or not frame.f_locals["prime"]
+        ):
             self.ops += 1
         return self._local
 
@@ -94,7 +123,7 @@ class Tally:
 
     def report(self) -> dict:
         if not self.ops:
-            raise SystemExit("step_cost: no Execution._execute call was traced")
+            raise SystemExit(f"step_cost: no {self.unit} was traced")
         total = sum(self.by_code.values())
         top = [
             [f"{os.path.basename(code.co_filename)}:"
@@ -103,8 +132,8 @@ class Tally:
             for code, count in self.by_code.most_common(TOP)
         ]
         return {
-            "ops": self.ops,
-            "bytecodes_per_op": round(total / self.ops, 1),
+            f"{self.unit}s": self.ops,
+            f"bytecodes_per_{self.unit}": round(total / self.ops, 1),
             "top": top,
         }
 
@@ -131,6 +160,36 @@ def passive(tally: Tally, make_scheduler) -> None:
             tally.run(execution.run, make_scheduler())
 
 
+def phase1() -> dict:
+    """The ``phase1`` row: both passes together, then each alone."""
+    live, replay = Tally("event"), Tally("event")
+    for name in ROWS:
+        spec = workloads.get(name)
+        program = spec.build()
+        for seed in spec.phase1_seeds:
+            observers, _ = make_detectors(DETECTORS)
+            execution = Execution(
+                program, seed=seed, max_steps=spec.max_steps, observers=observers
+            )
+            live.run(execution.run, RandomScheduler("every"))
+            trace = EventTrace()
+            Execution(
+                program, seed=seed, max_steps=spec.max_steps, observers=[trace]
+            ).run(RandomScheduler("every"))
+            observers, _ = make_detectors(DETECTORS)
+            replay.run(replay_events, trace.events, observers)
+    both = Tally("event")
+    for tally in (live, replay):
+        both.by_code.update(tally.by_code)
+        both.ops += tally.ops
+    row = both.report()
+    row["passes"] = {
+        "live": live.report()["bytecodes_per_event"],
+        "replay": replay.report()["bytecodes_per_event"],
+    }
+    return row
+
+
 def write_ns() -> float:
     """Nanoseconds per ``ops.write(location, value)`` call, best loop."""
     location = VarLoc(fresh_uid(), "x")
@@ -155,10 +214,12 @@ def main() -> int:
         tally = Tally()
         measure(tally)
         paths[path] = tally.report()
+    paths["phase1"] = phase1()
     gated = sys.version_info[:2] == (3, 11)
     over = [
         path for path, row in paths.items()
-        if row["bytecodes_per_op"] > BOUNDS[path]
+        if row["bytecodes_per_event" if path == "phase1" else "bytecodes_per_op"]
+        > BOUNDS[path]
     ]
     print(json.dumps({
         "python": sys.version.split()[0],

@@ -1,7 +1,13 @@
 """Statement identity and pair normalization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.runtime import EventTrace, MemEvent, ops
-from repro.runtime.statement import Statement, StatementPair
+from repro.runtime.statement import Statement, StatementPair, statement_at
 
 from tests.conftest import run_single
 from repro.runtime.sugar import SharedVar
@@ -120,3 +126,66 @@ class TestStatementDerivation:
         run_single(body, observers=[trace])
         stmts = {event.stmt for event in trace.of_type(MemEvent)}
         assert len(stmts) == 1
+
+
+#: run under one hash seed: pickle a statement and a pair whose hashes
+#: were computed (and cached) first.
+_WRITE = """
+import pickle, sys
+from repro.runtime.statement import Statement, StatementPair
+stmt = Statement(file="prog.py", line=7, func="worker")
+pair = StatementPair(stmt, Statement(label="t2:9"))
+hash(stmt), hash(pair)
+sys.stdout.buffer.write(pickle.dumps((stmt, pair)))
+"""
+
+#: run under another: the unpickled values must behave as fresh ones.
+_READ = """
+import pickle, sys
+from repro.runtime.statement import Statement, StatementPair
+stmt, pair = pickle.loads(sys.stdin.buffer.read())
+fresh = Statement(file="prog.py", line=7, func="worker")
+fresh_pair = StatementPair(fresh, Statement(label="t2:9"))
+for old, new in ((stmt, fresh), (pair, fresh_pair)):
+    assert old == new and hash(old) == hash(new), (old, new)
+    assert old in {new} and len({old: 1, new: 2}) == 1
+print("ok")
+"""
+
+
+def _python(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin, env=env, capture_output=True, check=True,
+    ).stdout
+
+
+class TestPickling:
+    def test_pickles_carry_no_cached_hash(self):
+        """A spawn or forkserver worker has its own hash seed: a hash
+        cached under the parent's must not travel with the value."""
+        pickled = _python(_WRITE, "1")
+        assert _python(_READ, "2", stdin=pickled).strip() == b"ok"
+
+    def test_round_trip_recomputes_the_hash(self):
+        import pickle
+
+        pair = StatementPair(Statement(file="a.py", line=1), Statement(label="b"))
+        hash(pair)
+        clone = pickle.loads(pickle.dumps(pair))
+        assert clone._hash is None and clone.first._hash is None
+        assert clone == pair and hash(clone) == hash(pair)
+
+
+class TestStatementAt:
+    def test_one_statement_per_site(self):
+        code = TestStatementAt.test_one_statement_per_site.__code__
+        first = statement_at(code, 3)
+        assert statement_at(code, 3) is first
+        assert statement_at(code, 4) is not first
+        assert first.func == code.co_qualname
+        assert first.file == code.co_filename and first.line == 3
