@@ -6,13 +6,11 @@ Commands:
 * ``run``      — one execution of a workload under a passive scheduler;
 * ``detect``   — Phase 1: report potentially racing statement pairs
   (``--trace-dir`` fills a trace store: each seed's execution is recorded
-  once and every report replays it);
-* ``analyze``  — run detectors offline over recorded trace files;
+  once and every report replays it; a corrupt entry is quarantined and
+  re-recorded);
 * ``fuzz``     — the full two-phase RaceFuzzer campaign;
-* ``replay``   — re-run one (pair, seed) with a rendered interleaving;
-* ``store``    — trace-store maintenance: ``gc`` enforces a disk budget,
-  ``verify`` integrity-checks every entry (optionally quarantining the
-  damaged ones);
+* ``replay``   — re-run one (pair, seed) with a rendered interleaving,
+  rebuilt from the seed alone;
 * ``stats``    — render a ``--metrics-out`` run report as tables:
   counters, the detector funnel and each fuzzed pair's outcome;
 * ``trace-export`` — render a run report's timeline as Chrome
@@ -42,7 +40,7 @@ from repro.core import (
     race_directed_test,
 )
 from repro.core.driver import open_campaign
-from repro.core.parallel import check_detectors
+from repro.core.parallel import ParallelCampaign, check_detectors
 from repro.core.replay import replay_race
 from repro.core.schedulers import BASELINE_SCHEDULERS
 from repro.core.traceview import format_replay
@@ -80,31 +78,6 @@ def _checked_detectors(names: list[str]) -> list[str] | None:
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return None
-
-
-_SIZE_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
-
-
-def _parse_size(text: str) -> int:
-    """A byte count with an optional binary suffix: ``4096``, ``512K``,
-    ``10M``, ``1G`` (``B`` tolerated, case-insensitive)."""
-    raw = text.strip().lower()
-    if raw.endswith("b"):
-        raw = raw[:-1]
-    factor = 1
-    if raw and raw[-1] in _SIZE_SUFFIXES:
-        factor = _SIZE_SUFFIXES[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = float(raw) if "." in raw else int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid size {text!r} (use e.g. 4096, 512K, 10M, 1G)"
-        )
-    size = int(value * factor)
-    if size <= 0:
-        raise argparse.ArgumentTypeError(f"size must be positive, got {text!r}")
-    return size
 
 
 def _bounded(convert, low, *, strict: bool = False):
@@ -172,16 +145,18 @@ def _engine_settings(args) -> dict:
     return settings
 
 
-def _schedule_misused(args) -> bool:
-    """The engine's schedule check (:func:`make_schedule`) as an exit-2
-    usage error, made before any task runs: True (after printing why)
-    means reject."""
+def _settings_misused(args) -> bool:
+    """The engine's checks of a campaign's schedule (:func:`make_schedule`)
+    and settings (:class:`ParallelCampaign`, which starts no pool until a
+    batch runs) as an exit-2 usage error, made before any task runs: True
+    (after printing why) means reject."""
     try:
         make_schedule(
             args.schedule,
             trial_budget=args.trial_budget,
             time_budget_s=args.time_budget,
         )
+        ParallelCampaign(**_engine_settings(args)).close()
     except ValueError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return True
@@ -221,12 +196,6 @@ def _cmd_detect(args) -> int:
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
-    if args.store_quota is not None and args.trace_dir is None:
-        print(
-            "repro detect: --store-quota only applies with --trace-dir",
-            file=sys.stderr,
-        )
-        return 2
     seeds = range(args.seeds)
     # The trace-store stats line rides on the telemetry stream, so a
     # --trace-dir run collects even without an output flag.  The engine is
@@ -236,14 +205,17 @@ def _cmd_detect(args) -> int:
         with open_campaign(
             {spec.name: spec.build()}, **_engine_settings(args)
         ) as (engine, [name]):
-            report = engine.detect(
-                name,
-                detector=detectors[0] if len(detectors) == 1 else detectors,
-                seeds=seeds,
-                max_steps=spec.max_steps,
-                trace_dir=args.trace_dir,
-                store_quota=args.store_quota,
-            )
+            try:
+                report = engine.detect(
+                    name,
+                    detector=detectors[0] if len(detectors) == 1 else detectors,
+                    seeds=seeds,
+                    max_steps=spec.max_steps,
+                    trace_dir=args.trace_dir,
+                )
+            except ValueError as error:  # rejected before any task ran
+                print(f"repro detect: {error}", file=sys.stderr)
+                return 2
             failures = list(engine.failures)
     if isinstance(report, dict):
         # One section per requested detector, all fed by the same
@@ -286,75 +258,12 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    from pathlib import Path
-
-    from repro.core.traceview import format_trace_file
-    from repro.trace import TraceSchemaError, TraceStore, analyze_trace
-
-    target = Path(args.path)
-    if not target.exists():
-        print(f"no such trace file or store: {target}", file=sys.stderr)
-        return 2
-    paths = TraceStore(target).entries() if target.is_dir() else [target]
-    if not paths:
-        print(f"no traces under {target}", file=sys.stderr)
-        return 2
-    detectors = _checked_detectors(args.detector or ["hybrid"])
-    if detectors is None:
-        return 2
-    damaged = 0
-    for path in paths:
-        try:
-            reports = analyze_trace(path, detectors)
-        except TraceSchemaError as exc:
-            # A TraceCorruptError's reason leaves out the path printed here.
-            reason = getattr(exc, "reason", exc)
-            print(f"CORRUPT {path}: {reason}", file=sys.stderr)
-            damaged += 1
-            continue
-        print(f"== {path}")
-        for name in detectors:
-            print(reports[name])
-        if args.show_trace:
-            print()
-            print(format_trace_file(path, max_events=args.max_events))
-    return 1 if damaged else 0
-
-
-def _cmd_store(args) -> int:
-    from repro.trace import TraceStore
-
-    if not os.path.isdir(args.trace_dir):
-        print(f"no such trace store: {args.trace_dir}", file=sys.stderr)
-        return 2
-    store = TraceStore(args.trace_dir, max_bytes=args.quota)
-    if args.action == "gc":
-        if args.quota is None:
-            print("store gc: give a budget with --quota", file=sys.stderr)
-            return 2
-        evicted, freed = store.gc()
-        print(
-            f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'} "
-            f"({freed} bytes); {len(store.entries())} remaining "
-            f"({store.total_bytes()} bytes) in {store.root}"
-        )
-        return 0
-    total = len(store.entries())
-    bad = store.verify(quarantine=args.quarantine)
-    for path, exc in bad:
-        print(f"CORRUPT {path.name}: {exc.reason}", file=sys.stderr)
-    verb = "quarantined" if args.quarantine else "damaged"
-    print(f"{total} entr{'y' if total == 1 else 'ies'} checked, {len(bad)} {verb}")
-    return 1 if bad else 0
-
-
 def _cmd_fuzz(args) -> int:
     spec = get(args.workload)
     detectors = _checked_detectors(args.detector or ["hybrid"])
     if detectors is None:
         return 2
-    if _schedule_misused(args):
+    if _settings_misused(args):
         return 2
     with _telemetry_scope(args) as telemetry:
         campaign = race_directed_test(
@@ -429,15 +338,7 @@ def _cmd_replay(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    replayed = replay_race(
-        spec.build(),
-        pair,
-        seed=seed,
-        max_steps=spec.max_steps,
-        trace_path=args.save_trace,
-    )
-    if args.save_trace:
-        print(f"trace saved to {args.save_trace}", file=sys.stderr)
+    replayed = replay_race(spec.build(), pair, seed=seed, max_steps=spec.max_steps)
     print(f"replaying {spec.name}, pair {pair}, seed {seed}:")
     print()
     print(format_replay(replayed, pair=pair, max_events=args.max_events))
@@ -498,7 +399,7 @@ def _cmd_table1(args) -> int:
         render_measured,
     )
 
-    if _schedule_misused(args):
+    if _settings_misused(args):
         return 2
     sizes = {}
     if args.quick:
@@ -624,14 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stored traces",
     )
     detect_parser.add_argument(
-        "--store-quota",
-        type=_parse_size,
-        default=None,
-        metavar="SIZE",
-        help="disk budget for --trace-dir (e.g. 512K, 10M, 1G); oldest "
-        "entries are evicted first when the store outgrows it",
-    )
-    detect_parser.add_argument(
         "--deadline",
         type=POSITIVE_FLOAT,
         default=None,
@@ -663,29 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and timeline events (per-seed detect events, store hits/misses)",
     )
     detect_parser.set_defaults(handler=_cmd_detect)
-
-    analyze_parser = commands.add_parser(
-        "analyze", help="run detectors offline over recorded traces"
-    )
-    analyze_parser.add_argument(
-        "path", help="one trace file, or a trace-store directory"
-    )
-    analyze_parser.add_argument(
-        "--detector",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="detector to run (default hybrid); repeat the flag to run "
-        "several, all sharing one streamed pass per trace. "
-        f"Names: {', '.join(available_detectors())}",
-    )
-    analyze_parser.add_argument(
-        "--show-trace",
-        action="store_true",
-        help="also render each trace's interleaving diagram",
-    )
-    analyze_parser.add_argument("--max-events", type=COUNT, default=200)
-    analyze_parser.set_defaults(handler=_cmd_analyze)
 
     fuzz_parser = commands.add_parser("fuzz", help="two-phase RaceFuzzer campaign")
     fuzz_parser.add_argument("workload")
@@ -782,13 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument("--seed", type=int, default=0)
     replay_parser.add_argument("--max-events", type=COUNT, default=200)
     replay_parser.add_argument(
-        "--save-trace",
-        default=None,
-        metavar="PATH",
-        help="also record the replayed execution to a trace file "
-        "(re-render later with `analyze --show-trace`)",
-    )
-    replay_parser.add_argument(
         "--find-crash",
         type=COUNT,
         nargs="?",
@@ -799,33 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule and replay that one",
     )
     replay_parser.set_defaults(handler=_cmd_replay)
-
-    store_parser = commands.add_parser(
-        "store", help="trace-store maintenance (gc, verify)"
-    )
-    store_parser.add_argument(
-        "action",
-        choices=("gc", "verify"),
-        help="gc = evict oldest entries past the budget; verify = "
-        "integrity-check every entry",
-    )
-    store_parser.add_argument(
-        "--trace-dir", required=True, metavar="DIR", help="store directory"
-    )
-    store_parser.add_argument(
-        "--quota",
-        type=_parse_size,
-        default=None,
-        metavar="SIZE",
-        help="byte budget for gc (e.g. 512K, 10M, 1G)",
-    )
-    store_parser.add_argument(
-        "--quarantine",
-        action="store_true",
-        help="verify only: move damaged entries to the quarantine sidecar "
-        "instead of leaving them in place",
-    )
-    store_parser.set_defaults(handler=_cmd_store)
 
     stats_parser = commands.add_parser(
         "stats",

@@ -29,7 +29,6 @@ from .replay import (
     replay_race,
     replays_identically,
     schedule_signature,
-    signature_from_trace,
 )
 from .results import CampaignReport, PairVerdict, TaskFailure
 from .schedule import (
@@ -85,7 +84,6 @@ __all__ = [
     "FuzzTask",
     "BaselineTask",
     "schedule_signature",
-    "signature_from_trace",
     "fuzz_task_key",
     "CampaignSchedule",
     "FixedSchedule",

@@ -90,7 +90,6 @@ def detect_races(
     seeds: Sequence[int] = (0, 1, 2),
     max_steps: int = 1_000_000,
     trace_dir=None,
-    store_quota: int | None = None,
     **campaign,
 ) -> RaceReport | dict[str, RaceReport]:
     """Phase 1: collect potentially racing statement pairs.
@@ -112,8 +111,6 @@ def detect_races(
     comes from replaying the stored trace.  A warm store therefore
     answers a repeated call with *zero* program executions, and adding
     detectors to a later call costs only detector passes.
-    ``store_quota`` (bytes) bounds the trace cache with LRU eviction (a
-    quota without a ``trace_dir`` raises ``ValueError``).
 
     ``campaign`` holds the engine settings (see :class:`ParallelCampaign`).
     """
@@ -124,7 +121,6 @@ def detect_races(
             seeds=seeds,
             max_steps=max_steps,
             trace_dir=trace_dir,
-            store_quota=store_quota,
         )
 
 

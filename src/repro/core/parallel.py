@@ -32,8 +32,8 @@ Design constraints, and how they are met:
   unregistered program works too.  This is the only serial path.
 * **A detect task with a ``trace_dir`` owns its store read.**  It reads
   its seed's trace from the store, recording it on a miss, and replays it
-  for every detector, inline or in a worker alike, so store counters and
-  quotas behave the same at every ``jobs``.
+  for every detector, inline or in a worker alike, so store counters
+  behave the same at every ``jobs``.
 
 The engine, :class:`ParallelCampaign`, is a
 :class:`~repro.core.supervisor.CampaignSupervisor`: it inherits the
@@ -52,6 +52,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.detectors import RaceReport, available_detectors, make_detectors
@@ -81,8 +82,7 @@ class DetectTask:
     ``trace_dir`` the task reads the seed's trace from the
     :class:`~repro.trace.TraceStore` there, recording it first on a miss,
     and every report comes from replaying that trace, so cold and warm
-    stores give identical reports.  ``store_quota`` bounds the store in
-    bytes (LRU eviction).
+    stores give identical reports.
     """
 
     workload: str
@@ -90,7 +90,6 @@ class DetectTask:
     detectors: tuple[str, ...] = ("hybrid",)
     max_steps: int = 1_000_000
     trace_dir: str | None = None
-    store_quota: int | None = None
 
     def trace_key(self):
         """The store key of this seed's Phase-1 execution."""
@@ -210,8 +209,7 @@ def run_detect_task(task: DetectTask) -> dict[str, RaceReport]:
         # these module attributes sees every store and analysis.
         from repro.trace import TraceStore, analyze_trace
 
-        store = TraceStore(task.trace_dir, max_bytes=task.store_quota)
-        reports = store.with_recovery(
+        reports = TraceStore(task.trace_dir).with_recovery(
             task.trace_key(),
             program,
             lambda path: analyze_trace(path, task.detectors),
@@ -401,7 +399,6 @@ class ParallelCampaign(CampaignSupervisor):
         seeds: Sequence[int] = (0, 1, 2),
         max_steps: int = 1_000_000,
         trace_dir=None,
-        store_quota: int | None = None,
     ) -> "RaceReport | dict[str, RaceReport]":
         """Run one detection per seed concurrently; union the reports.
 
@@ -413,9 +410,10 @@ class ParallelCampaign(CampaignSupervisor):
         *once* with every detector attached, and the result is a
         ``{name: merged report}`` dict (a string argument returns the bare
         :class:`RaceReport`); an unknown name is a ``KeyError``.
-        ``trace_dir``/``store_quota`` send every seed through the trace
-        store there (see :class:`DetectTask`); a ``store_quota`` without
-        a ``trace_dir`` is a ``ValueError``.
+        ``trace_dir`` sends every seed through the trace store there (see
+        :class:`DetectTask`); a ``trace_dir`` that cannot be a directory
+        (it, or its nearest existing ancestor, is a file) is a
+        ``ValueError``.
 
         For a sequence of ``workload`` names, ``seeds`` and
         ``max_steps`` may be :func:`per_workload` mappings and the
@@ -425,8 +423,15 @@ class ParallelCampaign(CampaignSupervisor):
         detectors = check_detectors(detector)
         if not detectors:
             raise ValueError("detect needs at least one detector")
-        if store_quota is not None and trace_dir is None:
-            raise ValueError("store_quota only applies with a trace_dir")
+        if trace_dir is not None:
+            # A store under a file fails every task, which the supervisor
+            # would retry and quarantine; say so before any task runs.
+            path = Path(trace_dir)
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(
+                    f"trace_dir must be a directory, but {existing} is a file"
+                )
         workloads = _workload_names(workload)
         tasks = []
         for name in workloads:
@@ -440,7 +445,6 @@ class ParallelCampaign(CampaignSupervisor):
                     detectors=detectors,
                     max_steps=per_workload(max_steps, name),
                     trace_dir=None if trace_dir is None else str(trace_dir),
-                    store_quota=store_quota,
                 )
                 for seed in seed_list
             )

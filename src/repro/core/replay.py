@@ -50,8 +50,6 @@ def replay_race(
     program: Program,
     pair: StatementPair,
     seed: int,
-    *,
-    trace_path=None,
     **fuzzer_kwargs,
 ) -> ReplayedRun:
     """Re-run a race-revealing execution with full tracing attached.
@@ -59,31 +57,12 @@ def replay_race(
     The trace observer changes nothing about scheduling (all randomness is
     drawn from the execution's seeded RNG), so the replay is the original
     execution — the paper's "lightweight replay mechanism".
-
-    ``trace_path`` additionally records the replay to a trace file, so
-    the interleaving can be re-rendered or re-analyzed later without
-    re-running anything — see :func:`repro.core.traceview.format_trace_file`.
     """
     trace = EventTrace()
     observers = tuple(fuzzer_kwargs.pop("observers", ())) + (trace,)
-    if trace_path is not None:
-        from repro.trace import TraceRecorder  # deferred: keep core light
-
-        preemption = fuzzer_kwargs.get("preemption", "sync")
-        observers += (
-            TraceRecorder(trace_path, scheduler=f"racefuzzer:{preemption}"),
-        )
     fuzzer = RaceFuzzer(pair, observers=observers, **fuzzer_kwargs)
     outcome = fuzzer.run(program, seed=seed)
     return ReplayedRun(outcome=outcome, events=trace.events)
-
-
-def signature_from_trace(path) -> tuple:
-    """The :func:`schedule_signature` of a recorded trace file."""
-    from repro.trace import TraceReader
-
-    with TraceReader(path) as reader:
-        return schedule_signature(reader)
 
 
 def replays_identically(

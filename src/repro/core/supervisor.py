@@ -61,6 +61,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from random import Random
 from typing import Any, Callable, Sequence
 
@@ -419,7 +420,8 @@ class CampaignSupervisor:
         retries: re-attempts of a failing task before it is quarantined.
         checkpoint: path to an append-only JSONL journal; completed tasks
             are journaled and a restarted campaign skips them.  Only
-            batches that provide a ``key_fn`` participate.
+            batches that provide a ``key_fn`` participate.  The path must
+            not be a directory, and its directory must exist.
         faults: a :class:`~repro.core.faults.FaultPlan` for deterministic
             failure injection (testing / drills).
         memory_budget_mb: per-attempt memory budget in MiB, enforced in
@@ -449,6 +451,19 @@ class CampaignSupervisor:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = retries
+        if checkpoint is not None:
+            # Checked here, before any task: the journal is first opened
+            # at the first append, after a batch has already run.
+            journal = Path(checkpoint)
+            if journal.is_dir():
+                raise ValueError(
+                    f"checkpoint must be a journal file, but {checkpoint} is "
+                    f"a directory"
+                )
+            if not journal.parent.is_dir():
+                raise ValueError(
+                    f"checkpoint {checkpoint}: no such directory {journal.parent}"
+                )
         self.checkpoint = checkpoint
         self.faults = faults
         if memory_budget_mb is not None and memory_budget_mb <= 0:

@@ -109,41 +109,6 @@ def format_trace(
     return "\n".join(lines)
 
 
-def format_trace_file(path, **kwargs) -> str:
-    """Render a recorded trace file as an interleaving listing.
-
-    Built on :class:`~repro.trace.TraceReader`, so the diagram renders
-    from any trace a :class:`TraceStore` or ``replay --save-trace``
-    produced — no re-execution, no live ``Execution`` required.  Keyword
-    arguments pass through to :func:`format_trace`.
-    """
-    from repro.trace import TraceReader  # deferred: trace imports runtime only
-
-    with TraceReader(path) as reader:
-        header = reader.header
-        events = reader.read_events()
-        footer = reader.footer
-    lines = [
-        f"trace: {header.program} seed={header.seed} "
-        f"scheduler={header.scheduler or '?'}",
-        "",
-        format_trace(events, **kwargs),
-    ]
-    if footer is not None:
-        summary = f"steps={footer.steps} events={footer.events}"
-        if footer.crashes:
-            kinds = ", ".join(
-                sorted((c.get("e") or {}).get("t", "?") for c in footer.crashes)
-            )
-            summary += f" crashes=[{kinds}]"
-        if footer.deadlock:
-            summary += f" DEADLOCK {list(footer.deadlocked_tids)}"
-        if footer.truncated:
-            summary += " (truncated by max_steps)"
-        lines += ["", f"result: {summary}"]
-    return "\n".join(lines)
-
-
 def format_replay(replayed, pair=None, **kwargs) -> str:
     """Render a :class:`~repro.core.replay.ReplayedRun` with its racing
     pair highlighted."""

@@ -25,7 +25,7 @@ The package every other layer is instrumented against:
 
 Observability only reports: no signal recorded here changes what a
 campaign does.  Pool deaths, quarantines, failed attempts by kind and
-trace-store evictions are plain counters (``supervisor.*``, ``trace.*``);
+trace-store corruptions are plain counters (``supervisor.*``, ``trace.*``);
 the layer that sees each failure owns the one rule that answers it.
 
 This package exports what the rest of the code base imports; everything

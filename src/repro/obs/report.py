@@ -57,7 +57,6 @@ REQUIRED_COUNTERS: tuple[str, ...] = (
     "trace.store_misses",
     "trace.store_corrupt",
     "trace.store_recovered",
-    "trace.store_evictions",
     "schedule.rounds",
     "schedule.trials_allocated",
     "schedule.pairs_confirmed",

@@ -14,9 +14,8 @@ document that carries them, the run report (``--metrics-out``):
 * :func:`deterministic_section` — the projection that is the serial ==
   ``--jobs N`` == resumed equality surface: only the
   :data:`DETERMINISTIC_KINDS`, display fields stripped.  Retries and
-  quarantines depend on timing, and so do store hits and misses once a
-  quota lets concurrent tasks evict each other's entries, so they stay
-  out of it.
+  quarantines depend on timing, and store hits and misses on what the
+  store held before the run, so they stay out of it.
 """
 
 from __future__ import annotations

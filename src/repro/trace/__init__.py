@@ -14,9 +14,9 @@ program) from the cheap half (detector passes over the events):
   :class:`~repro.runtime.observer.ExecutionObserver` over a recorded
   stream, and :func:`analyze_trace` for named detectors.
 
-``detect_races(..., trace_dir=...)`` builds the record-once /
-analyze-many pipeline on these pieces; on the CLI, ``detect --trace-dir``
-fills a store and ``analyze`` reads one.
+The store has one job: ``detect_races(..., trace_dir=...)`` (on the CLI,
+``detect --trace-dir``) records each seed once, and later runs replay it
+into the detectors.  A corrupt entry is quarantined and re-recorded.
 """
 
 from .io import (

@@ -335,9 +335,9 @@ def verify_trace(path) -> TraceFooter:
     """Read ``path`` end to end, enforcing integrity.
 
     Returns the verified footer; raises
-    :class:`~repro.trace.schema.TraceCorruptError` on any damage.  This
-    is the full-strength check behind ``repro store verify`` — the
-    streaming reader performs the same checks for free during analysis.
+    :class:`~repro.trace.schema.TraceCorruptError` on any damage.  The
+    streaming reader performs the same checks for free during analysis;
+    this runs them without a detector.
     """
     with TraceReader(path) as reader:
         for _ in reader:

@@ -25,13 +25,9 @@ fails integrity checks on read (see
 :class:`~repro.trace.schema.TraceCorruptError`) is quarantined to a
 sidecar directory and transparently re-recorded — via
 :meth:`TraceStore.with_recovery`, a corrupt entry costs one execution,
-never the campaign.  A disk budget (``max_bytes``) bounds the cache
-with LRU-by-mtime eviction: a store instance lists the directory once,
-at its first publish under a budget, then keeps a running byte count
-over an oldest-first index of entries.
-The store has one behaviour in every process: it always publishes what
-it records and enforces its budget by eviction alone, so it behaves the
-same at every ``jobs``.
+never the campaign.  The store has one behaviour in every process: it
+always publishes what it records and never deletes an entry except to
+quarantine it, so it behaves the same at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from typing import Callable
 from repro.obs import maybe_telemetry
 from repro.runtime.program import Program
 
-from .io import record_execution, remove_partial, verify_trace
+from .io import record_execution, remove_partial
 from .schema import SCHEMA_VERSION, TraceCorruptError
 
 #: subdirectory (under the store root) where corrupt entries are moved.
@@ -96,38 +92,21 @@ class StoreStats:
     corrupt: int = 0
     #: corrupt entries transparently re-recorded by :meth:`with_recovery`.
     recovered: int = 0
-    #: entries deleted by the disk budget (LRU) or an explicit ``gc``.
-    evictions: int = 0
-    evicted_bytes: int = 0
 
 
 class TraceStore:
     """Filesystem cache mapping :class:`TraceKey` -> trace file.
 
     Parameters:
-        max_bytes: disk budget — total bytes of cached traces after which
-            the oldest entries (by mtime) are evicted.  ``None`` = no cap.
         fsync: fsync each trace (and the store directory) before
             publishing — survives power loss at the cost of write latency.
     """
 
-    def __init__(
-        self,
-        root,
-        *,
-        max_bytes: int | None = None,
-        fsync: bool = False,
-    ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def __init__(self, root, *, fsync: bool = False) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
         self.fsync = fsync
         self.stats = StoreStats()
-        #: entry -> size, oldest first; built by the first budget check.
-        self._index: dict[Path, int] | None = None
-        self._index_bytes = 0
 
     # -- addressing ---------------------------------------------------- #
 
@@ -173,28 +152,22 @@ class TraceStore:
         except BaseException:
             remove_partial(tmp)
             raise
-        size = tmp.stat().st_size
         if telemetry is not None:
             telemetry.inc("trace.store_executions")
-            telemetry.inc("trace.store_bytes", size)
+            telemetry.inc("trace.store_bytes", tmp.stat().st_size)
         if self.fsync:
             self._fsync_file(tmp)
         os.replace(tmp, final)
         if self.fsync:
             self._fsync_dir()
-        if self._index is not None:
-            self._forget(final)
-            self._index[final] = size
-            self._index_bytes += size
-        self._enforce_budget(keep=final)
         return final
 
     @staticmethod
     def _emit_store_event(telemetry, key: TraceKey, outcome: str) -> None:
-        """"store" is a non-deterministic timeline kind: under a quota,
-        concurrent tasks may evict each other's entries, so the event rides
-        in the run report's timeline section but never in its
-        deterministic projection."""
+        """"store" is a non-deterministic timeline kind: hit or miss depends
+        on what the store held before the run, so the event rides in the
+        run report's timeline section but never in its deterministic
+        projection."""
         telemetry.emit(
             "store",
             (key.workload, key.seed, outcome),
@@ -240,7 +213,6 @@ class TraceStore:
         while dest.exists():
             n += 1
             dest = self.quarantine_dir / f"{src.name}.{n}"
-        self._forget(src)
         try:
             os.replace(src, dest)
         except FileNotFoundError:
@@ -262,8 +234,8 @@ class TraceStore:
         entry costs one execution, never the campaign.  A second failure
         propagates: that is fresh-recording corruption, i.e. a real bug
         or a dying disk, not bit rot.  An entry that vanished before it
-        was read (another process's quota evicted it) is re-recorded
-        once the same way, without quarantine.
+        was read (another process quarantined it) is re-recorded once the
+        same way, without quarantine.
         """
         path = self.ensure(key, program)
         corrupt = False
@@ -274,9 +246,6 @@ class TraceStore:
         except TraceCorruptError as exc:
             self.quarantine(exc.path, exc.reason)
             corrupt = True
-        # The store changed under this instance (another process's quota
-        # may have evicted the entry), so the re-recording lists it again.
-        self._index = None
         result = consume(self.ensure(key, program))
         if corrupt:
             self.stats.recovered += 1
@@ -284,98 +253,6 @@ class TraceStore:
             if telemetry is not None:
                 telemetry.inc("trace.store_recovered")
         return result
-
-    # -- maintenance ---------------------------------------------------- #
-
-    def entries(self) -> list[Path]:
-        """All trace files currently in the store, sorted by name."""
-        return sorted(
-            p
-            for p in self.root.iterdir()
-            if p.name.endswith(".jsonl")
-            and ".tmp" not in p.name
-        )
-
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.entries())
-
-    def _scan(self) -> None:
-        """Build the oldest-first entry index from one directory listing."""
-        aged = []
-        for path in self.entries():
-            try:
-                st = path.stat()
-            except OSError:
-                continue  # removed by another process since the listing
-            aged.append((st.st_mtime, path, st.st_size))
-        aged.sort()
-        self._index = {path: size for _, path, size in aged}
-        self._index_bytes = sum(self._index.values())
-
-    def _forget(self, path: Path) -> None:
-        """Drop ``path`` from the entry index, if it is indexed."""
-        if self._index is not None:
-            self._index_bytes -= self._index.pop(path, 0)
-
-    def _enforce_budget(self, *, keep: Path | None = None) -> tuple[int, int]:
-        """Evict oldest-first until the store fits its budget.
-
-        ``keep`` (the just-published entry a caller is about to read) is
-        never evicted, even if it alone exceeds the budget.  Returns
-        ``(entries_removed, bytes_removed)``.
-        """
-        if self.max_bytes is None:
-            return (0, 0)
-        if self._index is None:
-            self._scan()
-        removed = removed_bytes = 0
-        for path, size in list(self._index.items()):
-            if self._index_bytes <= self.max_bytes:
-                break
-            if path == keep:
-                continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                self._forget(path)  # another process removed it first
-                continue
-            except OSError:
-                continue
-            self._forget(path)
-            removed += 1
-            removed_bytes += size
-        if removed:
-            self.stats.evictions += removed
-            self.stats.evicted_bytes += removed_bytes
-            telemetry = maybe_telemetry()
-            if telemetry is not None:
-                telemetry.inc("trace.store_evictions", removed)
-                telemetry.inc("trace.store_evicted_bytes", removed_bytes)
-        return (removed, removed_bytes)
-
-    def gc(self) -> tuple[int, int]:
-        """Enforce the disk budget now, over a fresh listing; returns
-        (entries, bytes) removed."""
-        self._index = None
-        return self._enforce_budget()
-
-    def verify(
-        self, *, quarantine: bool = False
-    ) -> list[tuple[Path, TraceCorruptError]]:
-        """Integrity-check every entry; returns the damaged ones.
-
-        With ``quarantine=True``, damaged entries are also moved to the
-        quarantine sidecar (the ``repro store verify --quarantine`` path).
-        """
-        bad: list[tuple[Path, TraceCorruptError]] = []
-        for path in self.entries():
-            try:
-                verify_trace(path)
-            except TraceCorruptError as exc:
-                bad.append((path, exc))
-                if quarantine:
-                    self.quarantine(path, exc.reason)
-        return bad
 
 
 def detect_key(

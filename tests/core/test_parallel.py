@@ -241,6 +241,19 @@ class TestParallelCampaignObject:
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             fuzz_races(figure1.build(), [figure1.REAL_PAIR], chunk_size=0)
 
+    def test_trace_dir_under_a_file_is_rejected_before_any_task(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        for trace_dir in (path, path / "sub"):
+            with ParallelCampaign() as engine, pytest.raises(
+                ValueError, match="trace_dir must be a directory"
+            ):
+                engine.detect("figure1", seeds=(0,), trace_dir=trace_dir)
+            assert engine.failures == []
+        with pytest.raises(ValueError, match="trace_dir must be a directory"):
+            detect_races(figure1.build(), seeds=(0,), trace_dir=path)
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_close_is_idempotent(self):
         engine = ParallelCampaign(jobs=2)
         engine.close()

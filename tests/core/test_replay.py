@@ -7,7 +7,6 @@ from repro.core import (
     replay_race,
     replays_identically,
     schedule_signature,
-    signature_from_trace,
 )
 from repro.workloads import figure1, figure2
 
@@ -62,21 +61,6 @@ class TestReplay:
 
 
 class TestReplayToTraceFile:
-    def test_saved_trace_carries_the_same_schedule(self, tmp_path):
-        path = tmp_path / "replay.jsonl"
-        run = replay_race(
-            figure1.build(), figure1.REAL_PAIR, seed=11, trace_path=path
-        )
-        assert signature_from_trace(path) == run.schedule_signature()
-
     def test_signature_works_on_any_event_sequence(self):
         run = replay_race(figure1.build(), figure1.REAL_PAIR, seed=0)
         assert schedule_signature(run.events) == run.schedule_signature()
-
-    def test_saved_trace_replays_through_detectors(self, tmp_path):
-        from repro.trace import analyze_trace
-
-        path = tmp_path / "replay.jsonl"
-        replay_race(figure1.build(), figure1.REAL_PAIR, seed=11, trace_path=path)
-        report = analyze_trace(path, ["hybrid"])["hybrid"]
-        assert report.program == "figure1"

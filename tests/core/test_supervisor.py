@@ -113,6 +113,19 @@ class TestPrimitives:
         with pytest.raises(ValueError, match="deadline"):
             CampaignSupervisor(deadline=0.0)
 
+    def test_checkpoint_validation(self, tmp_path):
+        # Checked before any task: a journal that cannot be opened would
+        # otherwise fail only at the first append, after work was done.
+        with pytest.raises(ValueError, match="is a directory"):
+            CampaignSupervisor(checkpoint=tmp_path)
+        with pytest.raises(ValueError, match="no such directory"):
+            CampaignSupervisor(checkpoint=tmp_path / "missing" / "j.jsonl")
+        with pytest.raises(ValueError, match="is a directory"):
+            race_directed_test(figure1.build(), trials=2, checkpoint=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        journal = tmp_path / "j.jsonl"
+        assert CampaignSupervisor(checkpoint=journal).checkpoint == journal
+
 
 class TestCheckpointJournal:
     def test_round_trip(self, tmp_path):

@@ -88,35 +88,3 @@ class TestFormatReplay:
                 assert "AssertionViolation" in text
                 return
         raise AssertionError("no crashing seed found in 20")
-
-
-class TestFormatTraceFile:
-    def test_renders_from_recorded_trace(self, tmp_path):
-        from repro.core.traceview import format_trace_file
-        from repro.trace import TraceStore, detect_key
-
-        path = TraceStore(tmp_path).ensure(
-            detect_key("figure1", 0, max_steps=10_000), figure1.build()
-        )
-        text = format_trace_file(path)
-        assert "trace: figure1 seed=0" in text
-        assert "T0" in text.splitlines()[2]  # interleaving header row
-        assert "result: steps=" in text
-
-    def test_same_rendering_as_live_events(self, tmp_path):
-        from repro.core.traceview import format_trace_file
-        from repro.runtime import EventTrace, Execution
-        from repro.trace import record_execution
-
-        record_execution(
-            figure1.build(),
-            RandomScheduler(preemption="every"),
-            path=tmp_path / "t.jsonl",
-            seed=0,
-            max_steps=10_000,
-        )
-        witness = EventTrace()
-        Execution(
-            figure1.build(), seed=0, observers=[witness], max_steps=10_000
-        ).run(RandomScheduler(preemption="every"))
-        assert format_trace(witness.events) in format_trace_file(tmp_path / "t.jsonl")

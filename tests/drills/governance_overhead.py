@@ -19,11 +19,6 @@ order reverses every round) and the record reports medians.
 ``governed_overhead_ratio`` is the median of the per-round
 governed/supervised ratios; the per-round list rides in the record.
 
-It also times the trace store's durability machinery on its clean path:
-recording with the always-on CRC32 checksum, and recording under a disk
-budget that never evicts (every publish pays one stat pass), over
-:data:`STORE_ROUNDS` alternated rounds, reported the same way.
-
 Run it from the repository root::
 
     PYTHONPATH=src python tests/drills/governance_overhead.py --trials 60 --output FILE
@@ -48,9 +43,6 @@ PAIRS = [figure1.REAL_PAIR, figure1.FALSE_PAIR]
 #: alternated rounds of the four campaigns (bare, supervised, governed,
 #: faulted) behind every campaign time and ``governed_overhead_ratio``.
 ROUNDS = 15
-
-#: alternated plain/quota store rounds behind ``store_quota_overhead_ratio``.
-STORE_ROUNDS = 25
 
 #: Transient faults only — every retry succeeds, nothing is quarantined,
 #: so the faulted campaign's verdicts still match the bare run.
@@ -80,30 +72,12 @@ def _supervised(trials, faults=None, chunk_size=5, memory_budget_mb=None):
     )
 
 
-def _store_round(trace_dir, seeds, **store_kwargs):
-    """Record ``seeds`` fresh traces and integrity-read each one back."""
-    from repro.trace import TraceStore, detect_key, verify_trace
-
-    store = TraceStore(trace_dir, **store_kwargs)
-    for seed in range(seeds):
-        path = store.ensure(
-            detect_key("figure1", seed, max_steps=10_000), figure1.build()
-        )
-        verify_trace(path)
-
-
 def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=60)
     parser.add_argument("--chunk-size", type=int, default=5)
-    parser.add_argument(
-        "--store-seeds",
-        type=int,
-        default=8,
-        help="fresh traces per store-overhead round",
-    )
     parser.add_argument("--output", required=True)
     args = parser.parse_args(argv)
 
@@ -144,27 +118,6 @@ def main(argv=None):
             assert run[pair].exceptions == bare[pair].exceptions
             assert not run[pair].quarantined
 
-    # Store durability clean path: checksummed record + verify read,
-    # without and with a (never-evicting) disk budget, alternated.
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as warm_dir:
-        _store_round(warm_dir, 1)  # imports + codec warm-up, untimed
-    store_kwargs = {"plain": {}, "quota": {"max_bytes": 1 << 30}}
-    store_times = {name: [] for name in store_kwargs}
-    for round_index in range(STORE_ROUNDS):
-        for name in sorted(store_kwargs, reverse=bool(round_index % 2)):
-            with tempfile.TemporaryDirectory() as trace_dir:
-                start = time.perf_counter()
-                _store_round(trace_dir, args.store_seeds, **store_kwargs[name])
-                store_times[name].append(time.perf_counter() - start)
-    store_plain_s = median(store_times["plain"])
-    store_quota_s = median(store_times["quota"])
-    store_ratios = [
-        quota / plain
-        for plain, quota in zip(store_times["plain"], store_times["quota"])
-    ]
-
     record = {
         "benchmark": "supervisor-resilience",
         "workload": "figure1",
@@ -188,16 +141,6 @@ def main(argv=None):
         "faulted_overhead_ratio": (
             round(faulted_s / bare_s, 3) if bare_s else None
         ),
-        "store_seeds": args.store_seeds,
-        "store_rounds": STORE_ROUNDS,
-        #: medians over the alternated store rounds.
-        "store_record_verify_s": round(store_plain_s, 4),
-        "store_quota_record_verify_s": round(store_quota_s, 4),
-        #: disk budget armed (never evicts) on top of checksummed
-        #: record+verify — the quota clean-path cost, as the median
-        #: per-round ratio.
-        "store_quota_overhead_ratio": round(median(store_ratios), 3),
-        "store_quota_overhead_rounds": [round(r, 3) for r in store_ratios],
         "injected_faults": [
             f"{s.phase}:{s.index}:{s.kind}" for s in FAULTS.specs
         ],

@@ -7,22 +7,20 @@ The ISSUE-7 acceptance bar, end to end:
   the identical report;
 * a fuzz campaign under a combined fault plan (crash + disk_full +
   memory_hog + malformed, all transient) produces verdicts identical to
-  the clean run;
-* the ``repro store`` maintenance surface drives the same machinery from
-  the command line.
+  the clean run.
 """
 
-import pytest
+from pathlib import Path
 
 from repro.cli import main
 from repro.core import detect_races, fuzz_races, parse_fault_plan
-from repro.trace import QUARANTINE_DIR, TraceStore, detect_key
+from repro.trace import QUARANTINE_DIR, verify_trace
 from repro.workloads import figure1
 
 
 def _corrupt_one_entry(trace_dir):
     """Hand-damage the first store entry (drop its footer)."""
-    entry = TraceStore(trace_dir).entries()[0]
+    entry = sorted(Path(trace_dir).glob("*.jsonl"))[0]
     lines = entry.read_bytes().splitlines(keepends=True)
     entry.write_bytes(b"".join(lines[:-1]))
     return entry
@@ -51,7 +49,8 @@ class TestDetectSurvivesCorruption:
         assert healed.pairs == clean.pairs
         assert (tmp_path / QUARANTINE_DIR).exists()
         # The store is whole again: every entry passes verification.
-        assert TraceStore(tmp_path).verify() == []
+        for entry in tmp_path.glob("*.jsonl"):
+            verify_trace(entry)
 
     def test_cli_detect_survives_hand_corruption(self, tmp_path, capsys):
         trace_dir = str(tmp_path / "store")
@@ -97,56 +96,3 @@ class TestChaosCampaignEquivalence:
         for pair in clean:
             assert _signature(chaos[pair]) == _signature(clean[pair])
             assert not chaos[pair].quarantined
-
-
-class TestStoreCLI:
-    def test_gc_and_verify_drive_the_store(self, tmp_path, capsys):
-        trace_dir = str(tmp_path)
-        store = TraceStore(trace_dir)
-        for seed in range(3):
-            store.ensure(
-                detect_key("figure1", seed, max_steps=10_000), figure1.build()
-            )
-
-        assert main(["store", "verify", "--trace-dir", trace_dir]) == 0
-        assert "0 damaged" in capsys.readouterr().out
-
-        _corrupt_one_entry(trace_dir)
-        assert (
-            main(["store", "verify", "--trace-dir", trace_dir, "--quarantine"])
-            == 1
-        )
-        captured = capsys.readouterr()
-        assert "1 quarantined" in captured.out
-        assert "CORRUPT" in captured.err
-
-        # A byte budget that holds the larger of the two survivors.
-        quota = max(p.stat().st_size for p in TraceStore(trace_dir).entries())
-        assert (
-            main(["store", "gc", "--trace-dir", trace_dir, "--quota", str(quota)])
-            == 0
-        )
-        assert "evicted 1 entry" in capsys.readouterr().out
-        assert len(TraceStore(trace_dir).entries()) == 1
-
-    def test_gc_without_budget_is_an_error(self, tmp_path, capsys):
-        assert main(["store", "gc", "--trace-dir", str(tmp_path)]) == 2
-        assert "--quota" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv", [["verify"], ["gc", "--quota", "1K"]], ids=" ".join
-    )
-    def test_missing_store_is_a_usage_error(self, tmp_path, capsys, argv):
-        # A mistyped path must not pass as an empty, healthy store.
-        missing = tmp_path / "typo"
-        assert main(["store", *argv, "--trace-dir", str(missing)]) == 2
-        captured = capsys.readouterr()
-        assert f"no such trace store: {missing}" in captured.err
-        assert captured.out == ""
-        assert not missing.exists()
-
-    def test_bad_quota_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["store", "gc", "--trace-dir", str(tmp_path), "--quota", "huge"])
-        assert info.value.code == 2
-        capsys.readouterr()

@@ -161,6 +161,16 @@ class TestValidate:
         report = build_run_report(telemetry.snapshot(), command="fuzz")
         assert validate_run_report(report) == []
 
+    def test_report_with_retired_eviction_counters_still_validates(self):
+        # v6 reports written while the trace store had a disk quota carry
+        # its eviction counters; the version stayed 6, so they still load.
+        report = build_run_report(_snapshot(), command="detect")
+        assert "trace.store_evictions" not in report["counters"]
+        report["counters"]["trace.store_evictions"] = 3
+        report["counters"]["trace.store_evicted_bytes"] = 4096
+        assert report["version"] == 6
+        assert validate_run_report(report) == []
+
     def test_rejects_inconsistent_span(self):
         report = build_run_report(_snapshot(), command="fuzz")
         span = dict(report["spans"]["phase2.fuzz"], min_s=2.0, max_s=1.0)

@@ -105,13 +105,17 @@ class TestDetect:
         assert "2 Phase-1 seed task(s) quarantined (seed(s) 0, 1)" in captured.err
         assert "detect[1] quarantined" in captured.err
 
-    def test_trace_dir_on_a_file_exits_three(self, tmp_path, capsys):
+    def test_trace_dir_on_a_file_is_a_usage_error(self, tmp_path, capsys):
+        # Rejected before any task runs, not retried and quarantined.
         path = tmp_path / "not-a-dir"
         path.write_text("")
-        assert main(["detect", "figure1", "--seeds", "2", "--trace-dir", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "quarantined (seed(s) 0, 1)" in err
-        assert "trace store:" in err
+        assert main(["detect", "figure1", "--seeds", "2", "--trace-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro detect: trace_dir must be a directory, but {path} is a file\n"
+        )
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_one_quarantined_seed_keeps_the_others(self, capsys):
         code = main(
@@ -121,58 +125,6 @@ class TestDetect:
         captured = capsys.readouterr()
         assert "(5, 7)" in captured.out
         assert "1 Phase-1 seed task(s) quarantined (seed(s) 0)" in captured.err
-
-    def test_store_quota_without_trace_dir_is_a_usage_error(self, capsys):
-        assert main(["detect", "figure1", "--store-quota", "1K"]) == 2
-        captured = capsys.readouterr()
-        assert (
-            "repro detect: --store-quota only applies with --trace-dir"
-            in captured.err
-        )
-        assert captured.out == ""
-
-
-class TestAnalyze:
-    def test_default_detector_is_hybrid(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
-        capsys.readouterr()
-        assert main(["analyze", store]) == 0
-        out = capsys.readouterr().out
-        assert "hybrid report" in out
-        assert "shb report" not in out
-
-    def test_repeated_detector_flags(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
-        capsys.readouterr()
-        assert (
-            main(["analyze", store, "--detector", "shb", "--detector", "lockset"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "shb report" in out
-        assert "lockset report" in out
-
-    def test_unknown_detector_is_a_usage_error(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["detect", "figure1", "--seeds", "1", "--trace-dir", store]) == 0
-        capsys.readouterr()
-        assert main(["analyze", store, "--detector", "bogus"]) == 2
-        assert "unknown detector(s): bogus" in capsys.readouterr().err
-
-    def test_damaged_trace_is_reported_and_skipped(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        argv = ["detect", "figure1", "--seeds", "2", "--trace-dir", str(store)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        damaged = sorted(store.glob("*.jsonl"))[0]
-        damaged.write_text("garbage\n")
-        assert main(["analyze", str(store)]) == 1
-        captured = capsys.readouterr()
-        assert f"CORRUPT {damaged}: malformed header" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out.count("hybrid report") == 1  # the healthy trace
 
 
 class TestFuzz:
@@ -301,6 +253,30 @@ class TestFuzz:
         assert "skipped 1 torn/malformed line(s)" in resumed.err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "figure1", "--trials", "2", "--checkpoint"],
+            ["table1", "--trials", "2", "figure1", "--checkpoint"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_checkpoint_is_a_usage_error(self, argv, tmp_path, capsys):
+        # Rejected before any task runs and without creating anything:
+        # a traceback would exit 1, which reads as "race confirmed".
+        for checkpoint, reason in (
+            (tmp_path, "is a directory"),
+            (tmp_path / "missing" / "j.jsonl", "no such directory"),
+        ):
+            assert main([*argv, str(checkpoint)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"repro {argv[0]}: checkpoint")
+            assert reason in captured.err
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestReplay:
     def test_replay_renders_interleaving(self, capsys):
         assert main(["replay", "figure1", "--pair", "1", "--seed", "2"]) == 0
@@ -343,6 +319,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "traces"],
+            ["store", "verify", "--trace-dir", "traces"],
+            ["detect", "figure1", "--store-quota", "1K"],
+            ["replay", "figure1", "--save-trace", "t.jsonl"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_deleted_store_surface_is_unknown(self, argv, capsys):
+        # A warm `detect --trace-dir` replays the store and heals it;
+        # `replay` rebuilds an interleaving from the seed alone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_dash_is_not_a_command(self, tmp_path, capsys):
         # Run reports are read by `stats` (tables) and `trace-export`
         # (Perfetto); there is no HTML dashboard.
@@ -379,23 +373,14 @@ class TestParser:
             ["figure2", "--runs", "0"],
             ["figure2", "--paddings", "a,b"],
             ["figure2", "--paddings", "0,-5"],
-            ["store", "gc", "--trace-dir", "unused", "--quota", "-1"],
             ["replay", "figure1", "--max-events", "-3"],
             ["replay", "figure1", "--find-crash", "-2"],
-            ["analyze", "unused", "--max-events", "-3"],
         ],
         ids=" ".join,
     )
     def test_bad_numbers_are_usage_errors(self, argv, capsys):
         """Exit 2 before anything runs: exit 1 is fuzz's "race confirmed"."""
         self._assert_usage_error(argv, capsys)
-
-    def test_analyze_missing_path_is_a_usage_error(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        assert main(["analyze", str(missing)]) == 2
-        captured = capsys.readouterr()
-        assert f"no such trace file or store: {missing}" in captured.err
-        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
