@@ -43,7 +43,6 @@ from .supervisor import (
     CampaignSupervisor,
     SupervisorReport,
     TaskDeadlineExceeded,
-    compute_backoff,
 )
 from .schedulers import (
     DefaultScheduler,
@@ -93,7 +92,6 @@ __all__ = [
     "SCHEDULES",
     "CampaignSupervisor",
     "SupervisorReport",
-    "compute_backoff",
     "TaskDeadlineExceeded",
     "TaskFailure",
     "FaultPlan",

@@ -37,7 +37,7 @@ Design constraints, and how they are met:
 
 The engine, :class:`ParallelCampaign`, is a
 :class:`~repro.core.supervisor.CampaignSupervisor`: it inherits the
-failure story (per-task wall-clock deadlines, retry with backoff,
+failure story (per-task wall-clock deadlines, bounded retry,
 broken-pool recovery, quarantine, checkpoint/resume) and every setting
 that tunes it, and adds only ``chunk_size`` and ``on_progress``.  See
 that module for the semantics; this one stays about *what* a task is and
@@ -296,7 +296,7 @@ class ParallelCampaign(CampaignSupervisor):
     The engine *is* a :class:`~repro.core.supervisor.CampaignSupervisor`:
     every task — Phase-1 detection runs, baseline chunks and Phase-2 fuzz
     chunks alike — runs through its ``supervise`` loop, with per-task
-    wall-clock deadlines, bounded retry with backoff, broken-pool recovery
+    wall-clock deadlines, bounded retry, broken-pool recovery
     (with graceful degradation to inline serial execution), quarantine of
     persistently failing tasks, and checkpoint/resume for Phase-2 chunks.
     Its eight settings are the campaign settings of every pipeline

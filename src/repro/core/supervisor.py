@@ -15,11 +15,11 @@ wrapped in a :class:`TaskEnvelope` and driven by a
    (:func:`wall_deadline`), with a parent-side stall backstop that
    terminates the pool if no task completes for several deadline windows
    (covering workers whose alarm cannot fire).
-2. **Bounded retry with exponential backoff + jitter** — transient
-   failures (a crash, a missed deadline, a malformed result) are retried
-   up to ``retries`` times.  The backoff shape is fixed by this module's
-   ``BACKOFF_*`` constants, and its jitter is drawn from a seeded RNG so
-   retry schedules are reproducible (:func:`compute_backoff`).
+2. **Bounded retry** — transient failures (a crash, a missed deadline,
+   a malformed result) are retried up to ``retries`` times.  A retry is
+   due at once: the failed task goes to the back of the batch's queue.
+   A task is a pure function of its spec and seeds, so waiting before a
+   retry could never change what it computes.
 3. **Pool-death recovery** — a worker dying (OOM, segfault) breaks the
    whole ``ProcessPoolExecutor``.  The supervisor halves its width,
    re-queues every task it had in flight (at most
@@ -57,12 +57,12 @@ import sys
 import threading
 import time
 import zlib
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from random import Random
 from typing import Any, Callable, Sequence
 
 from repro.obs import MeteredResult, collecting, maybe_telemetry
@@ -159,35 +159,6 @@ def wall_deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-#: the retry backoff: the delay before retry ``k`` (0-based failed-attempt
-#: count) is ``min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** k)``
-#: seconds, stretched by up to ``BACKOFF_JITTER`` of itself.
-BACKOFF_BASE = 0.05
-BACKOFF_FACTOR = 2.0
-BACKOFF_MAX = 2.0
-BACKOFF_JITTER = 0.25
-#: the seed of the jitter draws.
-JITTER_SEED = 0
-
-
-def compute_backoff(index: int, attempt: int) -> float:
-    """The deterministic delay before re-attempting task ``index``.
-
-    ``attempt`` is the 0-based failed-attempt count.  The jitter factor
-    ``1 + BACKOFF_JITTER * u`` draws ``u`` from
-    ``Random(f"{JITTER_SEED}:{index}:{attempt}")``, so the delay is a pure
-    function of (task, attempt) and tests can assert the exact schedule.
-    """
-    raw = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR**attempt)
-    if not BACKOFF_JITTER:
-        return raw
-    # String seeding is hash-randomization-proof, so the jitter — like
-    # every other source of nondeterminism in this codebase — is a pure
-    # function of explicit seeds.
-    u = Random(f"{JITTER_SEED}:{index}:{attempt}").random()
-    return raw * (1.0 + BACKOFF_JITTER * u)
-
-
 @dataclass(frozen=True)
 class TaskEnvelope:
     """The picklable unit the supervisor ships to an executing process.
@@ -200,7 +171,6 @@ class TaskEnvelope:
     fn: str
     task: Any
     index: int
-    attempt: int
     deadline: float | None = None
     fault: FaultSpec | None = None
     #: per-attempt memory budget in MiB, enforced worker-side as a
@@ -302,6 +272,27 @@ def _crc(key: str, result: Any) -> int:
     return zlib.crc32(body.encode())
 
 
+def _may_be_journal(path: Path) -> bool:
+    """False for a file with a complete non-blank line but no journal
+    record: a ``{"key", "result", "crc"}`` object on some line.
+
+    Torn trailing lines and CRC-damaged records still pass, so a journal
+    of a killed or damaged run resumes; a mistyped path to another file
+    is refused before a record is appended to it.
+    """
+    complete = False
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict) and {"key", "result", "crc"} <= record.keys():
+                return True
+            complete = complete or (line.endswith(b"\n") and bool(line.strip()))
+    return not complete
+
+
 class CheckpointJournal:
     """Append-only JSONL journal of completed task results.
 
@@ -320,6 +311,8 @@ class CheckpointJournal:
         self._fd: int | None = None
         #: torn/malformed lines skipped by the most recent :meth:`load`.
         self.skipped_lines = 0
+        #: the loaded file ends in a torn line with no newline.
+        self._torn_tail = False
 
     def load(self) -> dict[str, Any]:
         """All well-formed journaled records, keyed by task key.
@@ -339,6 +332,7 @@ class CheckpointJournal:
             return records
         with fh:
             for line in fh:
+                self._torn_tail = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -374,8 +368,11 @@ class CheckpointJournal:
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
         record = {"key": key, "result": result, "crc": _crc(key, result)}
-        line = json.dumps(record, separators=(",", ":"))
-        os.write(self._fd, line.encode("utf-8") + b"\n")
+        line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+        if self._torn_tail:
+            # End the torn line first, so this record is not fused into it.
+            line, self._torn_tail = b"\n" + line, False
+        os.write(self._fd, line)
 
     def close(self) -> None:
         if self._fd is not None:
@@ -397,7 +394,6 @@ class SupervisorReport:
     failures: list[TaskFailure] = field(default_factory=list)
     cached: int = 0
     retried: int = 0
-    pool_deaths: int = 0
 
 
 _UNSET = object()
@@ -464,6 +460,10 @@ class CampaignSupervisor:
                 raise ValueError(
                     f"checkpoint {checkpoint}: no such directory {journal.parent}"
                 )
+            if journal.is_file() and not _may_be_journal(journal):
+                raise ValueError(
+                    f"checkpoint {checkpoint} is not a checkpoint journal"
+                )
         self.checkpoint = checkpoint
         self.faults = faults
         if memory_budget_mb is not None and memory_budget_mb <= 0:
@@ -484,20 +484,19 @@ class CampaignSupervisor:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def _destroy_pool(self, *, terminate: bool) -> None:
+    def _terminate_pool(self) -> None:
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        if terminate:
-            # Reach into the executor to kill wedged workers; a hung
-            # worker never drains the call queue, so a plain shutdown
-            # would block forever.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
+        # Reach into the executor to kill wedged workers; a hung worker
+        # never drains the call queue, so a plain shutdown would block
+        # forever.
+        processes = getattr(pool, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.terminate()
+            except Exception:
+                pass
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -578,11 +577,10 @@ class CampaignSupervisor:
             settle(index, result)
             return True
 
-        def record_failure(index: int, kind: str, message: str) -> float | None:
-            """Charge a failed attempt; quarantine or schedule a retry.
+        def record_failure(index: int, kind: str, message: str) -> bool:
+            """Charge a failed attempt; returns whether to retry the task.
 
-            Returns the monotonic time before which the task must not be
-            re-attempted, or None if it was quarantined.
+            A task with no retries left is quarantined instead.
             """
             attempts[index] += 1
             history[index].append(f"{kind}: {message}")
@@ -608,7 +606,7 @@ class CampaignSupervisor:
                 )
                 results[index] = None
                 settle(index, None)
-                return None
+                return False
             report.retried += 1
             if telemetry is not None:
                 telemetry.emit(
@@ -617,8 +615,7 @@ class CampaignSupervisor:
                     {"kind": kind},
                     wall_s=time.time(),
                 )
-            delay = compute_backoff(index, attempts[index] - 1)
-            return time.monotonic() + delay
+            return True
 
         def envelope_for(index: int) -> TaskEnvelope:
             fault = None
@@ -630,7 +627,6 @@ class CampaignSupervisor:
                 fn=fn,
                 task=tasks[index],
                 index=index,
-                attempt=attempts[index],
                 deadline=self.deadline,
                 fault=fault,
                 memory_budget_mb=self.memory_budget_mb,
@@ -654,13 +650,12 @@ class CampaignSupervisor:
                         report.cached += 1
                         settle(index, results[index])
 
-            pending: list[tuple[float, int]] = [
-                (0.0, index) for index in range(n) if results[index] is _UNSET
-            ]
+            pending = deque(
+                index for index in range(n) if results[index] is _UNSET
+            )
             if self.jobs > 1:
-                pending = self._drain_pool(
-                    pending, envelope_for, settle_success, record_failure,
-                    results, report,
+                self._drain_pool(
+                    pending, envelope_for, settle_success, record_failure
                 )
             # Inline path: jobs=1 from the start, or what pool deaths left
             # once they halved the width to 1.
@@ -675,7 +670,6 @@ class CampaignSupervisor:
             if results[index] is _UNSET:
                 results[index] = None
         report.failures = failures
-        report.pool_deaths = self.pool_deaths
         if telemetry is not None:
             telemetry.inc("supervisor.batches")
             telemetry.inc("supervisor.tasks", n)
@@ -701,29 +695,24 @@ class CampaignSupervisor:
         self, pending, envelope_for, settle_success, record_failure
     ) -> None:
         while pending:
-            pending.sort()
-            ready_at, index = pending.pop(0)
-            delay = ready_at - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+            index = pending.popleft()
             try:
                 result = run_envelope(envelope_for(index), in_worker=False)
             except Exception as exc:
-                verdict = record_failure(index, *_classify_failure(exc))
+                retry = record_failure(index, *_classify_failure(exc))
             else:
                 if settle_success(index, result):
                     continue
-                verdict = record_failure(index, *_classify_failure(None, result))
-            if verdict is not None:
-                pending.append((verdict, index))
+                retry = record_failure(index, *_classify_failure(None, result))
+            if retry:
+                pending.append(index)
 
     # -- pooled execution ------------------------------------------------ #
 
     def _drain_pool(
-        self, pending, envelope_for, settle_success, record_failure,
-        results, report,
-    ) -> list[tuple[float, int]]:
-        """Run the batch on the pool; returns tasks left for inline mode.
+        self, pending, envelope_for, settle_success, record_failure
+    ) -> None:
+        """Run the batch on the pool; what is left stays in ``pending``.
 
         Each pool death halves :attr:`jobs`; once it reaches 1 the loop
         stops and hands what is left to the inline path.  At most
@@ -734,8 +723,8 @@ class CampaignSupervisor:
         several deadline windows while work is in flight — only possible
         when every worker is wedged in a way its own alarm cannot
         interrupt — and treats the pool like it died.  The window restarts
-        whenever an idle or rebuilt pool receives work, so backoff sleeps
-        and rebuilds never count as stalled time.
+        whenever an empty or rebuilt pool receives work, so a rebuild
+        never counts as stalled time.
         """
         in_flight: dict[Future, int] = {}
         stall_window = (
@@ -747,71 +736,45 @@ class CampaignSupervisor:
 
         def fail_in_flight(kind: str, message: str) -> None:
             self.pool_deaths += 1
-            report.pool_deaths = self.pool_deaths
-            self._destroy_pool(terminate=True)
+            self._terminate_pool()
             # Shed load before the rebuild: a pool that just died at
             # width N has better odds at N/2, and width 1 is inline.
             self.jobs = max(1, self.jobs // 2)
-            for index in list(in_flight.values()):
-                if results[index] is not _UNSET:
-                    continue
-                ready_at = record_failure(index, kind, message)
-                if ready_at is not None:
-                    pending.append((ready_at, index))
+            # Every in-flight task is unsettled: a finished future leaves
+            # in_flight before its task settles.
+            for index in in_flight.values():
+                if record_failure(index, kind, message):
+                    pending.append(index)
             in_flight.clear()
 
         while (pending or in_flight) and self.jobs > 1:
-            now = time.monotonic()
             was_idle = not in_flight
-            # Submit what the cap admits of the tasks whose backoff has
-            # elapsed.
-            room = IN_FLIGHT_PER_WORKER * self.jobs - len(in_flight)
-            pending.sort()
-            still_waiting: list[tuple[float, int]] = []
             submit_error: str | None = None
-            for ready_at, index in pending:
-                if ready_at > now or submit_error is not None or room <= 0:
-                    still_waiting.append((ready_at, index))
-                    continue
-                room -= 1
+            while pending and len(in_flight) < IN_FLIGHT_PER_WORKER * self.jobs:
                 try:
                     future = self._executor().submit(
-                        run_envelope, envelope_for(index)
+                        run_envelope, envelope_for(pending[0])
                     )
                 except (BrokenProcessPool, RuntimeError) as exc:
-                    still_waiting.append((now, index))
                     submit_error = f"pool rejected submission: {exc}"
-                    continue
-                in_flight[future] = index
-            pending = still_waiting
+                    break
+                in_flight[future] = pending.popleft()
             if submit_error is not None:
                 fail_in_flight("pool", submit_error)
                 continue
-            if was_idle and in_flight:
+            if was_idle:
                 window_start = time.monotonic()
 
-            if not in_flight:
-                if not pending:
-                    break
-                # Nothing running; sleep until the earliest retry is due.
-                wake = min(ready_at for ready_at, _ in pending)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
             timeout = None
-            if pending and room > 0:
-                next_ready = min(ready_at for ready_at, _ in pending)
-                timeout = max(0.0, next_ready - time.monotonic())
             if stall_window is not None:
-                remaining = stall_window - (time.monotonic() - window_start)
-                if remaining <= 0:
+                timeout = stall_window - (time.monotonic() - window_start)
+                if timeout <= 0:
                     fail_in_flight(
                         "stall",
                         f"no task completed within {stall_window:.1f}s; "
                         f"terminated the worker pool",
                     )
                     continue
-                timeout = remaining if timeout is None else min(timeout, remaining)
 
             done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
             if not done:
@@ -825,29 +788,26 @@ class CampaignSupervisor:
                     result = future.result()
                     if settle_success(index, result):
                         continue
-                    ready_at = record_failure(index, *_classify_failure(None, result))
+                    retry = record_failure(index, *_classify_failure(None, result))
                 elif isinstance(exc, BrokenProcessPool):
                     # The pool died under this future; every other
                     # in-flight task is doomed too — handle them as one
                     # pool-death event after this drain loop.
                     pool_broken = True
-                    ready_at = record_failure(
+                    retry = record_failure(
                         index, "pool", f"worker pool died: {exc}"
                     )
                 else:
-                    ready_at = record_failure(index, *_classify_failure(exc))
-                if ready_at is not None:
-                    pending.append((ready_at, index))
+                    retry = record_failure(index, *_classify_failure(exc))
+                if retry:
+                    pending.append(index)
             if pool_broken:
                 fail_in_flight("pool", "worker pool died")
-
-        return pending
 
 
 __all__ = [
     "CampaignSupervisor",
     "SupervisorReport",
-    "compute_backoff",
     "TaskEnvelope",
     "TaskDeadlineExceeded",
     "MemoryBudgetExceeded",

@@ -113,7 +113,7 @@ from .heap import Heap
 from .location import use_uids
 from .locks import LockTable
 from .observer import ExecutionObserver, ObserverChain
-from .ops import KIND_VALUES, Op, OpKind
+from .ops import Op, OpKind
 from .program import Program, resolve_tid
 from .statement import (
     FINISHED_STATEMENT,
@@ -129,9 +129,6 @@ _RUNNABLE = ThreadStatus.RUNNABLE
 _WAITING = ThreadStatus.WAITING
 _SLEEPING = ThreadStatus.SLEEPING
 _TERMINATED = ThreadStatus.TERMINATED
-
-#: index of the synthetic "wake" tally slot (after the real op kinds).
-_WAKE_SLOT = len(KIND_VALUES)
 
 #: builds an event from its fields in order (see :mod:`repro.runtime.events`).
 _new = tuple.__new__
@@ -297,16 +294,9 @@ class Execution:
         # the location's key.
         self._cells = self.heap._cells
         self._written = self.heap._locations
-        # Metrics: resolved once per execution so the per-step cost with
-        # telemetry off is a single None-check.  Per-kind tallies are a
-        # plain list indexed by kind_index (plus one trailing "wake" slot)
-        # and fold into the telemetry at finish().
+        # Metrics: resolved once per execution and folded into the
+        # telemetry at finish(); the step kernel never touches them.
         self._metrics = maybe_telemetry()
-        self._m_counts: list[int] | None = (
-            [0] * (_WAKE_SLOT + 1) if self._metrics is not None else None
-        )
-        self._m_switches = 0
-        self._m_last_tid = -1
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -345,15 +335,6 @@ class Execution:
         if m is not None:
             m.inc("interp.executions")
             m.inc("interp.steps", self.ops_executed)
-            m.inc("interp.context_switches", self._m_switches)
-            lock_ops = 0
-            for index, count in enumerate(self._m_counts):
-                if count:
-                    kind = KIND_VALUES[index] if index < _WAKE_SLOT else "wake"
-                    m.inc(f"interp.ops.{kind}", count)
-                    if kind in ("lock", "unlock", "reacquire"):
-                        lock_ops += count
-            m.inc("interp.lock_ops", lock_ops)
             m.inc("interp.crashes", len(self.result.crashes))
             if self.result.deadlock:
                 m.inc("interp.deadlocks")
@@ -599,20 +580,6 @@ class Execution:
             value = None
         else:
             self.step_count += 1
-            counts = self._m_counts
-            if counts is not None:
-                # Wakeups execute no user op; they are tallied under the
-                # synthetic "wake" kind here, where the wake actually
-                # happens (a pending SLEEP/WAIT op must not be
-                # double-counted).
-                if ts.status is _RUNNABLE:
-                    counts[ts.pending.kind_index] += 1
-                else:
-                    counts[_WAKE_SLOT] += 1
-                if ts.tid != self._m_last_tid:
-                    if self._m_last_tid >= 0:
-                        self._m_switches += 1
-                    self._m_last_tid = ts.tid
             # A sleeper's or timed waiter's pending op stays its SLEEP or
             # WAIT, whose handler performs the wake.
             op = ts.pending

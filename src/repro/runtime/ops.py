@@ -77,10 +77,6 @@ SYNC_KINDS = frozenset(
 )
 
 
-#: ``OpKind`` members in declaration order; ``KIND_VALUES[k.index]`` is
-#: ``k.value`` (used when folding int-indexed tallies back into metrics).
-KIND_VALUES = tuple(kind.value for kind in OpKind)
-
 for _index, _kind in enumerate(OpKind):
     _kind.index = _index
     _kind.mem = _kind in MEM_KINDS

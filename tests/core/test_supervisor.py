@@ -19,7 +19,6 @@ from repro.core import (
     ParallelCampaign,
     RaceFuzzer,
     TaskDeadlineExceeded,
-    compute_backoff,
     fuzz_races,
     race_directed_test,
 )
@@ -89,20 +88,6 @@ class TestPrimitives:
             pass
         assert signal.getsignal(signal.SIGALRM) is before
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        for index in range(4):
-            for attempt in range(8):
-                delay = compute_backoff(index, attempt)
-                assert delay == compute_backoff(index, attempt)
-                raw = min(2.0, 0.05 * 2.0**attempt)
-                assert raw <= delay <= raw * 1.25
-
-    def test_backoff_without_jitter_is_exact(self, monkeypatch):
-        monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.0)
-        assert compute_backoff(0, 0) == 0.05
-        assert compute_backoff(0, 1) == 0.1
-        assert compute_backoff(0, 6) == 2.0  # capped
-
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError, match="retries"):
             CampaignSupervisor(retries=-1)
@@ -126,6 +111,31 @@ class TestPrimitives:
         journal = tmp_path / "j.jsonl"
         assert CampaignSupervisor(checkpoint=journal).checkpoint == journal
 
+        # A file with no journal record is refused, and left untouched.
+        notes = tmp_path / "notes.txt"
+        notes.write_text("hello\nworld\n")
+        with pytest.raises(ValueError, match="is not a checkpoint journal"):
+            CampaignSupervisor(checkpoint=notes)
+        with pytest.raises(ValueError, match="is not a checkpoint journal"):
+            race_directed_test(figure1.build(), trials=2, checkpoint=notes)
+        assert notes.read_bytes() == b"hello\nworld\n"
+
+        # A journal with one flipped digit is still a journal: the damaged
+        # record re-runs, the intact one is reused.
+        pairs = [figure1.REAL_PAIR]
+        baseline = fuzz_races(figure1.build(), pairs, trials=4)
+        fuzz_races(
+            figure1.build(), pairs, trials=4, chunk_size=2, checkpoint=journal
+        )
+        first, second = journal.read_text().splitlines()
+        end = first.rindex("}") - 1
+        flipped = first[:end] + str((int(first[end]) + 1) % 10) + first[end + 1:]
+        journal.write_text(flipped + "\n" + second + "\n")
+        with ParallelCampaign(jobs=1, chunk_size=2, checkpoint=journal) as engine:
+            resumed = engine.fuzz("figure1", pairs, trials=4)
+            assert engine.last_report.cached == 1
+        assert _signature(resumed[pairs[0]]) == _signature(baseline[pairs[0]])
+
 
 class TestCheckpointJournal:
     def test_round_trip(self, tmp_path):
@@ -148,7 +158,12 @@ class TestCheckpointJournal:
         journal.close()
         with open(path, "a") as fh:
             fh.write('{"key": "torn", "resu')  # killed mid-write
-        assert CheckpointJournal(path).load() == {"good": 42}
+        resumed = CheckpointJournal(path)
+        assert resumed.load() == {"good": 42}
+        # A resumed run's first record starts on a line of its own.
+        resumed.append("next", 7)
+        resumed.close()
+        assert CheckpointJournal(path).load() == {"good": 42, "next": 7}
 
 
 class TestFaultInjectionAcceptance:
@@ -251,29 +266,31 @@ class TestFaultInjectionAcceptance:
             assert not verdicts[pair].quarantined
             assert _signature(verdicts[pair]) == _signature(serial_baseline[pair])
 
-    def test_backoff_on_an_idle_pool_is_not_a_stall(self, monkeypatch):
-        # The retry waits out a 2 s backoff on an idle pool, longer than
-        # the 1.5 s stall window: the window must restart when the retry
-        # is submitted, not run from the crash.
-        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 2.0)
-        monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.0)
-        plan = FaultPlan([FaultSpec(kind="crash", index=0, attempts=1)])
-        with ParallelCampaign(
-            jobs=2, deadline=0.5, retries=1, faults=plan
-        ) as engine:
-            verdicts = engine.fuzz("figure1", [figure1.REAL_PAIR], trials=4)
-        assert not engine.failures
-        assert engine.pool_deaths == 0
-        assert engine.last_report.retried == 1
-        assert verdicts[figure1.REAL_PAIR].trials == 4
+    def test_a_retry_runs_at_once(self):
+        # A retry re-runs the same seeds, so waiting before it could not
+        # change its outcome: six inline attempts take no longer than six
+        # runs of the chunk.
+        pairs = [figure1.REAL_PAIR, figure1.FALSE_PAIR]
+        baseline = fuzz_races(figure1.build(), pairs, trials=2)
+        plan = parse_fault_plan("fuzz:0:crash:99")
+        start = time.perf_counter()
+        with ParallelCampaign(jobs=1, retries=5, faults=plan) as engine:
+            verdicts = engine.fuzz("figure1", pairs, trials=2)
+        elapsed = time.perf_counter() - start
+        [failure] = engine.failures
+        assert failure.index == 0
+        assert failure.attempts == 6
+        assert len(failure.history) == 6
+        assert verdicts[pairs[0]].quarantined
+        assert _signature(verdicts[pairs[1]]) == _signature(baseline[pairs[1]])
+        assert elapsed < 0.3
 
     def test_retry_due_during_a_slow_submission_is_not_a_stall(
         self, monkeypatch
     ):
-        # After the pool death, the retries' jittered backoffs expire
-        # while earlier retries are still being submitted to the rebuilt
-        # 2-wide pool; a retry that is merely due must not read as a
-        # stalled pool.
+        # After the pool death, the retries are submitted one slow call
+        # at a time to the rebuilt 2-wide pool; time spent submitting
+        # must not read as a stalled pool.
         submit = ProcessPoolExecutor.submit
 
         def slow_submit(pool, *args, **kwargs):

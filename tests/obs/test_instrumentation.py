@@ -22,15 +22,6 @@ class TestInterpreterCounters:
         snapshot = registry.snapshot()
         assert snapshot.counters["interp.executions"] == 2
         assert snapshot.counters["interp.steps"] > 0
-        assert snapshot.counters["interp.context_switches"] > 0
-        assert snapshot.counters["interp.lock_ops"] > 0
-        # per-kind op counters sum to the step total
-        kind_total = sum(
-            value
-            for name, value in snapshot.counters.items()
-            if name.startswith("interp.ops.")
-        )
-        assert kind_total == snapshot.counters["interp.steps"]
 
     def test_steps_per_execution_mean_from_counters(self):
         # The mean steps per execution is interp.steps / interp.executions:

@@ -102,7 +102,7 @@ class TestTelemetryOff:
             workload="figure1", pair=figure1.REAL_PAIR, count=2,
             max_steps=20_000,
         )
-        envelope = TaskEnvelope(fn="fuzz", task=task, index=0, attempt=0)
+        envelope = TaskEnvelope(fn="fuzz", task=task, index=0)
         result = run_envelope(envelope, in_worker=False)
         assert isinstance(result, PairVerdict)
         assert result.trials == 2
@@ -112,9 +112,7 @@ class TestTelemetryOff:
             workload="figure1", pair=figure1.REAL_PAIR, count=2,
             max_steps=20_000,
         )
-        envelope = TaskEnvelope(
-            fn="fuzz", task=task, index=0, attempt=0, telemetry=True
-        )
+        envelope = TaskEnvelope(fn="fuzz", task=task, index=0, telemetry=True)
         result = run_envelope(envelope, in_worker=False)
         assert isinstance(result, MeteredResult)
         assert result.snapshot.counters["fuzz.trials"] == 2
