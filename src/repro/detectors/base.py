@@ -206,8 +206,10 @@ class HistoryRaceDetector(ExecutionObserver):
             self._predictive,
             self._predictive,
         )
-        #: event class -> bound handler (see :meth:`on_event`).
-        self._handlers: dict[type, Callable[[Event], None]] = {}
+        #: event class -> handler, a plain function called with the kernel
+        #: (see :meth:`on_event`): no bound method of the kernel is kept, so
+        #: a kernel is freed by reference counting.
+        self._handlers: dict[type, Callable[[HistoryRaceDetector, Event], None]] = {}
         self._prev: Event | None = None
         self._prev2: Event | None = None
         #: (id(record stmt), id(access stmt)) -> their pair (see
@@ -280,18 +282,19 @@ class HistoryRaceDetector(ExecutionObserver):
         handler = self._handlers.get(event.__class__)
         if handler is None:
             handler = self._handler_for(event.__class__)
-        handler(event)
+        handler(self, event)
         # The last two events, which classify a predictive RCV's edge.
         self._prev2 = self._prev
         self._prev = event
 
-    def _handler_for(self, cls: type) -> Callable[[Event], None]:
+    def _handler_for(self, cls: type) -> Callable[[HistoryRaceDetector, Event], None]:
         """The handler of the nearest event class ``cls`` derives from
-        (a no-op for an event no clock reads), cached for ``cls``."""
+        (a no-op for an event no clock reads), cached for ``cls``; taken
+        from the kernel's class, so a subclass's override applies."""
         for base in cls.__mro__:
             name = _HANDLER_NAMES.get(base)
             if name is not None:
-                handler = getattr(self, name)
+                handler = getattr(type(self), name)
                 break
         else:
             handler = _ignore
@@ -492,7 +495,7 @@ class HistoryRaceDetector(ExecutionObserver):
                 strong.join(state.last_write)
 
 
-def _ignore(event: Event) -> None:
+def _ignore(kernel: HistoryRaceDetector, event: Event) -> None:
     """The handler of an event no clock reads (thread end, error, deadlock)."""
 
 

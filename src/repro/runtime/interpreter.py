@@ -46,10 +46,10 @@ work is kept to integer/identity operations:
   counter; ``ops_executed`` is derived from it.
 * **One resume site** — READ, WRITE and YIELD execute inside ``_execute``
   itself; every other kind goes to a handler, found by the op's dense
-  ``kind_index`` in a tuple of bound handlers, which *returns* the value
-  to send (or :data:`_PARKED`, or a :class:`_Throw`).  ``_execute`` then
-  resumes the body, the only place a generator is resumed; priming a new
-  thread's body goes through it too.
+  ``kind_index`` in a tuple of the class's handler functions, which
+  *returns* the value to send (or :data:`_PARKED`, or a :class:`_Throw`).
+  ``_execute`` then resumes the body, the only place a generator is
+  resumed; priming a new thread's body goes through it too.
 * **Heap keyed in C** — the heap's cells are keyed by ``Location.key``,
   a plain tuple built with the location, so a READ or WRITE hashes no
   Python object; the lock table is keyed by ``LockId.uid``.
@@ -61,9 +61,14 @@ work is kept to integer/identity operations:
   ``(code, line)`` pair at resume time, from the thread's last innermost
   generator while that one is suspended and delegates to nothing (else
   walking the ``yield from`` chain from it, or from the body once it
-  ended); the interned :class:`~repro.runtime.statement.Statement` is
-  materialized only when an event, a race-set probe, or a crash report
-  actually needs it.
+  ended).  The line is the frame's ``f_lasti`` looked up in its code
+  object's ``{f_lasti: line}`` table
+  (:func:`~repro.runtime.statement.line_table`), which the thread keeps
+  while its sites stay in one code object; ``frame.f_lineno`` would
+  decode the code's line table from the start at every read.  The
+  interned :class:`~repro.runtime.statement.Statement` is materialized
+  only when an event, a race-set probe, or a crash report actually needs
+  it.
 * **Observer tiers** — ``_observing`` (any observer) and ``_observe_mem``
   (an observer that wants MemEvents) are resolved once per execution; with
   no observer attached, a step allocates no event objects at all.  An
@@ -73,8 +78,12 @@ work is kept to integer/identity operations:
   observer gets each event straight from ``ObserverChain.deliver``.
   Phase 2 runs RaceFuzzer with no observer: its postponing loop reads ops
   and statements directly, never events.
-* **Int-indexed metrics** — per-kind tallies live in a plain list indexed
-  by ``kind_index`` and fold into the telemetry once, at ``finish()``.
+* **Metrics once per execution** — the execution's counters fold into the
+  telemetry once, at ``finish()``; the step kernel touches none.
+* **Freed by reference counting** — the execution keeps no bound method
+  of itself, and a crashed thread's exception is dropped with its
+  traceback (which holds ``_execute``'s frame), so a finished execution
+  is in no reference cycle and the cyclic collector never has to find it.
 """
 
 from __future__ import annotations
@@ -119,6 +128,7 @@ from .statement import (
     FINISHED_STATEMENT,
     Statement,
     label_statement,
+    line_table,
     statement_at,
 )
 from .thread import ThreadState, ThreadStatus
@@ -184,8 +194,7 @@ class ThreadCrash:
     ``error`` is the structured, picklable :class:`ErrorInfo` form — never
     the live ``BaseException`` — so an :class:`ExecutionResult` can always
     cross a process-pool boundary (tracebacks don't pickle, and custom
-    exception constructors break naive re-raising).  The live exception
-    object stays available in-process on ``ThreadState.error``.
+    exception constructors break naive re-raising).
     """
 
     tid: int
@@ -284,11 +293,13 @@ class Execution:
         self._observing = bool(self.observer.observers)
         self._deliver = self.observer.deliver
         self._observe_mem = self._observing and self.observer.wants_mem_events
-        # Dispatch: one bound handler per OpKind, indexed by Op.kind_index
-        # (None for READ, WRITE and YIELD, which _execute runs inline).
-        self._dispatch = tuple(
-            getattr(self, name, None) for name in _HANDLER_NAMES
-        )
+        # Dispatch: one handler per OpKind, indexed by Op.kind_index (None
+        # for READ, WRITE and YIELD, which _execute runs inline).  Plain
+        # functions taken from the class, so a subclass's override applies
+        # and the execution holds no bound method of itself: a finished
+        # one is freed by reference counting, not by the cyclic collector.
+        cls = type(self)
+        self._dispatch = tuple(getattr(cls, name, None) for name in _HANDLER_NAMES)
         # Direct aliases of the heap's dicts: READ/WRITE are the two
         # hottest ops and go straight to dict.get / dict.__setitem__ on
         # the location's key.
@@ -598,7 +609,7 @@ class Execution:
             elif kind == _YIELD:
                 value = None
             else:
-                value = self._dispatch[kind](ts, op)
+                value = self._dispatch[kind](self, ts, op)
                 if value is _PARKED:
                     return
                 if value.__class__ is _Throw:
@@ -616,6 +627,9 @@ class Execution:
         except EngineError:
             raise
         except BaseException as error:  # the thread's crash domain
+            # The traceback holds this frame, and so the execution and, when
+            # the error was thrown in, ``throw``: a cycle.  Nothing reads it.
+            error.__traceback__ = None
             self._terminate(ts, error)
         else:
             if op.__class__ is not Op and not isinstance(op, Op):
@@ -659,8 +673,13 @@ class Execution:
                     ts.stmt_code = None
                     ts.stmt_line = 0
                 else:
-                    ts.stmt_code = frame.f_code
-                    ts.stmt_line = frame.f_lineno
+                    # The line from the code's {f_lasti: line} table,
+                    # which the thread keeps while its code stays the same.
+                    code = frame.f_code
+                    if code is not ts.stmt_code:
+                        ts.stmt_code = code
+                        ts.lines = line_table(code)
+                    ts.stmt_line = ts.lines[frame.f_lasti]
 
     # --- op handlers ---------------------------------------------------- #
     # READ, WRITE and YIELD have none: _execute runs them inline.
@@ -927,12 +946,9 @@ class Execution:
             op = other.pending
             if op is not None and op.blocking == 2:
                 self._note(other)
-        # Events and crash records carry the picklable ErrorInfo form; the
-        # live exception stays on ThreadState for in-process consumers.
+        # Events and crash records carry the picklable ErrorInfo form.
         info = ErrorInfo.from_exception(error) if error is not None else None
         if error is not None:
-            ts.error = error
-            ts.error_stmt = stmt
             crash = ThreadCrash(
                 tid=ts.tid, name=ts.name, error=info, stmt=stmt,
                 step=self.step_count,
@@ -951,6 +967,6 @@ class Execution:
 
 
 #: handler method names in OpKind declaration order; ``Execution.__init__``
-#: binds these once so ``_execute`` dispatches via ``tuple[kind_index]``.
+#: looks these up once so ``_execute`` dispatches via ``tuple[kind_index]``.
 #: READ, WRITE and YIELD name no method: ``_execute`` runs them inline.
 _HANDLER_NAMES = tuple(f"_do_{kind.value}" for kind in OpKind)

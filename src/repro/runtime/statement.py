@@ -202,6 +202,8 @@ def _sort_key(stmt: Statement) -> tuple[str, str, int]:
 #: ``id(code)`` -> (the code object, {line: its Statement}).
 _SITE_CACHE: dict[int, tuple[object, dict[int, Statement]]] = {}
 _LABEL_CACHE: dict[str, Statement] = {}
+#: ``id(code)`` -> (the code object, its ``{f_lasti: line}`` table).
+_LINE_TABLES: dict[int, tuple[object, dict[int, int]]] = {}
 
 #: sentinel site for an op attributed to an already-finished generator
 #: (should not happen mid-yield; kept for crash attribution robustness).
@@ -212,9 +214,10 @@ def statement_at(code, line: int) -> Statement:
     """The interned :class:`Statement` for a ``(code object, line)`` site.
 
     This replaces per-step ``Statement`` construction: the engine captures
-    the raw ``(f_code, f_lineno)`` pair at yield time (two attribute reads)
-    and materializes the statement here only when something actually needs
-    it — an event, a race-set probe, a crash report.
+    the raw site at yield time, the frame's ``f_code`` and the line its
+    :func:`line_table` gives for the frame's ``f_lasti``, and materializes
+    the statement here only when something actually needs it — an event,
+    a race-set probe, a crash report.
 
     The cache is keyed by ``id(code)``, so a lookup hashes no code object
     (a code object's hash walks its fields).  Each entry holds its code
@@ -230,6 +233,25 @@ def statement_at(code, line: int) -> Statement:
             file=code.co_filename, line=line, func=func
         )
     return stmt
+
+
+def line_table(code) -> dict[int, int]:
+    """``code``'s ``{f_lasti: line}`` table: the line of each instruction,
+    by byte offset, as ``frame.f_lineno`` reports it at that offset.
+
+    Built once per code object from ``co_lines()`` and kept, like the
+    statements, for the life of the process.  A lookup in it costs the
+    same at any line, where ``f_lineno`` decodes the code's line table
+    from its first instruction at every read.
+    """
+    entry = _LINE_TABLES.get(id(code))
+    if entry is None:
+        table = {}
+        for start, end, line in code.co_lines():
+            for offset in range(start, end, 2):
+                table[offset] = line
+        entry = _LINE_TABLES[id(code)] = (code, table)
+    return entry[1]
 
 
 def label_statement(label: str) -> Statement:

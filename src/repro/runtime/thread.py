@@ -59,11 +59,16 @@ class ThreadState:
     #: time (frame state is only readable while the generator is
     #: suspended) and interns the Statement on demand.
     pending_stmt: Statement | None = None
-    #: raw site of the pending op (``frame.f_code`` / ``f_lineno``); None,
-    #: with line 0, when ``pending_stmt`` holds the statement or the thread
-    #: has no pending op.
+    #: raw site of the pending op: the yielding frame's code object, and
+    #: the line ``lines`` gives for the frame's ``f_lasti``; None, with
+    #: line 0, when ``pending_stmt`` holds the statement or the thread has
+    #: no pending op.
     stmt_code: Any = None
     stmt_line: int = 0
+    #: ``{f_lasti: line}`` table of ``stmt_code`` (see
+    #: :func:`~repro.runtime.statement.line_table`), kept while the
+    #: thread's sites stay in that code object.
+    lines: dict[int, int] | None = None
     #: innermost generator of the body's ``yield from`` chain at the last
     #: unlabelled yield; the next site is read from it while it is alive.
     inner: Any = None
@@ -81,10 +86,6 @@ class ThreadState:
     #: deliver InterruptedException into the generator at the next step
     #: (set when an interrupt lands while waiting/sleeping).
     deliver_interrupt: bool = False
-    #: uncaught exception that terminated the thread, if any.
-    error: BaseException | None = None
-    #: statement at which the uncaught exception escaped.
-    error_stmt: Statement | None = None
 
     @property
     def handle(self) -> ThreadHandle:

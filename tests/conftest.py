@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import GeneratorType
+
 import pytest
 
 from repro.core import RandomScheduler
@@ -57,6 +59,43 @@ class LawfulExecution(Execution):
         }
         assert set(self._contending) == contending, self.step_count
         self.steps_checked += 1
+
+
+class LineCheckedExecution(Execution):
+    """An execution that checks each recorded yield site against the frame.
+
+    The engine reads a yield's line from its code object's ``{f_lasti:
+    line}`` table (``statement.line_table``).  The law is that after every
+    step, and after a new thread's body is primed, a thread with a raw site
+    has ``stmt_code`` and ``stmt_line`` equal to the ``f_code`` and
+    ``f_lineno`` of the innermost frame of its body's ``yield from`` chain
+    (for a native thread, the ``rt.*`` caller's frame).  ``sites_checked``
+    counts the sites the law was checked at.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sites_checked = 0
+
+    def _execute(self, ts, prime=False) -> None:
+        super()._execute(ts, prime)
+        self._check_site(ts)
+
+    def _create_thread(self, gen, name, parent):
+        ts = super()._create_thread(gen, name, parent)
+        self._check_site(ts)
+        return ts
+
+    def _check_site(self, ts) -> None:
+        if ts.stmt_code is None:
+            return
+        gen = ts.gen
+        while gen.gi_yieldfrom.__class__ is GeneratorType:
+            gen = gen.gi_yieldfrom
+        frame = gen.gi_frame
+        assert frame.f_code is ts.stmt_code, (ts, frame)
+        assert ts.stmt_line == frame.f_lineno, (ts, frame, frame.f_lasti)
+        self.sites_checked += 1
 
 
 @pytest.fixture

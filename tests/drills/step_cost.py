@@ -32,7 +32,16 @@ counts differ between interpreter versions.
 Bytecodes miss work done in C, such as matching keyword arguments against
 a long parameter list.  So the output also times one ``ops.write`` call
 (``write_ns``, the minimum over :data:`WRITE_REPEATS` timed loops), for
-the record only: it is not gated.
+the record only: it is not gated.  Two more costs of that kind are
+``frame.f_lineno``, which decodes the code's line table from its first
+instruction at every read (the engine reads each yield's line from a
+per-code table instead), and the cyclic garbage collector, which runs
+whenever the container objects allocated and not yet freed pass a
+threshold (700 by default).
+So each path also reports, for the record only, its generation-0
+collections per 1,000 ops (or events), counted through ``gc.callbacks``
+in an untraced repeat of the path (``gen0_per_1k_ops``,
+``gen0_per_1k_events``).
 
 Run it from the repository root (about 40 s)::
 
@@ -41,6 +50,7 @@ Run it from the repository root (about 40 s)::
 It prints one JSON line.
 """
 
+import gc
 import json
 import os
 import sys
@@ -138,6 +148,34 @@ class Tally:
         }
 
 
+class Collections:
+    """Generation-0 collections of the cyclic collector during ``run``
+    calls, which run untraced; stands in for a :class:`Tally`."""
+
+    def __init__(self) -> None:
+        self.gen0 = 0
+
+    def _count(self, phase, info) -> None:
+        if phase == "start" and info["generation"] == 0:
+            self.gen0 += 1
+
+    def run(self, fn, *args):
+        gc.callbacks.append(self._count)
+        try:
+            return fn(*args)
+        finally:
+            gc.callbacks.remove(self._count)
+
+
+def gen0_per_1k(measure, units: int) -> float:
+    """Run ``measure`` once more, untraced, from a just-collected heap;
+    its generation-0 collections per 1,000 units."""
+    collections = Collections()
+    gc.collect()
+    measure(collections)
+    return round(collections.gen0 * 1000 / units, 2)
+
+
 def phase2(tally: Tally) -> None:
     for name in ROWS:
         spec = workloads.get(name)
@@ -163,6 +201,25 @@ def passive(tally: Tally, make_scheduler) -> None:
 def phase1() -> dict:
     """The ``phase1`` row: both passes together, then each alone."""
     live, replay = Tally("event"), Tally("event")
+    phase1_passes(live, replay)
+    both = Tally("event")
+    for tally in (live, replay):
+        both.by_code.update(tally.by_code)
+        both.ops += tally.ops
+    row = both.report()
+    row["passes"] = {
+        "live": live.report()["bytecodes_per_event"],
+        "replay": replay.report()["bytecodes_per_event"],
+    }
+    row["gen0_per_1k_events"] = gen0_per_1k(
+        lambda collections: phase1_passes(collections, collections), both.ops
+    )
+    return row
+
+
+def phase1_passes(live, replay) -> None:
+    """The live four-detector runs (through ``live``) and the in-memory
+    replays of their events (through ``replay``)."""
     for name in ROWS:
         spec = workloads.get(name)
         program = spec.build()
@@ -178,16 +235,6 @@ def phase1() -> dict:
             ).run(RandomScheduler("every"))
             observers, _ = make_detectors(DETECTORS)
             replay.run(replay_events, trace.events, observers)
-    both = Tally("event")
-    for tally in (live, replay):
-        both.by_code.update(tally.by_code)
-        both.ops += tally.ops
-    row = both.report()
-    row["passes"] = {
-        "live": live.report()["bytecodes_per_event"],
-        "replay": replay.report()["bytecodes_per_event"],
-    }
-    return row
 
 
 def write_ns() -> float:
@@ -214,6 +261,7 @@ def main() -> int:
         tally = Tally()
         measure(tally)
         paths[path] = tally.report()
+        paths[path]["gen0_per_1k_ops"] = gen0_per_1k(measure, tally.ops)
     paths["phase1"] = phase1()
     gated = sys.version_info[:2] == (3, 11)
     over = [

@@ -5,7 +5,13 @@ import threading
 
 import pytest
 
-from repro.core import DefaultScheduler, RaceFuzzer, RandomScheduler, postponing
+from repro.core import (
+    DefaultScheduler,
+    RaceFuzzer,
+    RandomScheduler,
+    detect_races,
+    postponing,
+)
 from repro.native import NativeRuntime, native_program
 from repro.runtime import EngineError, Execution, SchedulerMisuse
 from repro.runtime.errors import IllegalMonitorState
@@ -13,7 +19,8 @@ from repro.runtime.events import AcquireEvent, MemEvent
 from repro.runtime.observer import EventTrace
 from repro.runtime.statement import Statement, StatementPair
 
-from tests.conftest import LawfulExecution
+from tests.conftest import LawfulExecution, LineCheckedExecution
+from tests.native.test_native_fuzzing import flag_ordered_program, lost_update_program
 
 
 def run_native(fn, seed=0, observers=(), max_steps=200_000):
@@ -243,6 +250,66 @@ class TestMaintainedEnabledSet:
             outcome = fuzzer.run(native_program(monitor_and_counter), seed=seed)
             assert not outcome.deadlock
         assert all(e.steps_checked == e.ops_executed > 0 for e in made)
+
+
+def helper_sites(rt):
+    """Sites in helper functions as well as in the thread bodies, so a
+    thread's consecutive ops come from different code objects while its
+    token thread stays the same."""
+    total = rt.var("total", 0)
+    lock = rt.lock("L")
+
+    def bump(amount):
+        rt.acquire(lock)
+        current = rt.read(total)
+        rt.write(
+            total,
+            current + amount,
+        )
+        rt.release(lock)
+
+    def worker(amount):
+        for _ in range(3):
+            bump(amount)
+            rt.yield_point()
+            rt.write(total, rt.read(total))  # unguarded
+
+    handles = [rt.spawn(worker, 1), rt.spawn(worker, 2)]
+    for handle in handles:
+        rt.join(handle)
+
+
+NATIVE_PROGRAMS = (
+    monitor_and_counter, helper_sites, lost_update_program, flag_ordered_program,
+)
+
+
+class TestYieldLines:
+    """Every recorded site equals the ``rt.*`` caller frame's ``f_code``
+    and ``f_lineno`` (see ``tests/runtime/test_yield_lines.py``)."""
+
+    @pytest.mark.parametrize("fn", NATIVE_PROGRAMS, ids=lambda fn: fn.__name__)
+    def test_random_every(self, fn):
+        for seed in range(3):
+            execution = LineCheckedExecution(native_program(fn), seed=seed)
+            execution.run(RandomScheduler(preemption="every"))
+            assert execution.sites_checked > 0
+
+    @pytest.mark.parametrize("fn", NATIVE_PROGRAMS, ids=lambda fn: fn.__name__)
+    def test_racefuzzer(self, fn, monkeypatch):
+        pairs = sorted(detect_races(native_program(fn)).pairs, key=str)
+        assert pairs
+        made = []
+
+        def checked(*args, **kwargs):
+            made.append(LineCheckedExecution(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(postponing, "Execution", checked)
+        for pair in pairs:
+            RaceFuzzer(pair).run(native_program(fn), seed=0)
+        assert len(made) == len(pairs)
+        assert all(e.sites_checked > 0 for e in made)
 
 
 def crossed_locks(rt):
